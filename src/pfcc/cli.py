@@ -44,20 +44,20 @@ def _exit_code_for(exc: PfccError) -> int:
 
 
 def _apply_overrides(cfg: sim.ScenarioConfig, args) -> sim.ScenarioConfig:
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.horizon is not None:
-        cfg.horizon = args.horizon
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.sample_interval is not None:
-        cfg.sample_interval = args.sample_interval
-    return cfg
+    """Copy of ``cfg`` with the command-line overrides, validated like the
+    scenario file's own values."""
+    overrides = {key: getattr(args, key)
+                 for key in ("seed", "horizon", "mode", "sample_interval")
+                 if getattr(args, key) is not None}
+    try:
+        return replace(cfg, **overrides)
+    except ValueError as exc:
+        raise SchemaError(f"invalid override: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
     try:
-        cfg = sc.load_scenario(args.scenario)
+        cfg = _apply_overrides(sc.load_scenario(args.scenario), args)
     except SchemaError as exc:
         print(f"schema: FAIL - {exc}")
         return EXIT_SCHEMA

@@ -11,12 +11,12 @@ reachability flags, so relays work across leaders).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InfluenceError, PfccError
+from .errors import ConvergenceError, InfluenceError, PfccError
 from .matops import is_positive_definite, spectral_radius
 from .propagation import AgentKnowledge
 
@@ -47,11 +47,17 @@ class ObserverConfig:
 
 @dataclass(frozen=True)
 class RlsObserver:
-    """State of one adaptive observer: parameter matrix L, model estimate
-    A_hat, state estimate x_hat."""
+    """State of one adaptive observer: parameter scale c, model estimate
+    A_hat, state estimate x_hat.
+
+    The RLS parameter matrix is always c * I: it starts at init_scale * I,
+    and the regressor I (x) x_hat has Gram matrix |x_hat|^2 I, so every
+    downdate keeps it a multiple of the identity (see ``rls_update_L`` for
+    the general matrix form).
+    """
 
     config: ObserverConfig
-    L: np.ndarray
+    c: float
     A_hat: np.ndarray
     x_hat: np.ndarray
 
@@ -59,7 +65,7 @@ class RlsObserver:
     def create(cls, config: ObserverConfig, n: int,
                x0: np.ndarray | None = None) -> "RlsObserver":
         x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
-        return cls(config=config, L=config.init_scale * np.eye(n),
+        return cls(config=config, c=float(config.init_scale),
                    A_hat=np.zeros((n, n)), x_hat=x)
 
 
@@ -113,27 +119,88 @@ def predict_state(obs: RlsObserver, eta: np.ndarray) -> np.ndarray:
 
 
 def observer_step_tracking_leader(obs: RlsObserver, eta: np.ndarray,
-                                  eta_next: np.ndarray) -> RlsObserver:
+                                  eta_next: np.ndarray,
+                                  x_next: np.ndarray | None = None) -> RlsObserver:
     """Full observer update across one tick.
 
-    The parameter matrix is downdated with the current regressor, the state
+    The parameter scale is downdated with the current regressor, the state
     estimate advances with the pre-update model, and the model estimate is
     corrected against the next-tick consensus error (the only causal order
-    consistent with the update indices).
+    consistent with the update indices).  ``x_next`` is the state prediction
+    ``predict_state(obs, eta)`` when the caller has already computed it.
+
+    With L = c I this is the matrix update of ``rls_update_L`` and the gain
+    solve (L_next^-1 + xi I)^-1 eta_next in closed form.  A downdated scale
+    that is no longer positive means the estimate has blown up.
     """
     eta = np.asarray(eta, dtype=float).ravel()
     eta_next = np.asarray(eta_next, dtype=float).ravel()
-    n = obs.x_hat.size
+    x = obs.x_hat
+    n = x.size
     if eta.size != n or eta_next.size != n:
         raise ValueError(f"consensus error dimension mismatch: expected {n}")
     cfg = obs.config
-    x_bar = regressor(obs.x_hat)
-    l_next = rls_update_L(obs.L, x_bar)
-    x_next = predict_state(obs, eta)
-    gain = np.linalg.solve(np.linalg.inv(l_next) + cfg.xi * np.eye(n), eta_next)
-    # Row-major unstacking of -coupling * x_bar @ gain is the rank-one term below.
-    a_next = obs.A_hat - cfg.coupling * np.outer(gain, obs.x_hat)
-    return replace(obs, L=l_next, A_hat=a_next, x_hat=x_next)
+    c_next = obs.c / (1.0 + obs.c * float(x.dot(x)))
+    if not c_next > 0.0:
+        raise ConvergenceError("observer state diverged")
+    if x_next is None:
+        x_next = predict_state(obs, eta)
+    # coupling * gain with gain = eta_next / (1/c_next + xi); the row-major
+    # unstacking of -coupling * x_bar @ gain is the rank-one term below
+    scaled_gain = eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi))
+    a_next = obs.A_hat - scaled_gain[:, None] * x
+    return RlsObserver(cfg, c_next, a_next, x_next)
+
+
+@dataclass(frozen=True)
+class ObserverNetwork:
+    """One observer network (all estimators of one target) as a graph block.
+
+    ``members`` are the agent nodes running an observer of the target, in
+    row order.  ``graph`` is the gated V x V matrix diag(deg + pin) - W over
+    the members, where W[k, j] is the weight of the edge member j -> member
+    k; edges from agents outside the network carry no estimate of the target
+    and are left out.  ``pin`` holds the direct edge weights from the target
+    itself, so the consensus errors of all members are G X - pin (x) target.
+    """
+
+    members: tuple[int, ...]
+    graph: np.ndarray
+    pin: np.ndarray
+
+    @classmethod
+    def from_adjacency(cls, adjacency: np.ndarray, members: Sequence[int],
+                       target: int) -> "ObserverNetwork":
+        """Gate a receiver-row adjacency (``adjacency[i, j]`` is the weight
+        of j -> i, zero diagonal) to ``members``, pinned to node ``target``."""
+        idx = list(members)
+        adjacency = np.asarray(adjacency, dtype=float)
+        w = adjacency[np.ix_(idx, idx)]
+        pin = adjacency[idx, target]
+        return cls(members=tuple(idx), graph=np.diag(w.sum(axis=1) + pin) - w,
+                   pin=pin)
+
+    def consensus_errors(self, values: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Stacked consensus errors (V, n) of member values (V, n)."""
+        return self.graph @ values - self.pin[:, None] * target
+
+    def step(self, observers: Sequence[RlsObserver], target_now: np.ndarray,
+             target_next: np.ndarray) -> list[RlsObserver]:
+        """Advance the members' observers (given in ``members`` order) by one
+        tick against the target's current and next value.
+
+        Raises ConvergenceError when a prediction or next-tick error is not
+        finite.
+        """
+        x = np.array([o.x_hat for o in observers])
+        eta = self.consensus_errors(x, target_now)
+        pred = np.array([predict_state(o, e) for o, e in zip(observers, eta)])
+        eta_next = self.consensus_errors(pred, target_next)
+        # any inf or nan entry makes the sums non-finite
+        if not np.isfinite(pred.sum() + eta_next.sum()):
+            raise ConvergenceError("observer state diverged")
+        return [observer_step_tracking_leader(o, e, e_next, x_next=p)
+                for o, e, e_next, p in zip(observers, eta, eta_next, pred)]
 
 
 def observer_step_formation(obs: RlsObserver, role: str, q: int,

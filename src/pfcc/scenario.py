@@ -280,11 +280,14 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
     obs_raw = raw["observers"]
 
     def observer(entry) -> ob.ObserverConfig:
-        return ob.ObserverConfig(
-            xi=float(obs_raw["xi"]), coupling=float(entry["coupling"]),
-            consensus_gain=float(entry["consensus_gain"]),
-            gain_matrix=_matrix(entry["gain_matrix"], "observer gain matrix"),
-            init_scale=float(obs_raw["init_scale"]))
+        try:
+            return ob.ObserverConfig(
+                xi=float(obs_raw["xi"]), coupling=float(entry["coupling"]),
+                consensus_gain=float(entry["consensus_gain"]),
+                gain_matrix=_matrix(entry["gain_matrix"], "observer gain matrix"),
+                init_scale=float(obs_raw["init_scale"]))
+        except ValueError as exc:
+            raise SchemaError(f"observers: {exc}") from exc
 
     formation_cfgs = {}
     for nm in leader_names:
@@ -332,8 +335,12 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
 
 
 def load_scenario(path) -> sim.ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(parse_scenario_text(fh.read()))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read scenario {path}: {exc.strerror}") from exc
+    return scenario_from_dict(parse_scenario_text(text))
 
 
 def load_bundled(name: str) -> sim.ScenarioConfig:

@@ -271,6 +271,10 @@ class WorldState:
     knowledge: dict[int, pr.AgentKnowledge]
     track_obs: dict[int, ob.RlsObserver]
     form_obs: dict[int, dict[int, ob.RlsObserver]]
+    #: One graph block per observer network, keyed by the observed node:
+    #: 0 is the tracking network, a leader node that leader's formation
+    #: network.  Rebuilt only when propagation changes an influential set.
+    networks: dict[int, ob.ObserverNetwork]
     learners: dict[int, AgentLearner]
     oracle_gains: dict[int, mc.LeaderGains | mc.FollowerGains]
     oracle_layouts: dict[int, tuple]
@@ -339,13 +343,14 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
         knowledge=knowledge,
         track_obs=track_obs,
         form_obs=form_obs,
+        networks={},
         learners={},
         oracle_gains={},
         oracle_layouts={},
         baseline_alpha=_baseline_weights(topo) if cfg.mode == MODE_BASELINE else None,
         trace=TraceLog(config=cfg),
     )
-    _spawn_formation_observers(state, cfg)
+    _sync_observer_networks(state, cfg)
     if cfg.mode in (MODE_DATA, MODE_BASELINE):
         for node in topo.follower_nodes + topo.leader_nodes:
             _reset_learner(state, cfg, node)
@@ -367,13 +372,23 @@ def _layout_of(state: WorldState, cfg: ScenarioConfig, node: int) -> tuple[int, 
     return tuple(sorted(state.knowledge[node].influential))
 
 
-def _spawn_formation_observers(state: WorldState, cfg: ScenarioConfig) -> None:
+def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
+    """Spawn the formation observers of newly influenced agents and rebuild
+    every network's graph block from the current influential sets."""
+    topo = cfg.topology
     n_dim = cfg.state_dim
-    for a in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
+    agents = topo.leader_nodes + topo.follower_nodes
+    for a in agents:
         for q in sorted(state.knowledge[a].influential):
             if q != a and q not in state.form_obs[a]:
                 state.form_obs[a][q] = ob.RlsObserver.create(
                     cfg.formation_observers[q], n_dim)
+    adjacency = topo.full_adjacency()
+    state.networks = {0: ob.ObserverNetwork.from_adjacency(adjacency, agents, 0)}
+    for q in topo.leader_nodes:
+        members = sorted(a for a in agents
+                         if a != q and q in state.knowledge[a].influential)
+        state.networks[q] = ob.ObserverNetwork.from_adjacency(adjacency, members, q)
 
 
 def _augmented_dims(cfg: ScenarioConfig, node: int,
@@ -487,97 +502,25 @@ def _oracle_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.nda
 # observer phase
 # ---------------------------------------------------------------------------
 
-def _tracking_network_step(state: WorldState, cfg: ScenarioConfig,
-                           x_o_now: np.ndarray,
-                           x_o_next: np.ndarray) -> dict[int, ob.RlsObserver]:
-    topo = cfg.topology
-    members = topo.leader_nodes + topo.follower_nodes
-    est = {a: state.track_obs[a].x_hat for a in members}
-
-    def eta_for(values: dict[int, np.ndarray], pin: np.ndarray) -> dict[int, np.ndarray]:
-        etas = {}
-        for q in topo.leader_nodes:
-            qi = topo.leader_index(q)
-            terms = [(topo.leader_adjacency[qi, topo.leader_index(j)], values[j])
-                     for j in topo.leader_nodes if j != q]
-            etas[q] = ob.consensus_error(values[q], terms,
-                                         topo.tracking_to_leader[qi], pin)
-        for i in topo.follower_nodes:
-            fi = topo.follower_index(i)
-            terms = [(topo.follower_adjacency[fi, topo.follower_index(j)], values[j])
-                     for j in topo.follower_nodes if j != i]
-            terms += [(topo.leader_to_follower[fi, topo.leader_index(q)], values[q])
-                      for q in topo.leader_nodes]
-            etas[i] = ob.consensus_error(values[i], terms, 0.0, None)
-        return etas
-
-    eta_now = eta_for(est, x_o_now)
-    pred = {a: ob.predict_state(state.track_obs[a], eta_now[a]) for a in members}
-    eta_next = eta_for(pred, x_o_next)
-    return {a: ob.observer_step_tracking_leader(state.track_obs[a], eta_now[a],
-                                                eta_next[a])
-            for a in members}
-
-
-def _formation_network_step(state: WorldState, cfg: ScenarioConfig, q: int,
-                            h_now: np.ndarray,
-                            h_next: np.ndarray) -> dict[int, ob.RlsObserver]:
-    topo = cfg.topology
-    qi = topo.leader_index(q)
-    members = sorted(a for a in topo.follower_nodes + topo.leader_nodes
-                     if a != q and q in state.knowledge[a].influential)
-    observers = {m: state.form_obs[m][q] for m in members}
-    est = {m: observers[m].x_hat for m in members}
-
-    def eta_for(values: dict[int, np.ndarray], pin: np.ndarray) -> dict[int, np.ndarray]:
-        etas = {}
-        for m in members:
-            terms = []
-            if topo.is_leader(m):
-                mi = topo.leader_index(m)
-                for j in topo.leader_nodes:
-                    if j in (m, q):
-                        continue
-                    w = topo.leader_adjacency[mi, topo.leader_index(j)]
-                    if w > 0 and q in state.knowledge[j].influential:
-                        terms.append((w, values[j]))
-                pin_w = topo.leader_adjacency[mi, qi]
-            else:
-                mi = topo.follower_index(m)
-                for j in topo.leader_nodes:
-                    if j == q:
-                        continue
-                    w = topo.leader_to_follower[mi, topo.leader_index(j)]
-                    if w > 0 and q in state.knowledge[j].influential:
-                        terms.append((w, values[j]))
-                for j in topo.follower_nodes:
-                    if j == m:
-                        continue
-                    w = topo.follower_adjacency[mi, topo.follower_index(j)]
-                    if w > 0 and q in state.knowledge[j].influential:
-                        terms.append((w, values[j]))
-                pin_w = topo.leader_to_follower[mi, qi]
-            etas[m] = ob.consensus_error(values[m], terms, pin_w, pin)
-        return etas
-
-    eta_now = eta_for(est, h_now)
-    pred = {m: ob.predict_state(observers[m], eta_now[m]) for m in members}
-    eta_next = eta_for(pred, h_next)
-    return {m: ob.observer_step_tracking_leader(observers[m], eta_now[m], eta_next[m])
-            for m in members}
-
-
 def _observer_phase(state: WorldState, cfg: ScenarioConfig
                     ) -> tuple[dict, dict]:
     """Compute all next-tick observers from the tick-k snapshot."""
+    topo = cfg.topology
+    net = state.networks[0]
     x_o_next = cfg.tracking_a @ state.x_o
-    track_next = _tracking_network_step(state, cfg, state.x_o, x_o_next)
+    track_next = dict(zip(net.members, net.step(
+        [state.track_obs[a] for a in net.members], state.x_o, x_o_next)))
     form_next: dict[int, dict[int, ob.RlsObserver]] = {
-        a: dict(state.form_obs[a]) for a in state.form_obs}
-    for q in cfg.topology.leader_nodes:
-        h_now = state.h[cfg.topology.leader_index(q)]
-        h_next = cfg.formation[cfg.topology.leader_index(q)].S @ h_now
-        for m, new_obs in _formation_network_step(state, cfg, q, h_now, h_next).items():
+        a: dict(obs) for a, obs in state.form_obs.items()}
+    for q in topo.leader_nodes:
+        net = state.networks[q]
+        if not net.members:
+            continue
+        qi = topo.leader_index(q)
+        h_now = state.h[qi]
+        h_next = cfg.formation[qi].S @ h_now
+        stepped = net.step([state.form_obs[m][q] for m in net.members], h_now, h_next)
+        for m, new_obs in zip(net.members, stepped):
             form_next[m][q] = new_obs
     return track_next, form_next
 
@@ -703,21 +646,25 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     # 2. influence propagation (idempotent at the fixed point)
     if state.propagation_stable_for < topo.n_followers + topo.n_leaders:
         nxt = pr.step_propagation(state.knowledge, topo)
-        if any(nxt[a].influential != state.knowledge[a].influential for a in nxt):
+        changed = any(nxt[a].influential != state.knowledge[a].influential for a in nxt)
+        state.knowledge = nxt
+        if changed:
             state.propagation_changes += 1
             state.propagation_stable_for = 0
+            _sync_observer_networks(state, cfg)
         else:
             state.propagation_stable_for += 1
-        state.knowledge = nxt
-        _spawn_formation_observers(state, cfg)
 
     # 3. trace sampling of the tick-k state
     if tick % cfg.sample_interval == 0:
         _sample_trace(state, cfg)
 
-    # 4. observer updates from the tick-k snapshot
+    # 4. observer updates from the tick-k snapshot; a diverging estimate
+    # overflows before it is caught (scale downdated to zero or a non-finite
+    # prediction), and that is reported as an abort rather than a warning
     try:
-        track_next, form_next = _observer_phase(state, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            track_next, form_next = _observer_phase(state, cfg)
     except PfccError as exc:
         raise SimulationAbort(tick, "observers", exc) from exc
 
@@ -815,45 +762,20 @@ def observer_gain_bound_diagnostic(state: WorldState, cfg: ScenarioConfig,
                                    q: int) -> ob.GainBound:
     """Evaluate the coupling-gain bound on leader q's formation network at
     the current tick (diagnostic only)."""
-    topo = cfg.topology
-    qi = topo.leader_index(q)
-    members = sorted(a for a in topo.follower_nodes + topo.leader_nodes
-                     if a != q and a in state.form_obs and q in state.form_obs[a])
-    if not members:
+    net = state.networks[q]
+    if not net.members:
         raise PfccError(f"no agents observe leader {cfg.agent_name(q)}")
     n = cfg.state_dim
-    v = len(members)
-    idx = {m: k for k, m in enumerate(members)}
-    graph = np.zeros((v, v))
-    for m in members:
-        k = idx[m]
-        if topo.is_leader(m):
-            mi = topo.leader_index(m)
-            weights = [(j, topo.leader_adjacency[mi, topo.leader_index(j)])
-                       for j in topo.leader_nodes if j not in (m, q)]
-            pin = topo.leader_adjacency[mi, qi]
-        else:
-            mi = topo.follower_index(m)
-            weights = [(j, topo.leader_to_follower[mi, topo.leader_index(j)])
-                       for j in topo.leader_nodes if j != q]
-            weights += [(j, topo.follower_adjacency[mi, topo.follower_index(j)])
-                        for j in topo.follower_nodes if j != m]
-            pin = topo.leader_to_follower[mi, qi]
-        for j, w in weights:
-            if w > 0 and j in idx and q in state.knowledge[j].influential:
-                graph[k, idx[j]] -= w
-                graph[k, k] += w
-        graph[k, k] += pin
+    v = len(net.members)
     o_cfg = cfg.formation_observers[q]
-    s_q = cfg.formation[qi].S
+    s_q = cfg.formation[cfg.topology.leader_index(q)].S
     s_consensus = (np.kron(np.eye(v), s_q)
-                   - o_cfg.consensus_gain * np.kron(graph, o_cfg.gain_matrix))
+                   - o_cfg.consensus_gain * np.kron(net.graph, o_cfg.gain_matrix))
     zeta = np.zeros((v * n * n, v * n))
     l_bar = np.zeros((v * n, v * n))
-    for m in members:
-        k = idx[m]
+    for k, m in enumerate(net.members):
         obs = state.form_obs[m][q]
         zeta[k * n * n : (k + 1) * n * n, k * n : (k + 1) * n] = ob.regressor(obs.x_hat)
-        l_bar[k * n : (k + 1) * n, k * n : (k + 1) * n] = np.linalg.inv(
-            np.linalg.inv(obs.L) + o_cfg.xi * np.eye(n))
-    return ob.coupling_gain_bound(zeta, l_bar, graph, s_consensus, o_cfg.xi)
+        l_bar[k * n : (k + 1) * n, k * n : (k + 1) * n] = (
+            np.eye(n) / (1.0 / obs.c + o_cfg.xi))
+    return ob.coupling_gain_bound(zeta, l_bar, net.graph, s_consensus, o_cfg.xi)

@@ -6,7 +6,7 @@ from pfcc import observers as ob
 from pfcc import propagation as pr
 from pfcc import scenario as sc
 from pfcc import simulation as sim
-from pfcc.errors import InfluenceError, PfccError
+from pfcc.errors import ConvergenceError, InfluenceError, PfccError
 from pfcc.topology import build_laplacian
 
 FA = np.array([[0.1, 0.5], [0.5, 0.1]])
@@ -65,12 +65,12 @@ class TestObserverStep:
     def test_converged_observer_only_downdates_L(self):
         target_a = SWAP
         x = np.array([1.0, -2.0])
-        obs = ob.RlsObserver(config=BUNDLED_CFG, L=np.eye(2), A_hat=target_a,
+        obs = ob.RlsObserver(config=BUNDLED_CFG, c=1.0, A_hat=target_a,
                              x_hat=x)
         nxt = ob.observer_step_tracking_leader(obs, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(nxt.A_hat, target_a)
         np.testing.assert_allclose(nxt.x_hat, target_a @ x)
-        assert not np.allclose(nxt.L, obs.L)
+        assert nxt.c != obs.c
 
     def test_dimension_mismatch(self):
         obs = ob.RlsObserver.create(BUNDLED_CFG, 2)
@@ -133,6 +133,192 @@ class TestObserverStep:
             x_o = x_o_next
         total = sum(np.linalg.norm(observers[q].x_hat - x_o) for q in nodes)
         assert total < 1e-3 < total0
+
+
+def matrix_step(obs, L, eta, eta_next):
+    """The general update: Woodbury downdate of the parameter matrix L,
+    gain solve against L_next^-1 + xi I, row-major unstacked model update."""
+    cfg = obs.config
+    n = obs.x_hat.size
+    x_bar = ob.regressor(obs.x_hat)
+    l_next = ob.rls_update_L(L, x_bar)
+    gain = np.linalg.solve(np.linalg.inv(l_next) + cfg.xi * np.eye(n), eta_next)
+    a_next = obs.A_hat - cfg.coupling * (x_bar @ gain).reshape(n, n)
+    x_next = obs.A_hat @ obs.x_hat - cfg.consensus_gain * cfg.gain_matrix @ eta
+    return l_next, a_next, x_next
+
+
+def random_config(rng, n):
+    return ob.ObserverConfig(xi=float(rng.uniform(1.0, 6.0)),
+                             coupling=float(rng.uniform(0.5, 10.0)),
+                             consensus_gain=float(rng.uniform(0.1, 2.0)),
+                             gain_matrix=rng.normal(size=(n, n)),
+                             init_scale=float(10.0 ** rng.uniform(-2, 2)))
+
+
+def assert_rel_close(actual, expected, rtol=1e-12):
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert float(np.max(np.abs(np.asarray(actual) - expected))) <= rtol * scale
+
+
+class TestScalarParameter:
+    def test_step_matches_matrix_update(self):
+        # from the same state, the scalar step equals the matrix path with
+        # L = c I for every output.  The Woodbury downdate cancels about
+        # log10(c |x|^2) digits, so the excitation c |x|^2 stays below ~100
+        # here, where the matrix path itself is accurate to 1e-14
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            obs = ob.RlsObserver(config=random_config(rng, n),
+                                 c=float(10.0 ** rng.uniform(-3, 0)),
+                                 A_hat=rng.normal(size=(n, n)),
+                                 x_hat=rng.normal(size=n) * 10.0 ** rng.uniform(-2, 0.5))
+            eta, eta_next = rng.normal(size=n), rng.normal(size=n)
+            nxt = ob.observer_step_tracking_leader(obs, eta, eta_next)
+            l_next, a_next, x_next = matrix_step(obs, obs.c * np.eye(n), eta, eta_next)
+            assert_rel_close(nxt.c * np.eye(n), l_next)
+            assert_rel_close(nxt.A_hat, a_next)
+            assert_rel_close(nxt.x_hat, x_next)
+
+    def test_scale_follows_matrix_downdates_over_sequences(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            cfg = random_config(rng, n)
+            obs = ob.RlsObserver.create(cfg, n)
+            L = cfg.init_scale * np.eye(n)
+            for _ in range(40):
+                obs = ob.RlsObserver(cfg, obs.c, obs.A_hat, rng.normal(size=n))
+                L, _, _ = matrix_step(obs, L, np.zeros(n), np.zeros(n))
+                obs = ob.observer_step_tracking_leader(obs, np.zeros(n), np.zeros(n))
+                assert_rel_close(obs.c * np.eye(n), L)
+
+    def test_given_prediction_is_used(self):
+        obs = ob.RlsObserver.create(BUNDLED_CFG, 2, x0=[1.0, 2.0])
+        eta = np.array([0.3, -0.1])
+        plain = ob.observer_step_tracking_leader(obs, eta, eta)
+        given = ob.observer_step_tracking_leader(
+            obs, eta, eta, x_next=ob.predict_state(obs, eta))
+        np.testing.assert_array_equal(plain.x_hat, given.x_hat)
+        np.testing.assert_array_equal(plain.A_hat, given.A_hat)
+        assert plain.c == given.c
+
+    def test_blown_up_estimate_is_a_convergence_error(self):
+        # |x|^2 overflows, so the downdated scale is zero
+        obs = ob.RlsObserver.create(BUNDLED_CFG, 2, x0=[1e200, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="diverged"):
+            ob.observer_step_tracking_leader(obs, np.zeros(2), np.zeros(2))
+
+
+def reference_etas(cfg, state, target, values, pin_value):
+    """Per-node consensus errors of one network from the topology blocks,
+    gating out neighbours that do not observe the target (0 = tracking)."""
+    topo = cfg.topology
+    if target == 0:
+        members = topo.leader_nodes + topo.follower_nodes
+    else:
+        members = [a for a in topo.follower_nodes + topo.leader_nodes
+                   if a != target and target in state.knowledge[a].influential]
+
+    def weight(dst, src):
+        if topo.is_leader(dst):
+            if src == 0:
+                return topo.tracking_to_leader[topo.leader_index(dst)]
+            if topo.is_follower(src):
+                return 0.0
+            return topo.leader_adjacency[topo.leader_index(dst), topo.leader_index(src)]
+        if src == 0:
+            return 0.0
+        if topo.is_leader(src):
+            return topo.leader_to_follower[topo.follower_index(dst),
+                                           topo.leader_index(src)]
+        return topo.follower_adjacency[topo.follower_index(dst), topo.follower_index(src)]
+
+    out = {}
+    for m in members:
+        terms = [(weight(m, j), values[j]) for j in members if j != m]
+        out[m] = ob.consensus_error(values[m], terms, weight(m, target), pin_value)
+    return out
+
+
+class TestObserverNetwork:
+    @pytest.mark.parametrize("scenario", ["hexagon", "hexagon_static"])
+    def test_graph_block_matches_per_node_sums(self, scenario):
+        cfg = sc.load_bundled(scenario)
+        state = sim.init_world(cfg)
+        rng = np.random.default_rng(11)
+        checked = 0
+        for tick in range(121):
+            if tick in (0, 1, 2, 3, 5, 40, 120):
+                for target, net in state.networks.items():
+                    if target == 0:
+                        estimates = {a: state.track_obs[a].x_hat for a in net.members}
+                    else:
+                        estimates = {a: state.form_obs[a][target].x_hat
+                                     for a in net.members}
+                    randoms = {a: rng.normal(size=cfg.state_dim) for a in net.members}
+                    pin_value = rng.normal(size=cfg.state_dim)
+                    for values in (estimates, randoms):
+                        ref = reference_etas(cfg, state, target, values, pin_value)
+                        assert set(net.members) == set(ref)
+                        if not net.members:
+                            continue
+                        stacked = np.array([values[a] for a in net.members])
+                        eta = net.consensus_errors(stacked, pin_value)
+                        scale = (max(np.abs(stacked).max(), np.abs(pin_value).max())
+                                 * np.abs(net.graph).sum(axis=1).max())
+                        for k, a in enumerate(net.members):
+                            np.testing.assert_allclose(eta[k], ref[a], rtol=1e-12,
+                                                       atol=1e-12 * scale)
+                            checked += 1
+            sim.step_world(state, cfg)
+        assert checked > 0
+
+    def test_networks_rebuilt_only_when_influence_spreads(self, hexagon_config):
+        cfg = hexagon_config
+        state = sim.init_world(cfg)
+        seen = [state.networks]
+        changes = state.propagation_changes
+        for _ in range(60):
+            sim.step_world(state, cfg)
+            if state.propagation_changes != changes:
+                changes = state.propagation_changes
+                seen.append(state.networks)
+            else:
+                assert state.networks is seen[-1]
+        assert len(seen) == 1 + changes
+        topo = cfg.topology
+        for q in topo.leader_nodes:
+            assert state.networks[q].members == tuple(sorted(
+                a for a in topo.follower_nodes + topo.leader_nodes
+                if a != q and q in state.knowledge[a].influential))
+
+    def test_non_finite_prediction_is_a_convergence_error(self):
+        net = ob.ObserverNetwork.from_adjacency(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                                [1], 0)
+        obs = ob.RlsObserver.create(BUNDLED_CFG, 2, x0=[np.inf, 0.0])
+        with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError,
+                                                          match="diverged"):
+            net.step([obs], np.zeros(2), np.zeros(2))
+
+    def test_step_matches_per_observer_updates(self, hexagon_config):
+        topo = hexagon_config.topology
+        net = ob.ObserverNetwork.from_adjacency(topo.full_adjacency(),
+                                                topo.leader_nodes, 0)
+        rng = np.random.default_rng(5)
+        observers = [ob.RlsObserver.create(BUNDLED_CFG, 2, x0=rng.normal(size=2))
+                     for _ in net.members]
+        x_o, x_o_next = np.array([2.0, 0.0]), SWAP @ np.array([2.0, 0.0])
+        etas = net.consensus_errors(np.array([o.x_hat for o in observers]), x_o)
+        preds = [ob.predict_state(o, e) for o, e in zip(observers, etas)]
+        etas_next = net.consensus_errors(np.array(preds), x_o_next)
+        for o, e, e_next, new in zip(observers, etas, etas_next,
+                                     net.step(observers, x_o, x_o_next)):
+            ref = ob.observer_step_tracking_leader(o, e, e_next)
+            np.testing.assert_array_equal(new.x_hat, ref.x_hat)
+            np.testing.assert_array_equal(new.A_hat, ref.A_hat)
+            assert new.c == ref.c
 
 
 class TestFormationObserverGating:

@@ -79,6 +79,12 @@ class TestParsing:
         with pytest.raises(AssumptionError, match="positive"):
             sc.scenario_from_dict(raw)
 
+    def test_invalid_observer_gain_is_schema_error(self):
+        raw = bundled_dict()
+        raw["observers"]["xi"] = 0.5
+        with pytest.raises(SchemaError, match="xi"):
+            sc.scenario_from_dict(raw)
+
     def test_dimension_mismatch_rejected(self):
         raw = bundled_dict()
         raw["followers"][0]["A"] = [[0.0]]
@@ -185,6 +191,37 @@ class TestRunCommand:
         path.write_text("{nope}")
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) \
             == cli.EXIT_SCHEMA
+
+    @pytest.mark.parametrize("flag, value", [("--sample-interval", "0"),
+                                             ("--horizon", "-5")])
+    def test_invalid_override_is_schema_error(self, tmp_path, capsys, flag, value):
+        path = write(tmp_path, bundled_dict())
+        out = tmp_path / "out"
+        assert cli.main(["run", path, flag, value, "--out", str(out)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "override" in err
+        assert not out.exists()
+        assert cli.main(["validate", path, flag, value]) == cli.EXIT_SCHEMA
+
+    def test_missing_scenario_is_schema_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert cli.main(["run", missing, "--out", str(tmp_path / "o")]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "absent.json" in err
+        assert cli.main(["validate", missing]) == cli.EXIT_SCHEMA
+
+    def test_observer_divergence_exit_code(self, tmp_path, capsys):
+        raw = bundled_dict()
+        raw["horizon"] = 400
+        for entry in raw["observers"]["formation"].values():
+            entry["consensus_gain"] = 20.0
+        path = write(tmp_path, raw)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", path, "--out", out]) == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "observers" in err and "diverged" in err
+        meta = json.load(open(os.path.join(out, "metadata.json")))
+        assert meta["completed"] is False
 
 
 class TestExitCodeMapping:

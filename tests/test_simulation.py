@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from pfcc import model_control as mc
 from pfcc import observers as ob
 from pfcc import scenario as sc
 from pfcc import simulation as sim
-from pfcc.errors import PersistentExcitationError
+from pfcc.errors import ConvergenceError, PersistentExcitationError, SimulationAbort
 from pfcc.topology import DirectedTopology
 
 
@@ -147,6 +150,27 @@ class TestWorldStepping:
         assert res.completed
         assert res.trace.records[-1].containment_errors[1] < 1e-8
         assert res.trace.records[-1].formation_errors[2] < 1e-8
+
+
+class TestObserverDivergence:
+    def test_diverging_observers_abort_cleanly(self):
+        # consensus gain 20 makes every formation network unstable; the run
+        # ends in an observer abort, with no raw numpy error or warning
+        cfg = sc.load_bundled("hexagon")
+        cfg.horizon = 400
+        cfg.formation_observers = {
+            q: dataclasses.replace(o, consensus_gain=20.0)
+            for q, o in cfg.formation_observers.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sim.run(cfg)
+        assert not res.completed
+        assert isinstance(res.error, SimulationAbort)
+        assert res.error.agent == "observers"
+        assert isinstance(res.error.cause, ConvergenceError)
+        assert "diverged" in str(res.error)
+        assert 0 < res.error.tick < cfg.horizon
+        assert res.trace.records  # the partial trace is kept
 
 
 class TestDeterminism:
