@@ -220,12 +220,6 @@ class _TruncatedSolver:
         return solution
 
 
-def record_sample(buf: DataBuffer, x: np.ndarray, u: np.ndarray,
-                  x_next: np.ndarray) -> DataBuffer:
-    """Append one transition to the window (functional-style alias)."""
-    return buf.record(x, u, x_next)
-
-
 def vi_update_P(buf: DataBuffer, q_weight: np.ndarray, c: np.ndarray,
                 p_prev: np.ndarray, allow_deficient: bool = False) -> np.ndarray:
     """Regression form of the value-function update.

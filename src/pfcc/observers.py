@@ -6,7 +6,8 @@ least-squares parameter matrix with consensus pulling.  The same update
 serves three uses: leaders estimating the tracking state, followers
 estimating the tracking state through the leader layer, and any influenced
 agent estimating a leader's formation state (gated by propagated
-reachability flags, so relays work across leaders).
+reachability flags, so relays work across leaders).  All of a world's
+observers advance together as one ``ObserverBank``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InfluenceError, PfccError
+from .errors import ConvergenceError, PfccError
 from .matops import is_positive_definite, spectral_radius
-from .propagation import AgentKnowledge
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,16 @@ def consensus_error(own: np.ndarray,
     return eta
 
 
-def gated_terms(neighbors: Iterable[tuple[float, np.ndarray, bool]]
-                ) -> list[tuple[float, np.ndarray]]:
-    """Drop neighbour contributions whose reachability flag is off."""
-    return [(w, est) for w, est, influenced in neighbors if influenced]
+def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
+                  gain: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Next state estimate using the pre-update model: A_hat x_hat - mu F eta.
 
-
-def predict_state(obs: RlsObserver, eta: np.ndarray) -> np.ndarray:
-    """Next state estimate using the pre-update model: A_hat x_hat - mu F eta."""
-    cfg = obs.config
-    return obs.A_hat @ obs.x_hat - cfg.consensus_gain * (cfg.gain_matrix @ eta)
+    Works row by row on stacks: ``a_hat`` and ``gain`` (R, n, n), ``x_hat``
+    and ``eta`` (R, n) and ``mu`` (R, 1).  One observer is the same call
+    without the leading axis and with a scalar ``mu``.
+    """
+    return (np.matmul(a_hat, x_hat[..., None])[..., 0]
+            - mu * np.matmul(gain, eta[..., None])[..., 0])
 
 
 def observer_step_tracking_leader(obs: RlsObserver, eta: np.ndarray,
@@ -127,7 +127,8 @@ def observer_step_tracking_leader(obs: RlsObserver, eta: np.ndarray,
     estimate advances with the pre-update model, and the model estimate is
     corrected against the next-tick consensus error (the only causal order
     consistent with the update indices).  ``x_next`` is the state prediction
-    ``predict_state(obs, eta)`` when the caller has already computed it.
+    (``predict_state`` of this observer) when the caller has already
+    computed it.
 
     With L = c I this is the matrix update of ``rls_update_L`` and the gain
     solve (L_next^-1 + xi I)^-1 eta_next in closed form.  A downdated scale
@@ -144,7 +145,7 @@ def observer_step_tracking_leader(obs: RlsObserver, eta: np.ndarray,
     if not c_next > 0.0:
         raise ConvergenceError("observer state diverged")
     if x_next is None:
-        x_next = predict_state(obs, eta)
+        x_next = predict_state(obs.A_hat, x, cfg.consensus_gain, cfg.gain_matrix, eta)
     # coupling * gain with gain = eta_next / (1/c_next + xi); the row-major
     # unstacking of -coupling * x_bar @ gain is the rank-one term below
     scaled_gain = eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi))
@@ -175,57 +176,84 @@ class ObserverNetwork:
         of j -> i, zero diagonal) to ``members``, pinned to node ``target``."""
         idx = list(members)
         adjacency = np.asarray(adjacency, dtype=float)
-        w = adjacency[np.ix_(idx, idx)]
+        w = adjacency[idx][:, idx]
         pin = adjacency[idx, target]
         return cls(members=tuple(idx), graph=np.diag(w.sum(axis=1) + pin) - w,
                    pin=pin)
 
-    def consensus_errors(self, values: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Stacked consensus errors (V, n) of member values (V, n)."""
-        return self.graph @ values - self.pin[:, None] * target
 
-    def step(self, observers: Sequence[RlsObserver], target_now: np.ndarray,
-             target_next: np.ndarray) -> list[RlsObserver]:
-        """Advance the members' observers (given in ``members`` order) by one
-        tick against the target's current and next value.
+@dataclass(frozen=True)
+class ObserverBank:
+    """Every observer network of a world stacked into one system.
+
+    ``networks`` maps each observed node to its network; network b (in that
+    order) observes the target in slot b of the stacked targets handed to
+    ``step``.  Row r is the observer of agent ``rows[r][0]`` in the network
+    of node ``rows[r][1]``; rows run network by network, each in member
+    order.  ``graph`` is block diagonal with one network's graph block per
+    diagonal block, ``pin`` the stacked pin vectors, ``target`` each row's
+    target slot, and ``mu`` (R, 1) and ``gain`` (R, n, n) each row's
+    consensus gain and gain matrix.
+    """
+
+    networks: dict[int, ObserverNetwork]
+    rows: tuple[tuple[int, int], ...]
+    graph: np.ndarray
+    pin: np.ndarray
+    target: np.ndarray
+    mu: np.ndarray
+    gain: np.ndarray
+
+    @classmethod
+    def stack(cls, blocks: Sequence[tuple[int, ObserverNetwork, Sequence[ObserverConfig]]]
+              ) -> "ObserverBank":
+        """Stack networks given as (observed node, network, one config per
+        member in member order); block b observes target slot b."""
+        size = sum(len(net.members) for _, net, _ in blocks)
+        graph = np.zeros((size, size))
+        pin = np.zeros(size)
+        target = np.zeros(size, dtype=int)
+        rows: list[tuple[int, int]] = []
+        configs: list[ObserverConfig] = []
+        start = 0
+        for slot, (node, net, member_configs) in enumerate(blocks):
+            end = start + len(net.members)
+            graph[start:end, start:end] = net.graph
+            pin[start:end] = net.pin
+            target[start:end] = slot
+            rows += [(a, node) for a in net.members]
+            configs += member_configs
+            start = end
+        if len(configs) != size:
+            raise ValueError("one observer config per network member is required")
+        return cls(networks={node: net for node, net, _ in blocks}, rows=tuple(rows),
+                   graph=graph, pin=pin, target=target,
+                   mu=np.array([[c.consensus_gain] for c in configs]),
+                   gain=np.array([c.gain_matrix for c in configs]))
+
+    def consensus_errors(self, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Stacked consensus errors (R, n) of row values (R, n) against the
+        stacked targets (one per network)."""
+        return self.graph @ values - self.pin[:, None] * targets[self.target]
+
+    def step(self, observers: Sequence[RlsObserver], targets_now: np.ndarray,
+             targets_next: np.ndarray) -> list[RlsObserver]:
+        """Advance the observers (one per row, in row order) by one tick
+        against the stacked targets' current and next values.
 
         Raises ConvergenceError when a prediction or next-tick error is not
         finite.
         """
         x = np.array([o.x_hat for o in observers])
-        eta = self.consensus_errors(x, target_now)
-        pred = np.array([predict_state(o, e) for o, e in zip(observers, eta)])
-        eta_next = self.consensus_errors(pred, target_next)
+        eta = self.consensus_errors(x, targets_now)
+        pred = predict_state(np.array([o.A_hat for o in observers]), x,
+                             self.mu, self.gain, eta)
+        eta_next = self.consensus_errors(pred, targets_next)
         # any inf or nan entry makes the sums non-finite
         if not np.isfinite(pred.sum() + eta_next.sum()):
             raise ConvergenceError("observer state diverged")
         return [observer_step_tracking_leader(o, e, e_next, x_next=p)
                 for o, e, e_next, p in zip(observers, eta, eta_next, pred)]
-
-
-def observer_step_formation(obs: RlsObserver, role: str, q: int,
-                            knowledge: AgentKnowledge,
-                            neighbors_now: Iterable[tuple[float, np.ndarray, bool]],
-                            neighbors_next: Iterable[tuple[float, np.ndarray, bool]],
-                            pin_weight: float,
-                            pin_now: np.ndarray | None,
-                            pin_next: np.ndarray | None) -> RlsObserver:
-    """Formation-state observer step for one influenced agent.
-
-    Neighbour tuples carry (edge weight, estimate, influenced-by-q flag);
-    only flagged neighbours contribute, which restricts the exchange to the
-    subgraph actually rooted at leader q.  Invoking this for a leader
-    outside the agent's influential set is an error.
-    """
-    if role not in ("leader", "follower"):
-        raise ValueError(f"unknown role {role!r}")
-    if q not in knowledge.influential:
-        raise InfluenceError(
-            f"agent {knowledge.node} is not influenced by leader {q}; observer undefined")
-    eta = consensus_error(obs.x_hat, gated_terms(neighbors_now), pin_weight, pin_now)
-    x_pred = predict_state(obs, eta)
-    eta_next = consensus_error(x_pred, gated_terms(neighbors_next), pin_weight, pin_next)
-    return observer_step_tracking_leader(obs, eta, eta_next)
 
 
 def check_schur_consensus(a_target: np.ndarray, mu: float, gain_matrix: np.ndarray,

@@ -97,16 +97,10 @@ class ScenarioConfig:
     record_states: bool = False
 
     def __post_init__(self):
-        topo = self.topology
-        n, m = topo.n_followers, topo.n_leaders
+        n, m = self.topology.n_followers, self.topology.n_leaders
         self.tracking_a = np.atleast_2d(np.asarray(self.tracking_a, dtype=float))
         self.tracking_x0 = np.asarray(self.tracking_x0, dtype=float).ravel()
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if len(self.follower_dynamics) != n or len(self.leader_dynamics) != m:
-            raise ValueError("one dynamics entry per follower and leader is required")
-        if len(self.formation) != m:
-            raise ValueError("one formation entry per leader is required")
+        self.check_fields()
         if not self.follower_x0:
             self.follower_x0 = [np.zeros(self.state_dim) for _ in range(n)]
         if not self.leader_x0:
@@ -115,6 +109,18 @@ class ScenarioConfig:
             self.follower_names = [f"F{i + 1}" for i in range(n)]
         if not self.leader_names:
             self.leader_names = [f"L{q + 1}" for q in range(m)]
+
+    def check_fields(self) -> None:
+        """Raise ValueError for a field no run can use.  Fields are plain
+        attributes, so ``init_world`` checks them again."""
+        topo = self.topology
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if (len(self.follower_dynamics) != topo.n_followers
+                or len(self.leader_dynamics) != topo.n_leaders):
+            raise ValueError("one dynamics entry per follower and leader is required")
+        if len(self.formation) != topo.n_leaders:
+            raise ValueError("one formation entry per leader is required")
         if self.sample_interval < 1:
             raise ValueError("sample interval must be >= 1")
         if self.horizon < 0:
@@ -271,10 +277,13 @@ class WorldState:
     knowledge: dict[int, pr.AgentKnowledge]
     track_obs: dict[int, ob.RlsObserver]
     form_obs: dict[int, dict[int, ob.RlsObserver]]
-    #: One graph block per observer network, keyed by the observed node:
-    #: 0 is the tracking network, a leader node that leader's formation
-    #: network.  Rebuilt only when propagation changes an influential set.
-    networks: dict[int, ob.ObserverNetwork]
+    #: Every observer network stacked, tracking network first, then one
+    #: formation network per leader in leader order; ``bank.networks`` is
+    #: keyed by the observed node (0 = tracking).  Rebuilt only when
+    #: propagation changes an influential set.
+    bank: ob.ObserverBank
+    #: Agent node -> (is leader, index into the leader or follower lists).
+    slots: dict[int, tuple[bool, int]]
     learners: dict[int, AgentLearner]
     oracle_gains: dict[int, mc.LeaderGains | mc.FollowerGains]
     oracle_layouts: dict[int, tuple]
@@ -283,10 +292,9 @@ class WorldState:
     propagation_changes: int = 0
     propagation_stable_for: int = 0
 
-    def plant_state(self, topo: DirectedTopology, node: int) -> np.ndarray:
-        if topo.is_follower(node):
-            return self.x_followers[topo.follower_index(node)]
-        return self.x_leaders[topo.leader_index(node)]
+    def plant_state(self, node: int) -> np.ndarray:
+        leader, index = self.slots[node]
+        return self.x_leaders[index] if leader else self.x_followers[index]
 
 
 @dataclass
@@ -320,6 +328,7 @@ def _baseline_weights(topo: DirectedTopology) -> dict[int, dict[int, float]]:
 
 def init_world(cfg: ScenarioConfig) -> WorldState:
     topo = cfg.topology
+    cfg.check_fields()
     problems = cfg.validate()
     if problems:
         raise AssumptionError("; ".join(problems))
@@ -343,7 +352,9 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
         knowledge=knowledge,
         track_obs=track_obs,
         form_obs=form_obs,
-        networks={},
+        bank=None,
+        slots={**{i: (False, topo.follower_index(i)) for i in topo.follower_nodes},
+               **{q: (True, topo.leader_index(q)) for q in topo.leader_nodes}},
         learners={},
         oracle_gains={},
         oracle_layouts={},
@@ -364,8 +375,7 @@ def _alpha_of(state: WorldState, cfg: ScenarioConfig, i: int) -> dict[int, float
 
 
 def _layout_of(state: WorldState, cfg: ScenarioConfig, node: int) -> tuple[int, ...]:
-    topo = cfg.topology
-    if topo.is_leader(node):
+    if state.slots[node][0]:
         return (node,)
     if state.baseline_alpha is not None:
         return tuple(sorted(state.baseline_alpha[node]))
@@ -374,7 +384,7 @@ def _layout_of(state: WorldState, cfg: ScenarioConfig, node: int) -> tuple[int, 
 
 def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
     """Spawn the formation observers of newly influenced agents and rebuild
-    every network's graph block from the current influential sets."""
+    the observer bank from the current influential sets."""
     topo = cfg.topology
     n_dim = cfg.state_dim
     agents = topo.leader_nodes + topo.follower_nodes
@@ -384,11 +394,14 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
                 state.form_obs[a][q] = ob.RlsObserver.create(
                     cfg.formation_observers[q], n_dim)
     adjacency = topo.full_adjacency()
-    state.networks = {0: ob.ObserverNetwork.from_adjacency(adjacency, agents, 0)}
+    blocks = [(0, ob.ObserverNetwork.from_adjacency(adjacency, agents, 0),
+               [state.track_obs[a].config for a in agents])]
     for q in topo.leader_nodes:
         members = sorted(a for a in agents
                          if a != q and q in state.knowledge[a].influential)
-        state.networks[q] = ob.ObserverNetwork.from_adjacency(adjacency, members, q)
+        blocks.append((q, ob.ObserverNetwork.from_adjacency(adjacency, members, q),
+                       [state.form_obs[a][q].config for a in members]))
+    state.bank = ob.ObserverBank.stack(blocks)
 
 
 def _augmented_dims(cfg: ScenarioConfig, node: int,
@@ -434,10 +447,10 @@ def _augmented_state(state: WorldState, cfg: ScenarioConfig, node: int,
                      layout: tuple[int, ...]) -> np.ndarray:
     """Measured augmented state: plant, formation values/estimates, tracking
     estimate.  Leaders read their own formation state exactly."""
-    topo = cfg.topology
-    parts = [state.plant_state(topo, node)]
-    if topo.is_leader(node):
-        parts.append(state.h[topo.leader_index(node)])
+    parts = [state.plant_state(node)]
+    leader, index = state.slots[node]
+    if leader:
+        parts.append(state.h[index])
     else:
         for q in layout:
             parts.append(state.form_obs[node][q].x_hat)
@@ -478,22 +491,21 @@ def synthesize_oracle_gains(cfg: ScenarioConfig, node: int,
 
 
 def _oracle_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.ndarray:
-    topo = cfg.topology
+    leader, index = state.slots[node]
     layout = _layout_of(state, cfg, node)
-    alphas = {} if topo.is_leader(node) else _alpha_of(state, cfg, node)
+    alphas = {} if leader else _alpha_of(state, cfg, node)
     key = (layout, tuple(sorted(alphas.items())))
+    x = state.plant_state(node)
     if state.oracle_layouts.get(node) != key:
-        if topo.is_follower(node) and not layout:
+        if not leader and not layout:
             return cfg.warmup_gains.get(
-                node, np.zeros((cfg.dynamics_of(node).m, cfg.state_dim))
-            ) @ state.plant_state(topo, node)
+                node, np.zeros((cfg.dynamics_of(node).m, cfg.state_dim))) @ x
         state.oracle_gains[node] = synthesize_oracle_gains(cfg, node, layout, alphas)
         state.oracle_layouts[node] = key
     gains = state.oracle_gains[node]
-    x = state.plant_state(topo, node)
     x_o_hat = state.track_obs[node].x_hat
-    if topo.is_leader(node):
-        return mc.leader_control(gains, x, state.h[topo.leader_index(node)], x_o_hat)
+    if leader:
+        return mc.leader_control(gains, x, state.h[index], x_o_hat)
     h_hats = {q: state.form_obs[node][q].x_hat for q in layout}
     return mc.follower_control(gains, x, x_o_hat, h_hats, alphas)
 
@@ -502,26 +514,24 @@ def _oracle_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.nda
 # observer phase
 # ---------------------------------------------------------------------------
 
-def _observer_phase(state: WorldState, cfg: ScenarioConfig
+def _observer_phase(state: WorldState, targets_next: np.ndarray
                     ) -> tuple[dict, dict]:
-    """Compute all next-tick observers from the tick-k snapshot."""
-    topo = cfg.topology
-    net = state.networks[0]
-    x_o_next = cfg.tracking_a @ state.x_o
-    track_next = dict(zip(net.members, net.step(
-        [state.track_obs[a] for a in net.members], state.x_o, x_o_next)))
-    form_next: dict[int, dict[int, ob.RlsObserver]] = {
-        a: dict(obs) for a, obs in state.form_obs.items()}
-    for q in topo.leader_nodes:
-        net = state.networks[q]
-        if not net.members:
-            continue
-        qi = topo.leader_index(q)
-        h_now = state.h[qi]
-        h_next = cfg.formation[qi].S @ h_now
-        stepped = net.step([state.form_obs[m][q] for m in net.members], h_now, h_next)
-        for m, new_obs in zip(net.members, stepped):
-            form_next[m][q] = new_obs
+    """Compute all next-tick observers from the tick-k snapshot.
+
+    ``targets_next`` stacks the next tracking state and the next formation
+    states, in the bank's network order."""
+    rows = state.bank.rows
+    track_obs, form_obs = state.track_obs, state.form_obs
+    stepped = state.bank.step(
+        [form_obs[a][q] if q else track_obs[a] for a, q in rows],
+        np.array([state.x_o, *state.h]), targets_next)
+    track_next: dict[int, ob.RlsObserver] = {}
+    form_next: dict[int, dict[int, ob.RlsObserver]] = {a: {} for a in form_obs}
+    for (a, q), new_obs in zip(rows, stepped):
+        if q:
+            form_next[a][q] = new_obs
+        else:
+            track_next[a] = new_obs
     return track_next, form_next
 
 
@@ -542,7 +552,7 @@ def _learner_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.nd
         if lr.behavior_full is not None and lr.behavior_full.shape[1] == aug.size:
             u = lr.behavior_full @ aug
         else:
-            u = lr.warmup @ state.plant_state(cfg.topology, node)
+            u = lr.warmup @ state.plant_state(node)
         u = u + ln.exploration_noise(lr.cfg, lr.buffer.input_dim, state.tick)
     lr.prev_aug = aug
     lr.prev_u = np.asarray(u, dtype=float).ravel()
@@ -560,8 +570,7 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
     if not lr.buffer.is_full:
         lr.buffer.record(lr.prev_aug, lr.prev_u, next_state_builder(lr.layout))
     if lr.buffer.is_full:
-        alphas = ({} if cfg.topology.is_leader(node)
-                  else _alpha_of(state, cfg, node))
+        alphas = {} if state.slots[node][0] else _alpha_of(state, cfg, node)
         c = _error_selector(cfg, node, lr.layout, alphas)
         try:
             for _ in range(LEARN_ITERATIONS_PER_TICK):
@@ -594,16 +603,13 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
 def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
     topo = cfg.topology
     formation_errors = {}
-    for q in topo.leader_nodes:
-        qi = topo.leader_index(q)
-        formation_errors[q] = float(np.linalg.norm(
-            formation_error(state.x_leaders[qi], state.h[qi], state.x_o)))
-    h_all = {q: state.h[topo.leader_index(q)] for q in topo.leader_nodes}
+    for q, x, h in zip(topo.leader_nodes, state.x_leaders, state.h):
+        formation_errors[q] = float(np.linalg.norm(formation_error(x, h, state.x_o)))
+    h_all = dict(zip(topo.leader_nodes, state.h))
     containment_errors = {}
-    for i in topo.follower_nodes:
+    for i, x in zip(topo.follower_nodes, state.x_followers):
         containment_errors[i] = float(np.linalg.norm(containment_error(
-            state.x_followers[topo.follower_index(i)], h_all, state.x_o,
-            _alpha_of(state, cfg, i))))
+            x, h_all, state.x_o, _alpha_of(state, cfg, i))))
     observer_errors = {}
     for a in topo.leader_nodes + topo.follower_nodes:
         err = float(np.linalg.norm(state.track_obs[a].x_hat - state.x_o))
@@ -615,7 +621,7 @@ def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
         observer_errors[a] = err
     states = None
     if cfg.record_states:
-        states = {a: state.plant_state(topo, a).copy()
+        states = {a: state.plant_state(a).copy()
                   for a in topo.follower_nodes + topo.leader_nodes}
     state.trace.records.append(TraceRecord(
         tick=state.tick, formation_errors=formation_errors,
@@ -662,9 +668,11 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     # 4. observer updates from the tick-k snapshot; a diverging estimate
     # overflows before it is caught (scale downdated to zero or a non-finite
     # prediction), and that is reported as an abort rather than a warning
+    targets_next = np.array([cfg.tracking_a @ state.x_o]
+                            + [form.S @ h for form, h in zip(cfg.formation, state.h)])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            track_next, form_next = _observer_phase(state, cfg)
+            track_next, form_next = _observer_phase(state, targets_next)
     except PfccError as exc:
         raise SimulationAbort(tick, "observers", exc) from exc
 
@@ -679,31 +687,23 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
         except PfccError as exc:
             raise SimulationAbort(tick, cfg.agent_name(node), exc) from exc
 
-    # 6. plant / formation / tracking advance
-    new_followers = []
-    for i in topo.follower_nodes:
-        fi = topo.follower_index(i)
-        dyn = cfg.follower_dynamics[fi]
-        new_followers.append(dyn.A @ state.x_followers[fi] + dyn.B @ controls[i])
-    new_leaders = []
-    for q in topo.leader_nodes:
-        qi = topo.leader_index(q)
-        dyn = cfg.leader_dynamics[qi]
-        new_leaders.append(dyn.A @ state.x_leaders[qi] + dyn.B @ controls[q])
-    new_h = [cfg.formation[k].S @ state.h[k] for k in range(topo.n_leaders)]
-    new_x_o = cfg.tracking_a @ state.x_o
-
-    for name, xs in (("followers", new_followers), ("leaders", new_leaders)):
-        for x in xs:
-            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _STATE_GUARD:
-                raise SimulationAbort(tick, name,
-                                      ConvergenceError("plant state diverged"))
+    # 6. plant / formation / tracking advance; one guard over all plants
+    # (a nan norm fails the comparison too)
+    new_followers = [dyn.A @ x + dyn.B @ controls[i] for i, dyn, x in zip(
+        topo.follower_nodes, cfg.follower_dynamics, state.x_followers)]
+    new_leaders = [dyn.A @ x + dyn.B @ controls[q] for q, dyn, x in zip(
+        topo.leader_nodes, cfg.leader_dynamics, state.x_leaders)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(np.array(new_followers + new_leaders), axis=1)
+    if not norms.max() <= _STATE_GUARD:
+        first = int(np.argmin(norms <= _STATE_GUARD))
+        name = "followers" if first < topo.n_followers else "leaders"
+        raise SimulationAbort(tick, name, ConvergenceError("plant state diverged"))
 
     # 7. commit next states, then let learners see the completed transition
     state.x_followers = new_followers
     state.x_leaders = new_leaders
-    state.h = new_h
-    state.x_o = new_x_o
+    state.x_o, *state.h = targets_next
     state.track_obs = track_next
     state.form_obs = form_next
     state.tick = tick + 1
@@ -762,7 +762,7 @@ def observer_gain_bound_diagnostic(state: WorldState, cfg: ScenarioConfig,
                                    q: int) -> ob.GainBound:
     """Evaluate the coupling-gain bound on leader q's formation network at
     the current tick (diagnostic only)."""
-    net = state.networks[q]
+    net = state.bank.networks[q]
     if not net.members:
         raise PfccError(f"no agents observe leader {cfg.agent_name(q)}")
     n = cfg.state_dim

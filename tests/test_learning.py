@@ -47,7 +47,7 @@ def trajectory_buffer(sys_, k_policy, x0, rows, noise_cfg=None):
 
 class TestDataBuffer:
     def test_scalar_row_values(self):
-        buf = ln.record_sample(ln.DataBuffer(1, 1, 3), [2.0], [3.0], [5.0])
+        buf = ln.DataBuffer(1, 1, 3).record([2.0], [3.0], [5.0])
         np.testing.assert_allclose(buf.psi(), [[4.0]])
         np.testing.assert_allclose(buf.tau(), [[6.0]])
         np.testing.assert_allclose(buf.omega(), [[9.0]])

@@ -3,15 +3,21 @@ import pytest
 
 from conftest import SWAP
 from pfcc import observers as ob
-from pfcc import propagation as pr
 from pfcc import scenario as sc
 from pfcc import simulation as sim
-from pfcc.errors import ConvergenceError, InfluenceError, PfccError
+from pfcc.errors import ConvergenceError, PfccError
 from pfcc.topology import build_laplacian
 
 FA = np.array([[0.1, 0.5], [0.5, 0.1]])
 BUNDLED_CFG = ob.ObserverConfig(xi=4.0, coupling=8.0, consensus_gain=0.7,
                               gain_matrix=FA, init_scale=0.05)
+
+
+def predict(obs, eta):
+    """One observer's prediction."""
+    cfg = obs.config
+    return ob.predict_state(obs.A_hat, obs.x_hat, cfg.consensus_gain, cfg.gain_matrix,
+                            np.asarray(eta, dtype=float))
 
 
 class TestRlsUpdate:
@@ -91,7 +97,7 @@ class TestObserverStep:
                 errs.append(np.linalg.norm(obs.x_hat - x_o))
                 eta = ob.consensus_error(obs.x_hat, [], 1.0, x_o)
                 x_o_next = SWAP @ x_o
-                pred = ob.predict_state(obs, eta)
+                pred = predict(obs, eta)
                 eta_next = ob.consensus_error(pred, [], 1.0, x_o_next)
                 obs = ob.observer_step_tracking_leader(obs, eta, eta_next)
                 x_o = x_o_next
@@ -126,7 +132,7 @@ class TestObserverStep:
             vals = {q: observers[q].x_hat for q in nodes}
             e_now = etas(vals, x_o)
             x_o_next = SWAP @ x_o
-            preds = {q: ob.predict_state(observers[q], e_now[q]) for q in nodes}
+            preds = {q: predict(observers[q], e_now[q]) for q in nodes}
             e_next = etas(preds, x_o_next)
             observers = {q: ob.observer_step_tracking_leader(
                 observers[q], e_now[q], e_next[q]) for q in nodes}
@@ -199,7 +205,7 @@ class TestScalarParameter:
         eta = np.array([0.3, -0.1])
         plain = ob.observer_step_tracking_leader(obs, eta, eta)
         given = ob.observer_step_tracking_leader(
-            obs, eta, eta, x_next=ob.predict_state(obs, eta))
+            obs, eta, eta, x_next=predict(obs, eta))
         np.testing.assert_array_equal(plain.x_hat, given.x_hat)
         np.testing.assert_array_equal(plain.A_hat, given.A_hat)
         assert plain.c == given.c
@@ -242,6 +248,43 @@ def reference_etas(cfg, state, target, values, pin_value):
     return out
 
 
+def single_network_bank(adjacency, members, target):
+    """A bank of one network whose observers all use BUNDLED_CFG."""
+    net = ob.ObserverNetwork.from_adjacency(np.asarray(adjacency, dtype=float),
+                                            members, target)
+    return ob.ObserverBank.stack([(target, net, [BUNDLED_CFG] * len(members))])
+
+
+def bank_observers(state, bank):
+    return [state.form_obs[a][q] if q else state.track_obs[a] for a, q in bank.rows]
+
+
+def bank_targets(cfg, state):
+    """Current and next stacked targets, in the bank's network order."""
+    now = np.array([state.x_o, *state.h])
+    nxt = np.array([cfg.tracking_a @ state.x_o]
+                   + [f.S @ h for f, h in zip(cfg.formation, state.h)])
+    return now, nxt
+
+
+def step_networks_separately(bank, observers, targets_now, targets_next):
+    """Reference for a bank step: each network on its own graph block, with
+    per-observer predictions and kernel steps."""
+    out, start = [], 0
+    for slot, net in enumerate(bank.networks.values()):
+        obs = observers[start : start + len(net.members)]
+        start += len(net.members)
+        if not obs:
+            continue
+        x = np.array([o.x_hat for o in obs])
+        etas = net.graph @ x - net.pin[:, None] * targets_now[slot]
+        preds = np.array([predict(o, e) for o, e in zip(obs, etas)])
+        etas_next = net.graph @ preds - net.pin[:, None] * targets_next[slot]
+        out += [ob.observer_step_tracking_leader(o, e, e_next)
+                for o, e, e_next in zip(obs, etas, etas_next)]
+    return out
+
+
 class TestObserverNetwork:
     @pytest.mark.parametrize("scenario", ["hexagon", "hexagon_static"])
     def test_graph_block_matches_per_node_sums(self, scenario):
@@ -251,24 +294,26 @@ class TestObserverNetwork:
         checked = 0
         for tick in range(121):
             if tick in (0, 1, 2, 3, 5, 40, 120):
-                for target, net in state.networks.items():
-                    if target == 0:
-                        estimates = {a: state.track_obs[a].x_hat for a in net.members}
-                    else:
-                        estimates = {a: state.form_obs[a][target].x_hat
-                                     for a in net.members}
-                    randoms = {a: rng.normal(size=cfg.state_dim) for a in net.members}
-                    pin_value = rng.normal(size=cfg.state_dim)
-                    for values in (estimates, randoms):
-                        ref = reference_etas(cfg, state, target, values, pin_value)
+                bank = state.bank
+                estimates = np.array([o.x_hat for o in bank_observers(state, bank)])
+                randoms = rng.normal(size=estimates.shape)
+                targets = rng.normal(size=(len(bank.networks), cfg.state_dim))
+                for values in (estimates, randoms):
+                    eta = bank.consensus_errors(values, targets)
+                    start = 0
+                    for slot, (target, net) in enumerate(bank.networks.items()):
+                        rows = range(start, start + len(net.members))
+                        start = rows.stop
+                        ref = reference_etas(cfg, state, target,
+                                             dict(zip(net.members, values[rows])),
+                                             targets[slot])
                         assert set(net.members) == set(ref)
                         if not net.members:
                             continue
-                        stacked = np.array([values[a] for a in net.members])
-                        eta = net.consensus_errors(stacked, pin_value)
-                        scale = (max(np.abs(stacked).max(), np.abs(pin_value).max())
+                        scale = (max(np.abs(values[rows]).max(),
+                                     np.abs(targets[slot]).max())
                                  * np.abs(net.graph).sum(axis=1).max())
-                        for k, a in enumerate(net.members):
+                        for k, a in zip(rows, net.members):
                             np.testing.assert_allclose(eta[k], ref[a], rtol=1e-12,
                                                        atol=1e-12 * scale)
                             checked += 1
@@ -277,97 +322,90 @@ class TestObserverNetwork:
 
     def test_networks_rebuilt_only_when_influence_spreads(self, hexagon_config):
         cfg = hexagon_config
+        topo = cfg.topology
+        agents = topo.leader_nodes + topo.follower_nodes
         state = sim.init_world(cfg)
-        seen = [state.networks]
+        seen = [state.bank]
         changes = state.propagation_changes
         for _ in range(60):
             sim.step_world(state, cfg)
             if state.propagation_changes != changes:
                 changes = state.propagation_changes
-                seen.append(state.networks)
+                seen.append(state.bank)
             else:
-                assert state.networks is seen[-1]
+                assert state.bank is seen[-1]
         assert len(seen) == 1 + changes
-        topo = cfg.topology
+        for bank in seen:
+            # tracking network first, then each leader's network in leader
+            # order; rows are the union of the members in that order
+            assert list(bank.networks) == [0] + topo.leader_nodes
+            assert bank.networks[0].members == tuple(agents)
+            assert bank.rows == tuple((a, q) for q, net in bank.networks.items()
+                                      for a in net.members)
         for q in topo.leader_nodes:
-            assert state.networks[q].members == tuple(sorted(
-                a for a in topo.follower_nodes + topo.leader_nodes
-                if a != q and q in state.knowledge[a].influential))
+            assert state.bank.networks[q].members == tuple(sorted(
+                a for a in agents if a != q and q in state.knowledge[a].influential))
 
     def test_non_finite_prediction_is_a_convergence_error(self):
-        net = ob.ObserverNetwork.from_adjacency(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                                [1], 0)
+        bank = single_network_bank([[0.0, 1.0], [0.0, 0.0]], [1], 0)
         obs = ob.RlsObserver.create(BUNDLED_CFG, 2, x0=[np.inf, 0.0])
         with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError,
                                                           match="diverged"):
-            net.step([obs], np.zeros(2), np.zeros(2))
+            bank.step([obs], np.zeros((1, 2)), np.zeros((1, 2)))
 
-    def test_step_matches_per_observer_updates(self, hexagon_config):
-        topo = hexagon_config.topology
-        net = ob.ObserverNetwork.from_adjacency(topo.full_adjacency(),
-                                                topo.leader_nodes, 0)
-        rng = np.random.default_rng(5)
-        observers = [ob.RlsObserver.create(BUNDLED_CFG, 2, x0=rng.normal(size=2))
-                     for _ in net.members]
-        x_o, x_o_next = np.array([2.0, 0.0]), SWAP @ np.array([2.0, 0.0])
-        etas = net.consensus_errors(np.array([o.x_hat for o in observers]), x_o)
-        preds = [ob.predict_state(o, e) for o, e in zip(observers, etas)]
-        etas_next = net.consensus_errors(np.array(preds), x_o_next)
-        for o, e, e_next, new in zip(observers, etas, etas_next,
-                                     net.step(observers, x_o, x_o_next)):
-            ref = ob.observer_step_tracking_leader(o, e, e_next)
-            np.testing.assert_array_equal(new.x_hat, ref.x_hat)
-            np.testing.assert_array_equal(new.A_hat, ref.A_hat)
-            assert new.c == ref.c
+    def test_step_matches_per_observer_updates(self):
+        # the bank equals each network stepped on its own, bit for bit: from
+        # the start, after influence has spread, and across the propensity
+        # switch at tick 4000
+        ticks = {0, 1, 2, 3, 4, 5, 40, 120, 3999, 4000, 4001}
+        for scenario in ("hexagon", "hexagon_static"):
+            cfg = sc.load_bundled(scenario)
+            assert 4000 in [t for t, _ in cfg.schedule.entries]
+            cfg.mode = sim.MODE_ORACLE  # faster, and observers ignore the mode
+            state = sim.init_world(cfg)
+            for tick in range(max(ticks) + 1):
+                if tick in ticks:
+                    observers = bank_observers(state, state.bank)
+                    targets_now, targets_next = bank_targets(cfg, state)
+                    got = state.bank.step(observers, targets_now, targets_next)
+                    ref = step_networks_separately(state.bank, observers,
+                                                   targets_now, targets_next)
+                    assert len(got) == len(ref) == len(state.bank.rows)
+                    for new, expected in zip(got, ref):
+                        np.testing.assert_array_equal(new.x_hat, expected.x_hat)
+                        np.testing.assert_array_equal(new.A_hat, expected.A_hat)
+                        assert new.c == expected.c
+                sim.step_world(state, cfg)
 
 
 class TestFormationObserverGating:
-    def knowledge(self, influential):
-        return pr.AgentKnowledge(node=1, role="follower",
-                                 influential=frozenset(influential),
-                                 propensities={q: 0.1 for q in influential},
-                                 coefficients={q: 1.0 / len(influential)
-                                               for q in influential}
-                                 if influential else {})
-
-    def test_uninfluenced_agent_rejected(self):
-        obs = ob.RlsObserver.create(BUNDLED_CFG, 2)
-        with pytest.raises(InfluenceError):
-            ob.observer_step_formation(obs, "follower", 9, self.knowledge({5}),
-                                       [], [], 0.0, None, None)
-
-    def test_unknown_role_rejected(self):
-        obs = ob.RlsObserver.create(BUNDLED_CFG, 2)
-        with pytest.raises(ValueError):
-            ob.observer_step_formation(obs, "tracker", 5, self.knowledge({5}),
-                                       [], [], 1.0, np.zeros(2), np.zeros(2))
-
     def test_gated_out_neighbour_gives_no_pull(self):
-        # the only neighbour is not influenced by the leader and the pin is
-        # zero, so the estimate never moves toward the target
+        # agent 1 hears agent 2, which does not observe the leader (node 3),
+        # and has no pin: the edge is gated out, so the estimate never
+        # moves toward the target
+        adjacency = np.zeros((4, 4))
+        adjacency[1, 2] = 1.0
+        bank = single_network_bank(adjacency, [1], 3)
+        np.testing.assert_array_equal(bank.graph, [[0.0]])
+        np.testing.assert_array_equal(bank.pin, [0.0])
         obs = ob.RlsObserver.create(BUNDLED_CFG, 2)  # x_hat = 0
         h = np.array([2.0, 0.0])
-        neighbor = np.array([5.0, 5.0])
         for _ in range(50):
             h_next = SWAP @ h
-            obs = ob.observer_step_formation(
-                obs, "follower", 5, self.knowledge({5}),
-                [(1.0, neighbor, False)], [(1.0, neighbor, False)],
-                0.0, None, None)
+            [obs] = bank.step([obs], h[None], h_next[None])
             h = h_next
         np.testing.assert_allclose(obs.x_hat, np.zeros(2))
         np.testing.assert_allclose(obs.A_hat, np.zeros((2, 2)))
 
     def test_pinned_formation_observer_tracks(self):
+        adjacency = np.zeros((3, 3))
+        adjacency[1, 2] = 1.0  # the leader (node 2) pins agent 1
+        bank = single_network_bank(adjacency, [1], 2)
         obs = ob.RlsObserver.create(BUNDLED_CFG, 2)
         h = np.array([2.0, 0.0])
         for _ in range(500):
             h_next = SWAP @ h
-            obs = ob.observer_step_formation(
-                obs, "leader", 5, pr.AgentKnowledge(
-                    node=9, role="leader", influential=frozenset({5}),
-                    propensities={5: 0.1}),
-                [], [], 1.0, h, h_next)
+            [obs] = bank.step([obs], h[None], h_next[None])
             h = h_next
         assert np.linalg.norm(obs.x_hat - h) < 1e-5
         # the model estimate identifies the formation dynamics as well

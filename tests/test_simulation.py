@@ -173,6 +173,39 @@ class TestObserverDivergence:
         assert res.trace.records  # the partial trace is kept
 
 
+class TestPlantGuard:
+    @pytest.mark.parametrize("follower, leader, group", [
+        (1e10, 0.0, "followers"),
+        (0.0, np.nan, "leaders"),
+        (1e10, np.nan, "followers"),  # followers are checked first
+    ])
+    def test_diverged_plant_names_its_group(self, follower, leader, group):
+        cfg = tiny_config(horizon=5)
+        cfg.warmup_gains = {1: np.zeros((1, 1)), 2: np.zeros((1, 1))}
+        state = sim.init_world(cfg)
+        state.x_followers[0] = np.array([follower])
+        state.x_leaders[0] = np.array([leader])
+        with pytest.raises(SimulationAbort) as info:
+            sim.step_world(state, cfg)
+        assert (info.value.tick, info.value.agent) == (0, group)
+        assert isinstance(info.value.cause, ConvergenceError)
+        assert "plant state diverged" in str(info.value)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("name, value, message", [
+        ("sample_interval", 0, "sample interval"),
+        ("horizon", -1, "horizon"),
+        ("mode", "model_free", "mode"),
+    ])
+    def test_field_set_after_construction_fails_before_tick_0(self, name, value,
+                                                              message):
+        cfg = tiny_config()
+        setattr(cfg, name, value)
+        with pytest.raises(ValueError, match=message):
+            sim.run(cfg)
+
+
 class TestDeterminism:
     def test_identical_runs_bit_identical(self):
         cfg_a = sc.load_bundled("hexagon")
