@@ -128,19 +128,12 @@ def probe_window(cfg: sim.ScenarioConfig, node: int, sys_: mc.AugmentedSystem,
 def compare_agent_gains(cfg: sim.ScenarioConfig, node: int,
                         alphas: dict[int, float] | None = None) -> dict:
     """Learn one agent's controller from a synthetic probe window and
-    compare against the model-based solution."""
-    topo = cfg.topology
-    if topo.is_leader(node):
-        layout = (node,)
-        sys_ = mc.build_leader_augmented(
-            cfg.dynamics_of(node), cfg.formation[topo.leader_index(node)],
-            cfg.tracking_a, cfg.q_weights[node])
-    else:
-        layout = tuple(sorted(alphas))
-        forms = [cfg.formation[topo.leader_index(q)] for q in layout]
-        sys_ = mc.build_follower_augmented(
-            cfg.dynamics_of(node), forms, cfg.tracking_a,
-            [alphas[q] for q in layout], cfg.q_weights[node])
+    compare against the model-based solution.  ``alphas`` are a follower's
+    coefficients; ``None`` stands for a leader's own formation at weight 1."""
+    if alphas is None:
+        alphas = {node: 1.0}
+    layout = tuple(sorted(alphas))
+    sys_ = cfg.augmented_system(node, layout, alphas)
     oracle = mc.riccati_value_iteration(sys_)
     buf = probe_window(cfg, node, sys_)
     agent_cfg = cfg.agent_learner_config(node)
@@ -170,9 +163,7 @@ def cmd_compare_gains(args) -> int:
         topo = cfg.topology
         for node in topo.follower_nodes + topo.leader_nodes:
             try:
-                reports.append(compare_agent_gains(
-                    cfg, node,
-                    coeffs.get(node) if topo.is_follower(node) else None))
+                reports.append(compare_agent_gains(cfg, node, coeffs.get(node)))
             except (ConvergenceError, PersistentExcitationError) as exc:
                 failures.append((cfg.agent_name(node), exc))
     except PfccError as exc:

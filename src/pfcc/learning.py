@@ -22,16 +22,11 @@ import numpy as np
 
 from .errors import DataConsistencyError, PersistentExcitationError
 from .matops import symmetrize, unvec, unvecm, vecm, vecv
+from .model_control import VI_AVERAGING
 
 COLLECTING = "collecting"
 ITERATING = "iterating"
 CONVERGED = "converged"
-
-#: Backup averaging weight, shared with the model-based value iteration so
-#: the learned and oracle iterate sequences coincide (see
-#: ``model_control.VI_AVERAGING`` for why plain backups cannot settle when
-#: the formation blocks are orthogonal involutions).
-VI_AVERAGING = 0.5
 
 #: Relative singular-value cutoff separating excited directions from
 #: structurally dead ones when rank deficiency is tolerated.  Directions
@@ -93,14 +88,12 @@ class DataBuffer:
     until the next append.
     """
 
-    def __init__(self, state_dim: int, input_dim: int, capacity: int,
-                 layout_key: tuple = ()):  # layout_key identifies the augmented layout
+    def __init__(self, state_dim: int, input_dim: int, capacity: int):
         if capacity < 2:
             raise ValueError("capacity must be at least 2")
         self.state_dim = state_dim
         self.input_dim = input_dim
         self.capacity = capacity
-        self.layout_key = layout_key
         self._psi: list[np.ndarray] = []
         self._psi_next: list[np.ndarray] = []
         self._tau: list[np.ndarray] = []
@@ -265,10 +258,9 @@ def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
                            rcond=GAIN_PINV_RCOND) @ np.atleast_2d(xi2)
 
 
-def exploration_noise(cfg: LearnerConfig, width: int, tick: int,
-                      converged: bool = False) -> np.ndarray:
-    """Seeded zero-mean Gaussian probing input; cancelled after convergence."""
-    if converged or cfg.noise_std == 0.0:
+def exploration_noise(cfg: LearnerConfig, width: int, tick: int) -> np.ndarray:
+    """Seeded zero-mean Gaussian probing input (only drawn before convergence)."""
+    if cfg.noise_std == 0.0:
         return np.zeros(width)
     rng = np.random.default_rng([cfg.rng_seed & 0x7FFFFFFF, tick])
     return rng.normal(0.0, cfg.noise_std, width)

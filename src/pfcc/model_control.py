@@ -12,7 +12,7 @@ data-driven learner is checked against.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,38 +115,27 @@ def _check_blocks(dyn: AgentDynamics, blocks: list[np.ndarray], a0: np.ndarray) 
     return n
 
 
-def build_leader_augmented(dyn: AgentDynamics, form: FormationDynamics,
-                           a0: np.ndarray, q_weight: np.ndarray) -> AugmentedSystem:
-    """Leader augmented system diag(A, S, A0) with error selector [I, -I, -I]."""
-    a0 = np.atleast_2d(np.asarray(a0, dtype=float))
-    n = _check_blocks(dyn, [form.S], a0)
-    eye = np.eye(n)
-    a_bar = np.zeros((3 * n, 3 * n))
-    a_bar[:n, :n] = dyn.A
-    a_bar[n : 2 * n, n : 2 * n] = form.S
-    a_bar[2 * n :, 2 * n :] = a0
-    b_bar = np.zeros((3 * n, dyn.m))
-    b_bar[:n, :] = dyn.B
-    c = np.hstack([eye, -eye, -eye])
-    return AugmentedSystem(A_bar=a_bar, B_bar=b_bar, C=c,
-                           Q=np.atleast_2d(np.asarray(q_weight, dtype=float)),
-                           block_dim=n, n_blocks=3)
+def error_selector(block_dim: int, weights: list[float]) -> np.ndarray:
+    """Error selector [I, -w_1 I, ..., -w_I I, -I] of x - sum_q w_q (h_q + x_o)."""
+    eye = np.eye(block_dim)
+    return np.hstack([eye] + [-w * eye for w in weights] + [-eye])
 
 
-def build_follower_augmented(dyn: AgentDynamics, forms: list[FormationDynamics],
-                             a0: np.ndarray, alphas: list[float],
-                             q_weight: np.ndarray) -> AugmentedSystem:
-    """Follower augmented system diag(A, S_1..S_I, A0).
+def build_augmented(dyn: AgentDynamics, forms: list[FormationDynamics],
+                    a0: np.ndarray, weights: list[float],
+                    q_weight: np.ndarray) -> AugmentedSystem:
+    """Augmented system diag(A, S_1..S_I, A0) of one agent.
 
-    ``forms`` and ``alphas`` are ordered by the follower's leader arrangement;
-    the coefficients must sum to one.
+    ``forms`` and ``weights`` are ordered by the agent's leader layout; the
+    weights must sum to one.  A leader is the one-block case: its own
+    formation at weight 1, error x - h - x_o.
     """
     if not forms:
         raise InfluenceError("follower has no influential leaders; augmented system undefined")
-    if len(forms) != len(alphas):
+    if len(forms) != len(weights):
         raise ValueError("one coefficient per formation block is required")
-    if abs(sum(alphas) - 1.0) > 1e-9:
-        raise ValueError(f"coefficients must sum to 1, got {sum(alphas)}")
+    if abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError(f"coefficients must sum to 1, got {sum(weights)}")
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
     n = _check_blocks(dyn, [f.S for f in forms], a0)
     count = len(forms)
@@ -158,9 +147,7 @@ def build_follower_augmented(dyn: AgentDynamics, forms: list[FormationDynamics],
     a_bar[-n:, -n:] = a0
     b_bar = np.zeros((dim, dyn.m))
     b_bar[:n, :] = dyn.B
-    eye = np.eye(n)
-    c = np.hstack([eye] + [-alpha * eye for alpha in alphas] + [-eye])
-    return AugmentedSystem(A_bar=a_bar, B_bar=b_bar, C=c,
+    return AugmentedSystem(A_bar=a_bar, B_bar=b_bar, C=error_selector(n, weights),
                            Q=np.atleast_2d(np.asarray(q_weight, dtype=float)),
                            block_dim=n, n_blocks=2 + count)
 
@@ -190,26 +177,26 @@ class RiccatiSolution:
 VI_AVERAGING = 0.5
 
 
-def value_iteration_step(sys: AugmentedSystem, p: np.ndarray, k: np.ndarray,
-                         averaging: float = VI_AVERAGING
+def value_iteration_step(sys: AugmentedSystem, p: np.ndarray, k: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """One averaged backup plus gain refresh; shared with the data-driven
-    learner so both follow the identical iterate sequence."""
+    """One averaged backup plus gain refresh of the model-based iteration.
+
+    ``learning.learning_tick`` makes the same backup from regressed blocks,
+    so the learned and model-based iterate sequences coincide.
+    """
     acl = sys.A_bar + sys.B_bar @ k
     backup = symmetrize(sys.cost_matrix() + acl.T @ p @ acl)
-    p_next = (1.0 - averaging) * p + averaging * backup
+    p_next = (1.0 - VI_AVERAGING) * p + VI_AVERAGING * backup
     return p_next, policy_gain(sys, p_next)
 
 
 def riccati_value_iteration(sys: AugmentedSystem, tol: float = 1e-10,
-                            max_iter: int = 10_000,
-                            k_init: np.ndarray | None = None) -> RiccatiSolution:
+                            max_iter: int = 10_000) -> RiccatiSolution:
     """Averaged value iteration for P = C^T Q C + (A + B K)^T P (A + B K).
 
-    Starts from P = I (positive definite) and K = 0 unless a warm-start gain
-    is supplied, and stops when consecutive iterates agree to ``tol``.
-    Non-convergence or divergence raises, signalling a non-stabilizable
-    agent or a broken assumption.
+    Starts from P = I (positive definite) and K = 0, and stops when
+    consecutive iterates agree to ``tol``.  Non-convergence or divergence
+    raises, signalling a non-stabilizable agent or a broken assumption.
     """
     if not is_stabilizable(AgentDynamics(sys.A_bar[:sys.block_dim, :sys.block_dim],
                                          sys.B_bar[:sys.block_dim, :])):
@@ -217,7 +204,7 @@ def riccati_value_iteration(sys: AugmentedSystem, tol: float = 1e-10,
                       stacklevel=2)
     cost = sys.cost_matrix()
     p = np.eye(sys.dim)
-    k = np.zeros((sys.m, sys.dim)) if k_init is None else np.asarray(k_init, dtype=float)
+    k = np.zeros((sys.m, sys.dim))
     for it in range(1, max_iter + 1):
         p_next, k = value_iteration_step(sys, p, k)
         delta = float(np.linalg.norm(p_next - p))
@@ -232,46 +219,29 @@ def riccati_value_iteration(sys: AugmentedSystem, tol: float = 1e-10,
 
 
 @dataclass(frozen=True)
-class LeaderGains:
-    """Column blocks of a leader gain: u = K1 x + Kh h + Ko x_hat_o."""
+class AgentGains:
+    """Gain of the control law u = K z over an agent's augmented state
+    z = (x, h_q for q in the layout, x_hat_o), and its column blocks.
 
-    K1: np.ndarray
-    Kh: np.ndarray
-    Ko: np.ndarray
-
-
-@dataclass(frozen=True)
-class FollowerGains:
-    """Column blocks of a follower gain, one formation block per leader.
-
-    ``Kh[q]`` is the raw column block of the stacked gain; the convex
-    coefficient weighting of the control law is already embedded in it.
+    ``Kh[q]`` is the block of leader q; the propensity weight of the
+    control law is already embedded in it.
     """
 
+    K: np.ndarray
     K1: np.ndarray
     Kh: dict[int, np.ndarray]
     Ko: np.ndarray
 
-
-def split_gains(k: np.ndarray, block_dim: int, n_blocks: int) -> list[np.ndarray]:
-    """Split a stacked gain into its per-block columns, in layout order."""
-    k = np.atleast_2d(np.asarray(k, dtype=float))
-    if k.shape[1] != block_dim * n_blocks:
-        raise ValueError(
-            f"gain has {k.shape[1]} columns, layout requires {block_dim * n_blocks}")
-    return [k[:, i * block_dim : (i + 1) * block_dim].copy() for i in range(n_blocks)]
-
-
-def leader_gains_from(k: np.ndarray, block_dim: int) -> LeaderGains:
-    k1, kh, ko = split_gains(k, block_dim, 3)
-    return LeaderGains(K1=k1, Kh=kh, Ko=ko)
-
-
-def follower_gains_from(k: np.ndarray, block_dim: int, leaders: list[int]) -> FollowerGains:
-    blocks = split_gains(k, block_dim, 2 + len(leaders))
-    return FollowerGains(K1=blocks[0],
-                         Kh={q: blk for q, blk in zip(leaders, blocks[1:-1])},
-                         Ko=blocks[-1])
+    @classmethod
+    def split(cls, k: np.ndarray, block_dim: int, layout: tuple[int, ...]) -> "AgentGains":
+        """Column blocks of the stacked gain ``k`` of ``layout``."""
+        k = np.atleast_2d(np.asarray(k, dtype=float))
+        n_blocks = 2 + len(layout)
+        if k.shape[1] != block_dim * n_blocks:
+            raise ValueError(
+                f"gain has {k.shape[1]} columns, layout requires {block_dim * n_blocks}")
+        blocks = [k[:, i * block_dim : (i + 1) * block_dim] for i in range(n_blocks)]
+        return cls(K=k, K1=blocks[0], Kh=dict(zip(layout, blocks[1:-1])), Ko=blocks[-1])
 
 
 def min_norm_regulation_solution(a: np.ndarray, b: np.ndarray,
@@ -305,7 +275,6 @@ class GainIdentityReport:
     formation_residuals: dict[int, float]
     tracking_residual: float
     closed_loop_radius: float
-    entries: dict[str, float] = field(default_factory=dict)
 
     @property
     def max_residual(self) -> float:
@@ -313,53 +282,26 @@ class GainIdentityReport:
         return max(values) if values else 0.0
 
 
-def verify_gain_identities(dyn: AgentDynamics,
-                           gains: LeaderGains | FollowerGains,
+def verify_gain_identities(dyn: AgentDynamics, gains: AgentGains,
                            u_h: dict[int, np.ndarray] | np.ndarray,
                            u_o: np.ndarray,
                            alphas: dict[int, float] | None = None) -> GainIdentityReport:
-    """Report ||K1 + Kh/alpha - U_h||, ||K1 + Ko - U_o|| and the closed-loop
-    spectral radius.
+    """Report ||K1 + Kh[q]/alpha_q - U_h[q]||, ||K1 + Ko - U_o|| and the
+    closed-loop spectral radius.
 
-    For leaders the formation identity has unit weight.  Report only; no
-    thresholds are enforced here.
+    A one-block gain (a leader) may leave out ``alphas`` (weight 1) and pass
+    its one U_h as an array.  Report only; no thresholds are enforced here.
     """
+    if alphas is None:
+        if len(gains.Kh) != 1:
+            raise ValueError("a gain with several formation blocks needs its coefficients")
+        alphas = dict.fromkeys(gains.Kh, 1.0)
+    if isinstance(u_h, np.ndarray):
+        u_h = dict.fromkeys(gains.Kh, u_h)
     rho = spectral_radius(dyn.A + dyn.B @ gains.K1)
     tracking = float(np.linalg.norm(gains.K1 + gains.Ko - np.atleast_2d(u_o)))
-    formation: dict[int, float] = {}
-    if isinstance(gains, LeaderGains):
-        u = u_h if isinstance(u_h, np.ndarray) else next(iter(u_h.values()))
-        formation[-1] = float(np.linalg.norm(gains.K1 + gains.Kh - np.atleast_2d(u)))
-    else:
-        if alphas is None:
-            raise ValueError("follower identity check requires coefficients")
-        for q, kh in gains.Kh.items():
-            alpha = alphas[q]
-            formation[q] = float(np.linalg.norm(gains.K1 + kh / alpha - np.atleast_2d(u_h[q])))
+    formation = {q: float(np.linalg.norm(gains.K1 + kh / alphas[q] - np.atleast_2d(u_h[q])))
+                 for q, kh in gains.Kh.items()}
     return GainIdentityReport(formation_residuals=formation,
                               tracking_residual=tracking,
                               closed_loop_radius=rho)
-
-
-def leader_control(gains: LeaderGains, x: np.ndarray, h: np.ndarray,
-                   x_o_hat: np.ndarray) -> np.ndarray:
-    """Leader input u = K1 x + Kh h + Ko x_hat_o."""
-    return gains.K1 @ x + gains.Kh @ h + gains.Ko @ x_o_hat
-
-
-def follower_control(gains: FollowerGains, x: np.ndarray, x_o_hat: np.ndarray,
-                     h_hats: dict[int, np.ndarray],
-                     alphas: dict[int, float]) -> np.ndarray:
-    """Follower input u = K1 x + sum_q Kh[q] h_hat_q + Ko x_hat_o.
-
-    The coefficient weighting sits inside the Kh blocks (see
-    ``FollowerGains``); ``alphas`` declares the leaders the law must cover,
-    and a missing estimate for any of them is an error.
-    """
-    u = gains.K1 @ x + gains.Ko @ x_o_hat
-    for q in sorted(gains.Kh):
-        if alphas.get(q, 0.0) > 0.0 and q not in h_hats:
-            raise InfluenceError(f"missing formation estimate for leader {q}")
-        if q in h_hats:
-            u = u + gains.Kh[q] @ h_hats[q]
-    return u

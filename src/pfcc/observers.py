@@ -76,18 +76,22 @@ def regressor(x_hat: np.ndarray) -> np.ndarray:
 
 
 def rls_update_L(L: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
-    """Parameter-matrix downdate in rank-one (Woodbury) form.
+    """Parameter-matrix downdate (L^-1 + x_bar^T x_bar)^-1 without inverting L.
 
-    Equals (L^-1 + x_bar^T x_bar)^-1; keeping the update in this form avoids
-    inverting L explicitly.  L must be symmetric positive definite.
+    The gain G = L x_bar^T (I + x_bar L x_bar^T)^-1 is the Woodbury form;
+    the result is returned in Joseph form (I - G x_bar) L (I - G x_bar)^T
+    + G G^T, a sum of two positive semidefinite terms, which keeps full
+    precision where L - G x_bar L cancels.  L must be symmetric positive
+    definite.
     """
     L = np.asarray(L, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
     if not is_positive_definite(L, atol=1e-9):
         raise PfccError("adaptive parameter matrix must be symmetric positive definite")
-    big = x_bar.shape[0]
-    gram = np.eye(big) + x_bar @ L @ x_bar.T
-    return L - L @ x_bar.T @ np.linalg.solve(gram, x_bar @ L)
+    gram = np.eye(x_bar.shape[0]) + x_bar @ L @ x_bar.T
+    g = np.linalg.solve(gram, x_bar @ L).T
+    keep = np.eye(L.shape[0]) - g @ x_bar
+    return keep @ L @ keep.T + g @ g.T
 
 
 def consensus_error(own: np.ndarray,
@@ -256,15 +260,12 @@ class ObserverBank:
                 for o, e, e_next, p in zip(observers, eta, eta_next, pred)]
 
 
-def check_schur_consensus(a_target: np.ndarray, mu: float, gain_matrix: np.ndarray,
-                          graph_block: np.ndarray) -> bool:
-    """Is the consensus matrix I (x) A - mu * (G (x) F) Schur stable."""
-    a_target = np.atleast_2d(np.asarray(a_target, dtype=float))
-    graph_block = np.atleast_2d(np.asarray(graph_block, dtype=float))
-    v = graph_block.shape[0]
-    s = np.kron(np.eye(v), a_target) - mu * np.kron(graph_block,
-                                                    np.atleast_2d(gain_matrix))
-    return spectral_radius(s) < 1.0
+def consensus_matrix(a_target: np.ndarray, mu: float, gain_matrix: np.ndarray,
+                     graph: np.ndarray) -> np.ndarray:
+    """Consensus matrix I (x) A - mu (G (x) F) of one observer network."""
+    graph = np.atleast_2d(np.asarray(graph, dtype=float))
+    return (np.kron(np.eye(graph.shape[0]), a_target)
+            - mu * np.kron(graph, np.atleast_2d(gain_matrix)))
 
 
 @dataclass(frozen=True)

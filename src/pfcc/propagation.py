@@ -64,13 +64,6 @@ class AgentKnowledge:
         if set(self.propensities) != set(self.influential):
             raise ConsistencyError("propensity dictionary domain must equal the influential set")
 
-    def reach_weight(self, q: int) -> float:
-        """0/1 flag: is leader q known to influence this agent."""
-        return 1.0 if q in self.influential else 0.0
-
-    def coefficient(self, q: int) -> float:
-        return self.coefficients.get(q, 0.0)
-
 
 def _with_coefficients(node: int, role: str, influential: frozenset[int],
                        propensities: dict[int, float]) -> AgentKnowledge:

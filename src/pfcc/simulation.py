@@ -147,6 +147,17 @@ class ScenarioConfig:
     def agent_learner_config(self, node: int) -> ln.LearnerConfig:
         return replace(self.learner, rng_seed=(self.seed * 100003 + node) & 0x7FFFFFFF)
 
+    def augmented_system(self, node: int, layout: tuple[int, ...],
+                         alphas: dict[int, float]) -> mc.AugmentedSystem:
+        """The augmented system of ``node`` over the formation blocks of
+        ``layout``.  A block missing from ``alphas`` has weight 1, which
+        only a one-block layout (a leader's own formation) admits."""
+        return mc.build_augmented(
+            self.dynamics_of(node),
+            [self.formation[self.topology.leader_index(q)] for q in layout],
+            self.tracking_a, [alphas.get(q, 1.0) for q in layout],
+            self.q_weights[node])
+
     def validate(self) -> list[str]:
         """Assumption checks; returns a list of failure descriptions."""
         problems: list[str] = []
@@ -285,7 +296,7 @@ class WorldState:
     #: Agent node -> (is leader, index into the leader or follower lists).
     slots: dict[int, tuple[bool, int]]
     learners: dict[int, AgentLearner]
-    oracle_gains: dict[int, mc.LeaderGains | mc.FollowerGains]
+    oracle_gains: dict[int, mc.AgentGains]
     oracle_layouts: dict[int, tuple]
     baseline_alpha: dict[int, dict[int, float]] | None
     trace: TraceLog
@@ -368,13 +379,19 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
     return state
 
 
-def _alpha_of(state: WorldState, cfg: ScenarioConfig, i: int) -> dict[int, float]:
+def _alpha_of(state: WorldState, cfg: ScenarioConfig, node: int) -> dict[int, float]:
+    """Weights of an agent's formation blocks: a leader follows its own
+    formation at weight 1, a follower its convex coefficients."""
+    if state.slots[node][0]:
+        return {node: 1.0}
     if state.baseline_alpha is not None:
-        return state.baseline_alpha[i]
-    return state.knowledge[i].coefficients
+        return state.baseline_alpha[node]
+    return state.knowledge[node].coefficients
 
 
 def _layout_of(state: WorldState, cfg: ScenarioConfig, node: int) -> tuple[int, ...]:
+    """Leaders of an agent's formation blocks (the keys of ``_alpha_of``),
+    in augmented-state order."""
     if state.slots[node][0]:
         return (node,)
     if state.baseline_alpha is not None:
@@ -404,13 +421,6 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
     state.bank = ob.ObserverBank.stack(blocks)
 
 
-def _augmented_dims(cfg: ScenarioConfig, node: int,
-                    layout: tuple[int, ...]) -> tuple[int, int]:
-    n = cfg.state_dim
-    blocks = 3 if cfg.topology.is_leader(node) else 2 + len(layout)
-    return blocks * n, cfg.dynamics_of(node).m
-
-
 def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int,
                    keep_buffer: bool = False) -> None:
     """Fresh value iteration for one agent; optionally retain the window.
@@ -420,7 +430,7 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int,
     forces a flush.
     """
     layout = _layout_of(state, cfg, node)
-    dim, width = _augmented_dims(cfg, node, layout)
+    dim, width = (2 + len(layout)) * cfg.state_dim, cfg.dynamics_of(node).m
     agent_cfg = cfg.agent_learner_config(node)
     old = state.learners.get(node)
     behavior_full = None
@@ -433,8 +443,7 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int,
         if keep_buffer:
             buffer = old.buffer
     if buffer is None:
-        buffer = ln.DataBuffer(dim, width, agent_cfg.rows_for(dim, width),
-                               layout_key=(node, layout))
+        buffer = ln.DataBuffer(dim, width, agent_cfg.rows_for(dim, width))
     state.learners[node] = AgentLearner(
         node=node, cfg=agent_cfg, layout=layout,
         controller=ln.LearnedController.create(dim, width),
@@ -445,26 +454,15 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int,
 
 def _augmented_state(state: WorldState, cfg: ScenarioConfig, node: int,
                      layout: tuple[int, ...]) -> np.ndarray:
-    """Measured augmented state: plant, formation values/estimates, tracking
-    estimate.  Leaders read their own formation state exactly."""
+    """Measured augmented state z: plant, one formation part per layout
+    leader (an agent's own formation state exactly, any other leader's as
+    estimated), tracking estimate."""
+    estimates = state.form_obs[node]
     parts = [state.plant_state(node)]
-    leader, index = state.slots[node]
-    if leader:
-        parts.append(state.h[index])
-    else:
-        for q in layout:
-            parts.append(state.form_obs[node][q].x_hat)
+    for q in layout:
+        parts.append(state.h[state.slots[q][1]] if q == node else estimates[q].x_hat)
     parts.append(state.track_obs[node].x_hat)
     return np.concatenate(parts)
-
-
-def _error_selector(cfg: ScenarioConfig, node: int, layout: tuple[int, ...],
-                    alphas: dict[int, float]) -> np.ndarray:
-    n = cfg.state_dim
-    eye = np.eye(n)
-    if cfg.topology.is_leader(node):
-        return np.hstack([eye, -eye, -eye])
-    return np.hstack([eye] + [-alphas.get(q, 0.0) * eye for q in layout] + [-eye])
 
 
 # ---------------------------------------------------------------------------
@@ -473,41 +471,25 @@ def _error_selector(cfg: ScenarioConfig, node: int, layout: tuple[int, ...],
 
 def synthesize_oracle_gains(cfg: ScenarioConfig, node: int,
                             layout: tuple[int, ...],
-                            alphas: dict[int, float]) -> mc.LeaderGains | mc.FollowerGains:
-    """Model-based gains for one agent's current layout."""
-    topo = cfg.topology
-    dyn = cfg.dynamics_of(node)
-    q_w = cfg.q_weights[node]
-    if topo.is_leader(node):
-        sys = mc.build_leader_augmented(dyn, cfg.formation[topo.leader_index(node)],
-                                        cfg.tracking_a, q_w)
-        sol = mc.riccati_value_iteration(sys)
-        return mc.leader_gains_from(sol.K, cfg.state_dim)
-    forms = [cfg.formation[topo.leader_index(q)] for q in layout]
-    sys = mc.build_follower_augmented(dyn, forms, cfg.tracking_a,
-                                      [alphas[q] for q in layout], q_w)
-    sol = mc.riccati_value_iteration(sys)
-    return mc.follower_gains_from(sol.K, cfg.state_dim, list(layout))
+                            alphas: dict[int, float]) -> mc.AgentGains:
+    """Model-based gains for one agent's current layout; a leader's layout
+    is its own formation, ``(node,)``."""
+    sol = mc.riccati_value_iteration(cfg.augmented_system(node, layout, alphas))
+    return mc.AgentGains.split(sol.K, cfg.state_dim, layout)
 
 
 def _oracle_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.ndarray:
-    leader, index = state.slots[node]
+    alphas = _alpha_of(state, cfg, node)
     layout = _layout_of(state, cfg, node)
-    alphas = {} if leader else _alpha_of(state, cfg, node)
     key = (layout, tuple(sorted(alphas.items())))
-    x = state.plant_state(node)
     if state.oracle_layouts.get(node) != key:
-        if not leader and not layout:
+        if not layout:
             return cfg.warmup_gains.get(
-                node, np.zeros((cfg.dynamics_of(node).m, cfg.state_dim))) @ x
+                node, np.zeros((cfg.dynamics_of(node).m, cfg.state_dim))
+            ) @ state.plant_state(node)
         state.oracle_gains[node] = synthesize_oracle_gains(cfg, node, layout, alphas)
         state.oracle_layouts[node] = key
-    gains = state.oracle_gains[node]
-    x_o_hat = state.track_obs[node].x_hat
-    if leader:
-        return mc.leader_control(gains, x, state.h[index], x_o_hat)
-    h_hats = {q: state.form_obs[node][q].x_hat for q in layout}
-    return mc.follower_control(gains, x, x_o_hat, h_hats, alphas)
+    return state.oracle_gains[node].K @ _augmented_state(state, cfg, node, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +552,8 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
     if not lr.buffer.is_full:
         lr.buffer.record(lr.prev_aug, lr.prev_u, next_state_builder(lr.layout))
     if lr.buffer.is_full:
-        alphas = {} if state.slots[node][0] else _alpha_of(state, cfg, node)
-        c = _error_selector(cfg, node, lr.layout, alphas)
+        alphas = _alpha_of(state, cfg, node)
+        c = mc.error_selector(cfg.state_dim, [alphas[q] for q in lr.layout])
         try:
             for _ in range(LEARN_ITERATIONS_PER_TICK):
                 lr.controller = ln.learning_tick(lr.controller, lr.buffer,
@@ -768,9 +750,8 @@ def observer_gain_bound_diagnostic(state: WorldState, cfg: ScenarioConfig,
     n = cfg.state_dim
     v = len(net.members)
     o_cfg = cfg.formation_observers[q]
-    s_q = cfg.formation[cfg.topology.leader_index(q)].S
-    s_consensus = (np.kron(np.eye(v), s_q)
-                   - o_cfg.consensus_gain * np.kron(net.graph, o_cfg.gain_matrix))
+    s_consensus = ob.consensus_matrix(cfg.formation[cfg.topology.leader_index(q)].S,
+                                      o_cfg.consensus_gain, o_cfg.gain_matrix, net.graph)
     zeta = np.zeros((v * n * n, v * n))
     l_bar = np.zeros((v * n, v * n))
     for k, m in enumerate(net.members):

@@ -96,9 +96,9 @@ class DirectedTopology:
         a[1 + n :, 0] = self.tracking_to_leader
         return a
 
-    def reachable_from(self, start: int, adjacency: np.ndarray | None = None) -> set[int]:
+    def reachable_from(self, start: int) -> set[int]:
         """Nodes reachable from ``start`` by directed paths of length >= 1."""
-        a = self.full_adjacency() if adjacency is None else adjacency
+        a = self.full_adjacency()
         seen: set[int] = set()
         stack = [j for j in range(self.n_nodes) if a[j, start] > 0]
         while stack:

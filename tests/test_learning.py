@@ -10,9 +10,9 @@ from pfcc.errors import PersistentExcitationError
 def f1_system(hexagon_config):
     cfg = hexagon_config
     forms = [cfg.formation[0], cfg.formation[1]]
-    return mc.build_follower_augmented(cfg.follower_dynamics[0], forms,
-                                       cfg.tracking_a, [0.5, 0.5],
-                                       cfg.q_weights[1])
+    return mc.build_augmented(cfg.follower_dynamics[0], forms,
+                              cfg.tracking_a, [0.5, 0.5],
+                              cfg.q_weights[1])
 
 
 def fill_buffer(sys_, seed, noise=1.0, warm=None, rows=None):
@@ -107,8 +107,8 @@ class TestValueRegression:
     def test_recovers_backup_elementwise_with_rich_data(self):
         # fully excited synthetic rows identify the backup exactly
         dyn = mc.AgentDynamics([[0.3, 1.0], [0.0, 0.4]], [[0.0], [1.0]])
-        sys_ = mc.build_leader_augmented(dyn, mc.FormationDynamics(
-            0.5 * np.eye(2), [1.0, 0.0]), 0.4 * np.eye(2), np.eye(2))
+        form = mc.FormationDynamics(0.5 * np.eye(2), [1.0, 0.0])
+        sys_ = mc.build_augmented(dyn, [form], 0.4 * np.eye(2), [1.0], np.eye(2))
         rng = np.random.default_rng(5)
         k = np.zeros((1, 6))
         rows = 40
@@ -124,8 +124,8 @@ class TestValueRegression:
 
     def test_square_window_equals_direct_solve(self):
         dyn = mc.AgentDynamics([[0.5]], [[1.0]])
-        sys_ = mc.build_leader_augmented(dyn, mc.FormationDynamics([[0.6]], [1.0]),
-                                         [[0.4]], [[1.0]])
+        sys_ = mc.build_augmented(dyn, [mc.FormationDynamics([[0.6]], [1.0])],
+                                  [[0.4]], [1.0], [[1.0]])
         rng = np.random.default_rng(9)
         rows = ln.psi_columns(3)  # square regression
         buf = ln.DataBuffer(3, 1, rows)
@@ -205,8 +205,8 @@ class TestGainUpdate:
 
     def test_matches_pseudo_inverse_formula(self, hexagon_config):
         cfg = hexagon_config
-        sys_ = mc.build_leader_augmented(cfg.leader_dynamics[2], cfg.formation[2],
-                                         cfg.tracking_a, cfg.q_weights[7])
+        sys_ = mc.build_augmented(cfg.leader_dynamics[2], [cfg.formation[2]],
+                                  cfg.tracking_a, [1.0], cfg.q_weights[7])
         p = mc.riccati_value_iteration(sys_).P
         xi2 = sys_.B_bar.T @ p @ sys_.A_bar
         xi3 = sys_.B_bar.T @ p @ sys_.B_bar  # rank deficient (wide input)
@@ -222,10 +222,6 @@ class TestExplorationNoise:
         b = ln.exploration_noise(cfg, 3, tick=42)
         np.testing.assert_array_equal(a, b)
         assert not np.allclose(a, ln.exploration_noise(cfg, 3, tick=43))
-
-    def test_cancelled_after_convergence(self):
-        cfg = ln.LearnerConfig(rng_seed=11)
-        assert np.all(ln.exploration_noise(cfg, 4, 0, converged=True) == 0)
 
     def test_zero_std(self):
         cfg = ln.LearnerConfig(rng_seed=11, noise_std=0.0)
@@ -292,9 +288,8 @@ class TestLearningLoop:
 
     def test_over_actuated_agent(self, hexagon_config):
         cfg_h = hexagon_config
-        sys_ = mc.build_leader_augmented(cfg_h.leader_dynamics[2],
-                                         cfg_h.formation[2], cfg_h.tracking_a,
-                                         cfg_h.q_weights[7])
+        sys_ = mc.build_augmented(cfg_h.leader_dynamics[2], [cfg_h.formation[2]],
+                                  cfg_h.tracking_a, [1.0], cfg_h.q_weights[7])
         warm = -mo.pinv(cfg_h.leader_dynamics[2].B) @ cfg_h.leader_dynamics[2].A
         buf, cfg = fill_buffer(sys_, seed=7, warm=warm)
         ctrl = self.converge(sys_, buf, cfg)

@@ -6,10 +6,15 @@ from pfcc import model_control as mc
 from pfcc.errors import ConvergenceError, InfluenceError, RegulationError
 
 
+def leader_system(dyn, form, a0, q):
+    """A leader's augmented system: its own formation as the one block."""
+    return mc.build_augmented(dyn, [form], a0, [1.0], q)
+
+
 def scalar_system(a=0.5, b=1.0, s=1.0, a0=1.0, q=1.0):
     dyn = mc.AgentDynamics([[a]], [[b]])
     form = mc.FormationDynamics([[s]], [0.0])
-    return mc.build_leader_augmented(dyn, form, [[a0]], [[q]])
+    return leader_system(dyn, form, [[a0]], [[q]])
 
 
 def scalar_vi_oracle(a, b, s, a0, q, iters=4000):
@@ -54,9 +59,9 @@ class TestAugmentedBuilders:
 
     def test_bundled_leader_blocks(self, hexagon_config):
         cfg = hexagon_config
-        sys_ = mc.build_leader_augmented(cfg.leader_dynamics[0],
-                                         cfg.formation[0], cfg.tracking_a,
-                                         cfg.q_weights[5])
+        sys_ = leader_system(cfg.leader_dynamics[0],
+                             cfg.formation[0], cfg.tracking_a,
+                             cfg.q_weights[5])
         assert sys_.A_bar.shape == (6, 6)
         np.testing.assert_allclose(sys_.A_bar[:2, :2], [[0, 1], [-2, 4]])
         np.testing.assert_allclose(sys_.A_bar[2:4, 2:4], SWAP)
@@ -65,16 +70,16 @@ class TestAugmentedBuilders:
 
     def test_zero_input_matrix(self):
         dyn = mc.AgentDynamics([[0.5]], [[0.0]])
-        sys_ = mc.build_leader_augmented(dyn, mc.FormationDynamics([[0.5]], [0.0]),
-                                         [[0.5]], [[1.0]])
+        sys_ = leader_system(dyn, mc.FormationDynamics([[0.5]], [0.0]),
+                             [[0.5]], [[1.0]])
         assert np.all(sys_.B_bar == 0)
 
     def test_follower_two_leaders_is_eight_dim(self, hexagon_config):
         cfg = hexagon_config
         forms = [cfg.formation[0], cfg.formation[2]]  # L1, L3
-        sys_ = mc.build_follower_augmented(cfg.follower_dynamics[2], forms,
-                                           cfg.tracking_a, [0.5, 0.5],
-                                           cfg.q_weights[3])
+        sys_ = mc.build_augmented(cfg.follower_dynamics[2], forms,
+                                  cfg.tracking_a, [0.5, 0.5],
+                                  cfg.q_weights[3])
         assert sys_.A_bar.shape == (8, 8)
         np.testing.assert_allclose(
             sys_.C, np.hstack([np.eye(2), -0.5 * np.eye(2), -0.5 * np.eye(2),
@@ -83,13 +88,13 @@ class TestAugmentedBuilders:
     def test_empty_leader_set_rejected(self):
         dyn = mc.AgentDynamics([[0.5]], [[1.0]])
         with pytest.raises(InfluenceError):
-            mc.build_follower_augmented(dyn, [], [[1.0]], [], [[1.0]])
+            mc.build_augmented(dyn, [], [[1.0]], [], [[1.0]])
 
     def test_coefficients_must_sum_to_one(self):
         dyn = mc.AgentDynamics([[0.5]], [[1.0]])
         forms = [mc.FormationDynamics([[0.5]], [0.0])] * 2
         with pytest.raises(ValueError, match="sum to 1"):
-            mc.build_follower_augmented(dyn, forms, [[0.5]], [0.5, 0.6], [[1.0]])
+            mc.build_augmented(dyn, forms, [[0.5]], [0.5, 0.6], [[1.0]])
 
 
 class TestValueIteration:
@@ -105,8 +110,8 @@ class TestValueIteration:
         # with no actuation and a contracting system the value matrix is the
         # cost series sum
         dyn = mc.AgentDynamics([[0.4]], [[0.0]])
-        sys_ = mc.build_leader_augmented(dyn, mc.FormationDynamics([[0.5]], [0.0]),
-                                         [[0.3]], [[1.0]])
+        sys_ = leader_system(dyn, mc.FormationDynamics([[0.5]], [0.0]),
+                             [[0.3]], [[1.0]])
         sol = mc.riccati_value_iteration(sys_, tol=1e-12)
         assert np.all(sol.K == 0)
         series = np.zeros((3, 3))
@@ -129,16 +134,16 @@ class TestValueIteration:
 
     def test_divergence_reported(self):
         dyn = mc.AgentDynamics([[2.0]], [[0.0]])  # unstable, unactuated
-        sys_ = mc.build_leader_augmented(dyn, mc.FormationDynamics([[0.5]], [0.0]),
-                                         [[0.5]], [[1.0]])
+        sys_ = leader_system(dyn, mc.FormationDynamics([[0.5]], [0.0]),
+                             [[0.5]], [[1.0]])
         with pytest.warns(UserWarning, match="non-stabilizable"):
             with pytest.raises(ConvergenceError):
                 mc.riccati_value_iteration(sys_, max_iter=4000)
 
     def test_positive_definite_value_matrix(self, hexagon_config):
         cfg = hexagon_config
-        sys_ = mc.build_leader_augmented(cfg.leader_dynamics[0], cfg.formation[0],
-                                         cfg.tracking_a, cfg.q_weights[5])
+        sys_ = leader_system(cfg.leader_dynamics[0], cfg.formation[0],
+                             cfg.tracking_a, cfg.q_weights[5])
         sol = mc.riccati_value_iteration(sys_)
         assert np.all(np.linalg.eigvalsh(sol.P) > 0)
         np.testing.assert_allclose(sol.P, sol.P.T, atol=1e-12)
@@ -147,14 +152,15 @@ class TestValueIteration:
 class TestGainSplitting:
     def test_scalar_leader_split(self):
         k = np.array([[1.0, 2.0, 3.0]])
-        gains = mc.leader_gains_from(k, 1)
+        gains = mc.AgentGains.split(k, 1, (5,))
         assert gains.K1 == np.array([[1.0]])
-        assert gains.Kh == np.array([[2.0]])
+        assert gains.Kh == {5: np.array([[2.0]])}
         assert gains.Ko == np.array([[3.0]])
+        np.testing.assert_array_equal(gains.K, k)
 
     def test_follower_two_leader_split(self):
         k = np.arange(8.0).reshape(1, 8)
-        gains = mc.follower_gains_from(k, 2, [5, 7])
+        gains = mc.AgentGains.split(k, 2, (5, 7))
         np.testing.assert_array_equal(gains.K1, [[0.0, 1.0]])
         np.testing.assert_array_equal(gains.Kh[5], [[2.0, 3.0]])
         np.testing.assert_array_equal(gains.Kh[7], [[4.0, 5.0]])
@@ -163,16 +169,18 @@ class TestGainSplitting:
     def test_five_block_width(self, hexagon_config):
         cfg = hexagon_config
         forms = [cfg.formation[k] for k in range(4)]
-        sys_ = mc.build_follower_augmented(cfg.follower_dynamics[1], forms,
-                                           cfg.tracking_a, [0.25] * 4,
-                                           cfg.q_weights[2])
+        sys_ = mc.build_augmented(cfg.follower_dynamics[1], forms,
+                                  cfg.tracking_a, [0.25] * 4,
+                                  cfg.q_weights[2])
         sol = mc.riccati_value_iteration(sys_)
-        blocks = mc.split_gains(sol.K, 2, 6)
+        gains = mc.AgentGains.split(sol.K, 2, (5, 6, 7, 8))
+        blocks = [gains.K1, *gains.Kh.values(), gains.Ko]
         assert len(blocks) == 6 and all(b.shape == (1, 2) for b in blocks)
+        np.testing.assert_array_equal(np.hstack(blocks), sol.K)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
-            mc.split_gains(np.zeros((1, 5)), 2, 3)
+            mc.AgentGains.split(np.zeros((1, 5)), 2, (5,))
 
 
 class TestRegulationSolutions:
@@ -208,11 +216,11 @@ class TestRegulationSolutions:
 class TestGainIdentities:
     def synth_leader(self, cfg, idx):
         node = 1 + cfg.topology.n_followers + idx
-        sys_ = mc.build_leader_augmented(cfg.leader_dynamics[idx],
-                                         cfg.formation[idx], cfg.tracking_a,
-                                         cfg.q_weights[node])
+        sys_ = leader_system(cfg.leader_dynamics[idx],
+                             cfg.formation[idx], cfg.tracking_a,
+                             cfg.q_weights[node])
         sol = mc.riccati_value_iteration(sys_)
-        return cfg.leader_dynamics[idx], mc.leader_gains_from(sol.K, 2)
+        return cfg.leader_dynamics[idx], mc.AgentGains.split(sol.K, 2, (node,))
 
     def test_bundled_first_leader_identities(self, hexagon_config):
         dyn, gains = self.synth_leader(hexagon_config, 0)
@@ -225,33 +233,59 @@ class TestGainIdentities:
     def test_perturbed_gain_flagged(self, hexagon_config):
         dyn, gains = self.synth_leader(hexagon_config, 0)
         u = mc.min_norm_regulation_solution(dyn.A, dyn.B, SWAP)
-        bad = mc.LeaderGains(K1=gains.K1 + 0.1, Kh=gains.Kh, Ko=gains.Ko)
+        bad = mc.AgentGains(K=gains.K, K1=gains.K1 + 0.1, Kh=gains.Kh, Ko=gains.Ko)
         report = mc.verify_gain_identities(dyn, bad, u, u)
         assert report.max_residual > 1e-3
 
     def test_single_leader_follower_reduces_to_leader_case(self, hexagon_config):
+        # a one-block augmented system is the leader system diag(A, S, A0)
+        # with error x - h - x_o, written out here independently
         cfg = hexagon_config
         dyn = cfg.follower_dynamics[0]
         form = cfg.formation[0]
-        f_sys = mc.build_follower_augmented(dyn, [form], cfg.tracking_a, [1.0],
-                                            cfg.q_weights[1])
-        l_sys = mc.build_leader_augmented(dyn, form, cfg.tracking_a,
-                                          cfg.q_weights[1])
-        f_sol = mc.riccati_value_iteration(f_sys)
-        l_sol = mc.riccati_value_iteration(l_sys)
-        np.testing.assert_allclose(f_sol.K, l_sol.K, atol=1e-9)
+        sys_ = mc.build_augmented(dyn, [form], cfg.tracking_a, [1.0],
+                                  cfg.q_weights[1])
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        a_bar = np.block([[dyn.A, zero, zero], [zero, form.S, zero],
+                          [zero, zero, cfg.tracking_a]])
+        b_bar = np.vstack([dyn.B, np.zeros((4, dyn.m))])
+        np.testing.assert_array_equal(sys_.A_bar, a_bar)
+        np.testing.assert_array_equal(sys_.B_bar, b_bar)
+        np.testing.assert_array_equal(sys_.C, np.hstack([eye, -eye, -eye]))
+        written = mc.AugmentedSystem(A_bar=a_bar, B_bar=b_bar,
+                                     C=np.hstack([eye, -eye, -eye]),
+                                     Q=np.atleast_2d(cfg.q_weights[1]),
+                                     block_dim=2, n_blocks=3)
+        np.testing.assert_allclose(mc.riccati_value_iteration(sys_).K,
+                                   mc.riccati_value_iteration(written).K, atol=1e-9)
+
+    def test_several_blocks_need_coefficients(self, hexagon_config):
+        cfg = hexagon_config
+        dyn = cfg.follower_dynamics[2]
+        sys_ = mc.build_augmented(dyn, [cfg.formation[0], cfg.formation[2]],
+                                  cfg.tracking_a, [0.5, 0.5], cfg.q_weights[3])
+        gains = mc.AgentGains.split(mc.riccati_value_iteration(sys_).K, 2, (5, 7))
+        u_o = mc.min_norm_regulation_solution(dyn.A, dyn.B, cfg.tracking_a)
+        u_h = {q: mc.min_norm_regulation_solution(dyn.A, dyn.B, cfg.formation[k].S)
+               for q, k in ((5, 0), (7, 2))}
+        with pytest.raises(ValueError, match="coefficients"):
+            mc.verify_gain_identities(dyn, gains, u_h, u_o)
+        report = mc.verify_gain_identities(dyn, gains, u_h, u_o, {5: 0.5, 7: 0.5})
+        assert set(report.formation_residuals) == {5, 7}
+        assert report.max_residual < 1e-6
 
 
 class TestControlLaws:
+    """The control law u = K z over the augmented state z."""
+
     def gains(self, cfg):
-        sys_ = mc.build_leader_augmented(cfg.leader_dynamics[0], cfg.formation[0],
-                                         cfg.tracking_a, cfg.q_weights[5])
-        return mc.leader_gains_from(mc.riccati_value_iteration(sys_).K, 2)
+        sys_ = leader_system(cfg.leader_dynamics[0], cfg.formation[0],
+                             cfg.tracking_a, cfg.q_weights[5])
+        return mc.AgentGains.split(mc.riccati_value_iteration(sys_).K, 2, (5,))
 
     def test_zero_states_zero_input(self, hexagon_config):
         gains = self.gains(hexagon_config)
-        z = np.zeros(2)
-        assert np.all(mc.leader_control(gains, z, z, z) == 0)
+        assert np.all(gains.K @ np.zeros(6) == 0)
 
     def test_error_invariant_once_zero(self, hexagon_config):
         # with exact values and gains from the synthesis, x = h + x_o is
@@ -263,7 +297,9 @@ class TestControlLaws:
         h = rng.normal(size=2)
         x_o = rng.normal(size=2)
         x = h + x_o
-        u = mc.leader_control(gains, x, h, x_o)
+        u = gains.K @ np.concatenate([x, h, x_o])
+        np.testing.assert_allclose(u, gains.K1 @ x + gains.Kh[5] @ h + gains.Ko @ x_o,
+                                   atol=1e-12)
         x_next = dyn.A @ x + dyn.B @ u
         e_next = x_next - SWAP @ h - SWAP @ x_o
         assert np.linalg.norm(e_next) < 1e-9
@@ -279,42 +315,27 @@ class TestControlLaws:
             x_o = rng.normal(size=2)
             errs = []
             for _ in range(12):
-                u = mc.leader_control(gains, x, h, x_o)
+                u = gains.K @ np.concatenate([x, h, x_o])
                 x = dyn.A @ x + dyn.B @ u
                 h = SWAP @ h
                 x_o = SWAP @ x_o
                 errs.append(np.linalg.norm(x - h - x_o))
             assert errs[-1] < 1e-8 * max(errs[0], 1.0)
 
-    def test_follower_control_requires_estimates(self, hexagon_config):
-        cfg = hexagon_config
-        forms = [cfg.formation[0], cfg.formation[2]]
-        sys_ = mc.build_follower_augmented(cfg.follower_dynamics[2], forms,
-                                           cfg.tracking_a, [0.5, 0.5],
-                                           cfg.q_weights[3])
-        gains = mc.follower_gains_from(mc.riccati_value_iteration(sys_).K, 2,
-                                       [5, 7])
-        alphas = {5: 0.5, 7: 0.5}
-        with pytest.raises(InfluenceError, match="missing formation estimate"):
-            mc.follower_control(gains, np.zeros(2), np.zeros(2),
-                                {5: np.zeros(2)}, alphas)
-
     def test_follower_containment_error_decay(self, hexagon_config):
         cfg = hexagon_config
         dyn = cfg.follower_dynamics[2]
         forms = [cfg.formation[0], cfg.formation[2]]
-        sys_ = mc.build_follower_augmented(dyn, forms, cfg.tracking_a,
-                                           [0.5, 0.5], cfg.q_weights[3])
-        gains = mc.follower_gains_from(mc.riccati_value_iteration(sys_).K, 2,
-                                       [5, 7])
-        alphas = {5: 0.5, 7: 0.5}
+        sys_ = mc.build_augmented(dyn, forms, cfg.tracking_a,
+                                  [0.5, 0.5], cfg.q_weights[3])
+        gains = mc.AgentGains.split(mc.riccati_value_iteration(sys_).K, 2, (5, 7))
         rng = np.random.default_rng(11)
         x = rng.normal(size=2)
         h = {5: rng.normal(size=2), 7: rng.normal(size=2)}
         x_o = rng.normal(size=2)
         errs = []
         for _ in range(12):
-            u = mc.follower_control(gains, x, x_o, h, alphas)
+            u = gains.K @ np.concatenate([x, h[5], h[7], x_o])
             x = dyn.A @ x + dyn.B @ u
             h = {q: SWAP @ v for q, v in h.items()}
             x_o = SWAP @ x_o

@@ -6,6 +6,7 @@ from pfcc import observers as ob
 from pfcc import scenario as sc
 from pfcc import simulation as sim
 from pfcc.errors import ConvergenceError, PfccError
+from pfcc.matops import spectral_radius
 from pfcc.topology import build_laplacian
 
 FA = np.array([[0.1, 0.5], [0.5, 0.1]])
@@ -142,7 +143,7 @@ class TestObserverStep:
 
 
 def matrix_step(obs, L, eta, eta_next):
-    """The general update: Woodbury downdate of the parameter matrix L,
+    """The general update: rank-one downdate of the parameter matrix L,
     gain solve against L_next^-1 + xi I, row-major unstacked model update."""
     cfg = obs.config
     n = obs.x_hat.size
@@ -170,16 +171,14 @@ def assert_rel_close(actual, expected, rtol=1e-12):
 class TestScalarParameter:
     def test_step_matches_matrix_update(self):
         # from the same state, the scalar step equals the matrix path with
-        # L = c I for every output.  The Woodbury downdate cancels about
-        # log10(c |x|^2) digits, so the excitation c |x|^2 stays below ~100
-        # here, where the matrix path itself is accurate to 1e-14
+        # L = c I for every output, for excitations c |x|^2 up to ~1e6
         rng = np.random.default_rng(41)
         for _ in range(200):
             n = int(rng.integers(1, 5))
             obs = ob.RlsObserver(config=random_config(rng, n),
-                                 c=float(10.0 ** rng.uniform(-3, 0)),
+                                 c=float(10.0 ** rng.uniform(-3, 1)),
                                  A_hat=rng.normal(size=(n, n)),
-                                 x_hat=rng.normal(size=n) * 10.0 ** rng.uniform(-2, 0.5))
+                                 x_hat=rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2))
             eta, eta_next = rng.normal(size=n), rng.normal(size=n)
             nxt = ob.observer_step_tracking_leader(obs, eta, eta_next)
             l_next, a_next, x_next = matrix_step(obs, obs.c * np.eye(n), eta, eta_next)
@@ -413,20 +412,22 @@ class TestFormationObserverGating:
 
 
 class TestSchurConsensus:
+    @staticmethod
+    def schur(a_target, mu, gain_matrix, graph):
+        return spectral_radius(ob.consensus_matrix(a_target, mu, gain_matrix, graph)) < 1.0
+
     def test_bundled_leader_network_is_stable(self, hexagon_config):
         topo = hexagon_config.topology
         blocks = build_laplacian(topo)
         graph = blocks.L3 + np.diag(topo.tracking_to_leader)
-        assert ob.check_schur_consensus(hexagon_config.tracking_a, 0.7, FA, graph)
+        assert self.schur(hexagon_config.tracking_a, 0.7, FA, graph)
 
     def test_zero_gain_marginal_target_fails(self):
-        assert not ob.check_schur_consensus(SWAP, 0.0, FA, np.eye(3))
+        assert not self.schur(SWAP, 0.0, FA, np.eye(3))
 
     def test_zero_gain_matrix_reduces_to_target_radius(self):
-        assert ob.check_schur_consensus(0.5 * SWAP, 1.0, np.zeros((2, 2)),
-                                        np.eye(2))
-        assert not ob.check_schur_consensus(SWAP, 1.0, np.zeros((2, 2)),
-                                            np.eye(2))
+        assert self.schur(0.5 * SWAP, 1.0, np.zeros((2, 2)), np.eye(2))
+        assert not self.schur(SWAP, 1.0, np.zeros((2, 2)), np.eye(2))
 
 
 class TestCouplingGainBound:

@@ -161,7 +161,7 @@ class TestFixedPoint:
         for i in topo.follower_nodes:
             if know[i].influential:
                 assert sum(know[i].coefficients.values()) == pytest.approx(1.0)
-                assert all(know[i].coefficient(q) > 0
+                assert all(know[i].coefficients[q] > 0
                            for q in know[i].influential)
 
 

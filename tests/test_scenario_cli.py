@@ -244,8 +244,8 @@ class TestCompareGains:
 
     def test_identical_solutions_give_exact_zero_gap(self, hexagon_config):
         cfg = hexagon_config
-        sys_ = mc.build_leader_augmented(cfg.leader_dynamics[0], cfg.formation[0],
-                                         cfg.tracking_a, cfg.q_weights[5])
+        sys_ = mc.build_augmented(cfg.leader_dynamics[0], [cfg.formation[0]],
+                                  cfg.tracking_a, [1.0], cfg.q_weights[5])
         a = mc.riccati_value_iteration(sys_)
         b = mc.riccati_value_iteration(sys_)
         assert np.linalg.norm(a.K - b.K) == 0.0
@@ -263,10 +263,10 @@ class TestCompareGains:
         rep_match = cli.compare_agent_gains(cfg, node, matched)
         assert rep_match["k_gap"] < 1e-3
         forms = [cfg.formation[0], cfg.formation[2]]
-        oracle_matched = mc.riccati_value_iteration(mc.build_follower_augmented(
+        oracle_matched = mc.riccati_value_iteration(mc.build_augmented(
             cfg.follower_dynamics[2], forms, cfg.tracking_a,
             [matched[5], matched[7]], cfg.q_weights[node]))
-        oracle_skewed = mc.riccati_value_iteration(mc.build_follower_augmented(
+        oracle_skewed = mc.riccati_value_iteration(mc.build_augmented(
             cfg.follower_dynamics[2], forms, cfg.tracking_a,
             [skewed[5], skewed[7]], cfg.q_weights[node]))
         gap = (np.linalg.norm(oracle_skewed.K - oracle_matched.K)
