@@ -118,11 +118,14 @@ def probe_window(cfg: sim.ScenarioConfig, node: int, sys_: mc.AugmentedSystem,
     warm = np.zeros((sys_.m, sys_.dim))
     warm[:, : cfg.state_dim] = np.atleast_2d(
         cfg.warmup_gains.get(node, np.zeros((sys_.m, cfg.state_dim))))
+    # one draw of the whole stack is the same stream as one draw per row
+    x = rng.normal(size=(rows, sys_.dim))
+    u = np.empty((rows, sys_.m))
+    x_next = np.empty_like(x)
     for t in range(rows):
-        x = rng.normal(size=sys_.dim)
-        u = warm @ x + ln.exploration_noise(agent_cfg, sys_.m, t)
-        buf.record(x, u, sys_.A_bar @ x + sys_.B_bar @ u)
-    return buf
+        u[t] = warm @ x[t] + ln.exploration_noise(agent_cfg, sys_.m, t)
+        x_next[t] = sys_.A_bar @ x[t] + sys_.B_bar @ u[t]
+    return buf.record(x, u, x_next)
 
 
 def compare_agent_gains(cfg: sim.ScenarioConfig, node: int,

@@ -1,7 +1,7 @@
 """Online data-driven value iteration from measured trajectories.
 
-A rolling window of (state, input, next-state) samples is assembled into
-regression matrices whose rows encode the quadratic-form identity
+A fixed window of (state, input, next-state) samples fills regression
+matrices whose rows encode the quadratic-form identity
 
     vecv(X+) . vecm(P) = vecv(X) . vecm(A^T P A) + 2 (X (x) u) . vec(B^T P A)
                          + vecv(u) . vecm(B^T P B)
@@ -65,6 +65,16 @@ class LearnerConfig:
     relearn_on_alpha_change: bool = True
     max_iterations: int = 2000
 
+    def __post_init__(self):
+        if self.window is not None and self.window < 0:
+            raise ValueError("learner window must be >= 0")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError("learner noise_std must be finite and >= 0")
+        if not self.gain_delta_threshold > 0:
+            raise ValueError("learner gain_delta_threshold must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("learner max_iterations must be >= 1")
+
     def rows_for(self, state_dim: int, input_dim: int) -> int:
         if self.window is not None:
             return self.window + 2
@@ -81,11 +91,13 @@ def theta_columns(state_dim: int, input_dim: int) -> int:
 
 
 class DataBuffer:
-    """Rolling window of regression rows for one agent's augmented system.
+    """Fixed window of regression rows for one agent's augmented system.
 
-    Rows from consecutive ticks are appended in order; once full, the oldest
-    row is evicted.  Assembled matrices and their factorizations are cached
-    until the next append.
+    Row t of ``theta`` is [vecv(x), 2 x (x) u, vecv(u)] and row t of
+    ``psi_next`` is vecv(x+), for the t-th recorded transition.  Both arrays
+    are allocated once; rows are filled in order until the window is full,
+    and a full window must be flushed before it takes new rows.  The solver
+    factorization is cached until the next record or flush.
     """
 
     def __init__(self, state_dim: int, input_dim: int, capacity: int):
@@ -94,79 +106,65 @@ class DataBuffer:
         self.state_dim = state_dim
         self.input_dim = input_dim
         self.capacity = capacity
-        self._psi: list[np.ndarray] = []
-        self._psi_next: list[np.ndarray] = []
-        self._tau: list[np.ndarray] = []
-        self._omega: list[np.ndarray] = []
+        self._theta = np.empty((capacity, theta_columns(state_dim, input_dim)))
+        self._psi_next = np.empty((capacity, psi_columns(state_dim)))
+        self._rows = 0
         self._cache: dict = {}
 
     def __len__(self) -> int:
-        return len(self._psi)
+        return self._rows
 
     @property
     def is_full(self) -> bool:
-        return len(self._psi) >= self.capacity
+        return self._rows >= self.capacity
 
     def record(self, x: np.ndarray, u: np.ndarray, x_next: np.ndarray) -> "DataBuffer":
-        x = np.asarray(x, dtype=float).ravel()
-        u = np.asarray(u, dtype=float).ravel()
-        x_next = np.asarray(x_next, dtype=float).ravel()
-        if x.size != self.state_dim or x_next.size != self.state_dim:
-            raise ValueError(f"state dimension mismatch: expected {self.state_dim}")
-        if u.size != self.input_dim:
-            raise ValueError(f"input dimension mismatch: expected {self.input_dim}")
-        self._psi.append(vecv(x))
-        self._psi_next.append(vecv(x_next))
-        self._tau.append(np.kron(x, u))
-        self._omega.append(vecv(u))
-        if len(self._psi) > self.capacity:
-            for rows in (self._psi, self._psi_next, self._tau, self._omega):
-                rows.pop(0)
+        """Append one transition, or a stack of them as ``(rows, dim)`` arrays."""
+        x, u, x_next = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, u, x_next))
+        n, m = self.state_dim, self.input_dim
+        if x.shape[1:] != (n,) or x_next.shape[1:] != (n,):
+            raise ValueError(f"state dimension mismatch: expected {n}")
+        if u.shape[1:] != (m,):
+            raise ValueError(f"input dimension mismatch: expected {m}")
+        rows = x.shape[0]
+        if u.shape[0] != rows or x_next.shape[0] != rows:
+            raise ValueError("x, u and x_next must hold the same number of rows")
+        start, stop = self._rows, self._rows + rows
+        if stop > self.capacity:
+            raise ValueError(f"window holds {self.capacity} rows; flush it before "
+                             "recording more")
+        c1 = psi_columns(n)
+        theta = self._theta[start:stop]
+        theta[:, :c1] = vecv(x)
+        theta[:, c1 : c1 + n * m] = 2.0 * (x[:, :, None] * u[:, None, :]).reshape(rows, -1)
+        theta[:, c1 + n * m :] = vecv(u)
+        self._psi_next[start:stop] = vecv(x_next)
+        self._rows = stop
         self._cache.clear()
         return self
 
     def flush(self) -> None:
-        self._psi.clear()
-        self._psi_next.clear()
-        self._tau.clear()
-        self._omega.clear()
+        self._rows = 0
         self._cache.clear()
 
-    # -- assembled matrices ---------------------------------------------
+    # -- views of the filled rows -----------------------------------------
+    def theta(self) -> np.ndarray:
+        return self._theta[: self._rows]
+
     def psi(self) -> np.ndarray:
-        return np.array(self._psi)
+        return self._theta[: self._rows, : psi_columns(self.state_dim)]
 
     def psi_next(self) -> np.ndarray:
-        return np.array(self._psi_next)
-
-    def tau(self) -> np.ndarray:
-        return np.array(self._tau)
-
-    def omega(self) -> np.ndarray:
-        return np.array(self._omega)
-
-    def theta(self) -> np.ndarray:
-        return np.hstack([self.psi(), 2.0 * self.tau(), self.omega()])
-
-    def _scaled(self, key: str, build) -> tuple:
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        return self._psi_next[: self._rows]
 
     def theta_solver(self, allow_deficient: bool):
         """Cached min-norm solver for theta @ xi = rhs with row scaling."""
-        def build():
+        if allow_deficient not in self._cache:
             theta = self.theta()
             scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
-            return _TruncatedSolver(theta * scale[:, None], allow_deficient), scale
-        return self._scaled(f"theta:{allow_deficient}", build)
-
-    def psi_solver(self, allow_deficient: bool):
-        def build():
-            psi = self.psi()
-            scale = 1.0 / np.maximum(1.0, np.linalg.norm(psi, axis=1))
-            return _TruncatedSolver(psi * scale[:, None], allow_deficient), scale
-        return self._scaled(f"psi:{allow_deficient}", build)
+            self._cache[allow_deficient] = (
+                _TruncatedSolver(theta * scale[:, None], allow_deficient), scale)
+        return self._cache[allow_deficient]
 
 
 class _TruncatedSolver:
@@ -211,22 +209,6 @@ class _TruncatedSolver:
                 f"{residual / max(float(np.linalg.norm(rhs)), 1e-300):.2e}); "
                 "samples were likely taken during an observer transient")
         return solution
-
-
-def vi_update_P(buf: DataBuffer, q_weight: np.ndarray, c: np.ndarray,
-                p_prev: np.ndarray, allow_deficient: bool = False) -> np.ndarray:
-    """Regression form of the value-function update.
-
-    Solves the window least-squares Psi vecm(P) = Psi vecm(C^T Q C)
-    + Psi+ vecm(P_prev); exact whenever the window was produced by a linear
-    policy of the recorded state.
-    """
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    cost = symmetrize(c.T @ np.atleast_2d(q_weight) @ c)
-    solver, scale = buf.psi_solver(allow_deficient)
-    phi = buf.psi() @ vecm(cost) + buf.psi_next() @ vecm(p_prev)
-    solution = solver.solve(phi * scale)
-    return unvecm(solution, buf.state_dim)
 
 
 def vi_update_Xi(buf: DataBuffer, p_new: np.ndarray,

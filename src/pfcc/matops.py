@@ -11,6 +11,8 @@ regressions over measured data, so its exactness is load bearing.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -18,50 +20,45 @@ _SQRT2 = float(np.sqrt(2.0))
 SYMMETRY_ATOL = 1e-12
 
 
+@cache
+def _triu_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major upper-triangle indices (I, J) of order n and the
+    half-vectorization weights: 1 on the diagonal, sqrt(2) off it."""
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1.0, _SQRT2)
+    for a in (rows, cols, weights):
+        a.flags.writeable = False
+    return rows, cols, weights
+
+
 def vecv(d: np.ndarray) -> np.ndarray:
     """Upper-triangular vectorization of the outer square of a vector.
 
     Diagonal slots hold d_i**2, off-diagonal slots hold sqrt(2)*d_i*d_j,
     ordered row-major: (0,0), (0,1), ..., (0,n-1), (1,1), (1,2), ...
+    A ``(rows, n)`` stack gives one such row per input row.
     """
-    d = np.asarray(d, dtype=float).ravel()
-    n = d.size
-    if n < 1:
-        raise ValueError("vecv requires a vector of length >= 1")
-    out = np.empty(n * (n + 1) // 2)
-    k = 0
-    for i in range(n):
-        out[k] = d[i] * d[i]
-        k += 1
-        if i + 1 < n:
-            width = n - i - 1
-            out[k : k + width] = _SQRT2 * d[i] * d[i + 1 :]
-            k += width
-    return out
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if d.ndim > 2 or d.shape[-1] < 1:
+        raise ValueError("vecv requires a vector of length >= 1 or a stack of them")
+    rows, cols, weights = _triu_table(d.shape[-1])
+    return (weights * d[..., rows]) * d[..., cols]
 
 
 def vecm(s: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     """Half-vectorization of a symmetric matrix, same ordering as ``vecv``.
 
     Diagonal entries are kept as-is, off-diagonal entries scaled by sqrt(2).
-    Raises ValueError when the input is asymmetric beyond ``atol``.
+    Raises ValueError when the input is asymmetric beyond ``atol`` or holds
+    a non-finite entry.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"vecm requires a square matrix, got shape {s.shape}")
-    if not np.allclose(s, s.T, atol=atol, rtol=0.0):
+    if s.size and not np.abs(s - s.T).max() <= atol:
         raise ValueError("vecm requires a symmetric matrix")
-    n = s.shape[0]
-    out = np.empty(n * (n + 1) // 2)
-    k = 0
-    for i in range(n):
-        out[k] = s[i, i]
-        k += 1
-        if i + 1 < n:
-            width = n - i - 1
-            out[k : k + width] = _SQRT2 * s[i, i + 1 :]
-            k += width
-    return out
+    rows, cols, weights = _triu_table(s.shape[0])
+    return weights * s[rows, cols]
 
 
 def unvecm(v: np.ndarray, n: int) -> np.ndarray:
@@ -69,17 +66,9 @@ def unvecm(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
     if v.size != n * (n + 1) // 2:
         raise ValueError(f"unvecm: expected length {n * (n + 1) // 2} for order {n}, got {v.size}")
-    out = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        out[i, i] = v[k]
-        k += 1
-        if i + 1 < n:
-            width = n - i - 1
-            row = v[k : k + width] / _SQRT2
-            out[i, i + 1 :] = row
-            out[i + 1 :, i] = row
-            k += width
+    rows, cols, weights = _triu_table(n)
+    out = np.empty((n, n))
+    out[rows, cols] = out[cols, rows] = v / weights
     return out
 
 

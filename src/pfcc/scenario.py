@@ -299,12 +299,15 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
         formation_cfgs[node_of[nm]] = observer(entry)
 
     lrn = raw["learner"]
-    learner = ln.LearnerConfig(
-        noise_std=float(lrn.get("noise_std", 0.1)),
-        gain_delta_threshold=float(lrn.get("gain_delta_threshold", 1e-6)),
-        window=lrn.get("window"),
-        relearn_on_alpha_change=bool(lrn.get("relearn_on_alpha_change", True)),
-        max_iterations=int(lrn.get("max_iterations", 2000)))
+    try:
+        learner = ln.LearnerConfig(
+            noise_std=float(lrn.get("noise_std", 0.1)),
+            gain_delta_threshold=float(lrn.get("gain_delta_threshold", 1e-6)),
+            window=lrn.get("window"),
+            relearn_on_alpha_change=bool(lrn.get("relearn_on_alpha_change", True)),
+            max_iterations=int(lrn.get("max_iterations", 2000)))
+    except ValueError as exc:
+        raise SchemaError(f"learner: {exc}") from exc
 
     return sim.ScenarioConfig(
         name=raw["name"],

@@ -11,6 +11,18 @@ from pfcc.topology import DirectedTopology
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def vecv_loop(d: np.ndarray) -> np.ndarray:
+    """Reference: the per-slot loop form of ``matops.vecv`` for one vector."""
+    n = d.size
+    out = np.empty(n * (n + 1) // 2)
+    k = 0
+    for i in range(n):
+        out[k] = d[i] * d[i]
+        out[k + 1 : k + n - i] = np.sqrt(2.0) * d[i] * d[i + 1 :]
+        k += n - i
+    return out
+
+
 def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
     """Brute-force reachability oracle: (i, j) true iff a path j -> i exists."""
     n = adjacency.shape[0]

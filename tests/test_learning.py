@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import vecv_loop
 from pfcc import learning as ln
 from pfcc import matops as mo
 from pfcc import model_control as mc
-from pfcc.errors import PersistentExcitationError
+from pfcc.errors import DataConsistencyError, PersistentExcitationError
 
 
 def f1_system(hexagon_config):
@@ -48,9 +49,8 @@ def trajectory_buffer(sys_, k_policy, x0, rows, noise_cfg=None):
 class TestDataBuffer:
     def test_scalar_row_values(self):
         buf = ln.DataBuffer(1, 1, 3).record([2.0], [3.0], [5.0])
+        np.testing.assert_allclose(buf.theta(), [[4.0, 12.0, 9.0]])
         np.testing.assert_allclose(buf.psi(), [[4.0]])
-        np.testing.assert_allclose(buf.tau(), [[6.0]])
-        np.testing.assert_allclose(buf.omega(), [[9.0]])
         np.testing.assert_allclose(buf.psi_next(), [[25.0]])
 
     def test_zero_sample_gives_zero_rows(self):
@@ -67,12 +67,37 @@ class TestDataBuffer:
         p = 0.5 * (p + p.T)
         assert buf.psi()[0] @ mo.vecm(p) == pytest.approx(x @ p @ x)
 
-    def test_rolling_eviction(self):
+    def test_stacked_record_matches_row_by_row_kron_form(self):
+        rng = np.random.default_rng(6)
+        n, m, rows = 5, 2, 30
+        x, u = rng.normal(size=(rows, n)), rng.normal(size=(rows, m))
+        x_next = rng.normal(size=(rows, n))
+        theta = np.array([np.concatenate([vecv_loop(a), 2.0 * np.kron(a, b), vecv_loop(b)])
+                          for a, b in zip(x, u)])
+        psi_next = np.array([vecv_loop(c) for c in x_next])
+        by_row = ln.DataBuffer(n, m, rows)
+        for t in range(rows):
+            by_row.record(x[t], u[t], x_next[t])
+        stacked = ln.DataBuffer(n, m, rows).record(x[:10], u[:10], x_next[:10])
+        stacked.record(x[10:], u[10:], x_next[10:])
+        for buf in (by_row, stacked):
+            assert buf.is_full
+            np.testing.assert_array_equal(buf.theta(), theta)
+            np.testing.assert_array_equal(buf.psi(), theta[:, : ln.psi_columns(n)])
+            np.testing.assert_array_equal(buf.psi_next(), psi_next)
+
+    def test_recording_past_capacity_rejected(self):
         buf = ln.DataBuffer(1, 1, 2)
-        for v in (1.0, 2.0, 3.0):
+        for v in (1.0, 2.0):
             buf.record([v], [0.0], [v])
-        assert len(buf) == 2
-        np.testing.assert_allclose(buf.psi()[:, 0], [4.0, 9.0])
+        with pytest.raises(ValueError, match="flush"):
+            buf.record([3.0], [0.0], [3.0])
+        with pytest.raises(ValueError, match="flush"):
+            ln.DataBuffer(1, 1, 2).record(np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)))
+        np.testing.assert_array_equal(buf.psi()[:, 0], [1.0, 4.0])
+        buf.flush()
+        buf.record([3.0], [0.0], [3.0])
+        np.testing.assert_array_equal(buf.psi()[:, 0], [9.0])
 
     def test_dimension_checks(self):
         buf = ln.DataBuffer(2, 1, 3)
@@ -80,92 +105,14 @@ class TestDataBuffer:
             buf.record(np.zeros(3), np.zeros(1), np.zeros(2))
         with pytest.raises(ValueError, match="input dimension"):
             buf.record(np.zeros(2), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="same number of rows"):
+            buf.record(np.zeros((2, 2)), np.zeros((1, 1)), np.zeros((2, 2)))
 
     def test_flush(self):
         buf = ln.DataBuffer(1, 1, 2)
         buf.record([1.0], [1.0], [1.0])
         buf.flush()
         assert len(buf) == 0 and not buf.is_full
-
-
-class TestValueRegression:
-    def test_recovers_bellman_backup_on_policy(self, hexagon_config):
-        # window produced by a fixed linear policy: the regression equals
-        # the model-based backup of the supplied value matrix
-        sys_ = f1_system(hexagon_config)
-        rng = np.random.default_rng(8)
-        k = mc.riccati_value_iteration(sys_).K  # a stabilizing policy
-        buf = trajectory_buffer(sys_, k, rng.normal(size=sys_.dim), 60)
-        p_prev = np.eye(sys_.dim)
-        p_hat = ln.vi_update_P(buf, sys_.Q, sys_.C, p_prev, allow_deficient=True)
-        acl = sys_.A_bar + sys_.B_bar @ k
-        backup = sys_.cost_matrix() + acl.T @ p_prev @ acl
-        # compare as quadratic forms on the sampled data
-        np.testing.assert_allclose(buf.psi() @ mo.vecm(p_hat),
-                                   buf.psi() @ mo.vecm(backup), atol=1e-8)
-
-    def test_recovers_backup_elementwise_with_rich_data(self):
-        # fully excited synthetic rows identify the backup exactly
-        dyn = mc.AgentDynamics([[0.3, 1.0], [0.0, 0.4]], [[0.0], [1.0]])
-        form = mc.FormationDynamics(0.5 * np.eye(2), [1.0, 0.0])
-        sys_ = mc.build_augmented(dyn, [form], 0.4 * np.eye(2), [1.0], np.eye(2))
-        rng = np.random.default_rng(5)
-        k = np.zeros((1, 6))
-        rows = 40
-        buf = ln.DataBuffer(6, 1, rows)
-        for t in range(rows):
-            x = rng.normal(size=6)
-            u = k @ x  # on-policy, excitation from the state resets
-            buf.record(x, u, sys_.A_bar @ x + sys_.B_bar @ u)
-        p_prev = np.eye(6)
-        p_hat = ln.vi_update_P(buf, sys_.Q, sys_.C, p_prev)
-        backup = sys_.cost_matrix() + sys_.A_bar.T @ p_prev @ sys_.A_bar
-        np.testing.assert_allclose(p_hat, backup, atol=1e-8)
-
-    def test_square_window_equals_direct_solve(self):
-        dyn = mc.AgentDynamics([[0.5]], [[1.0]])
-        sys_ = mc.build_augmented(dyn, [mc.FormationDynamics([[0.6]], [1.0])],
-                                  [[0.4]], [1.0], [[1.0]])
-        rng = np.random.default_rng(9)
-        rows = ln.psi_columns(3)  # square regression
-        buf = ln.DataBuffer(3, 1, rows)
-        k = np.zeros((1, 3))
-        for _ in range(rows):
-            x = rng.normal(size=3)
-            buf.record(x, k @ x, sys_.A_bar @ x)
-        p_prev = 2.0 * np.eye(3)
-        p_hat = ln.vi_update_P(buf, sys_.Q, sys_.C, p_prev)
-        phi = buf.psi() @ mo.vecm(sys_.cost_matrix()) + buf.psi_next() @ mo.vecm(p_prev)
-        direct = np.linalg.solve(buf.psi(), phi)
-        np.testing.assert_allclose(mo.vecm(p_hat), direct, atol=1e-9)
-
-    def test_duplicate_rows_rejected(self):
-        buf = ln.DataBuffer(2, 1, 4)
-        for _ in range(4):
-            buf.record([1.0, 2.0], [0.5], [2.0, 1.0])
-        with pytest.raises(PersistentExcitationError):
-            ln.vi_update_P(buf, np.eye(2), np.hstack([np.eye(2)] * 1), np.eye(2))
-
-    def test_symmetry_of_result(self, hexagon_config):
-        sys_ = f1_system(hexagon_config)
-        rng = np.random.default_rng(3)
-        k = mc.riccati_value_iteration(sys_).K
-        buf = trajectory_buffer(sys_, k, rng.normal(size=sys_.dim), 40)
-        p_hat = ln.vi_update_P(buf, sys_.Q, sys_.C, np.eye(sys_.dim),
-                               allow_deficient=True)
-        np.testing.assert_allclose(p_hat, p_hat.T)
-
-    def test_off_policy_window_flagged_inconsistent(self, hexagon_config):
-        # the value regression is exact only for linear-policy windows;
-        # probing-noise inputs make its rows mutually inconsistent, which is
-        # reported rather than silently smeared over
-        from pfcc.errors import DataConsistencyError
-
-        sys_ = f1_system(hexagon_config)
-        buf, _ = fill_buffer(sys_, seed=3)
-        with pytest.raises(DataConsistencyError):
-            ln.vi_update_P(buf, sys_.Q, sys_.C, np.eye(sys_.dim),
-                           allow_deficient=True)
 
 
 class TestModelBlockRegression:
@@ -179,6 +126,27 @@ class TestModelBlockRegression:
         np.testing.assert_allclose(xi1, sys_.A_bar.T @ p @ sys_.A_bar, atol=1e-7)
         np.testing.assert_allclose(xi2, sys_.B_bar.T @ p @ sys_.A_bar, atol=1e-7)
         np.testing.assert_allclose(xi3, sys_.B_bar.T @ p @ sys_.B_bar, atol=1e-7)
+
+    def test_duplicate_rows_rejected(self):
+        buf = ln.DataBuffer(2, 1, 8)
+        for _ in range(8):
+            buf.record([1.0, 2.0], [0.5], [2.0, 1.0])
+        with pytest.raises(PersistentExcitationError):
+            ln.vi_update_Xi(buf, np.eye(2))
+
+    def test_mixed_model_window_flagged_inconsistent(self, hexagon_config):
+        # rows from two different plants cannot all satisfy one row
+        # identity; the residual is reported rather than smeared over
+        sys_ = f1_system(hexagon_config)
+        rows = ln.LearnerConfig().rows_for(sys_.dim, sys_.m)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(rows, sys_.dim))
+        u = rng.normal(size=(rows, sys_.m))
+        x_next = x @ sys_.A_bar.T + u @ sys_.B_bar.T
+        x_next[rows // 2 :] *= 1.1  # the second half from the plant (1.1 A, 1.1 B)
+        mixed = ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next)
+        with pytest.raises(DataConsistencyError):
+            ln.vi_update_Xi(mixed, np.eye(sys_.dim), allow_deficient=True)
 
     def test_zero_input_data_rejected(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
@@ -296,6 +264,14 @@ class TestLearningLoop:
         oracle = mc.riccati_value_iteration(sys_)
         assert (np.linalg.norm(ctrl.K_hat - oracle.K)
                 / np.linalg.norm(oracle.K)) < 1e-3
+
+    @pytest.mark.parametrize("field, value", [("window", -1), ("noise_std", -0.1),
+                                              ("noise_std", np.nan),
+                                              ("gain_delta_threshold", 0.0),
+                                              ("max_iterations", 0)])
+    def test_invalid_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ln.LearnerConfig(**{field: value})
 
     def test_window_default_size(self):
         cfg = ln.LearnerConfig()

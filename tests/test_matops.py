@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import vecv_loop
 from pfcc import matops as mo
 
 SQRT2 = np.sqrt(2.0)
@@ -11,6 +12,46 @@ SQRT2 = np.sqrt(2.0)
 def rand_symmetric(rng, n):
     a = rng.normal(size=(n, n))
     return 0.5 * (a + a.T)
+
+
+def vecm_loop(s):
+    """Reference: the per-row loop form of ``vecm``."""
+    n = s.shape[0]
+    out = np.empty(n * (n + 1) // 2)
+    k = 0
+    for i in range(n):
+        out[k] = s[i, i]
+        out[k + 1 : k + n - i] = SQRT2 * s[i, i + 1 :]
+        k += n - i
+    return out
+
+
+def unvecm_loop(v, n):
+    """Reference: the per-row loop form of ``unvecm``."""
+    out = np.zeros((n, n))
+    k = 0
+    for i in range(n):
+        out[i, i] = v[k]
+        row = v[k + 1 : k + n - i] / SQRT2
+        out[i, i + 1 :] = row
+        out[i + 1 :, i] = row
+        k += n - i
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_half_vectorizations_match_loop_forms_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(50, n)) * rng.lognormal(sigma=3.0, size=(50, 1))
+    expected = np.array([vecv_loop(row) for row in stack])
+    np.testing.assert_array_equal(mo.vecv(stack), expected)
+    for row, want in zip(stack, expected):
+        np.testing.assert_array_equal(mo.vecv(row), want)
+    for _ in range(20):
+        s = rand_symmetric(rng, n)
+        np.testing.assert_array_equal(mo.vecm(s), vecm_loop(s))
+        v = rng.normal(size=n * (n + 1) // 2)
+        np.testing.assert_array_equal(mo.unvecm(v, n), unvecm_loop(v, n))
 
 
 class TestVecv:
@@ -45,6 +86,24 @@ class TestVecm:
     def test_asymmetry_rejected(self):
         with pytest.raises(ValueError):
             mo.vecm(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    @pytest.mark.parametrize("atol", [mo.SYMMETRY_ATOL, 1e-6])
+    def test_symmetry_tolerance_edge(self, atol):
+        s = np.zeros((3, 3))
+        s[2, 0] = atol
+        np.testing.assert_array_equal(mo.vecm(s, atol=atol), vecm_loop(s))
+        s[2, 0] = np.nextafter(atol, 1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            mo.vecm(s, atol=atol)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        for i, j in ((0, 0), (0, 1)):
+            s = np.eye(2)
+            s[i, j] = s[j, i] = bad
+            with pytest.raises(ValueError, match="symmetric"):
+                mo.vecm(s)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from pfcc import cli
+from pfcc import learning as ln
 from pfcc import model_control as mc
 from pfcc import scenario as sc
 from pfcc import simulation as sim
@@ -203,6 +205,22 @@ class TestRunCommand:
         assert not out.exists()
         assert cli.main(["validate", path, flag, value]) == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize("key, value", [("window", -5), ("noise_std", -0.1),
+                                            ("noise_std", float("inf")),
+                                            ("gain_delta_threshold", 0.0),
+                                            ("max_iterations", 0)])
+    def test_invalid_learner_setting_is_schema_error(self, tmp_path, capsys, key, value):
+        raw = bundled_dict()
+        raw["learner"][key] = value
+        path = write(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--horizon", "50", "--out", str(out)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert not out.exists()
+        assert cli.main(["validate", path]) == cli.EXIT_SCHEMA
+        assert capsys.readouterr().out.count("\n") == 1
+
     def test_missing_scenario_is_schema_error(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
         assert cli.main(["run", missing, "--out", str(tmp_path / "o")]) == cli.EXIT_SCHEMA
@@ -241,6 +259,32 @@ class TestCompareGains:
         assert cli.main(["compare-gains", path]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "F1" in out and "L6" in out
+
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_probe_window_matches_row_by_row_form(self, name):
+        cfg = sc.load_bundled(name)
+        coeffs = cli.effective_coefficients(cfg)
+        topo = cfg.topology
+        for node in topo.follower_nodes + topo.leader_nodes:
+            alphas = coeffs.get(node, {node: 1.0})
+            sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
+            # the per-row form: one state draw and one record per row
+            agent_cfg = dataclasses.replace(cfg.agent_learner_config(node),
+                                            noise_std=cli.COMPARE_NOISE_STD)
+            rows = agent_cfg.rows_for(sys_.dim, sys_.m)
+            expected = ln.DataBuffer(sys_.dim, sys_.m, rows)
+            rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
+            warm = np.zeros((sys_.m, sys_.dim))
+            warm[:, : cfg.state_dim] = np.atleast_2d(
+                cfg.warmup_gains.get(node, np.zeros((sys_.m, cfg.state_dim))))
+            for t in range(rows):
+                x = rng.normal(size=sys_.dim)
+                u = warm @ x + ln.exploration_noise(agent_cfg, sys_.m, t)
+                expected.record(x, u, sys_.A_bar @ x + sys_.B_bar @ u)
+            buf = cli.probe_window(cfg, node, sys_)
+            assert len(buf) == rows
+            np.testing.assert_array_equal(buf.theta(), expected.theta())
+            np.testing.assert_array_equal(buf.psi_next(), expected.psi_next())
 
     def test_identical_solutions_give_exact_zero_gap(self, hexagon_config):
         cfg = hexagon_config
