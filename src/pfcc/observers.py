@@ -196,8 +196,8 @@ class ObserverBank:
     of node ``rows[r][1]``; rows run network by network, each in member
     order.  ``graph`` is block diagonal with one network's graph block per
     diagonal block, ``pin`` the stacked pin vectors, ``target`` each row's
-    target slot, and ``mu`` (R, 1) and ``gain`` (R, n, n) each row's
-    consensus gain and gain matrix.
+    target slot, ``agent`` each row's agent node, and ``mu`` (R, 1) and
+    ``gain`` (R, n, n) each row's consensus gain and gain matrix.
     """
 
     networks: dict[int, ObserverNetwork]
@@ -205,6 +205,7 @@ class ObserverBank:
     graph: np.ndarray
     pin: np.ndarray
     target: np.ndarray
+    agent: np.ndarray
     mu: np.ndarray
     gain: np.ndarray
 
@@ -232,6 +233,7 @@ class ObserverBank:
             raise ValueError("one observer config per network member is required")
         return cls(networks={node: net for node, net, _ in blocks}, rows=tuple(rows),
                    graph=graph, pin=pin, target=target,
+                   agent=np.array([a for a, _ in rows], dtype=int),
                    mu=np.array([[c.consensus_gain] for c in configs]),
                    gain=np.array([c.gain_matrix for c in configs]))
 

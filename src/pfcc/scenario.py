@@ -144,7 +144,7 @@ SCHEMA = {
 def _matrix(raw, what: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what} must be a rectangular matrix") from exc
     if arr.ndim != 2 or any(len(row) != len(raw[0]) for row in raw):
         raise SchemaError(f"{what} must be a rectangular matrix")
@@ -182,8 +182,6 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
 
     tracking_a = _matrix(raw["tracking"]["A"], "tracking A")
     dim = tracking_a.shape[0]
-    if tracking_a.shape != (dim, dim):
-        raise SchemaError("tracking A must be square")
 
     ff = np.zeros((n, n))
     ll = np.zeros((m, m))
@@ -233,22 +231,14 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
 
     for k, entry in enumerate(raw["followers"]):
         node = 1 + k
-        dyn = dynamics(entry)
-        if dyn.n != dim:
-            raise SchemaError(f"agent {entry['name']} has state dimension {dyn.n}, "
-                              f"expected {dim}")
-        followers.append(dyn)
+        followers.append(dynamics(entry))
         fol_x0.append(np.asarray(entry.get("x0", [0.0] * dim), dtype=float))
         q_weights[node] = q_weight(entry)
         if "warmup_gain" in entry:
             warmups[node] = _matrix(entry["warmup_gain"], "warmup_gain")
     for k, entry in enumerate(raw["leaders"]):
         node = 1 + n + k
-        dyn = dynamics(entry)
-        if dyn.n != dim:
-            raise SchemaError(f"agent {entry['name']} has state dimension {dyn.n}, "
-                              f"expected {dim}")
-        leaders.append(dyn)
+        leaders.append(dynamics(entry))
         led_x0.append(np.asarray(entry.get("x0", [0.0] * dim), dtype=float))
         try:
             formation.append(mc.FormationDynamics(_matrix(entry["S"], "S"),
@@ -309,32 +299,35 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
     except ValueError as exc:
         raise SchemaError(f"learner: {exc}") from exc
 
-    return sim.ScenarioConfig(
-        name=raw["name"],
-        topology=topo,
-        follower_dynamics=followers,
-        leader_dynamics=leaders,
-        formation=formation,
-        tracking_a=tracking_a,
-        tracking_x0=np.asarray(raw["tracking"]["x0"], dtype=float),
-        schedule=schedule,
-        q_weights=q_weights,
-        leader_tracking_observer=observer(obs_raw["leader_tracking"]),
-        follower_tracking_observer=observer(obs_raw["follower_tracking"]),
-        formation_observers=formation_cfgs,
-        learner=learner,
-        warmup_gains=warmups,
-        learn_start_tick=int(raw["learn_start_tick"]),
-        horizon=int(raw["horizon"]),
-        sample_interval=int(raw["sample_interval"]),
-        mode=raw["mode"],
-        seed=int(raw["seed"]),
-        follower_x0=fol_x0,
-        leader_x0=led_x0,
-        follower_names=follower_names,
-        leader_names=leader_names,
-        record_states=bool(raw.get("record_states", False)),
-    )
+    try:
+        return sim.ScenarioConfig(
+            name=raw["name"],
+            topology=topo,
+            follower_dynamics=followers,
+            leader_dynamics=leaders,
+            formation=formation,
+            tracking_a=tracking_a,
+            tracking_x0=np.asarray(raw["tracking"]["x0"], dtype=float),
+            schedule=schedule,
+            q_weights=q_weights,
+            leader_tracking_observer=observer(obs_raw["leader_tracking"]),
+            follower_tracking_observer=observer(obs_raw["follower_tracking"]),
+            formation_observers=formation_cfgs,
+            learner=learner,
+            warmup_gains=warmups,
+            learn_start_tick=int(raw["learn_start_tick"]),
+            horizon=int(raw["horizon"]),
+            sample_interval=int(raw["sample_interval"]),
+            mode=raw["mode"],
+            seed=int(raw["seed"]),
+            follower_x0=fol_x0,
+            leader_x0=led_x0,
+            follower_names=follower_names,
+            leader_names=leader_names,
+            record_states=bool(raw.get("record_states", False)),
+        )
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def load_scenario(path) -> sim.ScenarioConfig:
@@ -458,9 +451,8 @@ def config_digest(cfg: sim.ScenarioConfig) -> str:
 def trace_to_csv(trace: sim.TraceLog) -> str:
     """Delimited text, one row per sampled tick, 17 significant digits."""
     lines = [",".join(trace.header())]
-    for row in trace.rows():
-        tick = f"{int(row[0])}"
-        lines.append(",".join([tick] + [f"{v:.17g}" for v in row[1:]]))
+    for tick, *values in trace.rows().tolist():
+        lines.append(",".join([f"{int(tick)}"] + [f"{v:.17g}" for v in values]))
     return "\n".join(lines) + "\n"
 
 

@@ -100,7 +100,6 @@ class ScenarioConfig:
         n, m = self.topology.n_followers, self.topology.n_leaders
         self.tracking_a = np.atleast_2d(np.asarray(self.tracking_a, dtype=float))
         self.tracking_x0 = np.asarray(self.tracking_x0, dtype=float).ravel()
-        self.check_fields()
         if not self.follower_x0:
             self.follower_x0 = [np.zeros(self.state_dim) for _ in range(n)]
         if not self.leader_x0:
@@ -109,6 +108,7 @@ class ScenarioConfig:
             self.follower_names = [f"F{i + 1}" for i in range(n)]
         if not self.leader_names:
             self.leader_names = [f"L{q + 1}" for q in range(m)]
+        self.check_fields()
 
     def check_fields(self) -> None:
         """Raise ValueError for a field no run can use.  Fields are plain
@@ -116,15 +116,40 @@ class ScenarioConfig:
         topo = self.topology
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if (len(self.follower_dynamics) != topo.n_followers
-                or len(self.leader_dynamics) != topo.n_leaders):
-            raise ValueError("one dynamics entry per follower and leader is required")
-        if len(self.formation) != topo.n_leaders:
-            raise ValueError("one formation entry per leader is required")
+        if ({len(self.follower_dynamics), len(self.follower_x0), len(self.follower_names)}
+                != {topo.n_followers}
+                or {len(self.leader_dynamics), len(self.leader_x0), len(self.leader_names),
+                    len(self.formation)} != {topo.n_leaders}):
+            raise ValueError("one dynamics entry, x0 and name per follower and leader "
+                             "and one formation per leader are required")
         if self.sample_interval < 1:
             raise ValueError("sample interval must be >= 1")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        dim = self.state_dim
+        square = (dim, dim)
+        shapes = [("tracking A", self.tracking_a, square),
+                  ("tracking x0", self.tracking_x0, (dim,)),
+                  ("leader tracking observer gain matrix",
+                   self.leader_tracking_observer.gain_matrix, square),
+                  ("follower tracking observer gain matrix",
+                   self.follower_tracking_observer.gain_matrix, square)]
+        for q, form in zip(topo.leader_nodes, self.formation):
+            name = self.agent_name(q)
+            shapes += [(f"formation S of {name}", form.S, square),
+                       (f"formation {name} observer gain matrix",
+                        getattr(self.formation_observers.get(q), "gain_matrix", None), square)]
+        agents = topo.follower_nodes + topo.leader_nodes
+        for node, x0 in zip(agents, self.follower_x0 + self.leader_x0):
+            name, dyn = self.agent_name(node), self.dynamics_of(node)
+            shapes += [(f"A of {name}", dyn.A, square), (f"x0 of {name}", np.ravel(x0), (dim,)),
+                       (f"q_weight of {name}", self.q_weights.get(node), square)]
+            if node in self.warmup_gains:
+                shapes.append((f"warmup_gain of {name}",
+                               np.atleast_2d(self.warmup_gains[node]), (dyn.m, dim)))
+        for what, value, shape in shapes:
+            if np.shape(value) != shape:
+                raise ValueError(f"{what} must have shape {shape}, got {np.shape(value)}")
 
     @property
     def state_dim(self) -> int:
@@ -188,21 +213,25 @@ class ScenarioConfig:
         return problems
 
 
-@dataclass
-class TraceRecord:
-    tick: int
-    formation_errors: dict[int, float]
-    containment_errors: dict[int, float]
-    observer_errors: dict[int, float]
-    states: dict[int, np.ndarray] | None = None
+#: Most trace rows allocated before the first sample; a larger table grows
+#: as it fills, so a horizon too long to run does not fail at allocation.
+TRACE_PREALLOCATED_ROWS = 1 << 16
 
 
 @dataclass
 class TraceLog:
-    """Append-only sampled run history with a fixed column order."""
+    """Sampled run history: one row per sample in a float table whose
+    columns are ``header()``.  The table is sized for the horizon's samples
+    and doubles whenever it is full (stepping may go past the horizon)."""
 
     config: ScenarioConfig
-    records: list[TraceRecord] = field(default_factory=list)
+    size: int = field(default=0, init=False)
+    table: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        cfg = self.config
+        rows = min(cfg.horizon // cfg.sample_interval + 1, TRACE_PREALLOCATED_ROWS)
+        self.table = np.empty((rows, len(self.header())))
 
     def header(self) -> list[str]:
         topo = self.config.topology
@@ -217,39 +246,22 @@ class TraceLog:
                          for k in range(self.config.state_dim)]
         return cols
 
-    def rows(self) -> list[list[float]]:
-        topo = self.config.topology
-        out = []
-        for rec in self.records:
-            row: list[float] = [float(rec.tick)]
-            row += [rec.formation_errors[q] for q in topo.leader_nodes]
-            row += [rec.containment_errors[i] for i in topo.follower_nodes]
-            row += [rec.observer_errors[a]
-                    for a in topo.leader_nodes + topo.follower_nodes]
-            if self.config.record_states and rec.states is not None:
-                for a in topo.follower_nodes + topo.leader_nodes:
-                    row += [float(v) for v in rec.states[a]]
-            out.append(row)
-        return out
+    def __len__(self) -> int:
+        return self.size
+
+    def next_row(self) -> np.ndarray:
+        """The row the next sample fills, counted as filled."""
+        if self.size == len(self.table):
+            self.table = np.concatenate([self.table, np.empty_like(self.table)])
+        self.size += 1
+        return self.table[self.size - 1]
+
+    def rows(self) -> np.ndarray:
+        """The filled rows (a view)."""
+        return self.table[: self.size]
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.header().index(name)
-        return np.array([row[idx] for row in self.rows()])
-
-
-def formation_error(x_q: np.ndarray, h_q: np.ndarray, x_o: np.ndarray) -> np.ndarray:
-    """Leader tracking error x - h - x_o."""
-    return np.asarray(x_q, dtype=float) - np.asarray(h_q, dtype=float) - np.asarray(x_o, dtype=float)
-
-
-def containment_error(x_i: np.ndarray, h_all: dict[int, np.ndarray],
-                      x_o: np.ndarray, alphas: dict[int, float]) -> np.ndarray:
-    """Follower error against its convex combination of leader targets."""
-    e = np.asarray(x_i, dtype=float).copy()
-    for q, alpha in alphas.items():
-        if alpha != 0.0:
-            e = e - alpha * (np.asarray(h_all[q], dtype=float) + np.asarray(x_o, dtype=float))
-    return e
+        return self.rows()[:, self.header().index(name)]
 
 
 @dataclass
@@ -493,31 +505,6 @@ def _oracle_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# observer phase
-# ---------------------------------------------------------------------------
-
-def _observer_phase(state: WorldState, targets_next: np.ndarray
-                    ) -> tuple[dict, dict]:
-    """Compute all next-tick observers from the tick-k snapshot.
-
-    ``targets_next`` stacks the next tracking state and the next formation
-    states, in the bank's network order."""
-    rows = state.bank.rows
-    track_obs, form_obs = state.track_obs, state.form_obs
-    stepped = state.bank.step(
-        [form_obs[a][q] if q else track_obs[a] for a, q in rows],
-        np.array([state.x_o, *state.h]), targets_next)
-    track_next: dict[int, ob.RlsObserver] = {}
-    form_next: dict[int, dict[int, ob.RlsObserver]] = {a: {} for a in form_obs}
-    for (a, q), new_obs in zip(rows, stepped):
-        if q:
-            form_next[a][q] = new_obs
-        else:
-            track_next[a] = new_obs
-    return track_next, form_next
-
-
-# ---------------------------------------------------------------------------
 # learner-driven control
 # ---------------------------------------------------------------------------
 
@@ -582,33 +569,42 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
 # the tick
 # ---------------------------------------------------------------------------
 
-def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``d``, bit for bit the
+    ``np.linalg.norm`` of the row, ``sqrt(x.dot(x))`` (``norm(axis=1)``
+    and ``einsum`` sum in another order)."""
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
+
+
+def _sample_trace(state: WorldState, cfg: ScenarioConfig, x_hat: np.ndarray,
+                  targets: np.ndarray) -> None:
+    """Fill one trace row from the tick-k state: ``x_hat`` stacks the bank's
+    estimates row by row, ``targets`` the tracking and formation states.
+
+    A follower's containment error subtracts one weighted leader target at
+    a time, in leader order, and an agent's observer error sums its row
+    norms in bank order (tracking row first), so every value equals its
+    per-vector form exactly."""
     topo = cfg.topology
-    formation_errors = {}
-    for q, x, h in zip(topo.leader_nodes, state.x_leaders, state.h):
-        formation_errors[q] = float(np.linalg.norm(formation_error(x, h, state.x_o)))
-    h_all = dict(zip(topo.leader_nodes, state.h))
-    containment_errors = {}
-    for i, x in zip(topo.follower_nodes, state.x_followers):
-        containment_errors[i] = float(np.linalg.norm(containment_error(
-            x, h_all, state.x_o, _alpha_of(state, cfg, i))))
-    observer_errors = {}
-    for a in topo.leader_nodes + topo.follower_nodes:
-        err = float(np.linalg.norm(state.track_obs[a].x_hat - state.x_o))
-        for q in sorted(state.knowledge[a].influential):
-            if q == a:
-                continue
-            err += float(np.linalg.norm(
-                state.form_obs[a][q].x_hat - h_all[q]))
-        observer_errors[a] = err
-    states = None
+    n, m = topo.n_followers, topo.n_leaders
+    x_o, h = targets[0], targets[1:]
+    weights = np.zeros((n, m))
+    for r, i in enumerate(topo.follower_nodes):
+        for q, alpha in _alpha_of(state, cfg, i).items():
+            weights[r, topo.leader_index(q)] = alpha
+    containment = np.array(state.x_followers)
+    for k in range(m):
+        containment = containment - weights[:, k, None] * (h[k] + x_o)
+    bank = state.bank
+    obs_errors = np.bincount(bank.agent, _row_norms(x_hat - targets[bank.target]),
+                             minlength=1 + n + m)
+    row = state.trace.next_row()
+    row[0] = state.tick
+    row[1 : 1 + m] = _row_norms(np.array(state.x_leaders) - h - x_o)
+    row[1 + m : 1 + m + n] = _row_norms(containment)
+    row[1 + m + n : 1 + 2 * (m + n)] = obs_errors[topo.leader_nodes + topo.follower_nodes]
     if cfg.record_states:
-        states = {a: state.plant_state(a).copy()
-                  for a in topo.follower_nodes + topo.leader_nodes}
-    state.trace.records.append(TraceRecord(
-        tick=state.tick, formation_errors=formation_errors,
-        containment_errors=containment_errors,
-        observer_errors=observer_errors, states=states))
+        row[1 + 2 * (m + n) :] = np.concatenate(state.x_followers + state.x_leaders)
 
 
 def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
@@ -644,8 +640,11 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
             state.propagation_stable_for += 1
 
     # 3. trace sampling of the tick-k state
+    observers = [state.form_obs[a][q] if q else state.track_obs[a]
+                 for a, q in state.bank.rows]
+    targets_now = np.array([state.x_o, *state.h])
     if tick % cfg.sample_interval == 0:
-        _sample_trace(state, cfg)
+        _sample_trace(state, cfg, np.array([o.x_hat for o in observers]), targets_now)
 
     # 4. observer updates from the tick-k snapshot; a diverging estimate
     # overflows before it is caught (scale downdated to zero or a non-finite
@@ -654,7 +653,7 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
                             + [form.S @ h for form, h in zip(cfg.formation, state.h)])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            track_next, form_next = _observer_phase(state, targets_next)
+            stepped = state.bank.step(observers, targets_now, targets_next)
     except PfccError as exc:
         raise SimulationAbort(tick, "observers", exc) from exc
 
@@ -686,8 +685,11 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     state.x_followers = new_followers
     state.x_leaders = new_leaders
     state.x_o, *state.h = targets_next
-    state.track_obs = track_next
-    state.form_obs = form_next
+    state.track_obs = {a: obs for (a, q), obs in zip(state.bank.rows, stepped) if not q}
+    state.form_obs = {a: {} for a in state.form_obs}
+    for (a, q), obs in zip(state.bank.rows, stepped):
+        if q:
+            state.form_obs[a][q] = obs
     state.tick = tick + 1
 
     if cfg.mode in (MODE_DATA, MODE_BASELINE):
@@ -702,7 +704,6 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
 
 
 def summarize(state: WorldState, cfg: ScenarioConfig) -> dict:
-    topo = cfg.topology
     learners = {}
     for node, lr in sorted(state.learners.items()):
         learners[cfg.agent_name(node)] = {
@@ -712,9 +713,9 @@ def summarize(state: WorldState, cfg: ScenarioConfig) -> dict:
             "layout": [cfg.agent_name(q) for q in lr.layout],
         }
     final_obs = {}
-    if state.trace.records:
-        last = state.trace.records[-1]
-        final_obs = {cfg.agent_name(a): v for a, v in last.observer_errors.items()}
+    if len(state.trace):
+        last = zip(state.trace.header(), state.trace.rows()[-1].tolist())
+        final_obs = {col[len("obs_"):]: v for col, v in last if col.startswith("obs_")}
     return {
         "mode": cfg.mode,
         "seed": cfg.seed,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pfcc import scenario as sc
+from pfcc import simulation as sim
 from pfcc.topology import DirectedTopology
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -21,6 +22,44 @@ def vecv_loop(d: np.ndarray) -> np.ndarray:
         out[k + 1 : k + n - i] = np.sqrt(2.0) * d[i] * d[i + 1 :]
         k += n - i
     return out
+
+
+def formation_error(x_q: np.ndarray, h_q: np.ndarray, x_o: np.ndarray) -> np.ndarray:
+    """Reference: a leader's tracking error x - h - x_o."""
+    return np.asarray(x_q, dtype=float) - np.asarray(h_q, dtype=float) - np.asarray(x_o, dtype=float)
+
+
+def containment_error(x_i: np.ndarray, h_all: dict[int, np.ndarray],
+                      x_o: np.ndarray, alphas: dict[int, float]) -> np.ndarray:
+    """Reference: a follower's error against its convex combination of
+    leader targets."""
+    e = np.asarray(x_i, dtype=float).copy()
+    for q, alpha in alphas.items():
+        if alpha != 0.0:
+            e = e - alpha * (np.asarray(h_all[q], dtype=float) + np.asarray(x_o, dtype=float))
+    return e
+
+
+def reference_trace_row(state: sim.WorldState, cfg: sim.ScenarioConfig) -> list[float]:
+    """Reference: the trace row of the current state from one norm per
+    error vector and per observer, in ``TraceLog.header()`` order."""
+    topo = cfg.topology
+    h_all = dict(zip(topo.leader_nodes, state.h))
+    row = [float(state.tick)]
+    row += [float(np.linalg.norm(formation_error(x, h, state.x_o)))
+            for x, h in zip(state.x_leaders, state.h)]
+    row += [float(np.linalg.norm(containment_error(
+        x, h_all, state.x_o, sim._alpha_of(state, cfg, i))))
+        for i, x in zip(topo.follower_nodes, state.x_followers)]
+    for a in topo.leader_nodes + topo.follower_nodes:
+        err = float(np.linalg.norm(state.track_obs[a].x_hat - state.x_o))
+        for q in sorted(state.knowledge[a].influential - {a}):
+            err += float(np.linalg.norm(state.form_obs[a][q].x_hat - h_all[q]))
+        row.append(err)
+    if cfg.record_states:
+        for a in topo.follower_nodes + topo.leader_nodes:
+            row += [float(v) for v in state.plant_state(a)]
+    return row
 
 
 def transitive_closure(adjacency: np.ndarray) -> np.ndarray:

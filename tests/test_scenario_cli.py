@@ -51,6 +51,12 @@ class TestParsing:
         with pytest.raises(SchemaError, match="rectangular"):
             sc.scenario_from_dict(raw)
 
+    def test_q_weight_matrix_entries_must_be_numbers(self):
+        raw = bundled_dict()
+        raw["leaders"][0]["q_weight"][1][0] = {}
+        with pytest.raises(SchemaError, match="q_weight of L1"):
+            sc.scenario_from_dict(sc.parse_scenario_text(json.dumps(raw)))
+
     def test_follower_to_leader_edge_rejected(self):
         raw = bundled_dict()
         raw["edges"].append(["F1", "L1", 1.0])
@@ -220,6 +226,34 @@ class TestRunCommand:
         assert not out.exists()
         assert cli.main(["validate", path]) == cli.EXIT_SCHEMA
         assert capsys.readouterr().out.count("\n") == 1
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("followers", 0, "x0"), [0.0, 0.0, 0.0], "x0 of F1"),
+        (("leaders", 1, "x0"), [1.0], "x0 of L2"),
+        (("tracking", "x0"), [0.0], "tracking x0"),
+        (("followers", 1, "warmup_gain"), [[0.1, 0.2, 0.3]], "warmup_gain of F2"),
+        (("leaders", 0, "warmup_gain"), [[0.1, 0.2], [0.3, 0.4]], "warmup_gain of L1"),
+        (("observers", "leader_tracking", "gain_matrix"), [[1.0]], "leader tracking"),
+        (("observers", "formation", "L3", "gain_matrix"),
+         [[1.0, 0.0, 0.0]] * 3, "formation L3"),
+        (("followers", 2, "q_weight"), [[1.0, 0.0, 0.0]] * 3, "q_weight of F3"),
+        (("leaders", 2, "q_weight"), [[1.0]], "q_weight of L3"),
+    ])
+    def test_shape_error_is_schema_error(self, tmp_path, capsys, path, value, message):
+        raw = bundled_dict()
+        entry = raw
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        scenario = write(tmp_path, raw)
+        out = tmp_path / "out"
+        for command in (["validate", scenario], ["run", scenario, "--out", str(out)],
+                        ["compare-gains", scenario, "--mode", "model_based_oracle"]):
+            assert cli.main(command) == cli.EXIT_SCHEMA
+            captured = capsys.readouterr()
+            text = captured.out + captured.err
+            assert text.count("\n") == 1 and message in text
+        assert not out.exists()
 
     def test_missing_scenario_is_schema_error(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

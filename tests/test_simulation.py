@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SWAP
+from conftest import SWAP, containment_error, formation_error, reference_trace_row
 from pfcc import learning as ln
 from pfcc import model_control as mc
 from pfcc import observers as ob
@@ -62,8 +62,8 @@ class TestSchedule:
 class TestErrorMetrics:
     def test_formation_error_literal_formula(self):
         x, h, x_o = np.array([3.0, 1.0]), np.array([1.0, 1.0]), np.array([0.5, 0.0])
-        np.testing.assert_allclose(sim.formation_error(x, h, x_o), [1.5, 0.0])
-        np.testing.assert_allclose(sim.formation_error(h + x_o, h, x_o), [0.0, 0.0])
+        np.testing.assert_allclose(formation_error(x, h, x_o), [1.5, 0.0])
+        np.testing.assert_allclose(formation_error(h + x_o, h, x_o), [0.0, 0.0])
 
     def test_containment_error_at_combination_is_zero(self):
         h_all = {5: np.array([2.0, 0.0]), 7: np.array([0.0, -2.0])}
@@ -71,19 +71,18 @@ class TestErrorMetrics:
         alphas = {5: 0.5, 7: 0.5}
         x = 0.5 * (h_all[5] + x_o) + 0.5 * (h_all[7] + x_o)
         np.testing.assert_allclose(
-            sim.containment_error(x, h_all, x_o, alphas), np.zeros(2), atol=1e-15)
+            containment_error(x, h_all, x_o, alphas), np.zeros(2), atol=1e-15)
 
     def test_containment_error_midpoint_value(self):
         # equal weighting over two leaders puts the target at their midpoint
         h_all = {5: np.array([2.0, 0.0]), 7: np.array([0.0, -2.0])}
-        e = sim.containment_error(np.zeros(2), h_all, np.zeros(2),
-                                  {5: 0.5, 7: 0.5})
+        e = containment_error(np.zeros(2), h_all, np.zeros(2), {5: 0.5, 7: 0.5})
         np.testing.assert_allclose(e, [-1.0, 1.0])
 
     def test_center_of_six_leaders(self, hexagon_config):
         h_all = {1 + 4 + k: f.h0 for k, f in enumerate(hexagon_config.formation)}
         alphas = {q: 1.0 / 6.0 for q in h_all}
-        e = sim.containment_error(np.zeros(2), h_all, np.zeros(2), alphas)
+        e = containment_error(np.zeros(2), h_all, np.zeros(2), alphas)
         np.testing.assert_allclose(e, np.zeros(2), atol=1e-15)
 
 
@@ -116,14 +115,16 @@ class TestWorldStepping:
     def test_horizon_zero_gives_empty_trace(self):
         cfg = tiny_config(horizon=0)
         res = sim.run(cfg)
-        assert res.trace.records == []
+        assert len(res.trace) == 0
+        assert res.trace.rows().shape == (0, len(res.trace.header()))
+        assert res.summary["final_observer_errors"] == {}
         assert sc.trace_to_csv(res.trace).count("\n") == 1  # header only
 
     def test_trace_is_sampled_at_interval(self):
         cfg = tiny_config(horizon=20)
         cfg.sample_interval = 7
         res = sim.run(cfg)
-        assert [r.tick for r in res.trace.records] == [0, 7, 14]
+        assert len(res.trace) == 3
         np.testing.assert_array_equal(res.trace.column("tick"), [0.0, 7.0, 14.0])
 
     def test_learner_lifecycle_on_tiny_world(self):
@@ -133,7 +134,7 @@ class TestWorldStepping:
         for lr in res.state.learners.values():
             assert lr.controller.status == ln.CONVERGED
         # follower ends on its leader's (stationary-dynamics) target
-        assert res.trace.records[-1].containment_errors[1] < 1e-6
+        assert res.trace.column("e_cont_F1")[-1] < 1e-6
 
     def test_all_zero_features_raise_excitation_error(self):
         # zero shapes, zero noise, zero states: the window is identically
@@ -142,14 +143,72 @@ class TestWorldStepping:
         res = sim.run(cfg)
         assert not res.completed
         assert isinstance(res.error.cause, PersistentExcitationError)
-        assert len(res.trace.records) > 0  # partial trace retained
+        assert len(res.trace) > 0  # partial trace retained
 
     def test_oracle_mode_on_tiny_world(self):
         cfg = tiny_config(mode=sim.MODE_ORACLE, horizon=300)
         res = sim.run(cfg)
         assert res.completed
-        assert res.trace.records[-1].containment_errors[1] < 1e-8
-        assert res.trace.records[-1].formation_errors[2] < 1e-8
+        assert res.trace.column("e_cont_F1")[-1] < 1e-8
+        assert res.trace.column("e_form_L1")[-1] < 1e-8
+
+
+def early_switch(cfg, tick):
+    """``cfg`` with its second schedule entry moved to ``tick``."""
+    (_, first), (_, second) = cfg.schedule.entries
+    return dataclasses.replace(cfg, schedule=sim.PropensitySchedule(
+        entries=((0, first), (tick, second))))
+
+
+class TestTraceTable:
+    @pytest.mark.parametrize("scenario, mode, states", [
+        ("hexagon", sim.MODE_DATA, False),
+        ("hexagon", sim.MODE_ORACLE, True),
+        ("hexagon_static", sim.MODE_BASELINE, True),
+    ])
+    def test_every_row_equals_per_vector_reference(self, monkeypatch, scenario,
+                                                   mode, states):
+        # propagation changes in the first ticks, a propensity switch at 60
+        cfg = dataclasses.replace(early_switch(sc.load_bundled(scenario), 60),
+                                  mode=mode, horizon=150, sample_interval=1,
+                                  record_states=states)
+        expected = []
+        sample = sim._sample_trace
+
+        def checked(state, cfg, *args):
+            expected.append(reference_trace_row(state, cfg))
+            sample(state, cfg, *args)
+        monkeypatch.setattr(sim, "_sample_trace", checked)
+        res = sim.run(cfg)
+        assert res.completed and len(res.trace) == len(expected) == 150
+        assert res.trace.rows().tolist() == expected  # bit for bit
+
+    def test_stepping_past_horizon_grows_the_table(self):
+        cfg = tiny_config(horizon=4)
+        state = sim.init_world(cfg)
+        for _ in range(4):
+            sim.step_world(state, cfg)
+        first = state.trace.rows().copy()
+        for _ in range(26):
+            sim.step_world(state, cfg)
+        assert len(state.trace) == 30
+        np.testing.assert_array_equal(state.trace.column("tick"), np.arange(30.0))
+        np.testing.assert_array_equal(state.trace.rows()[:4], first)
+
+    def test_unreachable_horizon_allocates_a_bounded_table(self):
+        cfg = tiny_config(horizon=10**15)
+        state = sim.init_world(cfg)
+        assert len(state.trace.table) == sim.TRACE_PREALLOCATED_ROWS
+        for _ in range(3):
+            sim.step_world(state, cfg)
+        assert len(state.trace) == 3
+
+    def test_column_matches_rows(self):
+        cfg = tiny_config(horizon=25)
+        cfg.record_states = True
+        trace = sim.run(cfg).trace
+        for j, name in enumerate(trace.header()):
+            np.testing.assert_array_equal(trace.column(name), trace.rows()[:, j])
 
 
 class TestObserverDivergence:
@@ -170,7 +229,7 @@ class TestObserverDivergence:
         assert isinstance(res.error.cause, ConvergenceError)
         assert "diverged" in str(res.error)
         assert 0 < res.error.tick < cfg.horizon
-        assert res.trace.records  # the partial trace is kept
+        assert len(res.trace) > 0  # the partial trace is kept
 
 
 class TestPlantGuard:
@@ -299,9 +358,9 @@ class TestBaselineMode:
         cfg.learn_start_tick = 300
         cfg.mode = sim.MODE_BASELINE
         res = sim.run(cfg)
-        last = res.trace.records[-1]
-        assert max(last.containment_errors.values()) < 1e-3
-        assert max(last.formation_errors.values()) < 1e-3
+        last = dict(zip(res.trace.header(), res.trace.rows()[-1]))
+        assert max(v for k, v in last.items() if k.startswith("e_cont_")) < 1e-3
+        assert max(v for k, v in last.items() if k.startswith("e_form_")) < 1e-3
 
 
 class TestSummary:
