@@ -137,7 +137,7 @@ def compare_agent_gains(cfg: sim.ScenarioConfig, node: int,
         alphas = {node: 1.0}
     layout = tuple(sorted(alphas))
     sys_ = cfg.augmented_system(node, layout, alphas)
-    oracle = mc.riccati_value_iteration(sys_)
+    oracle = mc.oracle_solution(sys_)
     buf = probe_window(cfg, node, sys_)
     agent_cfg = cfg.agent_learner_config(node)
     ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
@@ -160,6 +160,7 @@ def compare_agent_gains(cfg: sim.ScenarioConfig, node: int,
 def cmd_compare_gains(args) -> int:
     try:
         cfg = _apply_overrides(sc.load_scenario(args.scenario), args)
+        cfg.require_valid()
         coeffs = effective_coefficients(cfg)
         reports = []
         failures = []

@@ -218,6 +218,34 @@ def riccati_value_iteration(sys: AugmentedSystem, tol: float = 1e-10,
     raise ConvergenceError(f"value iteration did not converge within {max_iter} iterations")
 
 
+#: Most solutions ``oracle_solution`` keeps; the oldest is dropped first.
+ORACLE_MEMO_SIZE = 256
+
+_oracle_memo: dict[tuple, RiccatiSolution] = {}
+
+
+def oracle_solution(sys: AugmentedSystem) -> RiccatiSolution:
+    """``riccati_value_iteration(sys)``, solved once per distinct system.
+
+    The solution depends only on the system's matrices, so it is kept under
+    their content and shared: every probe seed of a gain comparison and
+    every return of an oracle agent to a layout it held before reuse one
+    solve.  The shared ``P`` and ``K`` are read-only.  A system that does
+    not converge is not kept and raises again on the next call.
+    """
+    key = (sys.block_dim,) + tuple((a.shape, a.tobytes())
+                                   for a in (sys.A_bar, sys.B_bar, sys.C, sys.Q))
+    sol = _oracle_memo.get(key)
+    if sol is None:
+        sol = riccati_value_iteration(sys)
+        sol.P.flags.writeable = False
+        sol.K.flags.writeable = False
+        if len(_oracle_memo) >= ORACLE_MEMO_SIZE:
+            del _oracle_memo[next(iter(_oracle_memo))]
+        _oracle_memo[key] = sol
+    return sol
+
+
 @dataclass(frozen=True)
 class AgentGains:
     """Gain of the control law u = K z over an agent's augmented state

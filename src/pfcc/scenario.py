@@ -141,6 +141,12 @@ SCHEMA = {
 }
 
 
+#: Validator of ``SCHEMA``, checked and built once; ``parse_scenario_text``
+#: reports its best-matching error, as ``jsonschema.validate`` would.
+VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+VALIDATOR.check_schema(SCHEMA)
+
+
 def _matrix(raw, what: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
@@ -159,11 +165,10 @@ def parse_scenario_text(text: str) -> dict:
         raise SchemaError(
             f"scenario is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from exc
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError(f"scenario schema violation at {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(VALIDATOR.iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise SchemaError(f"scenario schema violation at {path}: {error.message}") from error
     return raw
 
 

@@ -25,6 +25,7 @@ from . import observers as ob
 from . import propagation as pr
 from .errors import (AssumptionError, ConvergenceError, DataConsistencyError,
                      PfccError, SimulationAbort)
+from .matops import is_positive_definite
 from .topology import DirectedTopology, build_laplacian, verify_assumption1
 
 MODE_DATA = "data_driven"
@@ -137,12 +138,14 @@ class ScenarioConfig:
         for q, form in zip(topo.leader_nodes, self.formation):
             name = self.agent_name(q)
             shapes += [(f"formation S of {name}", form.S, square),
+                       (f"formation h0 of {name}", form.h0, (dim,)),
                        (f"formation {name} observer gain matrix",
                         getattr(self.formation_observers.get(q), "gain_matrix", None), square)]
         agents = topo.follower_nodes + topo.leader_nodes
         for node, x0 in zip(agents, self.follower_x0 + self.leader_x0):
             name, dyn = self.agent_name(node), self.dynamics_of(node)
-            shapes += [(f"A of {name}", dyn.A, square), (f"x0 of {name}", np.ravel(x0), (dim,)),
+            shapes += [(f"A of {name}", dyn.A, square), (f"B of {name}", dyn.B, (dim, dyn.m)),
+                       (f"x0 of {name}", np.ravel(x0), (dim,)),
                        (f"q_weight of {name}", self.q_weights.get(node), square)]
             if node in self.warmup_gains:
                 shapes.append((f"warmup_gain of {name}",
@@ -150,6 +153,8 @@ class ScenarioConfig:
         for what, value, shape in shapes:
             if np.shape(value) != shape:
                 raise ValueError(f"{what} must have shape {shape}, got {np.shape(value)}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{what} must be finite")
 
     @property
     def state_dim(self) -> int:
@@ -183,6 +188,9 @@ class ScenarioConfig:
             self.tracking_a, [alphas.get(q, 1.0) for q in layout],
             self.q_weights[node])
 
+    # a finite model entry near the float range overflows the checks' norms;
+    # they then judge the inf or nan, without a warning
+    @np.errstate(over="ignore", invalid="ignore")
     def validate(self) -> list[str]:
         """Assumption checks; returns a list of failure descriptions."""
         problems: list[str] = []
@@ -199,6 +207,9 @@ class ScenarioConfig:
             if mc.spectral_radius(form.S) > 1.0 + mc.MARGINAL_TOL:
                 problems.append(f"formation dynamics of {self.agent_name(q)} expand")
         for node in self.topology.follower_nodes + self.topology.leader_nodes:
+            if not is_positive_definite(self.q_weights[node]):
+                problems.append(f"q_weight of {self.agent_name(node)} must be "
+                                "symmetric positive definite")
             dyn = self.dynamics_of(node)
             if not mc.is_stabilizable(dyn):
                 problems.append(f"agent {self.agent_name(node)} is not stabilizable")
@@ -211,6 +222,12 @@ class ScenarioConfig:
                         f"regulation equation unsolvable for agent {self.agent_name(node)}")
                     break
         return problems
+
+    def require_valid(self) -> None:
+        """Raise AssumptionError naming every failed assumption check."""
+        problems = self.validate()
+        if problems:
+            raise AssumptionError("; ".join(problems))
 
 
 #: Most trace rows allocated before the first sample; a larger table grows
@@ -352,9 +369,7 @@ def _baseline_weights(topo: DirectedTopology) -> dict[int, dict[int, float]]:
 def init_world(cfg: ScenarioConfig) -> WorldState:
     topo = cfg.topology
     cfg.check_fields()
-    problems = cfg.validate()
-    if problems:
-        raise AssumptionError("; ".join(problems))
+    cfg.require_valid()
     n_dim = cfg.state_dim
     knowledge = pr.init_knowledge(topo, cfg.schedule.initial())
 
@@ -486,7 +501,7 @@ def synthesize_oracle_gains(cfg: ScenarioConfig, node: int,
                             alphas: dict[int, float]) -> mc.AgentGains:
     """Model-based gains for one agent's current layout; a leader's layout
     is its own formation, ``(node,)``."""
-    sol = mc.riccati_value_iteration(cfg.augmented_system(node, layout, alphas))
+    sol = mc.oracle_solution(cfg.augmented_system(node, layout, alphas))
     return mc.AgentGains.split(sol.K, cfg.state_dim, layout)
 
 

@@ -7,6 +7,7 @@ recorded for the runtime checks.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ def test_criterion_9_determinism(hexagon_run, tmp_path):
     assert elapsed_base + elapsed < 120.0
     a_trace, a_meta = sc.export_run(result_base, tmp_path / "a")
     b_trace, b_meta = sc.export_run(result, tmp_path / "b")
-    assert open(a_trace, "rb").read() == open(b_trace, "rb").read()
-    assert open(a_meta, "rb").read() == open(b_meta, "rb").read()
+    assert Path(a_trace).read_bytes() == Path(b_trace).read_bytes()
+    assert Path(a_meta).read_bytes() == Path(b_meta).read_bytes()
     print(f"\n[PASS] criterion 9: repeated runs byte-identical "
           f"({elapsed_base:.0f}s + {elapsed:.0f}s)")

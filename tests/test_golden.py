@@ -5,16 +5,19 @@ their column's scale, learner status, iterations and layouts exactly.
 The workloads, the export and the comparison are the benchmark's own, so
 this test and ``perfbench/run.py`` judge a run the same way.
 
-Short runs of every mode also pin the exported bytes exactly.
+Short runs of every mode also pin the exported bytes exactly, and so do
+the ``compare-gains`` reports of both bundled scenarios.
 """
 
 import dataclasses
 import hashlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from pfcc import cli
 from pfcc import scenario as sc
 from pfcc import simulation as sim
 
@@ -66,3 +69,25 @@ def test_export_bytes_match_pinned_digests(name, tmp_path):
     cfg = dataclasses.replace(sc.load_bundled(scenario), **overrides)
     paths = sc.export_run(sim.run(cfg), tmp_path)
     assert tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths) == digests
+
+
+#: Probe seeds of the pinned ``compare-gains`` reports.
+COMPARE_SEEDS = (7, 11, 2024, 31337)
+#: SHA-256 of the JSON of every agent's full-precision ``compare_agent_gains``
+#: report at each probe seed, pinned from a Riccati solve per call.
+COMPARE_REPORTS = {
+    "hexagon": "f246accaaa1761638713d1b111a9fb9f1f115ec684a1e21de422f06c53286f8f",
+    "hexagon_static": "ba447cb34369d7d288e56f6a8ead1b88afe43c0d8cedd44be366cd935355afd1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_REPORTS))
+def test_compare_gains_reports_match_pinned_digests(name):
+    cfg = sc.load_bundled(name)
+    coeffs = cli.effective_coefficients(cfg)
+    agents = cfg.topology.follower_nodes + cfg.topology.leader_nodes
+    reports = [cli.compare_agent_gains(dataclasses.replace(cfg, seed=seed), node,
+                                       coeffs.get(node))
+               for seed in COMPARE_SEEDS for node in agents]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == COMPARE_REPORTS[name]

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import SWAP
+from pfcc import cli
 from pfcc import model_control as mc
+from pfcc import scenario as sc
 from pfcc.errors import ConvergenceError, InfluenceError, RegulationError
 
 
@@ -148,6 +150,61 @@ class TestValueIteration:
         assert np.all(np.linalg.eigvalsh(sol.P) > 0)
         np.testing.assert_allclose(sol.P, sol.P.T, atol=1e-12)
 
+
+
+class TestOracleSolution:
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_equals_fresh_solve_for_every_agent(self, name):
+        cfg = sc.load_bundled(name)
+        coeffs = cli.effective_coefficients(cfg)
+        for node in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
+            alphas = coeffs.get(node, {node: 1.0})
+            sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
+            cached, fresh = mc.oracle_solution(sys_), mc.riccati_value_iteration(sys_)
+            assert cached.P.tobytes() == fresh.P.tobytes()
+            assert cached.K.tobytes() == fresh.K.tobytes()
+            assert (cached.iterations, cached.residual) == (fresh.iterations, fresh.residual)
+
+    def test_second_call_shares_one_read_only_solution(self):
+        sys_ = scalar_system(a=0.7, q=3.0)
+        sol = mc.oracle_solution(sys_)
+        assert mc.oracle_solution(scalar_system(a=0.7, q=3.0)) is sol
+        for matrix in (sol.P, sol.K):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+
+    def test_other_weights_or_coefficients_miss(self, hexagon_config):
+        cfg = hexagon_config
+        layout = (5, 7)
+        sol = mc.oracle_solution(cfg.augmented_system(3, layout, {5: 0.5, 7: 0.5}))
+        skewed = cfg.augmented_system(3, layout, {5: 0.75, 7: 0.25})
+        cfg.q_weights[3] = 2.0 * cfg.q_weights[3]
+        heavier = cfg.augmented_system(3, layout, {5: 0.5, 7: 0.5})
+        for sys_ in (skewed, heavier):
+            other = mc.oracle_solution(sys_)
+            assert other is not sol
+            np.testing.assert_array_equal(other.K, mc.riccati_value_iteration(sys_).K)
+
+    def test_divergence_is_not_kept(self):
+        dyn = mc.AgentDynamics([[2.0]], [[0.0]])  # unstable, unactuated
+        sys_ = leader_system(dyn, mc.FormationDynamics([[0.5]], [0.0]),
+                             [[0.5]], [[1.0]])
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="non-stabilizable"):
+                with pytest.raises(ConvergenceError):
+                    mc.oracle_solution(sys_)
+
+    def test_oldest_solution_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(mc, "ORACLE_MEMO_SIZE", 2)
+        monkeypatch.setattr(mc, "_oracle_memo", {})
+        first, second, third = (scalar_system(q=q) for q in (1.0, 2.0, 3.0))
+        kept = mc.oracle_solution(first)
+        mc.oracle_solution(second)
+        assert mc.oracle_solution(first) is kept
+        mc.oracle_solution(third)
+        assert len(mc._oracle_memo) == 2
+        assert mc.oracle_solution(third) is mc.oracle_solution(third)
+        assert mc.oracle_solution(first) is not kept
 
 class TestGainSplitting:
     def test_scalar_leader_split(self):

@@ -1,6 +1,6 @@
 import dataclasses
 import json
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,7 +114,7 @@ class TestTraceExport:
         cfg.sample_interval = 10
         result = sim.run(cfg)
         trace_path, meta_path = sc.export_run(result, tmp_path / "out")
-        lines = open(trace_path).read().splitlines()
+        lines = Path(trace_path).read_text().splitlines()
         header = lines[0].split(",")
         assert header[0] == "tick"
         assert len(lines) == 1 + 3  # ticks 0, 10, 20
@@ -122,7 +122,7 @@ class TestTraceExport:
         row = lines[1].split(",")
         rebuilt = [float(v) for v in row[1:]]
         np.testing.assert_array_equal(rebuilt, result.trace.rows()[0][1:])
-        meta = json.load(open(meta_path))
+        meta = json.loads(Path(meta_path).read_text())
         assert meta["config_sha256"] == sc.config_digest(cfg)
         assert meta["completed"] is True
 
@@ -165,7 +165,7 @@ class TestRunCommand:
         out = str(tmp_path / "out")
         code = cli.main(["run", path, "--horizon", "0", "--out", out])
         assert code == cli.EXIT_OK
-        lines = open(os.path.join(out, "trace.csv")).read().splitlines()
+        lines = Path(out, "trace.csv").read_text().splitlines()
         assert len(lines) == 1
 
     def test_mode_and_seed_overrides_reach_metadata(self, tmp_path):
@@ -175,7 +175,7 @@ class TestRunCommand:
                          "model_based_oracle", "--seed", "99",
                          "--sample-interval", "20", "--out", out])
         assert code == cli.EXIT_OK
-        meta = json.load(open(os.path.join(out, "metadata.json")))
+        meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["summary"]["mode"] == "model_based_oracle"
         assert meta["summary"]["seed"] == 99
         assert meta["summary"]["sample_interval"] == 20
@@ -188,10 +188,10 @@ class TestRunCommand:
         path = write(tmp_path, raw)
         out = str(tmp_path / "out")
         assert cli.main(["run", path, "--out", out]) == cli.EXIT_CONVERGENCE
-        meta = json.load(open(os.path.join(out, "metadata.json")))
+        meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["completed"] is False
         assert "error" in meta
-        lines = open(os.path.join(out, "trace.csv")).read().splitlines()
+        lines = Path(out, "trace.csv").read_text().splitlines()
         assert len(lines) > 1  # partial trace retained
 
     def test_schema_error_exit_code(self, tmp_path):
@@ -238,6 +238,9 @@ class TestRunCommand:
          [[1.0, 0.0, 0.0]] * 3, "formation L3"),
         (("followers", 2, "q_weight"), [[1.0, 0.0, 0.0]] * 3, "q_weight of F3"),
         (("leaders", 2, "q_weight"), [[1.0]], "q_weight of L3"),
+        (("followers", 0, "A"), [[float("inf"), 1.0], [1.0, 3.0]], "A of F1 must be finite"),
+        (("leaders", 1, "q_weight"), [[1.0, 0.0], [0.0, float("nan")]],
+         "q_weight of L2 must be finite"),
     ])
     def test_shape_error_is_schema_error(self, tmp_path, capsys, path, value, message):
         raw = bundled_dict()
@@ -254,6 +257,33 @@ class TestRunCommand:
             text = captured.out + captured.err
             assert text.count("\n") == 1 and message in text
         assert not out.exists()
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("followers", 0, "B"), [[0.0], [0.0]], "agent F1 is not stabilizable"),
+        (("leaders", 0, "B"), [[0.0], [0.0]], "agent L1 is not stabilizable"),
+        (("tracking", "A"), [[1.2, 0.0], [0.0, 1.0]], "tracking dynamics"),
+        (("followers", 0, "A", 0, 0), 1e200, "agent F1 is not stabilizable"),
+        (("followers", 0, "q_weight"), [[-1.0, 0.0], [0.0, 1.0]],
+         "q_weight of F1 must be symmetric positive definite"),
+        (("leaders", 3, "q_weight"), [[0.0, 0.0], [0.0, 0.0]],
+         "q_weight of L4 must be symmetric positive definite"),
+    ])
+    def test_assumption_failure_exits_before_any_solve(self, tmp_path, capsys, path,
+                                                       value, message):
+        raw = bundled_dict()
+        entry = raw
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        scenario = write(tmp_path, raw)
+        for command in (["compare-gains", scenario],
+                        ["run", scenario, "--horizon", "50", "--out", str(tmp_path / "out")]):
+            assert cli.main(command) == cli.EXIT_ASSUMPTION
+            captured = capsys.readouterr()
+            text = captured.out + captured.err
+            assert text.count("\n") == 1 and message in text
+        assert cli.main(["validate", scenario]) == cli.EXIT_ASSUMPTION
+        assert f"assumptions: FAIL - {message}" in capsys.readouterr().out
 
     def test_missing_scenario_is_schema_error(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
@@ -272,7 +302,7 @@ class TestRunCommand:
         assert cli.main(["run", path, "--out", out]) == cli.EXIT_CONVERGENCE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "observers" in err and "diverged" in err
-        meta = json.load(open(os.path.join(out, "metadata.json")))
+        meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["completed"] is False
 
 
