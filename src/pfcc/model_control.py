@@ -228,10 +228,11 @@ def oracle_solution(sys: AugmentedSystem) -> RiccatiSolution:
     """``riccati_value_iteration(sys)``, solved once per distinct system.
 
     The solution depends only on the system's matrices, so it is kept under
-    their content and shared: every probe seed of a gain comparison and
-    every return of an oracle agent to a layout it held before reuse one
-    solve.  The shared ``P`` and ``K`` are read-only.  A system that does
-    not converge is not kept and raises again on the next call.
+    their content for the process and shared: a gain comparison repeated
+    over several probe seeds solves each system once.  The shared ``P`` and
+    ``K`` are read-only.  A system that does not converge is not kept and
+    raises again on the next call.  A kept system is not solved again, so
+    the solver's non-stabilizable warning comes only with the first call.
     """
     key = (sys.block_dim,) + tuple((a.shape, a.tobytes())
                                    for a in (sys.A_bar, sys.B_bar, sys.C, sys.Q))

@@ -501,7 +501,7 @@ def synthesize_oracle_gains(cfg: ScenarioConfig, node: int,
                             alphas: dict[int, float]) -> mc.AgentGains:
     """Model-based gains for one agent's current layout; a leader's layout
     is its own formation, ``(node,)``."""
-    sol = mc.oracle_solution(cfg.augmented_system(node, layout, alphas))
+    sol = mc.riccati_value_iteration(cfg.augmented_system(node, layout, alphas))
     return mc.AgentGains.split(sol.K, cfg.state_dim, layout)
 
 

@@ -268,8 +268,12 @@ class TestRunCommand:
         (("leaders", 3, "q_weight"), [[0.0, 0.0], [0.0, 0.0]],
          "q_weight of L4 must be symmetric positive definite"),
     ])
-    def test_assumption_failure_exits_before_any_solve(self, tmp_path, capsys, path,
-                                                       value, message):
+    def test_assumption_failure_exits_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                       path, value, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the assumption checks")
+        monkeypatch.setattr(mc, "riccati_value_iteration", no_solve)
+        monkeypatch.setattr(mc, "oracle_solution", no_solve)
         raw = bundled_dict()
         entry = raw
         for key in path[:-1]:
