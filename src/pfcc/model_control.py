@@ -50,7 +50,8 @@ class AgentDynamics:
 
 @dataclass(frozen=True)
 class FormationDynamics:
-    """Formation reference h+ = S h from initial shape h0; S must not expand."""
+    """Formation reference h+ = S h from initial shape h0.  An expanding S
+    fails ``ScenarioConfig.validate``."""
 
     S: np.ndarray
     h0: np.ndarray
@@ -60,8 +61,6 @@ class FormationDynamics:
         h0 = np.asarray(self.h0, dtype=float).ravel()
         if s.shape[0] != s.shape[1] or s.shape[0] != h0.size:
             raise ValueError(f"S {s.shape} and h0 {h0.shape} are inconsistent")
-        if spectral_radius(s) > 1.0 + MARGINAL_TOL:
-            raise ValueError(f"formation dynamics must have spectral radius <= 1, got {spectral_radius(s)}")
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "h0", h0)
 

@@ -13,7 +13,7 @@ observers advance together as one ``ObserverBank``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,22 +92,6 @@ def rls_update_L(L: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
     g = np.linalg.solve(gram, x_bar @ L).T
     keep = np.eye(L.shape[0]) - g @ x_bar
     return keep @ L @ keep.T + g @ g.T
-
-
-def consensus_error(own: np.ndarray,
-                    neighbor_terms: Iterable[tuple[float, np.ndarray]],
-                    pin_weight: float, pin_value: np.ndarray | None) -> np.ndarray:
-    """Weighted disagreement sum plus direct pinning, if pinned."""
-    own = np.asarray(own, dtype=float).ravel()
-    eta = np.zeros_like(own)
-    for w, est in neighbor_terms:
-        if w > 0:
-            eta += w * (own - np.asarray(est, dtype=float).ravel())
-    if pin_weight > 0:
-        if pin_value is None:
-            raise ValueError("pinned agent needs a pin value")
-        eta += pin_weight * (own - np.asarray(pin_value, dtype=float).ravel())
-    return eta
 
 
 def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
@@ -194,14 +178,18 @@ class ObserverBank:
     order) observes the target in slot b of the stacked targets handed to
     ``step``.  Row r is the observer of agent ``rows[r][0]`` in the network
     of node ``rows[r][1]``; rows run network by network, each in member
-    order.  ``graph`` is block diagonal with one network's graph block per
-    diagonal block, ``pin`` the stacked pin vectors, ``target`` each row's
-    target slot, ``agent`` each row's agent node, and ``mu`` (R, 1) and
-    ``gain`` (R, n, n) each row's consensus gain and gain matrix.
+    order, and ``row`` maps each ``(agent, observed node)`` back to its row.
+    ``graph`` is block diagonal with one network's graph block per diagonal
+    block, ``pin`` the stacked pin vectors, ``target`` each row's target
+    slot, ``agent`` each row's agent node, ``configs`` each row's observer
+    config, and ``mu`` (R, 1) and ``gain`` (R, n, n) each row's consensus
+    gain and gain matrix.
     """
 
     networks: dict[int, ObserverNetwork]
     rows: tuple[tuple[int, int], ...]
+    row: dict[tuple[int, int], int]
+    configs: tuple[ObserverConfig, ...]
     graph: np.ndarray
     pin: np.ndarray
     target: np.ndarray
@@ -232,6 +220,7 @@ class ObserverBank:
         if len(configs) != size:
             raise ValueError("one observer config per network member is required")
         return cls(networks={node: net for node, net, _ in blocks}, rows=tuple(rows),
+                   row={key: r for r, key in enumerate(rows)}, configs=tuple(configs),
                    graph=graph, pin=pin, target=target,
                    agent=np.array([a for a, _ in rows], dtype=int),
                    mu=np.array([[c.consensus_gain] for c in configs]),
@@ -243,7 +232,7 @@ class ObserverBank:
         return self.graph @ values - self.pin[:, None] * targets[self.target]
 
     def step(self, observers: Sequence[RlsObserver], targets_now: np.ndarray,
-             targets_next: np.ndarray) -> list[RlsObserver]:
+             targets_next: np.ndarray) -> tuple[RlsObserver, ...]:
         """Advance the observers (one per row, in row order) by one tick
         against the stacked targets' current and next values.
 
@@ -258,8 +247,8 @@ class ObserverBank:
         # any inf or nan entry makes the sums non-finite
         if not np.isfinite(pred.sum() + eta_next.sum()):
             raise ConvergenceError("observer state diverged")
-        return [observer_step_tracking_leader(o, e, e_next, x_next=p)
-                for o, e, e_next, p in zip(observers, eta, eta_next, pred)]
+        return tuple(observer_step_tracking_leader(o, e, e_next, x_next=p)
+                     for o, e, e_next, p in zip(observers, eta, eta_next, pred))
 
 
 def consensus_matrix(a_target: np.ndarray, mu: float, gain_matrix: np.ndarray,

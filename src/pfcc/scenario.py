@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -157,8 +158,26 @@ def _matrix(raw, what: str) -> np.ndarray:
     return arr
 
 
+def _non_finite(value, path: tuple = ()) -> tuple | None:
+    """Path to the first number in a parsed JSON value that is not a finite
+    float (``NaN``, ``Infinity``, or a literal such as ``1e400`` or an
+    integer of 400 digits that overflows one), else None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return None if math.isfinite(value) else path
+        except OverflowError:
+            return path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        found = _non_finite(item, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
 def parse_scenario_text(text: str) -> dict:
-    """JSON text to a validated raw dictionary."""
+    """JSON text to a validated raw dictionary; every number must be finite."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -169,6 +188,13 @@ def parse_scenario_text(text: str) -> dict:
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise SchemaError(f"scenario schema violation at {path}: {error.message}") from error
+    where = _non_finite(raw)
+    if where is not None:
+        # an agent's field is named as the config checks name it
+        subject = (f"{where[2]} of {raw[where[0]][where[1]]['name']}"
+                   if where[0] in ("followers", "leaders") and len(where) > 2 else "numbers")
+        raise SchemaError(f"scenario schema violation at {'/'.join(map(str, where))}: "
+                          f"{subject} must be finite")
     return raw
 
 

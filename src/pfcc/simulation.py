@@ -310,20 +310,19 @@ LEARN_ITERATIONS_PER_TICK = 50
 @dataclass
 class WorldState:
     tick: int
-    x_followers: list[np.ndarray]
-    x_leaders: list[np.ndarray]
-    h: list[np.ndarray]
-    x_o: np.ndarray
+    #: Plant states, one row per agent: row ``node - 1``.
+    x: np.ndarray
+    #: The tracking state, then each leader's formation state in leader
+    #: order; row b is the target of observer network b.
+    targets: np.ndarray
     knowledge: dict[int, pr.AgentKnowledge]
-    track_obs: dict[int, ob.RlsObserver]
-    form_obs: dict[int, dict[int, ob.RlsObserver]]
     #: Every observer network stacked, tracking network first, then one
     #: formation network per leader in leader order; ``bank.networks`` is
     #: keyed by the observed node (0 = tracking).  Rebuilt only when
     #: propagation changes an influential set.
-    bank: ob.ObserverBank
-    #: Agent node -> (is leader, index into the leader or follower lists).
-    slots: dict[int, tuple[bool, int]]
+    bank: ob.ObserverBank | None
+    #: One observer per ``bank.rows`` entry, in row order.
+    observers: tuple[ob.RlsObserver, ...]
     learners: dict[int, AgentLearner]
     oracle_gains: dict[int, mc.AgentGains]
     oracle_layouts: dict[int, tuple]
@@ -331,10 +330,6 @@ class WorldState:
     trace: TraceLog
     propagation_changes: int = 0
     propagation_stable_for: int = 0
-
-    def plant_state(self, node: int) -> np.ndarray:
-        leader, index = self.slots[node]
-        return self.x_leaders[index] if leader else self.x_followers[index]
 
 
 @dataclass
@@ -370,29 +365,15 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
     topo = cfg.topology
     cfg.check_fields()
     cfg.require_valid()
-    n_dim = cfg.state_dim
     knowledge = pr.init_knowledge(topo, cfg.schedule.initial())
 
-    track_obs = {}
-    for q in topo.leader_nodes:
-        track_obs[q] = ob.RlsObserver.create(cfg.leader_tracking_observer, n_dim)
-    for i in topo.follower_nodes:
-        track_obs[i] = ob.RlsObserver.create(cfg.follower_tracking_observer, n_dim)
-
-    form_obs: dict[int, dict[int, ob.RlsObserver]] = {
-        a: {} for a in topo.follower_nodes + topo.leader_nodes}
     state = WorldState(
         tick=0,
-        x_followers=[np.asarray(x, dtype=float).ravel().copy() for x in cfg.follower_x0],
-        x_leaders=[np.asarray(x, dtype=float).ravel().copy() for x in cfg.leader_x0],
-        h=[form.h0.copy() for form in cfg.formation],
-        x_o=cfg.tracking_x0.copy(),
+        x=np.array([np.ravel(x) for x in cfg.follower_x0 + cfg.leader_x0], dtype=float),
+        targets=np.array([cfg.tracking_x0] + [form.h0 for form in cfg.formation], dtype=float),
         knowledge=knowledge,
-        track_obs=track_obs,
-        form_obs=form_obs,
         bank=None,
-        slots={**{i: (False, topo.follower_index(i)) for i in topo.follower_nodes},
-               **{q: (True, topo.leader_index(q)) for q in topo.leader_nodes}},
+        observers=(),
         learners={},
         oracle_gains={},
         oracle_layouts={},
@@ -409,7 +390,7 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
 def _alpha_of(state: WorldState, cfg: ScenarioConfig, node: int) -> dict[int, float]:
     """Weights of an agent's formation blocks: a leader follows its own
     formation at weight 1, a follower its convex coefficients."""
-    if state.slots[node][0]:
+    if cfg.topology.is_leader(node):
         return {node: 1.0}
     if state.baseline_alpha is not None:
         return state.baseline_alpha[node]
@@ -417,35 +398,31 @@ def _alpha_of(state: WorldState, cfg: ScenarioConfig, node: int) -> dict[int, fl
 
 
 def _layout_of(state: WorldState, cfg: ScenarioConfig, node: int) -> tuple[int, ...]:
-    """Leaders of an agent's formation blocks (the keys of ``_alpha_of``),
-    in augmented-state order."""
-    if state.slots[node][0]:
-        return (node,)
-    if state.baseline_alpha is not None:
-        return tuple(sorted(state.baseline_alpha[node]))
-    return tuple(sorted(state.knowledge[node].influential))
+    """Leaders of an agent's formation blocks, in augmented-state order."""
+    return tuple(sorted(_alpha_of(state, cfg, node)))
 
 
 def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
-    """Spawn the formation observers of newly influenced agents and rebuild
-    the observer bank from the current influential sets."""
+    """Rebuild the observer bank from the current influential sets.  A row
+    that already existed keeps its observer and a new row starts a fresh
+    one; influential sets only grow, so no row is dropped."""
     topo = cfg.topology
-    n_dim = cfg.state_dim
     agents = topo.leader_nodes + topo.follower_nodes
-    for a in agents:
-        for q in sorted(state.knowledge[a].influential):
-            if q != a and q not in state.form_obs[a]:
-                state.form_obs[a][q] = ob.RlsObserver.create(
-                    cfg.formation_observers[q], n_dim)
     adjacency = topo.full_adjacency()
     blocks = [(0, ob.ObserverNetwork.from_adjacency(adjacency, agents, 0),
-               [state.track_obs[a].config for a in agents])]
+               [cfg.leader_tracking_observer if topo.is_leader(a)
+                else cfg.follower_tracking_observer for a in agents])]
     for q in topo.leader_nodes:
         members = sorted(a for a in agents
                          if a != q and q in state.knowledge[a].influential)
         blocks.append((q, ob.ObserverNetwork.from_adjacency(adjacency, members, q),
-                       [state.form_obs[a][q].config for a in members]))
+                       [cfg.formation_observers[q]] * len(members)))
+    old_row = state.bank.row if state.bank is not None else {}
     state.bank = ob.ObserverBank.stack(blocks)
+    state.observers = tuple(
+        state.observers[old_row[key]] if key in old_row
+        else ob.RlsObserver.create(config, cfg.state_dim)
+        for key, config in zip(state.bank.rows, state.bank.configs))
 
 
 def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int,
@@ -484,11 +461,12 @@ def _augmented_state(state: WorldState, cfg: ScenarioConfig, node: int,
     """Measured augmented state z: plant, one formation part per layout
     leader (an agent's own formation state exactly, any other leader's as
     estimated), tracking estimate."""
-    estimates = state.form_obs[node]
-    parts = [state.plant_state(node)]
+    row, observers = state.bank.row, state.observers
+    parts = [state.x[node - 1]]
     for q in layout:
-        parts.append(state.h[state.slots[q][1]] if q == node else estimates[q].x_hat)
-    parts.append(state.track_obs[node].x_hat)
+        parts.append(state.targets[1 + cfg.topology.leader_index(q)] if q == node
+                     else observers[row[node, q]].x_hat)
+    parts.append(observers[row[node, 0]].x_hat)
     return np.concatenate(parts)
 
 
@@ -513,7 +491,7 @@ def _oracle_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.nda
         if not layout:
             return cfg.warmup_gains.get(
                 node, np.zeros((cfg.dynamics_of(node).m, cfg.state_dim))
-            ) @ state.plant_state(node)
+            ) @ state.x[node - 1]
         state.oracle_gains[node] = synthesize_oracle_gains(cfg, node, layout, alphas)
         state.oracle_layouts[node] = key
     return state.oracle_gains[node].K @ _augmented_state(state, cfg, node, layout)
@@ -536,7 +514,7 @@ def _learner_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.nd
         if lr.behavior_full is not None and lr.behavior_full.shape[1] == aug.size:
             u = lr.behavior_full @ aug
         else:
-            u = lr.warmup @ state.plant_state(node)
+            u = lr.warmup @ state.x[node - 1]
         u = u + ln.exploration_noise(lr.cfg, lr.buffer.input_dim, state.tick)
     lr.prev_aug = aug
     lr.prev_u = np.asarray(u, dtype=float).ravel()
@@ -544,15 +522,17 @@ def _learner_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.nd
 
 
 def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
-                    completed_tick: int, next_state_builder) -> None:
-    """Record the completed transition and run one iteration if ready."""
+                    completed_tick: int) -> None:
+    """Record the completed transition (the next state is committed) and
+    run one iteration if ready."""
     lr = state.learners[node]
     if lr.prev_aug is None or completed_tick < cfg.learn_start_tick:
         return
     if lr.controller.status == ln.CONVERGED:
         return
     if not lr.buffer.is_full:
-        lr.buffer.record(lr.prev_aug, lr.prev_u, next_state_builder(lr.layout))
+        lr.buffer.record(lr.prev_aug, lr.prev_u,
+                         _augmented_state(state, cfg, node, lr.layout))
     if lr.buffer.is_full:
         alphas = _alpha_of(state, cfg, node)
         c = mc.error_selector(cfg.state_dim, [alphas[q] for q in lr.layout])
@@ -591,10 +571,8 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
 
 
-def _sample_trace(state: WorldState, cfg: ScenarioConfig, x_hat: np.ndarray,
-                  targets: np.ndarray) -> None:
-    """Fill one trace row from the tick-k state: ``x_hat`` stacks the bank's
-    estimates row by row, ``targets`` the tracking and formation states.
+def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
+    """Fill one trace row from the tick-k state.
 
     A follower's containment error subtracts one weighted leader target at
     a time, in leader order, and an agent's observer error sums its row
@@ -602,24 +580,26 @@ def _sample_trace(state: WorldState, cfg: ScenarioConfig, x_hat: np.ndarray,
     per-vector form exactly."""
     topo = cfg.topology
     n, m = topo.n_followers, topo.n_leaders
+    targets = state.targets
     x_o, h = targets[0], targets[1:]
     weights = np.zeros((n, m))
     for r, i in enumerate(topo.follower_nodes):
         for q, alpha in _alpha_of(state, cfg, i).items():
             weights[r, topo.leader_index(q)] = alpha
-    containment = np.array(state.x_followers)
+    containment = state.x[:n]
     for k in range(m):
         containment = containment - weights[:, k, None] * (h[k] + x_o)
     bank = state.bank
+    x_hat = np.array([o.x_hat for o in state.observers])
     obs_errors = np.bincount(bank.agent, _row_norms(x_hat - targets[bank.target]),
                              minlength=1 + n + m)
     row = state.trace.next_row()
     row[0] = state.tick
-    row[1 : 1 + m] = _row_norms(np.array(state.x_leaders) - h - x_o)
+    row[1 : 1 + m] = _row_norms(state.x[n:] - h - x_o)
     row[1 + m : 1 + m + n] = _row_norms(containment)
     row[1 + m + n : 1 + 2 * (m + n)] = obs_errors[topo.leader_nodes + topo.follower_nodes]
     if cfg.record_states:
-        row[1 + 2 * (m + n) :] = np.concatenate(state.x_followers + state.x_leaders)
+        row[1 + 2 * (m + n) :] = state.x.ravel()
 
 
 def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
@@ -655,64 +635,54 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
             state.propagation_stable_for += 1
 
     # 3. trace sampling of the tick-k state
-    observers = [state.form_obs[a][q] if q else state.track_obs[a]
-                 for a, q in state.bank.rows]
-    targets_now = np.array([state.x_o, *state.h])
     if tick % cfg.sample_interval == 0:
-        _sample_trace(state, cfg, np.array([o.x_hat for o in observers]), targets_now)
+        _sample_trace(state, cfg)
 
     # 4. observer updates from the tick-k snapshot; a diverging estimate
     # overflows before it is caught (scale downdated to zero or a non-finite
     # prediction), and that is reported as an abort rather than a warning
-    targets_next = np.array([cfg.tracking_a @ state.x_o]
-                            + [form.S @ h for form, h in zip(cfg.formation, state.h)])
+    targets_next = np.array([cfg.tracking_a @ state.targets[0]]
+                            + [form.S @ h for form, h in zip(cfg.formation, state.targets[1:])])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            stepped = state.bank.step(observers, targets_now, targets_next)
+            stepped = state.bank.step(state.observers, state.targets, targets_next)
     except PfccError as exc:
         raise SimulationAbort(tick, "observers", exc) from exc
 
     # 5. controls from the tick-k snapshot
-    controls: dict[int, np.ndarray] = {}
-    for node in topo.follower_nodes + topo.leader_nodes:
+    agents = topo.follower_nodes + topo.leader_nodes
+    controls = []
+    for node in agents:
         try:
             if cfg.mode == MODE_ORACLE:
-                controls[node] = np.asarray(_oracle_control(state, cfg, node)).ravel()
+                controls.append(np.asarray(_oracle_control(state, cfg, node)).ravel())
             else:
-                controls[node] = _learner_control(state, cfg, node)
+                controls.append(_learner_control(state, cfg, node))
         except PfccError as exc:
             raise SimulationAbort(tick, cfg.agent_name(node), exc) from exc
 
-    # 6. plant / formation / tracking advance; one guard over all plants
+    # 6. plant advance, row by row in node order; one guard over all plants
     # (a nan norm fails the comparison too)
-    new_followers = [dyn.A @ x + dyn.B @ controls[i] for i, dyn, x in zip(
-        topo.follower_nodes, cfg.follower_dynamics, state.x_followers)]
-    new_leaders = [dyn.A @ x + dyn.B @ controls[q] for q, dyn, x in zip(
-        topo.leader_nodes, cfg.leader_dynamics, state.x_leaders)]
+    dynamics = cfg.follower_dynamics + cfg.leader_dynamics
+    x_next = np.array([dyn.A @ x + dyn.B @ u
+                       for dyn, x, u in zip(dynamics, state.x, controls)])
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(np.array(new_followers + new_leaders), axis=1)
+        norms = np.linalg.norm(x_next, axis=1)
     if not norms.max() <= _STATE_GUARD:
         first = int(np.argmin(norms <= _STATE_GUARD))
         name = "followers" if first < topo.n_followers else "leaders"
         raise SimulationAbort(tick, name, ConvergenceError("plant state diverged"))
 
     # 7. commit next states, then let learners see the completed transition
-    state.x_followers = new_followers
-    state.x_leaders = new_leaders
-    state.x_o, *state.h = targets_next
-    state.track_obs = {a: obs for (a, q), obs in zip(state.bank.rows, stepped) if not q}
-    state.form_obs = {a: {} for a in state.form_obs}
-    for (a, q), obs in zip(state.bank.rows, stepped):
-        if q:
-            state.form_obs[a][q] = obs
+    state.x = x_next
+    state.targets = targets_next
+    state.observers = stepped
     state.tick = tick + 1
 
     if cfg.mode in (MODE_DATA, MODE_BASELINE):
-        for node in topo.follower_nodes + topo.leader_nodes:
-            def builder(layout, node=node):
-                return _augmented_state(state, cfg, node, layout)
+        for node in agents:
             try:
-                _learner_update(state, cfg, node, tick, builder)
+                _learner_update(state, cfg, node, tick)
             except PfccError as exc:
                 raise SimulationAbort(tick, cfg.agent_name(node), exc) from exc
     return state
@@ -771,7 +741,7 @@ def observer_gain_bound_diagnostic(state: WorldState, cfg: ScenarioConfig,
     zeta = np.zeros((v * n * n, v * n))
     l_bar = np.zeros((v * n, v * n))
     for k, m in enumerate(net.members):
-        obs = state.form_obs[m][q]
+        obs = state.observers[state.bank.row[m, q]]
         zeta[k * n * n : (k + 1) * n * n, k * n : (k + 1) * n] = ob.regressor(obs.x_hat)
         l_bar[k * n : (k + 1) * n, k * n : (k + 1) * n] = (
             np.eye(n) / (1.0 / obs.c + o_cfg.xi))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 import pytest
 
@@ -40,25 +42,48 @@ def containment_error(x_i: np.ndarray, h_all: dict[int, np.ndarray],
     return e
 
 
+def consensus_error(own: np.ndarray,
+                    neighbor_terms: Iterable[tuple[float, np.ndarray]],
+                    pin_weight: float, pin_value: np.ndarray | None) -> np.ndarray:
+    """Reference: one observer's weighted disagreement sum plus direct
+    pinning, if pinned."""
+    own = np.asarray(own, dtype=float).ravel()
+    eta = np.zeros_like(own)
+    for w, est in neighbor_terms:
+        if w > 0:
+            eta += w * (own - np.asarray(est, dtype=float).ravel())
+    if pin_weight > 0:
+        if pin_value is None:
+            raise ValueError("pinned agent needs a pin value")
+        eta += pin_weight * (own - np.asarray(pin_value, dtype=float).ravel())
+    return eta
+
+
+def observer_of(state: sim.WorldState, agent: int, target: int):
+    """The observer that ``agent`` runs of ``target`` (0 = tracking)."""
+    return state.observers[state.bank.row[agent, target]]
+
+
 def reference_trace_row(state: sim.WorldState, cfg: sim.ScenarioConfig) -> list[float]:
     """Reference: the trace row of the current state from one norm per
     error vector and per observer, in ``TraceLog.header()`` order."""
     topo = cfg.topology
-    h_all = dict(zip(topo.leader_nodes, state.h))
+    x_o = state.targets[0]
+    h_all = dict(zip(topo.leader_nodes, state.targets[1:]))
     row = [float(state.tick)]
-    row += [float(np.linalg.norm(formation_error(x, h, state.x_o)))
-            for x, h in zip(state.x_leaders, state.h)]
+    row += [float(np.linalg.norm(formation_error(state.x[q - 1], h_all[q], x_o)))
+            for q in topo.leader_nodes]
     row += [float(np.linalg.norm(containment_error(
-        x, h_all, state.x_o, sim._alpha_of(state, cfg, i))))
-        for i, x in zip(topo.follower_nodes, state.x_followers)]
+        state.x[i - 1], h_all, x_o, sim._alpha_of(state, cfg, i))))
+        for i in topo.follower_nodes]
     for a in topo.leader_nodes + topo.follower_nodes:
-        err = float(np.linalg.norm(state.track_obs[a].x_hat - state.x_o))
+        err = float(np.linalg.norm(observer_of(state, a, 0).x_hat - x_o))
         for q in sorted(state.knowledge[a].influential - {a}):
-            err += float(np.linalg.norm(state.form_obs[a][q].x_hat - h_all[q]))
+            err += float(np.linalg.norm(observer_of(state, a, q).x_hat - h_all[q]))
         row.append(err)
     if cfg.record_states:
         for a in topo.follower_nodes + topo.leader_nodes:
-            row += [float(v) for v in state.plant_state(a)]
+            row += [float(v) for v in state.x[a - 1]]
     return row
 
 

@@ -42,10 +42,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             mc.AgentDynamics([[0, 1], [1, 0]], [[1]])
 
-    def test_formation_radius_guard(self):
-        with pytest.raises(ValueError, match="spectral radius"):
-            mc.FormationDynamics([[1.5]], [1.0])
-
     def test_stabilizability(self):
         assert mc.is_stabilizable(mc.AgentDynamics([[0, 1], [1, 3]], [[0], [1]]))
         # unreachable unstable mode

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SWAP
+from conftest import SWAP, consensus_error
 from pfcc import observers as ob
 from pfcc import scenario as sc
 from pfcc import simulation as sim
@@ -96,10 +96,10 @@ class TestObserverStep:
             errs = []
             for _ in range(500):
                 errs.append(np.linalg.norm(obs.x_hat - x_o))
-                eta = ob.consensus_error(obs.x_hat, [], 1.0, x_o)
+                eta = consensus_error(obs.x_hat, [], 1.0, x_o)
                 x_o_next = SWAP @ x_o
                 pred = predict(obs, eta)
-                eta_next = ob.consensus_error(pred, [], 1.0, x_o_next)
+                eta_next = consensus_error(pred, [], 1.0, x_o_next)
                 obs = ob.observer_step_tracking_leader(obs, eta, eta_next)
                 x_o = x_o_next
             final = np.linalg.norm(obs.x_hat - x_o)
@@ -124,8 +124,8 @@ class TestObserverStep:
                 qi = topo.leader_index(q)
                 terms = [(topo.leader_adjacency[qi, topo.leader_index(j)],
                           values[j]) for j in nodes if j != q]
-                out[q] = ob.consensus_error(values[q], terms,
-                                            topo.tracking_to_leader[qi], pin)
+                out[q] = consensus_error(values[q], terms,
+                                         topo.tracking_to_leader[qi], pin)
             return out
 
         total0 = sum(np.linalg.norm(observers[q].x_hat - x_o) for q in nodes)
@@ -243,7 +243,7 @@ def reference_etas(cfg, state, target, values, pin_value):
     out = {}
     for m in members:
         terms = [(weight(m, j), values[j]) for j in members if j != m]
-        out[m] = ob.consensus_error(values[m], terms, weight(m, target), pin_value)
+        out[m] = consensus_error(values[m], terms, weight(m, target), pin_value)
     return out
 
 
@@ -254,15 +254,11 @@ def single_network_bank(adjacency, members, target):
     return ob.ObserverBank.stack([(target, net, [BUNDLED_CFG] * len(members))])
 
 
-def bank_observers(state, bank):
-    return [state.form_obs[a][q] if q else state.track_obs[a] for a, q in bank.rows]
-
-
 def bank_targets(cfg, state):
     """Current and next stacked targets, in the bank's network order."""
-    now = np.array([state.x_o, *state.h])
-    nxt = np.array([cfg.tracking_a @ state.x_o]
-                   + [f.S @ h for f, h in zip(cfg.formation, state.h)])
+    now = state.targets
+    nxt = np.array([cfg.tracking_a @ now[0]]
+                   + [f.S @ h for f, h in zip(cfg.formation, now[1:])])
     return now, nxt
 
 
@@ -294,7 +290,7 @@ class TestObserverNetwork:
         for tick in range(121):
             if tick in (0, 1, 2, 3, 5, 40, 120):
                 bank = state.bank
-                estimates = np.array([o.x_hat for o in bank_observers(state, bank)])
+                estimates = np.array([o.x_hat for o in state.observers])
                 randoms = rng.normal(size=estimates.shape)
                 targets = rng.normal(size=(len(bank.networks), cfg.state_dim))
                 for values in (estimates, randoms):
@@ -345,6 +341,37 @@ class TestObserverNetwork:
             assert state.bank.networks[q].members == tuple(sorted(
                 a for a in agents if a != q and q in state.knowledge[a].influential))
 
+    def test_rows_keep_their_observers_across_rebuilds(self, monkeypatch, hexagon_config):
+        # every propagation change rebuilds the bank: a row that existed keeps
+        # its observer object, a new row starts fresh, none is dropped, and
+        # ``row`` inverts ``rows``
+        cfg = hexagon_config
+        cfg.mode = sim.MODE_ORACLE  # faster, and observers ignore the mode
+        sync = sim._sync_observer_networks
+        rebuilds = []
+
+        def checked(state, cfg):
+            before = dict(zip(state.bank.rows, state.observers)) if state.bank else {}
+            sync(state, cfg)
+            bank = state.bank
+            assert len(state.observers) == len(bank.rows) == len(bank.configs)
+            assert all(bank.row[key] == r for r, key in enumerate(bank.rows))
+            assert set(before) <= set(bank.rows)
+            for key, obs, config in zip(bank.rows, state.observers, bank.configs):
+                assert obs.config is config
+                if key in before:
+                    assert obs is before[key]
+                else:
+                    assert obs.c == config.init_scale
+                    assert not obs.x_hat.any() and not obs.A_hat.any()
+            rebuilds.append(len(bank.rows) - len(before))
+        monkeypatch.setattr(sim, "_sync_observer_networks", checked)
+        state = sim.init_world(cfg)
+        for _ in range(60):
+            sim.step_world(state, cfg)
+        assert len(rebuilds) == 1 + state.propagation_changes > 1
+        assert all(added > 0 for added in rebuilds)
+
     def test_non_finite_prediction_is_a_convergence_error(self):
         bank = single_network_bank([[0.0, 1.0], [0.0, 0.0]], [1], 0)
         obs = ob.RlsObserver.create(BUNDLED_CFG, 2, x0=[np.inf, 0.0])
@@ -364,7 +391,7 @@ class TestObserverNetwork:
             state = sim.init_world(cfg)
             for tick in range(max(ticks) + 1):
                 if tick in ticks:
-                    observers = bank_observers(state, state.bank)
+                    observers = state.observers
                     targets_now, targets_next = bank_targets(cfg, state)
                     got = state.bank.step(observers, targets_now, targets_next)
                     ref = step_networks_separately(state.bank, observers,

@@ -258,6 +258,40 @@ class TestRunCommand:
             assert text.count("\n") == 1 and message in text
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, token", [
+        (("propensity_schedule", 0, "factors", "L1"), "NaN"),
+        (("propensity_schedule", 1, "factors", "L2"), "Infinity"),
+        (("observers", "xi"), "Infinity"),
+        (("observers", "init_scale"), "Infinity"),
+        (("observers", "formation", "L3", "coupling"), "Infinity"),
+        (("observers", "leader_tracking", "consensus_gain"), "NaN"),
+        (("learner", "gain_delta_threshold"), "Infinity"),
+        (("edges", 0, 2), "Infinity"),
+        (("leaders", 0, "h0", 1), "-Infinity"),
+        (("followers", 1, "A", 0, 0), "1e400"),
+        (("learner", "noise_std"), "-1e400"),
+        pytest.param(("observers", "follower_tracking", "coupling"), "1" + "0" * 400,
+                     id="path11-401-digit-integer"),
+    ])
+    def test_non_finite_number_is_schema_error(self, tmp_path, capsys, path, token):
+        raw = bundled_dict()
+        entry = raw
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = "@non-finite@"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw).replace('"@non-finite@"', token))
+        out = tmp_path / "out"
+        for command in (["validate", str(scenario)],
+                        ["run", str(scenario), "--horizon", "3", "--out", str(out)],
+                        ["compare-gains", str(scenario)]):
+            assert cli.main(command) == cli.EXIT_SCHEMA
+            captured = capsys.readouterr()
+            text = captured.out + captured.err
+            assert text.count("\n") == 1
+            assert f"at {'/'.join(map(str, path))}: " in text and "must be finite" in text
+        assert not out.exists()
+
     @pytest.mark.parametrize("path, value, message", [
         (("followers", 0, "B"), [[0.0], [0.0]], "agent F1 is not stabilizable"),
         (("leaders", 0, "B"), [[0.0], [0.0]], "agent L1 is not stabilizable"),
@@ -267,6 +301,8 @@ class TestRunCommand:
          "q_weight of F1 must be symmetric positive definite"),
         (("leaders", 3, "q_weight"), [[0.0, 0.0], [0.0, 0.0]],
          "q_weight of L4 must be symmetric positive definite"),
+        (("leaders", 0, "S"), [[0.0, 1.5], [1.5, 0.0]], "formation dynamics of L1 expand"),
+        (("leaders", 5, "S"), [[1.0, 0.0], [0.0, 1.01]], "formation dynamics of L6 expand"),
     ])
     def test_assumption_failure_exits_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                        path, value, message):

@@ -2,11 +2,12 @@
 
 Each case applies one mutation to a bundled scenario file: drop a key,
 retype a value, negate a number, resize a vector or matrix row, name an
-unknown leader, or make a model matrix expanding or its input matrix zero.
-``pfcc validate``, a three-tick ``pfcc run`` and, for the first cases,
-``pfcc compare-gains`` must then end in a documented exit code without a
-traceback, and a schema or assumption failure must print one line.  The
-schema messages must be those of ``jsonschema.validate``.
+unknown leader, make a model matrix expanding or its input matrix zero, or
+make a number non-finite.  ``pfcc validate``, a three-tick ``pfcc run`` and,
+for the first cases, ``pfcc compare-gains`` must then end in a documented
+exit code without a traceback, and a schema or assumption failure must print
+one line.  The schema messages must be those of ``jsonschema.validate``, and
+a non-finite number that the schema accepts must be reported at its path.
 """
 
 from __future__ import annotations
@@ -27,9 +28,12 @@ COMPARE_CASES_PER_SCENARIO = 10
 DOCUMENTED_EXITS = {cli.EXIT_OK, cli.EXIT_SCHEMA, cli.EXIT_ASSUMPTION,
                     cli.EXIT_EXCITATION, cli.EXIT_CONVERGENCE}
 #: Mutation kinds, taken in turn so that the compare-gains cases meet each.
-KINDS = ["drop", "retype", "negate", "resize", "leader", "unstable"]
+KINDS = ["drop", "retype", "negate", "resize", "leader", "unstable", "nonfinite"]
 #: One value of each JSON type; a retyped value takes one of another type.
 RETYPES = ["x", None, True, 1.5, [], {}]
+#: Numbers that are not finite floats; ``json.dumps`` writes them as
+#: ``NaN``, ``Infinity``, ``-Infinity`` and a 401-digit integer literal.
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400]
 
 
 def nodes(value, path=()):
@@ -79,6 +83,9 @@ def mutate(raw: dict, rng: random.Random, kind: str) -> str:
             vector.append(0.5)
         else:
             vector.pop()
+    elif kind == "nonfinite":
+        path, _ = rng.choice([(p, v) for p, v in everything if is_number(v)])
+        at(path)[path[-1]] = rng.choice(NON_FINITE)
     elif kind == "unstable":
         path, matrix = rng.choice([(p, v) for p, v in everything if p[-1] in ("A", "B", "S")])
         scale = 0.0 if path[-1] == "B" else 1.5
@@ -140,4 +147,9 @@ def test_schema_messages_match_jsonschema_validate(name):
             got = None
         except SchemaError as exc:
             got = str(exc)
+        if expected is None and what.startswith("nonfinite "):
+            # a non-finite number the schema accepts is reported at its path
+            prefix = f"scenario schema violation at {what.split()[1]}: "
+            assert got and got.startswith(prefix) and got.endswith(" must be finite"), got
+            continue
         assert got == expected, f"case {case} ({what})"

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SWAP, containment_error, formation_error, reference_trace_row
+from conftest import (SWAP, containment_error, formation_error, observer_of,
+                      reference_trace_row)
 from pfcc import learning as ln
 from pfcc import model_control as mc
 from pfcc import observers as ob
@@ -91,26 +92,26 @@ class TestWorldStepping:
         cfg = tiny_config(noise=0.0, h0=(0.0,), horizon=30)
         res = sim.run(cfg)
         assert res.completed
-        assert np.linalg.norm(res.state.x_followers[0]) == 0
-        assert np.linalg.norm(res.state.x_leaders[0]) == 0
-        assert np.linalg.norm(res.state.x_o) == 0
+        assert np.linalg.norm(res.state.x[0]) == 0
+        assert np.linalg.norm(res.state.x[1]) == 0
+        assert np.linalg.norm(res.state.targets[0]) == 0
 
     def test_tracking_state_fixed_at_origin(self, hexagon_config):
         cfg = hexagon_config
         cfg.horizon = 8
         res = sim.run(cfg)
-        np.testing.assert_array_equal(res.state.x_o, np.zeros(2))
+        np.testing.assert_array_equal(res.state.targets[0], np.zeros(2))
 
     def test_formation_state_alternates_with_period_two(self, hexagon_config):
         cfg = hexagon_config
         cfg.horizon = 5
         res = sim.run(cfg)
         # h(5) = S^5 h0 = S h0 for the involutive shape dynamics
-        np.testing.assert_allclose(res.state.h[0], SWAP @ cfg.formation[0].h0)
+        np.testing.assert_allclose(res.state.targets[1], SWAP @ cfg.formation[0].h0)
         cfg2 = sc.load_bundled("hexagon")
         cfg2.horizon = 6
         res2 = sim.run(cfg2)
-        np.testing.assert_allclose(res2.state.h[0], cfg.formation[0].h0)
+        np.testing.assert_allclose(res2.state.targets[1], cfg.formation[0].h0)
 
     def test_horizon_zero_gives_empty_trace(self):
         cfg = tiny_config(horizon=0)
@@ -242,8 +243,8 @@ class TestPlantGuard:
         cfg = tiny_config(horizon=5)
         cfg.warmup_gains = {1: np.zeros((1, 1)), 2: np.zeros((1, 1))}
         state = sim.init_world(cfg)
-        state.x_followers[0] = np.array([follower])
-        state.x_leaders[0] = np.array([leader])
+        state.x[0] = follower
+        state.x[1] = leader
         with pytest.raises(SimulationAbort) as info:
             sim.step_world(state, cfg)
         assert (info.value.tick, info.value.agent) == (0, group)
@@ -314,15 +315,15 @@ class TestObserverPlantDecoupling:
         res_a, res_b = sim.run(cfg_a), sim.run(cfg_b)
         assert res_a.completed and res_b.completed
         for node in cfg_a.topology.follower_nodes + cfg_a.topology.leader_nodes:
-            np.testing.assert_array_equal(res_a.state.track_obs[node].x_hat,
-                                          res_b.state.track_obs[node].x_hat)
-            for q in res_a.state.form_obs[node]:
+            np.testing.assert_array_equal(observer_of(res_a.state, node, 0).x_hat,
+                                          observer_of(res_b.state, node, 0).x_hat)
+            for q in res_a.state.knowledge[node].influential - {node}:
                 np.testing.assert_array_equal(
-                    res_a.state.form_obs[node][q].x_hat,
-                    res_b.state.form_obs[node][q].x_hat)
+                    observer_of(res_a.state, node, q).x_hat,
+                    observer_of(res_b.state, node, q).x_hat)
         # but the follower plant state itself differs
-        assert not np.allclose(res_a.state.x_followers[0],
-                               res_b.state.x_followers[0])
+        assert not np.allclose(res_a.state.x[0],
+                               res_b.state.x[0])
 
 
 class TestBaselineMode:
@@ -345,8 +346,8 @@ class TestBaselineMode:
         res_base = sim.run(base)
         res_pfcc = sim.run(pfcc_cfg)
         assert res_base.completed and res_pfcc.completed
-        x_base = res_base.state.x_followers[2]
-        x_pfcc = res_pfcc.state.x_followers[2]
+        x_base = res_base.state.x[2]
+        x_pfcc = res_pfcc.state.x[2]
         np.testing.assert_allclose(x_base, [0.0, -2.0], atol=1e-3)  # tracks L3
         np.testing.assert_allclose(x_pfcc, [1.0, -1.0], atol=1e-3)  # midpoint
         assert np.linalg.norm(x_base - x_pfcc) > 1.0
