@@ -307,6 +307,25 @@ MAX_WINDOW_FLUSHES = 50
 LEARN_ITERATIONS_PER_TICK = 50
 
 
+@dataclass(frozen=True)
+class ControlPlan:
+    """How one agent forms its augmented state at the current knowledge.
+
+    ``alphas`` weight the agent's formation blocks: a leader follows its
+    own formation at weight 1, a follower its convex coefficients.
+    ``layout`` lists their leaders in augmented-state order and ``key``
+    identifies the pair for oracle synthesis.  ``gather`` indexes the
+    augmented state z (plant, one formation part per layout leader, tracking
+    estimate) out of ``WorldState.world``; it is None while the agent has no
+    observer row yet for a layout leader other than itself.
+    """
+
+    alphas: dict[int, float]
+    layout: tuple[int, ...]
+    key: tuple
+    gather: np.ndarray | None
+
+
 @dataclass
 class WorldState:
     tick: int
@@ -315,6 +334,11 @@ class WorldState:
     #: The tracking state, then each leader's formation state in leader
     #: order; row b is the target of observer network b.
     targets: np.ndarray
+    #: The plants' A (N+M, n, n) and input-padded B (N+M, n, m_max), and the
+    #: targets' dynamics [tracking A, S_1..S_M], stacked in row order.
+    plant_a: np.ndarray
+    plant_b: np.ndarray
+    target_a: np.ndarray
     knowledge: dict[int, pr.AgentKnowledge]
     #: Every observer network stacked, tracking network first, then one
     #: formation network per leader in leader order; ``bank.networks`` is
@@ -328,6 +352,14 @@ class WorldState:
     oracle_layouts: dict[int, tuple]
     baseline_alpha: dict[int, dict[int, float]] | None
     trace: TraceLog
+    #: ``[x.ravel() | targets.ravel() | estimates]`` with the observers'
+    #: estimates in row order; rebuilt whenever ``x``, ``targets`` or
+    #: ``observers`` is reassigned.
+    world: np.ndarray | None = None
+    #: One control plan per agent, keyed by node, and the follower-by-leader
+    #: weights of the followers' plans; rebuilt whenever ``knowledge`` is.
+    plans: dict[int, ControlPlan] = field(default_factory=dict)
+    weights: np.ndarray | None = None
     propagation_changes: int = 0
     propagation_stable_for: int = 0
 
@@ -366,11 +398,18 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
     cfg.check_fields()
     cfg.require_valid()
     knowledge = pr.init_knowledge(topo, cfg.schedule.initial())
+    dynamics = cfg.follower_dynamics + cfg.leader_dynamics
+    plant_b = np.zeros((len(dynamics), cfg.state_dim, max(dyn.m for dyn in dynamics)))
+    for b, dyn in zip(plant_b, dynamics):
+        b[:, : dyn.m] = dyn.B
 
     state = WorldState(
         tick=0,
         x=np.array([np.ravel(x) for x in cfg.follower_x0 + cfg.leader_x0], dtype=float),
         targets=np.array([cfg.tracking_x0] + [form.h0 for form in cfg.formation], dtype=float),
+        plant_a=np.array([dyn.A for dyn in dynamics], dtype=float),
+        plant_b=plant_b,
+        target_a=np.array([cfg.tracking_a] + [form.S for form in cfg.formation], dtype=float),
         knowledge=knowledge,
         bank=None,
         observers=(),
@@ -381,25 +420,56 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
         trace=TraceLog(config=cfg),
     )
     _sync_observer_networks(state, cfg)
+    _build_plans(state, cfg)
     if cfg.mode in (MODE_DATA, MODE_BASELINE):
         for node in topo.follower_nodes + topo.leader_nodes:
             _reset_learner(state, cfg, node)
     return state
 
 
-def _alpha_of(state: WorldState, cfg: ScenarioConfig, node: int) -> dict[int, float]:
-    """Weights of an agent's formation blocks: a leader follows its own
-    formation at weight 1, a follower its convex coefficients."""
-    if cfg.topology.is_leader(node):
-        return {node: 1.0}
-    if state.baseline_alpha is not None:
-        return state.baseline_alpha[node]
-    return state.knowledge[node].coefficients
+def _gather_world(state: WorldState) -> None:
+    """Restack ``state.world`` from the plants, targets and observers."""
+    state.world = np.concatenate((state.x.ravel(), state.targets.ravel(),
+                                  *(o.x_hat for o in state.observers)))
 
 
-def _layout_of(state: WorldState, cfg: ScenarioConfig, node: int) -> tuple[int, ...]:
-    """Leaders of an agent's formation blocks, in augmented-state order."""
-    return tuple(sorted(_alpha_of(state, cfg, node)))
+def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
+    """Rebuild every agent's control plan and the followers' weight matrix
+    from the current knowledge and observer rows."""
+    topo = cfg.topology
+    n = cfg.state_dim
+    row = state.bank.row
+    target_start = state.x.size
+    estimate_start = target_start + state.targets.size
+    plans = {}
+    for node in topo.follower_nodes + topo.leader_nodes:
+        if topo.is_leader(node):
+            alphas = {node: 1.0}
+        elif state.baseline_alpha is not None:
+            alphas = state.baseline_alpha[node]
+        else:
+            alphas = state.knowledge[node].coefficients
+        layout = tuple(sorted(alphas))
+        starts = [(node - 1) * n]
+        for q in layout:
+            if q == node:
+                starts.append(target_start + (1 + topo.leader_index(q)) * n)
+            elif (node, q) in row:
+                starts.append(estimate_start + row[node, q] * n)
+            else:  # propagation has not brought this leader to the agent yet
+                gather = None
+                break
+        else:
+            starts.append(estimate_start + row[node, 0] * n)
+            gather = (np.array(starts)[:, None] + np.arange(n)).ravel()
+        plans[node] = ControlPlan(alphas=alphas, layout=layout,
+                                  key=(layout, tuple(sorted(alphas.items()))),
+                                  gather=gather)
+    weights = np.zeros((topo.n_followers, topo.n_leaders))
+    for r, i in enumerate(topo.follower_nodes):
+        for q, alpha in plans[i].alphas.items():
+            weights[r, topo.leader_index(q)] = alpha
+    state.plans, state.weights = plans, weights
 
 
 def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
@@ -423,6 +493,7 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
         state.observers[old_row[key]] if key in old_row
         else ob.RlsObserver.create(config, cfg.state_dim)
         for key, config in zip(state.bank.rows, state.bank.configs))
+    _gather_world(state)
 
 
 def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int,
@@ -433,7 +504,7 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int,
     policy- and cost-independent; layout growth changes dimensions and
     forces a flush.
     """
-    layout = _layout_of(state, cfg, node)
+    layout = state.plans[node].layout
     dim, width = (2 + len(layout)) * cfg.state_dim, cfg.dynamics_of(node).m
     agent_cfg = cfg.agent_learner_config(node)
     old = state.learners.get(node)
@@ -456,20 +527,6 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int,
         behavior_full=behavior_full)
 
 
-def _augmented_state(state: WorldState, cfg: ScenarioConfig, node: int,
-                     layout: tuple[int, ...]) -> np.ndarray:
-    """Measured augmented state z: plant, one formation part per layout
-    leader (an agent's own formation state exactly, any other leader's as
-    estimated), tracking estimate."""
-    row, observers = state.bank.row, state.observers
-    parts = [state.x[node - 1]]
-    for q in layout:
-        parts.append(state.targets[1 + cfg.topology.leader_index(q)] if q == node
-                     else observers[row[node, q]].x_hat)
-    parts.append(observers[row[node, 0]].x_hat)
-    return np.concatenate(parts)
-
-
 # ---------------------------------------------------------------------------
 # oracle-mode synthesis
 # ---------------------------------------------------------------------------
@@ -484,17 +541,16 @@ def synthesize_oracle_gains(cfg: ScenarioConfig, node: int,
 
 
 def _oracle_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.ndarray:
-    alphas = _alpha_of(state, cfg, node)
-    layout = _layout_of(state, cfg, node)
-    key = (layout, tuple(sorted(alphas.items())))
-    if state.oracle_layouts.get(node) != key:
-        if not layout:
+    plan = state.plans[node]
+    if state.oracle_layouts.get(node) != plan.key:
+        if not plan.layout:
             return cfg.warmup_gains.get(
                 node, np.zeros((cfg.dynamics_of(node).m, cfg.state_dim))
             ) @ state.x[node - 1]
-        state.oracle_gains[node] = synthesize_oracle_gains(cfg, node, layout, alphas)
-        state.oracle_layouts[node] = key
-    return state.oracle_gains[node].K @ _augmented_state(state, cfg, node, layout)
+        state.oracle_gains[node] = synthesize_oracle_gains(cfg, node, plan.layout,
+                                                           plan.alphas)
+        state.oracle_layouts[node] = plan.key
+    return state.oracle_gains[node].K @ state.world[plan.gather]
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +558,19 @@ def _oracle_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.nda
 # ---------------------------------------------------------------------------
 
 def _learner_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.ndarray:
+    """The agent's input; without the observer rows of its plan it runs its
+    warm-up policy and leaves the transition unrecorded."""
     lr = state.learners[node]
-    layout = _layout_of(state, cfg, node)
-    if layout != lr.layout:
+    plan = state.plans[node]
+    if plan.layout != lr.layout:
         _reset_learner(state, cfg, node)  # layout grew: flush and restart
         lr = state.learners[node]
-    aug = _augmented_state(state, cfg, node, lr.layout)
-    if lr.controller.status == ln.CONVERGED:
+    aug = None if plan.gather is None else state.world[plan.gather]
+    if aug is not None and lr.controller.status == ln.CONVERGED:
         u = lr.controller.K_hat @ aug
     else:
-        if lr.behavior_full is not None and lr.behavior_full.shape[1] == aug.size:
+        if (aug is not None and lr.behavior_full is not None
+                and lr.behavior_full.shape[1] == aug.size):
             u = lr.behavior_full @ aug
         else:
             u = lr.warmup @ state.x[node - 1]
@@ -524,20 +583,22 @@ def _learner_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.nd
 def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
                     completed_tick: int) -> None:
     """Record the completed transition (the next state is committed) and
-    run one iteration if ready."""
+    iterate if ready: at most ``LEARN_ITERATIONS_PER_TICK`` sweeps, and
+    never past the learner's ``max_iterations``."""
     lr = state.learners[node]
     if lr.prev_aug is None or completed_tick < cfg.learn_start_tick:
         return
     if lr.controller.status == ln.CONVERGED:
         return
+    plan = state.plans[node]
     if not lr.buffer.is_full:
-        lr.buffer.record(lr.prev_aug, lr.prev_u,
-                         _augmented_state(state, cfg, node, lr.layout))
+        lr.buffer.record(lr.prev_aug, lr.prev_u, state.world[plan.gather])
     if lr.buffer.is_full:
-        alphas = _alpha_of(state, cfg, node)
-        c = mc.error_selector(cfg.state_dim, [alphas[q] for q in lr.layout])
+        c = mc.error_selector(cfg.state_dim, [plan.alphas[q] for q in lr.layout])
+        sweeps = min(LEARN_ITERATIONS_PER_TICK,
+                     lr.cfg.max_iterations - lr.controller.iterations)
         try:
-            for _ in range(LEARN_ITERATIONS_PER_TICK):
+            for _ in range(sweeps):
                 lr.controller = ln.learning_tick(lr.controller, lr.buffer,
                                                  cfg.q_weights[node], c, lr.cfg,
                                                  allow_deficient=True)
@@ -554,9 +615,9 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
                 lr.buffer.state_dim, lr.buffer.input_dim)
             return
         if (lr.controller.status != ln.CONVERGED
-                and lr.controller.iterations > lr.cfg.max_iterations):
+                and lr.controller.iterations >= lr.cfg.max_iterations):
             raise ConvergenceError(
-                f"learner exceeded {lr.cfg.max_iterations} iterations "
+                f"learner did not converge in {lr.cfg.max_iterations} iterations "
                 f"(last gain delta {lr.controller.last_gain_delta:.3e})")
 
 
@@ -582,15 +643,11 @@ def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
     n, m = topo.n_followers, topo.n_leaders
     targets = state.targets
     x_o, h = targets[0], targets[1:]
-    weights = np.zeros((n, m))
-    for r, i in enumerate(topo.follower_nodes):
-        for q, alpha in _alpha_of(state, cfg, i).items():
-            weights[r, topo.leader_index(q)] = alpha
-    containment = state.x[:n]
-    for k in range(m):
-        containment = containment - weights[:, k, None] * (h[k] + x_o)
+    # subtract.reduce runs along the leaders in order
+    containment = np.subtract.reduce(np.concatenate(
+        (state.x[:n, None], state.weights[:, :, None] * (h + x_o)), axis=1), axis=1)
     bank = state.bank
-    x_hat = np.array([o.x_hat for o in state.observers])
+    x_hat = state.world[state.x.size + targets.size :].reshape(-1, cfg.state_dim)
     obs_errors = np.bincount(bank.agent, _row_norms(x_hat - targets[bank.target]),
                              minlength=1 + n + m)
     row = state.trace.next_row()
@@ -613,6 +670,7 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
         old_coeffs = {i: state.knowledge[i].coefficients
                       for i in topo.follower_nodes}
         state.knowledge = pr.apply_propensity_update(state.knowledge, entry)
+        _build_plans(state, cfg)
         if cfg.mode in (MODE_DATA, MODE_BASELINE):
             for i in topo.follower_nodes:
                 changed = state.knowledge[i].coefficients != old_coeffs[i]
@@ -633,6 +691,7 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
             _sync_observer_networks(state, cfg)
         else:
             state.propagation_stable_for += 1
+        _build_plans(state, cfg)
 
     # 3. trace sampling of the tick-k state
     if tick % cfg.sample_interval == 0:
@@ -641,31 +700,28 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     # 4. observer updates from the tick-k snapshot; a diverging estimate
     # overflows before it is caught (scale downdated to zero or a non-finite
     # prediction), and that is reported as an abort rather than a warning
-    targets_next = np.array([cfg.tracking_a @ state.targets[0]]
-                            + [form.S @ h for form, h in zip(cfg.formation, state.targets[1:])])
+    targets_next = np.matmul(state.target_a, state.targets[:, :, None])[:, :, 0]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             stepped = state.bank.step(state.observers, state.targets, targets_next)
     except PfccError as exc:
         raise SimulationAbort(tick, "observers", exc) from exc
 
-    # 5. controls from the tick-k snapshot
+    # 5. controls from the tick-k snapshot, zero-padded to the widest input
     agents = topo.follower_nodes + topo.leader_nodes
-    controls = []
-    for node in agents:
+    control = _oracle_control if cfg.mode == MODE_ORACLE else _learner_control
+    u = np.zeros((len(agents), state.plant_b.shape[2]))
+    for r, node in enumerate(agents):
         try:
-            if cfg.mode == MODE_ORACLE:
-                controls.append(np.asarray(_oracle_control(state, cfg, node)).ravel())
-            else:
-                controls.append(_learner_control(state, cfg, node))
+            u_node = control(state, cfg, node)
         except PfccError as exc:
             raise SimulationAbort(tick, cfg.agent_name(node), exc) from exc
+        u[r, : u_node.size] = u_node
 
-    # 6. plant advance, row by row in node order; one guard over all plants
-    # (a nan norm fails the comparison too)
-    dynamics = cfg.follower_dynamics + cfg.leader_dynamics
-    x_next = np.array([dyn.A @ x + dyn.B @ u
-                       for dyn, x, u in zip(dynamics, state.x, controls)])
+    # 6. plant advance, all rows at once (the padded inputs add exact zeros);
+    # one guard over all plants (a nan norm fails the comparison too)
+    x_next = (np.matmul(state.plant_a, state.x[:, :, None])
+              + np.matmul(state.plant_b, u[:, :, None]))[:, :, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(x_next, axis=1)
     if not norms.max() <= _STATE_GUARD:
@@ -678,6 +734,7 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     state.targets = targets_next
     state.observers = stepped
     state.tick = tick + 1
+    _gather_world(state)
 
     if cfg.mode in (MODE_DATA, MODE_BASELINE):
         for node in agents:

@@ -64,6 +64,33 @@ def observer_of(state: sim.WorldState, agent: int, target: int):
     return state.observers[state.bank.row[agent, target]]
 
 
+def reference_alphas(state: sim.WorldState, cfg: sim.ScenarioConfig,
+                     node: int) -> dict[int, float]:
+    """Reference: weights of an agent's formation blocks, read from the
+    knowledge: a leader follows its own formation at weight 1, a follower
+    its convex coefficients (or the baseline's Laplacian weights)."""
+    if cfg.topology.is_leader(node):
+        return {node: 1.0}
+    if state.baseline_alpha is not None:
+        return state.baseline_alpha[node]
+    return state.knowledge[node].coefficients
+
+
+def reference_augmented_state(state: sim.WorldState, cfg: sim.ScenarioConfig,
+                              node: int, layout: tuple[int, ...]) -> np.ndarray:
+    """Reference: the measured augmented state z concatenated piece by
+    piece: plant, one formation part per layout leader (an agent's own
+    formation state exactly, any other leader's as estimated), tracking
+    estimate."""
+    row, observers = state.bank.row, state.observers
+    parts = [state.x[node - 1]]
+    for q in layout:
+        parts.append(state.targets[1 + cfg.topology.leader_index(q)] if q == node
+                     else observers[row[node, q]].x_hat)
+    parts.append(observers[row[node, 0]].x_hat)
+    return np.concatenate(parts)
+
+
 def reference_trace_row(state: sim.WorldState, cfg: sim.ScenarioConfig) -> list[float]:
     """Reference: the trace row of the current state from one norm per
     error vector and per observer, in ``TraceLog.header()`` order."""
@@ -74,7 +101,7 @@ def reference_trace_row(state: sim.WorldState, cfg: sim.ScenarioConfig) -> list[
     row += [float(np.linalg.norm(formation_error(state.x[q - 1], h_all[q], x_o)))
             for q in topo.leader_nodes]
     row += [float(np.linalg.norm(containment_error(
-        state.x[i - 1], h_all, x_o, sim._alpha_of(state, cfg, i))))
+        state.x[i - 1], h_all, x_o, reference_alphas(state, cfg, i))))
         for i in topo.follower_nodes]
     for a in topo.leader_nodes + topo.follower_nodes:
         err = float(np.linalg.norm(observer_of(state, a, 0).x_hat - x_o))

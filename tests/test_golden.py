@@ -40,7 +40,9 @@ def test_default_seed_run_matches_golden(name, tmp_path):
 
 #: SHA-256 of the exported trace.csv and metadata.json of short runs:
 #: bundled scenario, overrides, digests.  Pinned from the per-sample trace
-#: records that the column table replaced.
+#: records that the column table replaced; ``hexagon_baseline`` and
+#: ``hexagon_data_driven_switch`` from the per-agent augmented-state
+#: concatenation that the control plans replaced.
 EXPORTS = {
     "hexagon_data_driven": (
         "hexagon", dict(horizon=1700, sample_interval=10),
@@ -50,6 +52,16 @@ EXPORTS = {
         "hexagon", dict(horizon=1200, mode=sim.MODE_ORACLE),
         ("19b4a3c278a921e031d44c2bfa44aa192e6399c027487d353f11472066f8d53c",
          "cb441657ff8d6a0f8ba943278ea5c307c7d442af38f6ec086eb2e40f1c66383d")),
+    # the baseline learner with input widths 1 to 3
+    "hexagon_baseline": (
+        "hexagon", dict(horizon=1700, sample_interval=10, mode=sim.MODE_BASELINE),
+        ("d3931891369fa38b22ba956219b0b64b26edd65f250b7c33d34e8e7e3d790f57",
+         "5410998ea45c70f33323dca7ca9c887a7345d92054394f69c9b30b820d3581d5")),
+    # past the tick-4000 propensity switch, through the relearn
+    "hexagon_data_driven_switch": (
+        "hexagon", dict(horizon=4100, sample_interval=50),
+        ("7e87248bc19ed99fd0b1acf421df739746a47e9525f900c5002bd44d957e2f1b",
+         "e3f90bc83404a434b693a79a86c602e53de0ccbe46f825798d9802641112df3a")),
     "hexagon_static_baseline": (
         "hexagon_static", dict(horizon=1700, sample_interval=1, mode=sim.MODE_BASELINE),
         ("ab28e2196eca5f19ab825916ddcbbe049305158be4cbf2b095afe23278c13adf",

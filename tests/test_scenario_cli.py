@@ -345,6 +345,38 @@ class TestRunCommand:
         meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["completed"] is False
 
+    def test_iteration_limit_is_enforced_during_the_run(self, tmp_path, capsys):
+        # every learner needs more than 20 sweeps on its first window
+        raw = bundled_dict()
+        raw["learner"]["max_iterations"] = 20
+        path = write(tmp_path, raw)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", path, "--horizon", "1500", "--out", out]) \
+            == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "20 iterations" in err
+        meta = json.loads(Path(out, "metadata.json").read_text())
+        assert meta["completed"] is False
+        assert all(lr["iterations"] <= 20 for lr in meta["summary"]["learners"].values())
+        assert cli.main(["compare-gains", path]) == cli.EXIT_CONVERGENCE
+
+    @pytest.mark.parametrize("mode", sim.MODES)
+    def test_leaders_several_hops_away_run_in_every_mode(self, tmp_path, capsys, mode):
+        # the relays put F2..F4 more than one propagation step from the
+        # leaders their baseline weights name
+        raw = bundled_dict("hexagon_static")
+        edges = ("T-L1 T-L2 L1-L3 L2-L4 L1-L5 L2-L6 L1-F1 F1-F2 F2-F3 F3-F4 "
+                 "L2-F4 L3-F1 L4-F2 L5-F3 L6-F4")
+        raw["edges"] = [[*edge.split("-"), 1.0] for edge in edges.split()]
+        path = write(tmp_path, raw)
+        assert cli.main(["validate", path]) == cli.EXIT_OK
+        out = str(tmp_path / "out")
+        assert cli.main(["run", path, "--mode", mode, "--horizon", "20",
+                         "--out", out]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        meta = json.loads(Path(out, "metadata.json").read_text())
+        assert meta["completed"] is True
+
 
 class TestExitCodeMapping:
     def test_distinct_documented_codes(self):

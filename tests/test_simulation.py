@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (SWAP, containment_error, formation_error, observer_of,
-                      reference_trace_row)
+                      reference_alphas, reference_augmented_state, reference_trace_row)
 from pfcc import learning as ln
 from pfcc import model_control as mc
 from pfcc import observers as ob
@@ -210,6 +210,65 @@ class TestTraceTable:
         trace = sim.run(cfg).trace
         for j, name in enumerate(trace.header()):
             np.testing.assert_array_equal(trace.column(name), trace.rows()[:, j])
+
+
+class TestControlPlans:
+    @pytest.mark.parametrize("scenario, mode", [
+        ("hexagon", sim.MODE_DATA),
+        ("hexagon", sim.MODE_ORACLE),
+        ("hexagon_static", sim.MODE_BASELINE),
+    ])
+    def test_gather_equals_concatenation(self, monkeypatch, scenario, mode):
+        # propagation changes in the first ticks, a propensity switch at 60;
+        # a moving tracking state tells the agents' tracking estimates apart
+        cfg = dataclasses.replace(early_switch(sc.load_bundled(scenario), 60),
+                                  mode=mode, horizon=150, sample_interval=1,
+                                  tracking_x0=np.array([1.0, -0.5]))
+
+        def check_gathers(state):
+            for node, plan in state.plans.items():
+                assert plan.alphas == reference_alphas(state, cfg, node)
+                assert plan.layout == tuple(sorted(plan.alphas))
+                assert plan.gather is not None
+                np.testing.assert_array_equal(  # bit for bit
+                    state.world[plan.gather],
+                    reference_augmented_state(state, cfg, node, plan.layout))
+
+        seen = []
+        sample = sim._sample_trace
+
+        def checked(state, cfg, *args):
+            # the tick's knowledge is final here: controls gather from this
+            check_gathers(state)
+            seen.append((state.knowledge, state.plans, state.weights))
+            sample(state, cfg, *args)
+        monkeypatch.setattr(sim, "_sample_trace", checked)
+        state = sim.init_world(cfg)
+        for _ in range(cfg.horizon):
+            sim.step_world(state, cfg)
+            check_gathers(state)  # the next states the learners record
+        assert len(seen) == cfg.horizon
+        rebuilds = 0
+        for (know_a, plans_a, weights_a), (know_b, plans_b, weights_b) in zip(seen, seen[1:]):
+            if know_b is know_a:
+                assert plans_b is plans_a and weights_b is weights_a
+            else:
+                assert plans_b is not plans_a and weights_b is not weights_a
+                rebuilds += 1
+        assert 0 < rebuilds < 20  # propagation to its fixed point, the switch
+
+    def test_plant_advance_equals_per_agent_form(self, hexagon_config):
+        # input widths 1 to 3 share one zero-padded matmul
+        cfg = dataclasses.replace(hexagon_config, mode=sim.MODE_ORACLE)
+        state = sim.init_world(cfg)
+        while state.propagation_stable_for < 10:  # past the fixed point
+            sim.step_world(state, cfg)
+        for _ in range(40):
+            x, world = state.x, state.world
+            sim.step_world(state, cfg)
+            for node, dyn in enumerate(cfg.follower_dynamics + cfg.leader_dynamics, 1):
+                u = state.oracle_gains[node].K @ world[state.plans[node].gather]
+                assert (state.x[node - 1] == dyn.A @ x[node - 1] + dyn.B @ u).all()
 
 
 class TestObserverDivergence:
