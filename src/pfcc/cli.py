@@ -84,6 +84,9 @@ def cmd_run(args) -> int:
     except PfccError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_GENERIC
     print(f"wrote {trace_path} and {meta_path}")
     if not result.completed:
         print(f"run aborted: {result.error}", file=sys.stderr)

@@ -151,9 +151,6 @@ class DataBuffer:
     def theta(self) -> np.ndarray:
         return self._theta[: self._rows]
 
-    def psi(self) -> np.ndarray:
-        return self._theta[: self._rows, : psi_columns(self.state_dim)]
-
     def psi_next(self) -> np.ndarray:
         return self._psi_next[: self._rows]
 

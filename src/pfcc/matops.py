@@ -72,16 +72,9 @@ def unvecm(v: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization: vec(M) = [M[:,0]; M[:,1]; ...]."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("vec requires a matrix")
-    return m.flatten(order="F")
-
-
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of ``vec`` for a ``rows x cols`` matrix."""
+    """The ``rows x cols`` matrix M whose column stacking
+    [M[:,0]; M[:,1]; ...] is ``v``."""
     v = np.asarray(v, dtype=float).ravel()
     if v.size != rows * cols:
         raise ValueError(f"unvec: expected length {rows * cols}, got {v.size}")

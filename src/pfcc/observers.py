@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, PfccError
-from .matops import is_positive_definite, spectral_radius
+from .matops import is_positive_definite
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,10 @@ class ObserverConfig:
     init_scale: float = 100.0
 
     def __post_init__(self):
-        if self.xi < 1.0:
+        # written so that a NaN fails them
+        if not self.xi >= 1.0:
             raise ValueError("xi must be >= 1")
-        if self.coupling <= 0 or self.consensus_gain <= 0 or self.init_scale <= 0:
+        if not (self.coupling > 0 and self.consensus_gain > 0 and self.init_scale > 0):
             raise ValueError("coupling, consensus gain and init scale must be positive")
         object.__setattr__(self, "gain_matrix",
                            np.atleast_2d(np.asarray(self.gain_matrix, dtype=float)))
@@ -142,51 +143,24 @@ def observer_step_tracking_leader(obs: RlsObserver, eta: np.ndarray,
 
 
 @dataclass(frozen=True)
-class ObserverNetwork:
-    """One observer network (all estimators of one target) as a graph block.
-
-    ``members`` are the agent nodes running an observer of the target, in
-    row order.  ``graph`` is the gated V x V matrix diag(deg + pin) - W over
-    the members, where W[k, j] is the weight of the edge member j -> member
-    k; edges from agents outside the network carry no estimate of the target
-    and are left out.  ``pin`` holds the direct edge weights from the target
-    itself, so the consensus errors of all members are G X - pin (x) target.
-    """
-
-    members: tuple[int, ...]
-    graph: np.ndarray
-    pin: np.ndarray
-
-    @classmethod
-    def from_adjacency(cls, adjacency: np.ndarray, members: Sequence[int],
-                       target: int) -> "ObserverNetwork":
-        """Gate a receiver-row adjacency (``adjacency[i, j]`` is the weight
-        of j -> i, zero diagonal) to ``members``, pinned to node ``target``."""
-        idx = list(members)
-        adjacency = np.asarray(adjacency, dtype=float)
-        w = adjacency[idx][:, idx]
-        pin = adjacency[idx, target]
-        return cls(members=tuple(idx), graph=np.diag(w.sum(axis=1) + pin) - w,
-                   pin=pin)
-
-
-@dataclass(frozen=True)
 class ObserverBank:
     """Every observer network of a world stacked into one system.
 
-    ``networks`` maps each observed node to its network; network b (in that
-    order) observes the target in slot b of the stacked targets handed to
-    ``step``.  Row r is the observer of agent ``rows[r][0]`` in the network
-    of node ``rows[r][1]``; rows run network by network, each in member
-    order, and ``row`` maps each ``(agent, observed node)`` back to its row.
-    ``graph`` is block diagonal with one network's graph block per diagonal
-    block, ``pin`` the stacked pin vectors, ``target`` each row's target
+    Network b observes the target in slot b of the stacked targets handed
+    to ``step``.  Row r is the observer of agent ``rows[r][0]`` in the
+    network of node ``rows[r][1]``; rows run network by network, each in
+    member order, and ``row`` maps each ``(agent, observed node)`` back to
+    its row.  ``graph`` is block diagonal with one gated block
+    diag(deg + pin) - W per network, where W[k, j] is the weight of the edge
+    member j -> member k: edges from agents outside the network carry no
+    estimate of its target and are left out.  ``pin`` holds each row's
+    direct edge weight from the observed node, so the consensus errors of
+    all rows are G X - pin (x) targets.  ``target`` is each row's target
     slot, ``agent`` each row's agent node, ``configs`` each row's observer
     config, and ``mu`` (R, 1) and ``gain`` (R, n, n) each row's consensus
     gain and gain matrix.
     """
 
-    networks: dict[int, ObserverNetwork]
     rows: tuple[tuple[int, int], ...]
     row: dict[tuple[int, int], int]
     configs: tuple[ObserverConfig, ...]
@@ -198,30 +172,32 @@ class ObserverBank:
     gain: np.ndarray
 
     @classmethod
-    def stack(cls, blocks: Sequence[tuple[int, ObserverNetwork, Sequence[ObserverConfig]]]
+    def stack(cls, adjacency: np.ndarray,
+              blocks: Sequence[tuple[int, Sequence[int], Sequence[ObserverConfig]]]
               ) -> "ObserverBank":
-        """Stack networks given as (observed node, network, one config per
-        member in member order); block b observes target slot b."""
-        size = sum(len(net.members) for _, net, _ in blocks)
-        graph = np.zeros((size, size))
-        pin = np.zeros(size)
-        target = np.zeros(size, dtype=int)
-        rows: list[tuple[int, int]] = []
-        configs: list[ObserverConfig] = []
-        start = 0
-        for slot, (node, net, member_configs) in enumerate(blocks):
-            end = start + len(net.members)
-            graph[start:end, start:end] = net.graph
-            pin[start:end] = net.pin
-            target[start:end] = slot
-            rows += [(a, node) for a in net.members]
-            configs += member_configs
-            start = end
-        if len(configs) != size:
+        """Stack networks given as (observed node, members, one config per
+        member in member order) over a receiver-row adjacency
+        (``adjacency[i, j]`` is the weight of j -> i, zero diagonal); block b
+        observes target slot b."""
+        adjacency = np.asarray(adjacency, dtype=float)
+        rows = [(a, node) for node, members, _ in blocks for a in members]
+        configs = [c for _, _, member_configs in blocks for c in member_configs]
+        if len(configs) != len(rows):
             raise ValueError("one observer config per network member is required")
-        return cls(networks={node: net for node, net, _ in blocks}, rows=tuple(rows),
-                   row={key: r for r, key in enumerate(rows)}, configs=tuple(configs),
-                   graph=graph, pin=pin, target=target,
+        graph = np.zeros((len(rows), len(rows)))
+        pin = np.zeros(len(rows))
+        target = np.zeros(len(rows), dtype=int)
+        start = 0
+        for slot, (node, members, _) in enumerate(blocks):
+            idx = list(members)
+            end = start + len(idx)
+            w = adjacency[idx][:, idx]
+            pin[start:end] = adjacency[idx, node]
+            graph[start:end, start:end] = np.diag(w.sum(axis=1) + pin[start:end]) - w
+            target[start:end] = slot
+            start = end
+        return cls(rows=tuple(rows), row={key: r for r, key in enumerate(rows)},
+                   configs=tuple(configs), graph=graph, pin=pin, target=target,
                    agent=np.array([a for a, _ in rows], dtype=int),
                    mu=np.array([[c.consensus_gain] for c in configs]),
                    gain=np.array([c.gain_matrix for c in configs]))
@@ -231,17 +207,17 @@ class ObserverBank:
         stacked targets (one per network)."""
         return self.graph @ values - self.pin[:, None] * targets[self.target]
 
-    def step(self, observers: Sequence[RlsObserver], targets_now: np.ndarray,
-             targets_next: np.ndarray) -> tuple[RlsObserver, ...]:
-        """Advance the observers (one per row, in row order) by one tick
-        against the stacked targets' current and next values.
+    def step(self, observers: Sequence[RlsObserver], x_hat: np.ndarray,
+             targets_now: np.ndarray, targets_next: np.ndarray) -> tuple[RlsObserver, ...]:
+        """Advance the observers (one per row, in row order, with their
+        estimates stacked in ``x_hat`` (R, n)) by one tick against the
+        stacked targets' current and next values.
 
         Raises ConvergenceError when a prediction or next-tick error is not
         finite.
         """
-        x = np.array([o.x_hat for o in observers])
-        eta = self.consensus_errors(x, targets_now)
-        pred = predict_state(np.array([o.A_hat for o in observers]), x,
+        eta = self.consensus_errors(x_hat, targets_now)
+        pred = predict_state(np.array([o.A_hat for o in observers]), x_hat,
                              self.mu, self.gain, eta)
         eta_next = self.consensus_errors(pred, targets_next)
         # any inf or nan entry makes the sums non-finite
@@ -249,52 +225,3 @@ class ObserverBank:
             raise ConvergenceError("observer state diverged")
         return tuple(observer_step_tracking_leader(o, e, e_next, x_next=p)
                      for o, e, e_next, p in zip(observers, eta, eta_next, pred))
-
-
-def consensus_matrix(a_target: np.ndarray, mu: float, gain_matrix: np.ndarray,
-                     graph: np.ndarray) -> np.ndarray:
-    """Consensus matrix I (x) A - mu (G (x) F) of one observer network."""
-    graph = np.atleast_2d(np.asarray(graph, dtype=float))
-    return (np.kron(np.eye(graph.shape[0]), a_target)
-            - mu * np.kron(graph, np.atleast_2d(gain_matrix)))
-
-
-@dataclass(frozen=True)
-class GainBound:
-    """Diagnostic upper bound on the model-update coupling gain."""
-
-    value: float
-    unconstrained: bool = False
-    well_posed: bool = True
-
-
-def coupling_gain_bound(zeta: np.ndarray, l_bar: np.ndarray,
-                        graph_block: np.ndarray, s_consensus: np.ndarray,
-                        xi: float) -> GainBound:
-    """Evaluate the analytical upper bound on the coupling gain.
-
-    Uses the current regressor block to form the excitation ratio, and the
-    weighting W built from the parameter matrices and the graph block.  A
-    zero regressor leaves the gain unconstrained; an indefinite W - S^T W S
-    is reported via the well_posed flag with a zero bound.
-    """
-    s_consensus = np.atleast_2d(np.asarray(s_consensus, dtype=float))
-    if spectral_radius(s_consensus) >= 1.0:
-        raise PfccError("consensus matrix must be Schur for the gain bound to apply")
-    zeta = np.atleast_2d(np.asarray(zeta, dtype=float))
-    sig = float(np.linalg.norm(zeta, 2)) if zeta.size else 0.0
-    if sig == 0.0:
-        return GainBound(value=float("inf"), unconstrained=True)
-    gamma = sig**2 / (xi + sig**2)
-
-    graph_block = np.atleast_2d(np.asarray(graph_block, dtype=float))
-    n = s_consensus.shape[0] // graph_block.shape[0]
-    g_kron = np.kron(graph_block, np.eye(n))
-    w = 0.5 * (l_bar @ g_kron + g_kron.T @ l_bar)
-    diff = 0.5 * ((w - s_consensus.T @ w @ s_consensus)
-                  + (w - s_consensus.T @ w @ s_consensus).T)
-    lam_min = float(np.min(np.linalg.eigvalsh(diff)))
-    if lam_min <= 0:
-        return GainBound(value=0.0, well_posed=False)
-    sig_g = float(np.linalg.norm(graph_block, 2))
-    return GainBound(value=lam_min / (sig_g**2 * gamma))

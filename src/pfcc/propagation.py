@@ -81,6 +81,15 @@ def _merge_propensities(target: dict[int, float], source: dict[int, float]) -> N
         target[q] = value
 
 
+def _in_neighbours(topo: DirectedTopology) -> dict[int, list[int]]:
+    """Each agent's in-neighbour agents in node order, read from the
+    receiver rows of the full adjacency.  The tracking leader carries no
+    leader knowledge and is left out."""
+    a = topo.full_adjacency()
+    agents = range(1, topo.n_nodes)
+    return {i: [j for j in agents if a[i, j] > 0] for i in agents}
+
+
 def init_knowledge(topo: DirectedTopology,
                    propensities: dict[int, float]) -> dict[int, AgentKnowledge]:
     """Tick-0 knowledge: direct in-neighbour leaders only.
@@ -92,22 +101,11 @@ def init_knowledge(topo: DirectedTopology,
         raise ValueError(f"missing propensity factors for leaders {missing}")
 
     knowledge: dict[int, AgentKnowledge] = {}
-    for i in topo.follower_nodes:
-        fi = topo.follower_index(i)
-        direct = frozenset(
-            q for q in topo.leader_nodes
-            if topo.leader_to_follower[fi, topo.leader_index(q)] > 0
-        )
+    for i, neighbours in _in_neighbours(topo).items():
+        direct = frozenset(j for j in neighbours if topo.is_leader(j))
         knowledge[i] = _with_coefficients(
-            i, "follower", direct, {q: propensities[q] for q in direct})
-    for q in topo.leader_nodes:
-        qi = topo.leader_index(q)
-        direct = frozenset(
-            j for j in topo.leader_nodes
-            if topo.leader_adjacency[qi, topo.leader_index(j)] > 0
-        )
-        knowledge[q] = _with_coefficients(
-            q, "leader", direct, {j: propensities[j] for j in direct})
+            i, "follower" if topo.is_follower(i) else "leader", direct,
+            {q: propensities[q] for q in direct})
     return knowledge
 
 
@@ -115,30 +113,19 @@ def step_propagation(knowledge: dict[int, AgentKnowledge],
                      topo: DirectedTopology) -> dict[int, AgentKnowledge]:
     """One synchronous propagation step.
 
-    All agents read the tick-k snapshot and emit tick-k+1 knowledge:
-    followers merge neighbour-follower sets and in-neighbour-leader sets,
-    leaders merge in-neighbour-leader sets.  Dictionaries merge identically;
-    a value conflict for the same leader raises, since factors are globally
-    consistent by assumption.
+    All agents read the tick-k snapshot and emit tick-k+1 knowledge: each
+    merges the sets of its in-neighbours in node order (a follower's
+    neighbour followers, then its in-neighbour leaders; a leader's
+    in-neighbour leaders).  Dictionaries merge identically; a value conflict
+    for the same leader raises, since factors are globally consistent by
+    assumption.
     """
     out: dict[int, AgentKnowledge] = {}
-    for i in topo.follower_nodes:
-        fi = topo.follower_index(i)
+    for i, neighbours in _in_neighbours(topo).items():
         merged = dict(knowledge[i].propensities)
-        for j in topo.follower_nodes:
-            if j != i and topo.follower_adjacency[fi, topo.follower_index(j)] > 0:
-                _merge_propensities(merged, knowledge[j].propensities)
-        for q in topo.leader_nodes:
-            if topo.leader_to_follower[fi, topo.leader_index(q)] > 0:
-                _merge_propensities(merged, knowledge[q].propensities)
-        out[i] = _with_coefficients(i, "follower", frozenset(merged), merged)
-    for q in topo.leader_nodes:
-        qi = topo.leader_index(q)
-        merged = dict(knowledge[q].propensities)
-        for j in topo.leader_nodes:
-            if j != q and topo.leader_adjacency[qi, topo.leader_index(j)] > 0:
-                _merge_propensities(merged, knowledge[j].propensities)
-        out[q] = _with_coefficients(q, "leader", frozenset(merged), merged)
+        for j in neighbours:
+            _merge_propensities(merged, knowledge[j].propensities)
+        out[i] = _with_coefficients(i, knowledge[i].role, frozenset(merged), merged)
     return out
 
 
@@ -187,19 +174,16 @@ def itfl_sets(knowledge: dict[int, AgentKnowledge],
     alone.
     """
     reach_full = {q: topo.reachable_from(q) for q in topo.leader_nodes}
+    neighbours = _in_neighbours(topo)
 
     # Follower-only reachability: paths whose intermediate nodes are followers.
     def leader_free_followers(q: int) -> set[int]:
-        qi = topo.leader_index(q)
-        seeds = [i for i in topo.follower_nodes
-                 if topo.leader_to_follower[topo.follower_index(i), qi] > 0]
-        seen = set(seeds)
-        stack = list(seeds)
+        seen = {i for i in topo.follower_nodes if q in neighbours[i]}
+        stack = list(seen)
         while stack:
             j = stack.pop()
             for i in topo.follower_nodes:
-                if i not in seen and topo.follower_adjacency[
-                        topo.follower_index(i), topo.follower_index(j)] > 0:
+                if i not in seen and j in neighbours[i]:
                     seen.add(i)
                     stack.append(i)
         return seen

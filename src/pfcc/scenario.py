@@ -384,28 +384,16 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
     def mat(a) -> list:
         return [[float(v) for v in row] for row in np.atleast_2d(a)]
 
-    def vec(a) -> list:
+    def vector(a) -> list:
         return [float(v) for v in np.asarray(a).ravel()]
 
-    edges = []
-    for q in topo.leader_nodes:
-        w = topo.tracking_to_leader[topo.leader_index(q)]
-        if w > 0:
-            edges.append([TRACKING_NAME, cfg.agent_name(q), float(w)])
-    for i in topo.follower_nodes:
-        for j in topo.follower_nodes:
-            w = topo.follower_adjacency[topo.follower_index(i), topo.follower_index(j)]
-            if w > 0:
-                edges.append([cfg.agent_name(j), cfg.agent_name(i), float(w)])
-        for q in topo.leader_nodes:
-            w = topo.leader_to_follower[topo.follower_index(i), topo.leader_index(q)]
-            if w > 0:
-                edges.append([cfg.agent_name(q), cfg.agent_name(i), float(w)])
-    for q in topo.leader_nodes:
-        for j in topo.leader_nodes:
-            w = topo.leader_adjacency[topo.leader_index(q), topo.leader_index(j)]
-            if w > 0:
-                edges.append([cfg.agent_name(j), cfg.agent_name(q), float(w)])
+    # tracking edges first, then each receiver's in-edges in node order
+    a = topo.full_adjacency()
+    agents = range(1, topo.n_nodes)
+    edges = [[TRACKING_NAME, cfg.agent_name(i), float(a[i, 0])]
+             for i in agents if a[i, 0] > 0]
+    edges += [[cfg.agent_name(j), cfg.agent_name(i), float(a[i, j])]
+              for i in agents for j in agents if a[i, j] > 0]
 
     def obs_entry(o: ob.ObserverConfig) -> dict:
         return {"coupling": o.coupling, "consensus_gain": o.consensus_gain,
@@ -415,7 +403,7 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
     for k, dyn in enumerate(cfg.follower_dynamics):
         node = 1 + k
         entry = {"name": cfg.follower_names[k], "A": mat(dyn.A), "B": mat(dyn.B),
-                 "x0": vec(cfg.follower_x0[k]),
+                 "x0": vector(cfg.follower_x0[k]),
                  "q_weight": mat(cfg.q_weights[node])}
         if node in cfg.warmup_gains:
             entry["warmup_gain"] = mat(cfg.warmup_gains[node])
@@ -424,8 +412,8 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
     for k, dyn in enumerate(cfg.leader_dynamics):
         node = 1 + n + k
         entry = {"name": cfg.leader_names[k], "A": mat(dyn.A), "B": mat(dyn.B),
-                 "S": mat(cfg.formation[k].S), "h0": vec(cfg.formation[k].h0),
-                 "x0": vec(cfg.leader_x0[k]),
+                 "S": mat(cfg.formation[k].S), "h0": vector(cfg.formation[k].h0),
+                 "x0": vector(cfg.leader_x0[k]),
                  "q_weight": mat(cfg.q_weights[node])}
         if node in cfg.warmup_gains:
             entry["warmup_gain"] = mat(cfg.warmup_gains[node])
@@ -439,7 +427,7 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
         "sample_interval": cfg.sample_interval,
         "learn_start_tick": cfg.learn_start_tick,
         "record_states": cfg.record_states,
-        "tracking": {"A": mat(cfg.tracking_a), "x0": vec(cfg.tracking_x0)},
+        "tracking": {"A": mat(cfg.tracking_a), "x0": vector(cfg.tracking_x0)},
         "followers": followers,
         "leaders": leaders,
         "edges": edges,
@@ -463,10 +451,6 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
             "max_iterations": cfg.learner.max_iterations,
         },
     }
-
-
-def serialize_scenario(cfg: sim.ScenarioConfig) -> str:
-    return json.dumps(scenario_to_dict(cfg), indent=2)
 
 
 def config_digest(cfg: sim.ScenarioConfig) -> str:

@@ -55,7 +55,7 @@ class PropensitySchedule:
         if any(b <= a for a, b in zip(ticks, ticks[1:])):
             raise ValueError("schedule ticks must be strictly increasing")
         for _, factors in self.entries:
-            if any(v <= 0 for v in factors.values()):
+            if not all(v > 0 for v in factors.values()):  # a NaN fails too
                 raise ValueError("propensity factors must be positive")
 
     def initial(self) -> dict[int, float]:
@@ -277,9 +277,6 @@ class TraceLog:
         """The filled rows (a view)."""
         return self.table[: self.size]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows()[:, self.header().index(name)]
-
 
 @dataclass
 class AgentLearner:
@@ -340,9 +337,9 @@ class WorldState:
     plant_b: np.ndarray
     target_a: np.ndarray
     knowledge: dict[int, pr.AgentKnowledge]
-    #: Every observer network stacked, tracking network first, then one
-    #: formation network per leader in leader order; ``bank.networks`` is
-    #: keyed by the observed node (0 = tracking).  Rebuilt only when
+    #: Every observer network stacked, tracking network first (observed
+    #: node 0), then one formation network per leader in leader order, all
+    #: gated from the topology's full adjacency.  Rebuilt only when
     #: propagation changes an influential set.
     bank: ob.ObserverBank | None
     #: One observer per ``bank.rows`` entry, in row order.
@@ -478,17 +475,14 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
     one; influential sets only grow, so no row is dropped."""
     topo = cfg.topology
     agents = topo.leader_nodes + topo.follower_nodes
-    adjacency = topo.full_adjacency()
-    blocks = [(0, ob.ObserverNetwork.from_adjacency(adjacency, agents, 0),
-               [cfg.leader_tracking_observer if topo.is_leader(a)
-                else cfg.follower_tracking_observer for a in agents])]
+    blocks = [(0, agents, [cfg.leader_tracking_observer if topo.is_leader(a)
+                           else cfg.follower_tracking_observer for a in agents])]
     for q in topo.leader_nodes:
         members = sorted(a for a in agents
                          if a != q and q in state.knowledge[a].influential)
-        blocks.append((q, ob.ObserverNetwork.from_adjacency(adjacency, members, q),
-                       [cfg.formation_observers[q]] * len(members)))
+        blocks.append((q, members, [cfg.formation_observers[q]] * len(members)))
     old_row = state.bank.row if state.bank is not None else {}
-    state.bank = ob.ObserverBank.stack(blocks)
+    state.bank = ob.ObserverBank.stack(topo.full_adjacency(), blocks)
     state.observers = tuple(
         state.observers[old_row[key]] if key in old_row
         else ob.RlsObserver.create(config, cfg.state_dim)
@@ -703,7 +697,10 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     targets_next = np.matmul(state.target_a, state.targets[:, :, None])[:, :, 0]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            stepped = state.bank.step(state.observers, state.targets, targets_next)
+            stepped = state.bank.step(
+                state.observers,
+                state.world[state.x.size + state.targets.size :].reshape(-1, cfg.state_dim),
+                state.targets, targets_next)
     except PfccError as exc:
         raise SimulationAbort(tick, "observers", exc) from exc
 
@@ -782,24 +779,3 @@ def run(cfg: ScenarioConfig) -> RunResult:
     return RunResult(trace=state.trace, state=state,
                      summary=summarize(state, cfg), error=error)
 
-
-def observer_gain_bound_diagnostic(state: WorldState, cfg: ScenarioConfig,
-                                   q: int) -> ob.GainBound:
-    """Evaluate the coupling-gain bound on leader q's formation network at
-    the current tick (diagnostic only)."""
-    net = state.bank.networks[q]
-    if not net.members:
-        raise PfccError(f"no agents observe leader {cfg.agent_name(q)}")
-    n = cfg.state_dim
-    v = len(net.members)
-    o_cfg = cfg.formation_observers[q]
-    s_consensus = ob.consensus_matrix(cfg.formation[cfg.topology.leader_index(q)].S,
-                                      o_cfg.consensus_gain, o_cfg.gain_matrix, net.graph)
-    zeta = np.zeros((v * n * n, v * n))
-    l_bar = np.zeros((v * n, v * n))
-    for k, m in enumerate(net.members):
-        obs = state.observers[state.bank.row[m, q]]
-        zeta[k * n * n : (k + 1) * n * n, k * n : (k + 1) * n] = ob.regressor(obs.x_hat)
-        l_bar[k * n : (k + 1) * n, k * n : (k + 1) * n] = (
-            np.eye(n) / (1.0 / obs.c + o_cfg.xi))
-    return ob.coupling_gain_bound(zeta, l_bar, net.graph, s_consensus, o_cfg.xi)

@@ -48,8 +48,8 @@ class DirectedTopology:
             raise ValueError(f"tracking_to_leader must be ({m},), got {tl.shape}")
         for name, arr in (("follower_adjacency", ff), ("leader_adjacency", ll),
                           ("leader_to_follower", lf), ("tracking_to_leader", tl)):
-            if np.any(arr < 0):
-                raise ValueError(f"{name} contains negative weights")
+            if not np.all(arr >= 0):  # a NaN fails too
+                raise ValueError(f"{name} contains negative or NaN weights")
         if np.any(np.diag(ff) != 0) or np.any(np.diag(ll) != 0):
             raise ValueError("self-loops are not allowed")
         object.__setattr__(self, "follower_adjacency", ff)

@@ -50,7 +50,7 @@ class TestDataBuffer:
     def test_scalar_row_values(self):
         buf = ln.DataBuffer(1, 1, 3).record([2.0], [3.0], [5.0])
         np.testing.assert_allclose(buf.theta(), [[4.0, 12.0, 9.0]])
-        np.testing.assert_allclose(buf.psi(), [[4.0]])
+        np.testing.assert_allclose(buf.theta()[:, : ln.psi_columns(1)], [[4.0]])
         np.testing.assert_allclose(buf.psi_next(), [[25.0]])
 
     def test_zero_sample_gives_zero_rows(self):
@@ -65,7 +65,7 @@ class TestDataBuffer:
         buf.record(x, rng.normal(size=1), rng.normal(size=3))
         p = rng.normal(size=(3, 3))
         p = 0.5 * (p + p.T)
-        assert buf.psi()[0] @ mo.vecm(p) == pytest.approx(x @ p @ x)
+        assert buf.theta()[0, : ln.psi_columns(3)] @ mo.vecm(p) == pytest.approx(x @ p @ x)
 
     def test_stacked_record_matches_row_by_row_kron_form(self):
         rng = np.random.default_rng(6)
@@ -83,7 +83,8 @@ class TestDataBuffer:
         for buf in (by_row, stacked):
             assert buf.is_full
             np.testing.assert_array_equal(buf.theta(), theta)
-            np.testing.assert_array_equal(buf.psi(), theta[:, : ln.psi_columns(n)])
+            np.testing.assert_array_equal(buf.theta()[:, : ln.psi_columns(n)],
+                                          theta[:, : ln.psi_columns(n)])
             np.testing.assert_array_equal(buf.psi_next(), psi_next)
 
     def test_recording_past_capacity_rejected(self):
@@ -94,10 +95,10 @@ class TestDataBuffer:
             buf.record([3.0], [0.0], [3.0])
         with pytest.raises(ValueError, match="flush"):
             ln.DataBuffer(1, 1, 2).record(np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)))
-        np.testing.assert_array_equal(buf.psi()[:, 0], [1.0, 4.0])
+        np.testing.assert_array_equal(buf.theta()[:, 0], [1.0, 4.0])
         buf.flush()
         buf.record([3.0], [0.0], [3.0])
-        np.testing.assert_array_equal(buf.psi()[:, 0], [9.0])
+        np.testing.assert_array_equal(buf.theta()[:, 0], [9.0])
 
     def test_dimension_checks(self):
         buf = ln.DataBuffer(2, 1, 3)

@@ -6,8 +6,6 @@ from pfcc import observers as ob
 from pfcc import scenario as sc
 from pfcc import simulation as sim
 from pfcc.errors import ConvergenceError, PfccError
-from pfcc.matops import spectral_radius
-from pfcc.topology import build_laplacian
 
 FA = np.array([[0.1, 0.5], [0.5, 0.1]])
 BUNDLED_CFG = ob.ObserverConfig(xi=4.0, coupling=8.0, consensus_gain=0.7,
@@ -19,6 +17,14 @@ def predict(obs, eta):
     cfg = obs.config
     return ob.predict_state(obs.A_hat, obs.x_hat, cfg.consensus_gain, cfg.gain_matrix,
                             np.asarray(eta, dtype=float))
+
+
+class TestObserverConfig:
+    @pytest.mark.parametrize("name", ["xi", "coupling", "consensus_gain", "init_scale"])
+    def test_nan_gain_rejected(self, name):
+        gains = dict(xi=4.0, coupling=8.0, consensus_gain=0.7, init_scale=0.05)
+        with pytest.raises(ValueError, match="xi must|must be positive"):
+            ob.ObserverConfig(gain_matrix=FA, **dict(gains, **{name: float("nan")}))
 
 
 class TestRlsUpdate:
@@ -249,9 +255,8 @@ def reference_etas(cfg, state, target, values, pin_value):
 
 def single_network_bank(adjacency, members, target):
     """A bank of one network whose observers all use BUNDLED_CFG."""
-    net = ob.ObserverNetwork.from_adjacency(np.asarray(adjacency, dtype=float),
-                                            members, target)
-    return ob.ObserverBank.stack([(target, net, [BUNDLED_CFG] * len(members))])
+    return ob.ObserverBank.stack(np.asarray(adjacency, dtype=float),
+                                 [(target, members, [BUNDLED_CFG] * len(members))])
 
 
 def bank_targets(cfg, state):
@@ -265,16 +270,17 @@ def bank_targets(cfg, state):
 def step_networks_separately(bank, observers, targets_now, targets_next):
     """Reference for a bank step: each network on its own graph block, with
     per-observer predictions and kernel steps."""
-    out, start = [], 0
-    for slot, net in enumerate(bank.networks.values()):
-        obs = observers[start : start + len(net.members)]
-        start += len(net.members)
+    out = []
+    for slot in range(len(targets_now)):
+        rows = np.flatnonzero(bank.target == slot)
+        obs = [observers[r] for r in rows]
         if not obs:
             continue
+        graph, pin = bank.graph[np.ix_(rows, rows)], bank.pin[rows]
         x = np.array([o.x_hat for o in obs])
-        etas = net.graph @ x - net.pin[:, None] * targets_now[slot]
+        etas = graph @ x - pin[:, None] * targets_now[slot]
         preds = np.array([predict(o, e) for o, e in zip(obs, etas)])
-        etas_next = net.graph @ preds - net.pin[:, None] * targets_next[slot]
+        etas_next = graph @ preds - pin[:, None] * targets_next[slot]
         out += [ob.observer_step_tracking_leader(o, e, e_next)
                 for o, e, e_next in zip(obs, etas, etas_next)]
     return out
@@ -286,29 +292,29 @@ class TestObserverNetwork:
         cfg = sc.load_bundled(scenario)
         state = sim.init_world(cfg)
         rng = np.random.default_rng(11)
+        observed = [0] + cfg.topology.leader_nodes
         checked = 0
         for tick in range(121):
             if tick in (0, 1, 2, 3, 5, 40, 120):
                 bank = state.bank
                 estimates = np.array([o.x_hat for o in state.observers])
                 randoms = rng.normal(size=estimates.shape)
-                targets = rng.normal(size=(len(bank.networks), cfg.state_dim))
+                targets = rng.normal(size=(len(observed), cfg.state_dim))
                 for values in (estimates, randoms):
                     eta = bank.consensus_errors(values, targets)
-                    start = 0
-                    for slot, (target, net) in enumerate(bank.networks.items()):
-                        rows = range(start, start + len(net.members))
-                        start = rows.stop
+                    for slot, target in enumerate(observed):
+                        rows = np.flatnonzero(bank.target == slot)
+                        members = [bank.rows[r][0] for r in rows]
                         ref = reference_etas(cfg, state, target,
-                                             dict(zip(net.members, values[rows])),
+                                             dict(zip(members, values[rows])),
                                              targets[slot])
-                        assert set(net.members) == set(ref)
-                        if not net.members:
+                        assert set(members) == set(ref)
+                        if not members:
                             continue
                         scale = (max(np.abs(values[rows]).max(),
                                      np.abs(targets[slot]).max())
-                                 * np.abs(net.graph).sum(axis=1).max())
-                        for k, a in zip(rows, net.members):
+                                 * np.abs(bank.graph[rows]).sum(axis=1).max())
+                        for k, a in zip(rows, members):
                             np.testing.assert_allclose(eta[k], ref[a], rtol=1e-12,
                                                        atol=1e-12 * scale)
                             checked += 1
@@ -333,13 +339,13 @@ class TestObserverNetwork:
         for bank in seen:
             # tracking network first, then each leader's network in leader
             # order; rows are the union of the members in that order
-            assert list(bank.networks) == [0] + topo.leader_nodes
-            assert bank.networks[0].members == tuple(agents)
-            assert bank.rows == tuple((a, q) for q, net in bank.networks.items()
-                                      for a in net.members)
+            observed = [0] + topo.leader_nodes
+            assert [q for _, q in bank.rows] == [observed[s] for s in bank.target]
+            assert np.all(np.diff(bank.target) >= 0)
+            assert [a for a, q in bank.rows if q == 0] == agents
         for q in topo.leader_nodes:
-            assert state.bank.networks[q].members == tuple(sorted(
-                a for a in agents if a != q and q in state.knowledge[a].influential))
+            assert [a for a, node in state.bank.rows if node == q] == sorted(
+                a for a in agents if a != q and q in state.knowledge[a].influential)
 
     def test_rows_keep_their_observers_across_rebuilds(self, monkeypatch, hexagon_config):
         # every propagation change rebuilds the bank: a row that existed keeps
@@ -377,7 +383,7 @@ class TestObserverNetwork:
         obs = ob.RlsObserver.create(BUNDLED_CFG, 2, x0=[np.inf, 0.0])
         with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError,
                                                           match="diverged"):
-            bank.step([obs], np.zeros((1, 2)), np.zeros((1, 2)))
+            bank.step([obs], obs.x_hat[None], np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_step_matches_per_observer_updates(self):
         # the bank equals each network stepped on its own, bit for bit: from
@@ -393,7 +399,8 @@ class TestObserverNetwork:
                 if tick in ticks:
                     observers = state.observers
                     targets_now, targets_next = bank_targets(cfg, state)
-                    got = state.bank.step(observers, targets_now, targets_next)
+                    got = state.bank.step(observers, np.array([o.x_hat for o in observers]),
+                                          targets_now, targets_next)
                     ref = step_networks_separately(state.bank, observers,
                                                    targets_now, targets_next)
                     assert len(got) == len(ref) == len(state.bank.rows)
@@ -418,7 +425,7 @@ class TestFormationObserverGating:
         h = np.array([2.0, 0.0])
         for _ in range(50):
             h_next = SWAP @ h
-            [obs] = bank.step([obs], h[None], h_next[None])
+            [obs] = bank.step([obs], obs.x_hat[None], h[None], h_next[None])
             h = h_next
         np.testing.assert_allclose(obs.x_hat, np.zeros(2))
         np.testing.assert_allclose(obs.A_hat, np.zeros((2, 2)))
@@ -431,64 +438,8 @@ class TestFormationObserverGating:
         h = np.array([2.0, 0.0])
         for _ in range(500):
             h_next = SWAP @ h
-            [obs] = bank.step([obs], h[None], h_next[None])
+            [obs] = bank.step([obs], obs.x_hat[None], h[None], h_next[None])
             h = h_next
         assert np.linalg.norm(obs.x_hat - h) < 1e-5
         # the model estimate identifies the formation dynamics as well
         assert np.max(np.abs(obs.A_hat - SWAP)) < 1e-4
-
-
-class TestSchurConsensus:
-    @staticmethod
-    def schur(a_target, mu, gain_matrix, graph):
-        return spectral_radius(ob.consensus_matrix(a_target, mu, gain_matrix, graph)) < 1.0
-
-    def test_bundled_leader_network_is_stable(self, hexagon_config):
-        topo = hexagon_config.topology
-        blocks = build_laplacian(topo)
-        graph = blocks.L3 + np.diag(topo.tracking_to_leader)
-        assert self.schur(hexagon_config.tracking_a, 0.7, FA, graph)
-
-    def test_zero_gain_marginal_target_fails(self):
-        assert not self.schur(SWAP, 0.0, FA, np.eye(3))
-
-    def test_zero_gain_matrix_reduces_to_target_radius(self):
-        assert self.schur(0.5 * SWAP, 1.0, np.zeros((2, 2)), np.eye(2))
-        assert not self.schur(SWAP, 1.0, np.zeros((2, 2)), np.eye(2))
-
-
-class TestCouplingGainBound:
-    def test_zero_regressor_unconstrained(self):
-        s = 0.5 * np.eye(2)
-        bound = ob.coupling_gain_bound(np.zeros((4, 2)), np.eye(2),
-                                       np.eye(1), s, xi=4.0)
-        assert bound.unconstrained and bound.value == float("inf")
-
-    def test_scalar_closed_form(self):
-        # n = 1, one agent: W = l*g, bound = l*g*(1-s^2) / (g^2 * z^2/(xi+z^2))
-        l, g, s, z, xi = 0.3, 1.4, 0.6, 0.9, 4.0
-        bound = ob.coupling_gain_bound(np.array([[z]]), np.array([[l]]),
-                                       np.array([[g]]), np.array([[s]]), xi)
-        gamma = z**2 / (xi + z**2)
-        expected = l * g * (1 - s**2) / (g**2 * gamma)
-        assert bound.value == pytest.approx(expected)
-        assert bound.well_posed
-
-    def test_non_schur_rejected(self):
-        with pytest.raises(PfccError, match="Schur"):
-            ob.coupling_gain_bound(np.ones((1, 1)), np.eye(1), np.eye(1),
-                                   np.array([[1.0]]), xi=4.0)
-
-    def test_bundled_diagnostic(self):
-        # at a converged tick the bound is positive and finite on a network
-        # whose weighting matrix is definite, and flagged where it is not
-        cfg = sc.load_bundled("hexagon")
-        cfg.horizon = 400
-        cfg.sample_interval = 100
-        res = sim.run(cfg)
-        assert res.completed
-        well_posed = sim.observer_gain_bound_diagnostic(res.state, cfg, 7)  # L3
-        assert well_posed.well_posed
-        assert 0.0 < well_posed.value < float("inf")
-        relay_net = sim.observer_gain_bound_diagnostic(res.state, cfg, 5)  # L1
-        assert not relay_net.well_posed and relay_net.value == 0.0

@@ -26,13 +26,13 @@ def write(tmp_path, raw, name="scenario.json"):
 class TestParsing:
     def test_round_trip_is_identity(self):
         cfg = sc.load_bundled("hexagon")
-        text = sc.serialize_scenario(cfg)
+        text = json.dumps(sc.scenario_to_dict(cfg), indent=2)
         cfg2 = sc.scenario_from_dict(sc.parse_scenario_text(text))
         assert sc.config_digest(cfg) == sc.config_digest(cfg2)
 
     def test_static_round_trip(self):
         cfg = sc.load_bundled("hexagon_static")
-        cfg2 = sc.scenario_from_dict(json.loads(sc.serialize_scenario(cfg)))
+        cfg2 = sc.scenario_from_dict(json.loads(json.dumps(sc.scenario_to_dict(cfg))))
         assert sc.config_digest(cfg) == sc.config_digest(cfg2)
 
     def test_unknown_key_rejected(self):
@@ -324,6 +324,16 @@ class TestRunCommand:
             assert text.count("\n") == 1 and message in text
         assert cli.main(["validate", scenario]) == cli.EXIT_ASSUMPTION
         assert f"assumptions: FAIL - {message}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unwritable_out_is_one_line_error(self, tmp_path, capsys, out):
+        # an existing file, and a directory below one
+        path = write(tmp_path, bundled_dict())
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / out)
+        assert cli.main(["run", path, "--horizon", "0", "--out", out]) == cli.EXIT_GENERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}: ")
 
     def test_missing_scenario_is_schema_error(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

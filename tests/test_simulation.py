@@ -15,6 +15,11 @@ from pfcc.errors import ConvergenceError, PersistentExcitationError, SimulationA
 from pfcc.topology import DirectedTopology
 
 
+def column(trace, name):
+    """The trace column headed ``name``."""
+    return trace.rows()[:, trace.header().index(name)]
+
+
 def tiny_config(mode=sim.MODE_DATA, horizon=40, h0=(1.0,), noise=0.1,
                 learn_start=1000, s_value=0.5, max_iterations=2000):
     """One leader pinned by the tracking node driving one follower; scalar
@@ -58,6 +63,10 @@ class TestSchedule:
     def test_positive_factors(self):
         with pytest.raises(ValueError, match="positive"):
             sim.PropensitySchedule(entries=((0, {2: -0.1}),))
+
+    def test_nan_factor_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            sim.PropensitySchedule(entries=((0, {2: 0.1, 3: float("nan")}),))
 
 
 class TestErrorMetrics:
@@ -126,7 +135,7 @@ class TestWorldStepping:
         cfg.sample_interval = 7
         res = sim.run(cfg)
         assert len(res.trace) == 3
-        np.testing.assert_array_equal(res.trace.column("tick"), [0.0, 7.0, 14.0])
+        np.testing.assert_array_equal(column(res.trace, "tick"), [0.0, 7.0, 14.0])
 
     def test_learner_lifecycle_on_tiny_world(self):
         cfg = tiny_config(horizon=400, learn_start=5)
@@ -135,7 +144,7 @@ class TestWorldStepping:
         for lr in res.state.learners.values():
             assert lr.controller.status == ln.CONVERGED
         # follower ends on its leader's (stationary-dynamics) target
-        assert res.trace.column("e_cont_F1")[-1] < 1e-6
+        assert column(res.trace, "e_cont_F1")[-1] < 1e-6
 
     def test_all_zero_features_raise_excitation_error(self):
         # zero shapes, zero noise, zero states: the window is identically
@@ -150,8 +159,8 @@ class TestWorldStepping:
         cfg = tiny_config(mode=sim.MODE_ORACLE, horizon=300)
         res = sim.run(cfg)
         assert res.completed
-        assert res.trace.column("e_cont_F1")[-1] < 1e-8
-        assert res.trace.column("e_form_L1")[-1] < 1e-8
+        assert column(res.trace, "e_cont_F1")[-1] < 1e-8
+        assert column(res.trace, "e_form_L1")[-1] < 1e-8
 
 
 def early_switch(cfg, tick):
@@ -193,7 +202,7 @@ class TestTraceTable:
         for _ in range(26):
             sim.step_world(state, cfg)
         assert len(state.trace) == 30
-        np.testing.assert_array_equal(state.trace.column("tick"), np.arange(30.0))
+        np.testing.assert_array_equal(column(state.trace, "tick"), np.arange(30.0))
         np.testing.assert_array_equal(state.trace.rows()[:4], first)
 
     def test_unreachable_horizon_allocates_a_bounded_table(self):
@@ -208,8 +217,9 @@ class TestTraceTable:
         cfg = tiny_config(horizon=25)
         cfg.record_states = True
         trace = sim.run(cfg).trace
+        # every header name is unique, so it names one column of the table
         for j, name in enumerate(trace.header()):
-            np.testing.assert_array_equal(trace.column(name), trace.rows()[:, j])
+            np.testing.assert_array_equal(column(trace, name), trace.rows()[:, j])
 
 
 class TestControlPlans:

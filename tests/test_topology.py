@@ -26,6 +26,11 @@ class TestConstruction:
             DirectedTopology(1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
                              np.array([[-1.0]]), np.zeros(1))
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            DirectedTopology(1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
+                             np.array([[np.nan]]), np.zeros(1))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             DirectedTopology(2, 1, np.zeros((1, 1)), np.zeros((1, 1)),
