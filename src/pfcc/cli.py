@@ -7,6 +7,7 @@ excitation failure, 5 solver/learner non-convergence, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -79,6 +80,8 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     try:
         cfg = _apply_overrides(sc.load_scenario(args.scenario), args)
+        # an unwritable output directory fails before the run, not after it
+        os.makedirs(args.out, exist_ok=True)
         result = sim.run(cfg)
         trace_path, meta_path = sc.export_run(result, args.out)
     except PfccError as exc:
@@ -121,13 +124,14 @@ def probe_window(cfg: sim.ScenarioConfig, node: int, sys_: mc.AugmentedSystem,
     warm = np.zeros((sys_.m, sys_.dim))
     warm[:, : cfg.state_dim] = np.atleast_2d(
         cfg.warmup_gains.get(node, np.zeros((sys_.m, cfg.state_dim))))
-    # one draw of the whole stack is the same stream as one draw per row
+    # one draw of the whole stack is the same stream as one draw per row, and
+    # a stacked matmul over (rows, dim, 1) columns gives each row's
+    # matrix-vector product bit for bit (``x @ M.T`` does not)
     x = rng.normal(size=(rows, sys_.dim))
-    u = np.empty((rows, sys_.m))
-    x_next = np.empty_like(x)
-    for t in range(rows):
-        u[t] = warm @ x[t] + ln.exploration_noise(agent_cfg, sys_.m, t)
-        x_next[t] = sys_.A_bar @ x[t] + sys_.B_bar @ u[t]
+    u = (np.matmul(warm, x[:, :, None])[:, :, 0]
+         + ln.exploration_noise(agent_cfg, sys_.m, range(rows)))
+    x_next = (np.matmul(sys_.A_bar, x[:, :, None])[:, :, 0]
+              + np.matmul(sys_.B_bar, u[:, :, None])[:, :, 0])
     return buf.record(x, u, x_next)
 
 
@@ -143,9 +147,10 @@ def compare_agent_gains(cfg: sim.ScenarioConfig, node: int,
     oracle = mc.oracle_solution(sys_)
     buf = probe_window(cfg, node, sys_)
     agent_cfg = cfg.agent_learner_config(node)
+    cost = ln.stage_cost(cfg.q_weights[node], sys_.C)
     ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
     for _ in range(agent_cfg.max_iterations):
-        ctrl = ln.learning_tick(ctrl, buf, cfg.q_weights[node], sys_.C, agent_cfg)
+        ctrl = ln.learning_tick(ctrl, buf, cost, agent_cfg)
         if ctrl.status == ln.CONVERGED:
             break
     if ctrl.status != ln.CONVERGED:

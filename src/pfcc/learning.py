@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DataConsistencyError, PersistentExcitationError
 from .matops import symmetrize, unvec, unvecm, vecm, vecv
@@ -43,6 +45,12 @@ CONDITION_LIMIT = 1e12
 #: the regression accuracy; directions below this floor are unactuated and
 #: must not leak into the gain.
 GAIN_PINV_RCOND = 1e-8
+
+#: Magnitudes of a 1x1 Xi3 whose gain update takes the reciprocal instead
+#: of ``pinv``.  LAPACK's SVD rescales a matrix whose largest entry lies
+#: outside about [6.7e-139, 1.5e138], which can move its singular value by
+#: an ulp; inside this range it is |x| exactly and the two agree bit for bit.
+RECIPROCAL_RANGE = (1e-130, 1e130)
 
 #: Relative residual above which a window is declared inconsistent with a
 #: time-invariant model (the regression rows cannot all hold at once).
@@ -231,18 +239,92 @@ def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
 
     The minus sign matches the model-based gain formula; the pseudo-inverse
     keeps the update well defined for over-actuated agents where Xi3 is
-    singular, with a cutoff at the regression noise floor.
+    singular, with a cutoff at the regression noise floor.  A 1x1 Xi3 within
+    ``RECIPROCAL_RANGE`` is its own only singular value, far above the
+    cutoff, so its pseudo-inverse is the reciprocal, computed directly.
     """
-    return -np.linalg.pinv(symmetrize(np.atleast_2d(xi3)),
-                           rcond=GAIN_PINV_RCOND) @ np.atleast_2d(xi2)
+    xi3 = symmetrize(np.atleast_2d(xi3))
+    if (xi3.shape == (1, 1)
+            and RECIPROCAL_RANGE[0] <= abs(xi3[0, 0]) <= RECIPROCAL_RANGE[1]):
+        return -(1.0 / xi3) @ np.atleast_2d(xi2)
+    return -np.linalg.pinv(xi3, rcond=GAIN_PINV_RCOND) @ np.atleast_2d(xi2)
 
 
-def exploration_noise(cfg: LearnerConfig, width: int, tick: int) -> np.ndarray:
-    """Seeded zero-mean Gaussian probing input (only drawn before convergence)."""
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init`` and its next ``count`` products with ``mult`` modulo 2**32,
+    as a uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence hash, for two entropy words and its four-word pool.
+# Its hash constants advance by fixed multipliers whatever the entropy, so
+# they are tabulated once: 4 pool words plus 3 cross mixes from each of the
+# 4 pool words, then 8 output words.
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MIX_TARGETS = tuple([d for d in range(4) if d != s] for s in range(4))
+
+
+def _seed_words(seed: int, ticks: np.ndarray) -> np.ndarray:
+    """Row t is ``SeedSequence([seed, ticks[t]]).generate_state(4, np.uint64)``
+    for a seed and ticks below 2**32 (one entropy word each), hashed for
+    every tick at once."""
+    pool = np.zeros((4, ticks.size), dtype=np.uint32)
+    pool[0] = seed
+    pool[1] = ticks
+    pool ^= _POOL_HASH[:4]
+    pool *= _POOL_HASH[1:5]
+    pool ^= pool >> _XSHIFT
+    k = 4
+    for src, targets in enumerate(_MIX_TARGETS):
+        h = (pool[src] ^ _POOL_HASH[k : k + 3]) * _POOL_HASH[k + 1 : k + 4]
+        h ^= h >> _XSHIFT
+        mixed = _MIX_MULT_L * pool[targets] - _MIX_MULT_R * h
+        pool[targets] = mixed ^ (mixed >> _XSHIFT)
+        k += 3
+    state = (np.concatenate([pool, pool]) ^ _OUTPUT_HASH[:8]) * _OUTPUT_HASH[1:]
+    state ^= state >> _XSHIFT
+    state = state.astype(np.uint64)
+    # little-endian pairs, the low word first; PCG64 reads each row's buffer
+    # directly, so the rows must be contiguous
+    return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
+
+
+class _SeedWords(ISeedSequence):
+    """Seed source that hands ``PCG64`` precomputed state words (it always
+    asks for four uint64 words)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def exploration_noise(cfg: LearnerConfig, width: int, ticks) -> np.ndarray:
+    """Seeded zero-mean Gaussian probing inputs (only drawn before
+    convergence), one ``width`` row per tick of ``ticks``.
+
+    Row t is bit for bit the ``normal(0, cfg.noise_std, width)`` draw of a
+    fresh numpy generator seeded with ``[cfg.rng_seed & 0x7FFFFFFF, tick]``,
+    so a row depends only on the seed and its tick, not on which block it
+    was drawn in.  The SeedSequence hash runs once for all ticks; each row
+    then seeds its own ``PCG64``.  Ticks must lie in [0, 2**32).
+    """
+    ticks = np.asarray(ticks)
+    if ticks.size and not (ticks.min() >= 0 and ticks.max() < 2**32):
+        raise ValueError("noise ticks must lie in [0, 2**32)")
+    out = np.zeros((ticks.size, width))
     if cfg.noise_std == 0.0:
-        return np.zeros(width)
-    rng = np.random.default_rng([cfg.rng_seed & 0x7FFFFFFF, tick])
-    return rng.normal(0.0, cfg.noise_std, width)
+        return out
+    for row, words in zip(out, _seed_words(cfg.rng_seed & 0x7FFFFFFF, ticks)):
+        row[:] = Generator(PCG64(_SeedWords(words))).normal(0.0, cfg.noise_std, width)
+    return out
 
 
 @dataclass(frozen=True)
@@ -262,9 +344,14 @@ class LearnedController:
                    K_hat=np.zeros((input_dim, state_dim)))
 
 
-def learning_tick(ctrl: LearnedController, buf: DataBuffer,
-                  q_weight: np.ndarray, c: np.ndarray, cfg: LearnerConfig,
-                  allow_deficient: bool = False) -> LearnedController:
+def stage_cost(q_weight: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The augmented stage cost C^T Q C of an error selector C."""
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    return symmetrize(c.T @ np.atleast_2d(q_weight) @ c)
+
+
+def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
+                  cfg: LearnerConfig, allow_deficient: bool = False) -> LearnedController:
     """One value-iteration sweep against the collected window.
 
     The value update applies the Bellman backup through the regressed Xi
@@ -272,15 +359,12 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer,
     new value matrix, and the gain is refreshed from them.  Convergence is
     declared once consecutive gains differ by less than the configured
     threshold, at which point the behaviour policy switches to the learned
-    gain without probing noise.
+    gain without probing noise.  ``cost`` is the window's ``stage_cost``.
     """
     if not buf.is_full:
         return replace(ctrl, status=COLLECTING)
     if ctrl.status == CONVERGED:
         return ctrl
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    cost = symmetrize(c.T @ np.atleast_2d(q_weight) @ c)
-
     xi_prev = ctrl.Xi
     if xi_prev is None:
         xi_prev = vi_update_Xi(buf, ctrl.P_hat, allow_deficient)

@@ -280,7 +280,11 @@ class TraceLog:
 
 @dataclass
 class AgentLearner:
-    """Engine-side learner bookkeeping for one agent."""
+    """Engine-side learner bookkeeping for one agent.
+
+    ``noise`` caches the probing noise of the ``NOISE_BLOCK_TICKS`` ticks
+    from ``noise_start`` on (see ``_probing_noise``).
+    """
 
     node: int
     cfg: ln.LearnerConfig
@@ -292,6 +296,8 @@ class AgentLearner:
     prev_aug: np.ndarray | None = None
     prev_u: np.ndarray | None = None
     flushes: int = 0
+    noise: np.ndarray | None = None
+    noise_start: int = -1
 
 
 #: How many transient-contaminated windows a learner may discard before the
@@ -302,6 +308,13 @@ MAX_WINDOW_FLUSHES = 50
 #: offline work on a frozen window; batching them shortens the interval in
 #: which the behaviour policy still carries probing noise.
 LEARN_ITERATIONS_PER_TICK = 50
+
+#: Ticks of probing noise a learner draws at once, in blocks aligned to
+#: multiples of this length.  A block costs about as much as a slow tick, so
+#: the ticks that draw one must stay well under 1% of a run (15 of the 8000
+#: ticks of a bundled ``hexagon`` run).  A power of two, so no block crosses
+#: the 2**32 tick limit of ``learning.exploration_noise``.
+NOISE_BLOCK_TICKS = 128
 
 
 @dataclass(frozen=True)
@@ -568,10 +581,22 @@ def _learner_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.nd
             u = lr.behavior_full @ aug
         else:
             u = lr.warmup @ state.x[node - 1]
-        u = u + ln.exploration_noise(lr.cfg, lr.buffer.input_dim, state.tick)
+        u = u + _probing_noise(lr, state.tick)
     lr.prev_aug = aug
     lr.prev_u = np.asarray(u, dtype=float).ravel()
     return lr.prev_u
+
+
+def _probing_noise(lr: AgentLearner, tick: int) -> np.ndarray:
+    """The learner's probing noise at ``tick``: its row of the tick-aligned
+    block of ``NOISE_BLOCK_TICKS`` rows, drawn when the tick leaves the
+    cached block."""
+    start = tick - tick % NOISE_BLOCK_TICKS
+    if lr.noise_start != start:
+        lr.noise = ln.exploration_noise(lr.cfg, lr.buffer.input_dim,
+                                        range(start, start + NOISE_BLOCK_TICKS))
+        lr.noise_start = start
+    return lr.noise[tick - start]
 
 
 def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
@@ -588,14 +613,14 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
     if not lr.buffer.is_full:
         lr.buffer.record(lr.prev_aug, lr.prev_u, state.world[plan.gather])
     if lr.buffer.is_full:
-        c = mc.error_selector(cfg.state_dim, [plan.alphas[q] for q in lr.layout])
+        cost = ln.stage_cost(cfg.q_weights[node], mc.error_selector(
+            cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
         sweeps = min(LEARN_ITERATIONS_PER_TICK,
                      lr.cfg.max_iterations - lr.controller.iterations)
         try:
             for _ in range(sweeps):
-                lr.controller = ln.learning_tick(lr.controller, lr.buffer,
-                                                 cfg.q_weights[node], c, lr.cfg,
-                                                 allow_deficient=True)
+                lr.controller = ln.learning_tick(lr.controller, lr.buffer, cost,
+                                                 lr.cfg, allow_deficient=True)
                 if lr.controller.status == ln.CONVERGED:
                     break
         except DataConsistencyError:

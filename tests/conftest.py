@@ -26,6 +26,15 @@ def vecv_loop(d: np.ndarray) -> np.ndarray:
     return out
 
 
+def reference_noise(cfg, width: int, tick: int) -> np.ndarray:
+    """Reference: one probing-noise row from its own seeded generator, the
+    per-call form ``learning.exploration_noise`` must match bit for bit."""
+    if cfg.noise_std == 0.0:
+        return np.zeros(width)
+    rng = np.random.default_rng([cfg.rng_seed & 0x7FFFFFFF, tick])
+    return rng.normal(0.0, cfg.noise_std, width)
+
+
 def formation_error(x_q: np.ndarray, h_q: np.ndarray, x_o: np.ndarray) -> np.ndarray:
     """Reference: a leader's tracking error x - h - x_o."""
     return np.asarray(x_q, dtype=float) - np.asarray(h_q, dtype=float) - np.asarray(x_o, dtype=float)

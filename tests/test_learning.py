@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import vecv_loop
+from conftest import reference_noise, vecv_loop
 from pfcc import learning as ln
 from pfcc import matops as mo
 from pfcc import model_control as mc
@@ -25,9 +27,10 @@ def fill_buffer(sys_, seed, noise=1.0, warm=None, rows=None):
     kb = np.zeros((sys_.m, sys_.dim))
     if warm is not None:
         kb[:, : warm.shape[1]] = warm
+    noise = ln.exploration_noise(cfg, sys_.m, range(rows))
     for t in range(rows):
         x = rng.normal(size=sys_.dim)
-        u = kb @ x + ln.exploration_noise(cfg, sys_.m, t)
+        u = kb @ x + noise[t]
         buf.record(x, u, sys_.A_bar @ x + sys_.B_bar @ u)
     return buf, cfg
 
@@ -36,10 +39,12 @@ def trajectory_buffer(sys_, k_policy, x0, rows, noise_cfg=None):
     """Consecutive-sample window under a fixed linear policy."""
     buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
     x = np.asarray(x0, dtype=float)
+    if noise_cfg is not None:
+        noise = ln.exploration_noise(noise_cfg, sys_.m, range(rows))
     for t in range(rows):
         u = k_policy @ x
         if noise_cfg is not None:
-            u = u + ln.exploration_noise(noise_cfg, sys_.m, t)
+            u = u + noise[t]
         x_next = sys_.A_bar @ x + sys_.B_bar @ u
         buf.record(x, u, x_next)
         x = x_next
@@ -184,24 +189,106 @@ class TestGainUpdate:
         assert np.all(np.isfinite(k))
 
 
+def pinv_gain(xi2, xi3):
+    """Reference: the gain update through the pseudo-inverse for every shape."""
+    return -np.linalg.pinv(mo.symmetrize(np.atleast_2d(xi3)),
+                           rcond=ln.GAIN_PINV_RCOND) @ np.atleast_2d(xi2)
+
+
+def outcome(fn, *args):
+    """(result bytes or exception type, warning messages) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args).tobytes()
+        except Exception as exc:  # the type is compared
+            result = type(exc)
+    return result, [str(w.message) for w in caught]
+
+
+class TestClosedFormGain:
+    def test_single_input_matches_pinv_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        values = list(rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-300, 300, 1000))
+        values += [5e-324, -5e-324, 1e-310, -2.5e-309, 2.2250738585072014e-308,
+                   8.98e307, -8.98e307, 8.99e307, 1.7e308, -1.7976931348623157e308,
+                   *ln.RECIPROCAL_RANGE, -ln.RECIPROCAL_RANGE[0], -ln.RECIPROCAL_RANGE[1]]
+        for k, x in enumerate(values):
+            width = 1 + k % 6
+            xi2 = rng.normal(size=(1, width)) * 10.0 ** rng.uniform(-5, 5, width)
+            xi3 = np.array([[x]])
+            assert outcome(ln.vi_update_K, xi2, xi3) == outcome(pinv_gain, xi2, xi3), x
+
+    def test_zero_gives_zero_gain(self):
+        xi2 = np.random.default_rng(3).normal(size=(1, 4))
+        k = ln.vi_update_K(xi2, np.zeros((1, 1)))
+        assert np.all(k == 0) and k.shape == (1, 4)
+
+    @pytest.mark.parametrize("x", [0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-200,
+                                   1e200, -1.7e308])
+    def test_zero_non_finite_and_extreme_take_the_pinv_path(self, monkeypatch, x):
+        calls = []
+        pinv = np.linalg.pinv
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pinv(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "pinv", counted)
+        xi2, xi3 = np.array([[1.0, -2.0, 0.0]]), np.array([[x]])
+        assert outcome(ln.vi_update_K, xi2, xi3) == outcome(pinv_gain, xi2, xi3)
+        assert len(calls) == 2
+
+    def test_finite_single_input_skips_pinv(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("pinv called for a finite nonzero 1x1 Xi3")
+        monkeypatch.setattr(np.linalg, "pinv", fail)
+        np.testing.assert_array_equal(ln.vi_update_K(np.array([[2.0, 4.0]]), [[-4.0]]),
+                                      [[0.5, 1.0]])
+        for x in (*ln.RECIPROCAL_RANGE, -ln.RECIPROCAL_RANGE[0]):
+            ln.vi_update_K(np.ones((1, 2)), [[x]])
+
+
 class TestExplorationNoise:
     def test_deterministic_under_seed(self):
         cfg = ln.LearnerConfig(rng_seed=11)
-        a = ln.exploration_noise(cfg, 3, tick=42)
-        b = ln.exploration_noise(cfg, 3, tick=42)
+        a = ln.exploration_noise(cfg, 3, [42])
+        b = ln.exploration_noise(cfg, 3, [42])
         np.testing.assert_array_equal(a, b)
-        assert not np.allclose(a, ln.exploration_noise(cfg, 3, tick=43))
+        assert not np.allclose(a, ln.exploration_noise(cfg, 3, [43]))
 
     def test_zero_std(self):
         cfg = ln.LearnerConfig(rng_seed=11, noise_std=0.0)
-        assert np.all(ln.exploration_noise(cfg, 4, 0) == 0)
+        assert np.all(ln.exploration_noise(cfg, 4, [0]) == 0)
+
+    def test_matches_per_call_generator_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        seeds = [0, 2**31 - 1, 2**31 + 5] + [int(s) for s in rng.integers(0, 2**31, 5)]
+        ticks = [0, 2**32 - 1] + [int(t) for t in rng.integers(0, 2**32, 8)]
+        for seed in seeds:
+            cfg = ln.LearnerConfig(rng_seed=seed, noise_std=float(rng.uniform(0.01, 3.0)))
+            for width in (1, 2, 3):
+                block = ln.exploration_noise(cfg, width, ticks)
+                expected = np.array([reference_noise(cfg, width, t) for t in ticks])
+                assert block.shape == (len(ticks), width)
+                assert block.tobytes() == expected.tobytes(), (seed, width)
+
+    def test_zero_std_gives_zero_rows(self):
+        cfg = ln.LearnerConfig(rng_seed=5, noise_std=0.0)
+        block = ln.exploration_noise(cfg, 2, range(7))
+        assert block.shape == (7, 2) and np.all(block == 0)
+
+    @pytest.mark.parametrize("tick", [-1, 2**32])
+    def test_tick_outside_range_rejected(self, tick):
+        for std in (0.1, 0.0):
+            with pytest.raises(ValueError, match="ticks"):
+                ln.exploration_noise(ln.LearnerConfig(noise_std=std), 2, [0, tick])
 
 
 class TestLearningLoop:
     def converge(self, sys_, buf, cfg):
         ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
         for _ in range(cfg.max_iterations):
-            ctrl = ln.learning_tick(ctrl, buf, sys_.Q, sys_.C, cfg)
+            ctrl = ln.learning_tick(ctrl, buf, ln.stage_cost(sys_.Q, sys_.C), cfg)
             if ctrl.status == ln.CONVERGED:
                 return ctrl
         raise AssertionError("learner did not converge")
@@ -223,13 +310,14 @@ class TestLearningLoop:
         buf = ln.DataBuffer(sys_.dim, sys_.m, 10)
         buf.record(np.zeros(sys_.dim), np.zeros(sys_.m), np.zeros(sys_.dim))
         ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
-        assert ln.learning_tick(ctrl, buf, sys_.Q, sys_.C, cfg).status == ln.COLLECTING
+        cost = ln.stage_cost(sys_.Q, sys_.C)
+        assert ln.learning_tick(ctrl, buf, cost, cfg).status == ln.COLLECTING
 
     def test_converged_is_a_fixed_point(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
         buf, cfg = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))
         ctrl = self.converge(sys_, buf, cfg)
-        again = ln.learning_tick(ctrl, buf, sys_.Q, sys_.C, cfg)
+        again = ln.learning_tick(ctrl, buf, ln.stage_cost(sys_.Q, sys_.C), cfg)
         np.testing.assert_array_equal(again.K_hat, ctrl.K_hat)
         assert again.iterations == ctrl.iterations
 
@@ -249,7 +337,7 @@ class TestLearningLoop:
         ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
         p, k = np.eye(sys_.dim), np.zeros((sys_.m, sys_.dim))
         for _ in range(20):
-            ctrl = ln.learning_tick(ctrl, buf, sys_.Q, sys_.C, cfg)
+            ctrl = ln.learning_tick(ctrl, buf, ln.stage_cost(sys_.Q, sys_.C), cfg)
             p, k = mc.value_iteration_step(sys_, p, k)
             np.testing.assert_allclose(ctrl.P_hat, p, atol=1e-9)
             np.testing.assert_allclose(ctrl.K_hat, k, atol=1e-9)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import reference_noise
 from pfcc import cli
 from pfcc import learning as ln
 from pfcc import model_control as mc
@@ -335,6 +336,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}: ")
 
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before the output directory was checked")
+        monkeypatch.setattr(sim, "run", no_run)
+        path = write(tmp_path, bundled_dict())
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / "afile")
+        assert cli.main(["run", path, "--out", out]) == cli.EXIT_GENERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}: ")
+
     def test_missing_scenario_is_schema_error(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
         assert cli.main(["run", missing, "--out", str(tmp_path / "o")]) == cli.EXIT_SCHEMA
@@ -408,29 +420,32 @@ class TestCompareGains:
 
     @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
     def test_probe_window_matches_row_by_row_form(self, name):
-        cfg = sc.load_bundled(name)
-        coeffs = cli.effective_coefficients(cfg)
-        topo = cfg.topology
-        for node in topo.follower_nodes + topo.leader_nodes:
-            alphas = coeffs.get(node, {node: 1.0})
-            sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
-            # the per-row form: one state draw and one record per row
-            agent_cfg = dataclasses.replace(cfg.agent_learner_config(node),
-                                            noise_std=cli.COMPARE_NOISE_STD)
-            rows = agent_cfg.rows_for(sys_.dim, sys_.m)
-            expected = ln.DataBuffer(sys_.dim, sys_.m, rows)
-            rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
-            warm = np.zeros((sys_.m, sys_.dim))
-            warm[:, : cfg.state_dim] = np.atleast_2d(
-                cfg.warmup_gains.get(node, np.zeros((sys_.m, cfg.state_dim))))
-            for t in range(rows):
-                x = rng.normal(size=sys_.dim)
-                u = warm @ x + ln.exploration_noise(agent_cfg, sys_.m, t)
-                expected.record(x, u, sys_.A_bar @ x + sys_.B_bar @ u)
-            buf = cli.probe_window(cfg, node, sys_)
-            assert len(buf) == rows
-            np.testing.assert_array_equal(buf.theta(), expected.theta())
-            np.testing.assert_array_equal(buf.psi_next(), expected.psi_next())
+        bundled = sc.load_bundled(name)
+        coeffs = cli.effective_coefficients(bundled)
+        topo = bundled.topology
+        for seed in (bundled.seed, 1, 2**31 - 1, 918273):
+            cfg = dataclasses.replace(bundled, seed=seed)
+            for node in topo.follower_nodes + topo.leader_nodes:
+                alphas = coeffs.get(node, {node: 1.0})
+                sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
+                # the per-row form: one state draw, one seeded noise
+                # generator and one record per row
+                agent_cfg = dataclasses.replace(cfg.agent_learner_config(node),
+                                                noise_std=cli.COMPARE_NOISE_STD)
+                rows = agent_cfg.rows_for(sys_.dim, sys_.m)
+                expected = ln.DataBuffer(sys_.dim, sys_.m, rows)
+                rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
+                warm = np.zeros((sys_.m, sys_.dim))
+                warm[:, : cfg.state_dim] = np.atleast_2d(
+                    cfg.warmup_gains.get(node, np.zeros((sys_.m, cfg.state_dim))))
+                for t in range(rows):
+                    x = rng.normal(size=sys_.dim)
+                    u = warm @ x + reference_noise(agent_cfg, sys_.m, t)
+                    expected.record(x, u, sys_.A_bar @ x + sys_.B_bar @ u)
+                buf = cli.probe_window(cfg, node, sys_)
+                assert len(buf) == rows
+                np.testing.assert_array_equal(buf.theta(), expected.theta())
+                np.testing.assert_array_equal(buf.psi_next(), expected.psi_next())
 
     def test_identical_solutions_give_exact_zero_gap(self, hexagon_config):
         cfg = hexagon_config

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (SWAP, containment_error, formation_error, observer_of,
-                      reference_alphas, reference_augmented_state, reference_trace_row)
+                      reference_alphas, reference_augmented_state, reference_noise,
+                      reference_trace_row)
 from pfcc import learning as ln
 from pfcc import model_control as mc
 from pfcc import observers as ob
@@ -367,6 +368,24 @@ class TestDeterminism:
             for t, factors in cfg_b.schedule.entries))
         assert (sc.trace_to_csv(sim.run(cfg_a).trace)
                 == sc.trace_to_csv(sim.run(cfg_b).trace))
+
+
+class TestProbingNoise:
+    def test_block_boundary_ticks_match_the_per_call_form(self):
+        cfg = ln.LearnerConfig(rng_seed=777, noise_std=0.4)
+        lr = sim.AgentLearner(node=1, cfg=cfg, layout=(1,),
+                              controller=ln.LearnedController.create(6, 2),
+                              buffer=ln.DataBuffer(6, 2, 30), warmup=np.zeros((2, 2)))
+        block = sim.NOISE_BLOCK_TICKS
+        last = 2**32 - 1
+        # forward across boundaries, back into an earlier block, and the
+        # last block below the tick limit
+        ticks = [0, 1, block - 1, block, block + 1, 2 * block - 1, 2 * block,
+                 block - 1, 5 * block, 5 * block - 1, last - block, last - block + 1,
+                 last]
+        for tick in ticks:
+            noise = sim._probing_noise(lr, tick)
+            assert noise.tobytes() == reference_noise(cfg, 2, tick).tobytes(), tick
 
 
 class TestObserverPlantDecoupling:
