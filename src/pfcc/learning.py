@@ -16,6 +16,7 @@ is switched off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -207,13 +208,29 @@ class _TruncatedSolver:
         """Min-norm least squares; raises when the system is inconsistent
         beyond the round-off of an exact-transition window."""
         solution = self._v @ (self._inv_s * (self._u.T @ rhs))
-        residual = float(np.linalg.norm(self._matrix @ solution - rhs))
-        if residual > CONSISTENCY_RTOL * max(float(np.linalg.norm(rhs)), 1e-12):
+        residual = self._matrix @ solution - rhs
+        res_norm, rhs_norm = _norm(residual), _norm(rhs)
+        if not math.isfinite(res_norm + rhs_norm):
+            # a squared norm overflowed (entries beyond ~1e154): compare the
+            # same two vectors scaled to a largest entry of 1
+            peak = max(np.abs(residual).max(), np.abs(rhs).max())
+            if math.isfinite(peak):
+                res_norm, rhs_norm = _norm(residual / peak), _norm(rhs / peak)
+        if res_norm > CONSISTENCY_RTOL * max(rhs_norm, 1e-12):
             raise DataConsistencyError(
                 "window rows are mutually inconsistent (relative residual "
-                f"{residual / max(float(np.linalg.norm(rhs)), 1e-300):.2e}); "
+                f"{res_norm / max(rhs_norm, 1e-300):.2e}); "
                 "samples were likely taken during an observer transient")
         return solution
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real array, bit for bit numpy's ``linalg.norm``
+    (``sqrt(x.dot(x))`` over the entries flattened in memory order).
+    ``np.vdot`` runs the same BLAS dot as ``x.dot`` but does not warn when
+    the sum of squares overflows to inf."""
+    v = v.ravel(order="K")
+    return math.sqrt(np.vdot(v, v))
 
 
 def vi_update_Xi(buf: DataBuffer, p_new: np.ndarray,
@@ -222,10 +239,14 @@ def vi_update_Xi(buf: DataBuffer, p_new: np.ndarray,
 
     The row identity holds for arbitrary inputs, so this step is exact for
     any persistently excited window regardless of the behaviour policy.
+    ``p_new`` is a 2-D, exactly symmetric value matrix, as ``learning_tick``
+    produces it; it is not re-symmetrized, and ``vecm`` rejects one that is
+    asymmetric beyond its tolerance.  The blocks come back as 2-D arrays,
+    ``Xi1`` and ``Xi3`` exactly symmetric.
     """
     n, m = buf.state_dim, buf.input_dim
     solver, scale = buf.theta_solver(allow_deficient)
-    rhs = (buf.psi_next() @ vecm(symmetrize(p_new))) * scale
+    rhs = (buf.psi_next() @ vecm(p_new)) * scale
     stacked = solver.solve(rhs)
     c1 = psi_columns(n)
     xi1 = unvecm(stacked[:c1], n)
@@ -237,17 +258,26 @@ def vi_update_Xi(buf: DataBuffer, p_new: np.ndarray,
 def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     """Gain update K = -(Xi3)^+ Xi2.
 
-    The minus sign matches the model-based gain formula; the pseudo-inverse
-    keeps the update well defined for over-actuated agents where Xi3 is
-    singular, with a cutoff at the regression noise floor.  A 1x1 Xi3 within
-    ``RECIPROCAL_RANGE`` is its own only singular value, far above the
-    cutoff, so its pseudo-inverse is the reciprocal, computed directly.
+    ``xi2`` (m x n) and ``xi3`` (m x m) are 2-D arrays and ``xi3`` is
+    exactly symmetric, as ``vi_update_Xi`` returns them; neither is
+    reshaped or re-symmetrized here.  The minus sign matches the
+    model-based gain formula; the pseudo-inverse keeps the update well
+    defined for over-actuated agents where Xi3 is singular, with a cutoff
+    at the regression noise floor.  A 1x1 Xi3 within ``RECIPROCAL_RANGE`` is
+    its own only singular value, far above the cutoff, so its
+    pseudo-inverse is the reciprocal, computed directly.  Any other Xi3
+    takes the steps of numpy's ``linalg.pinv`` around the same
+    ``np.linalg.svd`` call, without its argument handling, so the gain is
+    bit for bit ``-pinv(xi3, rcond=GAIN_PINV_RCOND) @ xi2``.
     """
-    xi3 = symmetrize(np.atleast_2d(xi3))
     if (xi3.shape == (1, 1)
             and RECIPROCAL_RANGE[0] <= abs(xi3[0, 0]) <= RECIPROCAL_RANGE[1]):
-        return -(1.0 / xi3) @ np.atleast_2d(xi2)
-    return -np.linalg.pinv(xi3, rcond=GAIN_PINV_RCOND) @ np.atleast_2d(xi2)
+        return -(1.0 / xi3) @ xi2
+    u, s, vt = np.linalg.svd(xi3, full_matrices=False)
+    large = s > GAIN_PINV_RCOND * s.max()
+    np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return -np.matmul(vt.T, s[:, None] * u.T) @ xi2
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -374,7 +404,7 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
     p_new = (1.0 - VI_AVERAGING) * ctrl.P_hat + VI_AVERAGING * backup
     xi_new = vi_update_Xi(buf, p_new, allow_deficient)
     k_new = vi_update_K(xi_new[1], xi_new[2])
-    delta = float(np.linalg.norm(k_new - ctrl.K_hat))
+    delta = _norm(k_new - ctrl.K_hat)
     status = CONVERGED if delta < cfg.gain_delta_threshold else ITERATING
     return LearnedController(P_hat=p_new, K_hat=k_new, Xi=xi_new, status=status,
                              iterations=ctrl.iterations + 1, last_gain_delta=delta)

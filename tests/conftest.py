@@ -26,6 +26,15 @@ def vecv_loop(d: np.ndarray) -> np.ndarray:
     return out
 
 
+def unvecm_store(v: np.ndarray, n: int) -> np.ndarray:
+    """Reference: the fancy-store form of ``matops.unvecm``, which writes
+    the unscaled slots into the upper and then the lower triangle."""
+    rows, cols = np.triu_indices(n)
+    out = np.empty((n, n))
+    out[rows, cols] = out[cols, rows] = v / np.where(rows == cols, 1.0, np.sqrt(2.0))
+    return out
+
+
 def reference_noise(cfg, width: int, tick: int) -> np.ndarray:
     """Reference: one probing-noise row from its own seeded generator, the
     per-call form ``learning.exploration_noise`` must match bit for bit."""

@@ -140,19 +140,42 @@ class TestModelBlockRegression:
         with pytest.raises(PersistentExcitationError):
             ln.vi_update_Xi(buf, np.eye(2))
 
-    def test_mixed_model_window_flagged_inconsistent(self, hexagon_config):
-        # rows from two different plants cannot all satisfy one row
-        # identity; the residual is reported rather than smeared over
-        sys_ = f1_system(hexagon_config)
+    @staticmethod
+    def exact_and_mixed_windows(sys_):
+        """A window of exact transitions, and the same window with its
+        second half taken from the plant (1.1 A, 1.1 B)."""
         rows = ln.LearnerConfig().rows_for(sys_.dim, sys_.m)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(rows, sys_.dim))
         u = rng.normal(size=(rows, sys_.m))
         x_next = x @ sys_.A_bar.T + u @ sys_.B_bar.T
-        x_next[rows // 2 :] *= 1.1  # the second half from the plant (1.1 A, 1.1 B)
-        mixed = ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next)
+        exact = ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next)
+        x_next[rows // 2 :] *= 1.1
+        return exact, ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next)
+
+    def test_mixed_model_window_flagged_inconsistent(self, hexagon_config):
+        # rows from two different plants cannot all satisfy one row
+        # identity; the residual is reported rather than smeared over
+        sys_ = f1_system(hexagon_config)
+        _, mixed = self.exact_and_mixed_windows(sys_)
         with pytest.raises(DataConsistencyError):
             ln.vi_update_Xi(mixed, np.eye(sys_.dim), allow_deficient=True)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+    def test_consistency_check_holds_at_large_value_scales(self, hexagon_config, scale):
+        # squared norms of the right-hand side and the residual overflow
+        # beyond ~1e154; the relative residual must still be compared
+        sys_ = f1_system(hexagon_config)
+        exact, mixed = self.exact_and_mixed_windows(sys_)
+        p = scale * np.eye(sys_.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataConsistencyError):
+                ln.vi_update_Xi(mixed, p, allow_deficient=True)
+            blocks = ln.vi_update_Xi(exact, p, allow_deficient=True)
+        for got, want in zip(blocks, ln.vi_update_Xi(exact, np.eye(sys_.dim),
+                                                     allow_deficient=True)):
+            np.testing.assert_allclose(got / scale, want, rtol=1e-9, atol=1e-9)
 
     def test_zero_input_data_rejected(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
@@ -190,9 +213,9 @@ class TestGainUpdate:
 
 
 def pinv_gain(xi2, xi3):
-    """Reference: the gain update through the pseudo-inverse for every shape."""
-    return -np.linalg.pinv(mo.symmetrize(np.atleast_2d(xi3)),
-                           rcond=ln.GAIN_PINV_RCOND) @ np.atleast_2d(xi2)
+    """Reference: the gain update through numpy's pseudo-inverse for every
+    shape."""
+    return -np.linalg.pinv(xi3, rcond=ln.GAIN_PINV_RCOND) @ xi2
 
 
 def outcome(fn, *args):
@@ -204,6 +227,19 @@ def outcome(fn, *args):
         except Exception as exc:  # the type is compared
             result = type(exc)
     return result, [str(w.message) for w in caught]
+
+
+def counted_svd(monkeypatch):
+    """Count the calls of ``np.linalg.svd`` made by name (numpy's own
+    ``pinv`` calls its module's ``svd`` and is not counted)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
 
 
 class TestClosedFormGain:
@@ -227,25 +263,72 @@ class TestClosedFormGain:
     @pytest.mark.parametrize("x", [0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-200,
                                    1e200, -1.7e308])
     def test_zero_non_finite_and_extreme_take_the_pinv_path(self, monkeypatch, x):
-        calls = []
-        pinv = np.linalg.pinv
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return pinv(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, "pinv", counted)
+        calls = counted_svd(monkeypatch)
         xi2, xi3 = np.array([[1.0, -2.0, 0.0]]), np.array([[x]])
         assert outcome(ln.vi_update_K, xi2, xi3) == outcome(pinv_gain, xi2, xi3)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_finite_single_input_skips_pinv(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("pinv called for a finite nonzero 1x1 Xi3")
-        monkeypatch.setattr(np.linalg, "pinv", fail)
-        np.testing.assert_array_equal(ln.vi_update_K(np.array([[2.0, 4.0]]), [[-4.0]]),
-                                      [[0.5, 1.0]])
+            raise AssertionError("svd called for a finite nonzero 1x1 Xi3")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        np.testing.assert_array_equal(
+            ln.vi_update_K(np.array([[2.0, 4.0]]), np.array([[-4.0]])), [[0.5, 1.0]])
         for x in (*ln.RECIPROCAL_RANGE, -ln.RECIPROCAL_RANGE[0]):
-            ln.vi_update_K(np.ones((1, 2)), [[x]])
+            ln.vi_update_K(np.ones((1, 2)), np.array([[x]]))
+
+
+class TestMultiInputGain:
+    """The SVD path of a 2x2 or 3x3 Xi3 against numpy's ``pinv``: result
+    bytes, exception type and warnings."""
+
+    @staticmethod
+    def assert_matches(xi2, xi3):
+        assert outcome(ln.vi_update_K, xi2, xi3) == outcome(pinv_gain, xi2, xi3), xi3
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_random_symmetric(self, m):
+        rng = np.random.default_rng(20 + m)
+        for _ in range(300):
+            a = rng.normal(size=(m, m)) * 10.0 ** rng.uniform(-300, 300)
+            xi2 = rng.normal(size=(m, int(rng.integers(1, 8))))
+            self.assert_matches(xi2, a + a.T)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_zero_and_rank_deficient(self, m):
+        rng = np.random.default_rng(30 + m)
+        xi2 = rng.normal(size=(m, 5))
+        self.assert_matches(xi2, np.zeros((m, m)))
+        for _ in range(100):
+            v = rng.normal(size=(m, 1)) * 10.0 ** rng.uniform(-150, 150)
+            self.assert_matches(xi2, v @ v.T)
+        # one direction just below and one just above the cutoff
+        for ratio in (0.5, 2.0):
+            self.assert_matches(xi2, np.diag([1.0] + [ratio * ln.GAIN_PINV_RCOND] * (m - 1)))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("x", [5e-324, -1e-310, 2.2250738585072014e-308, 8.99e307,
+                                   1.7e308, -1.7976931348623157e308, np.nan])
+    def test_subnormal_near_overflow_and_nan(self, m, x):
+        xi2 = np.arange(1.0, 2 * m + 1).reshape(m, 2)
+        for i, j in ((0, 0), (0, m - 1)):
+            xi3 = np.eye(m)
+            xi3[i, j] = xi3[j, i] = x
+            self.assert_matches(xi2, xi3)
+        self.assert_matches(xi2, np.full((m, m), x))
+
+    @pytest.mark.parametrize("x", [np.inf, -np.inf])
+    def test_infinite_two_input(self, x):
+        # only 2x2: LAPACK's SVD does not return on a 3x3 with an infinite
+        # entry, through numpy's pinv as well
+        xi2 = np.array([[1.0, 2.0], [3.0, 4.0]])
+        for xi3 in ([[x, 0.0], [0.0, 1.0]], [[1.0, x], [x, 1.0]], [[x, x], [x, x]]):
+            self.assert_matches(xi2, np.array(xi3))
+
+    def test_takes_one_svd(self, monkeypatch):
+        calls = counted_svd(monkeypatch)
+        ln.vi_update_K(np.ones((2, 4)), np.array([[2.0, 1.0], [1.0, 3.0]]))
+        assert len(calls) == 1
 
 
 class TestExplorationNoise:

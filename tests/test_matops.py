@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import vecv_loop
+from conftest import unvecm_store, vecv_loop
 from pfcc import matops as mo
 
 SQRT2 = np.sqrt(2.0)
@@ -124,6 +124,20 @@ class TestUnvecm:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mo.unvecm(np.zeros(4), 2)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gather_matches_fancy_store_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        size = n * (n + 1) // 2
+        specials = np.array([0.0, -0.0, 5e-324, -1e-310, 1.7e308, np.inf, -np.inf, np.nan])
+        for k in range(50):
+            v = rng.normal(size=size) * 10.0 ** rng.uniform(-300, 300, size)
+            if k % 2:
+                v[rng.integers(size)] = rng.choice(specials)
+            got = mo.unvecm(v, n)
+            assert got.tobytes() == unvecm_store(v, n).tobytes()
+            assert got.tobytes() == got.T.copy().tobytes()
+            assert got.flags.writeable and got.flags.c_contiguous
 
 
 class TestVec:

@@ -128,6 +128,23 @@ class TestTraceExport:
         assert meta["completed"] is True
 
 
+    def test_rows_match_the_f_string_form_byte_for_byte(self, hexagon_config):
+        trace = sim.TraceLog(hexagon_config)
+        rng = np.random.default_rng(5)
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                    1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789.0]
+        for tick in range(60):
+            row = trace.next_row()
+            row[0] = tick * 7
+            row[1:] = (rng.normal(size=row.size - 1)
+                       * 10.0 ** rng.uniform(-320, 308, row.size - 1))
+            row[1 + tick % (row.size - 1)] = specials[tick % len(specials)]
+        lines = [",".join(trace.header())]
+        for tick, *values in trace.rows().tolist():
+            lines.append(",".join([f"{int(tick)}"] + [f"{v:.17g}" for v in values]))
+        assert sc.trace_to_csv(trace) == "\n".join(lines) + "\n"
+
+
 class TestValidateCommand:
     def test_bundled_passes(self, tmp_path):
         path = write(tmp_path, bundled_dict())

@@ -388,6 +388,31 @@ class TestProbingNoise:
             assert noise.tobytes() == reference_noise(cfg, 2, tick).tobytes(), tick
 
 
+class TestLargeCostScale:
+    def test_huge_state_weight_learns_the_bundled_gain_without_overflow(self):
+        # q_weight 1e300 I puts F1's value matrices near 1e300, where the
+        # squared norms of the window's consistency check overflow; the
+        # gain is invariant to the cost scale, up to the learner's
+        # convergence threshold (the start P = I weighs nothing against the
+        # scaled cost, so the iteration takes another path to the same gain)
+        gains = []
+        for scale in (1.0, 1e300):
+            cfg = sc.load_bundled("hexagon")
+            node = cfg.topology.follower_nodes[cfg.follower_names.index("F1")]
+            q_weights = dict(cfg.q_weights)
+            q_weights[node] = scale * q_weights[node]
+            cfg = dataclasses.replace(cfg, q_weights=q_weights, horizon=1800)
+            cfg.require_valid()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = sim.run(cfg)
+            learner = result.state.learners[node]
+            assert result.completed and learner.controller.status == ln.CONVERGED
+            gains.append(learner.controller.K_hat)
+        bundled, scaled = gains
+        assert np.linalg.norm(scaled - bundled) <= 1e-6 * np.linalg.norm(bundled)
+
+
 class TestObserverPlantDecoupling:
     def test_observer_traces_ignore_follower_dynamics(self):
         # swapping a follower's plant changes controls and states but not a
