@@ -463,15 +463,24 @@ def config_digest(cfg: sim.ScenarioConfig) -> str:
 # trace export
 # ---------------------------------------------------------------------------
 
-def trace_to_csv(trace: sim.TraceLog) -> str:
-    """Delimited text, one row per sampled tick, 17 significant digits."""
-    header = trace.header()
+#: Rows that ``export_run`` formats and writes at a time: a few hundred kB
+#: of text instead of the whole table, so the export's memory stays small
+#: and the same from one run to the next.
+CSV_CHUNK_ROWS = 256
+
+
+def trace_to_csv(trace: sim.TraceLog, start: int = 0, stop: int | None = None) -> str:
+    """Delimited text, one row per sampled tick, 17 significant digits: the
+    rows ``start:stop`` (all by default), after the header line when
+    ``start`` is 0."""
+    rows = trace.rows()[start:stop]
     # one prebuilt format per row: "%d" and "%.17g" give the bytes of
-    # ``f"{int(tick)}"`` and ``f"{v:.17g}"``; converting a row at a time
-    # keeps the whole table from being held as Python floats at once
-    row = "%d" + ",%.17g" * (len(header) - 1)
-    lines = [row % tuple(values.tolist()) for values in trace.rows()]
-    return "\n".join([",".join(header), *lines, ""])
+    # ``f"{int(tick)}"`` and ``f"{v:.17g}"``
+    row = "%d" + ",%.17g" * (rows.shape[1] - 1) + "\n"
+    lines = [row % tuple(values) for values in rows.tolist()]
+    if start == 0:
+        lines.insert(0, ",".join(trace.header()) + "\n")
+    return "".join(lines)
 
 
 def export_run(result: sim.RunResult, out_dir) -> tuple[str, str]:
@@ -482,7 +491,9 @@ def export_run(result: sim.RunResult, out_dir) -> tuple[str, str]:
     trace_path = os.path.join(out_dir, "trace.csv")
     meta_path = os.path.join(out_dir, "metadata.json")
     with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write(trace_to_csv(result.trace))
+        fh.write(trace_to_csv(result.trace, 0, CSV_CHUNK_ROWS))
+        for start in range(CSV_CHUNK_ROWS, len(result.trace), CSV_CHUNK_ROWS):
+            fh.write(trace_to_csv(result.trace, start, start + CSV_CHUNK_ROWS))
     from . import __version__
 
     meta = {

@@ -144,6 +144,21 @@ class TestTraceExport:
             lines.append(",".join([f"{int(tick)}"] + [f"{v:.17g}" for v in values]))
         assert sc.trace_to_csv(trace) == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("samples", [0, 1, sc.CSV_CHUNK_ROWS, sc.CSV_CHUNK_ROWS + 1,
+                                         2 * sc.CSV_CHUNK_ROWS + 3])
+    def test_chunked_export_writes_the_one_string_form(self, tmp_path, hexagon_config,
+                                                       samples):
+        trace = sim.TraceLog(hexagon_config)
+        rng = np.random.default_rng(samples)
+        for tick in range(samples):
+            row = trace.next_row()
+            row[0] = tick
+            row[1:] = rng.normal(size=row.size - 1)
+        result = sim.RunResult(trace=trace, state=None, summary={}, error=None)
+        trace_path, _ = sc.export_run(result, tmp_path)
+        with open(trace_path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == sc.trace_to_csv(trace)
+
 
 class TestValidateCommand:
     def test_bundled_passes(self, tmp_path):
