@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import DataConsistencyError, PersistentExcitationError
+from .errors import ConvergenceError, DataConsistencyError, PersistentExcitationError
 from .matops import symmetrize, unvec, unvecm, vecm, vecv
 from .model_control import VI_AVERAGING
 
@@ -205,8 +205,10 @@ class _TruncatedSolver:
         self._v = vt[keep].T
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Min-norm least squares; raises when the system is inconsistent
-        beyond the round-off of an exact-transition window."""
+        """Min-norm least squares; raises DataConsistencyError when the
+        system is inconsistent beyond the round-off of an exact-transition
+        window, and ConvergenceError when the right-hand side or the
+        solution is not finite."""
         solution = self._v @ (self._inv_s * (self._u.T @ rhs))
         residual = self._matrix @ solution - rhs
         res_norm, rhs_norm = _norm(residual), _norm(rhs)
@@ -216,6 +218,11 @@ class _TruncatedSolver:
             peak = max(np.abs(residual).max(), np.abs(rhs).max())
             if math.isfinite(peak):
                 res_norm, rhs_norm = _norm(residual / peak), _norm(rhs / peak)
+            # an inf or nan entry: no comparison fails on a nan, so the
+            # solution would pass on into the value iteration
+            if not math.isfinite(res_norm + rhs_norm):
+                raise ConvergenceError("window regression is not finite; the window "
+                                       "or the value matrix has left the float range")
         if res_norm > CONSISTENCY_RTOL * max(rhs_norm, 1e-12):
             raise DataConsistencyError(
                 "window rows are mutually inconsistent (relative residual "

@@ -13,7 +13,7 @@ observers advance together as one ``ObserverBank``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,10 +46,11 @@ class ObserverConfig:
                            np.atleast_2d(np.asarray(self.gain_matrix, dtype=float)))
 
 
-@dataclass(frozen=True)
-class RlsObserver:
+class RlsObserver(NamedTuple):
     """State of one adaptive observer: parameter scale c, model estimate
-    A_hat, state estimate x_hat.
+    A_hat, state estimate x_hat.  An immutable record; a bank step builds
+    one per row, so it is a tuple rather than a frozen dataclass, which
+    costs about twice as much to build.
 
     The RLS parameter matrix is always c * I: it starts at init_scale * I,
     and the regressor I (x) x_hat has Gram matrix |x_hat|^2 I, so every
@@ -123,23 +124,21 @@ def observer_step_tracking_leader(obs: RlsObserver, eta: np.ndarray,
     solve (L_next^-1 + xi I)^-1 eta_next in closed form.  A downdated scale
     that is no longer positive means the estimate has blown up.
     """
+    cfg, c, a_hat, x = obs
     eta = np.asarray(eta, dtype=float).ravel()
     eta_next = np.asarray(eta_next, dtype=float).ravel()
-    x = obs.x_hat
-    n = x.size
-    if eta.size != n or eta_next.size != n:
-        raise ValueError(f"consensus error dimension mismatch: expected {n}")
-    cfg = obs.config
-    c_next = obs.c / (1.0 + obs.c * float(x.dot(x)))
+    if eta.size != x.size or eta_next.size != x.size:
+        raise ValueError(f"consensus error dimension mismatch: expected {x.size}")
+    c_next = c / (1.0 + c * float(x.dot(x)))
     if not c_next > 0.0:
         raise ConvergenceError("observer state diverged")
     if x_next is None:
-        x_next = predict_state(obs.A_hat, x, cfg.consensus_gain, cfg.gain_matrix, eta)
+        x_next = predict_state(a_hat, x, cfg.consensus_gain, cfg.gain_matrix, eta)
     # coupling * gain with gain = eta_next / (1/c_next + xi); the row-major
     # unstacking of -coupling * x_bar @ gain is the rank-one term below
-    scaled_gain = eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi))
-    a_next = obs.A_hat - scaled_gain[:, None] * x
-    return RlsObserver(cfg, c_next, a_next, x_next)
+    return RlsObserver(cfg, c_next,
+                       a_hat - (eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi)))[:, None] * x,
+                       x_next)
 
 
 @dataclass(frozen=True)
@@ -208,10 +207,13 @@ class ObserverBank:
         return self.graph @ values - self.pin[:, None] * targets[self.target]
 
     def step(self, observers: Sequence[RlsObserver], x_hat: np.ndarray,
-             targets_now: np.ndarray, targets_next: np.ndarray) -> tuple[RlsObserver, ...]:
+             targets_now: np.ndarray, targets_next: np.ndarray
+             ) -> tuple[tuple[RlsObserver, ...], np.ndarray]:
         """Advance the observers (one per row, in row order, with their
         estimates stacked in ``x_hat`` (R, n)) by one tick against the
-        stacked targets' current and next values.
+        stacked targets' current and next values.  Returns the stepped
+        observers and their stacked next estimates (R, n); row r of the
+        stack is observer r's ``x_hat``.
 
         Raises ConvergenceError when a prediction or next-tick error is not
         finite.
@@ -223,5 +225,4 @@ class ObserverBank:
         # any inf or nan entry makes the sums non-finite
         if not np.isfinite(pred.sum() + eta_next.sum()):
             raise ConvergenceError("observer state diverged")
-        return tuple(observer_step_tracking_leader(o, e, e_next, x_next=p)
-                     for o, e, e_next, p in zip(observers, eta, eta_next, pred))
+        return tuple(map(observer_step_tracking_leader, observers, eta, eta_next, pred)), pred

@@ -16,6 +16,7 @@ Laplacian-derived convex weights of classical two-layer designs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -336,6 +337,19 @@ class ControlPlan:
     gather: np.ndarray | None
 
 
+class GainGroup(NamedTuple):
+    """Oracle-mode agents whose gains share one shape (m, dim), applied as
+    one stacked ``matmul``: ``rows`` are their rows of ``WorldState.x``,
+    ``gains`` (G, m, dim) their gains and ``gather`` (G, dim) their
+    augmented states' indices into ``WorldState.world``.  Unpadded and
+    grouped by shape, the stacked product equals each ``K @ z`` bit for
+    bit (zero-padding to one shape does not)."""
+
+    rows: np.ndarray
+    gains: np.ndarray
+    gather: np.ndarray
+
+
 @dataclass
 class WorldState:
     tick: int
@@ -362,6 +376,11 @@ class WorldState:
     oracle_layouts: dict[int, tuple]
     baseline_alpha: dict[int, dict[int, float]] | None
     trace: TraceLog
+    #: The agents in row order of ``x``: followers, then leaders.
+    agents: tuple[int, ...]
+    #: The agents in the trace's observer-column order: leaders, then
+    #: followers.
+    observer_columns: np.ndarray
     #: ``[x.ravel() | targets.ravel() | estimates]`` with the observers'
     #: estimates in row order; rebuilt whenever ``x``, ``targets`` or
     #: ``observers`` is reassigned.
@@ -370,6 +389,10 @@ class WorldState:
     #: weights of the followers' plans; rebuilt whenever ``knowledge`` is.
     plans: dict[int, ControlPlan] = field(default_factory=dict)
     weights: np.ndarray | None = None
+    #: Oracle mode: the gains of ``gain_plans`` grouped by shape, rebuilt
+    #: when ``plans`` is replaced.
+    gain_groups: tuple[GainGroup, ...] = ()
+    gain_plans: dict[int, ControlPlan] | None = None
     propagation_changes: int = 0
     propagation_stable_for: int = 0
 
@@ -409,6 +432,7 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
     cfg.require_valid()
     knowledge = pr.init_knowledge(topo, cfg.schedule.initial())
     dynamics = cfg.follower_dynamics + cfg.leader_dynamics
+    agents = topo.follower_nodes + topo.leader_nodes
     plant_b = np.zeros((len(dynamics), cfg.state_dim, max(dyn.m for dyn in dynamics)))
     for b, dyn in zip(plant_b, dynamics):
         b[:, : dyn.m] = dyn.B
@@ -428,17 +452,20 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
         oracle_layouts={},
         baseline_alpha=_baseline_weights(topo) if cfg.mode == MODE_BASELINE else None,
         trace=TraceLog(config=cfg),
+        agents=tuple(agents),
+        observer_columns=np.array(topo.leader_nodes + topo.follower_nodes),
     )
     _sync_observer_networks(state, cfg)
     _build_plans(state, cfg)
     if cfg.mode in (MODE_DATA, MODE_BASELINE):
-        for node in topo.follower_nodes + topo.leader_nodes:
+        for node in agents:
             _reset_learner(state, cfg, node)
     return state
 
 
 def _gather_world(state: WorldState) -> None:
-    """Restack ``state.world`` from the plants, targets and observers."""
+    """Restack ``state.world`` from the plants, targets and observers (a
+    tick commits it from the stacked next states instead)."""
     state.world = np.concatenate((state.x.ravel(), state.targets.ravel(),
                                   *(o.x_hat for o in state.observers)))
 
@@ -452,7 +479,7 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
     target_start = state.x.size
     estimate_start = target_start + state.targets.size
     plans = {}
-    for node in topo.follower_nodes + topo.leader_nodes:
+    for node in state.agents:
         if topo.is_leader(node):
             alphas = {node: 1.0}
         elif state.baseline_alpha is not None:
@@ -547,17 +574,33 @@ def synthesize_oracle_gains(cfg: ScenarioConfig, node: int,
     return mc.AgentGains.split(sol.K, cfg.state_dim, layout)
 
 
-def _oracle_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.ndarray:
-    plan = state.plans[node]
-    if state.oracle_layouts.get(node) != plan.key:
-        if not plan.layout:
-            return cfg.warmup_gains.get(
-                node, np.zeros((cfg.dynamics_of(node).m, cfg.state_dim))
-            ) @ state.x[node - 1]
-        state.oracle_gains[node] = synthesize_oracle_gains(cfg, node, plan.layout,
-                                                           plan.alphas)
-        state.oracle_layouts[node] = plan.key
-    return state.oracle_gains[node].K @ state.world[plan.gather]
+def _group_oracle_gains(state: WorldState, cfg: ScenarioConfig) -> None:
+    """Synthesize the gain of each agent whose plan key changed since its
+    last synthesis, in agent order, and regroup every agent's gain and
+    gather by shape for the current plans.  An agent with an empty layout
+    applies its warm-up gain to its own plant state."""
+    n = cfg.state_dim
+    groups: dict[tuple[int, int], list] = {}
+    for r, node in enumerate(state.agents):
+        plan = state.plans[node]
+        if plan.layout:
+            if state.oracle_layouts.get(node) != plan.key:
+                try:
+                    state.oracle_gains[node] = synthesize_oracle_gains(
+                        cfg, node, plan.layout, plan.alphas)
+                except PfccError as exc:
+                    raise SimulationAbort(state.tick, cfg.agent_name(node), exc) from exc
+                state.oracle_layouts[node] = plan.key
+            gain, gather = state.oracle_gains[node].K, plan.gather
+        else:
+            gain = np.atleast_2d(cfg.warmup_gains.get(
+                node, np.zeros((cfg.dynamics_of(node).m, n))))
+            gather = np.arange(r * n, (r + 1) * n)
+        groups.setdefault(gain.shape, []).append((r, gain, gather))
+    state.gain_groups = tuple(
+        GainGroup(*(np.array(part) for part in zip(*members)))
+        for members in groups.values())
+    state.gain_plans = state.plans
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +700,9 @@ def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
     A follower's containment error subtracts one weighted leader target at
     a time, in leader order, and an agent's observer error sums its row
     norms in bank order (tracking row first), so every value equals its
-    per-vector form exactly."""
-    topo = cfg.topology
-    n, m = topo.n_followers, topo.n_leaders
+    per-vector form exactly.  The formation, containment and observer
+    differences share one ``_row_norms`` call."""
+    n, m = cfg.topology.n_followers, cfg.topology.n_leaders
     targets = state.targets
     x_o, h = targets[0], targets[1:]
     # subtract.reduce runs along the leaders in order
@@ -667,15 +710,35 @@ def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
         (state.x[:n, None], state.weights[:, :, None] * (h + x_o)), axis=1), axis=1)
     bank = state.bank
     x_hat = state.world[state.x.size + targets.size :].reshape(-1, cfg.state_dim)
-    obs_errors = np.bincount(bank.agent, _row_norms(x_hat - targets[bank.target]),
-                             minlength=1 + n + m)
+    norms = _row_norms(np.concatenate(
+        (state.x[n:] - h - x_o, containment, x_hat - targets[bank.target])))
+    obs_errors = np.bincount(bank.agent, norms[m + n :], minlength=1 + n + m)
     row = state.trace.next_row()
     row[0] = state.tick
-    row[1 : 1 + m] = _row_norms(state.x[n:] - h - x_o)
-    row[1 + m : 1 + m + n] = _row_norms(containment)
-    row[1 + m + n : 1 + 2 * (m + n)] = obs_errors[topo.leader_nodes + topo.follower_nodes]
+    row[1 : 1 + m + n] = norms[: m + n]
+    row[1 + m + n : 1 + 2 * (m + n)] = obs_errors[state.observer_columns]
     if cfg.record_states:
         row[1 + 2 * (m + n) :] = state.x.ravel()
+
+
+def _control_inputs(state: WorldState, cfg: ScenarioConfig) -> np.ndarray:
+    """Every agent's input from the tick-k snapshot, one row per agent in
+    row order, zero-padded to the widest input.  Oracle gains apply one
+    stacked product per ``GainGroup``; learners run one agent at a time."""
+    u = np.zeros((len(state.agents), state.plant_b.shape[2]))
+    if cfg.mode == MODE_ORACLE:
+        if state.gain_plans is not state.plans:
+            _group_oracle_gains(state, cfg)
+        for rows, gains, gather in state.gain_groups:
+            u[rows, : gains.shape[1]] = np.matmul(gains, state.world[gather][:, :, None])[:, :, 0]
+        return u
+    for r, node in enumerate(state.agents):
+        try:
+            u_node = _learner_control(state, cfg, node)
+        except PfccError as exc:
+            raise SimulationAbort(state.tick, cfg.agent_name(node), exc) from exc
+        u[r, : u_node.size] = u_node
+    return u
 
 
 def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
@@ -722,30 +785,22 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     targets_next = np.matmul(state.target_a, state.targets[:, :, None])[:, :, 0]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            stepped = state.bank.step(
+            stepped, estimates = state.bank.step(
                 state.observers,
                 state.world[state.x.size + state.targets.size :].reshape(-1, cfg.state_dim),
                 state.targets, targets_next)
     except PfccError as exc:
         raise SimulationAbort(tick, "observers", exc) from exc
 
-    # 5. controls from the tick-k snapshot, zero-padded to the widest input
-    agents = topo.follower_nodes + topo.leader_nodes
-    control = _oracle_control if cfg.mode == MODE_ORACLE else _learner_control
-    u = np.zeros((len(agents), state.plant_b.shape[2]))
-    for r, node in enumerate(agents):
-        try:
-            u_node = control(state, cfg, node)
-        except PfccError as exc:
-            raise SimulationAbort(tick, cfg.agent_name(node), exc) from exc
-        u[r, : u_node.size] = u_node
+    # 5. controls from the tick-k snapshot
+    u = _control_inputs(state, cfg)
 
     # 6. plant advance, all rows at once (the padded inputs add exact zeros);
     # one guard over all plants (a nan norm fails the comparison too)
     x_next = (np.matmul(state.plant_a, state.x[:, :, None])
               + np.matmul(state.plant_b, u[:, :, None]))[:, :, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(x_next, axis=1)
+        norms = _row_norms(x_next)
     if not norms.max() <= _STATE_GUARD:
         first = int(np.argmin(norms <= _STATE_GUARD))
         name = "followers" if first < topo.n_followers else "leaders"
@@ -755,11 +810,11 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     state.x = x_next
     state.targets = targets_next
     state.observers = stepped
+    state.world = np.concatenate((x_next.ravel(), targets_next.ravel(), estimates.ravel()))
     state.tick = tick + 1
-    _gather_world(state)
 
     if cfg.mode in (MODE_DATA, MODE_BASELINE):
-        for node in agents:
+        for node in state.agents:
             try:
                 _learner_update(state, cfg, node, tick)
             except PfccError as exc:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,9 @@ from conftest import reference_noise, vecv_loop
 from pfcc import learning as ln
 from pfcc import matops as mo
 from pfcc import model_control as mc
-from pfcc.errors import DataConsistencyError, PersistentExcitationError
+from pfcc.errors import ConvergenceError, DataConsistencyError, PersistentExcitationError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def f1_system(hexagon_config):
@@ -177,6 +183,27 @@ class TestModelBlockRegression:
                                                      allow_deficient=True)):
             np.testing.assert_allclose(got / scale, want, rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+    def test_non_finite_right_hand_side_is_a_convergence_error(self, hexagon_config,
+                                                                poison):
+        # no comparison fails on a nan, so the check must reject it by name
+        exact, _ = self.exact_and_mixed_windows(f1_system(hexagon_config))
+        solver, _ = exact.theta_solver(True)
+        rhs = np.ones(len(exact))
+        rhs[3] = poison
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="not finite"):
+            solver.solve(rhs)
+
+    def test_overflowing_solution_is_a_convergence_error(self, hexagon_config):
+        # a finite right-hand side along the weakest kept direction: the
+        # solution overflows to inf and the residual to nan
+        exact, _ = self.exact_and_mixed_windows(f1_system(hexagon_config))
+        solver, _ = exact.theta_solver(True)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="not finite"):
+            solver.solve(1e308 * solver._u[:, -1])
+
     def test_zero_input_data_rejected(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
         buf, _ = fill_buffer(sys_, seed=4, noise=0.0)
@@ -194,6 +221,51 @@ class TestModelBlockRegression:
         assert xi1[0, 0] == pytest.approx(a * 1.3 * a)
         assert xi2[0, 0] == pytest.approx(b * 1.3 * a)
         assert xi3[0, 0] == pytest.approx(b * 1.3 * b)
+
+
+#: A value-iteration sweep for the three-input leader L3 of ``hexagon`` on
+#: an exact-transition window that is then poisoned: one next-state entry
+#: set to argv[1] (unless it is "-"), and every next state scaled by
+#: argv[2].  Prints the outcome's class name.
+POISONED_SWEEP = """
+import sys
+import numpy as np
+from pfcc import learning as ln, model_control as mc, scenario as sc
+cfg = sc.load_bundled("hexagon")
+sys_ = mc.build_augmented(cfg.dynamics_of(7), [cfg.formation[2]], cfg.tracking_a,
+                          [1.0], cfg.q_weights[7])
+assert sys_.m == 3
+learner = ln.LearnerConfig()
+rows = learner.rows_for(sys_.dim, sys_.m)
+rng = np.random.default_rng(5)
+x, u = rng.normal(size=(rows, sys_.dim)), rng.normal(size=(rows, sys_.m))
+x_next = x @ sys_.A_bar.T + u @ sys_.B_bar.T
+if sys.argv[1] != "-":
+    x_next[3, 1] = float(sys.argv[1])
+x_next *= float(sys.argv[2])
+with np.errstate(all="ignore"):
+    buf = ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next)
+    cost = ln.stage_cost(cfg.q_weights[7], mc.error_selector(cfg.state_dim, [1.0]))
+    ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
+    try:
+        for _ in range(5):
+            ctrl = ln.learning_tick(ctrl, buf, cost, learner, allow_deficient=True)
+        print("returned")
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("entry, scale", [("inf", "1"), ("nan", "1"), ("1e160", "1"),
+                                          ("-", "1e152")])
+def test_three_input_sweep_on_poisoned_window_fails_closed(entry, scale):
+    # a non-finite regression once reached a 3x3 Xi3 holding inf, whose SVD
+    # may never return, so the sweep runs in a process with a timeout
+    proc = subprocess.run([sys.executable, "-c", POISONED_SWEEP, entry, scale],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ConvergenceError"]
 
 
 class TestGainUpdate:

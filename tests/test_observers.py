@@ -399,11 +399,14 @@ class TestObserverNetwork:
                 if tick in ticks:
                     observers = state.observers
                     targets_now, targets_next = bank_targets(cfg, state)
-                    got = state.bank.step(observers, np.array([o.x_hat for o in observers]),
-                                          targets_now, targets_next)
+                    got, estimates = state.bank.step(
+                        observers, np.array([o.x_hat for o in observers]),
+                        targets_now, targets_next)
                     ref = step_networks_separately(state.bank, observers,
                                                    targets_now, targets_next)
                     assert len(got) == len(ref) == len(state.bank.rows)
+                    # the stacked estimates are the stepped observers' x_hat
+                    np.testing.assert_array_equal(estimates, [o.x_hat for o in got])
                     for new, expected in zip(got, ref):
                         np.testing.assert_array_equal(new.x_hat, expected.x_hat)
                         np.testing.assert_array_equal(new.A_hat, expected.A_hat)
@@ -425,7 +428,7 @@ class TestFormationObserverGating:
         h = np.array([2.0, 0.0])
         for _ in range(50):
             h_next = SWAP @ h
-            [obs] = bank.step([obs], obs.x_hat[None], h[None], h_next[None])
+            [obs], _ = bank.step([obs], obs.x_hat[None], h[None], h_next[None])
             h = h_next
         np.testing.assert_allclose(obs.x_hat, np.zeros(2))
         np.testing.assert_allclose(obs.A_hat, np.zeros((2, 2)))
@@ -438,7 +441,7 @@ class TestFormationObserverGating:
         h = np.array([2.0, 0.0])
         for _ in range(500):
             h_next = SWAP @ h
-            [obs] = bank.step([obs], obs.x_hat[None], h[None], h_next[None])
+            [obs], _ = bank.step([obs], obs.x_hat[None], h[None], h_next[None])
             h = h_next
         assert np.linalg.norm(obs.x_hat - h) < 1e-5
         # the model estimate identifies the formation dynamics as well

@@ -282,6 +282,129 @@ class TestControlPlans:
                 assert (state.x[node - 1] == dyn.A @ x[node - 1] + dyn.B @ u).all()
 
 
+def relay_tiny_config(mode=sim.MODE_ORACLE, horizon=30):
+    """``tiny_config`` with the leader (node 4) reaching followers 2 and 3
+    only through the relay line 1 -> 2 -> 3: propagation brings it to
+    follower 3 after the control of tick 0, which runs its warm-up gain,
+    and from then on every gain shares the leader's shape."""
+    base = tiny_config(mode=mode, horizon=horizon)
+    ff = np.zeros((3, 3))
+    ff[1, 0] = ff[2, 1] = 1.0
+    topo = DirectedTopology(3, 1, ff, np.zeros((1, 1)), np.array([[1.0], [0.0], [0.0]]),
+                            np.array([1.0]))
+    return dataclasses.replace(
+        base, topology=topo,
+        follower_dynamics=base.follower_dynamics * 3, follower_x0=[], follower_names=[],
+        schedule=sim.PropensitySchedule(entries=((0, {4: 0.1}),)),
+        q_weights={node: np.eye(1) for node in (1, 2, 3, 4)},
+        formation_observers={4: base.formation_observers[2]},
+        warmup_gains={1: np.array([[-0.4]]), 2: np.array([[-0.2]]), 3: np.array([[-0.1]]),
+                      4: np.array([[-0.3]])})
+
+
+class TestWorldVector:
+    @pytest.mark.parametrize("scenario, mode", [
+        ("hexagon", sim.MODE_DATA),
+        ("hexagon", sim.MODE_ORACLE),
+        ("hexagon_static", sim.MODE_BASELINE),
+    ])
+    def test_world_is_the_concatenated_state(self, monkeypatch, scenario, mode):
+        # propagation rebuilds the bank in the first ticks, a propensity
+        # switch at 60; the world is committed from the stacked next states
+        # and must equal the concatenation of x, the targets and every
+        # observer's estimate in row order, bit for bit
+        cfg = dataclasses.replace(early_switch(sc.load_bundled(scenario), 60),
+                                  mode=mode, horizon=150)
+
+        def check(state):
+            expected = np.concatenate((state.x.ravel(), state.targets.ravel(),
+                                       *(o.x_hat for o in state.observers)))
+            assert state.world.tobytes() == expected.tobytes()
+
+        sample = sim._sample_trace
+
+        def checked(state, cfg, *args):
+            check(state)  # mid-tick, after any rebuild
+            sample(state, cfg, *args)
+        monkeypatch.setattr(sim, "_sample_trace", checked)
+        state = sim.init_world(cfg)
+        check(state)
+        banks = {id(state.bank)}
+        for _ in range(cfg.horizon):
+            sim.step_world(state, cfg)
+            check(state)
+            banks.add(id(state.bank))
+        assert len(banks) == 1 + state.propagation_changes > 1
+
+
+class TestOracleControl:
+    @staticmethod
+    def run_recorded(monkeypatch, cfg):
+        """Run ``cfg`` and return, per tick, the world, plans, oracle gains
+        and inputs the control step saw and applied, and the synthesis
+        calls."""
+        seen, synthesized = [], []
+        controls, synthesize = sim._control_inputs, sim.synthesize_oracle_gains
+
+        def recorded(state, cfg):
+            u = controls(state, cfg)
+            seen.append((state.world, state.plans, dict(state.oracle_gains),
+                         state.gain_groups, u))
+            return u
+
+        def counted(cfg, node, layout, alphas):
+            synthesized.append((node, layout, tuple(sorted(alphas.items()))))
+            return synthesize(cfg, node, layout, alphas)
+        monkeypatch.setattr(sim, "_control_inputs", recorded)
+        monkeypatch.setattr(sim, "synthesize_oracle_gains", counted)
+        state = sim.init_world(cfg)
+        for _ in range(cfg.horizon):
+            sim.step_world(state, cfg)
+        return state, seen, synthesized
+
+    @staticmethod
+    def check_inputs(cfg, state, seen, synthesized):
+        """Each applied input equals its agent's own product bit for bit,
+        and each plan key was synthesized once, when it first applied."""
+        n = cfg.state_dim
+        keys = {}
+        for world, plans, gains, _, u in seen:
+            for r, node in enumerate(state.agents):
+                plan = plans[node]
+                if plan.layout:
+                    want = gains[node].K @ world[plan.gather]
+                    if keys.get(node) != plan.key:
+                        keys[node] = plan.key
+                        assert synthesized.pop(0) == (node, *plan.key)
+                else:
+                    want = cfg.warmup_gains[node] @ world[(node - 1) * n : node * n]
+                assert u[r, : want.size].tobytes() == want.tobytes()
+                assert not u[r, want.size :].any()
+        assert synthesized == []
+
+    @pytest.mark.parametrize("scenario", ["hexagon", "hexagon_static"])
+    def test_grouped_inputs_equal_per_agent_products(self, monkeypatch, scenario):
+        cfg = dataclasses.replace(early_switch(sc.load_bundled(scenario), 60),
+                                  mode=sim.MODE_ORACLE, horizon=150,
+                                  tracking_x0=np.array([1.0, -0.5]))
+        state, seen, synthesized = self.run_recorded(monkeypatch, cfg)
+        agents = len(state.agents)
+        # every agent once, then the followers whose weights the switch moved
+        assert agents < len(synthesized) <= agents + cfg.topology.n_followers
+        self.check_inputs(cfg, state, seen, synthesized)
+        # the groups share shapes: fewer stacked products than agents
+        assert all(len(groups) < agents for _, _, _, groups, _ in seen)
+
+    def test_warm_up_and_leaders_with_followers_in_one_group(self, monkeypatch):
+        cfg = relay_tiny_config()
+        state, seen, synthesized = self.run_recorded(monkeypatch, cfg)
+        assert not seen[0][1][3].layout and seen[1][1][3].layout
+        assert seen[0][3][1].gains.shape == (1, 1, 1)  # the warm-up gain
+        self.check_inputs(cfg, state, seen, synthesized)
+        [group] = seen[-1][3]
+        assert [state.agents[r] for r in group.rows] == [1, 2, 3, 4]
+
+
 class TestObserverDivergence:
     def test_diverging_observers_abort_cleanly(self):
         # consensus gain 20 makes every formation network unstable; the run
