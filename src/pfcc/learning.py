@@ -17,14 +17,15 @@ is switched off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConvergenceError, DataConsistencyError, PersistentExcitationError
-from .matops import symmetrize, unvec, unvecm, vecm, vecv
+from .matops import square_index, symmetrize, vecm, vecv
 from .model_control import VI_AVERAGING
 
 COLLECTING = "collecting"
@@ -105,8 +106,8 @@ class DataBuffer:
     Row t of ``theta`` is [vecv(x), 2 x (x) u, vecv(u)] and row t of
     ``psi_next`` is vecv(x+), for the t-th recorded transition.  Both arrays
     are allocated once; rows are filled in order until the window is full,
-    and a full window must be flushed before it takes new rows.  The solver
-    factorization is cached until the next record or flush.
+    and a full window must be flushed before it takes new rows.  The sweep
+    plan of each rank policy is cached until the next record or flush.
     """
 
     def __init__(self, state_dim: int, input_dim: int, capacity: int):
@@ -118,7 +119,7 @@ class DataBuffer:
         self._theta = np.empty((capacity, theta_columns(state_dim, input_dim)))
         self._psi_next = np.empty((capacity, psi_columns(state_dim)))
         self._rows = 0
-        self._cache: dict = {}
+        self._plans: dict = {}
 
     def __len__(self) -> int:
         return self._rows
@@ -149,12 +150,12 @@ class DataBuffer:
         theta[:, c1 + n * m :] = vecv(u)
         self._psi_next[start:stop] = vecv(x_next)
         self._rows = stop
-        self._cache.clear()
+        self._plans.clear()
         return self
 
     def flush(self) -> None:
         self._rows = 0
-        self._cache.clear()
+        self._plans.clear()
 
     # -- views of the filled rows -----------------------------------------
     def theta(self) -> np.ndarray:
@@ -163,14 +164,50 @@ class DataBuffer:
     def psi_next(self) -> np.ndarray:
         return self._psi_next[: self._rows]
 
-    def theta_solver(self, allow_deficient: bool):
-        """Cached min-norm solver for theta @ xi = rhs with row scaling."""
-        if allow_deficient not in self._cache:
-            theta = self.theta()
-            scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
-            self._cache[allow_deficient] = (
-                _TruncatedSolver(theta * scale[:, None], allow_deficient), scale)
-        return self._cache[allow_deficient]
+    def plan(self, allow_deficient: bool) -> "_WindowPlan":
+        """The cached sweep plan of the filled rows under one rank policy."""
+        plan = self._plans.get(allow_deficient)
+        if plan is None:
+            plan = self._plans[allow_deficient] = _WindowPlan(self, allow_deficient)
+        return plan
+
+
+class _WindowPlan:
+    """The work of a value-iteration sweep that depends only on the window,
+    done once per window and rank policy: the min-norm solver of the
+    row-scaled regression ``theta @ xi = psi_next @ vecm(P)``, its row
+    scale, the ``psi_next`` rows, and the column split and gather tables
+    that unpack a solution into the Xi blocks."""
+
+    __slots__ = ("solver", "scale", "psi_next", "_xi2", "_xi2_shape", "_weights",
+                 "_xi1_gather", "_xi3_gather")
+
+    def __init__(self, buf: DataBuffer, allow_deficient: bool):
+        theta = buf.theta()
+        self.scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
+        self.solver = _TruncatedSolver(theta * self.scale[:, None], allow_deficient)
+        self.psi_next = buf.psi_next()
+        n, m = buf.state_dim, buf.input_dim
+        c1 = psi_columns(n)
+        self._xi2 = slice(c1, c1 + n * m)
+        self._xi2_shape = (m, n)
+        # one division for both half-vectorized blocks; the Xi2 slots are
+        # divided by 1 and not read from the quotient
+        xi1_weights, _, xi1_full = square_index(n)
+        xi3_weights, _, xi3_full = square_index(m)
+        self._weights = np.concatenate([xi1_weights, np.ones(n * m), xi3_weights])
+        self._xi1_gather = xi1_full
+        self._xi3_gather = xi3_full + (c1 + n * m)
+
+    def blocks(self, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Xi1 (n x n), Xi2 (m x n) and Xi3 (m x m) from a solution
+        ``[vecm(Xi1), vec(Xi2), vecm(Xi3)]``: the half-vectorized blocks
+        each as one gather of the unscaled slots, so they come back exactly
+        symmetric, and Xi2 as the column-stacked view."""
+        unscaled = stacked / self._weights
+        return (unscaled[self._xi1_gather],
+                stacked[self._xi2].reshape(self._xi2_shape, order="F"),
+                unscaled[self._xi3_gather])
 
 
 class _TruncatedSolver:
@@ -248,18 +285,21 @@ def vi_update_Xi(buf: DataBuffer, p_new: np.ndarray,
     any persistently excited window regardless of the behaviour policy.
     ``p_new`` is a 2-D, exactly symmetric value matrix, as ``learning_tick``
     produces it; it is not re-symmetrized, and ``vecm`` rejects one that is
-    asymmetric beyond its tolerance.  The blocks come back as 2-D arrays,
-    ``Xi1`` and ``Xi3`` exactly symmetric.
+    asymmetric beyond its tolerance (a ``ConvergenceError`` when it is not
+    finite).  The window's work comes from its cached ``DataBuffer.plan``.
+    The blocks come back as 2-D arrays, ``Xi1`` and ``Xi3`` exactly
+    symmetric.
     """
-    n, m = buf.state_dim, buf.input_dim
-    solver, scale = buf.theta_solver(allow_deficient)
-    rhs = (buf.psi_next() @ vecm(p_new)) * scale
-    stacked = solver.solve(rhs)
-    c1 = psi_columns(n)
-    xi1 = unvecm(stacked[:c1], n)
-    xi2 = unvec(stacked[c1 : c1 + n * m], m, n)
-    xi3 = unvecm(stacked[c1 + n * m :], m)
-    return xi1, xi2, xi3
+    plan = buf.plan(allow_deficient)
+    try:
+        p_slots = vecm(p_new)
+    except ValueError:
+        # inf - inf reads as an asymmetry: name the overflow instead
+        if not np.isfinite(p_new).all():
+            raise ConvergenceError("value matrix is not finite; the value iteration "
+                                   "has left the float range") from None
+        raise
+    return plan.blocks(plan.solver.solve((plan.psi_next @ p_slots) * plan.scale))
 
 
 def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
@@ -275,12 +315,16 @@ def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     pseudo-inverse is the reciprocal, computed directly.  Any other Xi3
     takes the steps of numpy's ``linalg.pinv`` around the same
     ``np.linalg.svd`` call, without its argument handling, so the gain is
-    bit for bit ``-pinv(xi3, rcond=GAIN_PINV_RCOND) @ xi2``.
+    bit for bit ``-pinv(xi3, rcond=GAIN_PINV_RCOND) @ xi2``; when every
+    singular value clears the cutoff, the masked reciprocal is the plain
+    one (a nan fails the test and takes the masked path).
     """
     if (xi3.shape == (1, 1)
             and RECIPROCAL_RANGE[0] <= abs(xi3[0, 0]) <= RECIPROCAL_RANGE[1]):
         return -(1.0 / xi3) @ xi2
     u, s, vt = np.linalg.svd(xi3, full_matrices=False)
+    if s.min() > GAIN_PINV_RCOND * s.max():
+        return -np.matmul(vt.T, (1 / s)[:, None] * u.T) @ xi2
     large = s > GAIN_PINV_RCOND * s.max()
     np.divide(1, s, where=large, out=s)
     s[~large] = 0
@@ -351,7 +395,9 @@ def exploration_noise(cfg: LearnerConfig, width: int, ticks) -> np.ndarray:
     fresh numpy generator seeded with ``[cfg.rng_seed & 0x7FFFFFFF, tick]``,
     so a row depends only on the seed and its tick, not on which block it
     was drawn in.  The SeedSequence hash runs once for all ticks; each row
-    then seeds its own ``PCG64``.  Ticks must lie in [0, 2**32).
+    then seeds its own ``PCG64`` and draws its standard normals in place,
+    and the block is scaled once: numpy's ``normal`` is ``0.0 + std * z``,
+    and ``std * z + 0.0`` is the same sum.  Ticks must lie in [0, 2**32).
     """
     ticks = np.asarray(ticks)
     if ticks.size and not (ticks.min() >= 0 and ticks.max() < 2**32):
@@ -360,13 +406,16 @@ def exploration_noise(cfg: LearnerConfig, width: int, ticks) -> np.ndarray:
     if cfg.noise_std == 0.0:
         return out
     for row, words in zip(out, _seed_words(cfg.rng_seed & 0x7FFFFFFF, ticks)):
-        row[:] = Generator(PCG64(_SeedWords(words))).normal(0.0, cfg.noise_std, width)
-    return out
+        Generator(PCG64(_SeedWords(words))).standard_normal(out=row)
+    # numpy's normal overflows to inf without a warning as well
+    with np.errstate(over="ignore"):
+        return cfg.noise_std * out + 0.0
 
 
-@dataclass(frozen=True)
-class LearnedController:
-    """Iterate of the data-driven value iteration for one agent."""
+class LearnedController(NamedTuple):
+    """Iterate of the data-driven value iteration for one agent.  An
+    immutable record; each sweep builds one, so it is a tuple rather than a
+    frozen dataclass, which costs about four times as much to build."""
 
     P_hat: np.ndarray
     K_hat: np.ndarray
@@ -399,7 +448,7 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
     gain without probing noise.  ``cost`` is the window's ``stage_cost``.
     """
     if not buf.is_full:
-        return replace(ctrl, status=COLLECTING)
+        return ctrl._replace(status=COLLECTING)
     if ctrl.status == CONVERGED:
         return ctrl
     xi_prev = ctrl.Xi
@@ -413,5 +462,5 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
     k_new = vi_update_K(xi_new[1], xi_new[2])
     delta = _norm(k_new - ctrl.K_hat)
     status = CONVERGED if delta < cfg.gain_delta_threshold else ITERATING
-    return LearnedController(P_hat=p_new, K_hat=k_new, Xi=xi_new, status=status,
-                             iterations=ctrl.iterations + 1, last_gain_delta=delta)
+    # positional: a NamedTuple builds from keywords at about three times the cost
+    return LearnedController(p_new, k_new, xi_new, status, ctrl.iterations + 1, delta)

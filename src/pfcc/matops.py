@@ -32,18 +32,20 @@ def _triu_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @cache
-def _square_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables between an order-n matrix and its upper-triangle slots
-    (the ordering of ``_triu_table``): the flat position ``I * n + J`` of
-    each slot, and the ``(n, n)`` table of each entry's slot, where entries
-    (i, j) and (j, i) share one."""
-    rows, cols, _ = _triu_table(n)
+def square_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables between an order-n symmetric matrix and its
+    half-vectorization (the slot ordering of ``vecm``): the weight of each
+    slot, the flat position ``I * n + J`` of each slot, and the ``(n, n)``
+    table of each entry's slot, where entries (i, j) and (j, i) share one.
+    ``weights * s.ravel()[flat]`` is ``vecm(s)``, and ``(v / weights)[full]``
+    its exact left inverse, an exactly symmetric matrix."""
+    rows, cols, weights = _triu_table(n)
     flat = rows * n + cols
     full = np.empty((n, n), dtype=np.intp)
     full[rows, cols] = full[cols, rows] = np.arange(rows.size)
     for a in (flat, full):
         a.flags.writeable = False
-    return flat, full
+    return weights, flat, full
 
 
 def vecv(d: np.ndarray) -> np.ndarray:
@@ -72,28 +74,8 @@ def vecm(s: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
         raise ValueError(f"vecm requires a square matrix, got shape {s.shape}")
     if s.size and not np.abs(s - s.T).max() <= atol:
         raise ValueError("vecm requires a symmetric matrix")
-    n = s.shape[0]
-    flat, _ = _square_index(n)
-    return _triu_table(n)[2] * s.ravel()[flat]
-
-
-def unvecm(v: np.ndarray, n: int) -> np.ndarray:
-    """Exact left inverse of ``vecm``: rebuild the symmetric matrix, one
-    gather of the unscaled slots, so the result is exactly symmetric."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != n * (n + 1) // 2:
-        raise ValueError(f"unvecm: expected length {n * (n + 1) // 2} for order {n}, got {v.size}")
-    _, full = _square_index(n)
-    return (v / _triu_table(n)[2])[full]
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The ``rows x cols`` matrix M whose column stacking
-    [M[:,0]; M[:,1]; ...] is ``v``."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != rows * cols:
-        raise ValueError(f"unvec: expected length {rows * cols}, got {v.size}")
-    return v.reshape((rows, cols), order="F")
+    weights, flat, _ = square_index(s.shape[0])
+    return weights * s.ravel()[flat]
 
 
 def pinv(b: np.ndarray) -> np.ndarray:

@@ -181,21 +181,30 @@ def value_iteration_step(sys: AugmentedSystem, p: np.ndarray, k: np.ndarray
     """One averaged backup plus gain refresh of the model-based iteration.
 
     ``learning.learning_tick`` makes the same backup from regressed blocks,
-    so the learned and model-based iterate sequences coincide.
+    so the learned and model-based iterate sequences coincide.  A backup
+    that leaves the float range raises ``ConvergenceError`` before the gain
+    is taken (LAPACK's SVD fails, or does not return, on a non-finite
+    matrix).
     """
     acl = sys.A_bar + sys.B_bar @ k
     backup = symmetrize(sys.cost_matrix() + acl.T @ p @ acl)
     p_next = (1.0 - VI_AVERAGING) * p + VI_AVERAGING * backup
+    if not np.isfinite(p_next).all():
+        raise ConvergenceError("value iteration diverged")
     return p_next, policy_gain(sys, p_next)
 
 
+# a cost or value matrix that leaves the float range overflows before the
+# divergence checks catch it, and that is reported rather than warned about
+@np.errstate(over="ignore", invalid="ignore")
 def riccati_value_iteration(sys: AugmentedSystem, tol: float = 1e-10,
                             max_iter: int = 10_000) -> RiccatiSolution:
     """Averaged value iteration for P = C^T Q C + (A + B K)^T P (A + B K).
 
     Starts from P = I (positive definite) and K = 0, and stops when
     consecutive iterates agree to ``tol``.  Non-convergence or divergence
-    raises, signalling a non-stabilizable agent or a broken assumption.
+    (a value matrix that is not finite, or a step beyond 1e14) raises,
+    signalling a non-stabilizable agent or a broken assumption.
     """
     if not is_stabilizable(AgentDynamics(sys.A_bar[:sys.block_dim, :sys.block_dim],
                                          sys.B_bar[:sys.block_dim, :])):
@@ -205,7 +214,10 @@ def riccati_value_iteration(sys: AugmentedSystem, tol: float = 1e-10,
     p = np.eye(sys.dim)
     k = np.zeros((sys.m, sys.dim))
     for it in range(1, max_iter + 1):
-        p_next, k = value_iteration_step(sys, p, k)
+        try:
+            p_next, k = value_iteration_step(sys, p, k)
+        except ConvergenceError:
+            raise ConvergenceError(f"value iteration diverged at iteration {it}") from None
         delta = float(np.linalg.norm(p_next - p))
         p = p_next
         if not np.isfinite(delta) or delta > 1e14:

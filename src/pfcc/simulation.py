@@ -656,16 +656,20 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
     if not lr.buffer.is_full:
         lr.buffer.record(lr.prev_aug, lr.prev_u, state.world[plan.gather])
     if lr.buffer.is_full:
-        cost = ln.stage_cost(cfg.q_weights[node], mc.error_selector(
-            cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
         sweeps = min(LEARN_ITERATIONS_PER_TICK,
                      lr.cfg.max_iterations - lr.controller.iterations)
+        # a cost or value matrix that leaves the float range overflows
+        # before the sweep's checks catch it, and that is reported as an
+        # abort rather than a warning
         try:
-            for _ in range(sweeps):
-                lr.controller = ln.learning_tick(lr.controller, lr.buffer, cost,
-                                                 lr.cfg, allow_deficient=True)
-                if lr.controller.status == ln.CONVERGED:
-                    break
+            with np.errstate(over="ignore", invalid="ignore"):
+                cost = ln.stage_cost(cfg.q_weights[node], mc.error_selector(
+                    cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
+                for _ in range(sweeps):
+                    lr.controller = ln.learning_tick(lr.controller, lr.buffer, cost,
+                                                     lr.cfg, allow_deficient=True)
+                    if lr.controller.status == ln.CONVERGED:
+                        break
         except DataConsistencyError:
             # samples straddled an observer transient: discard the window
             # and collect a fresh one

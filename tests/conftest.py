@@ -26,13 +26,27 @@ def vecv_loop(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def unvecm_store(v: np.ndarray, n: int) -> np.ndarray:
-    """Reference: the fancy-store form of ``matops.unvecm``, which writes
-    the unscaled slots into the upper and then the lower triangle."""
+def unvecm(v: np.ndarray, n: int) -> np.ndarray:
+    """Reference: the exact left inverse of ``matops.vecm``, the symmetric
+    matrix of order n whose half-vectorization is ``v``, in the fancy-store
+    form: the unscaled slots are written into the upper and then the lower
+    triangle."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != n * (n + 1) // 2:
+        raise ValueError(f"unvecm: expected length {n * (n + 1) // 2} for order {n}, got {v.size}")
     rows, cols = np.triu_indices(n)
     out = np.empty((n, n))
     out[rows, cols] = out[cols, rows] = v / np.where(rows == cols, 1.0, np.sqrt(2.0))
     return out
+
+
+def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Reference: the ``rows x cols`` matrix M whose column stacking
+    [M[:,0]; M[:,1]; ...] is ``v``."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != rows * cols:
+        raise ValueError(f"unvec: expected length {rows * cols}, got {v.size}")
+    return v.reshape((rows, cols), order="F")
 
 
 def reference_noise(cfg, width: int, tick: int) -> np.ndarray:

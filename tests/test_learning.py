@@ -11,6 +11,7 @@ from conftest import reference_noise, vecv_loop
 from pfcc import learning as ln
 from pfcc import matops as mo
 from pfcc import model_control as mc
+from pfcc import scenario as sc
 from pfcc.errors import ConvergenceError, DataConsistencyError, PersistentExcitationError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,7 +189,7 @@ class TestModelBlockRegression:
                                                                 poison):
         # no comparison fails on a nan, so the check must reject it by name
         exact, _ = self.exact_and_mixed_windows(f1_system(hexagon_config))
-        solver, _ = exact.theta_solver(True)
+        solver = exact.plan(True).solver
         rhs = np.ones(len(exact))
         rhs[3] = poison
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -199,7 +200,7 @@ class TestModelBlockRegression:
         # a finite right-hand side along the weakest kept direction: the
         # solution overflows to inf and the residual to nan
         exact, _ = self.exact_and_mixed_windows(f1_system(hexagon_config))
-        solver, _ = exact.theta_solver(True)
+        solver = exact.plan(True).solver
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ConvergenceError, match="not finite"):
             solver.solve(1e308 * solver._u[:, -1])
@@ -221,6 +222,91 @@ class TestModelBlockRegression:
         assert xi1[0, 0] == pytest.approx(a * 1.3 * a)
         assert xi2[0, 0] == pytest.approx(b * 1.3 * a)
         assert xi3[0, 0] == pytest.approx(b * 1.3 * b)
+
+
+class TestWindowPlan:
+    @staticmethod
+    def windows(sys_, seed):
+        """Two independent exact-transition windows of the learner's size."""
+        rows = ln.LearnerConfig().rows_for(sys_.dim, sys_.m)
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(2):
+            x = rng.normal(size=(rows, sys_.dim))
+            u = rng.normal(size=(rows, sys_.m))
+            out.append((x, u, x @ sys_.A_bar.T + u @ sys_.B_bar.T))
+        return rows, out
+
+    @staticmethod
+    def sweeps(buf, sys_, count, allow_deficient):
+        cost = ln.stage_cost(sys_.Q, sys_.C)
+        ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
+        out = []
+        for _ in range(count):
+            ctrl = ln.learning_tick(ctrl, buf, cost, ln.LearnerConfig(), allow_deficient)
+            out.append(ctrl)
+        return out
+
+    @pytest.mark.parametrize("allow_deficient", [False, True])
+    @pytest.mark.parametrize("name, agent", [("hexagon", "F1"), ("hexagon", "L3"),
+                                             ("hexagon_static", "L1")])
+    def test_refilled_buffer_sweeps_like_a_fresh_one(self, name, agent, allow_deficient):
+        # one, three and two inputs; the plan of the first window must not
+        # outlive its flush
+        cfg = sc.load_bundled(name)
+        if agent == "F1":
+            sys_ = f1_system(cfg)
+        else:
+            node = cfg.topology.leader_nodes[cfg.leader_names.index(agent)]
+            sys_ = cfg.augmented_system(node, (node,), {node: 1.0})
+        rows, (first, second) = self.windows(sys_, seed=8)
+        reused = ln.DataBuffer(sys_.dim, sys_.m, rows).record(*first)
+        self.sweeps(reused, sys_, 3, allow_deficient)
+        old = reused.plan(allow_deficient)
+        reused.flush()
+        with pytest.raises(PersistentExcitationError):
+            ln.vi_update_Xi(reused, np.eye(sys_.dim), allow_deficient)
+        half = rows // 2
+        reused.record(*(a[:half] for a in second))
+        reused.record(*(a[half:] for a in second))
+        assert reused.plan(allow_deficient) is not old
+        fresh = ln.DataBuffer(sys_.dim, sys_.m, rows).record(*second)
+        for got, want in zip(self.sweeps(reused, sys_, 12, allow_deficient),
+                             self.sweeps(fresh, sys_, 12, allow_deficient)):
+            assert (got.status, got.iterations) == (want.status, want.iterations)
+            for a, b in zip((got.P_hat, got.K_hat, *got.Xi), (want.P_hat, want.K_hat, *want.Xi)):
+                assert a.tobytes() == b.tobytes()
+            assert got.last_gain_delta == want.last_gain_delta
+
+    def test_record_drops_the_plan(self, hexagon_config):
+        sys_ = f1_system(hexagon_config)
+        rows, ((x, u, x_next), _) = self.windows(sys_, seed=9)
+        buf = ln.DataBuffer(sys_.dim, sys_.m, rows + 1).record(x, u, x_next)
+        plan = buf.plan(True)
+        assert buf.plan(True) is plan and buf.plan(False) is not plan
+        buf.record(x[0], u[0], x_next[0])
+        assert buf.plan(True) is not plan
+        assert buf.plan(True).psi_next.shape[0] == rows + 1
+
+    @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_matrix_is_a_convergence_error(self, hexagon_config, poison):
+        # inf - inf reads as an asymmetry to vecm's check; it is named as
+        # the overflow it is
+        sys_ = f1_system(hexagon_config)
+        buf, _ = fill_buffer(sys_, seed=4)
+        p = np.eye(sys_.dim)
+        p[1, 2] = p[2, 1] = poison
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="value matrix is not finite"):
+            ln.vi_update_Xi(buf, p)
+
+    def test_finite_asymmetric_value_matrix_is_still_a_value_error(self, hexagon_config):
+        sys_ = f1_system(hexagon_config)
+        buf, _ = fill_buffer(sys_, seed=4)
+        p = np.eye(sys_.dim)
+        p[0, 1] = 1e-9
+        with pytest.raises(ValueError, match="symmetric"):
+            ln.vi_update_Xi(buf, p)
 
 
 #: A value-iteration sweep for the three-input leader L3 of ``hexagon`` on
@@ -402,6 +488,13 @@ class TestMultiInputGain:
         ln.vi_update_K(np.ones((2, 4)), np.array([[2.0, 1.0], [1.0, 3.0]]))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_singular_value_at_the_cutoff(self, m):
+        # s.min() == cutoff does not clear it: the masked path zeroes it
+        xi2 = np.arange(1.0, 3 * m + 1).reshape(m, 3)
+        self.assert_matches(xi2, np.diag([1.0] + [ln.GAIN_PINV_RCOND] * (m - 1)))
+        self.assert_matches(xi2, np.diag([4.0] + [4.0 * ln.GAIN_PINV_RCOND] * (m - 1)))
+
 
 class TestExplorationNoise:
     def test_deterministic_under_seed(self):
@@ -426,6 +519,17 @@ class TestExplorationNoise:
                 expected = np.array([reference_noise(cfg, width, t) for t in ticks])
                 assert block.shape == (len(ticks), width)
                 assert block.tobytes() == expected.tobytes(), (seed, width)
+
+    @pytest.mark.parametrize("std", [5e-324, 1e-310, 1e-300, 1e300, 1e308,
+                                     1.7976931348623157e308])
+    def test_extreme_std_matches_per_call_generator(self, std):
+        # subnormal products, -0.0 draws and overflow to inf, all without
+        # a warning, as numpy's normal gives them
+        cfg = ln.LearnerConfig(rng_seed=77, noise_std=std)
+        ticks = list(range(0, 4000, 7))
+        for width in (1, 2, 3):
+            expected = np.array([reference_noise(cfg, width, t) for t in ticks])
+            assert ln.exploration_noise(cfg, width, ticks).tobytes() == expected.tobytes()
 
     def test_zero_std_gives_zero_rows(self):
         cfg = ln.LearnerConfig(rng_seed=5, noise_std=0.0)

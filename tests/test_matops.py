@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unvecm_store, vecv_loop
+from conftest import unvec, unvecm, vecv_loop
+from pfcc import learning as ln
 from pfcc import matops as mo
 
 SQRT2 = np.sqrt(2.0)
@@ -47,11 +48,14 @@ def test_half_vectorizations_match_loop_forms_bit_for_bit(n):
     np.testing.assert_array_equal(mo.vecv(stack), expected)
     for row, want in zip(stack, expected):
         np.testing.assert_array_equal(mo.vecv(row), want)
+    weights, flat, full = mo.square_index(n)
     for _ in range(20):
         s = rand_symmetric(rng, n)
         np.testing.assert_array_equal(mo.vecm(s), vecm_loop(s))
+        np.testing.assert_array_equal(weights * s.ravel()[flat], vecm_loop(s))
         v = rng.normal(size=n * (n + 1) // 2)
-        np.testing.assert_array_equal(mo.unvecm(v, n), unvecm_loop(v, n))
+        np.testing.assert_array_equal((v / weights)[full], unvecm_loop(v, n))
+        np.testing.assert_array_equal(unvecm(v, n), unvecm_loop(v, n))
 
 
 class TestVecv:
@@ -111,42 +115,51 @@ class TestVecm:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 7))
         s = rand_symmetric(rng, n)
-        np.testing.assert_allclose(mo.unvecm(mo.vecm(s), n), s, atol=1e-14)
+        np.testing.assert_allclose(unvecm(mo.vecm(s), n), s, atol=1e-14)
 
 
 class TestUnvecm:
     def test_zero(self):
-        np.testing.assert_array_equal(mo.unvecm(np.zeros(6), 3), np.zeros((3, 3)))
+        np.testing.assert_array_equal(unvecm(np.zeros(6), 3), np.zeros((3, 3)))
 
     def test_identity(self):
-        np.testing.assert_allclose(mo.unvecm([1.0, 0.0, 1.0], 2), np.eye(2))
+        np.testing.assert_allclose(unvecm([1.0, 0.0, 1.0], 2), np.eye(2))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            mo.unvecm(np.zeros(4), 2)
+            unvecm(np.zeros(4), 2)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_gather_matches_fancy_store_bit_for_bit(self, n):
+        # the sweep unpacks a regression solution [vecm(Xi1), vec(Xi2),
+        # vecm(Xi3)] through its window plan's gathers (here m = n)
         rng = np.random.default_rng(100 + n)
+        cols = ln.theta_columns(n, n)
+        x = rng.normal(size=(cols + 2, n))
+        buf = ln.DataBuffer(n, n, cols + 2).record(x, rng.normal(size=(cols + 2, n)), x)
+        plan = buf.plan(True)
         size = n * (n + 1) // 2
         specials = np.array([0.0, -0.0, 5e-324, -1e-310, 1.7e308, np.inf, -np.inf, np.nan])
         for k in range(50):
-            v = rng.normal(size=size) * 10.0 ** rng.uniform(-300, 300, size)
+            v = rng.normal(size=cols) * 10.0 ** rng.uniform(-300, 300, cols)
             if k % 2:
-                v[rng.integers(size)] = rng.choice(specials)
-            got = mo.unvecm(v, n)
-            assert got.tobytes() == unvecm_store(v, n).tobytes()
-            assert got.tobytes() == got.T.copy().tobytes()
-            assert got.flags.writeable and got.flags.c_contiguous
+                v[rng.integers(cols, size=3)] = rng.choice(specials, size=3)
+            xi1, xi2, xi3 = plan.blocks(v)
+            assert xi1.tobytes() == unvecm(v[:size], n).tobytes()
+            assert xi2.tobytes() == unvec(v[size : size + n * n], n, n).tobytes()
+            assert xi3.tobytes() == unvecm(v[size + n * n :], n).tobytes()
+            for got in (xi1, xi3):
+                assert got.tobytes() == got.T.copy().tobytes()
+                assert got.flags.writeable and got.flags.c_contiguous
 
 
 class TestVec:
     def test_column_stacking(self):
-        np.testing.assert_array_equal(mo.unvec([1.0, 3.0, 2.0, 4.0], 2, 2),
+        np.testing.assert_array_equal(unvec([1.0, 3.0, 2.0, 4.0], 2, 2),
                                       [[1.0, 2.0], [3.0, 4.0]])
 
     def test_zero(self):
-        np.testing.assert_array_equal(mo.unvec(np.zeros(6), 2, 3), np.zeros((2, 3)))
+        np.testing.assert_array_equal(unvec(np.zeros(6), 2, 3), np.zeros((2, 3)))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -155,13 +168,13 @@ class TestVec:
         rng = np.random.default_rng(seed)
         a, x, b = (rng.normal(size=(3, 3)) for _ in range(3))
         np.testing.assert_allclose(a @ x @ b,
-                                   mo.unvec(np.kron(b.T, a) @ x.ravel(order="F"), 3, 3),
+                                   unvec(np.kron(b.T, a) @ x.ravel(order="F"), 3, 3),
                                    atol=1e-10)
 
     def test_unvec_round_trip(self):
         rng = np.random.default_rng(0)
         m = rng.normal(size=(3, 5))
-        np.testing.assert_array_equal(mo.unvec(m.ravel(order="F"), 3, 5), m)
+        np.testing.assert_array_equal(unvec(m.ravel(order="F"), 3, 5), m)
 
 
 class TestPinv:

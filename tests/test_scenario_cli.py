@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,9 @@ from pfcc.errors import AssumptionError, ConvergenceError, PersistentExcitationE
 
 def bundled_dict(name="hexagon"):
     return sc.scenario_to_dict(sc.load_bundled(name))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, raw, name="scenario.json"):
@@ -430,6 +436,45 @@ class TestRunCommand:
         assert capsys.readouterr().err == ""
         meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["completed"] is True
+
+
+class TestOverflowingCost:
+    """F1's q_weight scaled to the edge of the float range: each command
+    ends in its documented exit code with one line and no warning or
+    traceback, as a user's shell sees it."""
+
+    @staticmethod
+    def pfcc(tmp_path, scale, *args):
+        raw = bundled_dict()
+        raw["followers"][0]["q_weight"] = [[scale, 0.0], [0.0, scale]]
+        path = write(tmp_path, raw)
+        return subprocess.run([sys.executable, "-m", "pfcc.cli", args[0], path, *args[1:]],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=300)
+
+    @staticmethod
+    def assert_one_line(err, message):
+        assert err.count("\n") == 1 and message in err, err
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("scale, message", [
+        (1.7e308, "value matrix is not finite"),
+        (1e307, "window regression is not finite")])
+    def test_learner_run_aborts(self, tmp_path, scale, message):
+        assert self.pfcc(tmp_path, scale, "validate").returncode == cli.EXIT_OK
+        proc = self.pfcc(tmp_path, scale, "run", "--horizon", "1500",
+                         "--out", str(tmp_path / "out"))
+        assert proc.returncode == cli.EXIT_CONVERGENCE
+        self.assert_one_line(proc.stderr, "run aborted: tick 1456, agent F1: " + message)
+
+    def test_riccati_divergence_is_reported(self, tmp_path):
+        proc = self.pfcc(tmp_path, 1.7e308, "compare-gains")
+        assert proc.returncode == cli.EXIT_CONVERGENCE and proc.stderr == ""
+        assert "F1        FAILED: value iteration diverged at iteration 1\n" in proc.stdout
+        proc = self.pfcc(tmp_path, 1.7e308, "run", "--mode", "model_based_oracle",
+                         "--horizon", "50", "--out", str(tmp_path / "out"))
+        assert proc.returncode == cli.EXIT_CONVERGENCE
+        self.assert_one_line(proc.stderr, "agent F1: value iteration diverged at iteration 1")
 
 
 class TestExitCodeMapping:
