@@ -176,9 +176,10 @@ class RiccatiSolution:
 VI_AVERAGING = 0.5
 
 
-def value_iteration_step(sys: AugmentedSystem, p: np.ndarray, k: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """One averaged backup plus gain refresh of the model-based iteration.
+def value_iteration_step(sys: AugmentedSystem, cost: np.ndarray, p: np.ndarray,
+                         k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One averaged backup plus gain refresh of the model-based iteration;
+    ``cost`` is ``sys.cost_matrix()``.
 
     ``learning.learning_tick`` makes the same backup from regressed blocks,
     so the learned and model-based iterate sequences coincide.  A backup
@@ -187,7 +188,7 @@ def value_iteration_step(sys: AugmentedSystem, p: np.ndarray, k: np.ndarray
     matrix).
     """
     acl = sys.A_bar + sys.B_bar @ k
-    backup = symmetrize(sys.cost_matrix() + acl.T @ p @ acl)
+    backup = symmetrize(cost + acl.T @ p @ acl)
     p_next = (1.0 - VI_AVERAGING) * p + VI_AVERAGING * backup
     if not np.isfinite(p_next).all():
         raise ConvergenceError("value iteration diverged")
@@ -202,27 +203,31 @@ def riccati_value_iteration(sys: AugmentedSystem, tol: float = 1e-10,
     """Averaged value iteration for P = C^T Q C + (A + B K)^T P (A + B K).
 
     Starts from P = I (positive definite) and K = 0, and stops when
-    consecutive iterates agree to ``tol``.  Non-convergence or divergence
-    (a value matrix that is not finite, or a step beyond 1e14) raises,
-    signalling a non-stabilizable agent or a broken assumption.
+    consecutive iterates agree to ``tol``, or to 64 ulps of ``||P||`` where
+    that is coarser.  Non-convergence or divergence (a value matrix that is
+    not finite, or a step beyond 1e14 times ``max(1, ||C^T Q C||)``) raises,
+    signalling a non-stabilizable agent or a broken assumption.  Both
+    bounds follow the cost's scale, which P takes on and K does not.
     """
     if not is_stabilizable(AgentDynamics(sys.A_bar[:sys.block_dim, :sys.block_dim],
                                          sys.B_bar[:sys.block_dim, :])):
         warnings.warn("plant block looks non-stabilizable; value iteration may diverge",
                       stacklevel=2)
     cost = sys.cost_matrix()
+    diverged = 1e14 * max(1.0, float(np.linalg.norm(cost)))
+    ulps = 64 * np.finfo(float).eps
     p = np.eye(sys.dim)
     k = np.zeros((sys.m, sys.dim))
     for it in range(1, max_iter + 1):
         try:
-            p_next, k = value_iteration_step(sys, p, k)
+            p_next, k = value_iteration_step(sys, cost, p, k)
         except ConvergenceError:
             raise ConvergenceError(f"value iteration diverged at iteration {it}") from None
         delta = float(np.linalg.norm(p_next - p))
         p = p_next
-        if not np.isfinite(delta) or delta > 1e14:
+        if not np.isfinite(delta) or delta > diverged:
             raise ConvergenceError(f"value iteration diverged at iteration {it}")
-        if delta < tol:
+        if delta < max(tol, ulps * float(np.linalg.norm(p))):
             acl = sys.A_bar + sys.B_bar @ k
             residual = float(np.linalg.norm(cost + acl.T @ p @ acl - p))
             return RiccatiSolution(P=p, K=k, iterations=it, residual=residual)

@@ -2,12 +2,14 @@
 
 Every tick applies, in order: propensity-schedule updates, one influence
 propagation step, all observer updates (snapshot semantics: every observer
-reads the previous tick's neighbour estimates), control/learning per agent,
-and finally the plant, formation, and tracking state advance.  Controls are
-computed from the pre-update estimate snapshot, matching the information an
-agent actually has at that tick.
+reads the previous tick's neighbour estimates), the control law
+``u = K z`` for every agent at once, and finally the plant, formation, and
+tracking state advance, after which the learners record the completed
+transition and iterate.  Controls are computed from the pre-update estimate
+snapshot, matching the information an agent actually has at that tick.
 
-Three modes share the loop: ``data_driven`` runs the online learners,
+Three modes share the loop and its one control path; they differ only in
+how an agent finds its gain K.  ``data_driven`` runs the online learners,
 ``model_based_oracle`` substitutes gains synthesized from the true models,
 and ``fcc_baseline`` disables propensity weighting in favour of the
 Laplacian-derived convex weights of classical two-layer designs.
@@ -283,8 +285,12 @@ class TraceLog:
 class AgentLearner:
     """Engine-side learner bookkeeping for one agent.
 
-    ``noise`` caches the probing noise of the ``NOISE_BLOCK_TICKS`` ticks
-    from ``noise_start`` on (see ``_probing_noise``).
+    The agent applies ``controller.K_hat`` once it has converged; until then
+    it probes with ``behavior_full`` (the previous converged gain of the same
+    layout; None applies the warm-up gain) plus its probing noise, and
+    records each transition into ``buffer``.  ``noise`` caches the probing
+    noise of the ``NOISE_BLOCK_TICKS`` ticks from ``noise_start`` on (see
+    ``_probing_noise``).
     """
 
     node: int
@@ -292,10 +298,7 @@ class AgentLearner:
     layout: tuple[int, ...]
     controller: ln.LearnedController
     buffer: ln.DataBuffer
-    warmup: np.ndarray
     behavior_full: np.ndarray | None = None
-    prev_aug: np.ndarray | None = None
-    prev_u: np.ndarray | None = None
     flushes: int = 0
     noise: np.ndarray | None = None
     noise_start: int = -1
@@ -338,8 +341,8 @@ class ControlPlan:
 
 
 class GainGroup(NamedTuple):
-    """Oracle-mode agents whose gains share one shape (m, dim), applied as
-    one stacked ``matmul``: ``rows`` are their rows of ``WorldState.x``,
+    """Agents whose gains share one shape (m, dim), applied as one stacked
+    ``matmul``: ``rows`` are their rows of ``WorldState.x``,
     ``gains`` (G, m, dim) their gains and ``gather`` (G, dim) their
     augmented states' indices into ``WorldState.world``.  Unpadded and
     grouped by shape, the stacked product equals each ``K @ z`` bit for
@@ -389,9 +392,12 @@ class WorldState:
     #: weights of the followers' plans; rebuilt whenever ``knowledge`` is.
     plans: dict[int, ControlPlan] = field(default_factory=dict)
     weights: np.ndarray | None = None
-    #: Oracle mode: the gains of ``gain_plans`` grouped by shape, rebuilt
-    #: when ``plans`` is replaced.
+    #: Every agent's gain for ``gain_plans``, grouped by shape, and the
+    #: learners that have not converged as ``(row, learner)`` pairs in agent
+    #: order.  Rebuilt when ``plans`` is replaced or ``gain_plans`` is
+    #: cleared (a learner restarts or converges).
     gain_groups: tuple[GainGroup, ...] = ()
+    probing: tuple[tuple[int, AgentLearner], ...] = ()
     gain_plans: dict[int, ControlPlan] | None = None
     propagation_changes: int = 0
     propagation_stable_for: int = 0
@@ -556,13 +562,12 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int,
     state.learners[node] = AgentLearner(
         node=node, cfg=agent_cfg, layout=layout,
         controller=ln.LearnedController.create(dim, width),
-        buffer=buffer, warmup=np.atleast_2d(cfg.warmup_gains.get(
-            node, np.zeros((width, cfg.state_dim)))),
-        behavior_full=behavior_full)
+        buffer=buffer, behavior_full=behavior_full)
+    state.gain_plans = None
 
 
 # ---------------------------------------------------------------------------
-# oracle-mode synthesis
+# gains
 # ---------------------------------------------------------------------------
 
 def synthesize_oracle_gains(cfg: ScenarioConfig, node: int,
@@ -574,16 +579,32 @@ def synthesize_oracle_gains(cfg: ScenarioConfig, node: int,
     return mc.AgentGains.split(sol.K, cfg.state_dim, layout)
 
 
-def _group_oracle_gains(state: WorldState, cfg: ScenarioConfig) -> None:
-    """Synthesize the gain of each agent whose plan key changed since its
-    last synthesis, in agent order, and regroup every agent's gain and
-    gather by shape for the current plans.  An agent with an empty layout
-    applies its warm-up gain to its own plant state."""
+def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
+    """Pick every agent's gain for the current plans, in agent order, and
+    group the gains and gathers by shape.
+
+    An oracle agent synthesizes its gain when its plan key changed since
+    its last synthesis.  A learner whose layout the plan changed restarts;
+    it applies ``K_hat`` once converged, else its behaviour gain, and until
+    then it probes (``state.probing``).  An agent with no gain, or without
+    the observer rows of its plan, applies its warm-up gain to its own
+    plant state."""
     n = cfg.state_dim
     groups: dict[tuple[int, int], list] = {}
+    probing = []
     for r, node in enumerate(state.agents):
         plan = state.plans[node]
-        if plan.layout:
+        lr = state.learners.get(node)
+        if lr is not None:
+            if lr.layout != plan.layout:
+                _reset_learner(state, cfg, node)  # layout grew: flush and restart
+                lr = state.learners[node]
+            if lr.controller.status == ln.CONVERGED:
+                gain = lr.controller.K_hat
+            else:
+                gain = lr.behavior_full
+                probing.append((r, lr))
+        elif plan.layout:
             if state.oracle_layouts.get(node) != plan.key:
                 try:
                     state.oracle_gains[node] = synthesize_oracle_gains(
@@ -591,8 +612,11 @@ def _group_oracle_gains(state: WorldState, cfg: ScenarioConfig) -> None:
                 except PfccError as exc:
                     raise SimulationAbort(state.tick, cfg.agent_name(node), exc) from exc
                 state.oracle_layouts[node] = plan.key
-            gain, gather = state.oracle_gains[node].K, plan.gather
+            gain = state.oracle_gains[node].K
         else:
+            gain = None
+        gather = plan.gather
+        if gain is None or gather is None:
             gain = np.atleast_2d(cfg.warmup_gains.get(
                 node, np.zeros((cfg.dynamics_of(node).m, n))))
             gather = np.arange(r * n, (r + 1) * n)
@@ -600,35 +624,13 @@ def _group_oracle_gains(state: WorldState, cfg: ScenarioConfig) -> None:
     state.gain_groups = tuple(
         GainGroup(*(np.array(part) for part in zip(*members)))
         for members in groups.values())
+    state.probing = tuple(probing)
     state.gain_plans = state.plans
 
 
 # ---------------------------------------------------------------------------
-# learner-driven control
+# learners
 # ---------------------------------------------------------------------------
-
-def _learner_control(state: WorldState, cfg: ScenarioConfig, node: int) -> np.ndarray:
-    """The agent's input; without the observer rows of its plan it runs its
-    warm-up policy and leaves the transition unrecorded."""
-    lr = state.learners[node]
-    plan = state.plans[node]
-    if plan.layout != lr.layout:
-        _reset_learner(state, cfg, node)  # layout grew: flush and restart
-        lr = state.learners[node]
-    aug = None if plan.gather is None else state.world[plan.gather]
-    if aug is not None and lr.controller.status == ln.CONVERGED:
-        u = lr.controller.K_hat @ aug
-    else:
-        if (aug is not None and lr.behavior_full is not None
-                and lr.behavior_full.shape[1] == aug.size):
-            u = lr.behavior_full @ aug
-        else:
-            u = lr.warmup @ state.x[node - 1]
-        u = u + _probing_noise(lr, state.tick)
-    lr.prev_aug = aug
-    lr.prev_u = np.asarray(u, dtype=float).ravel()
-    return lr.prev_u
-
 
 def _probing_noise(lr: AgentLearner, tick: int) -> np.ndarray:
     """The learner's probing noise at ``tick``: its row of the tick-aligned
@@ -642,19 +644,17 @@ def _probing_noise(lr: AgentLearner, tick: int) -> np.ndarray:
     return lr.noise[tick - start]
 
 
-def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
-                    completed_tick: int) -> None:
-    """Record the completed transition (the next state is committed) and
-    iterate if ready: at most ``LEARN_ITERATIONS_PER_TICK`` sweeps, and
-    never past the learner's ``max_iterations``."""
-    lr = state.learners[node]
-    if lr.prev_aug is None or completed_tick < cfg.learn_start_tick:
+def _learner_update(state: WorldState, cfg: ScenarioConfig, lr: AgentLearner,
+                    world: np.ndarray, u: np.ndarray) -> None:
+    """Record a probing learner's completed transition from the tick-k
+    ``world`` vector, its input ``u`` and the committed world, and iterate
+    if ready: at most ``LEARN_ITERATIONS_PER_TICK`` sweeps, and never past
+    the learner's ``max_iterations``.  Convergence regroups the gains."""
+    plan = state.plans[lr.node]
+    if plan.gather is None:  # a warm-up input is no transition of z
         return
-    if lr.controller.status == ln.CONVERGED:
-        return
-    plan = state.plans[node]
     if not lr.buffer.is_full:
-        lr.buffer.record(lr.prev_aug, lr.prev_u, state.world[plan.gather])
+        lr.buffer.record(world[plan.gather], u, state.world[plan.gather])
     if lr.buffer.is_full:
         sweeps = min(LEARN_ITERATIONS_PER_TICK,
                      lr.cfg.max_iterations - lr.controller.iterations)
@@ -663,12 +663,13 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, node: int,
         # abort rather than a warning
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                cost = ln.stage_cost(cfg.q_weights[node], mc.error_selector(
+                cost = ln.stage_cost(cfg.q_weights[lr.node], mc.error_selector(
                     cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
                 for _ in range(sweeps):
                     lr.controller = ln.learning_tick(lr.controller, lr.buffer, cost,
                                                      lr.cfg, allow_deficient=True)
                     if lr.controller.status == ln.CONVERGED:
+                        state.gain_plans = None
                         break
         except DataConsistencyError:
             # samples straddled an observer transient: discard the window
@@ -726,22 +727,16 @@ def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
 
 
 def _control_inputs(state: WorldState, cfg: ScenarioConfig) -> np.ndarray:
-    """Every agent's input from the tick-k snapshot, one row per agent in
-    row order, zero-padded to the widest input.  Oracle gains apply one
-    stacked product per ``GainGroup``; learners run one agent at a time."""
+    """Every agent's input ``u = K z`` from the tick-k snapshot, one row per
+    agent in row order, zero-padded to the widest input: one stacked
+    product per ``GainGroup``, plus each probing learner's noise row."""
+    if state.gain_plans is not state.plans:
+        _group_gains(state, cfg)
     u = np.zeros((len(state.agents), state.plant_b.shape[2]))
-    if cfg.mode == MODE_ORACLE:
-        if state.gain_plans is not state.plans:
-            _group_oracle_gains(state, cfg)
-        for rows, gains, gather in state.gain_groups:
-            u[rows, : gains.shape[1]] = np.matmul(gains, state.world[gather][:, :, None])[:, :, 0]
-        return u
-    for r, node in enumerate(state.agents):
-        try:
-            u_node = _learner_control(state, cfg, node)
-        except PfccError as exc:
-            raise SimulationAbort(state.tick, cfg.agent_name(node), exc) from exc
-        u[r, : u_node.size] = u_node
+    for rows, gains, gather in state.gain_groups:
+        u[rows, : gains.shape[1]] = np.matmul(gains, state.world[gather][:, :, None])[:, :, 0]
+    for r, lr in state.probing:
+        u[r, : lr.buffer.input_dim] += _probing_noise(lr, state.tick)
     return u
 
 
@@ -757,14 +752,13 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
                       for i in topo.follower_nodes}
         state.knowledge = pr.apply_propensity_update(state.knowledge, entry)
         _build_plans(state, cfg)
-        if cfg.mode in (MODE_DATA, MODE_BASELINE):
-            for i in topo.follower_nodes:
-                changed = state.knowledge[i].coefficients != old_coeffs[i]
-                lr = state.learners.get(i)
-                if changed and lr is not None and lr.cfg.relearn_on_alpha_change:
-                    # fresh window: post-switch data is far cleaner than the
-                    # start-up window (observers have long settled)
-                    _reset_learner(state, cfg, i, keep_buffer=False)
+        for i in topo.follower_nodes:
+            changed = state.knowledge[i].coefficients != old_coeffs[i]
+            lr = state.learners.get(i)
+            if changed and lr is not None and lr.cfg.relearn_on_alpha_change:
+                # fresh window: post-switch data is far cleaner than the
+                # start-up window (observers have long settled)
+                _reset_learner(state, cfg, i, keep_buffer=False)
 
     # 2. influence propagation (idempotent at the fixed point)
     if state.propagation_stable_for < topo.n_followers + topo.n_leaders:
@@ -810,19 +804,21 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
         name = "followers" if first < topo.n_followers else "leaders"
         raise SimulationAbort(tick, name, ConvergenceError("plant state diverged"))
 
-    # 7. commit next states, then let learners see the completed transition
+    # 7. commit next states (a new world vector: ``world`` keeps tick k),
+    # then let the probing learners see the completed transition
+    world = state.world
     state.x = x_next
     state.targets = targets_next
     state.observers = stepped
     state.world = np.concatenate((x_next.ravel(), targets_next.ravel(), estimates.ravel()))
     state.tick = tick + 1
 
-    if cfg.mode in (MODE_DATA, MODE_BASELINE):
-        for node in state.agents:
+    if tick >= cfg.learn_start_tick:
+        for r, lr in state.probing:
             try:
-                _learner_update(state, cfg, node, tick)
+                _learner_update(state, cfg, lr, world, u[r, : lr.buffer.input_dim])
             except PfccError as exc:
-                raise SimulationAbort(tick, cfg.agent_name(node), exc) from exc
+                raise SimulationAbort(tick, cfg.agent_name(lr.node), exc) from exc
     return state
 
 

@@ -597,7 +597,7 @@ class TestLearningLoop:
         p, k = np.eye(sys_.dim), np.zeros((sys_.m, sys_.dim))
         for _ in range(20):
             ctrl = ln.learning_tick(ctrl, buf, ln.stage_cost(sys_.Q, sys_.C), cfg)
-            p, k = mc.value_iteration_step(sys_, p, k)
+            p, k = mc.value_iteration_step(sys_, sys_.cost_matrix(), p, k)
             np.testing.assert_allclose(ctrl.P_hat, p, atol=1e-9)
             np.testing.assert_allclose(ctrl.K_hat, k, atol=1e-9)
             np.testing.assert_allclose(ctrl.P_hat, ctrl.P_hat.T)

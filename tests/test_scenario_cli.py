@@ -439,9 +439,9 @@ class TestRunCommand:
 
 
 class TestOverflowingCost:
-    """F1's q_weight scaled to the edge of the float range: each command
-    ends in its documented exit code with one line and no warning or
-    traceback, as a user's shell sees it."""
+    """F1's q_weight scaled up, as far as the edge of the float range: each
+    command ends in its documented exit code with one line and no warning
+    or traceback, as a user's shell sees it."""
 
     @staticmethod
     def pfcc(tmp_path, scale, *args):
@@ -475,6 +475,21 @@ class TestOverflowingCost:
                          "--horizon", "50", "--out", str(tmp_path / "out"))
         assert proc.returncode == cli.EXIT_CONVERGENCE
         self.assert_one_line(proc.stderr, "agent F1: value iteration diverged at iteration 1")
+
+
+    @pytest.mark.parametrize("scale", [1e14, 1e20])
+    def test_large_finite_cost_solves(self, tmp_path, scale):
+        # the Riccati iteration's divergence and stopping bounds follow the
+        # cost's scale, which the gain does not depend on
+        proc = self.pfcc(tmp_path, scale, "compare-gains")
+        assert proc.returncode == cli.EXIT_OK and proc.stderr == "", proc.stderr
+        [f1] = [line.split() for line in proc.stdout.splitlines() if line.startswith("F1 ")]
+        assert float(f1[2]) < 1e-3
+        out = tmp_path / "out"
+        proc = self.pfcc(tmp_path, scale, "run", "--mode", "model_based_oracle",
+                         "--horizon", "50", "--out", str(out))
+        assert proc.returncode == cli.EXIT_OK and proc.stderr == "", proc.stderr
+        assert json.loads((out / "metadata.json").read_text())["completed"] is True
 
 
 class TestExitCodeMapping:

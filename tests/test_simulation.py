@@ -1,4 +1,5 @@
 import dataclasses
+import types
 import warnings
 
 import numpy as np
@@ -405,6 +406,113 @@ class TestOracleControl:
         assert [state.agents[r] for r in group.rows] == [1, 2, 3, 4]
 
 
+class TestLearnerControl:
+    @staticmethod
+    def run_recorded(monkeypatch, cfg):
+        """Run ``cfg`` and return, per tick, the state the control step
+        saw, the plans, each learner with its gain state and the applied
+        inputs (then the final state), and every recorded transition with
+        its tick index and agent."""
+        ticks, records = [], []
+        controls, record = sim._control_inputs, ln.DataBuffer.record
+
+        def snapshot(state):
+            # a tick replaces these arrays and tuples, it does not mutate them
+            return types.SimpleNamespace(tick=state.tick, x=state.x, targets=state.targets,
+                                         observers=state.observers, bank=state.bank)
+
+        def recorded(state, cfg):
+            u = controls(state, cfg)
+            learners = {node: (lr, lr.controller.status, lr.controller.K_hat.copy(),
+                               lr.behavior_full) for node, lr in state.learners.items()}
+            ticks.append((snapshot(state), state.plans, learners, u))
+            return u
+
+        def logged(buffer, x, u, x_next):
+            [node] = [node for node, lr in state.learners.items() if lr.buffer is buffer]
+            records.append((len(ticks) - 1, node, *(np.array(a) for a in (x, u, x_next))))
+            return record(buffer, x, u, x_next)
+        monkeypatch.setattr(sim, "_control_inputs", recorded)
+        monkeypatch.setattr(ln.DataBuffer, "record", logged)
+        state = sim.init_world(cfg)
+        for _ in range(cfg.horizon):
+            sim.step_world(state, cfg)
+        ticks.append((snapshot(state), None, None, None))
+        return state, ticks, records
+
+    @pytest.mark.parametrize("mode, switch", [(sim.MODE_DATA, 60), (sim.MODE_BASELINE, 60),
+                                              (sim.MODE_DATA, 1600)])
+    def test_inputs_and_records_are_each_agents_own_product(self, monkeypatch, mode, switch):
+        # propagation changes in the first ticks, learning starts at 1400
+        # and a propensity switch at 60 restarts the followers' learners
+        # before it, one at 1600 after their convergence, when the previous
+        # gain is their behaviour policy
+        cfg = dataclasses.replace(early_switch(sc.load_bundled("hexagon"), switch),
+                                  mode=mode, horizon=1700)
+        state, ticks, records = self.run_recorded(monkeypatch, cfg)
+        probing, sources = set(), set()
+        for k, (snap, plans, learners, u) in enumerate(ticks[:-1]):
+            for r, node in enumerate(state.agents):
+                plan, (lr, status, k_hat, behavior) = plans[node], learners[node]
+                assert lr.layout == plan.layout
+                m = lr.buffer.input_dim
+                converged = status == ln.CONVERGED
+                gain = k_hat if converged else behavior
+                if gain is None or plan.gather is None:
+                    gain, z = cfg.warmup_gains[node], snap.x[node - 1]
+                    sources.add("warm-up")
+                else:
+                    z = reference_augmented_state(snap, cfg, node, plan.layout)
+                    sources.add("K_hat" if converged else "behaviour")
+                want = gain @ z
+                if not converged:  # probing: no noise reaches a converged learner
+                    want = want + reference_noise(lr.cfg, m, snap.tick)
+                    if plan.gather is not None and snap.tick >= cfg.learn_start_tick:
+                        probing.add((k, node))
+                assert u[r, :m].tobytes() == want.tobytes(), (snap.tick, node)
+                assert not u[r, m:].any()
+        assert sources == {"warm-up", "K_hat"} | ({"behaviour"} if switch > 1400 else set())
+        # each record is a probing learner's transition of its own z, with
+        # the observer rows of its plan, once per tick
+        assert len({(k, node) for k, node, *_ in records}) == len(records) > 0
+        for k, node, z, u_k, z_next in records:
+            (snap, plans, _, u), (snap_next, *_) = ticks[k], ticks[k + 1]
+            layout, r = plans[node].layout, state.agents.index(node)
+            assert (k, node) in probing
+            assert z.tobytes() == reference_augmented_state(snap, cfg, node, layout).tobytes()
+            assert u_k.tobytes() == u[r, : u_k.size].tobytes()
+            assert z_next.tobytes() == reference_augmented_state(
+                snap_next, cfg, node, layout).tobytes()
+
+    def test_gains_regroup_only_on_events(self, monkeypatch):
+        # the gain groups are rebuilt when the plans are, when a learner
+        # restarts and when one converges, never once per tick
+        cfg = dataclasses.replace(sc.load_bundled("hexagon"), horizon=1700)
+        counts = dict.fromkeys(["group", "plans", "reset", "converged"], 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        update = sim._learner_update
+
+        def learner_update(state, cfg, lr, *args):
+            before = lr.controller.status
+            update(state, cfg, lr, *args)
+            counts["converged"] += (before != ln.CONVERGED == lr.controller.status)
+        for name, attr in [("group", "_group_gains"), ("plans", "_build_plans"),
+                           ("reset", "_reset_learner")]:
+            monkeypatch.setattr(sim, attr, counted(name, getattr(sim, attr)))
+        monkeypatch.setattr(sim, "_learner_update", learner_update)
+        state = sim.init_world(cfg)
+        for _ in range(cfg.horizon):
+            sim.step_world(state, cfg)
+        assert counts["converged"] == len(state.learners)
+        assert 0 < counts["group"] <= counts["plans"] + counts["reset"] + counts["converged"]
+
+
 class TestObserverDivergence:
     def test_diverging_observers_abort_cleanly(self):
         # consensus gain 20 makes every formation network unstable; the run
@@ -498,7 +606,7 @@ class TestProbingNoise:
         cfg = ln.LearnerConfig(rng_seed=777, noise_std=0.4)
         lr = sim.AgentLearner(node=1, cfg=cfg, layout=(1,),
                               controller=ln.LearnedController.create(6, 2),
-                              buffer=ln.DataBuffer(6, 2, 30), warmup=np.zeros((2, 2)))
+                              buffer=ln.DataBuffer(6, 2, 30))
         block = sim.NOISE_BLOCK_TICKS
         last = 2**32 - 1
         # forward across boundaries, back into an earlier block, and the
