@@ -1,17 +1,17 @@
 """Distributed propagation of influential-leader information.
 
-Each agent keeps the set of formation leaders that can influence it, the
-propensity factor of each such leader, and (for followers) the convex
-combination coefficients derived from those factors.  One propagation step
-merges the previous-tick knowledge of in-neighbours, so after at most
-N + M - 1 steps every agent knows exactly the leaders with a directed path
-to it.
+Each agent keeps the propensity factor of each formation leader that can
+influence it (their keys are its influential set) and, for followers, the
+convex combination coefficients derived from those factors.  One
+propagation step merges the previous-tick knowledge of in-neighbours, so
+after at most N + M - 1 steps every agent knows exactly the leaders with a
+directed path to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConsistencyError
 from .topology import DirectedTopology
@@ -45,31 +45,25 @@ def convex_coefficients(propensities: dict[int, float]) -> dict[int, float]:
 
 @dataclass(frozen=True)
 class AgentKnowledge:
-    """One agent's view of its influential leaders at a given tick.
+    """One agent's view of its influential leaders at a given tick: the
+    propensity factor of each leader it knows and, for a follower, the
+    convex coefficients derived from them, positive on every such leader
+    and summing to one (a leader carries none).
 
-    ``influential`` only ever grows across ticks.  For followers the
-    coefficients are positive exactly on ``influential`` and sum to one;
-    leaders carry no coefficients.
-    """
+    The influential set is the key set of ``propensities``; it only ever
+    grows across ticks."""
 
-    node: int
-    role: str  # "follower" | "leader"
-    influential: frozenset[int]
     propensities: dict[int, float]
-    coefficients: dict[int, float] = field(default_factory=dict)
+    coefficients: dict[int, float]
 
-    def __post_init__(self):
-        if self.role not in ("follower", "leader"):
-            raise ValueError(f"unknown role {self.role!r}")
-        if set(self.propensities) != set(self.influential):
-            raise ConsistencyError("propensity dictionary domain must equal the influential set")
+    @property
+    def influential(self) -> frozenset[int]:
+        return frozenset(self.propensities)
 
 
-def _with_coefficients(node: int, role: str, influential: frozenset[int],
-                       propensities: dict[int, float]) -> AgentKnowledge:
-    coeffs = convex_coefficients(propensities) if role == "follower" else {}
-    return AgentKnowledge(node=node, role=role, influential=influential,
-                          propensities=dict(propensities), coefficients=coeffs)
+def _with_coefficients(follower: bool, propensities: dict[int, float]) -> AgentKnowledge:
+    return AgentKnowledge(propensities,
+                          convex_coefficients(propensities) if follower else {})
 
 
 def _merge_propensities(target: dict[int, float], source: dict[int, float]) -> None:
@@ -100,13 +94,9 @@ def init_knowledge(topo: DirectedTopology,
     if missing:
         raise ValueError(f"missing propensity factors for leaders {missing}")
 
-    knowledge: dict[int, AgentKnowledge] = {}
-    for i, neighbours in _in_neighbours(topo).items():
-        direct = frozenset(j for j in neighbours if topo.is_leader(j))
-        knowledge[i] = _with_coefficients(
-            i, "follower" if topo.is_follower(i) else "leader", direct,
-            {q: propensities[q] for q in direct})
-    return knowledge
+    return {i: _with_coefficients(topo.is_follower(i),
+                                  {j: propensities[j] for j in neighbours if topo.is_leader(j)})
+            for i, neighbours in _in_neighbours(topo).items()}
 
 
 def step_propagation(knowledge: dict[int, AgentKnowledge],
@@ -125,7 +115,7 @@ def step_propagation(knowledge: dict[int, AgentKnowledge],
         merged = dict(knowledge[i].propensities)
         for j in neighbours:
             _merge_propensities(merged, knowledge[j].propensities)
-        out[i] = _with_coefficients(i, knowledge[i].role, frozenset(merged), merged)
+        out[i] = _with_coefficients(topo.is_follower(i), merged)
     return out
 
 
@@ -151,18 +141,17 @@ def propagation_fixed_point(knowledge: dict[int, AgentKnowledge],
 
 
 def apply_propensity_update(knowledge: dict[int, AgentKnowledge],
-                            propensities: dict[int, float]) -> dict[int, AgentKnowledge]:
+                            propensities: dict[int, float],
+                            topo: DirectedTopology) -> dict[int, AgentKnowledge]:
     """Inject a new factor schedule entry.
 
     Every agent rewrites the values of leaders it already knows and rebuilds
     its coefficients; influential sets are untouched because reachability is
     static.
     """
-    out = {}
-    for node, know in knowledge.items():
-        updated = {q: propensities[q] for q in know.propensities}
-        out[node] = _with_coefficients(node, know.role, know.influential, updated)
-    return out
+    return {node: _with_coefficients(topo.is_follower(node),
+                                     {q: propensities[q] for q in know.propensities})
+            for node, know in knowledge.items()}
 
 
 def itfl_sets(knowledge: dict[int, AgentKnowledge],

@@ -218,9 +218,13 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
     ll = np.zeros((m, m))
     lf = np.zeros((n, m))
     tl = np.zeros(m)
+    seen = set()
     for src, dst, weight in raw["edges"]:
         if src not in node_of or dst not in node_of:
             raise SchemaError(f"edge references unknown agent: {src} -> {dst}")
+        if (src, dst) in seen:
+            raise SchemaError(f"edge listed twice: {src} -> {dst}")
+        seen.add((src, dst))
         if weight < 0:
             raise SchemaError(f"edge weight must be nonnegative: {src} -> {dst}")
         s, d = node_of[src], node_of[dst]

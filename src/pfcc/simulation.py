@@ -392,13 +392,12 @@ class WorldState:
     #: weights of the followers' plans; rebuilt whenever ``knowledge`` is.
     plans: dict[int, ControlPlan] = field(default_factory=dict)
     weights: np.ndarray | None = None
-    #: Every agent's gain for ``gain_plans``, grouped by shape, and the
-    #: learners that have not converged as ``(row, learner)`` pairs in agent
-    #: order.  Rebuilt when ``plans`` is replaced or ``gain_plans`` is
-    #: cleared (a learner restarts or converges).
-    gain_groups: tuple[GainGroup, ...] = ()
+    #: Every agent's gain for ``plans``, grouped by shape, and the learners
+    #: that have not converged as ``(row, learner)`` pairs in agent order.
+    #: None marks the groups stale: a plan rebuild or a convergence sets
+    #: it, and the next control step regroups.
+    gain_groups: tuple[GainGroup, ...] | None = None
     probing: tuple[tuple[int, AgentLearner], ...] = ()
-    gain_plans: dict[int, ControlPlan] | None = None
     propagation_changes: int = 0
     propagation_stable_for: int = 0
 
@@ -478,7 +477,10 @@ def _gather_world(state: WorldState) -> None:
 
 def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
     """Rebuild every agent's control plan and the followers' weight matrix
-    from the current knowledge and observer rows."""
+    from the current knowledge and observer rows, and mark the gain groups
+    stale.  This is the one place a knowledge change reaches control: a
+    learner whose plan key changed restarts if its layout changed or its
+    config relearns on a coefficient change."""
     topo = cfg.topology
     n = cfg.state_dim
     row = state.bank.row
@@ -512,7 +514,12 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
     for r, i in enumerate(topo.follower_nodes):
         for q, alpha in plans[i].alphas.items():
             weights[r, topo.leader_index(q)] = alpha
-    state.plans, state.weights = plans, weights
+    old, state.plans, state.weights = state.plans, plans, weights
+    state.gain_groups = None
+    for node, lr in state.learners.items():
+        if plans[node].key != old[node].key and (
+                plans[node].layout != lr.layout or lr.cfg.relearn_on_alpha_change):
+            _reset_learner(state, cfg, node)
 
 
 def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
@@ -536,34 +543,24 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
     _gather_world(state)
 
 
-def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int,
-                   keep_buffer: bool = False) -> None:
-    """Fresh value iteration for one agent; optionally retain the window.
-
-    The window survives coefficient-only changes because its rows are
-    policy- and cost-independent; layout growth changes dimensions and
-    forces a flush.
-    """
+def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int) -> None:
+    """Fresh value iteration with an empty window for one agent's current
+    plan layout.  A learner that had converged on the same layout keeps its
+    gain as the behaviour policy while the next window is collected and
+    iterated on (post-switch data is far cleaner than the start-up window:
+    the observers have long settled)."""
     layout = state.plans[node].layout
     dim, width = (2 + len(layout)) * cfg.state_dim, cfg.dynamics_of(node).m
     agent_cfg = cfg.agent_learner_config(node)
     old = state.learners.get(node)
     behavior_full = None
-    buffer = None
-    if old is not None and old.layout == layout:
-        # the previous converged gain stays the behaviour policy while the
-        # next window is collected and iterated on
-        if old.controller.status == ln.CONVERGED:
-            behavior_full = old.controller.K_hat
-        if keep_buffer:
-            buffer = old.buffer
-    if buffer is None:
-        buffer = ln.DataBuffer(dim, width, agent_cfg.rows_for(dim, width))
+    if old is not None and old.layout == layout and old.controller.status == ln.CONVERGED:
+        behavior_full = old.controller.K_hat
     state.learners[node] = AgentLearner(
         node=node, cfg=agent_cfg, layout=layout,
         controller=ln.LearnedController.create(dim, width),
-        buffer=buffer, behavior_full=behavior_full)
-    state.gain_plans = None
+        buffer=ln.DataBuffer(dim, width, agent_cfg.rows_for(dim, width)),
+        behavior_full=behavior_full)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +581,10 @@ def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
     group the gains and gathers by shape.
 
     An oracle agent synthesizes its gain when its plan key changed since
-    its last synthesis.  A learner whose layout the plan changed restarts;
-    it applies ``K_hat`` once converged, else its behaviour gain, and until
-    then it probes (``state.probing``).  An agent with no gain, or without
-    the observer rows of its plan, applies its warm-up gain to its own
-    plant state."""
+    its last synthesis.  A learner applies ``K_hat`` once converged, else
+    its behaviour gain, and until then it probes (``state.probing``).  An
+    agent with no gain, or without the observer rows of its plan, applies
+    its warm-up gain to its own plant state."""
     n = cfg.state_dim
     groups: dict[tuple[int, int], list] = {}
     probing = []
@@ -596,9 +592,6 @@ def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
         plan = state.plans[node]
         lr = state.learners.get(node)
         if lr is not None:
-            if lr.layout != plan.layout:
-                _reset_learner(state, cfg, node)  # layout grew: flush and restart
-                lr = state.learners[node]
             if lr.controller.status == ln.CONVERGED:
                 gain = lr.controller.K_hat
             else:
@@ -625,7 +618,6 @@ def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
         GainGroup(*(np.array(part) for part in zip(*members)))
         for members in groups.values())
     state.probing = tuple(probing)
-    state.gain_plans = state.plans
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +661,7 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, lr: AgentLearner,
                     lr.controller = ln.learning_tick(lr.controller, lr.buffer, cost,
                                                      lr.cfg, allow_deficient=True)
                     if lr.controller.status == ln.CONVERGED:
-                        state.gain_plans = None
+                        state.gain_groups = None
                         break
         except DataConsistencyError:
             # samples straddled an observer transient: discard the window
@@ -730,7 +722,7 @@ def _control_inputs(state: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     """Every agent's input ``u = K z`` from the tick-k snapshot, one row per
     agent in row order, zero-padded to the widest input: one stacked
     product per ``GainGroup``, plus each probing learner's noise row."""
-    if state.gain_plans is not state.plans:
+    if state.gain_groups is None:
         _group_gains(state, cfg)
     u = np.zeros((len(state.agents), state.plant_b.shape[2]))
     for rows, gains, gather in state.gain_groups:
@@ -748,30 +740,20 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     # 1. propensity schedule
     entry = cfg.schedule.entry_at(tick)
     if entry is not None and tick > 0:
-        old_coeffs = {i: state.knowledge[i].coefficients
-                      for i in topo.follower_nodes}
-        state.knowledge = pr.apply_propensity_update(state.knowledge, entry)
+        state.knowledge = pr.apply_propensity_update(state.knowledge, entry, topo)
         _build_plans(state, cfg)
-        for i in topo.follower_nodes:
-            changed = state.knowledge[i].coefficients != old_coeffs[i]
-            lr = state.learners.get(i)
-            if changed and lr is not None and lr.cfg.relearn_on_alpha_change:
-                # fresh window: post-switch data is far cleaner than the
-                # start-up window (observers have long settled)
-                _reset_learner(state, cfg, i, keep_buffer=False)
 
     # 2. influence propagation (idempotent at the fixed point)
     if state.propagation_stable_for < topo.n_followers + topo.n_leaders:
         nxt = pr.step_propagation(state.knowledge, topo)
-        changed = any(nxt[a].influential != state.knowledge[a].influential for a in nxt)
-        state.knowledge = nxt
-        if changed:
+        if any(nxt[a].influential != state.knowledge[a].influential for a in nxt):
+            state.knowledge = nxt
             state.propagation_changes += 1
             state.propagation_stable_for = 0
             _sync_observer_networks(state, cfg)
+            _build_plans(state, cfg)
         else:
             state.propagation_stable_for += 1
-        _build_plans(state, cfg)
 
     # 3. trace sampling of the tick-k state
     if tick % cfg.sample_interval == 0:

@@ -65,9 +65,7 @@ class TestStep:
         leader = topo.leader_nodes[0]
         know = pr.init_knowledge(topo, {leader: 0.1})
         forged = dict(know)
-        forged[1] = pr.AgentKnowledge(node=1, role="follower",
-                                      influential=frozenset({leader}),
-                                      propensities={leader: 0.9},
+        forged[1] = pr.AgentKnowledge(propensities={leader: 0.9},
                                       coefficients={leader: 1.0})
         with pytest.raises(ConsistencyError, match="conflicting propensity"):
             pr.step_propagation(forged, topo)
@@ -171,7 +169,7 @@ class TestPropensityUpdate:
         know, _ = pr.propagation_fixed_point(
             pr.init_knowledge(topo, uniform_theta(topo)), topo)
         l1, l2 = topo.leader_nodes
-        updated = pr.apply_propensity_update(know, {l1: 0.5, l2: 0.1})
+        updated = pr.apply_propensity_update(know, {l1: 0.5, l2: 0.1}, topo)
         for node in know:
             assert updated[node].influential == know[node].influential
         f3 = topo.follower_nodes[2]

@@ -76,6 +76,16 @@ class TestParsing:
         with pytest.raises(SchemaError, match="tracking"):
             sc.scenario_from_dict(raw)
 
+    def test_repeated_edge_rejected(self, tmp_path, capsys):
+        # a second weight for the same pair would silently replace the first
+        raw = bundled_dict()
+        raw["edges"].append(["T", "L1", 5.0])
+        with pytest.raises(SchemaError, match="edge listed twice: T -> L1"):
+            sc.scenario_from_dict(raw)
+        assert cli.main(["validate", write(tmp_path, raw)]) == cli.EXIT_SCHEMA
+        out = capsys.readouterr().out
+        assert out == "schema: FAIL - edge listed twice: T -> L1\n"
+
     def test_unknown_edge_agent_rejected(self):
         raw = bundled_dict()
         raw["edges"].append(["Lx", "F1", 1.0])

@@ -256,10 +256,11 @@ class TestControlPlans:
             sample(state, cfg, *args)
         monkeypatch.setattr(sim, "_sample_trace", checked)
         state = sim.init_world(cfg)
+        seen.append((state.knowledge, state.plans, state.weights))
         for _ in range(cfg.horizon):
             sim.step_world(state, cfg)
             check_gathers(state)  # the next states the learners record
-        assert len(seen) == cfg.horizon
+        assert len(seen) == 1 + cfg.horizon
         rebuilds = 0
         for (know_a, plans_a, weights_a), (know_b, plans_b, weights_b) in zip(seen, seen[1:]):
             if know_b is know_a:
@@ -267,7 +268,9 @@ class TestControlPlans:
             else:
                 assert plans_b is not plans_a and weights_b is not weights_a
                 rebuilds += 1
-        assert 0 < rebuilds < 20  # propagation to its fixed point, the switch
+        # one rebuild per propagation step that grows a set, one per switch
+        switches = sum(0 < t < cfg.horizon for t, _ in cfg.schedule.entries)
+        assert rebuilds == state.propagation_changes + switches == 2
 
     def test_plant_advance_equals_per_agent_form(self, hexagon_config):
         # input widths 1 to 3 share one zero-padded matmul
@@ -513,6 +516,61 @@ class TestLearnerControl:
         assert 0 < counts["group"] <= counts["plans"] + counts["reset"] + counts["converged"]
 
 
+class TestLearnerRestarts:
+    SWITCH = 1600
+
+    @classmethod
+    def run_logged(cls, monkeypatch, relearn, reweigh=None):
+        """Run ``hexagon`` with its switch at ``SWITCH``, after the learners
+        converged, and with the switch doubling only leader ``reweigh``'s
+        factor if given; return the state, each restart's ``(tick, node)``,
+        and the followers' coefficients, learners and gains just before the
+        switch."""
+        cfg = early_switch(sc.load_bundled("hexagon"), cls.SWITCH)
+        if reweigh is not None:
+            first = cfg.schedule.initial()
+            cfg.schedule = sim.PropensitySchedule(
+                ((0, first), (cls.SWITCH, {**first, reweigh: 2.0 * first[reweigh]})))
+        cfg = dataclasses.replace(cfg, horizon=1700, learner=dataclasses.replace(
+            cfg.learner, relearn_on_alpha_change=relearn))
+        restarts = []
+        reset = sim._reset_learner
+
+        def logged(state, cfg, node):
+            restarts.append((state.tick, node))
+            reset(state, cfg, node)
+        monkeypatch.setattr(sim, "_reset_learner", logged)
+        state = sim.init_world(cfg)
+        while state.tick < cls.SWITCH:
+            sim.step_world(state, cfg)
+        before = {i: (state.knowledge[i].coefficients, state.learners[i],
+                      state.learners[i].controller.K_hat.tobytes())
+                  for i in cfg.topology.follower_nodes}
+        assert all(lr.controller.status == ln.CONVERGED for _, lr, _ in before.values())
+        while state.tick < cfg.horizon:
+            sim.step_world(state, cfg)
+        return state, restarts, before
+
+    def test_no_relearn_keeps_the_converged_gains(self, monkeypatch):
+        state, restarts, before = self.run_logged(monkeypatch, relearn=False)
+        assert [r for r in restarts if r[0] >= self.SWITCH] == []
+        for i, (_, lr, k_hat) in before.items():
+            assert state.learners[i] is lr
+            assert lr.controller.status == ln.CONVERGED
+            assert lr.controller.K_hat.tobytes() == k_hat
+
+    @pytest.mark.parametrize("reweigh", [None, 10])
+    def test_relearn_restarts_exactly_the_reweighted_followers(self, monkeypatch, reweigh):
+        # the bundled switch reweighs every follower; doubling only L6's
+        # factor reweighs only the followers it reaches
+        state, restarts, before = self.run_logged(monkeypatch, True, reweigh)
+        changed = [i for i, (coeffs, *_) in before.items()
+                   if state.knowledge[i].coefficients != coeffs]
+        assert changed == (list(before) if reweigh is None else [4])
+        assert [r for r in restarts if r[0] >= self.SWITCH] == [
+            (self.SWITCH, i) for i in changed]
+
+
 class TestObserverDivergence:
     def test_diverging_observers_abort_cleanly(self):
         # consensus gain 20 makes every formation network unstable; the run
@@ -706,6 +764,21 @@ class TestBaselineMode:
         last = dict(zip(res.trace.header(), res.trace.rows()[-1]))
         assert max(v for k, v in last.items() if k.startswith("e_cont_")) < 1e-3
         assert max(v for k, v in last.items() if k.startswith("e_form_")) < 1e-3
+
+    def test_trace_ignores_the_propensity_schedule(self):
+        # the classical weights do not read the propensity factors, so a
+        # switch after the learners converged restarts none of them
+        cfg = dataclasses.replace(sc.load_bundled("hexagon"), mode=sim.MODE_BASELINE,
+                                  horizon=1800, sample_interval=1)
+        first = cfg.schedule.initial()
+        texts = []
+        for c in (early_switch(cfg, 1600),
+                  dataclasses.replace(cfg, schedule=sim.PropensitySchedule(((0, first),)))):
+            res = sim.run(c)
+            assert res.completed
+            texts.append(sc.trace_to_csv(res.trace))
+        switched, unswitched = texts
+        assert switched == unswitched
 
 
 class TestSummary:
