@@ -2,9 +2,9 @@
 
 A scenario is a single JSON document with self-describing keys carrying the
 agent models, the communication edges, the propensity-factor schedule, and
-all observer/learner parameters.  Unknown keys are rejected so typos fail
-loudly; matrices are row-major nested arrays whose dimensions are inferred
-and cross-checked.
+all observer/learner parameters.  Unknown and repeated keys are rejected so
+typos fail loudly; matrices are row-major nested arrays whose dimensions are
+inferred and cross-checked.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import learning as ln
@@ -39,6 +38,8 @@ _OBSERVER = {
     },
 }
 
+#: The scenario file format: a JSON Schema 2020-12 document that uses only
+#: the keywords ``_violations`` checks, so that pfcc validates a file itself.
 SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -142,10 +143,96 @@ SCHEMA = {
 }
 
 
-#: Validator of ``SCHEMA``, checked and built once; ``parse_scenario_text``
-#: reports its best-matching error, as ``jsonschema.validate`` would.
-VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
-VALIDATOR.check_schema(SCHEMA)
+#: JSON Schema 2020-12 type rules: a bool is not a number, and a float
+#: with an integral value is an integer.
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _matches_type(value, schema: dict) -> bool:
+    types = schema.get("type", ())
+    if isinstance(types, str):
+        return _IS_TYPE[types](value)
+    return any(_IS_TYPE[t](value) for t in types)
+
+
+def _violations(value, schema: dict, path: tuple, out: list) -> None:
+    """Append ``(path, message, value, schema)`` for each way ``value``
+    breaks ``schema``: keywords in schema order, messages as jsonschema 4.26
+    words them, and an ``enum`` of strings only."""
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    for keyword, arg in schema.items():
+        message = None
+        if keyword == "type":
+            if not _matches_type(value, schema):
+                types = [arg] if isinstance(arg, str) else arg
+                message = f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "enum":
+            if not (isinstance(value, str) and value in arg):
+                message = f"{value!r} is not one of {arg!r}"
+        elif keyword == "required":
+            out += [(path, f"{key!r} is a required property", value, schema)
+                    for key in arg if is_object and key not in value]
+        elif keyword == "properties":
+            for key, sub in arg.items() if is_object else ():
+                if key in value:
+                    _violations(value[key], sub, path + (key,), out)
+        elif keyword == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = [key for key in value if key not in known] if is_object else []
+            if arg is False and extras:
+                names = ", ".join(map(repr, sorted(extras)))
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+            elif isinstance(arg, dict):
+                for key in extras:
+                    _violations(value[key], arg, path + (key,), out)
+        elif keyword == "items":
+            start = len(schema.get("prefixItems", ()))
+            # items checked by type alone, the numbers of a row, are walked
+            # one by one only if one of them fails
+            plain = arg.keys() == {"type"} and isinstance(arg["type"], str)
+            if is_array and not (plain and all(map(_IS_TYPE[arg["type"]], value[start:]))):
+                for index in range(start, len(value)):
+                    _violations(value[index], arg, path + (index,), out)
+        elif keyword == "prefixItems":
+            for index, (item, sub) in enumerate(zip(value if is_array else (), arg)):
+                _violations(item, sub, path + (index,), out)
+        elif keyword == "minItems":
+            if is_array and len(value) < arg:
+                message = f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword == "maxItems":
+            if is_array and len(value) > arg:
+                message = f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif keyword == "minimum":
+            if _IS_TYPE["number"](value) and value < arg:
+                message = f"{value!r} is less than the minimum of {arg!r}"
+        else:
+            raise KeyError(f"schema keyword {keyword!r} is not supported")
+        if message is not None:
+            out.append((path, message, value, schema))
+
+
+def _schema_violation(raw) -> str | None:
+    """The violation of ``SCHEMA`` that ``jsonschema.exceptions.best_match``
+    would report, at its path, else None: the shortest path, then the
+    greatest, then one whose value fails its own schema's type, then the
+    first found."""
+    found = []
+    _violations(raw, SCHEMA, (), found)
+    if not found:
+        return None
+    path, message, _, _ = max(found, key=lambda err: (
+        -len(err[0]), err[0], not _matches_type(err[2], err[3])))
+    return f"scenario schema violation at {'/'.join(map(str, path)) or '<root>'}: {message}"
 
 
 def _matrix(raw, what: str) -> np.ndarray:
@@ -176,18 +263,29 @@ def _non_finite(value, path: tuple = ()) -> tuple | None:
     return None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dictionary; a key given twice is an error, where
+    ``json.loads`` alone would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        duplicate = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise SchemaError(f"scenario has a duplicate key {duplicate!r}")
+    return obj
+
+
 def parse_scenario_text(text: str) -> dict:
-    """JSON text to a validated raw dictionary; every number must be finite."""
+    """JSON text to a validated raw dictionary; every number must be finite
+    and no object may repeat a key."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"scenario is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from exc
-    error = jsonschema.exceptions.best_match(VALIDATOR.iter_errors(raw))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise SchemaError(f"scenario schema violation at {path}: {error.message}") from error
+    violation = _schema_violation(raw)
+    if violation is not None:
+        raise SchemaError(violation)
     where = _non_finite(raw)
     if where is not None:
         # an agent's field is named as the config checks name it
@@ -371,6 +469,8 @@ def load_scenario(path) -> sim.ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read scenario {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read scenario {path}: not UTF-8 text") from exc
     return scenario_from_dict(parse_scenario_text(text))
 
 

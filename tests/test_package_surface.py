@@ -4,6 +4,9 @@ benchmark harness, not only by tests.  The exceptions are the references
 the acceptance criteria compare against."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,3 +55,11 @@ def test_every_public_name_has_a_caller_outside_tests():
                     for where, names in reads.items() for name, line in names):
                 unreferenced.append(f"{path.stem}.{qualified}")
     assert unreferenced == []
+
+
+def test_command_line_does_not_import_jsonschema():
+    # pfcc checks a scenario file itself; jsonschema is only the tests'
+    # reference for that check
+    code = "import pfcc.cli, sys; assert 'jsonschema' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")})

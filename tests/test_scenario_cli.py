@@ -208,6 +208,35 @@ class TestValidateCommand:
         assert cli.main(["validate", path]) == cli.EXIT_ASSUMPTION
 
 
+class TestScenarioText:
+    """Text that the JSON parser cannot read as written fails as a schema
+    error: one line, exit 2."""
+
+    @pytest.mark.parametrize("command", ["validate", "run", "compare-gains"])
+    def test_non_utf8_file_is_one_line_schema_error(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(bundled_dict()).encode("utf-16-le"))
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert cli.main([command, str(path), *out]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert text.count("\n") == 1, text
+        assert text.endswith(f"cannot read scenario {path}: not UTF-8 text\n"), text
+
+    @pytest.mark.parametrize("key, old, new", [
+        # a parser that keeps the last value would run all 8000 ticks
+        ("horizon", '{"name"', '{"horizon": 10, "name"'),
+        ("L1", '"factors": {', '"factors": {"L1": 2.0, ')])
+    def test_duplicate_key_is_schema_error(self, tmp_path, capsys, key, old, new):
+        text = json.dumps(bundled_dict())
+        assert old in text
+        path = tmp_path / "duplicate.json"
+        path.write_text(text.replace(old, new, 1))
+        assert cli.main(["validate", str(path)]) == cli.EXIT_SCHEMA
+        assert capsys.readouterr().out == (
+            f"schema: FAIL - scenario has a duplicate key {key!r}\n")
+
+
 class TestRunCommand:
     def test_zero_horizon_writes_header_only(self, tmp_path):
         path = write(tmp_path, bundled_dict())

@@ -8,6 +8,10 @@ for the first cases, ``pfcc compare-gains`` must then end in a documented
 exit code without a traceback, and a schema or assumption failure must print
 one line.  The schema messages must be those of ``jsonschema.validate``, and
 a non-finite number that the schema accepts must be reported at its path.
+
+pfcc checks ``SCHEMA`` itself; jsonschema is the reference it is held to,
+also on documents with two mutations (where the best match must break ties
+between sibling and nested errors as jsonschema does) and on every key drop.
 """
 
 from __future__ import annotations
@@ -55,27 +59,29 @@ def json_type(value) -> str:
     return "number" if is_number(value) else type(value).__name__
 
 
-def mutate(raw: dict, rng: random.Random, kind: str) -> str:
-    """Apply one random mutation of ``kind`` to ``raw`` in place; returns
-    what it did."""
-    everything = list(nodes(raw))[1:]
+def parent(raw, path):
+    """The container that holds the value at ``path``."""
+    for key in path[:-1]:
+        raw = raw[key]
+    return raw
 
-    def at(path):
-        node = raw
-        for key in path[:-1]:
-            node = node[key]
-        return node
+
+def mutate(raw: dict, rng: random.Random, kind: str, within: tuple = ()) -> str:
+    """Apply one random mutation of ``kind`` to ``raw`` in place, below
+    the path ``within``; returns what it did."""
+    everything = [(p, v) for p, v in list(nodes(raw))[1:]
+                  if p[:len(within)] == within and p != within]
 
     if kind == "drop":
         path, _ = rng.choice([(p, v) for p, v in everything if isinstance(p[-1], str)])
-        del at(path)[path[-1]]
+        del parent(raw, path)[path[-1]]
     elif kind == "retype":
         path, value = rng.choice(everything)
-        at(path)[path[-1]] = rng.choice(
+        parent(raw, path)[path[-1]] = rng.choice(
             [v for v in RETYPES if json_type(v) != json_type(value)])
     elif kind == "negate":
         path, value = rng.choice([(p, v) for p, v in everything if is_number(v)])
-        at(path)[path[-1]] = -value
+        parent(raw, path)[path[-1]] = -value
     elif kind == "resize":
         path, vector = rng.choice([(p, v) for p, v in everything if isinstance(v, list)
                                    and v and all(is_number(x) for x in v)])
@@ -85,15 +91,15 @@ def mutate(raw: dict, rng: random.Random, kind: str) -> str:
             vector.pop()
     elif kind == "nonfinite":
         path, _ = rng.choice([(p, v) for p, v in everything if is_number(v)])
-        at(path)[path[-1]] = rng.choice(NON_FINITE)
+        parent(raw, path)[path[-1]] = rng.choice(NON_FINITE)
     elif kind == "unstable":
         path, matrix = rng.choice([(p, v) for p, v in everything if p[-1] in ("A", "B", "S")])
         scale = 0.0 if path[-1] == "B" else 1.5
-        at(path)[path[-1]] = [[scale * x for x in row] for row in matrix]
+        parent(raw, path)[path[-1]] = [[scale * x for x in row] for row in matrix]
     elif rng.random() < 0.5:
         path = ("propensity_schedule", rng.randrange(len(raw["propensity_schedule"])),
                 "factors", "Lx")
-        at(path)["Lx"] = 1.0
+        parent(raw, path)["Lx"] = 1.0
     else:
         path = ("observers", "formation", "Lx")
         formation = raw["observers"]["formation"]
@@ -153,3 +159,76 @@ def test_schema_messages_match_jsonschema_validate(name):
             assert got and got.startswith(prefix) and got.endswith(" must be finite"), got
             continue
         assert got == expected, f"case {case} ({what})"
+
+
+#: jsonschema's own validator of ``SCHEMA``: the reference for pfcc's.
+REFERENCE = jsonschema.validators.validator_for(sc.SCHEMA)(sc.SCHEMA)
+#: Mutation kinds that change only what the schema sees, and that apply
+#: to whatever an earlier mutation left.
+SCHEMA_KINDS = ["drop", "retype", "negate", "resize", "nonfinite"]
+DOUBLE_CASES_PER_SCENARIO = 150
+
+
+def assert_reports_best_match(raw, context):
+    """``parse_scenario_text`` reports the error ``jsonschema.validate``
+    would, or a non-finite number where the schema finds none."""
+    error = jsonschema.exceptions.best_match(REFERENCE.iter_errors(raw))
+    try:
+        sc.parse_scenario_text(json.dumps(raw))
+        got = None
+    except SchemaError as exc:
+        got = str(exc)
+    if error is None:
+        assert got is None or got.endswith(" must be finite"), (context, got)
+    else:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        assert got == f"scenario schema violation at {path}: {error.message}", context
+
+
+@pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+def test_two_mutations_report_jsonschemas_best_match(name):
+    bundled = sc.scenario_to_dict(sc.load_bundled(name))
+    rng = random.Random(f"pfcc-fuzz-two-{name}")
+    # objects whose members the second half of the cases mutate twice, so
+    # that errors tie on depth more often
+    objects = [p for p, v in nodes(bundled) if isinstance(v, dict) and len(v) > 1]
+    for case in range(DOUBLE_CASES_PER_SCENARIO):
+        raw = json.loads(json.dumps(bundled))
+        if case < DOUBLE_CASES_PER_SCENARIO // 2:
+            what = [mutate(raw, rng, rng.choice(SCHEMA_KINDS)) for _ in range(2)]
+        else:
+            within = rng.choice(objects)
+            what = [mutate(raw, rng, rng.choice(["drop", "retype"]), within)
+                    for _ in range(2)]
+        assert_reports_best_match(raw, f"case {case} ({what})")
+
+
+@pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+def test_every_key_drop_reports_jsonschemas_best_match(name):
+    bundled = sc.scenario_to_dict(sc.load_bundled(name))
+    for path, _ in nodes(bundled):
+        if path and isinstance(path[-1], str):
+            raw = json.loads(json.dumps(bundled))
+            del parent(raw, path)[path[-1]]
+            assert_reports_best_match(raw, "drop " + "/".join(map(str, path)))
+
+
+def subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    nested = [*schema.get("properties", {}).values(), *schema.get("prefixItems", ())]
+    nested += [schema[key] for key in ("items", "additionalProperties")
+               if isinstance(schema.get(key), dict)]
+    for sub in nested:
+        yield from subschemas(sub)
+
+
+def test_schema_uses_only_keywords_that_pfcc_checks():
+    jsonschema.validators.validator_for(sc.SCHEMA).check_schema(sc.SCHEMA)
+    for schema in subschemas(sc.SCHEMA):
+        # a value of no schema type visits every keyword without descending;
+        # a keyword the walker does not check raises
+        sc._violations(object(), schema, (), [])
+        assert all(isinstance(v, str) for v in schema.get("enum", ())), schema
+    with pytest.raises(KeyError, match="'maximum'"):
+        sc._violations(object(), {"maximum": 1}, (), [])
