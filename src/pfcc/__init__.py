@@ -5,16 +5,6 @@ The package provides the communication-graph machinery, the distributed
 influence-propagation algorithm, data-based adaptive observers, model-based
 Riccati gain synthesis, an online data-driven learner verified against that
 synthesis, and a deterministic tick simulator with a CLI front end.
-
-Importing the package asks OpenBLAS for one thread unless
-``OPENBLAS_NUM_THREADS`` is already set: the matrices here are small, and a
-second thread makes a window SVD stall now and then.  OpenBLAS reads the
-variable once, when numpy is first imported, so a program that imports numpy
-before pfcc keeps its own thread count.
 """
-
-import os
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

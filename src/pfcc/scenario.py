@@ -197,12 +197,8 @@ def _violations(value, schema: dict, path: tuple, out: list) -> None:
                     _violations(value[key], arg, path + (key,), out)
         elif keyword == "items":
             start = len(schema.get("prefixItems", ()))
-            # items checked by type alone, the numbers of a row, are walked
-            # one by one only if one of them fails
-            plain = arg.keys() == {"type"} and isinstance(arg["type"], str)
-            if is_array and not (plain and all(map(_IS_TYPE[arg["type"]], value[start:]))):
-                for index in range(start, len(value)):
-                    _violations(value[index], arg, path + (index,), out)
+            for index in range(start, len(value)) if is_array else ():
+                _violations(value[index], arg, path + (index,), out)
         elif keyword == "prefixItems":
             for index, (item, sub) in enumerate(zip(value if is_array else (), arg)):
                 _violations(item, sub, path + (index,), out)

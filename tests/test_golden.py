@@ -6,15 +6,12 @@ The workloads, the export and the comparison are the benchmark's own, so
 this test and ``perfbench/run.py`` judge a run the same way.
 
 Short runs of every mode also pin the exported bytes exactly, and so do
-the ``compare-gains`` reports of both bundled scenarios; the ``pfcc``
-command writes the same bytes at one and two OpenBLAS threads.
+the ``compare-gains`` reports of both bundled scenarios.
 """
 
 import dataclasses
 import hashlib
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -24,8 +21,7 @@ from pfcc import cli
 from pfcc import scenario as sc
 from pfcc import simulation as sim
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 from speed import Speedometer  # noqa: E402
@@ -107,23 +103,3 @@ def test_compare_gains_reports_match_pinned_digests(name):
                for seed in COMPARE_SEEDS for node in agents]
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == COMPARE_REPORTS[name]
-
-
-def pfcc_command(threads: str, *args) -> str:
-    """Standard output of the ``pfcc`` command at ``threads`` OpenBLAS threads."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
-    return subprocess.run([sys.executable, "-m", "pfcc.cli", *args], env=env,
-                          check=True, capture_output=True, text=True).stdout
-
-
-def test_command_output_is_the_same_at_one_and_two_blas_threads(tmp_path):
-    scenario, overrides, digests = EXPORTS["hexagon_data_driven"]
-    path = str(ROOT / "src" / "pfcc" / "scenarios" / f"{scenario}.json")
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        pfcc_command(threads, "run", path, "--horizon", str(overrides["horizon"]),
-                     "--sample-interval", str(overrides["sample_interval"]),
-                     "--out", str(out))
-        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                     for name in ("trace.csv", "metadata.json")) == digests
-    assert pfcc_command("1", "compare-gains", path) == pfcc_command("2", "compare-gains", path)
