@@ -107,10 +107,15 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def is_positive_definite(m: np.ndarray, atol: float = SYMMETRY_ATOL) -> bool:
-    """Cholesky-based positive definiteness test for symmetric input."""
+    """Cholesky-based positive definiteness test for symmetric input.
+
+    Input asymmetric beyond ``atol`` is not positive definite, and neither
+    is input with a non-finite entry (its asymmetry is not a number).
+    """
     m = np.asarray(m, dtype=float)
-    if not np.allclose(m, m.T, atol=atol, rtol=0.0):
-        return False
+    with np.errstate(invalid="ignore"):
+        if m.size and not np.abs(m - m.T).max() <= atol:
+            return False
     try:
         np.linalg.cholesky(m)
         return True

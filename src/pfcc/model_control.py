@@ -67,12 +67,19 @@ class FormationDynamics:
 
 def is_stabilizable(dyn: AgentDynamics, tol: float = 1e-9) -> bool:
     """PBH-style test: every eigenvalue on/outside the unit circle must be
-    controllable."""
+    controllable.
+
+    B enters scaled to a largest entry of 1 and the rank cutoff is relative
+    to the test matrix, so (A, cB) gets the verdict of (A, B) for every
+    c != 0.
+    """
+    scale = np.abs(dyn.B).max(initial=0.0)
+    b = dyn.B / scale if scale else dyn.B
     for lam in np.linalg.eigvals(dyn.A):
         if abs(lam) < 1.0 - tol:
             continue
-        test = np.hstack([dyn.A - lam * np.eye(dyn.n), dyn.B])
-        if np.linalg.matrix_rank(test, tol=1e-9) < dyn.n:
+        test = np.hstack([dyn.A - lam * np.eye(dyn.n), b])
+        if np.linalg.matrix_rank(test, rtol=1e-9) < dyn.n:
             return False
     return True
 
@@ -294,21 +301,27 @@ def min_norm_regulation_solution(a: np.ndarray, b: np.ndarray,
                                  rtol: float = 1e-8) -> np.ndarray:
     """Minimum-norm U solving S = A + B U, via U = B^+ (S - A).
 
-    Raises when the equation is unsolvable (the residual of the projected
-    right-hand side exceeds ``rtol``), which means the regulation-equation
-    assumptions do not hold for this agent/target pair.
+    ``s_target`` is one ``(n, n)`` target or a ``(k, n, n)`` stack of them,
+    solved from one pseudo-inverse of B; the result has the same stacking.
+    Raises when the equation of any target is unsolvable (its projection
+    residual exceeds ``rtol * max(1, ||S - A||)``), which means the
+    regulation-equation assumptions do not hold for this agent and target.
+    A residual that is not a number does not raise.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     s = np.atleast_2d(np.asarray(s_target, dtype=float))
     rhs = s - a
     u = pinv(b) @ rhs
-    residual = float(np.linalg.norm(b @ u - rhs))
-    if residual > rtol * max(1.0, float(np.linalg.norm(rhs))):
+    residual = np.linalg.norm(b @ u - rhs, axis=(-2, -1))
+    size = np.linalg.norm(rhs, axis=(-2, -1))
+    # fmax, like Python's max(1, size), takes a nan size as 1
+    failed = residual > rtol * np.fmax(size, 1.0)
+    if failed.any():
         raise RegulationError(
             "regulation equation S = A + B*U has no solution "
-            f"(projection residual {residual:.3e}); the solvability assumptions "
-            "fail for this agent"
+            f"(projection residual {residual[failed].flat[0]:.3e}); the solvability "
+            "assumptions fail for this agent"
         )
     return u
 

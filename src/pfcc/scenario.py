@@ -272,9 +272,29 @@ def _unique_keys(pairs: list) -> dict:
 
 def parse_scenario_text(text: str) -> dict:
     """JSON text to a validated raw dictionary; every number must be finite
-    and no object may repeat a key."""
+    and no object may repeat a key.
+
+    The parser's number hooks flag a literal that may not be a finite
+    float, and only a flagged document is walked for the first one.
+    """
+    flagged = False
+
+    def flag(value):
+        nonlocal flagged
+        flagged = True
+        return value
+
+    def parse_float(literal: str) -> float:
+        value = float(literal)
+        return value if math.isfinite(value) else flag(value)
+
+    def parse_int(literal: str) -> int:
+        # an integer of up to 308 digits is below the largest float
+        return flag(int(literal)) if len(literal) > 308 else int(literal)
+
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=_unique_keys, parse_float=parse_float,
+                         parse_int=parse_int, parse_constant=lambda name: flag(float(name)))
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"scenario is not valid JSON (line {exc.lineno}, column {exc.colno}): "
@@ -282,7 +302,7 @@ def parse_scenario_text(text: str) -> dict:
     violation = _schema_violation(raw)
     if violation is not None:
         raise SchemaError(violation)
-    where = _non_finite(raw)
+    where = _non_finite(raw) if flagged else None
     if where is not None:
         # an agent's field is named as the config checks name it
         subject = (f"{where[2]} of {raw[where[0]][where[1]]['name']}"

@@ -195,7 +195,12 @@ class ScenarioConfig:
     # they then judge the inf or nan, without a warning
     @np.errstate(over="ignore", invalid="ignore")
     def validate(self) -> list[str]:
-        """Assumption checks; returns a list of failure descriptions."""
+        """Assumption checks; returns a list of failure descriptions.
+
+        Each agent's regulation equations, for the tracking target and for
+        every leader's formation, are solved from one pseudo-inverse of its
+        B, and an agent that fails any of them is named once.
+        """
         problems: list[str] = []
         report = verify_assumption1(self.topology)
         if not report.passed:
@@ -209,6 +214,7 @@ class ScenarioConfig:
         for q, form in zip(self.topology.leader_nodes, self.formation):
             if mc.spectral_radius(form.S) > 1.0 + mc.MARGINAL_TOL:
                 problems.append(f"formation dynamics of {self.agent_name(q)} expand")
+        targets = np.stack([self.tracking_a] + [f.S for f in self.formation])
         for node in self.topology.follower_nodes + self.topology.leader_nodes:
             if not is_positive_definite(self.q_weights[node]):
                 problems.append(f"q_weight of {self.agent_name(node)} must be "
@@ -216,14 +222,11 @@ class ScenarioConfig:
             dyn = self.dynamics_of(node)
             if not mc.is_stabilizable(dyn):
                 problems.append(f"agent {self.agent_name(node)} is not stabilizable")
-            targets = [self.tracking_a] + [f.S for f in self.formation]
-            for target in targets:
-                try:
-                    mc.min_norm_regulation_solution(dyn.A, dyn.B, target)
-                except PfccError:
-                    problems.append(
-                        f"regulation equation unsolvable for agent {self.agent_name(node)}")
-                    break
+            try:
+                mc.min_norm_regulation_solution(dyn.A, dyn.B, targets)
+            except PfccError:
+                problems.append(
+                    f"regulation equation unsolvable for agent {self.agent_name(node)}")
         return problems
 
     def require_valid(self) -> None:

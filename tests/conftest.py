@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 import pytest
 
+from pfcc import model_control as mc
 from pfcc import scenario as sc
 from pfcc import simulation as sim
+from pfcc.errors import PfccError
 from pfcc.topology import DirectedTopology
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -56,6 +59,44 @@ def reference_noise(cfg, width: int, tick: int) -> np.ndarray:
         return np.zeros(width)
     rng = np.random.default_rng([cfg.rng_seed & 0x7FFFFFFF, tick])
     return rng.normal(0.0, cfg.noise_std, width)
+
+
+def non_finite(value, path: tuple = ()) -> tuple | None:
+    """Reference: path to the first number of a parsed JSON value, in
+    document order, that is not a finite float (``NaN``, ``Infinity``, or
+    a literal such as ``1e400`` or a 400-digit integer), else None.
+    ``scenario.parse_scenario_text`` walks only the documents its number
+    hooks flag; this walks every one."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return None if math.isfinite(value) else path
+        except OverflowError:
+            return path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        found = non_finite(item, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def regulation_problems(cfg: sim.ScenarioConfig) -> list[str]:
+    """Reference: the regulation lines of ``ScenarioConfig.validate`` from
+    one ``min_norm_regulation_solution`` call per agent and target (the
+    tracking target, then each leader's formation), stopping at an agent's
+    first unsolvable target."""
+    problems = []
+    for node in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
+        dyn = cfg.dynamics_of(node)
+        for target in [cfg.tracking_a] + [f.S for f in cfg.formation]:
+            try:
+                mc.min_norm_regulation_solution(dyn.A, dyn.B, target)
+            except PfccError:
+                problems.append(f"regulation equation unsolvable for agent {cfg.agent_name(node)}")
+                break
+    return problems
 
 
 def formation_error(x_q: np.ndarray, h_q: np.ndarray, x_o: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import unvec, unvecm, vecv_loop
 from pfcc import learning as ln
 from pfcc import matops as mo
+from pfcc import scenario as sc
 
 SQRT2 = np.sqrt(2.0)
 
@@ -224,3 +227,31 @@ class TestSpectralRadius:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             mo.spectral_radius(np.zeros((2, 3)))
+
+
+class TestPositiveDefinite:
+    @pytest.mark.parametrize("bad", [[[np.inf, 0.0], [0.0, 1.0]],
+                                     [[np.nan, 0.0], [0.0, 1.0]],
+                                     [[1.0, np.inf], [np.inf, 1.0]],
+                                     [[1.0, -np.inf], [0.0, 1.0]]])
+    def test_non_finite_is_not_positive_definite(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not mo.is_positive_definite(np.array(bad))
+
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_bundled_state_weights_are_positive_definite(self, name):
+        cfg = sc.load_bundled(name)
+        assert all(mo.is_positive_definite(q) for q in cfg.q_weights.values())
+
+    @pytest.mark.parametrize("atol", [1e-12, 1e-9])
+    def test_asymmetry_tolerance_edge(self, atol):
+        # asymmetry up to atol is symmetric enough, the next float is not
+        inside = np.array([[2.0, atol], [0.0, 2.0]])
+        outside = np.array([[2.0, np.nextafter(atol, 1.0)], [0.0, 2.0]])
+        assert mo.is_positive_definite(inside, atol=atol)
+        assert not mo.is_positive_definite(outside, atol=atol)
+
+    def test_indefinite_rejected(self):
+        assert not mo.is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert not mo.is_positive_definite(np.zeros((2, 2)))

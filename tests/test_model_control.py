@@ -47,6 +47,30 @@ class TestTypes:
         # unreachable unstable mode
         assert not mc.is_stabilizable(mc.AgentDynamics([[2.0]], [[0.0]]))
 
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_stabilizability_ignores_the_scale_of_b(self, name):
+        # (A, cB) is stabilizable exactly when (A, B) is; an absolute rank
+        # cutoff rejected hexagon's F1 from c = 1e-9 down
+        cfg = sc.load_bundled(name)
+        for node in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
+            dyn = cfg.dynamics_of(node)
+            verdict = mc.is_stabilizable(dyn)
+            assert verdict, cfg.agent_name(node)
+            for c in 10.0 ** np.arange(-12, 13):
+                for sign in (1.0, -1.0):
+                    scaled = mc.AgentDynamics(dyn.A, sign * c * dyn.B)
+                    assert mc.is_stabilizable(scaled) == verdict, (cfg.agent_name(node), c)
+
+    @pytest.mark.parametrize("a, b", [
+        ([[2.0, 0.0], [0.0, 0.5]], [[0.0], [1.0]]),  # the unstable mode is not actuated
+        ([[1.5, 0.0], [0.0, 1.5]], [[1.0], [1.0]]),  # a repeated unstable mode, one input
+        ([[1.0, 1.0], [0.0, 1.0]], [[1.0], [0.0]]),  # marginal Jordan block driven at the top
+    ])
+    def test_uncontrollable_unstable_pair_rejected_at_every_scale(self, a, b):
+        for c in 10.0 ** np.arange(-12, 13):
+            assert not mc.is_stabilizable(mc.AgentDynamics(a, c * np.asarray(b))), c
+        assert not mc.is_stabilizable(mc.AgentDynamics(a, np.zeros_like(b)))
+
 
 class TestAugmentedBuilders:
     def test_scalar_leader_layout(self):
@@ -264,6 +288,79 @@ class TestRegulationSolutions:
         b = np.array([[0.0], [1.0]])
         with pytest.raises(RegulationError, match="no solution"):
             mc.min_norm_regulation_solution(a, b, np.eye(2))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_stacked_targets_match_per_target_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        a = rng.normal(size=(n, n))
+        b = rng.normal(size=(n, m))
+        if m > 1 and rng.random() < 0.3:
+            b[:, -1] = b[:, 0]  # rank-deficient input matrix
+        targets = []
+        for _ in range(int(rng.integers(1, 6))):
+            if rng.random() < 0.7:  # solvable by construction
+                targets.append(a + b @ rng.normal(size=(m, n)))
+            else:  # solvable only where B has full row rank
+                targets.append(rng.normal(size=(n, n)))
+        singles = []
+        for target in targets:
+            try:
+                singles.append(mc.min_norm_regulation_solution(a, b, target))
+            except RegulationError:
+                singles.append(None)
+        if any(u is None for u in singles):
+            with pytest.raises(RegulationError, match="no solution"):
+                mc.min_norm_regulation_solution(a, b, np.stack(targets))
+        else:
+            stacked = mc.min_norm_regulation_solution(a, b, np.stack(targets))
+            assert stacked.shape == (len(targets), m, n)
+            for u, single in zip(stacked, singles):
+                np.testing.assert_allclose(u, single, rtol=1e-12,
+                                           atol=1e-12 * np.abs(single).max())
+
+    def test_stacked_bundled_targets_match_per_target_calls(self, hexagon_config):
+        cfg = hexagon_config
+        targets = np.stack([cfg.tracking_a] + [f.S for f in cfg.formation])
+        for node in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
+            dyn = cfg.dynamics_of(node)
+            stacked = mc.min_norm_regulation_solution(dyn.A, dyn.B, targets)
+            for u, target in zip(stacked, targets):
+                single = mc.min_norm_regulation_solution(dyn.A, dyn.B, target)
+                np.testing.assert_allclose(u, single, rtol=1e-12, atol=1e-12)
+
+    def test_one_unsolvable_target_fails_the_stack(self, hexagon_config):
+        dyn = hexagon_config.follower_dynamics[0]
+        for k in range(3):
+            targets = np.stack([SWAP] * 3)
+            targets[k] = np.eye(2)
+            with pytest.raises(RegulationError, match="no solution"):
+                mc.min_norm_regulation_solution(dyn.A, dyn.B, targets)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300, 5e307])
+    def test_overflowing_residual_decided_as_per_target(self, scale):
+        # a residual or scale that overflows to inf or nan is judged as the
+        # per-target comparison judges it: nan never fails, inf fails only
+        # against a finite bound
+        a = scale * np.array([[0.0, 1.0], [1.0, 3.0]])
+        b = np.array([[0.0], [1.0]])
+        # the last target's residual is inf - inf = nan at 5e307
+        targets = np.stack([SWAP, np.eye(2), scale * SWAP, -a])
+        with np.errstate(over="ignore", invalid="ignore"):
+            fails = []
+            for target in targets:
+                try:
+                    mc.min_norm_regulation_solution(a, b, target)
+                    fails.append(False)
+                except RegulationError:
+                    fails.append(True)
+            try:
+                mc.min_norm_regulation_solution(a, b, targets)
+                stacked_fails = False
+            except RegulationError:
+                stacked_fails = True
+        assert stacked_fails == any(fails)
 
 
 class TestGainIdentities:

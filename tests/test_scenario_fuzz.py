@@ -22,6 +22,7 @@ import random
 import jsonschema
 import pytest
 
+from conftest import non_finite
 from pfcc import cli
 from pfcc import scenario as sc
 from pfcc.errors import SchemaError
@@ -232,3 +233,46 @@ def test_schema_uses_only_keywords_that_pfcc_checks():
         assert all(isinstance(v, str) for v in schema.get("enum", ())), schema
     with pytest.raises(KeyError, match="'maximum'"):
         sc._violations(object(), {"maximum": 1}, (), [])
+
+
+NON_FINITE_CASES_PER_SCENARIO = 60
+
+
+def non_finite_documents(name: str):
+    """(what, JSON text) of the single-mutation fuzz, and of documents with
+    one to three mutations, at least one of them a non-finite number, each
+    also with its infinities written as overflowing literals ``1e999``."""
+    documents = [(what, raw) for _, raw, what in cases(name)]
+    bundled = sc.scenario_to_dict(sc.load_bundled(name))
+    rng = random.Random(f"pfcc-fuzz-non-finite-{name}")
+    for _ in range(NON_FINITE_CASES_PER_SCENARIO):
+        raw = json.loads(json.dumps(bundled))
+        kinds = ["nonfinite"] + [rng.choice(SCHEMA_KINDS) for _ in range(rng.randrange(3))]
+        documents.append(([mutate(raw, rng, kind) for kind in kinds], raw))
+    for what, raw in documents:
+        text = json.dumps(raw)
+        yield what, text
+        if "Infinity" in text:
+            yield what, text.replace("Infinity", "1e999")
+
+
+@pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+def test_non_finite_number_reported_where_the_reference_walk_finds_it(name):
+    # parse_scenario_text walks only the documents its number hooks flag;
+    # the walk of every document decides which number it must report
+    for what, text in non_finite_documents(name):
+        raw = json.loads(text)
+        if sc._schema_violation(raw) is not None:
+            continue  # the schema message comes first, checked above
+        where = non_finite(raw)
+        try:
+            sc.parse_scenario_text(text)
+            got = None
+        except SchemaError as exc:
+            got = str(exc)
+        if where is None:
+            assert got is None, (what, got)
+        else:
+            path = "/".join(map(str, where))
+            assert got.startswith(f"scenario schema violation at {path}: "), (what, got)
+            assert got.endswith(" must be finite"), (what, got)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import types
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import (SWAP, containment_error, formation_error, observer_of,
                       reference_alphas, reference_augmented_state, reference_noise,
-                      reference_trace_row)
+                      reference_trace_row, regulation_problems)
 from pfcc import learning as ln
 from pfcc import model_control as mc
 from pfcc import observers as ob
@@ -623,6 +624,70 @@ class TestConfigChecks:
         setattr(cfg, name, value)
         with pytest.raises(ValueError, match=message):
             sim.run(cfg)
+
+
+def regulation_variants():
+    """(what, config, unsolvable?) of the regulation check: both bundled
+    scenarios; hexagon with each regulation target in turn made the shape
+    S = I, which its single-input agents cannot reach; and hexagon_static
+    with every agent's input narrowed to its second column, which cannot
+    reach the formations' S = I."""
+    cfg = sc.load_bundled("hexagon")
+    yield "hexagon", cfg, False
+    yield "hexagon tracking", dataclasses.replace(cfg, tracking_a=np.eye(2)), True
+    for k, form in enumerate(cfg.formation):
+        formation = list(cfg.formation)
+        formation[k] = mc.FormationDynamics(np.eye(2), form.h0)
+        yield f"hexagon formation {k}", dataclasses.replace(cfg, formation=formation), True
+    cfg = sc.load_bundled("hexagon_static")
+    yield "hexagon_static", cfg, False
+    narrow = dict(follower_dynamics=[mc.AgentDynamics(d.A, d.B[:, 1:])
+                                     for d in cfg.follower_dynamics],
+                  leader_dynamics=[mc.AgentDynamics(d.A, d.B[:, 1:])
+                                   for d in cfg.leader_dynamics],
+                  warmup_gains={})
+    yield "hexagon_static narrowed", dataclasses.replace(cfg, **narrow), True
+
+
+def regulation_lines(problems: list[str]) -> list[str]:
+    return [p for p in problems if p.startswith("regulation equation")]
+
+
+class TestRegulationCheck:
+    def test_validate_names_the_agents_the_per_target_loop_names(self):
+        for what, cfg, unsolvable in regulation_variants():
+            expected = regulation_problems(cfg)
+            assert regulation_lines(cfg.validate()) == expected, what
+            assert bool(expected) == unsolvable, what
+
+    @pytest.mark.parametrize("field", ["A", "B", "both"])
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_validate_judges_overflowing_residuals_as_the_loop(self, field, scale):
+        cfg = sc.load_bundled("hexagon")
+        dynamics = list(cfg.follower_dynamics)
+        dyn = dynamics[0]
+        dynamics[0] = mc.AgentDynamics(dyn.A * (scale if field != "B" else 1.0),
+                                       dyn.B * (scale if field != "A" else 1.0))
+        cfg = dataclasses.replace(cfg, follower_dynamics=dynamics)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problems = cfg.validate()
+        assert regulation_lines(problems) == regulation_problems(cfg)
+
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_one_validation_pseudo_inverse_per_agent(self, name, monkeypatch):
+        calls = []
+        pinv = mc.pinv
+
+        def counted(b):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return pinv(b)
+
+        monkeypatch.setattr(mc, "pinv", counted)
+        cfg = sc.load_bundled(name)
+        sim.init_world(cfg)
+        agents = cfg.topology.n_followers + cfg.topology.n_leaders
+        assert 0 < calls.count("min_norm_regulation_solution") <= agents
 
 
 class TestDeterminism:
