@@ -147,19 +147,9 @@ def compare_agent_gains(cfg: sim.ScenarioConfig, node: int,
     oracle = mc.oracle_solution(sys_)
     buf = probe_window(cfg, node, sys_)
     agent_cfg = cfg.agent_learner_config(node)
-    ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
-    # an overflowing cost or value matrix is reported by the sweep's
-    # checks, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        cost = ln.stage_cost(cfg.q_weights[node], sys_.C)
-        for _ in range(agent_cfg.max_iterations):
-            ctrl = ln.learning_tick(ctrl, buf, cost, agent_cfg)
-            if ctrl.status == ln.CONVERGED:
-                break
-    if ctrl.status != ln.CONVERGED:
-        raise ConvergenceError(
-            f"learner for {cfg.agent_name(node)} did not converge "
-            f"(last gain delta {ctrl.last_gain_delta:.3e})")
+    ctrl = ln.iterate(ln.LearnedController.create(sys_.dim, sys_.m), buf,
+                      ln.stage_cost(cfg.q_weights[node], sys_.C), agent_cfg,
+                      agent_cfg.max_iterations)
     k_gap = float(np.linalg.norm(ctrl.K_hat - oracle.K)
                   / max(np.linalg.norm(oracle.K), 1e-30))
     p_gap = float(np.linalg.norm(ctrl.P_hat - oracle.P)

@@ -8,10 +8,10 @@ matrices whose rows encode the quadratic-form identity
 
 which holds for every input sequence.  Regressing the stacked blocks
 (Xi1, Xi2, Xi3) against any persistently excited window therefore recovers
-the model-dependent products without the model, and one value-iteration
-sweep per tick reproduces the model-based Riccati iteration exactly.  The
-iteration stops when consecutive gains agree, after which exploration noise
-is switched off.
+the model-dependent products without the model, and each value-iteration
+sweep reproduces one model-based Riccati step exactly.  ``iterate`` stops
+the sweeps once consecutive gains and value matrices agree, after which
+exploration noise is switched off.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConvergenceError, DataConsistencyError, PersistentExcitationError
+from .errors import ConvergenceError, DataConsistencyError, PersistentExcitationError, PfccError
 from .matops import square_index, symmetrize, vecm, vecv
 from .model_control import VI_AVERAGING
 
@@ -57,6 +57,10 @@ RECIPROCAL_RANGE = (1e-130, 1e130)
 #: Relative residual above which a window is declared inconsistent with a
 #: time-invariant model (the regression rows cannot all hold at once).
 CONSISTENCY_RTOL = 1e-6
+
+#: Largest entry of a value step, relative to the new P's largest entry, up
+#: to which a sweep whose gain has settled is declared converged.
+VALUE_STEP_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -174,52 +178,22 @@ class DataBuffer:
 
 class _WindowPlan:
     """The work of a value-iteration sweep that depends only on the window,
-    done once per window and rank policy: the min-norm solver of the
+    done once per window and rank policy: the truncated SVD of the
     row-scaled regression ``theta @ xi = psi_next @ vecm(P)``, its row
-    scale, the ``psi_next`` rows, and the column split and gather tables
-    that unpack a solution into the Xi blocks."""
+    scale, the ``psi_next`` rows, and the tables that unpack a solution
+    into the Xi blocks.  Strict policy demands full column rank and a
+    bounded condition number; the tolerant policy solves minimum-norm in
+    the excited subspace, which is the right behaviour when part of the
+    augmented state is identically unexcited (for example a tracking block
+    resting at the origin)."""
 
-    __slots__ = ("solver", "scale", "psi_next", "_xi2", "_xi2_shape", "_weights",
-                 "_xi1_gather", "_xi3_gather")
+    __slots__ = ("scale", "psi_next", "_matrix", "_u", "_inv_s", "_v", "_xi2",
+                 "_xi2_shape", "_weights", "_xi1_gather", "_xi3_gather")
 
     def __init__(self, buf: DataBuffer, allow_deficient: bool):
         theta = buf.theta()
         self.scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
-        self.solver = _TruncatedSolver(theta * self.scale[:, None], allow_deficient)
-        self.psi_next = buf.psi_next()
-        n, m = buf.state_dim, buf.input_dim
-        c1 = psi_columns(n)
-        self._xi2 = slice(c1, c1 + n * m)
-        self._xi2_shape = (m, n)
-        # one division for both half-vectorized blocks; the Xi2 slots are
-        # divided by 1 and not read from the quotient
-        xi1_weights, _, xi1_full = square_index(n)
-        xi3_weights, _, xi3_full = square_index(m)
-        self._weights = np.concatenate([xi1_weights, np.ones(n * m), xi3_weights])
-        self._xi1_gather = xi1_full
-        self._xi3_gather = xi3_full + (c1 + n * m)
-
-    def blocks(self, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Xi1 (n x n), Xi2 (m x n) and Xi3 (m x m) from a solution
-        ``[vecm(Xi1), vec(Xi2), vecm(Xi3)]``: the half-vectorized blocks
-        each as one gather of the unscaled slots, so they come back exactly
-        symmetric, and Xi2 as the column-stacked view."""
-        unscaled = stacked / self._weights
-        return (unscaled[self._xi1_gather],
-                stacked[self._xi2].reshape(self._xi2_shape, order="F"),
-                unscaled[self._xi3_gather])
-
-
-class _TruncatedSolver:
-    """Least-squares solve through a truncated SVD with a rank policy.
-
-    Strict policy demands full column rank and a bounded condition number;
-    the tolerant policy solves minimum-norm in the excited subspace, which
-    is the right behaviour when part of the augmented state is identically
-    unexcited (for example a tracking block resting at the origin).
-    """
-
-    def __init__(self, matrix: np.ndarray, allow_deficient: bool):
+        matrix = theta * self.scale[:, None]
         if matrix.shape[0] < matrix.shape[1] and not allow_deficient:
             raise PersistentExcitationError(
                 f"window has {matrix.shape[0]} rows for {matrix.shape[1]} unknowns; "
@@ -240,6 +214,22 @@ class _TruncatedSolver:
         self._u = u[:, keep]
         self._inv_s = 1.0 / s[keep]
         self._v = vt[keep].T
+        self.psi_next = buf.psi_next()
+        n, m = buf.state_dim, buf.input_dim
+        c1 = psi_columns(n)
+        self._xi2 = slice(c1, c1 + n * m)
+        self._xi2_shape = (m, n)
+        # one division for both half-vectorized blocks; the Xi2 slots are
+        # divided by 1 and not read from the quotient
+        xi1_weights, _, xi1_full = square_index(n)
+        xi3_weights, _, xi3_full = square_index(m)
+        self._weights = np.concatenate([xi1_weights, np.ones(n * m), xi3_weights])
+        self._xi1_gather = xi1_full
+        self._xi3_gather = xi3_full + (c1 + n * m)
+
+    def xi(self, p_slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Xi blocks regressed at the value matrix whose ``vecm`` is ``p_slots``."""
+        return self.blocks(self.solve((self.psi_next @ p_slots) * self.scale))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Min-norm least squares; raises DataConsistencyError when the
@@ -266,6 +256,16 @@ class _TruncatedSolver:
                 f"{res_norm / max(rhs_norm, 1e-300):.2e}); "
                 "samples were likely taken during an observer transient")
         return solution
+
+    def blocks(self, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Xi1 (n x n), Xi2 (m x n) and Xi3 (m x m) from a solution
+        ``[vecm(Xi1), vec(Xi2), vecm(Xi3)]``: the half-vectorized blocks
+        each as one gather of the unscaled slots, so they come back exactly
+        symmetric, and Xi2 as the column-stacked view."""
+        unscaled = stacked / self._weights
+        return (unscaled[self._xi1_gather],
+                stacked[self._xi2].reshape(self._xi2_shape, order="F"),
+                unscaled[self._xi3_gather])
 
 
 def _norm(v: np.ndarray) -> float:
@@ -299,7 +299,7 @@ def vi_update_Xi(buf: DataBuffer, p_new: np.ndarray,
             raise ConvergenceError("value matrix is not finite; the value iteration "
                                    "has left the float range") from None
         raise
-    return plan.blocks(plan.solver.solve((plan.psi_next @ p_slots) * plan.scale))
+    return plan.xi(p_slots)
 
 
 def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
@@ -430,6 +430,7 @@ class LearnedController(NamedTuple):
                    K_hat=np.zeros((input_dim, state_dim)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def stage_cost(q_weight: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The augmented stage cost C^T Q C of an error selector C."""
     c = np.atleast_2d(np.asarray(c, dtype=float))
@@ -444,8 +445,9 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
     blocks of the previous iterate, the Xi blocks are re-regressed at the
     new value matrix, and the gain is refreshed from them.  Convergence is
     declared once consecutive gains differ by less than the configured
-    threshold, at which point the behaviour policy switches to the learned
-    gain without probing noise.  ``cost`` is the window's ``stage_cost``.
+    threshold and the value step is within ``VALUE_STEP_RTOL``, at which
+    point the behaviour policy switches to the learned gain without probing
+    noise.  ``cost`` is the window's ``stage_cost``.
     """
     if not buf.is_full:
         return ctrl._replace(status=COLLECTING)
@@ -461,6 +463,34 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
     xi_new = vi_update_Xi(buf, p_new, allow_deficient)
     k_new = vi_update_K(xi_new[1], xi_new[2])
     delta = _norm(k_new - ctrl.K_hat)
-    status = CONVERGED if delta < cfg.gain_delta_threshold else ITERATING
+    # the value step in max-abs: _norm squares entries, which overflow at scale
+    settled = (delta < cfg.gain_delta_threshold
+               and np.abs(p_new - ctrl.P_hat).max() <= VALUE_STEP_RTOL * np.abs(p_new).max())
+    status = CONVERGED if settled else ITERATING
     # positional: a NamedTuple builds from keywords at about three times the cost
     return LearnedController(p_new, k_new, xi_new, status, ctrl.iterations + 1, delta)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def iterate(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray, cfg: LearnerConfig,
+            sweeps: int, allow_deficient: bool = False) -> LearnedController:
+    """Up to ``sweeps`` sweeps of ``learning_tick``, never past
+    ``cfg.max_iterations`` in all; a value matrix that leaves the float range
+    is reported by the sweep's checks, not as a warning.  Raises
+    ``ConvergenceError`` once the bound is spent unconverged; every error
+    carries the last controller reached as its ``controller``."""
+    prev = ctrl
+    try:
+        for _ in range(min(sweeps, cfg.max_iterations - ctrl.iterations)):
+            prev, ctrl = ctrl, learning_tick(ctrl, buf, cost, cfg, allow_deficient)
+            if ctrl.status == CONVERGED:
+                return ctrl
+        if ctrl.status != CONVERGED and ctrl.iterations >= cfg.max_iterations:
+            step = np.abs(ctrl.P_hat - prev.P_hat).max() / np.abs(ctrl.P_hat).max()
+            raise ConvergenceError(f"learner did not converge in {cfg.max_iterations} "
+                                   f"iterations (last gain delta {ctrl.last_gain_delta:.3e}, "
+                                   f"last value step {step:.3e})")
+    except PfccError as exc:
+        exc.controller = ctrl
+        raise
+    return ctrl

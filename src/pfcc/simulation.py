@@ -642,45 +642,33 @@ def _probing_noise(lr: AgentLearner, tick: int) -> np.ndarray:
 def _learner_update(state: WorldState, cfg: ScenarioConfig, lr: AgentLearner,
                     world: np.ndarray, u: np.ndarray) -> None:
     """Record a probing learner's completed transition from the tick-k
-    ``world`` vector, its input ``u`` and the committed world, and iterate
-    if ready: at most ``LEARN_ITERATIONS_PER_TICK`` sweeps, and never past
-    the learner's ``max_iterations``.  Convergence regroups the gains."""
+    ``world`` vector, its input ``u`` and the committed world, and make up to
+    ``LEARN_ITERATIONS_PER_TICK`` sweeps once ready; convergence regroups gains."""
     plan = state.plans[lr.node]
     if plan.gather is None:  # a warm-up input is no transition of z
         return
     if not lr.buffer.is_full:
         lr.buffer.record(world[plan.gather], u, state.world[plan.gather])
     if lr.buffer.is_full:
-        sweeps = min(LEARN_ITERATIONS_PER_TICK,
-                     lr.cfg.max_iterations - lr.controller.iterations)
-        # a cost or value matrix that leaves the float range overflows
-        # before the sweep's checks catch it, and that is reported as an
-        # abort rather than a warning
+        cost = ln.stage_cost(cfg.q_weights[lr.node], mc.error_selector(
+            cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                cost = ln.stage_cost(cfg.q_weights[lr.node], mc.error_selector(
-                    cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
-                for _ in range(sweeps):
-                    lr.controller = ln.learning_tick(lr.controller, lr.buffer, cost,
-                                                     lr.cfg, allow_deficient=True)
-                    if lr.controller.status == ln.CONVERGED:
-                        state.gain_groups = None
-                        break
-        except DataConsistencyError:
-            # samples straddled an observer transient: discard the window
-            # and collect a fresh one
+            lr.controller = ln.iterate(lr.controller, lr.buffer, cost, lr.cfg,
+                                       LEARN_ITERATIONS_PER_TICK, allow_deficient=True)
+        except PfccError as exc:
+            # the run reports the sweeps made before the error
+            lr.controller = exc.controller
+            if not isinstance(exc, DataConsistencyError):
+                raise
+            # samples straddled an observer transient: collect a fresh window
             lr.flushes += 1
             if lr.flushes > MAX_WINDOW_FLUSHES:
                 raise
             lr.buffer.flush()
             lr.controller = ln.LearnedController.create(
                 lr.buffer.state_dim, lr.buffer.input_dim)
-            return
-        if (lr.controller.status != ln.CONVERGED
-                and lr.controller.iterations >= lr.cfg.max_iterations):
-            raise ConvergenceError(
-                f"learner did not converge in {lr.cfg.max_iterations} iterations "
-                f"(last gain delta {lr.controller.last_gain_delta:.3e})")
+        if lr.controller.status == ln.CONVERGED:
+            state.gain_groups = None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Iterable
 
@@ -97,6 +98,29 @@ def regulation_problems(cfg: sim.ScenarioConfig) -> list[str]:
                 problems.append(f"regulation equation unsolvable for agent {cfg.agent_name(node)}")
                 break
     return problems
+
+
+def drawn_plants(cfg: sim.ScenarioConfig, seed: int) -> sim.ScenarioConfig:
+    """``cfg`` with every agent's plant redrawn from ``seed``: A = [[0, 1],
+    [a1, a2]] with a1, a2 ~ U(-3, 3), and row 2 of B drawn ±U(0.5, 3) per
+    input column (row 1 zero), keeping each agent's input width.  Each
+    warm-up gain is the deadbeat K = pinv(B) (N - A), N = [[0, 1], [0, 0]],
+    so A + B K = N."""
+    rng = np.random.default_rng(seed)
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    def draw(dyn: mc.AgentDynamics) -> mc.AgentDynamics:
+        b = np.zeros((2, dyn.m))
+        b[1] = rng.choice([-1.0, 1.0], dyn.m) * rng.uniform(0.5, 3.0, dyn.m)
+        return mc.AgentDynamics([[0.0, 1.0], rng.uniform(-3.0, 3.0, 2)], b)
+
+    followers = [draw(d) for d in cfg.follower_dynamics]
+    leaders = [draw(d) for d in cfg.leader_dynamics]
+    nodes = cfg.topology.follower_nodes + cfg.topology.leader_nodes
+    warmups = {node: np.linalg.pinv(dyn.B) @ (nilpotent - dyn.A)
+               for node, dyn in zip(nodes, followers + leaders)}
+    return dataclasses.replace(cfg, follower_dynamics=followers, leader_dynamics=leaders,
+                               warmup_gains=warmups)
 
 
 def formation_error(x_q: np.ndarray, h_q: np.ndarray, x_o: np.ndarray) -> np.ndarray:

@@ -62,6 +62,13 @@ EXPORTS = {
         "hexagon", dict(horizon=4100, sample_interval=50),
         ("7e87248bc19ed99fd0b1acf421df739746a47e9525f900c5002bd44d957e2f1b",
          "e3f90bc83404a434b693a79a86c602e53de0ccbe46f825798d9802641112df3a")),
+    # F2 and F4 settle their gain at sweep 2 of their first window and their
+    # value matrix at sweeps 22-23; pinned with the stop test that waits
+    # for both
+    "hexagon_static_data_driven": (
+        "hexagon_static", dict(horizon=1700, sample_interval=10),
+        ("7f800d26403922f9b9ac5b077d5e01bb3b028cfd3d92e7ff2871ddd98a7f157f",
+         "b242529a56a363696e8b784b3bbf8f4d5c7f8ea9430f2f638d888d8267bb215f")),
     "hexagon_static_baseline": (
         "hexagon_static", dict(horizon=1700, sample_interval=1, mode=sim.MODE_BASELINE),
         ("ab28e2196eca5f19ab825916ddcbbe049305158be4cbf2b095afe23278c13adf",

@@ -189,21 +189,21 @@ class TestModelBlockRegression:
                                                                 poison):
         # no comparison fails on a nan, so the check must reject it by name
         exact, _ = self.exact_and_mixed_windows(f1_system(hexagon_config))
-        solver = exact.plan(True).solver
+        plan = exact.plan(True)
         rhs = np.ones(len(exact))
         rhs[3] = poison
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ConvergenceError, match="not finite"):
-            solver.solve(rhs)
+            plan.solve(rhs)
 
     def test_overflowing_solution_is_a_convergence_error(self, hexagon_config):
         # a finite right-hand side along the weakest kept direction: the
         # solution overflows to inf and the residual to nan
         exact, _ = self.exact_and_mixed_windows(f1_system(hexagon_config))
-        solver = exact.plan(True).solver
+        plan = exact.plan(True)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ConvergenceError, match="not finite"):
-            solver.solve(1e308 * solver._u[:, -1])
+            plan.solve(1e308 * plan._u[:, -1])
 
     def test_zero_input_data_rejected(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
@@ -545,12 +545,9 @@ class TestExplorationNoise:
 
 class TestLearningLoop:
     def converge(self, sys_, buf, cfg):
-        ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
-        for _ in range(cfg.max_iterations):
-            ctrl = ln.learning_tick(ctrl, buf, ln.stage_cost(sys_.Q, sys_.C), cfg)
-            if ctrl.status == ln.CONVERGED:
-                return ctrl
-        raise AssertionError("learner did not converge")
+        # the driver returns converged or raises once the bound is spent
+        return ln.iterate(ln.LearnedController.create(sys_.dim, sys_.m), buf,
+                          ln.stage_cost(sys_.Q, sys_.C), cfg, cfg.max_iterations)
 
     def test_matches_model_oracle(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
