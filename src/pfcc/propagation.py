@@ -77,9 +77,9 @@ def _merge_propensities(target: dict[int, float], source: dict[int, float]) -> N
 
 def _in_neighbours(topo: DirectedTopology) -> dict[int, list[int]]:
     """Each agent's in-neighbour agents in node order, read from the
-    receiver rows of the full adjacency.  The tracking leader carries no
-    leader knowledge and is left out."""
-    a = topo.full_adjacency()
+    receiver rows of the adjacency.  The tracking leader carries no leader
+    knowledge and is left out."""
+    a = topo.adjacency
     agents = range(1, topo.n_nodes)
     return {i: [j for j in agents if a[i, j] > 0] for i in agents}
 

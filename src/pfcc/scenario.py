@@ -314,24 +314,18 @@ def parse_scenario_text(text: str) -> dict:
 
 def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
     """Build a runnable configuration from a validated raw dictionary."""
-    follower_names = [f["name"] for f in raw["followers"]]
-    leader_names = [l["name"] for l in raw["leaders"]]
-    names = follower_names + leader_names
+    agents = raw["followers"] + raw["leaders"]  # node order, from node 1
+    names = [entry["name"] for entry in agents]
     if len(set(names)) != len(names) or TRACKING_NAME in names:
         raise SchemaError("agent names must be unique and must not shadow "
                           f"the tracking leader name {TRACKING_NAME!r}")
-    n, m = len(follower_names), len(leader_names)
-    node_of = {TRACKING_NAME: 0}
-    node_of.update({nm: 1 + k for k, nm in enumerate(follower_names)})
-    node_of.update({nm: 1 + n + k for k, nm in enumerate(leader_names)})
+    n, m = len(raw["followers"]), len(raw["leaders"])
+    node_of = {nm: node for node, nm in enumerate([TRACKING_NAME] + names)}
 
     tracking_a = _matrix(raw["tracking"]["A"], "tracking A")
     dim = tracking_a.shape[0]
 
-    ff = np.zeros((n, n))
-    ll = np.zeros((m, m))
-    lf = np.zeros((n, m))
-    tl = np.zeros(m)
+    adjacency = np.zeros((1 + n + m, 1 + n + m))
     seen = set()
     for src, dst, weight in raw["edges"]:
         if src not in node_of or dst not in node_of:
@@ -344,21 +338,13 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
         s, d = node_of[src], node_of[dst]
         if d == 0:
             raise SchemaError("nothing may transmit to the tracking leader")
-        if s == 0:
-            if d <= n:
-                raise SchemaError("the tracking leader only pins formation leaders")
-            tl[d - 1 - n] = weight
-        elif s <= n:
-            if d > n:
-                raise SchemaError(f"followers never transmit to leaders: {src} -> {dst}")
-            ff[d - 1, s - 1] = weight
-        else:
-            if d <= n:
-                lf[d - 1, s - 1 - n] = weight
-            else:
-                ll[d - 1 - n, s - 1 - n] = weight
+        if s == 0 and d <= n:
+            raise SchemaError("the tracking leader only pins formation leaders")
+        if 0 < s <= n < d:
+            raise SchemaError(f"followers never transmit to leaders: {src} -> {dst}")
+        adjacency[d, s] = weight
     try:
-        topo = DirectedTopology(n, m, ff, ll, lf, tl)
+        topo = DirectedTopology(n, m, adjacency)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -368,32 +354,18 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
             return float(qw) * np.eye(dim)
         return _matrix(qw, f"q_weight of {entry['name']}")
 
-    followers, leaders, formation = [], [], []
+    dynamics, formation, x0 = [], [], []
     q_weights, warmups = {}, {}
-    fol_x0, led_x0 = [], []
-    def dynamics(entry) -> mc.AgentDynamics:
+    for node, entry in enumerate(agents, 1):
         try:
-            return mc.AgentDynamics(_matrix(entry["A"], "A"),
-                                    _matrix(entry["B"], "B"))
+            dynamics.append(mc.AgentDynamics(_matrix(entry["A"], "A"),
+                                             _matrix(entry["B"], "B")))
+            if node > n:
+                formation.append(mc.FormationDynamics(_matrix(entry["S"], "S"),
+                                                      entry["h0"]))
         except ValueError as exc:
             raise SchemaError(f"agent {entry['name']}: {exc}") from exc
-
-    for k, entry in enumerate(raw["followers"]):
-        node = 1 + k
-        followers.append(dynamics(entry))
-        fol_x0.append(np.asarray(entry.get("x0", [0.0] * dim), dtype=float))
-        q_weights[node] = q_weight(entry)
-        if "warmup_gain" in entry:
-            warmups[node] = _matrix(entry["warmup_gain"], "warmup_gain")
-    for k, entry in enumerate(raw["leaders"]):
-        node = 1 + n + k
-        leaders.append(dynamics(entry))
-        led_x0.append(np.asarray(entry.get("x0", [0.0] * dim), dtype=float))
-        try:
-            formation.append(mc.FormationDynamics(_matrix(entry["S"], "S"),
-                                                  entry["h0"]))
-        except ValueError as exc:
-            raise SchemaError(f"agent {entry['name']}: {exc}") from exc
+        x0.append(np.asarray(entry.get("x0", [0.0] * dim), dtype=float))
         q_weights[node] = q_weight(entry)
         if "warmup_gain" in entry:
             warmups[node] = _matrix(entry["warmup_gain"], "warmup_gain")
@@ -429,7 +401,7 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
             raise SchemaError(f"observers: {exc}") from exc
 
     formation_cfgs = {}
-    for nm in leader_names:
+    for nm in names[n:]:
         if nm not in obs_raw["formation"]:
             raise SchemaError(f"observers.formation is missing leader {nm!r}")
     for nm, entry in obs_raw["formation"].items():
@@ -452,8 +424,7 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
         return sim.ScenarioConfig(
             name=raw["name"],
             topology=topo,
-            follower_dynamics=followers,
-            leader_dynamics=leaders,
+            dynamics=dynamics,
             formation=formation,
             tracking_a=tracking_a,
             tracking_x0=np.asarray(raw["tracking"]["x0"], dtype=float),
@@ -469,10 +440,8 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
             sample_interval=int(raw["sample_interval"]),
             mode=raw["mode"],
             seed=int(raw["seed"]),
-            follower_x0=fol_x0,
-            leader_x0=led_x0,
-            follower_names=follower_names,
-            leader_names=leader_names,
+            x0=x0,
+            names=names,
             record_states=bool(raw.get("record_states", False)),
         )
     except ValueError as exc:
@@ -508,7 +477,7 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
         return [float(v) for v in np.asarray(a).ravel()]
 
     # tracking edges first, then each receiver's in-edges in node order
-    a = topo.full_adjacency()
+    a = topo.adjacency
     agents = range(1, topo.n_nodes)
     edges = [[TRACKING_NAME, cfg.agent_name(i), float(a[i, 0])]
              for i in agents if a[i, 0] > 0]
@@ -519,25 +488,16 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
         return {"coupling": o.coupling, "consensus_gain": o.consensus_gain,
                 "gain_matrix": mat(o.gain_matrix)}
 
-    followers = []
-    for k, dyn in enumerate(cfg.follower_dynamics):
-        node = 1 + k
-        entry = {"name": cfg.follower_names[k], "A": mat(dyn.A), "B": mat(dyn.B),
-                 "x0": vector(cfg.follower_x0[k]),
-                 "q_weight": mat(cfg.q_weights[node])}
+    agents = []
+    for node, (name, dyn, x0) in enumerate(zip(cfg.names, cfg.dynamics, cfg.x0), 1):
+        entry = {"name": name, "A": mat(dyn.A), "B": mat(dyn.B)}
+        if topo.is_leader(node):
+            form = cfg.formation[topo.leader_index(node)]
+            entry.update(S=mat(form.S), h0=vector(form.h0))
+        entry.update(x0=vector(x0), q_weight=mat(cfg.q_weights[node]))
         if node in cfg.warmup_gains:
             entry["warmup_gain"] = mat(cfg.warmup_gains[node])
-        followers.append(entry)
-    leaders = []
-    for k, dyn in enumerate(cfg.leader_dynamics):
-        node = 1 + n + k
-        entry = {"name": cfg.leader_names[k], "A": mat(dyn.A), "B": mat(dyn.B),
-                 "S": mat(cfg.formation[k].S), "h0": vector(cfg.formation[k].h0),
-                 "x0": vector(cfg.leader_x0[k]),
-                 "q_weight": mat(cfg.q_weights[node])}
-        if node in cfg.warmup_gains:
-            entry["warmup_gain"] = mat(cfg.warmup_gains[node])
-        leaders.append(entry)
+        agents.append(entry)
 
     return {
         "name": cfg.name,
@@ -548,8 +508,8 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
         "learn_start_tick": cfg.learn_start_tick,
         "record_states": cfg.record_states,
         "tracking": {"A": mat(cfg.tracking_a), "x0": vector(cfg.tracking_x0)},
-        "followers": followers,
-        "leaders": leaders,
+        "followers": agents[:n],
+        "leaders": agents[n:],
         "edges": edges,
         "propensity_schedule": [
             {"tick": t, "factors": {cfg.agent_name(q): v

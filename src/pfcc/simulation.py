@@ -73,12 +73,15 @@ class PropensitySchedule:
 
 @dataclass
 class ScenarioConfig:
-    """Everything needed for one deterministic run."""
+    """Everything needed for one deterministic run.
+
+    ``dynamics``, ``x0`` and ``names`` hold one entry per agent in node
+    order, followers then leaders (row ``node - 1``); ``formation`` holds
+    one entry per leader."""
 
     name: str
     topology: DirectedTopology
-    follower_dynamics: list[mc.AgentDynamics]
-    leader_dynamics: list[mc.AgentDynamics]
+    dynamics: list[mc.AgentDynamics]
     formation: list[mc.FormationDynamics]
     tracking_a: np.ndarray
     tracking_x0: np.ndarray
@@ -94,24 +97,19 @@ class ScenarioConfig:
     sample_interval: int
     mode: str
     seed: int
-    follower_x0: list[np.ndarray] = field(default_factory=list)
-    leader_x0: list[np.ndarray] = field(default_factory=list)
-    follower_names: list[str] = field(default_factory=list)
-    leader_names: list[str] = field(default_factory=list)
+    x0: list[np.ndarray] = field(default_factory=list)
+    names: list[str] = field(default_factory=list)
     record_states: bool = False
 
     def __post_init__(self):
         n, m = self.topology.n_followers, self.topology.n_leaders
         self.tracking_a = np.atleast_2d(np.asarray(self.tracking_a, dtype=float))
         self.tracking_x0 = np.asarray(self.tracking_x0, dtype=float).ravel()
-        if not self.follower_x0:
-            self.follower_x0 = [np.zeros(self.state_dim) for _ in range(n)]
-        if not self.leader_x0:
-            self.leader_x0 = [np.zeros(self.state_dim) for _ in range(m)]
-        if not self.follower_names:
-            self.follower_names = [f"F{i + 1}" for i in range(n)]
-        if not self.leader_names:
-            self.leader_names = [f"L{q + 1}" for q in range(m)]
+        if not self.x0:
+            self.x0 = [np.zeros(self.state_dim) for _ in range(n + m)]
+        if not self.names:
+            self.names = ([f"F{i + 1}" for i in range(n)]
+                          + [f"L{q + 1}" for q in range(m)])
         self.check_fields()
 
     def check_fields(self) -> None:
@@ -120,10 +118,8 @@ class ScenarioConfig:
         topo = self.topology
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if ({len(self.follower_dynamics), len(self.follower_x0), len(self.follower_names)}
-                != {topo.n_followers}
-                or {len(self.leader_dynamics), len(self.leader_x0), len(self.leader_names),
-                    len(self.formation)} != {topo.n_leaders}):
+        if ({len(self.dynamics), len(self.x0), len(self.names)} != {topo.n_nodes - 1}
+                or len(self.formation) != topo.n_leaders):
             raise ValueError("one dynamics entry, x0 and name per follower and leader "
                              "and one formation per leader are required")
         if self.sample_interval < 1:
@@ -144,9 +140,7 @@ class ScenarioConfig:
                        (f"formation h0 of {name}", form.h0, (dim,)),
                        (f"formation {name} observer gain matrix",
                         getattr(self.formation_observers.get(q), "gain_matrix", None), square)]
-        agents = topo.follower_nodes + topo.leader_nodes
-        for node, x0 in zip(agents, self.follower_x0 + self.leader_x0):
-            name, dyn = self.agent_name(node), self.dynamics_of(node)
+        for node, (name, dyn, x0) in enumerate(zip(self.names, self.dynamics, self.x0), 1):
             shapes += [(f"A of {name}", dyn.A, square), (f"B of {name}", dyn.B, (dim, dyn.m)),
                        (f"x0 of {name}", np.ravel(x0), (dim,)),
                        (f"q_weight of {name}", self.q_weights.get(node), square)]
@@ -164,18 +158,10 @@ class ScenarioConfig:
         return self.tracking_a.shape[0]
 
     def agent_name(self, node: int) -> str:
-        topo = self.topology
-        if node == 0:
-            return "T"
-        if topo.is_follower(node):
-            return self.follower_names[topo.follower_index(node)]
-        return self.leader_names[topo.leader_index(node)]
+        return "T" if node == 0 else self.names[node - 1]
 
     def dynamics_of(self, node: int) -> mc.AgentDynamics:
-        topo = self.topology
-        if topo.is_follower(node):
-            return self.follower_dynamics[topo.follower_index(node)]
-        return self.leader_dynamics[topo.leader_index(node)]
+        return self.dynamics[node - 1]
 
     def agent_learner_config(self, node: int) -> ln.LearnerConfig:
         return replace(self.learner, rng_seed=(self.seed * 100003 + node) & 0x7FFFFFFF)
@@ -209,24 +195,22 @@ class ScenarioConfig:
             missing = [q for q in self.topology.leader_nodes if q not in factors]
             if missing:
                 problems.append(f"schedule entry missing factors for leaders {missing}")
-        if mc.spectral_radius(self.tracking_a) > 1.0 + mc.MARGINAL_TOL:
-            problems.append("tracking dynamics must have spectral radius <= 1")
-        for q, form in zip(self.topology.leader_nodes, self.formation):
-            if mc.spectral_radius(form.S) > 1.0 + mc.MARGINAL_TOL:
-                problems.append(f"formation dynamics of {self.agent_name(q)} expand")
         targets = np.stack([self.tracking_a] + [f.S for f in self.formation])
-        for node in self.topology.follower_nodes + self.topology.leader_nodes:
+        radii = np.abs(np.linalg.eigvals(targets)).max(axis=1, initial=0.0)
+        if radii[0] > 1.0 + mc.MARGINAL_TOL:
+            problems.append("tracking dynamics must have spectral radius <= 1")
+        for q, radius in zip(self.topology.leader_nodes, radii[1:]):
+            if radius > 1.0 + mc.MARGINAL_TOL:
+                problems.append(f"formation dynamics of {self.agent_name(q)} expand")
+        for node, (name, dyn) in enumerate(zip(self.names, self.dynamics), 1):
             if not is_positive_definite(self.q_weights[node]):
-                problems.append(f"q_weight of {self.agent_name(node)} must be "
-                                "symmetric positive definite")
-            dyn = self.dynamics_of(node)
+                problems.append(f"q_weight of {name} must be symmetric positive definite")
             if not mc.is_stabilizable(dyn):
-                problems.append(f"agent {self.agent_name(node)} is not stabilizable")
+                problems.append(f"agent {name} is not stabilizable")
             try:
                 mc.min_norm_regulation_solution(dyn.A, dyn.B, targets)
             except PfccError:
-                problems.append(
-                    f"regulation equation unsolvable for agent {self.agent_name(node)}")
+                problems.append(f"regulation equation unsolvable for agent {name}")
         return problems
 
     def require_valid(self) -> None:
@@ -372,7 +356,7 @@ class WorldState:
     knowledge: dict[int, pr.AgentKnowledge]
     #: Every observer network stacked, tracking network first (observed
     #: node 0), then one formation network per leader in leader order, all
-    #: gated from the topology's full adjacency.  Rebuilt only when
+    #: gated from the topology's adjacency.  Rebuilt only when
     #: propagation changes an influential set.
     bank: ob.ObserverBank | None
     #: One observer per ``bank.rows`` entry, in row order.
@@ -439,17 +423,16 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
     cfg.check_fields()
     cfg.require_valid()
     knowledge = pr.init_knowledge(topo, cfg.schedule.initial())
-    dynamics = cfg.follower_dynamics + cfg.leader_dynamics
     agents = topo.follower_nodes + topo.leader_nodes
-    plant_b = np.zeros((len(dynamics), cfg.state_dim, max(dyn.m for dyn in dynamics)))
-    for b, dyn in zip(plant_b, dynamics):
+    plant_b = np.zeros((len(agents), cfg.state_dim, max(dyn.m for dyn in cfg.dynamics)))
+    for b, dyn in zip(plant_b, cfg.dynamics):
         b[:, : dyn.m] = dyn.B
 
     state = WorldState(
         tick=0,
-        x=np.array([np.ravel(x) for x in cfg.follower_x0 + cfg.leader_x0], dtype=float),
+        x=np.array([np.ravel(x) for x in cfg.x0], dtype=float),
         targets=np.array([cfg.tracking_x0] + [form.h0 for form in cfg.formation], dtype=float),
-        plant_a=np.array([dyn.A for dyn in dynamics], dtype=float),
+        plant_a=np.array([dyn.A for dyn in cfg.dynamics], dtype=float),
         plant_b=plant_b,
         target_a=np.array([cfg.tracking_a] + [form.S for form in cfg.formation], dtype=float),
         knowledge=knowledge,
@@ -538,7 +521,7 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
                          if a != q and q in state.knowledge[a].influential)
         blocks.append((q, members, [cfg.formation_observers[q]] * len(members)))
     old_row = state.bank.row if state.bank is not None else {}
-    state.bank = ob.ObserverBank.stack(topo.full_adjacency(), blocks)
+    state.bank = ob.ObserverBank.stack(topo.adjacency, blocks)
     state.observers = tuple(
         state.observers[old_row[key]] if key in old_row
         else ob.RlsObserver.create(config, cfg.state_dim)

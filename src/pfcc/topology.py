@@ -4,8 +4,9 @@ and followers.
 Node indexing convention: the tracking leader is node 0, followers are
 1..N, formation leaders are N+1..N+M.  Adjacency entries follow the
 receiver-row convention: ``a[i, j]`` is the weight of the edge j -> i.
-The type shape itself enforces that followers never transmit to leaders and
-that nothing transmits to the tracking leader.
+The constructor enforces that followers never transmit to leaders, that
+the tracking leader pins only formation leaders and that nothing transmits
+to it.
 """
 
 from __future__ import annotations
@@ -19,43 +20,31 @@ import numpy as np
 class DirectedTopology:
     """Weighted directed graph, immutable after construction.
 
-    follower_adjacency[i, j]: weight of follower j -> follower i
-    leader_adjacency[q, m]:   weight of leader m -> leader q
-    leader_to_follower[i, q]: weight of leader q -> follower i
-    tracking_to_leader[q]:    weight of tracking leader -> leader q
+    ``adjacency`` is the read-only (1+N+M)-square receiver-row matrix over
+    every node, node 0 first: ``adjacency[i, j]`` is the weight of j -> i.
     """
 
     n_followers: int
     n_leaders: int
-    follower_adjacency: np.ndarray
-    leader_adjacency: np.ndarray
-    leader_to_follower: np.ndarray
-    tracking_to_leader: np.ndarray
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        n, m = self.n_followers, self.n_leaders
-        ff = np.asarray(self.follower_adjacency, dtype=float)
-        ll = np.asarray(self.leader_adjacency, dtype=float)
-        lf = np.asarray(self.leader_to_follower, dtype=float)
-        tl = np.asarray(self.tracking_to_leader, dtype=float).ravel()
-        if ff.shape != (n, n):
-            raise ValueError(f"follower_adjacency must be ({n},{n}), got {ff.shape}")
-        if ll.shape != (m, m):
-            raise ValueError(f"leader_adjacency must be ({m},{m}), got {ll.shape}")
-        if lf.shape != (n, m):
-            raise ValueError(f"leader_to_follower must be ({n},{m}), got {lf.shape}")
-        if tl.shape != (m,):
-            raise ValueError(f"tracking_to_leader must be ({m},), got {tl.shape}")
-        for name, arr in (("follower_adjacency", ff), ("leader_adjacency", ll),
-                          ("leader_to_follower", lf), ("tracking_to_leader", tl)):
-            if not np.all(arr >= 0):  # a NaN fails too
-                raise ValueError(f"{name} contains negative or NaN weights")
-        if np.any(np.diag(ff) != 0) or np.any(np.diag(ll) != 0):
+        size, followers = self.n_nodes, slice(1, 1 + self.n_followers)
+        a = np.array(self.adjacency, dtype=float)
+        if a.shape != (size, size):
+            raise ValueError(f"adjacency must be ({size},{size}), got {a.shape}")
+        if not np.all(a >= 0):  # a NaN fails too
+            raise ValueError("adjacency contains negative or NaN weights")
+        if np.any(np.diag(a) != 0):
             raise ValueError("self-loops are not allowed")
-        object.__setattr__(self, "follower_adjacency", ff)
-        object.__setattr__(self, "leader_adjacency", ll)
-        object.__setattr__(self, "leader_to_follower", lf)
-        object.__setattr__(self, "tracking_to_leader", tl)
+        if np.any(a[0] != 0):
+            raise ValueError("nothing may transmit to the tracking leader")
+        if np.any(a[followers, 0] != 0):
+            raise ValueError("the tracking leader only pins formation leaders")
+        if np.any(a[1 + self.n_followers :, followers] != 0):
+            raise ValueError("followers never transmit to leaders")
+        a.flags.writeable = False
+        object.__setattr__(self, "adjacency", a)
 
     # -- index helpers -------------------------------------------------
     @property
@@ -86,27 +75,15 @@ class DirectedTopology:
     def is_leader(self, node: int) -> bool:
         return self.n_followers < node < self.n_nodes
 
-    def full_adjacency(self) -> np.ndarray:
-        """(1+N+M)-square adjacency, rows are receivers, node 0 first."""
-        n, m = self.n_followers, self.n_leaders
-        a = np.zeros((self.n_nodes, self.n_nodes))
-        a[1 : 1 + n, 1 : 1 + n] = self.follower_adjacency
-        a[1 : 1 + n, 1 + n :] = self.leader_to_follower
-        a[1 + n :, 1 + n :] = self.leader_adjacency
-        a[1 + n :, 0] = self.tracking_to_leader
-        return a
-
     def reachable_from(self, start: int) -> set[int]:
         """Nodes reachable from ``start`` by directed paths of length >= 1."""
-        a = self.full_adjacency()
+        edge = self.adjacency > 0
         seen: set[int] = set()
-        stack = [j for j in range(self.n_nodes) if a[j, start] > 0]
+        stack = [start]
         while stack:
-            j = stack.pop()
-            if j in seen:
-                continue
-            seen.add(j)
-            stack.extend(k for k in range(self.n_nodes) if a[k, j] > 0 and k not in seen)
+            new = set(np.flatnonzero(edge[:, stack.pop()]).tolist()) - seen
+            seen |= new
+            stack.extend(new)
         return seen
 
 
@@ -132,7 +109,7 @@ def build_laplacian(topo: DirectedTopology) -> LaplacianBlocks:
     Row sums of [L1 L2] and of the [L0 0 L3] block row are zero by
     construction.
     """
-    a = topo.full_adjacency()
+    a = topo.adjacency
     lap = np.diag(a.sum(axis=1)) - a
     n = topo.n_followers
     return LaplacianBlocks(

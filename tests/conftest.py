@@ -114,13 +114,10 @@ def drawn_plants(cfg: sim.ScenarioConfig, seed: int) -> sim.ScenarioConfig:
         b[1] = rng.choice([-1.0, 1.0], dyn.m) * rng.uniform(0.5, 3.0, dyn.m)
         return mc.AgentDynamics([[0.0, 1.0], rng.uniform(-3.0, 3.0, 2)], b)
 
-    followers = [draw(d) for d in cfg.follower_dynamics]
-    leaders = [draw(d) for d in cfg.leader_dynamics]
-    nodes = cfg.topology.follower_nodes + cfg.topology.leader_nodes
+    dynamics = [draw(d) for d in cfg.dynamics]
     warmups = {node: np.linalg.pinv(dyn.B) @ (nilpotent - dyn.A)
-               for node, dyn in zip(nodes, followers + leaders)}
-    return dataclasses.replace(cfg, follower_dynamics=followers, leader_dynamics=leaders,
-                               warmup_gains=warmups)
+               for node, dyn in enumerate(dynamics, 1)}
+    return dataclasses.replace(cfg, dynamics=dynamics, warmup_gains=warmups)
 
 
 def formation_error(x_q: np.ndarray, h_q: np.ndarray, x_o: np.ndarray) -> np.ndarray:
@@ -220,6 +217,19 @@ def transitive_closure(adjacency: np.ndarray) -> np.ndarray:
     return reach
 
 
+def block_topology(n: int, m: int, ff, ll, lf, tl) -> DirectedTopology:
+    """A topology from its edge blocks, leader indices counted from 0:
+    ``ff[i, j]`` weighs follower j -> follower i, ``ll[q, p]`` leader p ->
+    leader q, ``lf[i, q]`` leader q -> follower i and ``tl[q]`` the
+    tracking leader -> leader q."""
+    a = np.zeros((1 + n + m, 1 + n + m))
+    a[1 : 1 + n, 1 : 1 + n] = ff
+    a[1 : 1 + n, 1 + n :] = lf
+    a[1 + n :, 1 + n :] = ll
+    a[1 + n :, 0] = tl
+    return DirectedTopology(n, m, a)
+
+
 def chain_topology() -> DirectedTopology:
     """T -> L1 -> L2 -> F1 -> F2 -> F3, one long relay line."""
     ff = np.zeros((3, 3))
@@ -229,13 +239,13 @@ def chain_topology() -> DirectedTopology:
     ll[1, 0] = 1.0
     lf = np.zeros((3, 2))
     lf[0, 1] = 1.0
-    return DirectedTopology(3, 2, ff, ll, lf, np.array([1.0, 0.0]))
+    return block_topology(3, 2, ff, ll, lf, np.array([1.0, 0.0]))
 
 
 def star_topology() -> DirectedTopology:
     """Every leader wired straight to every follower."""
     lf = np.ones((3, 2))
-    return DirectedTopology(3, 2, np.zeros((3, 3)), np.zeros((2, 2)), lf,
+    return block_topology(3, 2, np.zeros((3, 3)), np.zeros((2, 2)), lf,
                             np.array([1.0, 1.0]))
 
 
@@ -246,7 +256,7 @@ def relay_line_topology() -> DirectedTopology:
     ll[2, 1] = 1.0  # 5 -> 6
     lf = np.zeros((3, 3))
     lf[:, 2] = 1.0  # 6 -> everyone
-    return DirectedTopology(3, 3, np.zeros((3, 3)), ll, lf,
+    return block_topology(3, 3, np.zeros((3, 3)), ll, lf,
                             np.array([1.0, 0.0, 0.0]))
 
 
@@ -257,7 +267,7 @@ def direct_leaders_topology() -> DirectedTopology:
     ff[2, 1] = 1.0
     ff[0, 2] = 1.0
     lf = np.eye(3)
-    return DirectedTopology(3, 3, ff, np.zeros((3, 3)), lf,
+    return block_topology(3, 3, ff, np.zeros((3, 3)), lf,
                             np.array([1.0, 1.0, 1.0]))
 
 
@@ -271,7 +281,7 @@ def mixed_relay_topology() -> DirectedTopology:
     lf = np.zeros((3, 4))
     lf[:, 2] = 1.0  # 6 -> all
     lf[2, 3] = 1.0  # 7 -> follower 3
-    return DirectedTopology(3, 4, np.zeros((3, 3)), ll, lf,
+    return block_topology(3, 4, np.zeros((3, 3)), ll, lf,
                             np.array([1.0, 0.0, 0.0, 0.0]))
 
 
@@ -312,7 +322,7 @@ def random_topology(rng: np.random.Generator) -> DirectedTopology:
         else:  # receiver is a leader: only leaders may transmit
             if j >= n and j != i:
                 ll[i - n, j - n] = w
-    return DirectedTopology(n, m, ff, ll, lf, tl)
+    return block_topology(n, m, ff, ll, lf, tl)
 
 
 @pytest.fixture()

@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def f1_system(hexagon_config):
     cfg = hexagon_config
     forms = [cfg.formation[0], cfg.formation[1]]
-    return mc.build_augmented(cfg.follower_dynamics[0], forms,
+    return mc.build_augmented(cfg.dynamics_of(1), forms,
                               cfg.tracking_a, [0.5, 0.5],
                               cfg.q_weights[1])
 
@@ -257,7 +257,7 @@ class TestWindowPlan:
         if agent == "F1":
             sys_ = f1_system(cfg)
         else:
-            node = cfg.topology.leader_nodes[cfg.leader_names.index(agent)]
+            node = 1 + cfg.names.index(agent)
             sys_ = cfg.augmented_system(node, (node,), {node: 1.0})
         rows, (first, second) = self.windows(sys_, seed=8)
         reused = ln.DataBuffer(sys_.dim, sys_.m, rows).record(*first)
@@ -360,7 +360,7 @@ class TestGainUpdate:
 
     def test_matches_pseudo_inverse_formula(self, hexagon_config):
         cfg = hexagon_config
-        sys_ = mc.build_augmented(cfg.leader_dynamics[2], [cfg.formation[2]],
+        sys_ = mc.build_augmented(cfg.dynamics_of(7), [cfg.formation[2]],
                                   cfg.tracking_a, [1.0], cfg.q_weights[7])
         p = mc.riccati_value_iteration(sys_).P
         xi2 = sys_.B_bar.T @ p @ sys_.A_bar
@@ -601,9 +601,9 @@ class TestLearningLoop:
 
     def test_over_actuated_agent(self, hexagon_config):
         cfg_h = hexagon_config
-        sys_ = mc.build_augmented(cfg_h.leader_dynamics[2], [cfg_h.formation[2]],
+        sys_ = mc.build_augmented(cfg_h.dynamics_of(7), [cfg_h.formation[2]],
                                   cfg_h.tracking_a, [1.0], cfg_h.q_weights[7])
-        warm = -mo.pinv(cfg_h.leader_dynamics[2].B) @ cfg_h.leader_dynamics[2].A
+        warm = -mo.pinv(cfg_h.dynamics_of(7).B) @ cfg_h.dynamics_of(7).A
         buf, cfg = fill_buffer(sys_, seed=7, warm=warm)
         ctrl = self.converge(sys_, buf, cfg)
         oracle = mc.riccati_value_iteration(sys_)

@@ -81,7 +81,7 @@ class TestAugmentedBuilders:
 
     def test_bundled_leader_blocks(self, hexagon_config):
         cfg = hexagon_config
-        sys_ = leader_system(cfg.leader_dynamics[0],
+        sys_ = leader_system(cfg.dynamics_of(5),
                              cfg.formation[0], cfg.tracking_a,
                              cfg.q_weights[5])
         assert sys_.A_bar.shape == (6, 6)
@@ -99,7 +99,7 @@ class TestAugmentedBuilders:
     def test_follower_two_leaders_is_eight_dim(self, hexagon_config):
         cfg = hexagon_config
         forms = [cfg.formation[0], cfg.formation[2]]  # L1, L3
-        sys_ = mc.build_augmented(cfg.follower_dynamics[2], forms,
+        sys_ = mc.build_augmented(cfg.dynamics_of(3), forms,
                                   cfg.tracking_a, [0.5, 0.5],
                                   cfg.q_weights[3])
         assert sys_.A_bar.shape == (8, 8)
@@ -164,7 +164,7 @@ class TestValueIteration:
 
     def test_positive_definite_value_matrix(self, hexagon_config):
         cfg = hexagon_config
-        sys_ = leader_system(cfg.leader_dynamics[0], cfg.formation[0],
+        sys_ = leader_system(cfg.dynamics_of(5), cfg.formation[0],
                              cfg.tracking_a, cfg.q_weights[5])
         sol = mc.riccati_value_iteration(sys_)
         assert np.all(np.linalg.eigvalsh(sol.P) > 0)
@@ -246,7 +246,7 @@ class TestGainSplitting:
     def test_five_block_width(self, hexagon_config):
         cfg = hexagon_config
         forms = [cfg.formation[k] for k in range(4)]
-        sys_ = mc.build_augmented(cfg.follower_dynamics[1], forms,
+        sys_ = mc.build_augmented(cfg.dynamics_of(2), forms,
                                   cfg.tracking_a, [0.25] * 4,
                                   cfg.q_weights[2])
         sol = mc.riccati_value_iteration(sys_)
@@ -270,13 +270,13 @@ class TestRegulationSolutions:
                                    np.linalg.inv(b) @ (s - a), atol=1e-12)
 
     def test_bundled_first_follower_solution(self, hexagon_config):
-        dyn = hexagon_config.follower_dynamics[0]
+        dyn = hexagon_config.dynamics_of(1)
         u = mc.min_norm_regulation_solution(dyn.A, dyn.B, SWAP)
         np.testing.assert_allclose(u, [[0.0, -3.0]], atol=1e-12)
 
     def test_over_actuated_minimum_frobenius_norm(self, hexagon_config):
         # least-norm oracle on the vectorized linear system
-        dyn = hexagon_config.leader_dynamics[2]  # wide input matrix
+        dyn = hexagon_config.dynamics_of(7)  # wide input matrix
         rhs = SWAP - dyn.A
         u = mc.min_norm_regulation_solution(dyn.A, dyn.B, SWAP)
         big = np.kron(np.eye(2), dyn.B)
@@ -331,7 +331,7 @@ class TestRegulationSolutions:
                 np.testing.assert_allclose(u, single, rtol=1e-12, atol=1e-12)
 
     def test_one_unsolvable_target_fails_the_stack(self, hexagon_config):
-        dyn = hexagon_config.follower_dynamics[0]
+        dyn = hexagon_config.dynamics_of(1)
         for k in range(3):
             targets = np.stack([SWAP] * 3)
             targets[k] = np.eye(2)
@@ -366,11 +366,11 @@ class TestRegulationSolutions:
 class TestGainIdentities:
     def synth_leader(self, cfg, idx):
         node = 1 + cfg.topology.n_followers + idx
-        sys_ = leader_system(cfg.leader_dynamics[idx],
+        sys_ = leader_system(cfg.dynamics_of(node),
                              cfg.formation[idx], cfg.tracking_a,
                              cfg.q_weights[node])
         sol = mc.riccati_value_iteration(sys_)
-        return cfg.leader_dynamics[idx], mc.AgentGains.split(sol.K, 2, (node,))
+        return cfg.dynamics_of(node), mc.AgentGains.split(sol.K, 2, (node,))
 
     def test_bundled_first_leader_identities(self, hexagon_config):
         dyn, gains = self.synth_leader(hexagon_config, 0)
@@ -391,7 +391,7 @@ class TestGainIdentities:
         # a one-block augmented system is the leader system diag(A, S, A0)
         # with error x - h - x_o, written out here independently
         cfg = hexagon_config
-        dyn = cfg.follower_dynamics[0]
+        dyn = cfg.dynamics_of(1)
         form = cfg.formation[0]
         sys_ = mc.build_augmented(dyn, [form], cfg.tracking_a, [1.0],
                                   cfg.q_weights[1])
@@ -411,7 +411,7 @@ class TestGainIdentities:
 
     def test_several_blocks_need_coefficients(self, hexagon_config):
         cfg = hexagon_config
-        dyn = cfg.follower_dynamics[2]
+        dyn = cfg.dynamics_of(3)
         sys_ = mc.build_augmented(dyn, [cfg.formation[0], cfg.formation[2]],
                                   cfg.tracking_a, [0.5, 0.5], cfg.q_weights[3])
         gains = mc.AgentGains.split(mc.riccati_value_iteration(sys_).K, 2, (5, 7))
@@ -429,7 +429,7 @@ class TestControlLaws:
     """The control law u = K z over the augmented state z."""
 
     def gains(self, cfg):
-        sys_ = leader_system(cfg.leader_dynamics[0], cfg.formation[0],
+        sys_ = leader_system(cfg.dynamics_of(5), cfg.formation[0],
                              cfg.tracking_a, cfg.q_weights[5])
         return mc.AgentGains.split(mc.riccati_value_iteration(sys_).K, 2, (5,))
 
@@ -441,7 +441,7 @@ class TestControlLaws:
         # with exact values and gains from the synthesis, x = h + x_o is
         # invariant under the closed loop
         cfg = hexagon_config
-        dyn = cfg.leader_dynamics[0]
+        dyn = cfg.dynamics_of(5)
         gains = self.gains(cfg)
         rng = np.random.default_rng(1)
         h = rng.normal(size=2)
@@ -456,7 +456,7 @@ class TestControlLaws:
 
     def test_geometric_error_decay_with_exact_values(self, hexagon_config):
         cfg = hexagon_config
-        dyn = cfg.leader_dynamics[0]
+        dyn = cfg.dynamics_of(5)
         gains = self.gains(cfg)
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -474,7 +474,7 @@ class TestControlLaws:
 
     def test_follower_containment_error_decay(self, hexagon_config):
         cfg = hexagon_config
-        dyn = cfg.follower_dynamics[2]
+        dyn = cfg.dynamics_of(3)
         forms = [cfg.formation[0], cfg.formation[2]]
         sys_ = mc.build_augmented(dyn, forms, cfg.tracking_a,
                                   [0.5, 0.5], cfg.q_weights[3])

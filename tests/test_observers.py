@@ -127,11 +127,8 @@ class TestObserverStep:
         def etas(values, pin):
             out = {}
             for q in nodes:
-                qi = topo.leader_index(q)
-                terms = [(topo.leader_adjacency[qi, topo.leader_index(j)],
-                          values[j]) for j in nodes if j != q]
-                out[q] = consensus_error(values[q], terms,
-                                         topo.tracking_to_leader[qi], pin)
+                terms = [(topo.adjacency[q, j], values[j]) for j in nodes if j != q]
+                out[q] = consensus_error(values[q], terms, topo.adjacency[q, 0], pin)
             return out
 
         total0 = sum(np.linalg.norm(observers[q].x_hat - x_o) for q in nodes)
@@ -223,8 +220,8 @@ class TestScalarParameter:
 
 
 def reference_etas(cfg, state, target, values, pin_value):
-    """Per-node consensus errors of one network from the topology blocks,
-    gating out neighbours that do not observe the target (0 = tracking)."""
+    """Per-node consensus errors of one network from the topology's
+    adjacency, gating out neighbours that do not observe the target (0 = tracking)."""
     topo = cfg.topology
     if target == 0:
         members = topo.leader_nodes + topo.follower_nodes
@@ -232,24 +229,11 @@ def reference_etas(cfg, state, target, values, pin_value):
         members = [a for a in topo.follower_nodes + topo.leader_nodes
                    if a != target and target in state.knowledge[a].influential]
 
-    def weight(dst, src):
-        if topo.is_leader(dst):
-            if src == 0:
-                return topo.tracking_to_leader[topo.leader_index(dst)]
-            if topo.is_follower(src):
-                return 0.0
-            return topo.leader_adjacency[topo.leader_index(dst), topo.leader_index(src)]
-        if src == 0:
-            return 0.0
-        if topo.is_leader(src):
-            return topo.leader_to_follower[topo.follower_index(dst),
-                                           topo.leader_index(src)]
-        return topo.follower_adjacency[topo.follower_index(dst), topo.follower_index(src)]
-
+    a = topo.adjacency
     out = {}
     for m in members:
-        terms = [(weight(m, j), values[j]) for j in members if j != m]
-        out[m] = consensus_error(values[m], terms, weight(m, target), pin_value)
+        terms = [(a[m, j], values[j]) for j in members if j != m]
+        out[m] = consensus_error(values[m], terms, a[m, target], pin_value)
     return out
 
 

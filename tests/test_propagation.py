@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (chain_topology, direct_leaders_topology,
+from conftest import (block_topology, chain_topology, direct_leaders_topology,
                       mixed_relay_topology, random_topology,
                       relay_line_topology, star_topology, transitive_closure)
 from pfcc import propagation as pr
 from pfcc.errors import ConsistencyError
-from pfcc.topology import DirectedTopology
 
 
 def uniform_theta(topo, value=0.1):
@@ -59,9 +58,9 @@ class TestStep:
     def test_conflicting_values_rejected(self):
         # both followers hear the leader directly; F2 also hears F1, so a
         # forged value at F1 collides with F2's own entry on the next step
-        topo = DirectedTopology(2, 1, np.array([[0.0, 0.0], [1.0, 0.0]]),
-                                np.zeros((1, 1)), np.ones((2, 1)),
-                                np.array([1.0]))
+        topo = block_topology(2, 1, np.array([[0.0, 0.0], [1.0, 0.0]]),
+                              np.zeros((1, 1)), np.ones((2, 1)),
+                              np.array([1.0]))
         leader = topo.leader_nodes[0]
         know = pr.init_knowledge(topo, {leader: 0.1})
         forged = dict(know)
@@ -152,7 +151,7 @@ class TestFixedPoint:
         know, used = pr.propagation_fixed_point(
             pr.init_knowledge(topo, uniform_theta(topo)), topo)
         assert used <= max(topo.n_followers + topo.n_leaders - 1, 1)
-        reach = transitive_closure(topo.full_adjacency())
+        reach = transitive_closure(topo.adjacency)
         for i in topo.follower_nodes + topo.leader_nodes:
             expected = {q for q in topo.leader_nodes if reach[i, q]}
             assert know[i].influential == expected
@@ -208,8 +207,8 @@ class TestRelayLeaders:
         assert relays[7] == frozenset()
 
     def test_single_leader_star_has_none(self):
-        topo = DirectedTopology(2, 1, np.zeros((2, 2)), np.zeros((1, 1)),
-                                np.ones((2, 1)), np.array([1.0]))
+        topo = block_topology(2, 1, np.zeros((2, 2)), np.zeros((1, 1)),
+                              np.ones((2, 1)), np.array([1.0]))
         know, _ = pr.propagation_fixed_point(
             pr.init_knowledge(topo, uniform_theta(topo)), topo)
         assert pr.itfl_sets(know, topo)[3] == frozenset()

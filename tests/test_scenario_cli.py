@@ -583,7 +583,7 @@ class TestCompareGains:
 
     def test_identical_solutions_give_exact_zero_gap(self, hexagon_config):
         cfg = hexagon_config
-        sys_ = mc.build_augmented(cfg.leader_dynamics[0], [cfg.formation[0]],
+        sys_ = mc.build_augmented(cfg.dynamics_of(5), [cfg.formation[0]],
                                   cfg.tracking_a, [1.0], cfg.q_weights[5])
         a = mc.riccati_value_iteration(sys_)
         b = mc.riccati_value_iteration(sys_)
@@ -603,10 +603,10 @@ class TestCompareGains:
         assert rep_match["k_gap"] < 1e-3
         forms = [cfg.formation[0], cfg.formation[2]]
         oracle_matched = mc.riccati_value_iteration(mc.build_augmented(
-            cfg.follower_dynamics[2], forms, cfg.tracking_a,
+            cfg.dynamics_of(3), forms, cfg.tracking_a,
             [matched[5], matched[7]], cfg.q_weights[node]))
         oracle_skewed = mc.riccati_value_iteration(mc.build_augmented(
-            cfg.follower_dynamics[2], forms, cfg.tracking_a,
+            cfg.dynamics_of(3), forms, cfg.tracking_a,
             [skewed[5], skewed[7]], cfg.q_weights[node]))
         gap = (np.linalg.norm(oracle_skewed.K - oracle_matched.K)
                / np.linalg.norm(oracle_matched.K))
@@ -617,7 +617,7 @@ class TestCompareGains:
 
     @staticmethod
     def scaled_f1(cfg, scale):
-        node = cfg.topology.follower_nodes[cfg.follower_names.index("F1")]
+        node = 1 + cfg.names.index("F1")
         q_weights = dict(cfg.q_weights)
         q_weights[node] = scale * q_weights[node]
         return dataclasses.replace(cfg, q_weights=q_weights), node

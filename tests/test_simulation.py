@@ -6,16 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (SWAP, containment_error, formation_error, observer_of,
-                      reference_alphas, reference_augmented_state, reference_noise,
-                      reference_trace_row, regulation_problems)
+from conftest import (SWAP, block_topology, containment_error, drawn_plants,
+                      formation_error, observer_of, reference_alphas,
+                      reference_augmented_state, reference_noise, reference_trace_row,
+                      regulation_problems)
 from pfcc import learning as ln
 from pfcc import model_control as mc
 from pfcc import observers as ob
 from pfcc import scenario as sc
 from pfcc import simulation as sim
 from pfcc.errors import ConvergenceError, PersistentExcitationError, SimulationAbort
-from pfcc.topology import DirectedTopology
 
 
 def column(trace, name):
@@ -27,15 +27,14 @@ def tiny_config(mode=sim.MODE_DATA, horizon=40, h0=(1.0,), noise=0.1,
                 learn_start=1000, s_value=0.5, max_iterations=2000):
     """One leader pinned by the tracking node driving one follower; scalar
     states keep it fast."""
-    topo = DirectedTopology(1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
-                            np.array([[1.0]]), np.array([1.0]))
+    topo = block_topology(1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
+                          np.array([[1.0]]), np.array([1.0]))
     obs_cfg = ob.ObserverConfig(xi=4.0, coupling=8.0, consensus_gain=0.5,
                                 gain_matrix=[[1.0]], init_scale=0.05)
     return sim.ScenarioConfig(
         name="tiny",
         topology=topo,
-        follower_dynamics=[mc.AgentDynamics([[0.4]], [[1.0]])],
-        leader_dynamics=[mc.AgentDynamics([[0.3]], [[1.0]])],
+        dynamics=[mc.AgentDynamics([[0.4]], [[1.0]]), mc.AgentDynamics([[0.3]], [[1.0]])],
         formation=[mc.FormationDynamics([[s_value]], list(h0))],
         tracking_a=[[0.5]],
         tracking_x0=[0.0],
@@ -282,7 +281,7 @@ class TestControlPlans:
         for _ in range(40):
             x, world = state.x, state.world
             sim.step_world(state, cfg)
-            for node, dyn in enumerate(cfg.follower_dynamics + cfg.leader_dynamics, 1):
+            for node, dyn in enumerate(cfg.dynamics, 1):
                 u = state.oracle_gains[node].K @ world[state.plans[node].gather]
                 assert (state.x[node - 1] == dyn.A @ x[node - 1] + dyn.B @ u).all()
 
@@ -295,11 +294,11 @@ def relay_tiny_config(mode=sim.MODE_ORACLE, horizon=30):
     base = tiny_config(mode=mode, horizon=horizon)
     ff = np.zeros((3, 3))
     ff[1, 0] = ff[2, 1] = 1.0
-    topo = DirectedTopology(3, 1, ff, np.zeros((1, 1)), np.array([[1.0], [0.0], [0.0]]),
-                            np.array([1.0]))
+    topo = block_topology(3, 1, ff, np.zeros((1, 1)), np.array([[1.0], [0.0], [0.0]]),
+                          np.array([1.0]))
     return dataclasses.replace(
         base, topology=topo,
-        follower_dynamics=base.follower_dynamics * 3, follower_x0=[], follower_names=[],
+        dynamics=base.dynamics[:1] * 3 + base.dynamics[1:], x0=[], names=[],
         schedule=sim.PropensitySchedule(entries=((0, {4: 0.1}),)),
         q_weights={node: np.eye(1) for node in (1, 2, 3, 4)},
         formation_observers={4: base.formation_observers[2]},
@@ -625,6 +624,30 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match=message):
             sim.run(cfg)
 
+    def test_spectral_lines_match_one_radius_per_matrix(self, hexagon_config):
+        # targets scaled to spectral radii around the margin, judged by
+        # mc.spectral_radius one matrix at a time
+        rng = np.random.default_rng(11)
+        limit = 1.0 + mc.MARGINAL_TOL
+
+        def near_margin():
+            a = rng.normal(size=(2, 2))
+            scale = rng.choice([1.0, limit, 1.0 + 2 * mc.MARGINAL_TOL, 1.1])
+            return scale * a / mc.spectral_radius(a)
+
+        for _ in range(30):
+            cfg = dataclasses.replace(
+                hexagon_config, tracking_a=near_margin(),
+                formation=[mc.FormationDynamics(near_margin(), f.h0)
+                           for f in hexagon_config.formation])
+            expected = (["tracking dynamics must have spectral radius <= 1"]
+                        if mc.spectral_radius(cfg.tracking_a) > limit else [])
+            expected += [f"formation dynamics of {cfg.agent_name(q)} expand"
+                         for q, f in zip(cfg.topology.leader_nodes, cfg.formation)
+                         if mc.spectral_radius(f.S) > limit]
+            assert [p for p in cfg.validate()
+                    if p.startswith(("tracking dynamics", "formation dynamics"))] == expected
+
 
 def regulation_variants():
     """(what, config, unsolvable?) of the regulation check: both bundled
@@ -641,10 +664,7 @@ def regulation_variants():
         yield f"hexagon formation {k}", dataclasses.replace(cfg, formation=formation), True
     cfg = sc.load_bundled("hexagon_static")
     yield "hexagon_static", cfg, False
-    narrow = dict(follower_dynamics=[mc.AgentDynamics(d.A, d.B[:, 1:])
-                                     for d in cfg.follower_dynamics],
-                  leader_dynamics=[mc.AgentDynamics(d.A, d.B[:, 1:])
-                                   for d in cfg.leader_dynamics],
+    narrow = dict(dynamics=[mc.AgentDynamics(d.A, d.B[:, 1:]) for d in cfg.dynamics],
                   warmup_gains={})
     yield "hexagon_static narrowed", dataclasses.replace(cfg, **narrow), True
 
@@ -664,11 +684,11 @@ class TestRegulationCheck:
     @pytest.mark.parametrize("scale", [1e150, 1e300])
     def test_validate_judges_overflowing_residuals_as_the_loop(self, field, scale):
         cfg = sc.load_bundled("hexagon")
-        dynamics = list(cfg.follower_dynamics)
+        dynamics = list(cfg.dynamics)
         dyn = dynamics[0]
         dynamics[0] = mc.AgentDynamics(dyn.A * (scale if field != "B" else 1.0),
                                        dyn.B * (scale if field != "A" else 1.0))
-        cfg = dataclasses.replace(cfg, follower_dynamics=dynamics)
+        cfg = dataclasses.replace(cfg, dynamics=dynamics)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             problems = cfg.validate()
@@ -752,7 +772,7 @@ class TestLargeCostScale:
         gains = []
         for scale in (1.0, 1e300):
             cfg = sc.load_bundled("hexagon")
-            node = cfg.topology.follower_nodes[cfg.follower_names.index("F1")]
+            node = 1 + cfg.names.index("F1")
             q_weights = dict(cfg.q_weights)
             q_weights[node] = scale * q_weights[node]
             cfg = dataclasses.replace(cfg, q_weights=q_weights, horizon=1800)
@@ -776,8 +796,7 @@ class TestObserverPlantDecoupling:
         for c in (cfg_a, cfg_b):
             c.horizon = 320
             c.sample_interval = 20
-        cfg_b.follower_dynamics[0] = mc.AgentDynamics([[0.0, 1.0], [0.5, 2.0]],
-                                                      [[0.0], [2.0]])
+        cfg_b.dynamics[0] = mc.AgentDynamics([[0.0, 1.0], [0.5, 2.0]], [[0.0], [2.0]])
         cfg_b.warmup_gains[1] = np.array([[-0.25, -1.0]])
         res_a, res_b = sim.run(cfg_a), sim.run(cfg_b)
         assert res_a.completed and res_b.completed
@@ -791,6 +810,28 @@ class TestObserverPlantDecoupling:
         # but the follower plant state itself differs
         assert not np.allclose(res_a.state.x[0],
                                res_b.state.x[0])
+
+
+class TestDrawnPlantRuns:
+    @pytest.mark.parametrize("mode", [sim.MODE_ORACLE, sim.MODE_DATA])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_meets_the_observer_and_error_limits(self, hexagon_config, seed, mode):
+        # every agent's plant redrawn: the run completes, the learners
+        # converge within the flush limit, the final observer error is
+        # below criterion 5's limit and the error tail below criterion 7's
+        cfg = dataclasses.replace(drawn_plants(hexagon_config, seed), mode=mode,
+                                  horizon=3000, sample_interval=10)
+        result = sim.run(cfg)
+        assert result.completed, result.error
+        for node, lr in result.state.learners.items():
+            assert lr.controller.status == ln.CONVERGED, cfg.agent_name(node)
+            assert lr.flushes <= sim.MAX_WINDOW_FLUSHES, cfg.agent_name(node)
+        assert len(result.state.learners) == (10 if mode == sim.MODE_DATA else 0)
+        header, rows = result.trace.header(), result.trace.rows()
+        obs_cols = [j for j, h in enumerate(header) if h.startswith("obs_")]
+        err_cols = [j for j, h in enumerate(header) if h.startswith("e_")]
+        assert rows[-1, obs_cols].max() < 1e-6
+        assert rows[rows[:, 0] >= 2500][:, err_cols].max() < 1e-4
 
 
 class TestBaselineMode:

@@ -6,35 +6,66 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_topology, transitive_closure
+from conftest import block_topology, random_topology, transitive_closure
 from pfcc.topology import DirectedTopology, build_laplacian, verify_assumption1
 
 
 def two_agent_chain():
-    return DirectedTopology(1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
-                            np.array([[1.0]]), np.array([1.0]))
+    return block_topology(1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
+                          np.array([[1.0]]), np.array([1.0]))
+
+
+def with_edge(n: int, m: int, dst: int, src: int, weight: float) -> np.ndarray:
+    """The all-zero (1+n+m)-square adjacency with one edge src -> dst."""
+    a = np.zeros((1 + n + m, 1 + n + m))
+    a[dst, src] = weight
+    return a
 
 
 class TestConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loops"):
-            DirectedTopology(2, 1, np.eye(2), np.zeros((1, 1)),
-                             np.zeros((2, 1)), np.zeros(1))
+            DirectedTopology(2, 1, np.diag([0.0, 1.0, 1.0, 0.0]))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            DirectedTopology(1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
-                             np.array([[-1.0]]), np.zeros(1))
+            DirectedTopology(1, 1, with_edge(1, 1, 1, 2, -1.0))
 
     def test_nan_weight_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            DirectedTopology(1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
-                             np.array([[np.nan]]), np.zeros(1))
+            DirectedTopology(1, 1, with_edge(1, 1, 1, 2, np.nan))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            DirectedTopology(2, 1, np.zeros((1, 1)), np.zeros((1, 1)),
-                             np.zeros((2, 1)), np.zeros(1))
+            DirectedTopology(2, 1, np.zeros((3, 3)))
+
+    # nodes of a 2-follower, 2-leader graph: T = 0, followers 1-2, leaders 3-4
+    @pytest.mark.parametrize("adjacency, match", [
+        pytest.param(np.zeros((4, 4)), r"must be \(5,5\)", id="shape"),
+        pytest.param(np.zeros((5, 4)), r"must be \(5,5\)", id="non-square"),
+        pytest.param(with_edge(2, 2, 1, 3, -0.5), "negative or NaN", id="negative"),
+        pytest.param(with_edge(2, 2, 1, 3, np.nan), "negative or NaN", id="nan"),
+        pytest.param(with_edge(2, 2, 1, 1, 1.0), "self-loops", id="follower-self-loop"),
+        pytest.param(with_edge(2, 2, 3, 3, 1.0), "self-loops", id="leader-self-loop"),
+        pytest.param(with_edge(2, 2, 0, 3, 1.0), "nothing may transmit", id="leader-to-tracking"),
+        pytest.param(with_edge(2, 2, 0, 1, 1.0), "nothing may transmit",
+                     id="follower-to-tracking"),
+        pytest.param(with_edge(2, 2, 2, 0, 1.0), "only pins formation leaders",
+                     id="tracking-to-follower"),
+        pytest.param(with_edge(2, 2, 4, 2, 1.0), "followers never transmit",
+                     id="follower-to-leader"),
+    ])
+    def test_constructor_rejects(self, adjacency, match):
+        with pytest.raises(ValueError, match=match):
+            DirectedTopology(2, 2, adjacency)
+
+    def test_adjacency_is_a_read_only_copy(self):
+        a = with_edge(2, 2, 1, 3, 1.0)
+        topo = DirectedTopology(2, 2, a)
+        a[1, 3] = 2.0
+        assert topo.adjacency[1, 3] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            topo.adjacency[1, 3] = 2.0
 
     def test_node_indexing(self):
         topo = two_agent_chain()
@@ -52,8 +83,7 @@ class TestLaplacian:
         assert blocks.L0 == np.array([[-1.0]])
 
     def test_empty_edges_all_zero(self):
-        topo = DirectedTopology(2, 2, np.zeros((2, 2)), np.zeros((2, 2)),
-                                np.zeros((2, 2)), np.zeros(2))
+        topo = DirectedTopology(2, 2, np.zeros((5, 5)))
         blocks = build_laplacian(topo)
         for block in (blocks.L0, blocks.L1, blocks.L2, blocks.L3):
             np.testing.assert_array_equal(block, np.zeros_like(block))
@@ -111,8 +141,8 @@ class TestAssumptionCheck:
         assert verify_assumption1(two_agent_chain()).passed
 
     def test_isolated_follower_identified(self):
-        topo = DirectedTopology(2, 1, np.zeros((2, 2)), np.zeros((1, 1)),
-                                np.array([[1.0], [0.0]]), np.array([1.0]))
+        topo = block_topology(2, 1, np.zeros((2, 2)), np.zeros((1, 1)),
+                              np.array([[1.0], [0.0]]), np.array([1.0]))
         report = verify_assumption1(topo)
         assert not report.passed
         assert 2 in report.followers_without_leader
@@ -130,7 +160,7 @@ class TestAssumptionCheck:
         rng = np.random.default_rng(seed)
         topo = random_topology(rng)
         # drop a random edge set to create failures sometimes
-        reach = transitive_closure(topo.full_adjacency())
+        reach = transitive_closure(topo.adjacency)
         report = verify_assumption1(topo)
         expect_tree = bool(np.all(reach[1:, 0]))
         assert report.spanning_tree_ok == expect_tree
