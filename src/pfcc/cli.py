@@ -103,9 +103,9 @@ def effective_coefficients(cfg: sim.ScenarioConfig) -> dict[int, dict[int, float
     Laplacian weights in baseline mode)."""
     if cfg.mode == sim.MODE_BASELINE:
         return sim._baseline_weights(cfg.topology)
-    knowledge, _ = pr.propagation_fixed_point(
-        pr.init_knowledge(cfg.topology, cfg.schedule.initial()), cfg.topology)
-    return {i: knowledge[i].coefficients for i in cfg.topology.follower_nodes}
+    known, _ = pr.propagation_fixed_point(pr.initial_influence(cfg.topology), cfg.topology)
+    factors = cfg.schedule.initial()
+    return {i: pr.coefficients(known, i, factors) for i in cfg.topology.follower_nodes}
 
 
 def probe_window(cfg: sim.ScenarioConfig, node: int, sys_: mc.AugmentedSystem,

@@ -44,10 +44,6 @@ class ConvergenceError(PfccError):
     """An iterative solver failed to converge within its iteration budget."""
 
 
-class ConsistencyError(PfccError):
-    """An internal invariant was violated (indicates a bug or bad input)."""
-
-
 class InfluenceError(PfccError):
     """An observer or gain was requested for a leader outside an agent's
     influential set."""

@@ -152,6 +152,11 @@ class ScenarioConfig:
                 raise ValueError(f"{what} must have shape {shape}, got {np.shape(value)}")
             if not np.isfinite(value).all():
                 raise ValueError(f"{what} must be finite")
+        # a scenario file holds xi and init_scale once, for every network
+        observers = [self.leader_tracking_observer, self.follower_tracking_observer,
+                     *self.formation_observers.values()]
+        if len({(o.xi, o.init_scale) for o in observers}) > 1:
+            raise ValueError("every observer config must share one xi and one init_scale")
 
     @property
     def state_dim(self) -> int:
@@ -353,11 +358,14 @@ class WorldState:
     plant_a: np.ndarray
     plant_b: np.ndarray
     target_a: np.ndarray
-    knowledge: dict[int, pr.AgentKnowledge]
+    #: Which leaders each node knows, ``known[i, q]`` (see ``propagation``),
+    #: and the propensity factors of the schedule entry in force.
+    known: np.ndarray
+    factors: dict[int, float]
     #: Every observer network stacked, tracking network first (observed
     #: node 0), then one formation network per leader in leader order, all
     #: gated from the topology's adjacency.  Rebuilt only when
-    #: propagation changes an influential set.
+    #: propagation changes ``known``.
     bank: ob.ObserverBank | None
     #: One observer per ``bank.rows`` entry, in row order.
     observers: tuple[ob.RlsObserver, ...]
@@ -376,7 +384,8 @@ class WorldState:
     #: ``observers`` is reassigned.
     world: np.ndarray | None = None
     #: One control plan per agent, keyed by node, and the follower-by-leader
-    #: weights of the followers' plans; rebuilt whenever ``knowledge`` is.
+    #: weights of the followers' plans; rebuilt whenever ``known`` or
+    #: ``factors`` is.
     plans: dict[int, ControlPlan] = field(default_factory=dict)
     weights: np.ndarray | None = None
     #: Every agent's gain for ``plans``, grouped by shape, and the learners
@@ -385,8 +394,11 @@ class WorldState:
     #: it, and the next control step regroups.
     gain_groups: tuple[GainGroup, ...] | None = None
     probing: tuple[tuple[int, AgentLearner], ...] = ()
+    #: Propagation steps that changed ``known``; the first step that changes
+    #: nothing reached the fixed point (the step reads only ``known`` and the
+    #: static graph), and no step runs after it.
     propagation_changes: int = 0
-    propagation_stable_for: int = 0
+    propagation_settled: bool = False
 
 
 @dataclass
@@ -422,7 +434,6 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
     topo = cfg.topology
     cfg.check_fields()
     cfg.require_valid()
-    knowledge = pr.init_knowledge(topo, cfg.schedule.initial())
     agents = topo.follower_nodes + topo.leader_nodes
     plant_b = np.zeros((len(agents), cfg.state_dim, max(dyn.m for dyn in cfg.dynamics)))
     for b, dyn in zip(plant_b, cfg.dynamics):
@@ -435,7 +446,8 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
         plant_a=np.array([dyn.A for dyn in cfg.dynamics], dtype=float),
         plant_b=plant_b,
         target_a=np.array([cfg.tracking_a] + [form.S for form in cfg.formation], dtype=float),
-        knowledge=knowledge,
+        known=pr.initial_influence(topo),
+        factors=cfg.schedule.initial(),
         bank=None,
         observers=(),
         learners={},
@@ -463,10 +475,10 @@ def _gather_world(state: WorldState) -> None:
 
 def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
     """Rebuild every agent's control plan and the followers' weight matrix
-    from the current knowledge and observer rows, and mark the gain groups
-    stale.  This is the one place a knowledge change reaches control: a
-    learner whose plan key changed restarts if its layout changed or its
-    config relearns on a coefficient change."""
+    from the current knowledge, factors and observer rows, and mark the gain
+    groups stale.  This is the one place a change of either reaches
+    control: a learner whose plan key changed restarts if its layout changed
+    or its config relearns on a coefficient change."""
     topo = cfg.topology
     n = cfg.state_dim
     row = state.bank.row
@@ -479,7 +491,7 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
         elif state.baseline_alpha is not None:
             alphas = state.baseline_alpha[node]
         else:
-            alphas = state.knowledge[node].coefficients
+            alphas = pr.coefficients(state.known, node, state.factors)
         layout = tuple(sorted(alphas))
         starts = [(node - 1) * n]
         for q in layout:
@@ -509,16 +521,15 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
 
 
 def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
-    """Rebuild the observer bank from the current influential sets.  A row
-    that already existed keeps its observer and a new row starts a fresh
-    one; influential sets only grow, so no row is dropped."""
+    """Rebuild the observer bank from the current knowledge.  A row that
+    already existed keeps its observer and a new row starts a fresh one;
+    knowledge only grows, so no row is dropped."""
     topo = cfg.topology
     agents = topo.leader_nodes + topo.follower_nodes
     blocks = [(0, agents, [cfg.leader_tracking_observer if topo.is_leader(a)
                            else cfg.follower_tracking_observer for a in agents])]
     for q in topo.leader_nodes:
-        members = sorted(a for a in agents
-                         if a != q and q in state.knowledge[a].influential)
+        members = [a for a in sorted(agents) if a != q and state.known[a, q]]
         blocks.append((q, members, [cfg.formation_observers[q]] * len(members)))
     old_row = state.bank.row if state.bank is not None else {}
     state.bank = ob.ObserverBank.stack(topo.adjacency, blocks)
@@ -714,20 +725,19 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     # 1. propensity schedule
     entry = cfg.schedule.entry_at(tick)
     if entry is not None and tick > 0:
-        state.knowledge = pr.apply_propensity_update(state.knowledge, entry, topo)
+        state.factors = entry
         _build_plans(state, cfg)
 
-    # 2. influence propagation (idempotent at the fixed point)
-    if state.propagation_stable_for < topo.n_followers + topo.n_leaders:
-        nxt = pr.step_propagation(state.knowledge, topo)
-        if any(nxt[a].influential != state.knowledge[a].influential for a in nxt):
-            state.knowledge = nxt
+    # 2. influence propagation, until a step changes nothing
+    if not state.propagation_settled:
+        nxt = pr.step_propagation(state.known, topo)
+        if (nxt != state.known).any():
+            state.known = nxt
             state.propagation_changes += 1
-            state.propagation_stable_for = 0
             _sync_observer_networks(state, cfg)
             _build_plans(state, cfg)
         else:
-            state.propagation_stable_for += 1
+            state.propagation_settled = True
 
     # 3. trace sampling of the tick-k state
     if tick % cfg.sample_interval == 0:

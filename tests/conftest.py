@@ -13,6 +13,7 @@ from pfcc import model_control as mc
 from pfcc import scenario as sc
 from pfcc import simulation as sim
 from pfcc.errors import PfccError
+from pfcc.propagation import convex_coefficients
 from pfcc.topology import DirectedTopology
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -158,16 +159,23 @@ def observer_of(state: sim.WorldState, agent: int, target: int):
     return state.observers[state.bank.row[agent, target]]
 
 
+def known_leaders(known: np.ndarray, node: int) -> set[int]:
+    """The leaders ``node`` knows, read from the knowledge matrix."""
+    return set(np.flatnonzero(known[node]).tolist())
+
+
 def reference_alphas(state: sim.WorldState, cfg: sim.ScenarioConfig,
                      node: int) -> dict[int, float]:
     """Reference: weights of an agent's formation blocks, read from the
     knowledge: a leader follows its own formation at weight 1, a follower
-    its convex coefficients (or the baseline's Laplacian weights)."""
+    the convex coefficients of the factors in force over the leaders it
+    knows (or the baseline's Laplacian weights)."""
     if cfg.topology.is_leader(node):
         return {node: 1.0}
     if state.baseline_alpha is not None:
         return state.baseline_alpha[node]
-    return state.knowledge[node].coefficients
+    return convex_coefficients({q: state.factors[q]
+                                for q in known_leaders(state.known, node)})
 
 
 def reference_augmented_state(state: sim.WorldState, cfg: sim.ScenarioConfig,
@@ -199,7 +207,7 @@ def reference_trace_row(state: sim.WorldState, cfg: sim.ScenarioConfig) -> list[
         for i in topo.follower_nodes]
     for a in topo.leader_nodes + topo.follower_nodes:
         err = float(np.linalg.norm(observer_of(state, a, 0).x_hat - x_o))
-        for q in sorted(state.knowledge[a].influential - {a}):
+        for q in sorted(known_leaders(state.known, a) - {a}):
             err += float(np.linalg.norm(observer_of(state, a, q).x_hat - h_all[q]))
         row.append(err)
     if cfg.record_states:
@@ -323,6 +331,49 @@ def random_topology(rng: np.random.Generator) -> DirectedTopology:
             if j >= n and j != i:
                 ll[i - n, j - n] = w
     return block_topology(n, m, ff, ll, lf, tl)
+
+
+def hop_distances(adjacency: np.ndarray) -> np.ndarray:
+    """Breadth-first oracle: ``[i, j]`` is the fewest edges on a directed
+    path j -> i (``inf`` if none; a node reaches itself only round a
+    cycle)."""
+    size = adjacency.shape[0]
+    dist = np.full((size, size), np.inf)
+    for start in range(size):
+        frontier, hops = {start}, 0
+        while frontier:
+            hops += 1
+            frontier = {int(i) for j in frontier for i in np.flatnonzero(adjacency[:, j] > 0)
+                        if dist[i, start] == np.inf}
+            dist[list(frontier), start] = hops
+    return dist
+
+
+def drawn_topology_config(base: sim.ScenarioConfig, seed: int,
+                          switch_tick: int) -> sim.ScenarioConfig:
+    """``base`` moved onto ``random_topology`` drawn from ``seed``: every
+    agent gets a single-input plant and deadbeat warm-up gain as in
+    ``drawn_plants`` and an initial state drawn from U(-1, 1), leader k
+    takes ``base``'s k-th formation and formation observer and every cost
+    weight is I.  The propensity factors are drawn from U(0.05, 1) at tick 0
+    and drawn again at ``switch_tick``."""
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng)
+    agents = topo.follower_nodes + topo.leader_nodes
+    leaders = base.topology.leader_nodes
+    cfg = dataclasses.replace(
+        base, topology=topo,
+        dynamics=[mc.AgentDynamics(SWAP, [[0.0], [1.0]])] * len(agents),
+        formation=base.formation[: topo.n_leaders],
+        x0=[rng.uniform(-1.0, 1.0, 2) for _ in agents], names=[],
+        q_weights={node: np.eye(2) for node in agents},
+        formation_observers={q: base.formation_observers[p]
+                             for q, p in zip(topo.leader_nodes, leaders)},
+        schedule=sim.PropensitySchedule(tuple(
+            (tick, {q: float(rng.uniform(0.05, 1.0)) for q in topo.leader_nodes})
+            for tick in (0, switch_tick))),
+        warmup_gains={})
+    return drawn_plants(cfg, seed)
 
 
 @pytest.fixture()

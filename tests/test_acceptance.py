@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SWAP, observer_of, relay_line_topology
+from conftest import SWAP, known_leaders, observer_of, relay_line_topology
 from pfcc import cli
 from pfcc import matops as mo
 from pfcc import model_control as mc
@@ -55,18 +55,16 @@ def static_run():
 def test_criterion_1_propagation(hexagon_config):
     start = time.perf_counter()
     topo = hexagon_config.topology
-    know, used = pr.propagation_fixed_point(
-        pr.init_knowledge(topo, hexagon_config.schedule.initial()), topo)
+    known, used = pr.propagation_fixed_point(pr.initial_influence(topo), topo)
     assert used <= 9
-    assert know[1].influential == {5, 6}
-    assert know[2].influential == {5, 6, 7, 8}
-    assert know[3].influential == {5, 7}
-    assert know[4].influential == {5, 6, 7, 8, 9, 10}
+    assert known_leaders(known, 1) == {5, 6}
+    assert known_leaders(known, 2) == {5, 6, 7, 8}
+    assert known_leaders(known, 3) == {5, 7}
+    assert known_leaders(known, 4) == {5, 6, 7, 8, 9, 10}
 
     line = relay_line_topology()
-    know_line, _ = pr.propagation_fixed_point(
-        pr.init_knowledge(line, {q: 0.1 for q in line.leader_nodes}), line)
-    relays = pr.itfl_sets(know_line, line)
+    known_line, _ = pr.propagation_fixed_point(pr.initial_influence(line), line)
+    relays = pr.itfl_sets(known_line, line)
     assert relays[4] == {5, 6}
     assert relays[5] == {6}
     elapsed = time.perf_counter() - start

@@ -227,7 +227,7 @@ def reference_etas(cfg, state, target, values, pin_value):
         members = topo.leader_nodes + topo.follower_nodes
     else:
         members = [a for a in topo.follower_nodes + topo.leader_nodes
-                   if a != target and target in state.knowledge[a].influential]
+                   if a != target and state.known[a, target]]
 
     a = topo.adjacency
     out = {}
@@ -329,7 +329,7 @@ class TestObserverNetwork:
             assert [a for a, q in bank.rows if q == 0] == agents
         for q in topo.leader_nodes:
             assert [a for a, node in state.bank.rows if node == q] == sorted(
-                a for a in agents if a != q and q in state.knowledge[a].influential)
+                a for a in agents if a != q and state.known[a, q])
 
     def test_rows_keep_their_observers_across_rebuilds(self, monkeypatch, hexagon_config):
         # every propagation change rebuilds the bank: a row that existed keeps

@@ -4,81 +4,82 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (block_topology, chain_topology, direct_leaders_topology,
-                      mixed_relay_topology, random_topology,
-                      relay_line_topology, star_topology, transitive_closure)
+                      hop_distances, known_leaders, mixed_relay_topology,
+                      random_topology, relay_line_topology, star_topology,
+                      transitive_closure)
 from pfcc import propagation as pr
-from pfcc.errors import ConsistencyError
 
 
 def uniform_theta(topo, value=0.1):
     return {q: value for q in topo.leader_nodes}
 
 
+def fixed_point(topo):
+    return pr.propagation_fixed_point(pr.initial_influence(topo), topo)
+
+
 class TestInit:
     def test_direct_neighbours_only(self):
         topo = chain_topology()  # L1 -> L2 -> F1 -> F2 -> F3
-        know = pr.init_knowledge(topo, uniform_theta(topo))
+        known = pr.initial_influence(topo)
         l1, l2 = topo.leader_nodes
         f1, f2, f3 = topo.follower_nodes
-        assert know[f1].influential == {l2}
-        assert know[f2].influential == set()
-        assert know[l2].influential == {l1}
-        assert know[l1].influential == set()  # no leader in-neighbours
-        assert know[f1].propensities == {l2: 0.1}
+        assert known_leaders(known, f1) == {l2}
+        assert known_leaders(known, f2) == set()
+        assert known_leaders(known, l2) == {l1}
+        assert known_leaders(known, l1) == set()  # no leader in-neighbours
+        assert pr.coefficients(known, f1, uniform_theta(topo)) == {l2: 1.0}
 
-    def test_missing_factor_rejected(self):
-        topo = chain_topology()
-        with pytest.raises(ValueError, match="missing propensity"):
-            pr.init_knowledge(topo, {topo.leader_nodes[0]: 0.1})
+    def test_tracking_leader_is_known_by_none(self):
+        topo = chain_topology()  # T pins L1
+        known = pr.initial_influence(topo)
+        assert known.shape == (topo.n_nodes, topo.n_nodes)
+        assert not known[:, 0].any() and not known[0].any()
 
     def test_bundled_f4_starts_with_direct_leaders_only(self, hexagon_config):
         topo = hexagon_config.topology
-        know = pr.init_knowledge(topo, hexagon_config.schedule.initial())
+        known = pr.initial_influence(topo)
         f4 = topo.follower_nodes[3]
-        assert know[f4].influential == {8, 9, 10}  # L4, L5, L6 direct only
+        assert known_leaders(known, f4) == {8, 9, 10}  # L4, L5, L6 direct only
 
 
 class TestStep:
     def test_two_hop_chain(self):
         topo = chain_topology()
-        know = pr.init_knowledge(topo, uniform_theta(topo))
+        known = pr.initial_influence(topo)
         l1, l2 = topo.leader_nodes
         f1 = topo.follower_nodes[0]
-        assert know[f1].influential == {l2}
-        know = pr.step_propagation(know, topo)
-        assert know[f1].influential == {l1, l2}
+        assert known_leaders(known, f1) == {l2}
+        known = pr.step_propagation(known, topo)
+        assert known_leaders(known, f1) == {l1, l2}
 
-    def test_dictionary_merge_carries_values(self):
+    def test_known_leaders_weighted_by_the_factors_in_force(self):
         topo = chain_topology()
         theta = {topo.leader_nodes[0]: 0.5, topo.leader_nodes[1]: 0.1}
-        know = pr.step_propagation(pr.init_knowledge(topo, theta), topo)
+        known = pr.step_propagation(pr.initial_influence(topo), topo)
         f1 = topo.follower_nodes[0]
-        assert know[f1].propensities == theta
-
-    def test_conflicting_values_rejected(self):
-        # both followers hear the leader directly; F2 also hears F1, so a
-        # forged value at F1 collides with F2's own entry on the next step
-        topo = block_topology(2, 1, np.array([[0.0, 0.0], [1.0, 0.0]]),
-                              np.zeros((1, 1)), np.ones((2, 1)),
-                              np.array([1.0]))
-        leader = topo.leader_nodes[0]
-        know = pr.init_knowledge(topo, {leader: 0.1})
-        forged = dict(know)
-        forged[1] = pr.AgentKnowledge(propensities={leader: 0.9},
-                                      coefficients={leader: 1.0})
-        with pytest.raises(ConsistencyError, match="conflicting propensity"):
-            pr.step_propagation(forged, topo)
+        assert pr.coefficients(known, f1, theta) == pr.convex_coefficients(theta)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_sets_never_shrink(self, seed):
         topo = random_topology(np.random.default_rng(seed))
-        know = pr.init_knowledge(topo, uniform_theta(topo))
+        known = pr.initial_influence(topo)
         for _ in range(4):
-            nxt = pr.step_propagation(know, topo)
-            for node in know:
-                assert know[node].influential <= nxt[node].influential
-            know = nxt
+            nxt = pr.step_propagation(known, topo)
+            assert not (known & ~nxt).any()
+            known = nxt
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_k_steps_reach_exactly_the_leaders_within_k_plus_one_edges(self, seed):
+        topo = random_topology(np.random.default_rng(seed))
+        hops = hop_distances(topo.adjacency)
+        is_leader = np.isin(np.arange(topo.n_nodes), topo.leader_nodes)
+        known = pr.initial_influence(topo)
+        for k in range(topo.n_nodes):
+            np.testing.assert_array_equal(known, (hops <= k + 1) & is_leader, err_msg=f"k={k}")
+            known = pr.step_propagation(known, topo)
 
 
 class TestCoefficients:
@@ -95,6 +96,12 @@ class TestCoefficients:
         base = {5: 0.1, 6: 0.5, 7: 0.2}
         scaled = {q: 7.0 * v for q, v in base.items()}
         assert pr.convex_coefficients(base) == pr.convex_coefficients(scaled)
+
+    def test_keys_are_python_ints(self, hexagon_config):
+        topo = hexagon_config.topology
+        known, _ = fixed_point(topo)
+        coeffs = pr.coefficients(known, 4, hexagon_config.schedule.initial())
+        assert all(type(q) is int for q in coeffs)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -114,93 +121,89 @@ class TestCoefficients:
 class TestFixedPoint:
     def test_chain_takes_the_full_bound(self):
         topo = chain_topology()  # N + M - 1 == 4
-        know, used = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, uniform_theta(topo)), topo)
+        known, used = fixed_point(topo)
         assert used == 4
         f3 = topo.follower_nodes[2]
-        assert know[f3].influential == set(topo.leader_nodes)
+        assert known_leaders(known, f3) == set(topo.leader_nodes)
 
     def test_star_confirms_in_one(self):
         topo = star_topology()
-        _, used = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, uniform_theta(topo)), topo)
+        _, used = fixed_point(topo)
         assert used == 1
 
     def test_bundled_sets(self, hexagon_config):
         topo = hexagon_config.topology
-        know, used = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, hexagon_config.schedule.initial()), topo)
+        known, used = fixed_point(topo)
         assert used <= 9
+        assert used == 2
         f1, f2, f3, f4 = topo.follower_nodes
-        assert know[f1].influential == {5, 6}
-        assert know[f2].influential == {5, 6, 7, 8}
-        assert know[f3].influential == {5, 7}
-        assert know[f4].influential == {5, 6, 7, 8, 9, 10}
+        assert known_leaders(known, f1) == {5, 6}
+        assert known_leaders(known, f2) == {5, 6, 7, 8}
+        assert known_leaders(known, f3) == {5, 7}
+        assert known_leaders(known, f4) == {5, 6, 7, 8, 9, 10}
 
     def test_bundled_equal_factors_coefficients(self, hexagon_config):
         topo = hexagon_config.topology
-        know, _ = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, hexagon_config.schedule.initial()), topo)
+        known, _ = fixed_point(topo)
         f3 = topo.follower_nodes[2]
-        assert know[f3].coefficients == {5: 0.5, 7: 0.5}
+        assert pr.coefficients(known, f3, hexagon_config.schedule.initial()) == {5: 0.5, 7: 0.5}
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_bound_and_closure_on_random_graphs(self, seed):
         topo = random_topology(np.random.default_rng(seed))
-        know, used = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, uniform_theta(topo)), topo)
+        known, used = fixed_point(topo)
         assert used <= max(topo.n_followers + topo.n_leaders - 1, 1)
         reach = transitive_closure(topo.adjacency)
+        theta = uniform_theta(topo)
         for i in topo.follower_nodes + topo.leader_nodes:
             expected = {q for q in topo.leader_nodes if reach[i, q]}
-            assert know[i].influential == expected
+            assert known_leaders(known, i) == expected
         for i in topo.follower_nodes:
-            if know[i].influential:
-                assert sum(know[i].coefficients.values()) == pytest.approx(1.0)
-                assert all(know[i].coefficients[q] > 0
-                           for q in know[i].influential)
+            if known_leaders(known, i):
+                coeffs = pr.coefficients(known, i, theta)
+                assert sum(coeffs.values()) == pytest.approx(1.0)
+                assert all(coeffs[q] > 0 for q in known_leaders(known, i))
 
 
 class TestPropensityUpdate:
     def test_values_replaced_sets_unchanged(self):
         topo = chain_topology()
-        know, _ = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, uniform_theta(topo)), topo)
+        known, _ = fixed_point(topo)
         l1, l2 = topo.leader_nodes
-        updated = pr.apply_propensity_update(know, {l1: 0.5, l2: 0.1}, topo)
-        for node in know:
-            assert updated[node].influential == know[node].influential
+        before = known.copy()
+        updated = {node: pr.coefficients(known, node, {l1: 0.5, l2: 0.1})
+                   for node in topo.follower_nodes}
+        np.testing.assert_array_equal(known, before)
+        for node in topo.follower_nodes:
+            assert set(updated[node]) == known_leaders(known, node)
         f3 = topo.follower_nodes[2]
-        assert updated[f3].coefficients[l1] == pytest.approx(5.0 / 6.0)
+        assert updated[f3][l1] == pytest.approx(5.0 / 6.0)
 
 
 class TestRelayLeaders:
     def test_direct_graph_has_no_relays(self):
         topo = direct_leaders_topology()
-        know, _ = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, uniform_theta(topo)), topo)
-        relays = pr.itfl_sets(know, topo)
+        known, _ = fixed_point(topo)
+        relays = pr.itfl_sets(known, topo)
         assert all(not v for v in relays.values())
 
     def test_relay_line(self):
         topo = relay_line_topology()
-        know, _ = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, uniform_theta(topo)), topo)
-        relays = pr.itfl_sets(know, topo)
+        known, _ = fixed_point(topo)
+        relays = pr.itfl_sets(known, topo)
         assert relays[4] == {5, 6}
         assert relays[5] == {6}
         assert relays[6] == frozenset()
 
     def test_mixed_relay_graph(self):
         topo = mixed_relay_topology()
-        know, _ = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, uniform_theta(topo)), topo)
+        known, _ = fixed_point(topo)
         # followers 1, 2 hear leaders 4..6; follower 3 hears all four
-        assert know[1].influential == {4, 5, 6}
-        assert know[2].influential == {4, 5, 6}
-        assert know[3].influential == {4, 5, 6, 7}
-        relays = pr.itfl_sets(know, topo)
+        assert known_leaders(known, 1) == {4, 5, 6}
+        assert known_leaders(known, 2) == {4, 5, 6}
+        assert known_leaders(known, 3) == {4, 5, 6, 7}
+        relays = pr.itfl_sets(known, topo)
         assert relays[4] == {5, 6, 7}
         assert relays[5] == {6, 7}
         assert relays[6] == frozenset()
@@ -209,14 +212,12 @@ class TestRelayLeaders:
     def test_single_leader_star_has_none(self):
         topo = block_topology(2, 1, np.zeros((2, 2)), np.zeros((1, 1)),
                               np.ones((2, 1)), np.array([1.0]))
-        know, _ = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, uniform_theta(topo)), topo)
-        assert pr.itfl_sets(know, topo)[3] == frozenset()
+        known, _ = fixed_point(topo)
+        assert pr.itfl_sets(known, topo)[3] == frozenset()
 
     def test_bundled_relays(self, hexagon_config):
         topo = hexagon_config.topology
-        know, _ = pr.propagation_fixed_point(
-            pr.init_knowledge(topo, hexagon_config.schedule.initial()), topo)
-        relays = pr.itfl_sets(know, topo)
+        known, _ = fixed_point(topo)
+        relays = pr.itfl_sets(known, topo)
         assert relays[5] == {7, 9}   # L1 relayed by L3 and L5
         assert relays[6] == {8, 10}  # L2 relayed by L4 and L6

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 from conftest import (SWAP, block_topology, containment_error, drawn_plants,
-                      formation_error, observer_of, reference_alphas,
+                      drawn_topology_config, formation_error, hop_distances,
+                      known_leaders, observer_of, reference_alphas,
                       reference_augmented_state, reference_noise, reference_trace_row,
-                      regulation_problems)
+                      regulation_problems, transitive_closure)
 from pfcc import learning as ln
 from pfcc import model_control as mc
 from pfcc import observers as ob
+from pfcc import propagation as pr
 from pfcc import scenario as sc
 from pfcc import simulation as sim
-from pfcc.errors import ConvergenceError, PersistentExcitationError, SimulationAbort
+from pfcc.errors import (AssumptionError, ConvergenceError, PersistentExcitationError,
+                         SimulationAbort)
 
 
 def column(trace, name):
@@ -252,18 +255,19 @@ class TestControlPlans:
         def checked(state, cfg, *args):
             # the tick's knowledge is final here: controls gather from this
             check_gathers(state)
-            seen.append((state.knowledge, state.plans, state.weights))
+            seen.append((state.known, state.factors, state.plans, state.weights))
             sample(state, cfg, *args)
         monkeypatch.setattr(sim, "_sample_trace", checked)
         state = sim.init_world(cfg)
-        seen.append((state.knowledge, state.plans, state.weights))
+        seen.append((state.known, state.factors, state.plans, state.weights))
         for _ in range(cfg.horizon):
             sim.step_world(state, cfg)
             check_gathers(state)  # the next states the learners record
         assert len(seen) == 1 + cfg.horizon
         rebuilds = 0
-        for (know_a, plans_a, weights_a), (know_b, plans_b, weights_b) in zip(seen, seen[1:]):
-            if know_b is know_a:
+        for (known_a, factors_a, plans_a, weights_a), after in zip(seen, seen[1:]):
+            known_b, factors_b, plans_b, weights_b = after
+            if known_b is known_a and factors_b is factors_a:
                 assert plans_b is plans_a and weights_b is weights_a
             else:
                 assert plans_b is not plans_a and weights_b is not weights_a
@@ -276,7 +280,7 @@ class TestControlPlans:
         # input widths 1 to 3 share one zero-padded matmul
         cfg = dataclasses.replace(hexagon_config, mode=sim.MODE_ORACLE)
         state = sim.init_world(cfg)
-        while state.propagation_stable_for < 10:  # past the fixed point
+        while not state.propagation_settled:  # past the fixed point
             sim.step_world(state, cfg)
         for _ in range(40):
             x, world = state.x, state.world
@@ -543,7 +547,7 @@ class TestLearnerRestarts:
         state = sim.init_world(cfg)
         while state.tick < cls.SWITCH:
             sim.step_world(state, cfg)
-        before = {i: (state.knowledge[i].coefficients, state.learners[i],
+        before = {i: (pr.coefficients(state.known, i, state.factors), state.learners[i],
                       state.learners[i].controller.K_hat.tobytes())
                   for i in cfg.topology.follower_nodes}
         assert all(lr.controller.status == ln.CONVERGED for _, lr, _ in before.values())
@@ -565,7 +569,7 @@ class TestLearnerRestarts:
         # factor reweighs only the followers it reaches
         state, restarts, before = self.run_logged(monkeypatch, True, reweigh)
         changed = [i for i, (coeffs, *_) in before.items()
-                   if state.knowledge[i].coefficients != coeffs]
+                   if pr.coefficients(state.known, i, state.factors) != coeffs]
         assert changed == (list(before) if reweigh is None else [4])
         assert [r for r in restarts if r[0] >= self.SWITCH] == [
             (self.SWITCH, i) for i in changed]
@@ -623,6 +627,28 @@ class TestConfigChecks:
         setattr(cfg, name, value)
         with pytest.raises(ValueError, match=message):
             sim.run(cfg)
+
+    @pytest.mark.parametrize("network", ["follower_tracking_observer", "formation"])
+    @pytest.mark.parametrize("gain", ["xi", "init_scale"])
+    def test_observer_configs_disagreeing_on_a_shared_gain_rejected(
+            self, hexagon_config, network, gain):
+        # a scenario file holds xi and init_scale once, so a config whose
+        # networks disagree on one would export as another scenario
+        odd = dataclasses.replace(hexagon_config.leader_tracking_observer, **{gain: 9.0})
+        if network == "formation":
+            change = {"formation_observers": {**hexagon_config.formation_observers, 7: odd}}
+        else:
+            change = {network: odd}
+        with pytest.raises(ValueError, match="share one xi and one init_scale"):
+            dataclasses.replace(hexagon_config, **change)
+
+    def test_validate_names_a_schedule_entry_missing_factors(self, hexagon_config):
+        first = hexagon_config.schedule.initial()
+        cfg = dataclasses.replace(hexagon_config, schedule=sim.PropensitySchedule(
+            ((0, first), (100, {5: 0.2, 6: 0.1, 8: 0.1, 9: 0.1}))))
+        assert cfg.validate() == ["schedule entry missing factors for leaders [7, 10]"]
+        with pytest.raises(AssumptionError, match="missing factors for leaders"):
+            sim.init_world(cfg)
 
     def test_spectral_lines_match_one_radius_per_matrix(self, hexagon_config):
         # targets scaled to spectral radii around the margin, judged by
@@ -803,7 +829,7 @@ class TestObserverPlantDecoupling:
         for node in cfg_a.topology.follower_nodes + cfg_a.topology.leader_nodes:
             np.testing.assert_array_equal(observer_of(res_a.state, node, 0).x_hat,
                                           observer_of(res_b.state, node, 0).x_hat)
-            for q in res_a.state.knowledge[node].influential - {node}:
+            for q in known_leaders(res_a.state.known, node) - {node}:
                 np.testing.assert_array_equal(
                     observer_of(res_a.state, node, q).x_hat,
                     observer_of(res_b.state, node, q).x_hat)
@@ -832,6 +858,55 @@ class TestDrawnPlantRuns:
         err_cols = [j for j, h in enumerate(header) if h.startswith("e_")]
         assert rows[-1, obs_cols].max() < 1e-6
         assert rows[rows[:, 0] >= 2500][:, err_cols].max() < 1e-4
+
+
+class TestDrawnTopologyRuns:
+    """Scenarios over ``random_topology`` draws (``drawn_topology_config``)
+    with a propensity switch at tick 300."""
+
+    SWITCH = 300
+
+    def drawn(self, seed, **change):
+        return dataclasses.replace(
+            drawn_topology_config(sc.load_bundled("hexagon"), seed, self.SWITCH),
+            mode=sim.MODE_ORACLE, **change)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_observer_rows_appear_as_propagation_reaches_the_agent(self, seed):
+        # entering tick k, after k propagation steps, an agent knows leader
+        # q, and runs an observer of it, exactly when q has a path of at
+        # most k + 1 edges to it
+        cfg = self.drawn(seed, horizon=20)
+        topo = cfg.topology
+        hops = hop_distances(topo.adjacency)
+        leaders = np.isin(np.arange(topo.n_nodes), topo.leader_nodes)
+        state = sim.init_world(cfg)
+        for tick in range(topo.n_nodes):
+            within = (hops <= tick + 1) & leaders
+            np.testing.assert_array_equal(state.known, within)
+            assert {key for key in state.bank.rows if key[1] != 0} == {
+                (a, q) for a, q in zip(*np.nonzero(within)) if a != q}
+            sim.step_world(state, cfg)
+        assert state.propagation_settled
+
+    @pytest.mark.parametrize("seed", [
+        *range(6),
+        # the hexagon's observer gains diverge on rows with a large weighted
+        # in-degree: row (F3, L3) at 2.45 in draw 6, the L2 and L4 networks
+        # in draw 7 (a finding, kept as drawn)
+        *(pytest.param(seed, marks=pytest.mark.xfail(
+            reason="observers diverge under the hexagon's gains", strict=True))
+          for seed in (6, 7))])
+    def test_run_completes_on_the_switched_coefficients(self, seed):
+        cfg = self.drawn(seed, horizon=600, sample_interval=10)
+        assert cfg.validate() == []
+        result = sim.run(cfg)
+        assert result.completed, result.error
+        topo, factors = cfg.topology, cfg.schedule.entries[1][1]
+        reach = transitive_closure(topo.adjacency)
+        for i in topo.follower_nodes:
+            assert result.state.plans[i].alphas == pr.convex_coefficients(
+                {q: factors[q] for q in topo.leader_nodes if reach[i, q]})
 
 
 class TestBaselineMode:
