@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .topology import DirectedTopology
+from .topology import DirectedTopology, closure
 
 # Propensity ratios are canonicalized to this many significant digits before
 # normalization, so scaling every factor by a common constant yields
@@ -92,32 +92,15 @@ def itfl_sets(known: np.ndarray, topo: DirectedTopology) -> dict[int, frozenset[
     path from q to some follower that q cannot reach through followers
     alone.
     """
+    n = topo.n_followers
     edge = topo.adjacency > 0
-
-    # Follower-only reachability: paths whose intermediate nodes are followers.
-    def leader_free_followers(q: int) -> set[int]:
-        seen = {i for i in topo.follower_nodes if edge[i, q]}
-        stack = list(seen)
-        while stack:
-            j = stack.pop()
-            for i in topo.follower_nodes:
-                if i not in seen and edge[i, j]:
-                    seen.add(i)
-                    stack.append(i)
-        return seen
-
-    result: dict[int, frozenset[int]] = {}
-    for q in topo.leader_nodes:
-        needy = {i for i in topo.reachable_from(q)
-                 if topo.is_follower(i)} - leader_free_followers(q)
-        if not needy:
-            result[q] = frozenset()
-            continue
-        relays = set()
-        for m in topo.leader_nodes:
-            if m == q or not known[m, q]:
-                continue
-            if needy & {i for i in topo.reachable_from(m) if topo.is_follower(i)}:
-                relays.add(m)
-        result[q] = frozenset(relays)
-    return result
+    followers, leaders = slice(1, 1 + n), slice(1 + n, None)
+    reach = closure(edge)[followers, leaders]  # [i, q]: q reaches follower i
+    # [i, j]: follower i is follower j or reached from it through followers
+    through = closure(edge[followers, followers]) | np.eye(n, dtype=bool)
+    # [i, q]: q reaches follower i, but not through followers alone
+    needy = reach & ~(through @ edge[followers, leaders])
+    # [q, m]: m knows q and reaches a follower that q needs relayed to
+    relays = (needy.T @ reach) & known[leaders, leaders].T & ~np.eye(topo.n_leaders, dtype=bool)
+    nodes = np.array(topo.leader_nodes)
+    return {q: frozenset(nodes[row].tolist()) for q, row in zip(topo.leader_nodes, relays)}

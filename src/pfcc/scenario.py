@@ -23,8 +23,6 @@ from . import simulation as sim
 from .errors import AssumptionError, SchemaError
 from .topology import DirectedTopology
 
-TRACKING_NAME = "T"
-
 _MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
 _VECTOR = {"type": "array", "items": {"type": "number"}}
 _OBSERVER = {
@@ -316,11 +314,12 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
     """Build a runnable configuration from a validated raw dictionary."""
     agents = raw["followers"] + raw["leaders"]  # node order, from node 1
     names = [entry["name"] for entry in agents]
-    if len(set(names)) != len(names) or TRACKING_NAME in names:
-        raise SchemaError("agent names must be unique and must not shadow "
-                          f"the tracking leader name {TRACKING_NAME!r}")
+    try:
+        sim.check_names(names)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     n, m = len(raw["followers"]), len(raw["leaders"])
-    node_of = {nm: node for node, nm in enumerate([TRACKING_NAME] + names)}
+    node_of = {nm: node for node, nm in enumerate([sim.TRACKING_NAME] + names)}
 
     tracking_a = _matrix(raw["tracking"]["A"], "tracking A")
     dim = tracking_a.shape[0]
@@ -333,16 +332,7 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
         if (src, dst) in seen:
             raise SchemaError(f"edge listed twice: {src} -> {dst}")
         seen.add((src, dst))
-        if weight < 0:
-            raise SchemaError(f"edge weight must be nonnegative: {src} -> {dst}")
-        s, d = node_of[src], node_of[dst]
-        if d == 0:
-            raise SchemaError("nothing may transmit to the tracking leader")
-        if s == 0 and d <= n:
-            raise SchemaError("the tracking leader only pins formation leaders")
-        if 0 < s <= n < d:
-            raise SchemaError(f"followers never transmit to leaders: {src} -> {dst}")
-        adjacency[d, s] = weight
+        adjacency[node_of[dst], node_of[src]] = weight
     try:
         topo = DirectedTopology(n, m, adjacency)
     except ValueError as exc:
@@ -479,7 +469,7 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
     # tracking edges first, then each receiver's in-edges in node order
     a = topo.adjacency
     agents = range(1, topo.n_nodes)
-    edges = [[TRACKING_NAME, cfg.agent_name(i), float(a[i, 0])]
+    edges = [[sim.TRACKING_NAME, cfg.agent_name(i), float(a[i, 0])]
              for i in agents if a[i, 0] > 0]
     edges += [[cfg.agent_name(j), cfg.agent_name(i), float(a[i, j])]
               for i in agents for j in agents if a[i, j] > 0]

@@ -38,6 +38,17 @@ MODES = (MODE_DATA, MODE_ORACLE, MODE_BASELINE)
 
 _STATE_GUARD = 1e9
 
+#: The tracking leader's name in scenario files, traces and messages.
+TRACKING_NAME = "T"
+
+
+def check_names(names: list[str]) -> None:
+    """Raise ValueError unless the agent names are unique and none is the
+    tracking leader's."""
+    if len(set(names)) != len(names) or TRACKING_NAME in names:
+        raise ValueError("agent names must be unique and must not shadow "
+                         f"the tracking leader name {TRACKING_NAME!r}")
+
 
 @dataclass(frozen=True)
 class PropensitySchedule:
@@ -122,6 +133,7 @@ class ScenarioConfig:
                 or len(self.formation) != topo.n_leaders):
             raise ValueError("one dynamics entry, x0 and name per follower and leader "
                              "and one formation per leader are required")
+        check_names(self.names)
         if self.sample_interval < 1:
             raise ValueError("sample interval must be >= 1")
         if self.horizon < 0:
@@ -163,7 +175,7 @@ class ScenarioConfig:
         return self.tracking_a.shape[0]
 
     def agent_name(self, node: int) -> str:
-        return "T" if node == 0 else self.names[node - 1]
+        return TRACKING_NAME if node == 0 else self.names[node - 1]
 
     def dynamics_of(self, node: int) -> mc.AgentDynamics:
         return self.dynamics[node - 1]

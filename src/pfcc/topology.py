@@ -75,16 +75,19 @@ class DirectedTopology:
     def is_leader(self, node: int) -> bool:
         return self.n_followers < node < self.n_nodes
 
-    def reachable_from(self, start: int) -> set[int]:
-        """Nodes reachable from ``start`` by directed paths of length >= 1."""
-        edge = self.adjacency > 0
-        seen: set[int] = set()
-        stack = [start]
-        while stack:
-            new = set(np.flatnonzero(edge[:, stack.pop()]).tolist()) - seen
-            seen |= new
-            stack.extend(new)
-        return seen
+
+def closure(edge: np.ndarray) -> np.ndarray:
+    """Transitive closure of a receiver-row boolean matrix: ``[i, j]`` is
+    true when a directed path of one or more edges leads j -> i.
+
+    Each step ORs in the paths of up to twice the length, until a step
+    changes nothing.
+    """
+    while True:
+        longer = edge | (edge @ edge)
+        if (longer == edge).all():
+            return edge
+        edge = longer
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,12 @@ def build_laplacian(topo: DirectedTopology) -> LaplacianBlocks:
 class ValidationReport:
     """Outcome of the spanning-tree / leader-coverage structure check."""
 
-    spanning_tree_ok: bool
     unreachable_from_tracking: tuple[int, ...] = ()
     followers_without_leader: tuple[int, ...] = ()
+
+    @property
+    def spanning_tree_ok(self) -> bool:
+        return not self.unreachable_from_tracking
 
     @property
     def passed(self) -> bool:
@@ -156,16 +162,9 @@ def verify_assumption1(topo: DirectedTopology) -> ValidationReport:
     follower is reachable from at least one formation leader.  Failures are
     reported, never raised.
     """
-    reach0 = topo.reachable_from(0)
-    unreachable = tuple(sorted(set(range(1, topo.n_nodes)) - reach0))
-
-    led = set()
-    for q in topo.leader_nodes:
-        led |= {i for i in topo.reachable_from(q) if topo.is_follower(i)}
-    orphans = tuple(sorted(set(topo.follower_nodes) - led))
-
-    return ValidationReport(
-        spanning_tree_ok=not unreachable,
-        unreachable_from_tracking=unreachable,
-        followers_without_leader=orphans,
-    )
+    reach = closure(topo.adjacency > 0)
+    followers, leaders = slice(1, 1 + topo.n_followers), slice(1 + topo.n_followers, None)
+    unreachable = np.flatnonzero(~reach[1:, 0]) + 1
+    orphans = np.flatnonzero(~reach[followers, leaders].any(axis=1)) + 1
+    return ValidationReport(unreachable_from_tracking=tuple(unreachable.tolist()),
+                            followers_without_leader=tuple(orphans.tolist()))

@@ -333,6 +333,59 @@ def random_topology(rng: np.random.Generator) -> DirectedTopology:
     return block_topology(n, m, ff, ll, lf, tl)
 
 
+def drop_edges(topo: DirectedTopology, rng: np.random.Generator,
+               share: float = 0.3) -> DirectedTopology:
+    """``topo`` with each edge dropped with probability ``share``, so the
+    structure requirements may fail."""
+    kept = rng.random(topo.adjacency.shape) >= share
+    return DirectedTopology(topo.n_followers, topo.n_leaders, topo.adjacency * kept)
+
+
+def reachable_from(topo: DirectedTopology, start: int) -> set[int]:
+    """Depth-first oracle: nodes reachable from ``start`` by directed
+    paths of length >= 1."""
+    edge = topo.adjacency > 0
+    seen: set[int] = set()
+    stack = [start]
+    while stack:
+        new = set(np.flatnonzero(edge[:, stack.pop()]).tolist()) - seen
+        seen |= new
+        stack.extend(new)
+    return seen
+
+
+def reference_itfl_sets(known: np.ndarray, topo: DirectedTopology) -> dict[int, frozenset[int]]:
+    """Node-by-node oracle for ``propagation.itfl_sets``: leader m relays
+    leader q when m knows q and reaches a follower that q reaches, but
+    not through followers alone."""
+    edge = topo.adjacency > 0
+
+    # Follower-only reachability: paths whose intermediate nodes are followers.
+    def leader_free_followers(q: int) -> set[int]:
+        seen = {i for i in topo.follower_nodes if edge[i, q]}
+        stack = list(seen)
+        while stack:
+            j = stack.pop()
+            for i in topo.follower_nodes:
+                if i not in seen and edge[i, j]:
+                    seen.add(i)
+                    stack.append(i)
+        return seen
+
+    result: dict[int, frozenset[int]] = {}
+    for q in topo.leader_nodes:
+        needy = {i for i in reachable_from(topo, q)
+                 if topo.is_follower(i)} - leader_free_followers(q)
+        relays = set()
+        for m in topo.leader_nodes:
+            if m == q or not known[m, q]:
+                continue
+            if needy & {i for i in reachable_from(topo, m) if topo.is_follower(i)}:
+                relays.add(m)
+        result[q] = frozenset(relays)
+    return result
+
+
 def hop_distances(adjacency: np.ndarray) -> np.ndarray:
     """Breadth-first oracle: ``[i, j]`` is the fewest edges on a directed
     path j -> i (``inf`` if none; a node reaches itself only round a

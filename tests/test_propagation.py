@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (block_topology, chain_topology, direct_leaders_topology,
-                      hop_distances, known_leaders, mixed_relay_topology,
-                      random_topology, relay_line_topology, star_topology,
-                      transitive_closure)
+                      drop_edges, hop_distances, known_leaders, mixed_relay_topology,
+                      random_topology, reference_itfl_sets, relay_line_topology,
+                      star_topology, transitive_closure)
 from pfcc import propagation as pr
 
 
@@ -214,6 +214,16 @@ class TestRelayLeaders:
                               np.ones((2, 1)), np.array([1.0]))
         known, _ = fixed_point(topo)
         assert pr.itfl_sets(known, topo)[3] == frozenset()
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_node_by_node_reference(self, seed, drop):
+        rng = np.random.default_rng(seed)
+        topo = random_topology(rng)
+        if drop:
+            topo = drop_edges(topo, rng)
+        known, _ = fixed_point(topo)
+        assert pr.itfl_sets(known, topo) == reference_itfl_sets(known, topo)
 
     def test_bundled_relays(self, hexagon_config):
         topo = hexagon_config.topology

@@ -92,6 +92,35 @@ class TestParsing:
         with pytest.raises(SchemaError, match="unknown agent"):
             sc.scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("edge, match", [
+        (["L1", "F3", -1.0], "negative"),
+        (["T", "F1", 1.0], "only pins formation leaders")])
+    def test_constructor_edge_rules_are_schema_errors(self, tmp_path, capsys, edge, match):
+        # the topology constructor alone holds the edge-class rules
+        raw = bundled_dict()
+        raw["edges"].append(edge)
+        with pytest.raises(SchemaError, match=match):
+            sc.scenario_from_dict(raw)
+        assert cli.main(["validate", write(tmp_path, raw)]) == cli.EXIT_SCHEMA
+        assert match in capsys.readouterr().out
+
+    @pytest.mark.parametrize("names", [("F1", "F1"), ("T", "F2")],
+                             ids=["duplicate", "tracking"])
+    def test_agent_names_checked_for_files_and_configs(self, names):
+        # one rule for a scenario file and for a config built in code,
+        # which would otherwise write a trace with repeated or "T" columns
+        message = "agent names must be unique and must not shadow"
+        raw = bundled_dict()
+        raw["followers"][0]["name"], raw["followers"][1]["name"] = names
+        with pytest.raises(SchemaError, match=message):
+            sc.scenario_from_dict(raw)
+        cfg = sc.load_bundled("hexagon")
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(cfg, names=[*names, *cfg.names[2:]])
+        cfg.names[:2] = names
+        with pytest.raises(ValueError, match=message):
+            sim.init_world(cfg)
+
     def test_schedule_for_unknown_leader_rejected(self):
         raw = bundled_dict()
         raw["propensity_schedule"][0]["factors"]["Lx"] = 0.1

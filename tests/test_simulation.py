@@ -866,10 +866,10 @@ class TestDrawnTopologyRuns:
 
     SWITCH = 300
 
-    def drawn(self, seed, **change):
+    def drawn(self, seed, mode=sim.MODE_ORACLE, **change):
         return dataclasses.replace(
             drawn_topology_config(sc.load_bundled("hexagon"), seed, self.SWITCH),
-            mode=sim.MODE_ORACLE, **change)
+            mode=mode, **change)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_observer_rows_appear_as_propagation_reaches_the_agent(self, seed):
@@ -907,6 +907,27 @@ class TestDrawnTopologyRuns:
         for i in topo.follower_nodes:
             assert result.state.plans[i].alphas == pr.convex_coefficients(
                 {q: factors[q] for q in topo.leader_nodes if reach[i, q]})
+
+    @pytest.mark.parametrize("seed", [
+        1, 3, 4,
+        # at tick 1498 one follower's learner (F5 in draw 0, F3 in draws 2
+        # and 5) has spent its 3000 iterations with a gain delta of 1e-11
+        # to 2e-9 but a relative value step of 1.3e-6 to 9.9e-6, which
+        # never falls to VALUE_STEP_RTOL (a finding, kept as drawn)
+        *(pytest.param(seed, marks=pytest.mark.xfail(
+            reason="value step stalls above VALUE_STEP_RTOL", strict=True))
+          for seed in (0, 2, 5)),
+        *(pytest.param(seed, marks=pytest.mark.xfail(
+            reason="observers diverge under the hexagon's gains", strict=True))
+          for seed in (6, 7))])
+    def test_learners_converge_across_the_switch(self, seed):
+        cfg = self.drawn(seed, mode=sim.MODE_DATA, horizon=2000, sample_interval=10)
+        result = sim.run(cfg)
+        assert result.completed, result.error
+        assert len(result.state.learners) == cfg.topology.n_nodes - 1
+        for node, lr in result.state.learners.items():
+            assert lr.controller.status == ln.CONVERGED, cfg.agent_name(node)
+            assert lr.flushes <= sim.MAX_WINDOW_FLUSHES, cfg.agent_name(node)
 
 
 class TestBaselineMode:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_topology, random_topology, transitive_closure
-from pfcc.topology import DirectedTopology, build_laplacian, verify_assumption1
+from conftest import block_topology, drop_edges, random_topology, transitive_closure
+from pfcc.topology import DirectedTopology, build_laplacian, closure, verify_assumption1
 
 
 def two_agent_chain():
@@ -154,17 +154,32 @@ class TestAssumptionCheck:
         # every follower is reachable from at least one leader
         assert report.followers_without_leader == ()
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_reachability_matches_transitive_closure(self, seed):
+    def test_reachability_matches_transitive_closure(self, seed, drop):
         rng = np.random.default_rng(seed)
         topo = random_topology(rng)
-        # drop a random edge set to create failures sometimes
+        if drop:  # a random edge set dropped creates failures sometimes
+            topo = drop_edges(topo, rng)
         reach = transitive_closure(topo.adjacency)
         report = verify_assumption1(topo)
         expect_tree = bool(np.all(reach[1:, 0]))
         assert report.spanning_tree_ok == expect_tree
+        assert set(report.unreachable_from_tracking) == {
+            i for i in range(1, topo.n_nodes) if not reach[i, 0]}
         led = set()
         for q in topo.leader_nodes:
             led |= {i for i in topo.follower_nodes if reach[i, q]}
         assert set(report.followers_without_leader) == set(topo.follower_nodes) - led
+
+
+class TestClosure:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_transitive_closure(self, seed, drop):
+        rng = np.random.default_rng(seed)
+        topo = random_topology(rng)
+        if drop:
+            topo = drop_edges(topo, rng)
+        np.testing.assert_array_equal(closure(topo.adjacency > 0),
+                                      transitive_closure(topo.adjacency))
