@@ -107,11 +107,15 @@ def theta_columns(state_dim: int, input_dim: int) -> int:
 class DataBuffer:
     """Fixed window of regression rows for one agent's augmented system.
 
-    Row t of ``theta`` is [vecv(x), 2 x (x) u, vecv(u)] and row t of
-    ``psi_next`` is vecv(x+), for the t-th recorded transition.  Both arrays
-    are allocated once; rows are filled in order until the window is full,
-    and a full window must be flushed before it takes new rows.  The sweep
-    plan of each rank policy is cached until the next record or flush.
+    The window stores the recorded transitions, ``x``, ``u`` and ``x+``, in
+    order until it is full; a full window must be flushed before it takes
+    new transitions.  Row t of ``theta`` is [vecv(x), 2 x (x) u, vecv(u)]
+    and row t of ``psi_next`` is vecv(x+), for the t-th transition.  The
+    rows are built when they are first read: a read fills the rows recorded
+    since the last build in one vectorized pass, each entry the same
+    elementwise product a transition at a time would give, so recording
+    costs only the copy.  Every array is allocated once.  The sweep plan of
+    each rank policy is cached until the next record or flush.
     """
 
     def __init__(self, state_dim: int, input_dim: int, capacity: int):
@@ -120,9 +124,13 @@ class DataBuffer:
         self.state_dim = state_dim
         self.input_dim = input_dim
         self.capacity = capacity
+        self._x = np.empty((capacity, state_dim))
+        self._u = np.empty((capacity, input_dim))
+        self._x_next = np.empty((capacity, state_dim))
         self._theta = np.empty((capacity, theta_columns(state_dim, input_dim)))
         self._psi_next = np.empty((capacity, psi_columns(state_dim)))
         self._rows = 0
+        self._built = 0
         self._plans: dict = {}
 
     def __len__(self) -> int:
@@ -134,7 +142,10 @@ class DataBuffer:
 
     def record(self, x: np.ndarray, u: np.ndarray, x_next: np.ndarray) -> "DataBuffer":
         """Append one transition, or a stack of them as ``(rows, dim)`` arrays."""
-        x, u, x_next = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, u, x_next))
+        # ndmin=2 is atleast_2d; copy=None converts only what is not a float array
+        x = np.array(x, dtype=float, copy=None, ndmin=2)
+        u = np.array(u, dtype=float, copy=None, ndmin=2)
+        x_next = np.array(x_next, dtype=float, copy=None, ndmin=2)
         n, m = self.state_dim, self.input_dim
         if x.shape[1:] != (n,) or x_next.shape[1:] != (n,):
             raise ValueError(f"state dimension mismatch: expected {n}")
@@ -147,25 +158,40 @@ class DataBuffer:
         if stop > self.capacity:
             raise ValueError(f"window holds {self.capacity} rows; flush it before "
                              "recording more")
-        c1 = psi_columns(n)
-        theta = self._theta[start:stop]
-        theta[:, :c1] = vecv(x)
-        theta[:, c1 : c1 + n * m] = 2.0 * (x[:, :, None] * u[:, None, :]).reshape(rows, -1)
-        theta[:, c1 + n * m :] = vecv(u)
-        self._psi_next[start:stop] = vecv(x_next)
+        self._x[start:stop] = x
+        self._u[start:stop] = u
+        self._x_next[start:stop] = x_next
         self._rows = stop
         self._plans.clear()
         return self
 
     def flush(self) -> None:
-        self._rows = 0
+        self._rows = self._built = 0
         self._plans.clear()
+
+    def _build(self) -> None:
+        """Fill the regression rows of the transitions recorded since the
+        last build."""
+        start, stop = self._built, self._rows
+        if start == stop:
+            return
+        n, m = self.state_dim, self.input_dim
+        c1 = psi_columns(n)
+        x, u = self._x[start:stop], self._u[start:stop]
+        theta = self._theta[start:stop]
+        theta[:, :c1] = vecv(x)
+        theta[:, c1 : c1 + n * m] = 2.0 * (x[:, :, None] * u[:, None, :]).reshape(stop - start, -1)
+        theta[:, c1 + n * m :] = vecv(u)
+        self._psi_next[start:stop] = vecv(self._x_next[start:stop])
+        self._built = stop
 
     # -- views of the filled rows -----------------------------------------
     def theta(self) -> np.ndarray:
+        self._build()
         return self._theta[: self._rows]
 
     def psi_next(self) -> np.ndarray:
+        self._build()
         return self._psi_next[: self._rows]
 
     def plan(self, allow_deficient: bool) -> "_WindowPlan":

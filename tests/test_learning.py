@@ -99,6 +99,83 @@ class TestDataBuffer:
                                           theta[:, : ln.psi_columns(n)])
             np.testing.assert_array_equal(buf.psi_next(), psi_next)
 
+    def test_rows_built_on_read_match_eager_rows_bit_for_bit(self):
+        # single and stacked records, reads of the rows and of the plan
+        # mid-window, and flushes mid-window with and without rows still
+        # unbuilt, against rows built one transition at a time
+        rng = np.random.default_rng(26)
+        n, m = 5, 2
+        a, b = 0.5 * rng.normal(size=(n, n)), rng.normal(size=(n, m))
+        cfg = ln.LearnerConfig()
+        buf = ln.DataBuffer(n, m, cfg.rows_for(n, m))
+        kept = []  # the transitions recorded since the last flush
+
+        def record(rows):
+            x, u = rng.normal(size=(rows, n)), rng.normal(size=(rows, m))
+            x_next = x @ a.T + u @ b.T
+            if rows == 1:
+                buf.record(x[0], u[0], x_next[0])
+            else:
+                buf.record(x, u, x_next)
+            kept.extend(zip(x, u, x_next))
+
+        def eager():
+            theta = np.array([np.concatenate([vecv_loop(x), 2.0 * np.kron(x, u), vecv_loop(u)])
+                              for x, u, _ in kept])
+            return theta, np.array([vecv_loop(x_next) for *_, x_next in kept])
+
+        def check():
+            theta, psi_next = eager()
+            assert buf.theta().tobytes() == theta.tobytes()
+            assert buf.psi_next().tobytes() == psi_next.tobytes()
+
+        record(1)
+        record(3)
+        check()
+        record(1)
+        assert buf.psi_next().tobytes() == eager()[1].tobytes()
+        plan = buf.plan(True)
+        assert plan.psi_next.tobytes() == eager()[1].tobytes()
+        record(4)
+        assert buf.plan(True) is not plan  # a record drops the cached plan
+        buf.flush()
+        kept.clear()
+        record(2)
+        record(1)
+        check()
+        record(3)
+        buf.flush()  # with three rows recorded and not yet built
+        kept.clear()
+        record(1)
+        check()
+        record(6)
+        record(1)
+        record(buf.capacity - len(buf))
+        assert buf.is_full
+        check()
+
+        theta, psi_next = eager()
+
+        class EagerWindow:
+            """The full window, read from the eager rows."""
+            state_dim, input_dim, is_full = n, m, True
+
+            def theta(self):
+                return theta
+
+            def psi_next(self):
+                return psi_next
+
+            def plan(self, allow_deficient):
+                return ln._WindowPlan(self, allow_deficient)
+        start = ln.LearnedController.create(n, m)
+        lazy, reference = (ln.learning_tick(start, window, np.eye(n), cfg, True)
+                           for window in (buf, EagerWindow()))
+        assert lazy.iterations == reference.iterations == 1
+        for got, want in zip((lazy.P_hat, lazy.K_hat, *lazy.Xi),
+                             (reference.P_hat, reference.K_hat, *reference.Xi)):
+            assert got.tobytes() == want.tobytes()
+
     def test_recording_past_capacity_rejected(self):
         buf = ln.DataBuffer(1, 1, 2)
         for v in (1.0, 2.0):
