@@ -142,10 +142,7 @@ class DataBuffer:
 
     def record(self, x: np.ndarray, u: np.ndarray, x_next: np.ndarray) -> "DataBuffer":
         """Append one transition, or a stack of them as ``(rows, dim)`` arrays."""
-        # ndmin=2 is atleast_2d; copy=None converts only what is not a float array
-        x = np.array(x, dtype=float, copy=None, ndmin=2)
-        u = np.array(u, dtype=float, copy=None, ndmin=2)
-        x_next = np.array(x_next, dtype=float, copy=None, ndmin=2)
+        x, u, x_next = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, u, x_next))
         n, m = self.state_dim, self.input_dim
         if x.shape[1:] != (n,) or x_next.shape[1:] != (n,):
             raise ValueError(f"state dimension mismatch: expected {n}")

@@ -293,9 +293,8 @@ class AgentLearner:
     it probes with ``behavior_full`` (the previous converged gain of the same
     layout; None applies the warm-up gain) plus its probing noise, and
     records each transition into ``buffer``.  ``noise`` caches the probing
-    noise of the ``NOISE_BLOCK_TICKS`` ticks from ``noise_start`` on, one
-    ``input_dim`` row per tick (see ``_noise_block``); the control step adds
-    it from the probing learners' stack of these blocks.
+    noise of the ``NOISE_BLOCK_TICKS`` ticks from ``noise_start`` on (see
+    ``_probing_noise``).
     """
 
     node: int
@@ -319,11 +318,9 @@ MAX_WINDOW_FLUSHES = 50
 LEARN_ITERATIONS_PER_TICK = 50
 
 #: Ticks of probing noise a learner draws at once, in blocks aligned to
-#: multiples of this length.  The tick that enters a block draws each
-#: probing learner's block and stacks them, which costs about as much as a
-#: slow tick, so these ticks must stay well under 1% of a run (15 of the
-#: 8000 ticks of a bundled ``hexagon`` run); every other tick adds the
-#: stack's row with one indexed add.  A power of two, so no block crosses
+#: multiples of this length.  A block costs about as much as a slow tick, so
+#: the ticks that draw one must stay well under 1% of a run (15 of the 8000
+#: ticks of a bundled ``hexagon`` run).  A power of two, so no block crosses
 #: the 2**32 tick limit of ``learning.exploration_noise``.
 NOISE_BLOCK_TICKS = 128
 
@@ -409,13 +406,6 @@ class WorldState:
     #: it, and the next control step regroups.
     gain_groups: tuple[GainGroup, ...] | None = None
     probing: tuple[tuple[int, AgentLearner], ...] = ()
-    #: The rows of ``x`` of the ``probing`` learners, and their noise
-    #: blocks from tick ``noise_start`` on, stacked ``(P, NOISE_BLOCK_TICKS,
-    #: m_max)`` in ``probing`` order (see ``_noise_stack``); a regroup marks
-    #: the stack stale with ``noise_start`` -1.
-    probe_rows: np.ndarray | None = None
-    noise: np.ndarray | None = None
-    noise_start: int = -1
     #: Propagation steps that changed ``known``; the first step that changes
     #: nothing reached the fixed point (the step reads only ``known`` and the
     #: static graph), and no step runs after it.
@@ -637,34 +627,22 @@ def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
         GainGroup(*(np.array(part) for part in zip(*members)))
         for members in groups.values())
     state.probing = tuple(probing)
-    state.probe_rows = np.array([r for r, _ in probing], dtype=np.intp)
-    state.noise_start = -1
 
 
 # ---------------------------------------------------------------------------
 # learners
 # ---------------------------------------------------------------------------
 
-def _noise_block(lr: AgentLearner, tick: int) -> np.ndarray:
-    """The learner's probing noise of the tick-aligned block of
-    ``NOISE_BLOCK_TICKS`` ticks that holds ``tick``, one row per tick, drawn
-    when the tick leaves the cached block."""
+def _probing_noise(lr: AgentLearner, tick: int) -> np.ndarray:
+    """The learner's probing noise at ``tick``: its row of the tick-aligned
+    block of ``NOISE_BLOCK_TICKS`` rows, drawn when the tick leaves the
+    cached block."""
     start = tick - tick % NOISE_BLOCK_TICKS
     if lr.noise_start != start:
         lr.noise = ln.exploration_noise(lr.cfg, lr.buffer.input_dim,
                                         range(start, start + NOISE_BLOCK_TICKS))
         lr.noise_start = start
-    return lr.noise
-
-
-def _noise_stack(learners, tick: int, width: int) -> np.ndarray:
-    """The learners' ``_noise_block`` of ``tick`` stacked as
-    ``(learners, NOISE_BLOCK_TICKS, width)``, each zero-padded to ``width``
-    inputs.  A learner that already caches the block does not draw it again."""
-    stack = np.zeros((len(learners), NOISE_BLOCK_TICKS, width))
-    for block, lr in zip(stack, learners):
-        block[:, : lr.buffer.input_dim] = _noise_block(lr, tick)
-    return stack
+    return lr.noise[tick - start]
 
 
 def _learner_update(state: WorldState, cfg: ScenarioConfig, lr: AgentLearner,
@@ -740,21 +718,14 @@ def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
 def _control_inputs(state: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     """Every agent's input ``u = K z`` from the tick-k snapshot, one row per
     agent in row order, zero-padded to the widest input: one stacked
-    product per ``GainGroup``, plus the probing learners' noise rows as one
-    indexed add from their stacked blocks.  The stack is rebuilt only when
-    the tick enters a new noise block or the gains were regrouped; its
-    padding adds exact zeros to the padded inputs."""
+    product per ``GainGroup``, plus each probing learner's noise row."""
     if state.gain_groups is None:
         _group_gains(state, cfg)
     u = np.zeros((len(state.agents), state.plant_b.shape[2]))
     for rows, gains, gather in state.gain_groups:
         u[rows, : gains.shape[1]] = np.matmul(gains, state.world[gather][:, :, None])[:, :, 0]
-    if state.probing:
-        offset = state.tick % NOISE_BLOCK_TICKS
-        if state.noise_start != state.tick - offset:
-            state.noise = _noise_stack([lr for _, lr in state.probing], state.tick, u.shape[1])
-            state.noise_start = state.tick - offset
-        u[state.probe_rows] += state.noise[:, offset]
+    for r, lr in state.probing:
+        u[r, : lr.buffer.input_dim] += _probing_noise(lr, state.tick)
     return u
 
 

@@ -784,39 +784,8 @@ class TestProbingNoise:
                  block - 1, 5 * block, 5 * block - 1, last - block, last - block + 1,
                  last]
         for tick in ticks:
-            noise = sim._noise_block(lr, tick)[tick % block]
+            noise = sim._probing_noise(lr, tick)
             assert noise.tobytes() == reference_noise(cfg, 2, tick).tobytes(), tick
-
-    def test_stack_across_a_regroup_inside_one_block(self, monkeypatch):
-        # learners of input widths 1, 2 and 3 stacked inside a block, then a
-        # regroup later in the same block drops one and adds a fresh one:
-        # only the fresh learner draws, every row is its own seeded draw and
-        # the padding is exact zeros
-        draws, noise = [], ln.exploration_noise
-
-        def counted(cfg, width, ticks):
-            draws.append(cfg.rng_seed)
-            return noise(cfg, width, ticks)
-        monkeypatch.setattr(ln, "exploration_noise", counted)
-
-        def learner(seed, width):
-            return sim.AgentLearner(node=1, cfg=ln.LearnerConfig(rng_seed=seed, noise_std=0.3),
-                                    layout=(1,), controller=ln.LearnedController.create(6, width),
-                                    buffer=ln.DataBuffer(6, width, 30))
-        block = sim.NOISE_BLOCK_TICKS
-        start = 3 * block
-        first = [learner(11, 1), learner(12, 2), learner(13, 3)]
-        regrouped = [first[0], first[2], learner(14, 2)]
-        for learners, tick in ((first, start + 5), (regrouped, start + 70)):
-            stack = sim._noise_stack(learners, tick, 3)
-            assert stack.shape == (len(learners), block, 3)
-            for lr, rows in zip(learners, stack):
-                m = lr.buffer.input_dim
-                for t in range(start, start + block):
-                    want = reference_noise(lr.cfg, m, t)
-                    assert rows[t - start, :m].tobytes() == want.tobytes(), (lr.cfg.rng_seed, t)
-                assert rows[:, m:].tobytes() == np.zeros((block, 3 - m)).tobytes()
-        assert draws == [11, 12, 13, 14]
 
 
 class TestLargeCostScale:
