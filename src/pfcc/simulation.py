@@ -241,16 +241,28 @@ class ScenarioConfig:
 #: as it fills, so a horizon too long to run does not fail at allocation.
 TRACE_PREALLOCATED_ROWS = 1 << 16
 
+#: Samples a trace keeps pending before it fills their rows in one pass:
+#: about 31 fill ticks in an 8000-tick run sampled every tick.
+TRACE_BLOCK_SAMPLES = 256
+
 
 @dataclass
 class TraceLog:
     """Sampled run history: one row per sample in a float table whose
-    columns are ``header()``.  The table is sized for the horizon's samples
-    and doubles whenever it is full (stepping may go past the horizon)."""
+    columns are ``header()``.
+
+    A sample is recorded as references to its tick's world vector, observer
+    bank and follower weights (the engine replaces them and never writes
+    into them), and its row is filled later: ``TRACE_BLOCK_SAMPLES``
+    pending samples at a time, or every pending sample when the trace is
+    read (``rows()``, ``len()``).  The table is sized for the horizon's
+    samples and doubles whenever it is full (stepping may go past the
+    horizon)."""
 
     config: ScenarioConfig
     size: int = field(default=0, init=False)
     table: np.ndarray = field(init=False, repr=False)
+    pending: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         cfg = self.config
@@ -271,18 +283,66 @@ class TraceLog:
         return cols
 
     def __len__(self) -> int:
-        return self.size
+        return len(self.rows())
 
-    def next_row(self) -> np.ndarray:
-        """The row the next sample fills, counted as filled."""
-        if self.size == len(self.table):
-            self.table = np.concatenate([self.table, np.empty_like(self.table)])
-        self.size += 1
-        return self.table[self.size - 1]
+    def record(self, tick: int, world: np.ndarray, bank: ob.ObserverBank,
+               weights: np.ndarray) -> None:
+        """Add the sample of ``tick``; a full block of samples is filled."""
+        self.pending.append((tick, world, bank, weights))
+        if len(self.pending) == TRACE_BLOCK_SAMPLES:
+            self._fill()
 
     def rows(self) -> np.ndarray:
-        """The filled rows (a view)."""
+        """The rows of every sample so far (a view)."""
+        if self.pending:
+            self._fill()
         return self.table[: self.size]
+
+    # a diverged state's errors are recorded as inf or nan, without a warning
+    @np.errstate(over="ignore", invalid="ignore")
+    def _fill(self) -> None:
+        """Fill the pending samples' rows, one stacked pass per run of
+        consecutive samples that share a bank and weights.
+
+        The stack holds one sample per column, so each elementwise step runs
+        along the samples.  A follower's containment error subtracts one
+        weighted leader target at a time, in leader order, every norm is
+        ``_row_norms`` of a contiguous row, and an agent's observer error
+        sums its row norms in bank order (tracking row first), so every
+        value equals its per-vector form exactly."""
+        ticks, worlds, banks, weights = zip(*self.pending)
+        self.pending = []
+        while self.size + len(ticks) > len(self.table):
+            self.table = np.concatenate([self.table, np.empty_like(self.table)])
+        topo, dim = self.config.topology, self.config.state_dim
+        n, m = topo.n_followers, topo.n_leaders
+        nodes = 1 + n + m
+        columns = np.array(topo.leader_nodes + topo.follower_nodes)
+        starts = [k for k in range(len(ticks)) if k == 0 or banks[k] is not banks[k - 1]
+                  or weights[k] is not weights[k - 1]]
+        for start, stop in zip(starts, starts[1:] + [len(ticks)]):
+            bank, w, b = banks[start], weights[start], stop - start
+            world = np.stack(worlds[start:stop], axis=1)
+            x = world[: (n + m) * dim].reshape(n + m, dim, b)
+            targets = world[(n + m) * dim : (nodes + m) * dim].reshape(1 + m, dim, b)
+            x_o, h = targets[0], targets[1:]
+            leader_targets = h + x_o
+            containment = x[:n].copy()
+            for q in range(m):
+                containment -= w[:, q, None, None] * leader_targets[q]
+            diffs = np.concatenate((x[n:] - h - x_o, containment,
+                                    world[(nodes + m) * dim :].reshape(-1, dim, b)
+                                    - targets[bank.target]))
+            norms = _row_norms(diffs.transpose(2, 0, 1).reshape(-1, dim)).reshape(b, -1)
+            obs_errors = np.bincount((np.arange(b)[:, None] * nodes + bank.agent).ravel(),
+                                     norms[:, m + n :].ravel(), minlength=b * nodes)
+            rows = self.table[self.size : self.size + b]
+            rows[:, 0] = ticks[start:stop]
+            rows[:, 1 : 1 + m + n] = norms[:, : m + n]
+            rows[:, 1 + m + n : 1 + 2 * (m + n)] = obs_errors.reshape(b, nodes)[:, columns]
+            if self.config.record_states:
+                rows[:, 1 + 2 * (m + n) :] = world[: (n + m) * dim].T
+            self.size += b
 
 
 @dataclass
@@ -388,12 +448,12 @@ class WorldState:
     trace: TraceLog
     #: The agents in row order of ``x``: followers, then leaders.
     agents: tuple[int, ...]
-    #: The agents in the trace's observer-column order: leaders, then
-    #: followers.
-    observer_columns: np.ndarray
     #: ``[x.ravel() | targets.ravel() | estimates]`` with the observers'
     #: estimates in row order; rebuilt whenever ``x``, ``targets`` or
-    #: ``observers`` is reassigned.
+    #: ``observers`` is reassigned.  Each rebuild is a new array and nothing
+    #: writes into one, so the trace's pending samples and the learners'
+    #: tick-k reads keep it by reference (writing it in place would need a
+    #: copy for them).
     world: np.ndarray | None = None
     #: One control plan per agent, keyed by node, and the follower-by-leader
     #: weights of the followers' plans; rebuilt whenever ``known`` or
@@ -468,7 +528,6 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
         baseline_alpha=_baseline_weights(topo) if cfg.mode == MODE_BASELINE else None,
         trace=TraceLog(config=cfg),
         agents=tuple(agents),
-        observer_columns=np.array(topo.leader_nodes + topo.follower_nodes),
     )
     _sync_observer_networks(state, cfg)
     _build_plans(state, cfg)
@@ -689,30 +748,8 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
 
 
 def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
-    """Fill one trace row from the tick-k state.
-
-    A follower's containment error subtracts one weighted leader target at
-    a time, in leader order, and an agent's observer error sums its row
-    norms in bank order (tracking row first), so every value equals its
-    per-vector form exactly.  The formation, containment and observer
-    differences share one ``_row_norms`` call."""
-    n, m = cfg.topology.n_followers, cfg.topology.n_leaders
-    targets = state.targets
-    x_o, h = targets[0], targets[1:]
-    # subtract.reduce runs along the leaders in order
-    containment = np.subtract.reduce(np.concatenate(
-        (state.x[:n, None], state.weights[:, :, None] * (h + x_o)), axis=1), axis=1)
-    bank = state.bank
-    x_hat = state.world[state.x.size + targets.size :].reshape(-1, cfg.state_dim)
-    norms = _row_norms(np.concatenate(
-        (state.x[n:] - h - x_o, containment, x_hat - targets[bank.target])))
-    obs_errors = np.bincount(bank.agent, norms[m + n :], minlength=1 + n + m)
-    row = state.trace.next_row()
-    row[0] = state.tick
-    row[1 : 1 + m + n] = norms[: m + n]
-    row[1 + m + n : 1 + 2 * (m + n)] = obs_errors[state.observer_columns]
-    if cfg.record_states:
-        row[1 + 2 * (m + n) :] = state.x.ravel()
+    """Record the tick-k sample; the trace fills its row later."""
+    state.trace.record(state.tick, state.world, state.bank, state.weights)
 
 
 def _control_inputs(state: WorldState, cfg: ScenarioConfig) -> np.ndarray:
@@ -730,7 +767,8 @@ def _control_inputs(state: WorldState, cfg: ScenarioConfig) -> np.ndarray:
 
 
 def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
-    """Advance the world by one tick (mutates and returns ``state``)."""
+    """Advance the world by one tick (mutates and returns ``state``).  A
+    sampled tick adds its sample to the trace, which fills the row later."""
     topo = cfg.topology
     tick = state.tick
 
@@ -751,7 +789,8 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
         else:
             state.propagation_settled = True
 
-    # 3. trace sampling of the tick-k state
+    # 3. trace sampling of the tick-k state: references to its world vector,
+    # bank and weights, filled into rows a block at a time by the trace
     if tick % cfg.sample_interval == 0:
         _sample_trace(state, cfg)
 
@@ -782,8 +821,9 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
         name = "followers" if first < topo.n_followers else "leaders"
         raise SimulationAbort(tick, name, ConvergenceError("plant state diverged"))
 
-    # 7. commit next states (a new world vector: ``world`` keeps tick k),
-    # then let the probing learners see the completed transition
+    # 7. commit next states (a new world vector: ``world`` and the trace's
+    # samples keep tick k), then let the probing learners see the completed
+    # transition
     world = state.world
     state.x = x_next
     state.targets = targets_next

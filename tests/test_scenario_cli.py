@@ -153,6 +153,14 @@ class TestParsing:
         assert sc.config_digest(a) != sc.config_digest(b)
 
 
+def hand_filled_trace(cfg, samples):
+    """A trace of ``cfg`` with ``samples`` unset rows, to be written through
+    ``rows()``."""
+    trace = sim.TraceLog(cfg)
+    trace.table, trace.size = np.empty((samples, len(trace.header()))), samples
+    return trace
+
+
 class TestTraceExport:
     def test_csv_shape_and_precision(self, tmp_path, hexagon_config):
         cfg = hexagon_config
@@ -174,12 +182,11 @@ class TestTraceExport:
 
 
     def test_rows_match_the_f_string_form_byte_for_byte(self, hexagon_config):
-        trace = sim.TraceLog(hexagon_config)
         rng = np.random.default_rng(5)
         specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                     1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789.0]
-        for tick in range(60):
-            row = trace.next_row()
+        trace = hand_filled_trace(hexagon_config, 60)
+        for tick, row in enumerate(trace.rows()):
             row[0] = tick * 7
             row[1:] = (rng.normal(size=row.size - 1)
                        * 10.0 ** rng.uniform(-320, 308, row.size - 1))
@@ -193,12 +200,10 @@ class TestTraceExport:
                                          2 * sc.CSV_CHUNK_ROWS + 3])
     def test_chunked_export_writes_the_one_string_form(self, tmp_path, hexagon_config,
                                                        samples):
-        trace = sim.TraceLog(hexagon_config)
-        rng = np.random.default_rng(samples)
-        for tick in range(samples):
-            row = trace.next_row()
-            row[0] = tick
-            row[1:] = rng.normal(size=row.size - 1)
+        trace = hand_filled_trace(hexagon_config, samples)
+        rows = trace.rows()
+        rows[:, 0] = np.arange(samples)
+        rows[:, 1:] = np.random.default_rng(samples).normal(size=(samples, rows.shape[1] - 1))
         result = sim.RunResult(trace=trace, state=None, summary={}, error=None)
         trace_path, _ = sc.export_run(result, tmp_path)
         with open(trace_path, encoding="utf-8", newline="") as fh:

@@ -176,16 +176,21 @@ def early_switch(cfg, tick):
 
 
 class TestTraceTable:
-    @pytest.mark.parametrize("scenario, mode, states", [
-        ("hexagon", sim.MODE_DATA, False),
-        ("hexagon", sim.MODE_ORACLE, True),
-        ("hexagon_static", sim.MODE_BASELINE, True),
+    @pytest.mark.parametrize("scenario, mode, states, horizon, switch, interval", [
+        ("hexagon", sim.MODE_DATA, False, 150, 60, 1),
+        ("hexagon", sim.MODE_ORACLE, True, 150, 60, 1),
+        ("hexagon_static", sim.MODE_BASELINE, True, 150, 60, 1),
+        # two full blocks, the switch inside the second, a partial block
+        ("hexagon", sim.MODE_DATA, False, 700, 300, 1),
+        ("hexagon_static", sim.MODE_ORACLE, True, 700, 300, 1),
+        # the first block spans ticks 0-765, rebuilds and switch included
+        ("hexagon_static", sim.MODE_ORACLE, True, 1000, 300, 3),
     ])
-    def test_every_row_equals_per_vector_reference(self, monkeypatch, scenario,
-                                                   mode, states):
-        # propagation changes in the first ticks, a propensity switch at 60
-        cfg = dataclasses.replace(early_switch(sc.load_bundled(scenario), 60),
-                                  mode=mode, horizon=150, sample_interval=1,
+    def test_every_row_equals_per_vector_reference(self, monkeypatch, scenario, mode,
+                                                   states, horizon, switch, interval):
+        # propagation changes in the first ticks, then a propensity switch
+        cfg = dataclasses.replace(early_switch(sc.load_bundled(scenario), switch),
+                                  mode=mode, horizon=horizon, sample_interval=interval,
                                   record_states=states)
         expected = []
         sample = sim._sample_trace
@@ -195,8 +200,22 @@ class TestTraceTable:
             sample(state, cfg, *args)
         monkeypatch.setattr(sim, "_sample_trace", checked)
         res = sim.run(cfg)
-        assert res.completed and len(res.trace) == len(expected) == 150
+        assert res.completed and len(res.trace) == len(expected) == -(-horizon // interval)
         assert res.trace.rows().tolist() == expected  # bit for bit
+
+    def test_reads_between_ticks_keep_later_samples_in_order(self):
+        cfg = dataclasses.replace(sc.load_bundled("hexagon"), horizon=1000, sample_interval=1)
+        read, unread = sim.init_world(cfg), sim.init_world(cfg)
+        for k in range(cfg.horizon):
+            sim.step_world(read, cfg)
+            sim.step_world(unread, cfg)
+            if k in (0, 100, 255, 256, 600):  # mid-block, at a block's end, after it
+                assert len(read.trace) == k + 1
+                assert read.trace.rows()[-1, 0] == k
+            assert len(unread.trace.pending) < sim.TRACE_BLOCK_SAMPLES
+        assert len(unread.trace.pending) == cfg.horizon % sim.TRACE_BLOCK_SAMPLES
+        assert read.trace.rows().tobytes() == unread.trace.rows().tobytes()
+        np.testing.assert_array_equal(column(read.trace, "tick"), np.arange(1000.0))
 
     def test_stepping_past_horizon_grows_the_table(self):
         cfg = tiny_config(horizon=4)
@@ -576,11 +595,14 @@ class TestLearnerRestarts:
 
 
 class TestObserverDivergence:
-    def test_diverging_observers_abort_cleanly(self):
+    @pytest.mark.parametrize("interval", [40, 1])
+    def test_diverging_observers_abort_cleanly(self, interval):
         # consensus gain 20 makes every formation network unstable; the run
-        # ends in an observer abort, with no raw numpy error or warning
+        # ends in an observer abort, with no raw numpy error or warning, and
+        # the trace keeps the diverged errors up to the aborted tick
         cfg = sc.load_bundled("hexagon")
         cfg.horizon = 400
+        cfg.sample_interval = interval
         cfg.formation_observers = {
             q: dataclasses.replace(o, consensus_gain=20.0)
             for q, o in cfg.formation_observers.items()}
@@ -594,6 +616,8 @@ class TestObserverDivergence:
         assert "diverged" in str(res.error)
         assert 0 < res.error.tick < cfg.horizon
         assert len(res.trace) > 0  # the partial trace is kept
+        if interval == 1:
+            assert res.trace.rows()[-1, 0] == res.error.tick
 
 
 class TestPlantGuard:
