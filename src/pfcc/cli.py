@@ -180,7 +180,9 @@ def cmd_compare_gains(args) -> int:
               f"{rep['k_gap']:>16.3e}{rep['p_gap']:>16.3e}")
     for name, exc in failures:
         print(f"{name:<8}  FAILED: {exc}")
-    return EXIT_CONVERGENCE if failures else EXIT_OK
+    # the most severe failure decides: 5 if any agent failed to converge,
+    # else 4 when every failure is a window without enough excitation
+    return max((_exit_code_for(exc) for _, exc in failures), default=EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,6 +28,11 @@ from .errors import ConvergenceError, DataConsistencyError, PersistentExcitation
 from .matops import square_index, symmetrize, vecm, vecv
 from .model_control import VI_AVERAGING
 
+try:
+    from numpy.linalg._umath_linalg import svd_s as _svd_gufunc
+except ImportError:  # numpy 1.x splits its SVD gufuncs by shape and has no svd_s
+    _svd_gufunc = None
+
 COLLECTING = "collecting"
 ITERATING = "iterating"
 CONVERGED = "converged"
@@ -221,7 +226,7 @@ class _WindowPlan:
             raise PersistentExcitationError(
                 f"window has {matrix.shape[0]} rows for {matrix.shape[1]} unknowns; "
                 "collect more samples")
-        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+        u, s, vt = _svd(matrix)
         if s.size == 0 or s[0] == 0.0:
             raise PersistentExcitationError(
                 "regression matrix is zero; no excitation in the window")
@@ -250,8 +255,26 @@ class _WindowPlan:
         self._xi1_gather = xi1_full
         self._xi3_gather = xi3_full + (c1 + n * m)
 
-    def xi(self, p_slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Xi blocks regressed at the value matrix whose ``vecm`` is ``p_slots``."""
+    def xi(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Recover (A^T P A, B^T P A, B^T P B) from the window by regression
+        at the value matrix ``p``.
+
+        The row identity holds for arbitrary inputs, so this step is exact
+        for any persistently excited window regardless of the behaviour
+        policy.  ``p`` is a 2-D, exactly symmetric value matrix, as
+        ``learning_tick`` produces it; it is not re-symmetrized, and
+        ``vecm`` rejects one that is asymmetric beyond its tolerance (a
+        ``ConvergenceError`` when it is not finite).  The blocks come back
+        as 2-D arrays, ``Xi1`` and ``Xi3`` exactly symmetric.
+        """
+        try:
+            p_slots = vecm(p)
+        except ValueError:
+            # inf - inf reads as an asymmetry: name the overflow instead
+            if not np.isfinite(p).all():
+                raise ConvergenceError("value matrix is not finite; the value iteration "
+                                       "has left the float range") from None
+            raise
         return self.blocks(self.solve((self.psi_next @ p_slots) * self.scale))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -300,55 +323,56 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v))
 
 
-def vi_update_Xi(buf: DataBuffer, p_new: np.ndarray,
-                 allow_deficient: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recover (A^T P A, B^T P A, B^T P B) from the window by regression.
+def _svd_did_not_converge(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
 
-    The row identity holds for arbitrary inputs, so this step is exact for
-    any persistently excited window regardless of the behaviour policy.
-    ``p_new`` is a 2-D, exactly symmetric value matrix, as ``learning_tick``
-    produces it; it is not re-symmetrized, and ``vecm`` rejects one that is
-    asymmetric beyond its tolerance (a ``ConvergenceError`` when it is not
-    finite).  The window's work comes from its cached ``DataBuffer.plan``.
-    The blocks come back as 2-D arrays, ``Xi1`` and ``Xi3`` exactly
-    symmetric.
-    """
-    plan = buf.plan(allow_deficient)
-    try:
-        p_slots = vecm(p_new)
-    except ValueError:
-        # inf - inf reads as an asymmetry: name the overflow instead
-        if not np.isfinite(p_new).all():
-            raise ConvergenceError("value matrix is not finite; the value iteration "
-                                   "has left the float range") from None
-        raise
-    return plan.xi(p_slots)
+
+# ``_svd(a)`` is the reduced SVD ``(u, s, vt)`` of a 2-D float array, ``s``
+# in descending order, bit for bit ``np.linalg.svd(a, full_matrices=False)``:
+# the LAPACK gufunc that call runs, under the error state it sets (an SVD
+# that does not converge raises the same LinAlgError), without the argument
+# handling, which costs more than a 2x2 SVD itself.  numpy 1.x has no
+# ``svd_s`` and keeps the call.
+if _svd_gufunc is None:
+    def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(a, full_matrices=False)
+else:
+    # the decorator sets its error state afresh on each call (one errstate
+    # object cannot be entered twice)
+    @np.errstate(call=_svd_did_not_converge, invalid="call", over="ignore",
+                 divide="ignore", under="ignore")
+    def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _svd_gufunc(a, signature="d->ddd")
 
 
 def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     """Gain update K = -(Xi3)^+ Xi2.
 
     ``xi2`` (m x n) and ``xi3`` (m x m) are 2-D arrays and ``xi3`` is
-    exactly symmetric, as ``vi_update_Xi`` returns them; neither is
+    exactly symmetric, as a window plan's ``xi`` returns them; neither is
     reshaped or re-symmetrized here.  The minus sign matches the
     model-based gain formula; the pseudo-inverse keeps the update well
     defined for over-actuated agents where Xi3 is singular, with a cutoff
     at the regression noise floor.  A 1x1 Xi3 within ``RECIPROCAL_RANGE`` is
     its own only singular value, far above the cutoff, so its
     pseudo-inverse is the reciprocal, computed directly.  Any other Xi3
-    takes the steps of numpy's ``linalg.pinv`` around the same
-    ``np.linalg.svd`` call, without its argument handling, so the gain is
-    bit for bit ``-pinv(xi3, rcond=GAIN_PINV_RCOND) @ xi2``; when every
-    singular value clears the cutoff, the masked reciprocal is the plain
-    one (a nan fails the test and takes the masked path).
+    takes the steps of numpy's ``linalg.pinv`` around the same LAPACK SVD
+    (``_svd``), so the gain is bit for bit
+    ``-pinv(xi3, rcond=GAIN_PINV_RCOND) @ xi2``; when every singular value
+    clears the cutoff, the masked reciprocal is the plain one.  The
+    singular values come sorted, so ``s[0]`` and ``s[-1]`` are the largest
+    and smallest; the SVD raises on a nan entry, and the nans of a 2x2
+    with an infinite entry fill all of ``s``, where both read nan as the
+    max and min do (the test fails and the masked path zeroes every one).
     """
     if (xi3.shape == (1, 1)
             and RECIPROCAL_RANGE[0] <= abs(xi3[0, 0]) <= RECIPROCAL_RANGE[1]):
         return -(1.0 / xi3) @ xi2
-    u, s, vt = np.linalg.svd(xi3, full_matrices=False)
-    if s.min() > GAIN_PINV_RCOND * s.max():
+    u, s, vt = _svd(xi3)
+    cutoff = GAIN_PINV_RCOND * s[0]
+    if s[-1] > cutoff:
         return -np.matmul(vt.T, (1 / s)[:, None] * u.T) @ xi2
-    large = s > GAIN_PINV_RCOND * s.max()
+    large = s > cutoff
     np.divide(1, s, where=large, out=s)
     s[~large] = 0
     return -np.matmul(vt.T, s[:, None] * u.T) @ xi2
@@ -476,14 +500,16 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
         return ctrl._replace(status=COLLECTING)
     if ctrl.status == CONVERGED:
         return ctrl
+    plan = buf.plan(allow_deficient)
     xi_prev = ctrl.Xi
     if xi_prev is None:
-        xi_prev = vi_update_Xi(buf, ctrl.P_hat, allow_deficient)
+        xi_prev = plan.xi(ctrl.P_hat)
     xi1, xi2, xi3 = xi_prev
     k = ctrl.K_hat
-    backup = symmetrize(cost + xi1 + k.T @ xi2 + xi2.T @ k + k.T @ xi3 @ k)
+    kt = k.T
+    backup = symmetrize(cost + xi1 + kt @ xi2 + xi2.T @ k + kt @ xi3 @ k)
     p_new = (1.0 - VI_AVERAGING) * ctrl.P_hat + VI_AVERAGING * backup
-    xi_new = vi_update_Xi(buf, p_new, allow_deficient)
+    xi_new = plan.xi(p_new)
     k_new = vi_update_K(xi_new[1], xi_new[2])
     delta = _norm(k_new - ctrl.K_hat)
     # the value step in max-abs: _norm squares entries, which overflow at scale

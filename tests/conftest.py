@@ -9,6 +9,8 @@ from typing import Iterable
 import numpy as np
 import pytest
 
+from pfcc import learning as ln
+from pfcc import matops as mo
 from pfcc import model_control as mc
 from pfcc import scenario as sc
 from pfcc import simulation as sim
@@ -61,6 +63,49 @@ def reference_noise(cfg, width: int, tick: int) -> np.ndarray:
         return np.zeros(width)
     rng = np.random.default_rng([cfg.rng_seed & 0x7FFFFFFF, tick])
     return rng.normal(0.0, cfg.noise_std, width)
+
+
+def reference_gain_update(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
+    """Reference: the gain update through ``np.linalg.svd`` itself, with the
+    cutoff read as the singular values' max and min, the steps of numpy's
+    ``pinv``; the reciprocal of a 1x1 ``Xi3`` inside ``RECIPROCAL_RANGE``."""
+    if (xi3.shape == (1, 1)
+            and ln.RECIPROCAL_RANGE[0] <= abs(xi3[0, 0]) <= ln.RECIPROCAL_RANGE[1]):
+        return -(1.0 / xi3) @ xi2
+    u, s, vt = np.linalg.svd(xi3, full_matrices=False)
+    if s.min() > ln.GAIN_PINV_RCOND * s.max():
+        return -np.matmul(vt.T, (1 / s)[:, None] * u.T) @ xi2
+    large = s > ln.GAIN_PINV_RCOND * s.max()
+    np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return -np.matmul(vt.T, s[:, None] * u.T) @ xi2
+
+
+def reference_sweep(ctrl: ln.LearnedController, buf: ln.DataBuffer, cost: np.ndarray,
+                    cfg: ln.LearnerConfig, allow_deficient: bool = False) -> ln.LearnedController:
+    """Reference: one value-iteration sweep composed step by step,
+    the form ``learning.learning_tick`` must match bit for bit: the
+    ``symmetrize``d Bellman backup, the regression of the window's plan
+    (``DataBuffer.plan(...).xi``, each looked up anew) at the previous and
+    the new value matrix, and ``reference_gain_update``."""
+    if not buf.is_full:
+        return ctrl._replace(status=ln.COLLECTING)
+    if ctrl.status == ln.CONVERGED:
+        return ctrl
+    xi_prev = ctrl.Xi
+    if xi_prev is None:
+        xi_prev = buf.plan(allow_deficient).xi(ctrl.P_hat)
+    xi1, xi2, xi3 = xi_prev
+    k = ctrl.K_hat
+    backup = mo.symmetrize(cost + xi1 + k.T @ xi2 + xi2.T @ k + k.T @ xi3 @ k)
+    p_new = (1.0 - mc.VI_AVERAGING) * ctrl.P_hat + mc.VI_AVERAGING * backup
+    xi_new = buf.plan(allow_deficient).xi(p_new)
+    k_new = reference_gain_update(xi_new[1], xi_new[2])
+    delta = float(np.linalg.norm(k_new - ctrl.K_hat))
+    settled = (delta < cfg.gain_delta_threshold
+               and np.abs(p_new - ctrl.P_hat).max() <= ln.VALUE_STEP_RTOL * np.abs(p_new).max())
+    return ln.LearnedController(p_new, k_new, xi_new, ln.CONVERGED if settled else ln.ITERATING,
+                                ctrl.iterations + 1, delta)
 
 
 def non_finite(value, path: tuple = ()) -> tuple | None:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import reference_noise, vecv_loop
+from conftest import reference_noise, reference_sweep, vecv_loop
+from pfcc import cli
 from pfcc import learning as ln
 from pfcc import matops as mo
 from pfcc import model_control as mc
@@ -212,7 +214,7 @@ class TestModelBlockRegression:
         rng = np.random.default_rng(1)
         p = rng.normal(size=(sys_.dim, sys_.dim))
         p = p @ p.T + np.eye(sys_.dim)
-        xi1, xi2, xi3 = ln.vi_update_Xi(buf, p)
+        xi1, xi2, xi3 = buf.plan(False).xi(p)
         np.testing.assert_allclose(xi1, sys_.A_bar.T @ p @ sys_.A_bar, atol=1e-7)
         np.testing.assert_allclose(xi2, sys_.B_bar.T @ p @ sys_.A_bar, atol=1e-7)
         np.testing.assert_allclose(xi3, sys_.B_bar.T @ p @ sys_.B_bar, atol=1e-7)
@@ -222,7 +224,7 @@ class TestModelBlockRegression:
         for _ in range(8):
             buf.record([1.0, 2.0], [0.5], [2.0, 1.0])
         with pytest.raises(PersistentExcitationError):
-            ln.vi_update_Xi(buf, np.eye(2))
+            buf.plan(False).xi(np.eye(2))
 
     @staticmethod
     def exact_and_mixed_windows(sys_):
@@ -243,7 +245,7 @@ class TestModelBlockRegression:
         sys_ = f1_system(hexagon_config)
         _, mixed = self.exact_and_mixed_windows(sys_)
         with pytest.raises(DataConsistencyError):
-            ln.vi_update_Xi(mixed, np.eye(sys_.dim), allow_deficient=True)
+            mixed.plan(True).xi(np.eye(sys_.dim))
 
     @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
     def test_consistency_check_holds_at_large_value_scales(self, hexagon_config, scale):
@@ -255,10 +257,9 @@ class TestModelBlockRegression:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataConsistencyError):
-                ln.vi_update_Xi(mixed, p, allow_deficient=True)
-            blocks = ln.vi_update_Xi(exact, p, allow_deficient=True)
-        for got, want in zip(blocks, ln.vi_update_Xi(exact, np.eye(sys_.dim),
-                                                     allow_deficient=True)):
+                mixed.plan(True).xi(p)
+            blocks = exact.plan(True).xi(p)
+        for got, want in zip(blocks, exact.plan(True).xi(np.eye(sys_.dim))):
             np.testing.assert_allclose(got / scale, want, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
@@ -286,7 +287,7 @@ class TestModelBlockRegression:
         sys_ = f1_system(hexagon_config)
         buf, _ = fill_buffer(sys_, seed=4, noise=0.0)
         with pytest.raises(PersistentExcitationError):
-            ln.vi_update_Xi(buf, np.eye(sys_.dim))
+            buf.plan(False).xi(np.eye(sys_.dim))
 
     def test_scalar_three_sample_exact(self):
         # scalar plant: three independent samples pin down the three unknowns
@@ -295,10 +296,17 @@ class TestModelBlockRegression:
         for x, u in ((1.0, 0.3), (-0.5, 1.1), (2.0, -0.7)):
             buf.record([x], [u], [a * x + b * u])
         p = np.array([[1.3]])
-        xi1, xi2, xi3 = ln.vi_update_Xi(buf, p)
+        xi1, xi2, xi3 = buf.plan(False).xi(p)
         assert xi1[0, 0] == pytest.approx(a * 1.3 * a)
         assert xi2[0, 0] == pytest.approx(b * 1.3 * a)
         assert xi3[0, 0] == pytest.approx(b * 1.3 * b)
+
+
+def assert_same_controller(got, want):
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for a, b in zip((got.P_hat, got.K_hat, *got.Xi), (want.P_hat, want.K_hat, *want.Xi)):
+        assert a.tobytes() == b.tobytes()
+    assert np.float64(got.last_gain_delta).tobytes() == np.float64(want.last_gain_delta).tobytes()
 
 
 class TestWindowPlan:
@@ -342,7 +350,7 @@ class TestWindowPlan:
         old = reused.plan(allow_deficient)
         reused.flush()
         with pytest.raises(PersistentExcitationError):
-            ln.vi_update_Xi(reused, np.eye(sys_.dim), allow_deficient)
+            reused.plan(allow_deficient).xi(np.eye(sys_.dim))
         half = rows // 2
         reused.record(*(a[:half] for a in second))
         reused.record(*(a[half:] for a in second))
@@ -350,10 +358,7 @@ class TestWindowPlan:
         fresh = ln.DataBuffer(sys_.dim, sys_.m, rows).record(*second)
         for got, want in zip(self.sweeps(reused, sys_, 12, allow_deficient),
                              self.sweeps(fresh, sys_, 12, allow_deficient)):
-            assert (got.status, got.iterations) == (want.status, want.iterations)
-            for a, b in zip((got.P_hat, got.K_hat, *got.Xi), (want.P_hat, want.K_hat, *want.Xi)):
-                assert a.tobytes() == b.tobytes()
-            assert got.last_gain_delta == want.last_gain_delta
+            assert_same_controller(got, want)
 
     def test_record_drops_the_plan(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
@@ -375,7 +380,7 @@ class TestWindowPlan:
         p[1, 2] = p[2, 1] = poison
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ConvergenceError, match="value matrix is not finite"):
-            ln.vi_update_Xi(buf, p)
+            buf.plan(False).xi(p)
 
     def test_finite_asymmetric_value_matrix_is_still_a_value_error(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
@@ -383,7 +388,74 @@ class TestWindowPlan:
         p = np.eye(sys_.dim)
         p[0, 1] = 1e-9
         with pytest.raises(ValueError, match="symmetric"):
-            ln.vi_update_Xi(buf, p)
+            buf.plan(False).xi(p)
+
+
+def compare_gains_windows(name, seed):
+    """(agent, probe window, stage cost, learner config) of every agent
+    ``compare-gains`` audits in a bundled scenario at one probe seed."""
+    cfg = dataclasses.replace(sc.load_bundled(name), seed=seed)
+    coeffs = cli.effective_coefficients(cfg)
+    for node in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
+        alphas = coeffs.get(node, {node: 1.0})
+        sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
+        yield (cfg.agent_name(node), cli.probe_window(cfg, node, sys_),
+               ln.stage_cost(cfg.q_weights[node], sys_.C), cfg.agent_learner_config(node))
+
+
+def sweep_outcome(sweep, *args):
+    """The controller a sweep returns, or the class and message it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sweep(*args)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+class TestSweepMatchesReference:
+    """``learning_tick`` against ``conftest.reference_sweep``, the sweep
+    composed step by step with the gain update through ``np.linalg.svd``,
+    sweep by sweep."""
+
+    @pytest.mark.parametrize("allow_deficient", [False, True])
+    @pytest.mark.parametrize("seed", [7, 2024])
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_every_compare_gains_window(self, name, seed, allow_deficient):
+        # input widths 1 and 3 (hexagon) and 2 (both)
+        widths = set()
+        for agent, buf, cost, cfg in compare_gains_windows(name, seed):
+            widths.add(buf.input_dim)
+            got = want = ln.LearnedController.create(buf.state_dim, buf.input_dim)
+            with np.errstate(over="ignore", invalid="ignore"):  # as ``iterate`` runs them
+                for _ in range(cfg.max_iterations):
+                    got = ln.learning_tick(got, buf, cost, cfg, allow_deficient)
+                    want = reference_sweep(want, buf, cost, cfg, allow_deficient)
+                    assert_same_controller(got, want)
+                    if want.status == ln.CONVERGED:
+                        break
+                else:
+                    pytest.fail(f"{agent} did not converge")
+        assert widths == ({1, 2, 3} if name == "hexagon" else {2})
+
+    @pytest.mark.parametrize("after_sweep", [False, True])
+    @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan, "asymmetric"])
+    def test_poisoned_value_matrix_raises_alike(self, poison, after_sweep):
+        # the value matrix of the first regression (a fresh controller) or
+        # of the second (after one sweep, through the backup)
+        for agent, buf, cost, cfg in compare_gains_windows("hexagon", 7):
+            ctrl = ln.LearnedController.create(buf.state_dim, buf.input_dim)
+            if after_sweep:
+                ctrl = ln.learning_tick(ctrl, buf, cost, cfg)
+            p = ctrl.P_hat.copy()
+            if poison == "asymmetric":
+                p[0, 1] += 1e-9
+            else:
+                p[1, 2] = p[2, 1] = poison
+            ctrl = ctrl._replace(P_hat=p)
+            got = sweep_outcome(ln.learning_tick, ctrl, buf, cost, cfg)
+            want = sweep_outcome(reference_sweep, ctrl, buf, cost, cfg)
+            assert got == want, agent
+            assert got[0] is (ValueError if poison == "asymmetric" else ConvergenceError)
 
 
 #: A value-iteration sweep for the three-input leader L3 of ``hexagon`` on
@@ -465,15 +537,15 @@ def outcome(fn, *args):
 
 
 def counted_svd(monkeypatch):
-    """Count the calls of ``np.linalg.svd`` made by name (numpy's own
-    ``pinv`` calls its module's ``svd`` and is not counted)."""
+    """Count the calls of the learner's SVD seam, ``learning._svd`` (the
+    reference ``pinv`` calls numpy's own SVD and is not counted)."""
     calls = []
-    svd = np.linalg.svd
+    svd = ln._svd
 
     def counted(*args, **kwargs):
         calls.append(args)
         return svd(*args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(ln, "_svd", counted)
     return calls
 
 
@@ -506,7 +578,7 @@ class TestClosedFormGain:
     def test_finite_single_input_skips_pinv(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("svd called for a finite nonzero 1x1 Xi3")
-        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(ln, "_svd", fail)
         np.testing.assert_array_equal(
             ln.vi_update_K(np.array([[2.0, 4.0]]), np.array([[-4.0]])), [[0.5, 1.0]])
         for x in (*ln.RECIPROCAL_RANGE, -ln.RECIPROCAL_RANGE[0]):

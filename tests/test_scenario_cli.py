@@ -512,6 +512,39 @@ class TestRunCommand:
         assert meta["completed"] is True
 
 
+class TestCompareGainsExitCode:
+    """``compare-gains`` reports every agent and exits with its most severe
+    failure.  On ``hexagon_static`` the leaders have 36 regression unknowns
+    and the followers 55 to 171."""
+
+    @staticmethod
+    def compare(tmp_path, capsys, window, **learner):
+        raw = bundled_dict("hexagon_static")
+        raw["learner"].update(window=window, **learner)
+        path = write(tmp_path, raw)
+        assert cli.main(["validate", path]) == cli.EXIT_OK
+        capsys.readouterr()
+        code = cli.main(["compare-gains", path])
+        out = capsys.readouterr()
+        assert out.err == ""
+        return code, [line for line in out.out.splitlines() if "FAILED" in line]
+
+    @pytest.mark.parametrize("window, failed", [(10, 10), (40, 4)])
+    def test_excitation_failures_alone_exit_4(self, tmp_path, capsys, window, failed):
+        # a window of 12 rows fails every agent, one of 42 rows every follower
+        code, lines = self.compare(tmp_path, capsys, window)
+        assert code == cli.EXIT_EXCITATION
+        assert len(lines) == failed
+        assert all(f"window has {window + 2} rows for" in line for line in lines)
+
+    def test_a_convergence_failure_outranks_excitation(self, tmp_path, capsys):
+        # the leaders fit the 42-row window but stop at 2 sweeps
+        code, lines = self.compare(tmp_path, capsys, 40, max_iterations=2)
+        assert code == cli.EXIT_CONVERGENCE
+        assert sum("window has 42 rows for" in line for line in lines) == 4
+        assert sum("did not converge in 2 iterations" in line for line in lines) == 6
+
+
 class TestOverflowingCost:
     """F1's q_weight scaled up, as far as the edge of the float range: each
     command ends in its documented exit code with one line and no warning
