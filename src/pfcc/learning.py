@@ -21,17 +21,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import svd_s as _svd_gufunc
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConvergenceError, DataConsistencyError, PersistentExcitationError, PfccError
 from .matops import square_index, symmetrize, vecm, vecv
 from .model_control import VI_AVERAGING
-
-try:
-    from numpy.linalg._umath_linalg import svd_s as _svd_gufunc
-except ImportError:  # numpy 1.x splits its SVD gufuncs by shape and has no svd_s
-    _svd_gufunc = None
 
 COLLECTING = "collecting"
 ITERATING = "iterating"
@@ -110,17 +106,17 @@ def theta_columns(state_dim: int, input_dim: int) -> int:
 
 
 class DataBuffer:
-    """Fixed window of regression rows for one agent's augmented system.
+    """Fixed window of recorded transitions for one agent's augmented system.
 
     The window stores the recorded transitions, ``x``, ``u`` and ``x+``, in
     order until it is full; a full window must be flushed before it takes
     new transitions.  Row t of ``theta`` is [vecv(x), 2 x (x) u, vecv(u)]
-    and row t of ``psi_next`` is vecv(x+), for the t-th transition.  The
-    rows are built when they are first read: a read fills the rows recorded
-    since the last build in one vectorized pass, each entry the same
-    elementwise product a transition at a time would give, so recording
-    costs only the copy.  Every array is allocated once.  The sweep plan of
-    each rank policy is cached until the next record or flush.
+    and row t of ``psi_next`` is vecv(x+), for the t-th transition.  Each
+    read builds the rows of every recorded transition in one vectorized
+    pass, each entry the same elementwise product a transition at a time
+    would give, so recording costs only the copy.  The sweep plan of each
+    rank policy reads them once, and is cached until the next record or
+    flush.
     """
 
     def __init__(self, state_dim: int, input_dim: int, capacity: int):
@@ -132,10 +128,7 @@ class DataBuffer:
         self._x = np.empty((capacity, state_dim))
         self._u = np.empty((capacity, input_dim))
         self._x_next = np.empty((capacity, state_dim))
-        self._theta = np.empty((capacity, theta_columns(state_dim, input_dim)))
-        self._psi_next = np.empty((capacity, psi_columns(state_dim)))
         self._rows = 0
-        self._built = 0
         self._plans: dict = {}
 
     def __len__(self) -> int:
@@ -168,33 +161,20 @@ class DataBuffer:
         return self
 
     def flush(self) -> None:
-        self._rows = self._built = 0
+        self._rows = 0
         self._plans.clear()
 
-    def _build(self) -> None:
-        """Fill the regression rows of the transitions recorded since the
-        last build."""
-        start, stop = self._built, self._rows
-        if start == stop:
-            return
-        n, m = self.state_dim, self.input_dim
-        c1 = psi_columns(n)
-        x, u = self._x[start:stop], self._u[start:stop]
-        theta = self._theta[start:stop]
-        theta[:, :c1] = vecv(x)
-        theta[:, c1 : c1 + n * m] = 2.0 * (x[:, :, None] * u[:, None, :]).reshape(stop - start, -1)
-        theta[:, c1 + n * m :] = vecv(u)
-        self._psi_next[start:stop] = vecv(self._x_next[start:stop])
-        self._built = stop
-
-    # -- views of the filled rows -----------------------------------------
+    # -- regression rows of the recorded transitions ------------------------
     def theta(self) -> np.ndarray:
-        self._build()
-        return self._theta[: self._rows]
+        rows, n, m = self._rows, self.state_dim, self.input_dim
+        x, u = self._x[:rows], self._u[:rows]
+        return np.concatenate([vecv(x), 2.0 * (x[:, :, None] * u[:, None, :]).reshape(rows, n * m),
+                               vecv(u)], axis=1)
 
     def psi_next(self) -> np.ndarray:
-        self._build()
-        return self._psi_next[: self._rows]
+        # vecv of a stack is not C-contiguous, and ``psi_next @ vecm(P)``
+        # rounds differently on such an array
+        return np.ascontiguousarray(vecv(self._x_next[: self._rows]))
 
     def plan(self, allow_deficient: bool) -> "_WindowPlan":
         """The cached sweep plan of the filled rows under one rank policy."""
@@ -327,22 +307,17 @@ def _svd_did_not_converge(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
-# ``_svd(a)`` is the reduced SVD ``(u, s, vt)`` of a 2-D float array, ``s``
-# in descending order, bit for bit ``np.linalg.svd(a, full_matrices=False)``:
-# the LAPACK gufunc that call runs, under the error state it sets (an SVD
-# that does not converge raises the same LinAlgError), without the argument
-# handling, which costs more than a 2x2 SVD itself.  numpy 1.x has no
-# ``svd_s`` and keeps the call.
-if _svd_gufunc is None:
-    def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.linalg.svd(a, full_matrices=False)
-else:
-    # the decorator sets its error state afresh on each call (one errstate
-    # object cannot be entered twice)
-    @np.errstate(call=_svd_did_not_converge, invalid="call", over="ignore",
-                 divide="ignore", under="ignore")
-    def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _svd_gufunc(a, signature="d->ddd")
+# The decorator sets its error state afresh on each call (one errstate
+# object cannot be entered twice).
+@np.errstate(call=_svd_did_not_converge, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced SVD ``(u, s, vt)`` of a 2-D float array, ``s`` in
+    descending order, bit for bit ``np.linalg.svd(a, full_matrices=False)``:
+    the LAPACK gufunc that call runs, under the error state it sets (an SVD
+    that does not converge raises the same LinAlgError), without the
+    argument handling, which costs more than a 2x2 SVD itself."""
+    return _svd_gufunc(a, signature="d->ddd")
 
 
 def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:

@@ -108,32 +108,25 @@ def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
             - mu * np.matmul(gain, eta[..., None])[..., 0])
 
 
-def observer_step_tracking_leader(obs: RlsObserver, eta: np.ndarray,
-                                  eta_next: np.ndarray,
-                                  x_next: np.ndarray | None = None) -> RlsObserver:
-    """Full observer update across one tick.
+def observer_step_tracking_leader(obs: RlsObserver, eta_next: np.ndarray,
+                                  x_next: np.ndarray) -> RlsObserver:
+    """Full observer update across one tick, given the next-tick consensus
+    error ``eta_next`` and the state prediction ``x_next`` (``predict_state``
+    of this observer), each an (n,) float row.
 
     The parameter scale is downdated with the current regressor, the state
-    estimate advances with the pre-update model, and the model estimate is
-    corrected against the next-tick consensus error (the only causal order
-    consistent with the update indices).  ``x_next`` is the state prediction
-    (``predict_state`` of this observer) when the caller has already
-    computed it.
+    estimate advances to the prediction made with the pre-update model, and
+    the model estimate is corrected against the next-tick consensus error
+    (the only causal order consistent with the update indices).
 
     With L = c I this is the matrix update of ``rls_update_L`` and the gain
     solve (L_next^-1 + xi I)^-1 eta_next in closed form.  A downdated scale
     that is no longer positive means the estimate has blown up.
     """
     cfg, c, a_hat, x = obs
-    eta = np.asarray(eta, dtype=float).ravel()
-    eta_next = np.asarray(eta_next, dtype=float).ravel()
-    if eta.size != x.size or eta_next.size != x.size:
-        raise ValueError(f"consensus error dimension mismatch: expected {x.size}")
     c_next = c / (1.0 + c * float(x.dot(x)))
     if not c_next > 0.0:
         raise ConvergenceError("observer state diverged")
-    if x_next is None:
-        x_next = predict_state(a_hat, x, cfg.consensus_gain, cfg.gain_matrix, eta)
     # coupling * gain with gain = eta_next / (1/c_next + xi); the row-major
     # unstacking of -coupling * x_bar @ gain is the rank-one term below
     return RlsObserver(cfg, c_next,
@@ -213,7 +206,9 @@ class ObserverBank:
         estimates stacked in ``x_hat`` (R, n)) by one tick against the
         stacked targets' current and next values.  Returns the stepped
         observers and their stacked next estimates (R, n); row r of the
-        stack is observer r's ``x_hat``.
+        stack is observer r's ``x_hat``.  The predictions of all rows are
+        made here in one stacked ``predict_state``, and each row's kernel
+        step takes its own.
 
         Raises ConvergenceError when a prediction or next-tick error is not
         finite.
@@ -225,4 +220,4 @@ class ObserverBank:
         # any inf or nan entry makes the sums non-finite
         if not np.isfinite(pred.sum() + eta_next.sum()):
             raise ConvergenceError("observer state diverged")
-        return tuple(map(observer_step_tracking_leader, observers, eta, eta_next, pred)), pred
+        return tuple(map(observer_step_tracking_leader, observers, eta_next, pred)), pred

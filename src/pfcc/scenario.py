@@ -404,7 +404,7 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
         learner = ln.LearnerConfig(
             noise_std=float(lrn.get("noise_std", 0.1)),
             gain_delta_threshold=float(lrn.get("gain_delta_threshold", 1e-6)),
-            window=lrn.get("window"),
+            window=None if lrn.get("window") is None else int(lrn["window"]),
             relearn_on_alpha_change=bool(lrn.get("relearn_on_alpha_change", True)),
             max_iterations=int(lrn.get("max_iterations", 2000)))
     except ValueError as exc:

@@ -104,7 +104,7 @@ class TestDataBuffer:
     def test_rows_built_on_read_match_eager_rows_bit_for_bit(self):
         # single and stacked records, reads of the rows and of the plan
         # mid-window, and flushes mid-window with and without rows still
-        # unbuilt, against rows built one transition at a time
+        # unread, against rows built one transition at a time
         rng = np.random.default_rng(26)
         n, m = 5, 2
         a, b = 0.5 * rng.normal(size=(n, n)), rng.normal(size=(n, m))
@@ -146,7 +146,7 @@ class TestDataBuffer:
         record(1)
         check()
         record(3)
-        buf.flush()  # with three rows recorded and not yet built
+        buf.flush()  # with three rows recorded and not yet read
         kept.clear()
         record(1)
         check()
@@ -177,6 +177,19 @@ class TestDataBuffer:
         for got, want in zip((lazy.P_hat, lazy.K_hat, *lazy.Xi),
                              (reference.P_hat, reference.K_hat, *reference.Xi)):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 30])
+    def test_rows_are_c_contiguous(self, rows):
+        # vecv of a stack is not C-contiguous, and the sweep's
+        # ``psi_next @ vecm(P)`` rounds differently on such an array: a
+        # change of layout would move every learned gain by an ulp
+        rng = np.random.default_rng(29)
+        n, m = 5, 2
+        buf = ln.DataBuffer(n, m, 30).record(rng.normal(size=(rows, n)),
+                                             rng.normal(size=(rows, m)),
+                                             rng.normal(size=(rows, n)))
+        assert buf.theta().flags.c_contiguous
+        assert buf.psi_next().flags.c_contiguous
 
     def test_recording_past_capacity_rejected(self):
         buf = ln.DataBuffer(1, 1, 2)

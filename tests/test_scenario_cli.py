@@ -537,6 +537,21 @@ class TestCompareGainsExitCode:
         assert len(lines) == failed
         assert all(f"window has {window + 2} rows for" in line for line in lines)
 
+    def test_integral_float_window_reads_as_an_integer(self, tmp_path, capsys):
+        # JSON Schema counts 40.0 as an integer: it runs, and compares gains
+        # exactly as 40 does
+        reports = []
+        for window in (40, 40.0):
+            raw = bundled_dict("hexagon_static")
+            raw["learner"]["window"] = window
+            path = write(tmp_path, raw)
+            out = str(tmp_path / f"run-{window}")
+            assert cli.main(["run", path, "--horizon", "10", "--out", out]) == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            reports.append((cli.main(["compare-gains", path]), capsys.readouterr()))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == cli.EXIT_EXCITATION
+
     def test_a_convergence_failure_outranks_excitation(self, tmp_path, capsys):
         # the leaders fit the 42-row window but stop at 2 sweeps
         code, lines = self.compare(tmp_path, capsys, 40, max_iterations=2)
