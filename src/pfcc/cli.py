@@ -32,7 +32,7 @@ EXIT_CONVERGENCE = 5
 COMPARE_NOISE_STD = 1.0
 
 
-def _exit_code_for(exc: PfccError) -> int:
+def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, SchemaError):
         return EXIT_SCHEMA
     if isinstance(exc, AssumptionError):
@@ -84,7 +84,7 @@ def cmd_run(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         result = sim.run(cfg)
         trace_path, meta_path = sc.export_run(result, args.out)
-    except PfccError as exc:
+    except (PfccError, MemoryError) as exc:  # a learner window too large: exit 1
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
     except OSError as exc:
@@ -108,6 +108,9 @@ def effective_coefficients(cfg: sim.ScenarioConfig) -> dict[int, dict[int, float
     return {i: pr.coefficients(known, i, factors) for i in cfg.topology.follower_nodes}
 
 
+# a warm-up gain near the float range overflows the rows; the window plan
+# then rejects them as not finite, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def probe_window(cfg: sim.ScenarioConfig, node: int, sys_: mc.AugmentedSystem,
                  noise_std: float = COMPARE_NOISE_STD) -> ln.DataBuffer:
     """Synthetic excitation window for one agent's true augmented system.
@@ -171,7 +174,7 @@ def cmd_compare_gains(args) -> int:
                 reports.append(compare_agent_gains(cfg, node, coeffs.get(node)))
             except (ConvergenceError, PersistentExcitationError) as exc:
                 failures.append((cfg.agent_name(node), exc))
-    except PfccError as exc:
+    except (PfccError, MemoryError) as exc:  # a learner window too large: exit 1
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
     print(f"{'agent':<8}{'iters':>6}{'|K-K*|/|K*|':>16}{'|P-P*|/|P*|':>16}")

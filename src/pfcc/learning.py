@@ -125,9 +125,12 @@ class DataBuffer:
         self.state_dim = state_dim
         self.input_dim = input_dim
         self.capacity = capacity
-        self._x = np.empty((capacity, state_dim))
-        self._u = np.empty((capacity, input_dim))
-        self._x_next = np.empty((capacity, state_dim))
+        try:  # numpy raises either error for a window too large to allocate
+            self._x = np.empty((capacity, state_dim))
+            self._u = np.empty((capacity, input_dim))
+            self._x_next = np.empty((capacity, state_dim))
+        except (MemoryError, ValueError) as exc:
+            raise MemoryError(f"learner window of {capacity} rows does not fit in memory") from exc
         self._rows = 0
         self._plans: dict = {}
 
@@ -202,6 +205,9 @@ class _WindowPlan:
         theta = buf.theta()
         self.scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
         matrix = theta * self.scale[:, None]
+        if not np.isfinite(matrix).all():
+            raise ConvergenceError("window regression is not finite; the window "
+                                   "has left the float range")
         if matrix.shape[0] < matrix.shape[1] and not allow_deficient:
             raise PersistentExcitationError(
                 f"window has {matrix.shape[0]} rows for {matrix.shape[1]} unknowns; "

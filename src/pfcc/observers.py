@@ -47,10 +47,11 @@ class ObserverConfig:
 
 
 class RlsObserver(NamedTuple):
-    """State of one adaptive observer: parameter scale c, model estimate
-    A_hat, state estimate x_hat.  An immutable record; a bank step builds
-    one per row, so it is a tuple rather than a frozen dataclass, which
-    costs about twice as much to build.
+    """Model side of one adaptive observer: parameter scale c and model
+    estimate A_hat; its state estimate is its row of the caller's stacked
+    estimates (zero for a fresh record).  An immutable record; a bank step
+    builds one per row, so it is a tuple rather than a frozen dataclass,
+    which costs about twice as much to build.
 
     The RLS parameter matrix is always c * I: it starts at init_scale * I,
     and the regressor I (x) x_hat has Gram matrix |x_hat|^2 I, so every
@@ -61,14 +62,10 @@ class RlsObserver(NamedTuple):
     config: ObserverConfig
     c: float
     A_hat: np.ndarray
-    x_hat: np.ndarray
 
     @classmethod
-    def create(cls, config: ObserverConfig, n: int,
-               x0: np.ndarray | None = None) -> "RlsObserver":
-        x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
-        return cls(config=config, c=float(config.init_scale),
-                   A_hat=np.zeros((n, n)), x_hat=x)
+    def create(cls, config: ObserverConfig, n: int) -> "RlsObserver":
+        return cls(config=config, c=float(config.init_scale), A_hat=np.zeros((n, n)))
 
 
 def regressor(x_hat: np.ndarray) -> np.ndarray:
@@ -108,30 +105,29 @@ def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
             - mu * np.matmul(gain, eta[..., None])[..., 0])
 
 
-def observer_step_tracking_leader(obs: RlsObserver, eta_next: np.ndarray,
-                                  x_next: np.ndarray) -> RlsObserver:
-    """Full observer update across one tick, given the next-tick consensus
-    error ``eta_next`` and the state prediction ``x_next`` (``predict_state``
-    of this observer), each an (n,) float row.
+def observer_step_tracking_leader(obs: RlsObserver, x: np.ndarray,
+                                  eta_next: np.ndarray) -> RlsObserver:
+    """Model update of one observer across one tick, given its current
+    state estimate ``x`` and its next-tick consensus error ``eta_next``,
+    each an (n,) float row.  Returns the stepped record; the next estimate
+    is the prediction ``predict_state`` made with the pre-update model.
 
-    The parameter scale is downdated with the current regressor, the state
-    estimate advances to the prediction made with the pre-update model, and
-    the model estimate is corrected against the next-tick consensus error
-    (the only causal order consistent with the update indices).
+    The parameter scale is downdated with the current regressor, and the
+    model estimate is corrected against the next-tick consensus error (the
+    only causal order consistent with the update indices).
 
     With L = c I this is the matrix update of ``rls_update_L`` and the gain
     solve (L_next^-1 + xi I)^-1 eta_next in closed form.  A downdated scale
     that is no longer positive means the estimate has blown up.
     """
-    cfg, c, a_hat, x = obs
+    cfg, c, a_hat = obs
     c_next = c / (1.0 + c * float(x.dot(x)))
     if not c_next > 0.0:
         raise ConvergenceError("observer state diverged")
     # coupling * gain with gain = eta_next / (1/c_next + xi); the row-major
     # unstacking of -coupling * x_bar @ gain is the rank-one term below
     return RlsObserver(cfg, c_next,
-                       a_hat - (eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi)))[:, None] * x,
-                       x_next)
+                       a_hat - (eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi)))[:, None] * x)
 
 
 @dataclass(frozen=True)
@@ -142,20 +138,19 @@ class ObserverBank:
     to ``step``.  Row r is the observer of agent ``rows[r][0]`` in the
     network of node ``rows[r][1]``; rows run network by network, each in
     member order, and ``row`` maps each ``(agent, observed node)`` back to
-    its row.  ``graph`` is block diagonal with one gated block
-    diag(deg + pin) - W per network, where W[k, j] is the weight of the edge
-    member j -> member k: edges from agents outside the network carry no
-    estimate of its target and are left out.  ``pin`` holds each row's
-    direct edge weight from the observed node, so the consensus errors of
-    all rows are G X - pin (x) targets.  ``target`` is each row's target
-    slot, ``agent`` each row's agent node, ``configs`` each row's observer
-    config, and ``mu`` (R, 1) and ``gain`` (R, n, n) each row's consensus
-    gain and gain matrix.
+    its row; the caller keeps each row's record and estimate in row order.
+    ``graph`` is block diagonal with one gated block diag(deg + pin) - W
+    per network, where W[k, j] is the weight of the edge member j -> member
+    k: edges from agents outside the network carry no estimate of its
+    target and are left out.  ``pin`` holds each row's direct edge weight
+    from the observed node, so the consensus errors of all rows are
+    G X - pin (x) targets.  ``target`` is each row's target slot, ``agent``
+    each row's agent node, and ``mu`` (R, 1) and ``gain`` (R, n, n) each
+    row's consensus gain and gain matrix.
     """
 
     rows: tuple[tuple[int, int], ...]
     row: dict[tuple[int, int], int]
-    configs: tuple[ObserverConfig, ...]
     graph: np.ndarray
     pin: np.ndarray
     target: np.ndarray
@@ -189,7 +184,7 @@ class ObserverBank:
             target[start:end] = slot
             start = end
         return cls(rows=tuple(rows), row={key: r for r, key in enumerate(rows)},
-                   configs=tuple(configs), graph=graph, pin=pin, target=target,
+                   graph=graph, pin=pin, target=target,
                    agent=np.array([a for a, _ in rows], dtype=int),
                    mu=np.array([[c.consensus_gain] for c in configs]),
                    gain=np.array([c.gain_matrix for c in configs]))
@@ -202,13 +197,12 @@ class ObserverBank:
     def step(self, observers: Sequence[RlsObserver], x_hat: np.ndarray,
              targets_now: np.ndarray, targets_next: np.ndarray
              ) -> tuple[tuple[RlsObserver, ...], np.ndarray]:
-        """Advance the observers (one per row, in row order, with their
-        estimates stacked in ``x_hat`` (R, n)) by one tick against the
-        stacked targets' current and next values.  Returns the stepped
-        observers and their stacked next estimates (R, n); row r of the
-        stack is observer r's ``x_hat``.  The predictions of all rows are
-        made here in one stacked ``predict_state``, and each row's kernel
-        step takes its own.
+        """Advance the observers (one record per row, in row order, with
+        their state estimates stacked in ``x_hat`` (R, n)) by one tick
+        against the stacked targets' current and next values.  Returns the
+        stepped records and the next estimates (R, n): the predictions of
+        all rows, made here in one stacked ``predict_state``.  Each row's
+        kernel step takes its current estimate and its next-tick error.
 
         Raises ConvergenceError when a prediction or next-tick error is not
         finite.
@@ -220,4 +214,4 @@ class ObserverBank:
         # any inf or nan entry makes the sums non-finite
         if not np.isfinite(pred.sum() + eta_next.sum()):
             raise ConvergenceError("observer state diverged")
-        return tuple(map(observer_step_tracking_leader, observers, eta_next, pred)), pred
+        return tuple(map(observer_step_tracking_leader, observers, x_hat, eta_next)), pred

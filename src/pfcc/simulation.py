@@ -439,21 +439,20 @@ class WorldState:
     #: gated from the topology's adjacency.  Rebuilt only when
     #: propagation changes ``known``.
     bank: ob.ObserverBank | None
-    #: One observer per ``bank.rows`` entry, in row order.
+    #: One observer record (scale and model estimate) per ``bank.rows``
+    #: entry, in row order; their state estimates are ``world``'s tail.
     observers: tuple[ob.RlsObserver, ...]
     learners: dict[int, AgentLearner]
     oracle_gains: dict[int, mc.AgentGains]
     oracle_layouts: dict[int, tuple]
     baseline_alpha: dict[int, dict[int, float]] | None
     trace: TraceLog
-    #: The agents in row order of ``x``: followers, then leaders.
-    agents: tuple[int, ...]
-    #: ``[x.ravel() | targets.ravel() | estimates]`` with the observers'
-    #: estimates in row order; rebuilt whenever ``x``, ``targets`` or
-    #: ``observers`` is reassigned.  Each rebuild is a new array and nothing
-    #: writes into one, so the trace's pending samples and the learners'
-    #: tick-k reads keep it by reference (writing it in place would need a
-    #: copy for them).
+    #: ``[x.ravel() | targets.ravel() | estimates]``, the estimates being
+    #: the observers' state estimates in row order, stored nowhere else.  A
+    #: tick commits a new one and so does a bank rebuild; nothing writes
+    #: into one, so the trace's pending samples and the learners' tick-k
+    #: reads keep it by reference (writing it in place would need a copy
+    #: for them).
     world: np.ndarray | None = None
     #: One control plan per agent, keyed by node, and the follower-by-leader
     #: weights of the followers' plans; rebuilt whenever ``known`` or
@@ -471,6 +470,11 @@ class WorldState:
     #: static graph), and no step runs after it.
     propagation_changes: int = 0
     propagation_settled: bool = False
+
+    @property
+    def estimates(self) -> np.ndarray:
+        """The observers' state estimates (R, n), a view of ``world``."""
+        return self.world[self.x.size + self.targets.size :].reshape(-1, self.x.shape[1])
 
 
 @dataclass
@@ -506,8 +510,7 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
     topo = cfg.topology
     cfg.check_fields()
     cfg.require_valid()
-    agents = topo.follower_nodes + topo.leader_nodes
-    plant_b = np.zeros((len(agents), cfg.state_dim, max(dyn.m for dyn in cfg.dynamics)))
+    plant_b = np.zeros((len(cfg.dynamics), cfg.state_dim, max(dyn.m for dyn in cfg.dynamics)))
     for b, dyn in zip(plant_b, cfg.dynamics):
         b[:, : dyn.m] = dyn.B
 
@@ -527,21 +530,13 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
         oracle_layouts={},
         baseline_alpha=_baseline_weights(topo) if cfg.mode == MODE_BASELINE else None,
         trace=TraceLog(config=cfg),
-        agents=tuple(agents),
     )
     _sync_observer_networks(state, cfg)
     _build_plans(state, cfg)
     if cfg.mode in (MODE_DATA, MODE_BASELINE):
-        for node in agents:
+        for node in range(1, topo.n_nodes):
             _reset_learner(state, cfg, node)
     return state
-
-
-def _gather_world(state: WorldState) -> None:
-    """Restack ``state.world`` from the plants, targets and observers (a
-    tick commits it from the stacked next states instead)."""
-    state.world = np.concatenate((state.x.ravel(), state.targets.ravel(),
-                                  *(o.x_hat for o in state.observers)))
 
 
 def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
@@ -556,7 +551,7 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
     target_start = state.x.size
     estimate_start = target_start + state.targets.size
     plans = {}
-    for node in state.agents:
+    for node in range(1, topo.n_nodes):
         if topo.is_leader(node):
             alphas = {node: 1.0}
         elif state.baseline_alpha is not None:
@@ -592,8 +587,9 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
 
 
 def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
-    """Rebuild the observer bank from the current knowledge.  A row that
-    already existed keeps its observer and a new row starts a fresh one;
+    """Rebuild the observer bank and the world vector from the current
+    knowledge.  A row that already existed keeps its record and estimate, a
+    new row (every row at ``init_world``) starts fresh at a zero estimate;
     knowledge only grows, so no row is dropped."""
     topo = cfg.topology
     agents = topo.leader_nodes + topo.follower_nodes
@@ -604,11 +600,14 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
         blocks.append((q, members, [cfg.formation_observers[q]] * len(members)))
     old_row = state.bank.row if state.bank is not None else {}
     state.bank = ob.ObserverBank.stack(topo.adjacency, blocks)
-    state.observers = tuple(
-        state.observers[old_row[key]] if key in old_row
-        else ob.RlsObserver.create(config, cfg.state_dim)
-        for key, config in zip(state.bank.rows, state.bank.configs))
-    _gather_world(state)
+    kept = [old_row.get(key) for key in state.bank.rows]
+    configs = (c for _, _, member_configs in blocks for c in member_configs)
+    state.observers = tuple(ob.RlsObserver.create(config, cfg.state_dim) if r is None
+                            else state.observers[r] for r, config in zip(kept, configs))
+    # the old world vector is replaced only once every row has been read
+    fresh = np.zeros(cfg.state_dim)
+    state.world = np.concatenate((state.x.ravel(), state.targets.ravel(),
+                                  *(fresh if r is None else state.estimates[r] for r in kept)))
 
 
 def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int) -> None:
@@ -656,8 +655,8 @@ def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
     n = cfg.state_dim
     groups: dict[tuple[int, int], list] = {}
     probing = []
-    for r, node in enumerate(state.agents):
-        plan = state.plans[node]
+    for node in range(1, cfg.topology.n_nodes):
+        r, plan = node - 1, state.plans[node]
         lr = state.learners.get(node)
         if lr is not None:
             if lr.controller.status == ln.CONVERGED:
@@ -758,7 +757,7 @@ def _control_inputs(state: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     product per ``GainGroup``, plus each probing learner's noise row."""
     if state.gain_groups is None:
         _group_gains(state, cfg)
-    u = np.zeros((len(state.agents), state.plant_b.shape[2]))
+    u = np.zeros((len(state.x), state.plant_b.shape[2]))
     for rows, gains, gather in state.gain_groups:
         u[rows, : gains.shape[1]] = np.matmul(gains, state.world[gather][:, :, None])[:, :, 0]
     for r, lr in state.probing:
@@ -794,32 +793,30 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     if tick % cfg.sample_interval == 0:
         _sample_trace(state, cfg)
 
-    # 4. observer updates from the tick-k snapshot; a diverging estimate
-    # overflows before it is caught (scale downdated to zero or a non-finite
-    # prediction), and that is reported as an abort rather than a warning
-    targets_next = np.matmul(state.target_a, state.targets[:, :, None])[:, :, 0]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            stepped, estimates = state.bank.step(
-                state.observers,
-                state.world[state.x.size + state.targets.size :].reshape(-1, cfg.state_dim),
-                state.targets, targets_next)
-    except PfccError as exc:
-        raise SimulationAbort(tick, "observers", exc) from exc
-
-    # 5. controls from the tick-k snapshot
-    u = _control_inputs(state, cfg)
-
-    # 6. plant advance, all rows at once (the padded inputs add exact zeros);
-    # one guard over all plants (a nan norm fails the comparison too)
-    x_next = (np.matmul(state.plant_a, state.x[:, :, None])
-              + np.matmul(state.plant_b, u[:, :, None]))[:, :, 0]
+    # 4-6. a diverging estimate, input or plant state overflows before it is
+    # caught (scale downdated to zero, a non-finite prediction, the plant
+    # guard), and that is reported as an abort rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        # 4. observer updates from the tick-k snapshot
+        targets_next = np.matmul(state.target_a, state.targets[:, :, None])[:, :, 0]
+        try:
+            stepped, estimates = state.bank.step(state.observers, state.estimates,
+                                                 state.targets, targets_next)
+        except PfccError as exc:
+            raise SimulationAbort(tick, "observers", exc) from exc
+
+        # 5. controls from the tick-k snapshot
+        u = _control_inputs(state, cfg)
+
+        # 6. plant advance, all rows at once (the padded inputs add exact
+        # zeros); one guard over all plants (a nan norm fails it too)
+        x_next = (np.matmul(state.plant_a, state.x[:, :, None])
+                  + np.matmul(state.plant_b, u[:, :, None]))[:, :, 0]
         norms = _row_norms(x_next)
-    if not norms.max() <= _STATE_GUARD:
-        first = int(np.argmin(norms <= _STATE_GUARD))
-        name = "followers" if first < topo.n_followers else "leaders"
-        raise SimulationAbort(tick, name, ConvergenceError("plant state diverged"))
+        if not norms.max() <= _STATE_GUARD:
+            first = int(np.argmin(norms <= _STATE_GUARD))
+            name = "followers" if first < topo.n_followers else "leaders"
+            raise SimulationAbort(tick, name, ConvergenceError("plant state diverged"))
 
     # 7. commit next states (a new world vector: ``world`` and the trace's
     # samples keep tick k), then let the probing learners see the completed

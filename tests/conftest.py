@@ -200,8 +200,16 @@ def consensus_error(own: np.ndarray,
 
 
 def observer_of(state: sim.WorldState, agent: int, target: int):
-    """The observer that ``agent`` runs of ``target`` (0 = tracking)."""
+    """The observer record that ``agent`` runs of ``target`` (0 = tracking)."""
     return state.observers[state.bank.row[agent, target]]
+
+
+def estimate_of(state: sim.WorldState, agent: int, target: int) -> np.ndarray:
+    """The state estimate that ``agent`` holds of ``target`` (0 = tracking),
+    read from the world vector's tail at its bank row."""
+    n = state.x.shape[1]
+    start = state.x.size + state.targets.size + state.bank.row[agent, target] * n
+    return state.world[start : start + n]
 
 
 def known_leaders(known: np.ndarray, node: int) -> set[int]:
@@ -229,12 +237,11 @@ def reference_augmented_state(state: sim.WorldState, cfg: sim.ScenarioConfig,
     piece: plant, one formation part per layout leader (an agent's own
     formation state exactly, any other leader's as estimated), tracking
     estimate."""
-    row, observers = state.bank.row, state.observers
     parts = [state.x[node - 1]]
     for q in layout:
         parts.append(state.targets[1 + cfg.topology.leader_index(q)] if q == node
-                     else observers[row[node, q]].x_hat)
-    parts.append(observers[row[node, 0]].x_hat)
+                     else estimate_of(state, node, q))
+    parts.append(estimate_of(state, node, 0))
     return np.concatenate(parts)
 
 
@@ -251,9 +258,9 @@ def reference_trace_row(state: sim.WorldState, cfg: sim.ScenarioConfig) -> list[
         state.x[i - 1], h_all, x_o, reference_alphas(state, cfg, i))))
         for i in topo.follower_nodes]
     for a in topo.leader_nodes + topo.follower_nodes:
-        err = float(np.linalg.norm(observer_of(state, a, 0).x_hat - x_o))
+        err = float(np.linalg.norm(estimate_of(state, a, 0) - x_o))
         for q in sorted(known_leaders(state.known, a) - {a}):
-            err += float(np.linalg.norm(observer_of(state, a, q).x_hat - h_all[q]))
+            err += float(np.linalg.norm(estimate_of(state, a, q) - h_all[q]))
         row.append(err)
     if cfg.record_states:
         for a in topo.follower_nodes + topo.leader_nodes:

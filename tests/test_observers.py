@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SWAP, consensus_error
+from conftest import SWAP, consensus_error, drawn_topology_config, estimate_of
 from pfcc import observers as ob
 from pfcc import scenario as sc
 from pfcc import simulation as sim
@@ -12,10 +12,10 @@ BUNDLED_CFG = ob.ObserverConfig(xi=4.0, coupling=8.0, consensus_gain=0.7,
                               gain_matrix=FA, init_scale=0.05)
 
 
-def predict(obs, eta):
-    """One observer's prediction."""
+def predict(obs, x, eta):
+    """One observer's prediction from its estimate ``x``."""
     cfg = obs.config
-    return ob.predict_state(obs.A_hat, obs.x_hat, cfg.consensus_gain, cfg.gain_matrix,
+    return ob.predict_state(obs.A_hat, x, cfg.consensus_gain, cfg.gain_matrix,
                             np.asarray(eta, dtype=float))
 
 
@@ -78,11 +78,11 @@ class TestObserverStep:
     def test_converged_observer_only_downdates_L(self):
         target_a = SWAP
         x = np.array([1.0, -2.0])
-        obs = ob.RlsObserver(config=BUNDLED_CFG, c=1.0, A_hat=target_a,
-                             x_hat=x)
-        nxt = ob.observer_step_tracking_leader(obs, np.zeros(2), predict(obs, np.zeros(2)))
+        obs = ob.RlsObserver(config=BUNDLED_CFG, c=1.0, A_hat=target_a)
+        x_next = predict(obs, x, np.zeros(2))
+        nxt = ob.observer_step_tracking_leader(obs, x, np.zeros(2))
         np.testing.assert_allclose(nxt.A_hat, target_a)
-        np.testing.assert_allclose(nxt.x_hat, target_a @ x)
+        np.testing.assert_allclose(x_next, target_a @ x)
         assert nxt.c != obs.c
 
     def test_single_pinned_observer_error_decreases(self):
@@ -91,19 +91,18 @@ class TestObserverStep:
         # unit ball
         rng = np.random.default_rng(23)
         for _ in range(5):
-            obs = ob.RlsObserver.create(BUNDLED_CFG, 2,
-                                        x0=rng.normal(size=2) * 0.7)
+            obs, x = ob.RlsObserver.create(BUNDLED_CFG, 2), rng.normal(size=2) * 0.7
             x_o = np.array([2.0, 0.0])
             errs = []
             for _ in range(500):
-                errs.append(np.linalg.norm(obs.x_hat - x_o))
-                eta = consensus_error(obs.x_hat, [], 1.0, x_o)
+                errs.append(np.linalg.norm(x - x_o))
+                eta = consensus_error(x, [], 1.0, x_o)
                 x_o_next = SWAP @ x_o
-                pred = predict(obs, eta)
+                pred = predict(obs, x, eta)
                 eta_next = consensus_error(pred, [], 1.0, x_o_next)
-                obs = ob.observer_step_tracking_leader(obs, eta_next, pred)
+                obs, x = ob.observer_step_tracking_leader(obs, x, eta_next), pred
                 x_o = x_o_next
-            final = np.linalg.norm(obs.x_hat - x_o)
+            final = np.linalg.norm(x - x_o)
             assert final < 1e-3 * max(errs[0], 1.0)
             tail = np.array(errs[250:])
             assert tail[-50:].mean() <= tail[:50].mean()
@@ -114,9 +113,8 @@ class TestObserverStep:
         topo = hexagon_config.topology
         rng = np.random.default_rng(3)
         nodes = topo.leader_nodes
-        observers = {q: ob.RlsObserver.create(BUNDLED_CFG, 2,
-                                              x0=rng.normal(size=2))
-                     for q in nodes}
+        observers = {q: ob.RlsObserver.create(BUNDLED_CFG, 2) for q in nodes}
+        vals = {q: rng.normal(size=2) for q in nodes}
         x_o = np.array([2.0, 0.0])
 
         def etas(values, pin):
@@ -126,30 +124,31 @@ class TestObserverStep:
                 out[q] = consensus_error(values[q], terms, topo.adjacency[q, 0], pin)
             return out
 
-        total0 = sum(np.linalg.norm(observers[q].x_hat - x_o) for q in nodes)
+        total0 = sum(np.linalg.norm(vals[q] - x_o) for q in nodes)
         for _ in range(2000):
-            vals = {q: observers[q].x_hat for q in nodes}
             e_now = etas(vals, x_o)
             x_o_next = SWAP @ x_o
-            preds = {q: predict(observers[q], e_now[q]) for q in nodes}
+            preds = {q: predict(observers[q], vals[q], e_now[q]) for q in nodes}
             e_next = etas(preds, x_o_next)
             observers = {q: ob.observer_step_tracking_leader(
-                observers[q], e_next[q], preds[q]) for q in nodes}
+                observers[q], vals[q], e_next[q]) for q in nodes}
+            vals = preds
             x_o = x_o_next
-        total = sum(np.linalg.norm(observers[q].x_hat - x_o) for q in nodes)
+        total = sum(np.linalg.norm(vals[q] - x_o) for q in nodes)
         assert total < 1e-3 < total0
 
 
-def matrix_step(obs, L, eta, eta_next):
-    """The general update: rank-one downdate of the parameter matrix L,
-    gain solve against L_next^-1 + xi I, row-major unstacked model update."""
+def matrix_step(obs, x, L, eta, eta_next):
+    """The general update from the estimate ``x``: rank-one downdate of the
+    parameter matrix L, gain solve against L_next^-1 + xi I, row-major
+    unstacked model update."""
     cfg = obs.config
-    n = obs.x_hat.size
-    x_bar = ob.regressor(obs.x_hat)
+    n = x.size
+    x_bar = ob.regressor(x)
     l_next = ob.rls_update_L(L, x_bar)
     gain = np.linalg.solve(np.linalg.inv(l_next) + cfg.xi * np.eye(n), eta_next)
     a_next = obs.A_hat - cfg.coupling * (x_bar @ gain).reshape(n, n)
-    x_next = obs.A_hat @ obs.x_hat - cfg.consensus_gain * cfg.gain_matrix @ eta
+    x_next = obs.A_hat @ x - cfg.consensus_gain * cfg.gain_matrix @ eta
     return l_next, a_next, x_next
 
 
@@ -175,14 +174,14 @@ class TestScalarParameter:
             n = int(rng.integers(1, 5))
             obs = ob.RlsObserver(config=random_config(rng, n),
                                  c=float(10.0 ** rng.uniform(-3, 1)),
-                                 A_hat=rng.normal(size=(n, n)),
-                                 x_hat=rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2))
+                                 A_hat=rng.normal(size=(n, n)))
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
             eta, eta_next = rng.normal(size=n), rng.normal(size=n)
-            nxt = ob.observer_step_tracking_leader(obs, eta_next, predict(obs, eta))
-            l_next, a_next, x_next = matrix_step(obs, obs.c * np.eye(n), eta, eta_next)
+            nxt = ob.observer_step_tracking_leader(obs, x, eta_next)
+            l_next, a_next, x_next = matrix_step(obs, x, obs.c * np.eye(n), eta, eta_next)
             assert_rel_close(nxt.c * np.eye(n), l_next)
             assert_rel_close(nxt.A_hat, a_next)
-            assert_rel_close(nxt.x_hat, x_next)
+            assert_rel_close(predict(obs, x, eta), x_next)
 
     def test_scale_follows_matrix_downdates_over_sequences(self):
         rng = np.random.default_rng(43)
@@ -192,25 +191,30 @@ class TestScalarParameter:
             obs = ob.RlsObserver.create(cfg, n)
             L = cfg.init_scale * np.eye(n)
             for _ in range(40):
-                obs = ob.RlsObserver(cfg, obs.c, obs.A_hat, rng.normal(size=n))
-                L, _, _ = matrix_step(obs, L, np.zeros(n), np.zeros(n))
-                obs = ob.observer_step_tracking_leader(obs, np.zeros(n),
-                                                       predict(obs, np.zeros(n)))
+                x = rng.normal(size=n)
+                L, _, _ = matrix_step(obs, x, L, np.zeros(n), np.zeros(n))
+                obs = ob.observer_step_tracking_leader(obs, x, np.zeros(n))
                 assert_rel_close(obs.c * np.eye(n), L)
 
     def test_given_prediction_is_used(self):
-        # the stepped estimate is the prediction passed in, bit for bit
-        obs = ob.RlsObserver.create(BUNDLED_CFG, 2, x0=[1.0, 2.0])
-        eta = np.array([0.3, -0.1])
-        pred = predict(obs, eta)
-        stepped = ob.observer_step_tracking_leader(obs, eta, pred)
-        assert stepped.x_hat.tobytes() == pred.tobytes()
+        # a bank step's next estimates are its own stacked prediction, bit
+        # for bit
+        rng = np.random.default_rng(29)
+        bank = single_network_bank([[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 2.0, 0.0]],
+                                   [1, 2], 0)
+        observers = [ob.RlsObserver(BUNDLED_CFG, 0.05, rng.normal(size=(2, 2)))
+                     for _ in range(2)]
+        x_hat, targets_now = rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
+        pred = ob.predict_state(np.array([o.A_hat for o in observers]), x_hat, bank.mu,
+                                bank.gain, bank.consensus_errors(x_hat, targets_now))
+        _, estimates = bank.step(observers, x_hat, targets_now, targets_now @ SWAP.T)
+        assert estimates.tobytes() == pred.tobytes()
 
     def test_blown_up_estimate_is_a_convergence_error(self):
         # |x|^2 overflows, so the downdated scale is zero
-        obs = ob.RlsObserver.create(BUNDLED_CFG, 2, x0=[1e200, 0.0])
+        obs = ob.RlsObserver.create(BUNDLED_CFG, 2)
         with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="diverged"):
-            ob.observer_step_tracking_leader(obs, np.zeros(2), predict(obs, np.zeros(2)))
+            ob.observer_step_tracking_leader(obs, np.array([1e200, 0.0]), np.zeros(2))
 
 
 def reference_etas(cfg, state, target, values, pin_value):
@@ -245,23 +249,25 @@ def bank_targets(cfg, state):
     return now, nxt
 
 
-def step_networks_separately(bank, observers, targets_now, targets_next):
+def step_networks_separately(bank, observers, x_hat, targets_now, targets_next):
     """Reference for a bank step: each network on its own graph block, with
-    per-observer predictions and kernel steps."""
-    out = []
+    per-observer predictions and kernel steps.  Returns the stepped records
+    and the next estimates, each in row order."""
+    out, estimates = [], []
     for slot in range(len(targets_now)):
         rows = np.flatnonzero(bank.target == slot)
         obs = [observers[r] for r in rows]
         if not obs:
             continue
         graph, pin = bank.graph[np.ix_(rows, rows)], bank.pin[rows]
-        x = np.array([o.x_hat for o in obs])
+        x = x_hat[rows]
         etas = graph @ x - pin[:, None] * targets_now[slot]
-        preds = np.array([predict(o, e) for o, e in zip(obs, etas)])
+        preds = np.array([predict(o, x_o, e) for o, x_o, e in zip(obs, x, etas)])
         etas_next = graph @ preds - pin[:, None] * targets_next[slot]
-        out += [ob.observer_step_tracking_leader(o, e_next, pred)
-                for o, e_next, pred in zip(obs, etas_next, preds)]
-    return out
+        out += [ob.observer_step_tracking_leader(o, x_o, e_next)
+                for o, x_o, e_next in zip(obs, x, etas_next)]
+        estimates += list(preds)
+    return out, estimates
 
 
 class TestObserverNetwork:
@@ -275,7 +281,7 @@ class TestObserverNetwork:
         for tick in range(121):
             if tick in (0, 1, 2, 3, 5, 40, 120):
                 bank = state.bank
-                estimates = np.array([o.x_hat for o in state.observers])
+                estimates = np.array([estimate_of(state, *key) for key in bank.rows])
                 randoms = rng.normal(size=estimates.shape)
                 targets = rng.normal(size=(len(observed), cfg.state_dim))
                 for values in (estimates, randoms):
@@ -327,41 +333,60 @@ class TestObserverNetwork:
 
     def test_rows_keep_their_observers_across_rebuilds(self, monkeypatch, hexagon_config):
         # every propagation change rebuilds the bank: a row that existed keeps
-        # its observer object, a new row starts fresh, none is dropped, and
-        # ``row`` inverts ``rows``
-        cfg = hexagon_config
-        cfg.mode = sim.MODE_ORACLE  # faster, and observers ignore the mode
+        # its observer object and, bit for bit, its estimate in the world
+        # tail; a new row starts fresh at a zero estimate, none is dropped,
+        # and ``row`` inverts ``rows``.  The hexagon's knowledge changes only
+        # at tick 0, before any observer step; drawn topology 4's changes
+        # again at ticks 1 and 2, so its rebuilds carry moved estimates
         sync = sim._sync_observer_networks
-        rebuilds = []
+        rebuilds, moved = [], []
+
+        def config_of(cfg, agent, target):
+            if target:
+                return cfg.formation_observers[target]
+            return (cfg.leader_tracking_observer if cfg.topology.is_leader(agent)
+                    else cfg.follower_tracking_observer)
 
         def checked(state, cfg):
-            before = dict(zip(state.bank.rows, state.observers)) if state.bank else {}
+            before = {key: (obs, estimate_of(state, *key).copy())
+                      for key, obs in zip(state.bank.rows, state.observers)
+                      } if state.bank else {}
             sync(state, cfg)
             bank = state.bank
-            assert len(state.observers) == len(bank.rows) == len(bank.configs)
+            assert len(state.observers) == len(bank.rows)
+            assert state.world.size == (state.x.size + state.targets.size
+                                        + len(bank.rows) * cfg.state_dim)
             assert all(bank.row[key] == r for r, key in enumerate(bank.rows))
             assert set(before) <= set(bank.rows)
-            for key, obs, config in zip(bank.rows, state.observers, bank.configs):
+            for key, obs in zip(bank.rows, state.observers):
+                config = config_of(cfg, *key)
                 assert obs.config is config
                 if key in before:
-                    assert obs is before[key]
+                    assert obs is before[key][0]
+                    assert estimate_of(state, *key).tobytes() == before[key][1].tobytes()
+                    moved.append(before[key][1].any())
                 else:
                     assert obs.c == config.init_scale
-                    assert not obs.x_hat.any() and not obs.A_hat.any()
+                    assert not estimate_of(state, *key).any() and not obs.A_hat.any()
             rebuilds.append(len(bank.rows) - len(before))
         monkeypatch.setattr(sim, "_sync_observer_networks", checked)
-        state = sim.init_world(cfg)
-        for _ in range(60):
-            sim.step_world(state, cfg)
-        assert len(rebuilds) == 1 + state.propagation_changes > 1
-        assert all(added > 0 for added in rebuilds)
+        for cfg, ticks in ((hexagon_config, 60),
+                           (drawn_topology_config(hexagon_config, 4, 4000), 10)):
+            cfg.mode = sim.MODE_ORACLE  # faster, and observers ignore the mode
+            rebuilds.clear()
+            state = sim.init_world(cfg)
+            for _ in range(ticks):
+                sim.step_world(state, cfg)
+            assert len(rebuilds) == 1 + state.propagation_changes > 1
+            assert all(added > 0 for added in rebuilds)
+        assert any(moved)
 
     def test_non_finite_prediction_is_a_convergence_error(self):
         bank = single_network_bank([[0.0, 1.0], [0.0, 0.0]], [1], 0)
-        obs = ob.RlsObserver.create(BUNDLED_CFG, 2, x0=[np.inf, 0.0])
+        obs = ob.RlsObserver.create(BUNDLED_CFG, 2)
         with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError,
                                                           match="diverged"):
-            bank.step([obs], obs.x_hat[None], np.zeros((1, 2)), np.zeros((1, 2)))
+            bank.step([obs], np.array([[np.inf, 0.0]]), np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_step_matches_per_observer_updates(self):
         # the bank equals each network stepped on its own, bit for bit: from
@@ -376,17 +401,16 @@ class TestObserverNetwork:
             for tick in range(max(ticks) + 1):
                 if tick in ticks:
                     observers = state.observers
+                    x_hat = np.array([estimate_of(state, *key) for key in state.bank.rows])
                     targets_now, targets_next = bank_targets(cfg, state)
-                    got, estimates = state.bank.step(
-                        observers, np.array([o.x_hat for o in observers]),
-                        targets_now, targets_next)
-                    ref = step_networks_separately(state.bank, observers,
-                                                   targets_now, targets_next)
+                    got, estimates = state.bank.step(observers, x_hat,
+                                                     targets_now, targets_next)
+                    ref, ref_estimates = step_networks_separately(
+                        state.bank, observers, x_hat, targets_now, targets_next)
                     assert len(got) == len(ref) == len(state.bank.rows)
-                    # the stacked estimates are the stepped observers' x_hat
-                    np.testing.assert_array_equal(estimates, [o.x_hat for o in got])
+                    # the stacked next estimates are each row's own prediction
+                    np.testing.assert_array_equal(estimates, ref_estimates)
                     for new, expected in zip(got, ref):
-                        np.testing.assert_array_equal(new.x_hat, expected.x_hat)
                         np.testing.assert_array_equal(new.A_hat, expected.A_hat)
                         assert new.c == expected.c
                 sim.step_world(state, cfg)
@@ -402,25 +426,25 @@ class TestFormationObserverGating:
         bank = single_network_bank(adjacency, [1], 3)
         np.testing.assert_array_equal(bank.graph, [[0.0]])
         np.testing.assert_array_equal(bank.pin, [0.0])
-        obs = ob.RlsObserver.create(BUNDLED_CFG, 2)  # x_hat = 0
+        obs, x = ob.RlsObserver.create(BUNDLED_CFG, 2), np.zeros((1, 2))
         h = np.array([2.0, 0.0])
         for _ in range(50):
             h_next = SWAP @ h
-            [obs], _ = bank.step([obs], obs.x_hat[None], h[None], h_next[None])
+            [obs], x = bank.step([obs], x, h[None], h_next[None])
             h = h_next
-        np.testing.assert_allclose(obs.x_hat, np.zeros(2))
+        np.testing.assert_allclose(x[0], np.zeros(2))
         np.testing.assert_allclose(obs.A_hat, np.zeros((2, 2)))
 
     def test_pinned_formation_observer_tracks(self):
         adjacency = np.zeros((3, 3))
         adjacency[1, 2] = 1.0  # the leader (node 2) pins agent 1
         bank = single_network_bank(adjacency, [1], 2)
-        obs = ob.RlsObserver.create(BUNDLED_CFG, 2)
+        obs, x = ob.RlsObserver.create(BUNDLED_CFG, 2), np.zeros((1, 2))
         h = np.array([2.0, 0.0])
         for _ in range(500):
             h_next = SWAP @ h
-            [obs], _ = bank.step([obs], obs.x_hat[None], h[None], h_next[None])
+            [obs], x = bank.step([obs], x, h[None], h_next[None])
             h = h_next
-        assert np.linalg.norm(obs.x_hat - h) < 1e-5
+        assert np.linalg.norm(x[0] - h) < 1e-5
         # the model estimate identifies the formation dynamics as well
         assert np.max(np.abs(obs.A_hat - SWAP)) < 1e-4

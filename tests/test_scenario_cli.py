@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +615,75 @@ class TestOverflowingCost:
                          "--horizon", "50", "--out", str(out))
         assert proc.returncode == cli.EXIT_OK and proc.stderr == "", proc.stderr
         assert json.loads((out / "metadata.json").read_text())["completed"] is True
+
+
+def set_f1_x0(raw):
+    # the second entry: F1's warm-up gain cancels an x0 of [1e308, 0] exactly
+    raw["followers"][0]["x0"] = [0.0, 1e308]
+
+
+def set_noise_std(raw):
+    raw["learner"]["noise_std"] = 1e308
+
+
+def set_f1_warmup_gain(raw):
+    raw["followers"][0]["warmup_gain"] = [[1e308, 1e308]]
+
+
+class TestOverflowingInputs:
+    """Finite inputs at the edge of the float range that ``validate``
+    passes: each command ends in its documented exit code with one line
+    and no warning or traceback, as a user's shell sees it."""
+
+    @staticmethod
+    def pfcc(tmp_path, edit, *args):
+        raw = bundled_dict()
+        edit(raw)
+        path = write(tmp_path, raw)
+        return path, subprocess.run(
+            [sys.executable, "-m", "pfcc.cli", args[0], path, *args[1:]],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=300)
+
+    @pytest.mark.parametrize("edit", [set_f1_x0, set_noise_std])
+    def test_plant_overflow_aborts_the_run(self, tmp_path, edit):
+        path, proc = self.pfcc(tmp_path, edit, "run", "--horizon", "10",
+                               "--out", str(tmp_path / "out"))
+        assert proc.returncode == cli.EXIT_CONVERGENCE
+        TestOverflowingCost.assert_one_line(
+            proc.stderr, "run aborted: tick 0, agent followers: plant state diverged")
+        cfg = dataclasses.replace(sc.load_scenario(path), horizon=10)
+        assert cfg.validate() == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sim.run(cfg)
+        assert not result.completed and result.error.tick == 0
+        assert "plant state diverged" in str(result.error)
+
+    def test_huge_warm_up_gain_fails_its_agent(self, tmp_path):
+        _, proc = self.pfcc(tmp_path, set_f1_warmup_gain, "validate")
+        assert proc.returncode == cli.EXIT_OK
+        _, proc = self.pfcc(tmp_path, set_f1_warmup_gain, "compare-gains")
+        assert proc.returncode == cli.EXIT_CONVERGENCE and proc.stderr == "", proc.stderr
+        failed = [line for line in proc.stdout.splitlines() if "FAILED" in line]
+        assert failed == ["F1        FAILED: window regression is not finite; "
+                          "the window has left the float range"]
+        assert "Traceback" not in proc.stdout and "Warning" not in proc.stdout
+
+    @pytest.mark.parametrize("window", [10**20, 10**12])
+    @pytest.mark.parametrize("command", [["run", "--horizon", "10"], ["compare-gains"]])
+    def test_window_too_large_to_allocate(self, tmp_path, capsys, window, command):
+        raw = bundled_dict()
+        raw["learner"]["window"] = window
+        path = write(tmp_path, raw)
+        assert cli.main(["validate", path]) == cli.EXIT_OK
+        capsys.readouterr()
+        args = [command[0], path, *command[1:]]
+        if command[0] == "run":
+            args += ["--out", str(tmp_path / "out")]
+        assert cli.main(args) == cli.EXIT_GENERIC
+        err = capsys.readouterr().err
+        assert err == f"error: learner window of {window + 2} rows does not fit in memory\n"
 
 
 class TestExitCodeMapping:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (SWAP, block_topology, containment_error, drawn_plants,
-                      drawn_topology_config, formation_error, hop_distances,
-                      known_leaders, observer_of, reference_alphas,
+                      drawn_topology_config, estimate_of, formation_error, hop_distances,
+                      known_leaders, reference_alphas,
                       reference_augmented_state, reference_noise, reference_trace_row,
                       regulation_problems, transitive_closure)
 from pfcc import learning as ln
@@ -338,15 +338,15 @@ class TestWorldVector:
     def test_world_is_the_concatenated_state(self, monkeypatch, scenario, mode):
         # propagation rebuilds the bank in the first ticks, a propensity
         # switch at 60; the world is committed from the stacked next states
-        # and must equal the concatenation of x, the targets and every
-        # observer's estimate in row order, bit for bit
+        # and must begin with the concatenation of x and the targets, bit for
+        # bit, followed by one estimate row per bank row
         cfg = dataclasses.replace(early_switch(sc.load_bundled(scenario), 60),
                                   mode=mode, horizon=150)
 
         def check(state):
-            expected = np.concatenate((state.x.ravel(), state.targets.ravel(),
-                                       *(o.x_hat for o in state.observers)))
-            assert state.world.tobytes() == expected.tobytes()
+            expected = np.concatenate((state.x.ravel(), state.targets.ravel()))
+            assert state.world[: expected.size].tobytes() == expected.tobytes()
+            assert state.world.size == expected.size + len(state.bank.rows) * cfg.state_dim
 
         sample = sim._sample_trace
 
@@ -396,8 +396,8 @@ class TestOracleControl:
         n = cfg.state_dim
         keys = {}
         for world, plans, gains, _, u in seen:
-            for r, node in enumerate(state.agents):
-                plan = plans[node]
+            for node in range(1, cfg.topology.n_nodes):
+                r, plan = node - 1, plans[node]
                 if plan.layout:
                     want = gains[node].K @ world[plan.gather]
                     if keys.get(node) != plan.key:
@@ -415,7 +415,7 @@ class TestOracleControl:
                                   mode=sim.MODE_ORACLE, horizon=150,
                                   tracking_x0=np.array([1.0, -0.5]))
         state, seen, synthesized = self.run_recorded(monkeypatch, cfg)
-        agents = len(state.agents)
+        agents = len(state.x)
         # every agent once, then the followers whose weights the switch moved
         assert agents < len(synthesized) <= agents + cfg.topology.n_followers
         self.check_inputs(cfg, state, seen, synthesized)
@@ -429,7 +429,7 @@ class TestOracleControl:
         assert seen[0][3][1].gains.shape == (1, 1, 1)  # the warm-up gain
         self.check_inputs(cfg, state, seen, synthesized)
         [group] = seen[-1][3]
-        assert [state.agents[r] for r in group.rows] == [1, 2, 3, 4]
+        assert (group.rows + 1).tolist() == [1, 2, 3, 4]
 
 
 class TestLearnerControl:
@@ -445,7 +445,7 @@ class TestLearnerControl:
         def snapshot(state):
             # a tick replaces these arrays and tuples, it does not mutate them
             return types.SimpleNamespace(tick=state.tick, x=state.x, targets=state.targets,
-                                         observers=state.observers, bank=state.bank)
+                                         world=state.world, bank=state.bank)
 
         def recorded(state, cfg):
             u = controls(state, cfg)
@@ -478,8 +478,8 @@ class TestLearnerControl:
         state, ticks, records = self.run_recorded(monkeypatch, cfg)
         probing, sources = set(), set()
         for k, (snap, plans, learners, u) in enumerate(ticks[:-1]):
-            for r, node in enumerate(state.agents):
-                plan, (lr, status, k_hat, behavior) = plans[node], learners[node]
+            for node in range(1, cfg.topology.n_nodes):
+                r, plan, (lr, status, k_hat, behavior) = node - 1, plans[node], learners[node]
                 assert lr.layout == plan.layout
                 m = lr.buffer.input_dim
                 converged = status == ln.CONVERGED
@@ -503,7 +503,7 @@ class TestLearnerControl:
         assert len({(k, node) for k, node, *_ in records}) == len(records) > 0
         for k, node, z, u_k, z_next in records:
             (snap, plans, _, u), (snap_next, *_) = ticks[k], ticks[k + 1]
-            layout, r = plans[node].layout, state.agents.index(node)
+            layout, r = plans[node].layout, node - 1
             assert (k, node) in probing
             assert z.tobytes() == reference_augmented_state(snap, cfg, node, layout).tobytes()
             assert u_k.tobytes() == u[r, : u_k.size].tobytes()
@@ -851,12 +851,12 @@ class TestObserverPlantDecoupling:
         res_a, res_b = sim.run(cfg_a), sim.run(cfg_b)
         assert res_a.completed and res_b.completed
         for node in cfg_a.topology.follower_nodes + cfg_a.topology.leader_nodes:
-            np.testing.assert_array_equal(observer_of(res_a.state, node, 0).x_hat,
-                                          observer_of(res_b.state, node, 0).x_hat)
+            np.testing.assert_array_equal(estimate_of(res_a.state, node, 0),
+                                          estimate_of(res_b.state, node, 0))
             for q in known_leaders(res_a.state.known, node) - {node}:
                 np.testing.assert_array_equal(
-                    observer_of(res_a.state, node, q).x_hat,
-                    observer_of(res_b.state, node, q).x_hat)
+                    estimate_of(res_a.state, node, q),
+                    estimate_of(res_b.state, node, q))
         # but the follower plant state itself differs
         assert not np.allclose(res_a.state.x[0],
                                res_b.state.x[0])
