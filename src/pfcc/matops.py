@@ -78,6 +78,14 @@ def vecm(s: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     return weights * s.ravel()[flat]
 
 
+def row_sq_norms(d: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a 2-D ``d``, bit for bit
+    ``float(row.dot(row))``: one stacked (1, n) @ (n, 1) product per row
+    (``(d * d).sum(axis=1)``, ``einsum`` and ``norm(axis=1)`` sum in
+    another order)."""
+    return np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+
+
 def pinv(b: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with a rank-revealing cutoff.
 

@@ -18,7 +18,20 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, PfccError
-from .matops import is_positive_definite
+from .matops import is_positive_definite, row_sq_norms
+
+#: Bound on the norm of a state or estimate row; a row past it (or a nan
+#: row) has diverged and ends the run.
+STATE_GUARD = 1e9
+
+
+class ObserverDivergence(ConvergenceError):
+    """A bank row's next estimate left ``STATE_GUARD``; ``row`` is the
+    row's ``(agent, observed node)``."""
+
+    def __init__(self, row: tuple[int, int]):
+        self.row = row
+        super().__init__(f"observer {row[0]} of node {row[1]}'s network diverged")
 
 
 @dataclass(frozen=True)
@@ -49,7 +62,8 @@ class ObserverConfig:
 class RlsObserver(NamedTuple):
     """Model side of one adaptive observer: parameter scale c and model
     estimate A_hat; its state estimate is its row of the caller's stacked
-    estimates (zero for a fresh record).  An immutable record; a bank step
+    estimates (zero for a fresh record), and the bank hands each row's
+    kernel step that row's squared norm.  An immutable record; a bank step
     builds one per row, so it is a tuple rather than a frozen dataclass,
     which costs about twice as much to build.
 
@@ -105,12 +119,15 @@ def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
             - mu * np.matmul(gain, eta[..., None])[..., 0])
 
 
-def observer_step_tracking_leader(obs: RlsObserver, x: np.ndarray,
+def observer_step_tracking_leader(obs: RlsObserver, x: np.ndarray, x_sq: float,
                                   eta_next: np.ndarray) -> RlsObserver:
     """Model update of one observer across one tick, given its current
-    state estimate ``x`` and its next-tick consensus error ``eta_next``,
-    each an (n,) float row.  Returns the stepped record; the next estimate
-    is the prediction ``predict_state`` made with the pre-update model.
+    state estimate ``x`` (an (n,) float row), its squared norm ``x_sq``
+    (a float, bit for bit ``float(x.dot(x))``; the bank computes every
+    row's at once with ``row_sq_norms``) and its next-tick consensus error
+    ``eta_next`` as an (n, 1) column.  Returns the stepped record; the next
+    estimate is the prediction ``predict_state`` made with the pre-update
+    model.
 
     The parameter scale is downdated with the current regressor, and the
     model estimate is corrected against the next-tick consensus error (the
@@ -121,13 +138,13 @@ def observer_step_tracking_leader(obs: RlsObserver, x: np.ndarray,
     that is no longer positive means the estimate has blown up.
     """
     cfg, c, a_hat = obs
-    c_next = c / (1.0 + c * float(x.dot(x)))
+    c_next = c / (1.0 + c * x_sq)
     if not c_next > 0.0:
         raise ConvergenceError("observer state diverged")
     # coupling * gain with gain = eta_next / (1/c_next + xi); the row-major
     # unstacking of -coupling * x_bar @ gain is the rank-one term below
     return RlsObserver(cfg, c_next,
-                       a_hat - (eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi)))[:, None] * x)
+                       a_hat - (eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi))) * x)
 
 
 @dataclass(frozen=True)
@@ -202,16 +219,22 @@ class ObserverBank:
         against the stacked targets' current and next values.  Returns the
         stepped records and the next estimates (R, n): the predictions of
         all rows, made here in one stacked ``predict_state``.  Each row's
-        kernel step takes its current estimate and its next-tick error.
+        kernel step takes its current estimate, its squared norm (all rows'
+        from one ``row_sq_norms``) and its next-tick error as a column.
 
-        Raises ConvergenceError when a prediction or next-tick error is not
-        finite.
+        Raises ObserverDivergence, naming the first such row, when a
+        prediction's norm exceeds ``STATE_GUARD`` or is nan, and
+        ConvergenceError when a next-tick error is not finite.
         """
         eta = self.consensus_errors(x_hat, targets_now)
         pred = predict_state(np.array([o.A_hat for o in observers]), x_hat,
                              self.mu, self.gain, eta)
+        norms = np.sqrt(row_sq_norms(pred))
+        if not norms.max() <= STATE_GUARD:  # a nan fails it too
+            raise ObserverDivergence(self.rows[int(np.argmin(norms <= STATE_GUARD))])
         eta_next = self.consensus_errors(pred, targets_next)
-        # any inf or nan entry makes the sums non-finite
-        if not np.isfinite(pred.sum() + eta_next.sum()):
+        # any inf or nan entry makes the sum non-finite
+        if not np.isfinite(eta_next.sum()):
             raise ConvergenceError("observer state diverged")
-        return tuple(map(observer_step_tracking_leader, observers, x_hat, eta_next)), pred
+        return tuple(map(observer_step_tracking_leader, observers, x_hat,
+                         row_sq_norms(x_hat).tolist(), eta_next[:, :, None])), pred

@@ -28,15 +28,13 @@ from . import observers as ob
 from . import propagation as pr
 from .errors import (AssumptionError, ConvergenceError, DataConsistencyError,
                      PfccError, SimulationAbort)
-from .matops import is_positive_definite
+from .matops import is_positive_definite, row_sq_norms
 from .topology import DirectedTopology, build_laplacian, verify_assumption1
 
 MODE_DATA = "data_driven"
 MODE_ORACLE = "model_based_oracle"
 MODE_BASELINE = "fcc_baseline"
 MODES = (MODE_DATA, MODE_ORACLE, MODE_BASELINE)
-
-_STATE_GUARD = 1e9
 
 #: The tracking leader's name in scenario files, traces and messages.
 TRACKING_NAME = "T"
@@ -741,9 +739,8 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, lr: AgentLearner,
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of ``d``, bit for bit the
-    ``np.linalg.norm`` of the row, ``sqrt(x.dot(x))`` (``norm(axis=1)``
-    and ``einsum`` sum in another order)."""
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
+    ``np.linalg.norm`` of the row, ``sqrt(x.dot(x))``."""
+    return np.sqrt(row_sq_norms(d))
 
 
 def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
@@ -794,14 +791,19 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
         _sample_trace(state, cfg)
 
     # 4-6. a diverging estimate, input or plant state overflows before it is
-    # caught (scale downdated to zero, a non-finite prediction, the plant
-    # guard), and that is reported as an abort rather than a warning
+    # caught (the estimate guard, which names the row, the plant guard),
+    # and that is reported as an abort rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
         # 4. observer updates from the tick-k snapshot
         targets_next = np.matmul(state.target_a, state.targets[:, :, None])[:, :, 0]
         try:
             stepped, estimates = state.bank.step(state.observers, state.estimates,
                                                  state.targets, targets_next)
+        except ob.ObserverDivergence as exc:
+            agent, node = exc.row
+            raise SimulationAbort(tick, "observers", ConvergenceError(
+                f"observer {cfg.agent_name(agent)} of {cfg.agent_name(node)}'s "
+                "network diverged")) from exc
         except PfccError as exc:
             raise SimulationAbort(tick, "observers", exc) from exc
 
@@ -813,8 +815,8 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
         x_next = (np.matmul(state.plant_a, state.x[:, :, None])
                   + np.matmul(state.plant_b, u[:, :, None]))[:, :, 0]
         norms = _row_norms(x_next)
-        if not norms.max() <= _STATE_GUARD:
-            first = int(np.argmin(norms <= _STATE_GUARD))
+        if not norms.max() <= ob.STATE_GUARD:
+            first = int(np.argmin(norms <= ob.STATE_GUARD))
             name = "followers" if first < topo.n_followers else "leaders"
             raise SimulationAbort(tick, name, ConvergenceError("plant state diverged"))
 

@@ -6,10 +6,18 @@ from pfcc import observers as ob
 from pfcc import scenario as sc
 from pfcc import simulation as sim
 from pfcc.errors import ConvergenceError, PfccError
+from pfcc.matops import row_sq_norms
 
 FA = np.array([[0.1, 0.5], [0.5, 0.1]])
 BUNDLED_CFG = ob.ObserverConfig(xi=4.0, coupling=8.0, consensus_gain=0.7,
                               gain_matrix=FA, init_scale=0.05)
+
+
+def kernel_step(obs, x, eta_next):
+    """One kernel step from the estimate ``x`` and the (n,) next-tick error,
+    given the squared norm and error column the way a bank step hands them
+    over."""
+    return ob.observer_step_tracking_leader(obs, x, float(x.dot(x)), eta_next[:, None])
 
 
 def predict(obs, x, eta):
@@ -80,7 +88,7 @@ class TestObserverStep:
         x = np.array([1.0, -2.0])
         obs = ob.RlsObserver(config=BUNDLED_CFG, c=1.0, A_hat=target_a)
         x_next = predict(obs, x, np.zeros(2))
-        nxt = ob.observer_step_tracking_leader(obs, x, np.zeros(2))
+        nxt = kernel_step(obs, x, np.zeros(2))
         np.testing.assert_allclose(nxt.A_hat, target_a)
         np.testing.assert_allclose(x_next, target_a @ x)
         assert nxt.c != obs.c
@@ -100,7 +108,7 @@ class TestObserverStep:
                 x_o_next = SWAP @ x_o
                 pred = predict(obs, x, eta)
                 eta_next = consensus_error(pred, [], 1.0, x_o_next)
-                obs, x = ob.observer_step_tracking_leader(obs, x, eta_next), pred
+                obs, x = kernel_step(obs, x, eta_next), pred
                 x_o = x_o_next
             final = np.linalg.norm(x - x_o)
             assert final < 1e-3 * max(errs[0], 1.0)
@@ -130,8 +138,7 @@ class TestObserverStep:
             x_o_next = SWAP @ x_o
             preds = {q: predict(observers[q], vals[q], e_now[q]) for q in nodes}
             e_next = etas(preds, x_o_next)
-            observers = {q: ob.observer_step_tracking_leader(
-                observers[q], vals[q], e_next[q]) for q in nodes}
+            observers = {q: kernel_step(observers[q], vals[q], e_next[q]) for q in nodes}
             vals = preds
             x_o = x_o_next
         total = sum(np.linalg.norm(vals[q] - x_o) for q in nodes)
@@ -177,7 +184,7 @@ class TestScalarParameter:
                                  A_hat=rng.normal(size=(n, n)))
             x = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
             eta, eta_next = rng.normal(size=n), rng.normal(size=n)
-            nxt = ob.observer_step_tracking_leader(obs, x, eta_next)
+            nxt = kernel_step(obs, x, eta_next)
             l_next, a_next, x_next = matrix_step(obs, x, obs.c * np.eye(n), eta, eta_next)
             assert_rel_close(nxt.c * np.eye(n), l_next)
             assert_rel_close(nxt.A_hat, a_next)
@@ -193,7 +200,7 @@ class TestScalarParameter:
             for _ in range(40):
                 x = rng.normal(size=n)
                 L, _, _ = matrix_step(obs, x, L, np.zeros(n), np.zeros(n))
-                obs = ob.observer_step_tracking_leader(obs, x, np.zeros(n))
+                obs = kernel_step(obs, x, np.zeros(n))
                 assert_rel_close(obs.c * np.eye(n), L)
 
     def test_given_prediction_is_used(self):
@@ -214,7 +221,7 @@ class TestScalarParameter:
         # |x|^2 overflows, so the downdated scale is zero
         obs = ob.RlsObserver.create(BUNDLED_CFG, 2)
         with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="diverged"):
-            ob.observer_step_tracking_leader(obs, np.array([1e200, 0.0]), np.zeros(2))
+            kernel_step(obs, np.array([1e200, 0.0]), np.zeros(2))
 
 
 def reference_etas(cfg, state, target, values, pin_value):
@@ -264,7 +271,7 @@ def step_networks_separately(bank, observers, x_hat, targets_now, targets_next):
         etas = graph @ x - pin[:, None] * targets_now[slot]
         preds = np.array([predict(o, x_o, e) for o, x_o, e in zip(obs, x, etas)])
         etas_next = graph @ preds - pin[:, None] * targets_next[slot]
-        out += [ob.observer_step_tracking_leader(o, x_o, e_next)
+        out += [kernel_step(o, x_o, e_next)
                 for o, x_o, e_next in zip(obs, x, etas_next)]
         estimates += list(preds)
     return out, estimates
@@ -388,6 +395,23 @@ class TestObserverNetwork:
                                                           match="diverged"):
             bank.step([obs], np.array([[np.inf, 0.0]]), np.zeros((1, 2)), np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("bad, row", [
+        # agent 2 listens to agent 1, so only its own prediction leaves the
+        # guard
+        (2e9, (2, 0)),
+        # a nan fails the guard too; the graph product spreads it to every
+        # row (0 * nan is nan), so the first row is named
+        (np.nan, (1, 0))])
+    def test_estimate_past_the_guard_names_its_row(self, bad, row):
+        bank = single_network_bank([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
+                                   [1, 2], 0)
+        observers = [ob.RlsObserver(BUNDLED_CFG, 0.05, np.eye(2)) for _ in range(2)]
+        x_hat = np.array([[1.0, 0.0], [bad, 0.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(ob.ObserverDivergence,
+                                                          match="diverged") as info:
+            bank.step(observers, x_hat, np.zeros((1, 2)), np.zeros((1, 2)))
+        assert info.value.row == row
+
     def test_step_matches_per_observer_updates(self):
         # the bank equals each network stepped on its own, bit for bit: from
         # the start, after influence has spread, and across the propensity
@@ -448,3 +472,21 @@ class TestFormationObserverGating:
         assert np.linalg.norm(x[0] - h) < 1e-5
         # the model estimate identifies the formation dynamics as well
         assert np.max(np.abs(obs.A_hat - SWAP)) < 1e-4
+
+
+class TestStackedSquaredNorms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_rows_match_their_own_dot_bit_for_bit(self, n):
+        # the kernel's x_sq and the state guards read row_sq_norms; each row
+        # must equal float(x.dot(x)) exactly, at every magnitude from 1e-150
+        # to 1e150 and with magnitudes mixed within a row
+        rng = np.random.default_rng(100 + n)
+        signs = rng.choice([-1.0, 1.0], size=(400, n))
+        mixed = signs * 10.0 ** rng.uniform(-150, 150, size=(400, n))
+        scaled = signs * rng.uniform(1.0, 10.0, size=(400, n)) * 10.0 ** rng.uniform(
+            -150, 150, size=(400, 1))
+        for d in (mixed, scaled):
+            stacked = row_sq_norms(d).tolist()
+            assert all(type(v) is float for v in stacked)
+            expected = [float(x.dot(x)) for x in d]
+            assert np.array(stacked).tobytes() == np.array(expected).tobytes()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import drawn_plants, reference_noise
+from conftest import drawn_plants, drawn_topology_config, reference_noise
 from pfcc import cli
 from pfcc import learning as ln
 from pfcc import model_control as mc
@@ -684,6 +684,23 @@ class TestOverflowingInputs:
         assert cli.main(args) == cli.EXIT_GENERIC
         err = capsys.readouterr().err
         assert err == f"error: learner window of {window + 2} rows does not fit in memory\n"
+
+
+class TestObserverAbort:
+    def test_diverging_observer_is_named_in_one_line(self, tmp_path):
+        # drawn topology 6 diverges on the F3 row of L3's formation network
+        cfg = dataclasses.replace(drawn_topology_config(sc.load_bundled("hexagon"), 6, 300),
+                                  mode=sim.MODE_ORACLE)
+        path = write(tmp_path, sc.scenario_to_dict(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pfcc.cli", "run", path, "--horizon", "20",
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == cli.EXIT_CONVERGENCE
+        TestOverflowingCost.assert_one_line(
+            proc.stderr,
+            "run aborted: tick 12, agent observers: observer F3 of L3's network diverged")
 
 
 class TestExitCodeMapping:

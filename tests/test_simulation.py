@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import types
 import warnings
@@ -615,6 +616,8 @@ class TestObserverDivergence:
         assert isinstance(res.error.cause, ConvergenceError)
         assert "diverged" in str(res.error)
         assert 0 < res.error.tick < cfg.horizon
+        assert re.fullmatch(r"observer [FL]\d of L\d's network diverged",
+                            str(res.error.cause)), res.error
         assert len(res.trace) > 0  # the partial trace is kept
         if interval == 1:
             assert res.trace.rows()[-1, 0] == res.error.tick
@@ -931,6 +934,21 @@ class TestDrawnTopologyRuns:
         for i in topo.follower_nodes:
             assert result.state.plans[i].alphas == pr.convex_coefficients(
                 {q: factors[q] for q in topo.leader_nodes if reach[i, q]})
+
+    @pytest.mark.parametrize("seed, tick, row", [
+        (6, 12, "F3 of L3"),
+        # the plants would trip at tick 12
+        (7, 10, "L3 of L4")])
+    def test_diverging_observer_is_named(self, seed, tick, row):
+        # the estimate guard catches the row before its agent's plant
+        # diverges, where the plant guard used to blame the followers
+        cfg = self.drawn(seed, horizon=20, sample_interval=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sim.run(cfg)
+        assert (result.error.tick, result.error.agent) == (tick, "observers")
+        assert isinstance(result.error.cause, ConvergenceError)
+        assert str(result.error.cause) == f"observer {row}'s network diverged"
 
     @pytest.mark.parametrize("seed", [
         1, 3, 4,
