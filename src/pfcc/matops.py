@@ -98,16 +98,6 @@ def pinv(b: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(b, rcond=rcond)
 
 
-def spectral_radius(m: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("spectral_radius requires a square matrix")
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
-
-
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Average a matrix with its transpose (guards against drift)."""
     m = np.asarray(m, dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InfluenceError, RegulationError
-from .matops import pinv, spectral_radius, symmetrize
+from .matops import pinv, symmetrize
 
 MARGINAL_TOL = 1e-9
 
@@ -97,7 +97,6 @@ class AugmentedSystem:
     C: np.ndarray
     Q: np.ndarray
     block_dim: int
-    n_blocks: int
 
     @property
     def dim(self) -> int:
@@ -144,8 +143,7 @@ def build_augmented(dyn: AgentDynamics, forms: list[FormationDynamics],
         raise ValueError(f"coefficients must sum to 1, got {sum(weights)}")
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
     n = _check_blocks(dyn, [f.S for f in forms], a0)
-    count = len(forms)
-    dim = (2 + count) * n
+    dim = (2 + len(forms)) * n
     a_bar = np.zeros((dim, dim))
     a_bar[:n, :n] = dyn.A
     for k, f in enumerate(forms):
@@ -155,7 +153,7 @@ def build_augmented(dyn: AgentDynamics, forms: list[FormationDynamics],
     b_bar[:n, :] = dyn.B
     return AugmentedSystem(A_bar=a_bar, B_bar=b_bar, C=error_selector(n, weights),
                            Q=np.atleast_2d(np.asarray(q_weight, dtype=float)),
-                           block_dim=n, n_blocks=2 + count)
+                           block_dim=n)
 
 
 def policy_gain(sys: AugmentedSystem, p: np.ndarray) -> np.ndarray:
@@ -169,7 +167,6 @@ class RiccatiSolution:
     P: np.ndarray
     K: np.ndarray
     iterations: int
-    residual: float
 
 
 #: Averaging weight of the value-iteration backup.  The plain backup leaves
@@ -235,9 +232,7 @@ def riccati_value_iteration(sys: AugmentedSystem, tol: float = 1e-10,
         if not np.isfinite(delta) or delta > diverged:
             raise ConvergenceError(f"value iteration diverged at iteration {it}")
         if delta < max(tol, ulps * float(np.linalg.norm(p))):
-            acl = sys.A_bar + sys.B_bar @ k
-            residual = float(np.linalg.norm(cost + acl.T @ p @ acl - p))
-            return RiccatiSolution(P=p, K=k, iterations=it, residual=residual)
+            return RiccatiSolution(P=p, K=k, iterations=it)
     raise ConvergenceError(f"value iteration did not converge within {max_iter} iterations")
 
 
@@ -270,32 +265,6 @@ def oracle_solution(sys: AugmentedSystem) -> RiccatiSolution:
     return sol
 
 
-@dataclass(frozen=True)
-class AgentGains:
-    """Gain of the control law u = K z over an agent's augmented state
-    z = (x, h_q for q in the layout, x_hat_o), and its column blocks.
-
-    ``Kh[q]`` is the block of leader q; the propensity weight of the
-    control law is already embedded in it.
-    """
-
-    K: np.ndarray
-    K1: np.ndarray
-    Kh: dict[int, np.ndarray]
-    Ko: np.ndarray
-
-    @classmethod
-    def split(cls, k: np.ndarray, block_dim: int, layout: tuple[int, ...]) -> "AgentGains":
-        """Column blocks of the stacked gain ``k`` of ``layout``."""
-        k = np.atleast_2d(np.asarray(k, dtype=float))
-        n_blocks = 2 + len(layout)
-        if k.shape[1] != block_dim * n_blocks:
-            raise ValueError(
-                f"gain has {k.shape[1]} columns, layout requires {block_dim * n_blocks}")
-        blocks = [k[:, i * block_dim : (i + 1) * block_dim] for i in range(n_blocks)]
-        return cls(K=k, K1=blocks[0], Kh=dict(zip(layout, blocks[1:-1])), Ko=blocks[-1])
-
-
 def min_norm_regulation_solution(a: np.ndarray, b: np.ndarray,
                                  s_target: np.ndarray,
                                  rtol: float = 1e-8) -> np.ndarray:
@@ -324,42 +293,3 @@ def min_norm_regulation_solution(a: np.ndarray, b: np.ndarray,
             "assumptions fail for this agent"
         )
     return u
-
-
-@dataclass(frozen=True)
-class GainIdentityReport:
-    """Residuals tying converged gains to regulation solutions."""
-
-    formation_residuals: dict[int, float]
-    tracking_residual: float
-    closed_loop_radius: float
-
-    @property
-    def max_residual(self) -> float:
-        values = list(self.formation_residuals.values()) + [self.tracking_residual]
-        return max(values) if values else 0.0
-
-
-def verify_gain_identities(dyn: AgentDynamics, gains: AgentGains,
-                           u_h: dict[int, np.ndarray] | np.ndarray,
-                           u_o: np.ndarray,
-                           alphas: dict[int, float] | None = None) -> GainIdentityReport:
-    """Report ||K1 + Kh[q]/alpha_q - U_h[q]||, ||K1 + Ko - U_o|| and the
-    closed-loop spectral radius.
-
-    A one-block gain (a leader) may leave out ``alphas`` (weight 1) and pass
-    its one U_h as an array.  Report only; no thresholds are enforced here.
-    """
-    if alphas is None:
-        if len(gains.Kh) != 1:
-            raise ValueError("a gain with several formation blocks needs its coefficients")
-        alphas = dict.fromkeys(gains.Kh, 1.0)
-    if isinstance(u_h, np.ndarray):
-        u_h = dict.fromkeys(gains.Kh, u_h)
-    rho = spectral_radius(dyn.A + dyn.B @ gains.K1)
-    tracking = float(np.linalg.norm(gains.K1 + gains.Ko - np.atleast_2d(u_o)))
-    formation = {q: float(np.linalg.norm(gains.K1 + kh / alphas[q] - np.atleast_2d(u_h[q])))
-                 for q, kh in gains.Kh.items()}
-    return GainIdentityReport(formation_residuals=formation,
-                              tracking_residual=tracking,
-                              closed_loop_radius=rho)

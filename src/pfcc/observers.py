@@ -17,12 +17,21 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, PfccError
-from .matops import is_positive_definite, row_sq_norms
+from .errors import ConvergenceError
+from .matops import row_sq_norms
 
 #: Bound on the norm of a state or estimate row; a row past it (or a nan
 #: row) has diverged and ends the run.
 STATE_GUARD = 1e9
+
+
+def first_past_guard(d: np.ndarray) -> int | None:
+    """Index of the first row of a 2-D ``d`` whose norm exceeds
+    ``STATE_GUARD`` or is nan, or None when no row does."""
+    norms = np.sqrt(row_sq_norms(d))
+    if norms.max() <= STATE_GUARD:  # a nan norm fails it
+        return None
+    return int(np.argmin(norms <= STATE_GUARD))
 
 
 class ObserverDivergence(ConvergenceError):
@@ -69,8 +78,8 @@ class RlsObserver(NamedTuple):
 
     The RLS parameter matrix is always c * I: it starts at init_scale * I,
     and the regressor I (x) x_hat has Gram matrix |x_hat|^2 I, so every
-    downdate keeps it a multiple of the identity (see ``rls_update_L`` for
-    the general matrix form).
+    downdate keeps it a multiple of the identity (``tests/reference.py``
+    holds the general matrix form, ``rls_update_L``).
     """
 
     config: ObserverConfig
@@ -80,31 +89,6 @@ class RlsObserver(NamedTuple):
     @classmethod
     def create(cls, config: ObserverConfig, n: int) -> "RlsObserver":
         return cls(config=config, c=float(config.init_scale), A_hat=np.zeros((n, n)))
-
-
-def regressor(x_hat: np.ndarray) -> np.ndarray:
-    """Stacked regressor I_n (x) x_hat used by the parameter updates."""
-    x_hat = np.asarray(x_hat, dtype=float).ravel()
-    return np.kron(np.eye(x_hat.size), x_hat.reshape(-1, 1))
-
-
-def rls_update_L(L: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
-    """Parameter-matrix downdate (L^-1 + x_bar^T x_bar)^-1 without inverting L.
-
-    The gain G = L x_bar^T (I + x_bar L x_bar^T)^-1 is the Woodbury form;
-    the result is returned in Joseph form (I - G x_bar) L (I - G x_bar)^T
-    + G G^T, a sum of two positive semidefinite terms, which keeps full
-    precision where L - G x_bar L cancels.  L must be symmetric positive
-    definite.
-    """
-    L = np.asarray(L, dtype=float)
-    x_bar = np.asarray(x_bar, dtype=float)
-    if not is_positive_definite(L, atol=1e-9):
-        raise PfccError("adaptive parameter matrix must be symmetric positive definite")
-    gram = np.eye(x_bar.shape[0]) + x_bar @ L @ x_bar.T
-    g = np.linalg.solve(gram, x_bar @ L).T
-    keep = np.eye(L.shape[0]) - g @ x_bar
-    return keep @ L @ keep.T + g @ g.T
 
 
 def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
@@ -133,7 +117,8 @@ def observer_step_tracking_leader(obs: RlsObserver, x: np.ndarray, x_sq: float,
     model estimate is corrected against the next-tick consensus error (the
     only causal order consistent with the update indices).
 
-    With L = c I this is the matrix update of ``rls_update_L`` and the gain
+    With L = c I this is the matrix update ``rls_update_L`` of
+    ``tests/reference.py`` and the gain
     solve (L_next^-1 + xi I)^-1 eta_next in closed form.  A downdated scale
     that is no longer positive means the estimate has blown up.
     """
@@ -229,9 +214,9 @@ class ObserverBank:
         eta = self.consensus_errors(x_hat, targets_now)
         pred = predict_state(np.array([o.A_hat for o in observers]), x_hat,
                              self.mu, self.gain, eta)
-        norms = np.sqrt(row_sq_norms(pred))
-        if not norms.max() <= STATE_GUARD:  # a nan fails it too
-            raise ObserverDivergence(self.rows[int(np.argmin(norms <= STATE_GUARD))])
+        first = first_past_guard(pred)
+        if first is not None:
+            raise ObserverDivergence(self.rows[first])
         eta_next = self.consensus_errors(pred, targets_next)
         # any inf or nan entry makes the sum non-finite
         if not np.isfinite(eta_next.sum()):

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .topology import DirectedTopology, closure
+from .topology import DirectedTopology
 
 # Propensity ratios are canonicalized to this many significant digits before
 # normalization, so scaling every factor by a common constant yields
@@ -83,24 +83,3 @@ def coefficients(known: np.ndarray, node: int,
     """A follower's convex coefficients: the factors in force, normalized
     over the leaders it knows."""
     return convex_coefficients({q: factors[q] for q in np.flatnonzero(known[node]).tolist()})
-
-
-def itfl_sets(known: np.ndarray, topo: DirectedTopology) -> dict[int, frozenset[int]]:
-    """Relay leaders for each leader, computed at the knowledge fixed point.
-
-    Leader m relays leader q when q influences m and m lies on a directed
-    path from q to some follower that q cannot reach through followers
-    alone.
-    """
-    n = topo.n_followers
-    edge = topo.adjacency > 0
-    followers, leaders = slice(1, 1 + n), slice(1 + n, None)
-    reach = closure(edge)[followers, leaders]  # [i, q]: q reaches follower i
-    # [i, j]: follower i is follower j or reached from it through followers
-    through = closure(edge[followers, followers]) | np.eye(n, dtype=bool)
-    # [i, q]: q reaches follower i, but not through followers alone
-    needy = reach & ~(through @ edge[followers, leaders])
-    # [q, m]: m knows q and reaches a follower that q needs relayed to
-    relays = (needy.T @ reach) & known[leaders, leaders].T & ~np.eye(topo.n_leaders, dtype=bool)
-    nodes = np.array(topo.leader_nodes)
-    return {q: frozenset(nodes[row].tolist()) for q, row in zip(topo.leader_nodes, relays)}

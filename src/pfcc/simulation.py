@@ -441,7 +441,7 @@ class WorldState:
     #: entry, in row order; their state estimates are ``world``'s tail.
     observers: tuple[ob.RlsObserver, ...]
     learners: dict[int, AgentLearner]
-    oracle_gains: dict[int, mc.AgentGains]
+    oracle_gains: dict[int, np.ndarray]
     oracle_layouts: dict[int, tuple]
     baseline_alpha: dict[int, dict[int, float]] | None
     trace: TraceLog
@@ -634,11 +634,10 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int) -> None:
 
 def synthesize_oracle_gains(cfg: ScenarioConfig, node: int,
                             layout: tuple[int, ...],
-                            alphas: dict[int, float]) -> mc.AgentGains:
-    """Model-based gains for one agent's current layout; a leader's layout
-    is its own formation, ``(node,)``."""
-    sol = mc.riccati_value_iteration(cfg.augmented_system(node, layout, alphas))
-    return mc.AgentGains.split(sol.K, cfg.state_dim, layout)
+                            alphas: dict[int, float]) -> np.ndarray:
+    """Model-based gain ``K`` of the control law ``u = K z`` for one agent's
+    current layout; a leader's layout is its own formation, ``(node,)``."""
+    return mc.riccati_value_iteration(cfg.augmented_system(node, layout, alphas)).K
 
 
 def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
@@ -670,7 +669,7 @@ def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
                 except PfccError as exc:
                     raise SimulationAbort(state.tick, cfg.agent_name(node), exc) from exc
                 state.oracle_layouts[node] = plan.key
-            gain = state.oracle_gains[node].K
+            gain = state.oracle_gains[node]
         else:
             gain = None
         gather = plan.gather
@@ -814,9 +813,8 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
         # zeros); one guard over all plants (a nan norm fails it too)
         x_next = (np.matmul(state.plant_a, state.x[:, :, None])
                   + np.matmul(state.plant_b, u[:, :, None]))[:, :, 0]
-        norms = _row_norms(x_next)
-        if not norms.max() <= ob.STATE_GUARD:
-            first = int(np.argmin(norms <= ob.STATE_GUARD))
+        first = ob.first_past_guard(x_next)
+        if first is not None:
             name = "followers" if first < topo.n_followers else "leaders"
             raise SimulationAbort(tick, name, ConvergenceError("plant state diverged"))
 

@@ -92,34 +92,25 @@ def closure(edge: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaplacianBlocks:
-    """Partition of the full graph Laplacian.
+    """Follower rows of the full graph Laplacian.
 
-    L0: leader rows against the tracking leader column (M x 1)
     L1: follower rows/columns (N x N)
     L2: follower rows against leader columns (N x M)
-    L3: leader rows/columns (M x M)
     """
 
-    L0: np.ndarray
     L1: np.ndarray
     L2: np.ndarray
-    L3: np.ndarray
 
 
 def build_laplacian(topo: DirectedTopology) -> LaplacianBlocks:
-    """In-degree Laplacian L = D - A of the full graph, partitioned.
-
-    Row sums of [L1 L2] and of the [L0 0 L3] block row are zero by
-    construction.
-    """
+    """Follower blocks of the in-degree Laplacian L = D - A of the full
+    graph; the rows of [L1 L2] sum to zero by construction."""
     a = topo.adjacency
     lap = np.diag(a.sum(axis=1)) - a
     n = topo.n_followers
     return LaplacianBlocks(
-        L0=lap[1 + n :, 0:1].copy(),
         L1=lap[1 : 1 + n, 1 : 1 + n].copy(),
         L2=lap[1 : 1 + n, 1 + n :].copy(),
-        L3=lap[1 + n :, 1 + n :].copy(),
     )
 
 

@@ -407,7 +407,7 @@ def reachable_from(topo: DirectedTopology, start: int) -> set[int]:
 
 
 def reference_itfl_sets(known: np.ndarray, topo: DirectedTopology) -> dict[int, frozenset[int]]:
-    """Node-by-node oracle for ``propagation.itfl_sets``: leader m relays
+    """Node-by-node oracle for ``reference.itfl_sets``: leader m relays
     leader q when m knows q and reaches a follower that q reaches, but
     not through followers alone."""
     edge = topo.adjacency > 0

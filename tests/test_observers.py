@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference as ref
 from conftest import SWAP, consensus_error, drawn_topology_config, estimate_of
 from pfcc import observers as ob
 from pfcc import scenario as sc
@@ -38,11 +39,11 @@ class TestObserverConfig:
 class TestRlsUpdate:
     def test_zero_regressor_leaves_L_unchanged(self):
         l0 = 3.0 * np.eye(2)
-        np.testing.assert_allclose(ob.rls_update_L(l0, ob.regressor(np.zeros(2))),
+        np.testing.assert_allclose(ref.rls_update_L(l0, ref.regressor(np.zeros(2))),
                                    l0)
 
     def test_scalar_halving(self):
-        out = ob.rls_update_L(np.array([[1.0]]), ob.regressor(np.array([1.0])))
+        out = ref.rls_update_L(np.array([[1.0]]), ref.regressor(np.array([1.0])))
         np.testing.assert_allclose(out, [[0.5]], atol=1e-14)
 
     def test_matches_direct_inverse_form(self):
@@ -51,14 +52,14 @@ class TestRlsUpdate:
             n = int(rng.integers(1, 5))
             a = rng.normal(size=(n, n))
             l0 = a @ a.T + 0.5 * np.eye(n)
-            x_bar = ob.regressor(rng.normal(size=n))
+            x_bar = ref.regressor(rng.normal(size=n))
             expected = np.linalg.inv(np.linalg.inv(l0) + x_bar.T @ x_bar)
-            np.testing.assert_allclose(ob.rls_update_L(l0, x_bar), expected,
+            np.testing.assert_allclose(ref.rls_update_L(l0, x_bar), expected,
                                        atol=1e-10)
 
     def test_non_positive_definite_rejected(self):
         with pytest.raises(PfccError, match="positive definite"):
-            ob.rls_update_L(-np.eye(2), ob.regressor(np.ones(2)))
+            ref.rls_update_L(-np.eye(2), ref.regressor(np.ones(2)))
 
     @pytest.mark.parametrize("beta", [1.0, 100.0])
     def test_parameter_matrix_inequalities(self, beta):
@@ -71,8 +72,8 @@ class TestRlsUpdate:
             l = beta * np.eye(n)
             for _ in range(15):
                 x = rng.normal(size=n)
-                x_bar = ob.regressor(x)
-                l = ob.rls_update_L(l, x_bar)
+                x_bar = ref.regressor(x)
+                l = ref.rls_update_L(l, x_bar)
                 gram = x_bar.T @ x_bar
                 diff = np.linalg.inv(l) - gram
                 assert np.min(np.linalg.eigvalsh(0.5 * (diff + diff.T))) > -1e-9
@@ -151,8 +152,8 @@ def matrix_step(obs, x, L, eta, eta_next):
     unstacked model update."""
     cfg = obs.config
     n = x.size
-    x_bar = ob.regressor(x)
-    l_next = ob.rls_update_L(L, x_bar)
+    x_bar = ref.regressor(x)
+    l_next = ref.rls_update_L(L, x_bar)
     gain = np.linalg.solve(np.linalg.inv(l_next) + cfg.xi * np.eye(n), eta_next)
     a_next = obs.A_hat - cfg.coupling * (x_bar @ gain).reshape(n, n)
     x_next = obs.A_hat @ x - cfg.consensus_gain * cfg.gain_matrix @ eta
@@ -394,6 +395,11 @@ class TestObserverNetwork:
         with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError,
                                                           match="diverged"):
             bank.step([obs], np.array([[np.inf, 0.0]]), np.zeros((1, 2)), np.zeros((1, 2)))
+
+    def test_first_past_guard_is_the_first_row_beyond_it_or_nan(self):
+        assert ob.first_past_guard(np.array([[ob.STATE_GUARD, 0.0], [3.0, 4.0]])) is None
+        assert ob.first_past_guard(np.array([[1.0, 0.0], [2e9, 0.0], [np.inf, 0.0]])) == 1
+        assert ob.first_past_guard(np.array([[1.0, 0.0], [0.0, np.nan]])) == 1
 
     @pytest.mark.parametrize("bad, row", [
         # agent 2 listens to agent 1, so only its own prediction leaves the

@@ -1,7 +1,8 @@
-"""The package holds only what runs: every public function, class and
-method in ``src/pfcc`` is referenced by the package itself or by the
-benchmark harness, not only by tests.  The exceptions are the references
-the acceptance criteria compare against."""
+"""The package holds only what runs: every public function, class,
+method and annotated class field in ``src/pfcc`` is referenced by the
+package itself or by the benchmark harness, not only by tests.  The
+references the acceptance criteria compare against live in
+``tests/reference.py``."""
 
 import ast
 import os
@@ -12,24 +13,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pfcc"
 
-#: Reference implementations that only the acceptance criteria call.
-ACCEPTANCE_REFERENCES = {"regressor", "rls_update_L", "verify_gain_identities",
-                         "GainIdentityReport", "GainIdentityReport.max_residual",
-                         "itfl_sets"}
-
 
 def public_definitions(tree: ast.Module):
-    """(qualified name, node) of each public module-level function and
-    class, and of each public method of those classes."""
+    """(qualified name, name, node) of each public module-level function
+    and class, and of each public method of those classes."""
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")):
-            yield node.name, node
+            yield node.name, node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("_")):
-                        yield f"{node.name}.{item.name}", item
+                        yield f"{node.name}.{item.name}", item.name, item
+
+
+def public_fields(tree: ast.Module):
+    """(qualified name, name, node) of each public annotated field of a
+    public module-level class: a dataclass or ``NamedTuple`` field."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")):
+                    yield f"{node.name}.{item.target.id}", item.target.id, item
 
 
 def name_reads(tree: ast.Module):
@@ -41,20 +48,30 @@ def name_reads(tree: ast.Module):
             yield node.attr, node.lineno
 
 
-def test_every_public_name_has_a_caller_outside_tests():
+def unreferenced(definitions) -> list[str]:
+    """Package definitions, from ``definitions(tree)``, whose name is read
+    nowhere in the package or the benchmark harness outside their own
+    lines."""
     package = sorted(PACKAGE.glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in package + sorted((ROOT / "perfbench").glob("*.py"))}
     reads = {path: list(name_reads(tree)) for path, tree in trees.items()}
-    unreferenced = []
+    found = []
     for path in package:
-        for qualified, node in public_definitions(trees[path]):
+        for qualified, name, node in definitions(trees[path]):
             own = range(node.lineno, node.end_lineno + 1)
-            if qualified not in ACCEPTANCE_REFERENCES and not any(
-                    name == node.name and not (where == path and line in own)
-                    for where, names in reads.items() for name, line in names):
-                unreferenced.append(f"{path.stem}.{qualified}")
-    assert unreferenced == []
+            if not any(read == name and not (where == path and line in own)
+                       for where, names in reads.items() for read, line in names):
+                found.append(f"{path.stem}.{qualified}")
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    assert unreferenced(public_definitions) == []
+
+
+def test_every_public_field_is_read_outside_tests():
+    assert unreferenced(public_fields) == []
 
 
 def test_command_line_does_not_import_jsonschema():

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference as ref
 from conftest import (SWAP, block_topology, containment_error, drawn_plants,
                       drawn_topology_config, estimate_of, formation_error, hop_distances,
                       known_leaders, reference_alphas,
@@ -306,7 +307,7 @@ class TestControlPlans:
             x, world = state.x, state.world
             sim.step_world(state, cfg)
             for node, dyn in enumerate(cfg.dynamics, 1):
-                u = state.oracle_gains[node].K @ world[state.plans[node].gather]
+                u = state.oracle_gains[node] @ world[state.plans[node].gather]
                 assert (state.x[node - 1] == dyn.A @ x[node - 1] + dyn.B @ u).all()
 
 
@@ -400,7 +401,7 @@ class TestOracleControl:
             for node in range(1, cfg.topology.n_nodes):
                 r, plan = node - 1, plans[node]
                 if plan.layout:
-                    want = gains[node].K @ world[plan.gather]
+                    want = gains[node] @ world[plan.gather]
                     if keys.get(node) != plan.key:
                         keys[node] = plan.key
                         assert synthesized.pop(0) == (node, *plan.key)
@@ -679,14 +680,14 @@ class TestConfigChecks:
 
     def test_spectral_lines_match_one_radius_per_matrix(self, hexagon_config):
         # targets scaled to spectral radii around the margin, judged by
-        # mc.spectral_radius one matrix at a time
+        # ref.spectral_radius one matrix at a time
         rng = np.random.default_rng(11)
         limit = 1.0 + mc.MARGINAL_TOL
 
         def near_margin():
             a = rng.normal(size=(2, 2))
             scale = rng.choice([1.0, limit, 1.0 + 2 * mc.MARGINAL_TOL, 1.1])
-            return scale * a / mc.spectral_radius(a)
+            return scale * a / ref.spectral_radius(a)
 
         for _ in range(30):
             cfg = dataclasses.replace(
@@ -694,10 +695,10 @@ class TestConfigChecks:
                 formation=[mc.FormationDynamics(near_margin(), f.h0)
                            for f in hexagon_config.formation])
             expected = (["tracking dynamics must have spectral radius <= 1"]
-                        if mc.spectral_radius(cfg.tracking_a) > limit else [])
+                        if ref.spectral_radius(cfg.tracking_a) > limit else [])
             expected += [f"formation dynamics of {cfg.agent_name(q)} expand"
                          for q, f in zip(cfg.topology.leader_nodes, cfg.formation)
-                         if mc.spectral_radius(f.S) > limit]
+                         if ref.spectral_radius(f.S) > limit]
             assert [p for p in cfg.validate()
                     if p.startswith(("tracking dynamics", "formation dynamics"))] == expected
 

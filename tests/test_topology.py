@@ -79,13 +79,11 @@ class TestLaplacian:
         blocks = build_laplacian(two_agent_chain())
         assert blocks.L1 == np.array([[1.0]])
         assert blocks.L2 == np.array([[-1.0]])
-        assert blocks.L3 == np.array([[1.0]])
-        assert blocks.L0 == np.array([[-1.0]])
 
     def test_empty_edges_all_zero(self):
         topo = DirectedTopology(2, 2, np.zeros((5, 5)))
         blocks = build_laplacian(topo)
-        for block in (blocks.L0, blocks.L1, blocks.L2, blocks.L3):
+        for block in (blocks.L1, blocks.L2):
             np.testing.assert_array_equal(block, np.zeros_like(block))
 
     def test_bundled_scenario_blocks_match_recomputed(self):
@@ -108,8 +106,6 @@ class TestLaplacian:
         assert blocks.L1.shape == (4, 4)
         np.testing.assert_allclose(blocks.L1, lap[1:1 + n, 1:1 + n])
         np.testing.assert_allclose(blocks.L2, lap[1:1 + n, 1 + n:])
-        np.testing.assert_allclose(blocks.L3, lap[1 + n:, 1 + n:])
-        np.testing.assert_allclose(blocks.L0, lap[1 + n:, 0:1])
         # follower rows balance across the two blocks
         np.testing.assert_allclose(blocks.L1.sum(axis=1),
                                    -blocks.L2.sum(axis=1), atol=1e-12)
@@ -122,9 +118,6 @@ class TestLaplacian:
         np.testing.assert_allclose(
             np.hstack([blocks.L1, blocks.L2]).sum(axis=1),
             np.zeros(topo.n_followers), atol=1e-12)
-        np.testing.assert_allclose(
-            np.hstack([blocks.L0, blocks.L3]).sum(axis=1),
-            np.zeros(topo.n_leaders), atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
