@@ -69,12 +69,13 @@ class ObserverConfig:
 
 
 class RlsObserver(NamedTuple):
-    """Model side of one adaptive observer: parameter scale c and model
-    estimate A_hat; its state estimate is its row of the caller's stacked
-    estimates (zero for a fresh record), and the bank hands each row's
-    kernel step that row's squared norm.  An immutable record; a bank step
-    builds one per row, so it is a tuple rather than a frozen dataclass,
-    which costs about twice as much to build.
+    """Parameter side of one adaptive observer: its config and parameter
+    scale c.  Its model estimate is its row of the caller's stacked models
+    and its state estimate its row of the caller's stacked estimates (zero
+    for a fresh record), and the bank hands each row's kernel step that
+    row's squared norm.  An immutable record; a bank step builds one per
+    row, so it is a tuple rather than a frozen dataclass, which costs about
+    twice as much to build.
 
     The RLS parameter matrix is always c * I: it starts at init_scale * I,
     and the regressor I (x) x_hat has Gram matrix |x_hat|^2 I, so every
@@ -84,11 +85,10 @@ class RlsObserver(NamedTuple):
 
     config: ObserverConfig
     c: float
-    A_hat: np.ndarray
 
     @classmethod
-    def create(cls, config: ObserverConfig, n: int) -> "RlsObserver":
-        return cls(config=config, c=float(config.init_scale), A_hat=np.zeros((n, n)))
+    def create(cls, config: ObserverConfig) -> "RlsObserver":
+        return cls(config=config, c=float(config.init_scale))
 
 
 def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
@@ -103,33 +103,22 @@ def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
             - mu * np.matmul(gain, eta[..., None])[..., 0])
 
 
-def observer_step_tracking_leader(obs: RlsObserver, x: np.ndarray, x_sq: float,
-                                  eta_next: np.ndarray) -> RlsObserver:
-    """Model update of one observer across one tick, given its current
-    state estimate ``x`` (an (n,) float row), its squared norm ``x_sq``
-    (a float, bit for bit ``float(x.dot(x))``; the bank computes every
-    row's at once with ``row_sq_norms``) and its next-tick consensus error
-    ``eta_next`` as an (n, 1) column.  Returns the stepped record; the next
-    estimate is the prediction ``predict_state`` made with the pre-update
-    model.
-
-    The parameter scale is downdated with the current regressor, and the
-    model estimate is corrected against the next-tick consensus error (the
-    only causal order consistent with the update indices).
+def observer_step_tracking_leader(obs: RlsObserver, x_sq: float) -> RlsObserver:
+    """Parameter downdate of one observer across one tick, given the squared
+    norm ``x_sq`` of its current state estimate (a float, bit for bit
+    ``float(x.dot(x))``; the bank computes every row's at once with
+    ``row_sq_norms``).  Returns the stepped record; the bank makes every
+    row's model update from the stepped scales in one stacked step.
 
     With L = c I this is the matrix update ``rls_update_L`` of
-    ``tests/reference.py`` and the gain
-    solve (L_next^-1 + xi I)^-1 eta_next in closed form.  A downdated scale
-    that is no longer positive means the estimate has blown up.
+    ``tests/reference.py``.  A downdated scale that is no longer positive
+    means the estimate has blown up.
     """
-    cfg, c, a_hat = obs
+    cfg, c = obs
     c_next = c / (1.0 + c * x_sq)
     if not c_next > 0.0:
         raise ConvergenceError("observer state diverged")
-    # coupling * gain with gain = eta_next / (1/c_next + xi); the row-major
-    # unstacking of -coupling * x_bar @ gain is the rank-one term below
-    return RlsObserver(cfg, c_next,
-                       a_hat - (eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi))) * x)
+    return RlsObserver(cfg, c_next)
 
 
 @dataclass(frozen=True)
@@ -140,15 +129,17 @@ class ObserverBank:
     to ``step``.  Row r is the observer of agent ``rows[r][0]`` in the
     network of node ``rows[r][1]``; rows run network by network, each in
     member order, and ``row`` maps each ``(agent, observed node)`` back to
-    its row; the caller keeps each row's record and estimate in row order.
+    its row; the caller keeps each row's record, model and estimate in row
+    order.
     ``graph`` is block diagonal with one gated block diag(deg + pin) - W
     per network, where W[k, j] is the weight of the edge member j -> member
     k: edges from agents outside the network carry no estimate of its
     target and are left out.  ``pin`` holds each row's direct edge weight
     from the observed node, so the consensus errors of all rows are
     G X - pin (x) targets.  ``target`` is each row's target slot, ``agent``
-    each row's agent node, and ``mu`` (R, 1) and ``gain`` (R, n, n) each
-    row's consensus gain and gain matrix.
+    each row's agent node, ``mu`` (R, 1) and ``gain`` (R, n, n) each row's
+    consensus gain and gain matrix, and ``coupling`` and ``xi`` (R,) each
+    row's model-update gain and regularizer.
     """
 
     rows: tuple[tuple[int, int], ...]
@@ -159,6 +150,8 @@ class ObserverBank:
     agent: np.ndarray
     mu: np.ndarray
     gain: np.ndarray
+    coupling: np.ndarray
+    xi: np.ndarray
 
     @classmethod
     def stack(cls, adjacency: np.ndarray,
@@ -189,37 +182,52 @@ class ObserverBank:
                    graph=graph, pin=pin, target=target,
                    agent=np.array([a for a, _ in rows], dtype=int),
                    mu=np.array([[c.consensus_gain] for c in configs]),
-                   gain=np.array([c.gain_matrix for c in configs]))
+                   gain=np.array([c.gain_matrix for c in configs]),
+                   coupling=np.array([c.coupling for c in configs]),
+                   xi=np.array([c.xi for c in configs]))
 
     def consensus_errors(self, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Stacked consensus errors (R, n) of row values (R, n) against the
         stacked targets (one per network)."""
-        return self.graph @ values - self.pin[:, None] * targets[self.target]
+        return self.graph @ values - self.pin[:, None] * targets.take(self.target, axis=0)
 
-    def step(self, observers: Sequence[RlsObserver], x_hat: np.ndarray,
-             targets_now: np.ndarray, targets_next: np.ndarray
-             ) -> tuple[tuple[RlsObserver, ...], np.ndarray]:
+    def step(self, observers: Sequence[RlsObserver], models: np.ndarray,
+             x_hat: np.ndarray, targets_now: np.ndarray, targets_next: np.ndarray
+             ) -> tuple[tuple[RlsObserver, ...], np.ndarray, np.ndarray]:
         """Advance the observers (one record per row, in row order, with
-        their state estimates stacked in ``x_hat`` (R, n)) by one tick
-        against the stacked targets' current and next values.  Returns the
-        stepped records and the next estimates (R, n): the predictions of
-        all rows, made here in one stacked ``predict_state``.  Each row's
-        kernel step takes its current estimate, its squared norm (all rows'
-        from one ``row_sq_norms``) and its next-tick error as a column.
+        their models stacked in ``models`` (R, n, n) and their state
+        estimates in ``x_hat`` (R, n)) by one tick against the stacked
+        targets' current and next values.  Returns the stepped records, the
+        next models and the next estimates: all rows' predictions, made in
+        one stacked ``predict_state`` with the pre-update models.
 
-        Raises ObserverDivergence, naming the first such row, when a
-        prediction's norm exceeds ``STATE_GUARD`` or is nan, and
-        ConvergenceError when a next-tick error is not finite.
+        Each row's kernel step downdates its scale with the current
+        regressor; the models are then corrected against the next-tick
+        consensus errors in one stacked step.  With L = c I the gain solve
+        (L_next^-1 + xi I)^-1 eta_next is eta_next / (1/c_next + xi), and
+        the rank-one term below is the row-major unstacking of -coupling *
+        x_bar @ gain, in the same IEEE operations and order as one row's
+        update on its own.
+
+        Raises ObserverDivergence when a prediction's norm exceeds
+        ``STATE_GUARD`` or is nan, naming the first current estimate past
+        it if any (a nan spreads through the graph product to every row),
+        else the first such prediction's row; and ConvergenceError when a
+        next-tick error is not finite.
         """
         eta = self.consensus_errors(x_hat, targets_now)
-        pred = predict_state(np.array([o.A_hat for o in observers]), x_hat,
-                             self.mu, self.gain, eta)
+        pred = predict_state(models, x_hat, self.mu, self.gain, eta)
         first = first_past_guard(pred)
         if first is not None:
-            raise ObserverDivergence(self.rows[first])
+            source = first_past_guard(x_hat)
+            raise ObserverDivergence(self.rows[first if source is None else source])
         eta_next = self.consensus_errors(pred, targets_next)
         # any inf or nan entry makes the sum non-finite
         if not np.isfinite(eta_next.sum()):
             raise ConvergenceError("observer state diverged")
-        return tuple(map(observer_step_tracking_leader, observers, x_hat,
-                         row_sq_norms(x_hat).tolist(), eta_next[:, :, None])), pred
+        stepped = tuple(map(observer_step_tracking_leader, observers,
+                            row_sq_norms(x_hat).tolist()))
+        scale = self.coupling / (1.0 / np.array([o.c for o in stepped]) + self.xi)
+        return (stepped,
+                models - (eta_next * scale[:, None])[:, :, None] * x_hat[:, None, :],
+                pred)

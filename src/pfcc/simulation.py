@@ -437,9 +437,11 @@ class WorldState:
     #: gated from the topology's adjacency.  Rebuilt only when
     #: propagation changes ``known``.
     bank: ob.ObserverBank | None
-    #: One observer record (scale and model estimate) per ``bank.rows``
-    #: entry, in row order; their state estimates are ``world``'s tail.
+    #: One observer record (config and parameter scale) per ``bank.rows``
+    #: entry, and the rows' model estimates stacked (R, n, n), both in row
+    #: order; their state estimates are ``world``'s tail.
     observers: tuple[ob.RlsObserver, ...]
+    models: np.ndarray | None
     learners: dict[int, AgentLearner]
     oracle_gains: dict[int, np.ndarray]
     oracle_layouts: dict[int, tuple]
@@ -523,6 +525,7 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
         factors=cfg.schedule.initial(),
         bank=None,
         observers=(),
+        models=None,
         learners={},
         oracle_gains={},
         oracle_layouts={},
@@ -586,9 +589,9 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
 
 def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
     """Rebuild the observer bank and the world vector from the current
-    knowledge.  A row that already existed keeps its record and estimate, a
-    new row (every row at ``init_world``) starts fresh at a zero estimate;
-    knowledge only grows, so no row is dropped."""
+    knowledge.  A row that already existed keeps its record, model and
+    estimate, a new row (every row at ``init_world``) starts fresh at a zero
+    model and estimate; knowledge only grows, so no row is dropped."""
     topo = cfg.topology
     agents = topo.leader_nodes + topo.follower_nodes
     blocks = [(0, agents, [cfg.leader_tracking_observer if topo.is_leader(a)
@@ -600,8 +603,10 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
     state.bank = ob.ObserverBank.stack(topo.adjacency, blocks)
     kept = [old_row.get(key) for key in state.bank.rows]
     configs = (c for _, _, member_configs in blocks for c in member_configs)
-    state.observers = tuple(ob.RlsObserver.create(config, cfg.state_dim) if r is None
+    state.observers = tuple(ob.RlsObserver.create(config) if r is None
                             else state.observers[r] for r, config in zip(kept, configs))
+    fresh_model = np.zeros((cfg.state_dim, cfg.state_dim))
+    state.models = np.array([fresh_model if r is None else state.models[r] for r in kept])
     # the old world vector is replaced only once every row has been read
     fresh = np.zeros(cfg.state_dim)
     state.world = np.concatenate((state.x.ravel(), state.targets.ravel(),
@@ -796,8 +801,8 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
         # 4. observer updates from the tick-k snapshot
         targets_next = np.matmul(state.target_a, state.targets[:, :, None])[:, :, 0]
         try:
-            stepped, estimates = state.bank.step(state.observers, state.estimates,
-                                                 state.targets, targets_next)
+            stepped, models, estimates = state.bank.step(
+                state.observers, state.models, state.estimates, state.targets, targets_next)
         except ob.ObserverDivergence as exc:
             agent, node = exc.row
             raise SimulationAbort(tick, "observers", ConvergenceError(
@@ -825,6 +830,7 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     state.x = x_next
     state.targets = targets_next
     state.observers = stepped
+    state.models = models
     state.world = np.concatenate((x_next.ravel(), targets_next.ravel(), estimates.ravel()))
     state.tick = tick + 1
 

@@ -199,9 +199,10 @@ def consensus_error(own: np.ndarray,
     return eta
 
 
-def observer_of(state: sim.WorldState, agent: int, target: int):
-    """The observer record that ``agent`` runs of ``target`` (0 = tracking)."""
-    return state.observers[state.bank.row[agent, target]]
+def model_of(state: sim.WorldState, agent: int, target: int) -> np.ndarray:
+    """The model estimate that ``agent``'s observer of ``target`` (0 =
+    tracking) holds, its bank row of the stacked models."""
+    return state.models[state.bank.row[agent, target]]
 
 
 def estimate_of(state: sim.WorldState, agent: int, target: int) -> np.ndarray:

@@ -4,6 +4,9 @@ the unit tests check against; the engine calls none of them.
 - ``regressor`` and ``rls_update_L``: the general matrix form of the
   observers' parameter update, of which the engine's scalar ``c`` is the
   ``L = c I`` case;
+- ``RowObserver`` and ``row_observer_step``: one observer's scale and
+  model update on its own, which the engine's bank makes for all rows in
+  one stacked step;
 - ``AgentGains``, ``GainIdentityReport`` and ``verify_gain_identities``:
   the column blocks of a stacked gain and the regulation identities they
   satisfy;
@@ -14,12 +17,14 @@ the unit tests check against; the engine calls none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from pfcc.errors import PfccError
+from pfcc.errors import ConvergenceError, PfccError
 from pfcc.matops import is_positive_definite
 from pfcc.model_control import AgentDynamics
+from pfcc.observers import ObserverConfig
 from pfcc.topology import DirectedTopology, closure
 
 
@@ -46,6 +51,36 @@ def rls_update_L(L: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
     g = np.linalg.solve(gram, x_bar @ L).T
     keep = np.eye(L.shape[0]) - g @ x_bar
     return keep @ L @ keep.T + g @ g.T
+
+
+class RowObserver(NamedTuple):
+    """One adaptive observer's parameter scale c and model estimate A_hat."""
+
+    config: ObserverConfig
+    c: float
+    A_hat: np.ndarray
+
+    @classmethod
+    def create(cls, config: ObserverConfig, n: int) -> "RowObserver":
+        return cls(config=config, c=float(config.init_scale), A_hat=np.zeros((n, n)))
+
+
+def row_observer_step(obs: RowObserver, x: np.ndarray, x_sq: float,
+                      eta_next: np.ndarray) -> RowObserver:
+    """Scale downdate and model update of one observer across one tick,
+    given its current state estimate ``x`` (n,), its squared norm ``x_sq``
+    and its next-tick consensus error ``eta_next`` as an (n, 1) column.
+
+    With L = c I this is ``rls_update_L`` and the gain solve
+    (L_next^-1 + xi I)^-1 eta_next in closed form, followed by the
+    row-major unstacking of -coupling * x_bar @ gain.
+    """
+    cfg, c, a_hat = obs
+    c_next = c / (1.0 + c * x_sq)
+    if not c_next > 0.0:
+        raise ConvergenceError("observer state diverged")
+    return RowObserver(cfg, c_next,
+                       a_hat - (eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi))) * x)
 
 
 def spectral_radius(m: np.ndarray) -> float:

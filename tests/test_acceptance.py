@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from conftest import SWAP, known_leaders, observer_of, relay_line_topology
+from conftest import SWAP, known_leaders, model_of, relay_line_topology
 from pfcc import cli
 from pfcc import matops as mo
 from pfcc import model_control as mc
@@ -183,12 +183,12 @@ def test_criterion_5_observer_convergence(hexagon_run):
     # relayed model estimates: the two followers reached only through
     # transit leaders identify the first leader's shape dynamics
     for node in (3, 4):
-        a_hat = observer_of(result.state, node, 5).A_hat
+        a_hat = model_of(result.state, node, 5)
         assert np.max(np.abs(a_hat - SWAP)) < 1e-6
     assert elapsed < 60.0
     print(f"\n[PASS] criterion 5: observer errors {first:.1e} / {second:.1e} "
           f"at the window ends; relayed shape models within "
-          f"{max(np.max(np.abs(observer_of(result.state, n, 5).A_hat - SWAP)) for n in (3, 4)):.1e} "
+          f"{max(np.max(np.abs(model_of(result.state, n, 5) - SWAP)) for n in (3, 4)):.1e} "
           f"({elapsed:.0f}s)")
 
 

@@ -14,15 +14,31 @@ BUNDLED_CFG = ob.ObserverConfig(xi=4.0, coupling=8.0, consensus_gain=0.7,
                               gain_matrix=FA, init_scale=0.05)
 
 
-def kernel_step(obs, x, eta_next):
-    """One kernel step from the estimate ``x`` and the (n,) next-tick error,
-    given the squared norm and error column the way a bank step hands them
-    over."""
-    return ob.observer_step_tracking_leader(obs, x, float(x.dot(x)), eta_next[:, None])
+def lone_bank(config=BUNDLED_CFG, pinned=True):
+    """A bank of one observer, agent 1 of node 0, with no neighbours and
+    pinned to its target at weight 1 (its errors are x - target) or not at
+    all (its errors are zero)."""
+    return single_network_bank([[0.0, 0.0], [float(pinned), 0.0]], [1], 0, config)
+
+
+def lone_step(bank, obs, model, x, target, target_next):
+    """One step of a one-row bank from the record ``obs``, its model and
+    its estimate ``x`` against the (n,) target's current and next values;
+    returns the stepped record, model and estimate."""
+    [nxt], models, pred = bank.step([obs], model[None], x[None], target[None],
+                                    target_next[None])
+    return nxt, models[0], pred[0]
+
+
+def ref_step(obs, x, eta_next):
+    """One reference row step from the estimate ``x`` and the (n,) next-tick
+    error, given the squared norm and error column the way the per-row
+    update takes them."""
+    return ref.row_observer_step(obs, x, float(x.dot(x)), eta_next[:, None])
 
 
 def predict(obs, x, eta):
-    """One observer's prediction from its estimate ``x``."""
+    """One reference observer's prediction from its estimate ``x``."""
     cfg = obs.config
     return ob.predict_state(obs.A_hat, x, cfg.consensus_gain, cfg.gain_matrix,
                             np.asarray(eta, dtype=float))
@@ -85,12 +101,13 @@ class TestRlsUpdate:
 
 class TestObserverStep:
     def test_converged_observer_only_downdates_L(self):
+        # no pin and no neighbours: both consensus errors are zero
         target_a = SWAP
         x = np.array([1.0, -2.0])
-        obs = ob.RlsObserver(config=BUNDLED_CFG, c=1.0, A_hat=target_a)
-        x_next = predict(obs, x, np.zeros(2))
-        nxt = kernel_step(obs, x, np.zeros(2))
-        np.testing.assert_allclose(nxt.A_hat, target_a)
+        obs = ob.RlsObserver(config=BUNDLED_CFG, c=1.0)
+        nxt, model, x_next = lone_step(lone_bank(pinned=False), obs, target_a, x,
+                                       np.zeros(2), np.zeros(2))
+        np.testing.assert_allclose(model, target_a)
         np.testing.assert_allclose(x_next, target_a @ x)
         assert nxt.c != obs.c
 
@@ -99,17 +116,16 @@ class TestObserverStep:
         # norm trends down over 500 ticks for any initial estimate in the
         # unit ball
         rng = np.random.default_rng(23)
+        bank = lone_bank()
         for _ in range(5):
-            obs, x = ob.RlsObserver.create(BUNDLED_CFG, 2), rng.normal(size=2) * 0.7
+            obs, x = ob.RlsObserver.create(BUNDLED_CFG), rng.normal(size=2) * 0.7
+            model = np.zeros((2, 2))
             x_o = np.array([2.0, 0.0])
             errs = []
             for _ in range(500):
                 errs.append(np.linalg.norm(x - x_o))
-                eta = consensus_error(x, [], 1.0, x_o)
                 x_o_next = SWAP @ x_o
-                pred = predict(obs, x, eta)
-                eta_next = consensus_error(pred, [], 1.0, x_o_next)
-                obs, x = kernel_step(obs, x, eta_next), pred
+                obs, model, x = lone_step(bank, obs, model, x, x_o, x_o_next)
                 x_o = x_o_next
             final = np.linalg.norm(x - x_o)
             assert final < 1e-3 * max(errs[0], 1.0)
@@ -122,41 +138,33 @@ class TestObserverStep:
         topo = hexagon_config.topology
         rng = np.random.default_rng(3)
         nodes = topo.leader_nodes
-        observers = {q: ob.RlsObserver.create(BUNDLED_CFG, 2) for q in nodes}
-        vals = {q: rng.normal(size=2) for q in nodes}
+        # the leaders' network over their own edges, pinned to node 0
+        bank = ob.ObserverBank.stack(topo.adjacency, [(0, nodes, [BUNDLED_CFG] * len(nodes))])
+        observers = [ob.RlsObserver.create(BUNDLED_CFG)] * len(nodes)
+        models = np.zeros((len(nodes), 2, 2))
+        vals = rng.normal(size=(len(nodes), 2))
         x_o = np.array([2.0, 0.0])
 
-        def etas(values, pin):
-            out = {}
-            for q in nodes:
-                terms = [(topo.adjacency[q, j], values[j]) for j in nodes if j != q]
-                out[q] = consensus_error(values[q], terms, topo.adjacency[q, 0], pin)
-            return out
-
-        total0 = sum(np.linalg.norm(vals[q] - x_o) for q in nodes)
+        total0 = np.linalg.norm(vals - x_o, axis=1).sum()
         for _ in range(2000):
-            e_now = etas(vals, x_o)
             x_o_next = SWAP @ x_o
-            preds = {q: predict(observers[q], vals[q], e_now[q]) for q in nodes}
-            e_next = etas(preds, x_o_next)
-            observers = {q: kernel_step(observers[q], vals[q], e_next[q]) for q in nodes}
-            vals = preds
+            observers, models, vals = bank.step(observers, models, vals, x_o[None],
+                                                x_o_next[None])
             x_o = x_o_next
-        total = sum(np.linalg.norm(vals[q] - x_o) for q in nodes)
+        total = np.linalg.norm(vals - x_o, axis=1).sum()
         assert total < 1e-3 < total0
 
 
-def matrix_step(obs, x, L, eta, eta_next):
-    """The general update from the estimate ``x``: rank-one downdate of the
-    parameter matrix L, gain solve against L_next^-1 + xi I, row-major
-    unstacked model update."""
-    cfg = obs.config
+def matrix_step(cfg, a_hat, x, L, eta, eta_next):
+    """The general update of the model ``a_hat`` from the estimate ``x``:
+    rank-one downdate of the parameter matrix L, gain solve against
+    L_next^-1 + xi I, row-major unstacked model update."""
     n = x.size
     x_bar = ref.regressor(x)
     l_next = ref.rls_update_L(L, x_bar)
     gain = np.linalg.solve(np.linalg.inv(l_next) + cfg.xi * np.eye(n), eta_next)
-    a_next = obs.A_hat - cfg.coupling * (x_bar @ gain).reshape(n, n)
-    x_next = obs.A_hat @ x - cfg.consensus_gain * cfg.gain_matrix @ eta
+    a_next = a_hat - cfg.coupling * (x_bar @ gain).reshape(n, n)
+    x_next = a_hat @ x - cfg.consensus_gain * cfg.gain_matrix @ eta
     return l_next, a_next, x_next
 
 
@@ -175,33 +183,38 @@ def assert_rel_close(actual, expected, rtol=1e-12):
 
 class TestScalarParameter:
     def test_step_matches_matrix_update(self):
-        # from the same state, the scalar step equals the matrix path with
-        # L = c I for every output, for excitations c |x|^2 up to ~1e6
+        # from the same state, a bank step of one pinned row equals the
+        # matrix path with L = c I, fed the consensus errors the bank made,
+        # for every output, for excitations c |x|^2 up to ~1e6
         rng = np.random.default_rng(41)
         for _ in range(200):
             n = int(rng.integers(1, 5))
-            obs = ob.RlsObserver(config=random_config(rng, n),
-                                 c=float(10.0 ** rng.uniform(-3, 1)),
-                                 A_hat=rng.normal(size=(n, n)))
+            cfg = random_config(rng, n)
+            obs = ob.RlsObserver(config=cfg, c=float(10.0 ** rng.uniform(-3, 1)))
+            a_hat = rng.normal(size=(n, n))
             x = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
-            eta, eta_next = rng.normal(size=n), rng.normal(size=n)
-            nxt = kernel_step(obs, x, eta_next)
-            l_next, a_next, x_next = matrix_step(obs, x, obs.c * np.eye(n), eta, eta_next)
+            target, target_next = rng.normal(size=n), rng.normal(size=n)
+            bank = lone_bank(cfg)
+            nxt, model, pred = lone_step(bank, obs, a_hat, x, target, target_next)
+            eta = bank.consensus_errors(x[None], target[None])[0]
+            eta_next = bank.consensus_errors(pred[None], target_next[None])[0]
+            l_next, a_next, x_next = matrix_step(cfg, a_hat, x, obs.c * np.eye(n),
+                                                 eta, eta_next)
             assert_rel_close(nxt.c * np.eye(n), l_next)
-            assert_rel_close(nxt.A_hat, a_next)
-            assert_rel_close(predict(obs, x, eta), x_next)
+            assert_rel_close(model, a_next)
+            assert_rel_close(pred, x_next)
 
     def test_scale_follows_matrix_downdates_over_sequences(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             n = int(rng.integers(1, 5))
             cfg = random_config(rng, n)
-            obs = ob.RlsObserver.create(cfg, n)
+            obs = ob.RlsObserver.create(cfg)
             L = cfg.init_scale * np.eye(n)
             for _ in range(40):
                 x = rng.normal(size=n)
-                L, _, _ = matrix_step(obs, x, L, np.zeros(n), np.zeros(n))
-                obs = kernel_step(obs, x, np.zeros(n))
+                L, _, _ = matrix_step(cfg, np.zeros((n, n)), x, L, np.zeros(n), np.zeros(n))
+                obs = ob.observer_step_tracking_leader(obs, float(x.dot(x)))
                 assert_rel_close(obs.c * np.eye(n), L)
 
     def test_given_prediction_is_used(self):
@@ -210,19 +223,21 @@ class TestScalarParameter:
         rng = np.random.default_rng(29)
         bank = single_network_bank([[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 2.0, 0.0]],
                                    [1, 2], 0)
-        observers = [ob.RlsObserver(BUNDLED_CFG, 0.05, rng.normal(size=(2, 2)))
-                     for _ in range(2)]
+        observers = [ob.RlsObserver(BUNDLED_CFG, 0.05)] * 2
+        models = rng.normal(size=(2, 2, 2))
         x_hat, targets_now = rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
-        pred = ob.predict_state(np.array([o.A_hat for o in observers]), x_hat, bank.mu,
-                                bank.gain, bank.consensus_errors(x_hat, targets_now))
-        _, estimates = bank.step(observers, x_hat, targets_now, targets_now @ SWAP.T)
+        pred = ob.predict_state(models, x_hat, bank.mu, bank.gain,
+                                bank.consensus_errors(x_hat, targets_now))
+        _, _, estimates = bank.step(observers, models, x_hat, targets_now,
+                                    targets_now @ SWAP.T)
         assert estimates.tobytes() == pred.tobytes()
 
     def test_blown_up_estimate_is_a_convergence_error(self):
         # |x|^2 overflows, so the downdated scale is zero
-        obs = ob.RlsObserver.create(BUNDLED_CFG, 2)
+        obs = ob.RlsObserver.create(BUNDLED_CFG)
+        x = np.array([1e200, 0.0])
         with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="diverged"):
-            kernel_step(obs, np.array([1e200, 0.0]), np.zeros(2))
+            ob.observer_step_tracking_leader(obs, float(x.dot(x)))
 
 
 def reference_etas(cfg, state, target, values, pin_value):
@@ -243,10 +258,10 @@ def reference_etas(cfg, state, target, values, pin_value):
     return out
 
 
-def single_network_bank(adjacency, members, target):
-    """A bank of one network whose observers all use BUNDLED_CFG."""
+def single_network_bank(adjacency, members, target, config=BUNDLED_CFG):
+    """A bank of one network whose observers all use ``config``."""
     return ob.ObserverBank.stack(np.asarray(adjacency, dtype=float),
-                                 [(target, members, [BUNDLED_CFG] * len(members))])
+                                 [(target, members, [config] * len(members))])
 
 
 def bank_targets(cfg, state):
@@ -257,14 +272,15 @@ def bank_targets(cfg, state):
     return now, nxt
 
 
-def step_networks_separately(bank, observers, x_hat, targets_now, targets_next):
+def step_networks_separately(bank, observers, models, x_hat, targets_now, targets_next):
     """Reference for a bank step: each network on its own graph block, with
-    per-observer predictions and kernel steps.  Returns the stepped records
-    and the next estimates, each in row order."""
+    per-observer predictions and reference row steps.  Returns the stepped
+    reference records (scale and model) and the next estimates, each in
+    row order."""
     out, estimates = [], []
     for slot in range(len(targets_now)):
         rows = np.flatnonzero(bank.target == slot)
-        obs = [observers[r] for r in rows]
+        obs = [ref.RowObserver(observers[r].config, observers[r].c, models[r]) for r in rows]
         if not obs:
             continue
         graph, pin = bank.graph[np.ix_(rows, rows)], bank.pin[rows]
@@ -272,8 +288,7 @@ def step_networks_separately(bank, observers, x_hat, targets_now, targets_next):
         etas = graph @ x - pin[:, None] * targets_now[slot]
         preds = np.array([predict(o, x_o, e) for o, x_o, e in zip(obs, x, etas)])
         etas_next = graph @ preds - pin[:, None] * targets_next[slot]
-        out += [kernel_step(o, x_o, e_next)
-                for o, x_o, e_next in zip(obs, x, etas_next)]
+        out += [ref_step(o, x_o, e_next) for o, x_o, e_next in zip(obs, x, etas_next)]
         estimates += list(preds)
     return out, estimates
 
@@ -341,13 +356,14 @@ class TestObserverNetwork:
 
     def test_rows_keep_their_observers_across_rebuilds(self, monkeypatch, hexagon_config):
         # every propagation change rebuilds the bank: a row that existed keeps
-        # its observer object and, bit for bit, its estimate in the world
-        # tail; a new row starts fresh at a zero estimate, none is dropped,
-        # and ``row`` inverts ``rows``.  The hexagon's knowledge changes only
-        # at tick 0, before any observer step; drawn topology 4's changes
-        # again at ticks 1 and 2, so its rebuilds carry moved estimates
+        # its observer object and, bit for bit, its model and its estimate in
+        # the world tail; a new row starts fresh at a zero model and
+        # estimate, none is dropped, and ``row`` inverts ``rows``.  The
+        # hexagon's knowledge changes only at tick 0, before any observer
+        # step; drawn topology 4's changes again at ticks 1 and 2, so its
+        # rebuilds carry moved models and estimates
         sync = sim._sync_observer_networks
-        rebuilds, moved = [], []
+        rebuilds, moved, moved_models = [], [], []
 
         def config_of(cfg, agent, target):
             if target:
@@ -356,26 +372,31 @@ class TestObserverNetwork:
                     else cfg.follower_tracking_observer)
 
         def checked(state, cfg):
-            before = {key: (obs, estimate_of(state, *key).copy())
-                      for key, obs in zip(state.bank.rows, state.observers)
+            before = {key: (obs, estimate_of(state, *key).copy(), model.copy())
+                      for key, obs, model in zip(state.bank.rows, state.observers,
+                                                 state.models)
                       } if state.bank else {}
             sync(state, cfg)
             bank = state.bank
+            n = cfg.state_dim
             assert len(state.observers) == len(bank.rows)
+            assert state.models.shape == (len(bank.rows), n, n)
             assert state.world.size == (state.x.size + state.targets.size
                                         + len(bank.rows) * cfg.state_dim)
             assert all(bank.row[key] == r for r, key in enumerate(bank.rows))
             assert set(before) <= set(bank.rows)
-            for key, obs in zip(bank.rows, state.observers):
+            for key, obs, model in zip(bank.rows, state.observers, state.models):
                 config = config_of(cfg, *key)
                 assert obs.config is config
                 if key in before:
                     assert obs is before[key][0]
                     assert estimate_of(state, *key).tobytes() == before[key][1].tobytes()
+                    assert model.tobytes() == before[key][2].tobytes()
                     moved.append(before[key][1].any())
+                    moved_models.append(before[key][2].any())
                 else:
                     assert obs.c == config.init_scale
-                    assert not estimate_of(state, *key).any() and not obs.A_hat.any()
+                    assert not estimate_of(state, *key).any() and not model.any()
             rebuilds.append(len(bank.rows) - len(before))
         monkeypatch.setattr(sim, "_sync_observer_networks", checked)
         for cfg, ticks in ((hexagon_config, 60),
@@ -387,14 +408,15 @@ class TestObserverNetwork:
                 sim.step_world(state, cfg)
             assert len(rebuilds) == 1 + state.propagation_changes > 1
             assert all(added > 0 for added in rebuilds)
-        assert any(moved)
+        assert any(moved) and any(moved_models)
 
     def test_non_finite_prediction_is_a_convergence_error(self):
         bank = single_network_bank([[0.0, 1.0], [0.0, 0.0]], [1], 0)
-        obs = ob.RlsObserver.create(BUNDLED_CFG, 2)
+        obs = ob.RlsObserver.create(BUNDLED_CFG)
         with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError,
                                                           match="diverged"):
-            bank.step([obs], np.array([[np.inf, 0.0]]), np.zeros((1, 2)), np.zeros((1, 2)))
+            bank.step([obs], np.zeros((1, 2, 2)), np.array([[np.inf, 0.0]]),
+                      np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_first_past_guard_is_the_first_row_beyond_it_or_nan(self):
         assert ob.first_past_guard(np.array([[ob.STATE_GUARD, 0.0], [3.0, 4.0]])) is None
@@ -406,16 +428,18 @@ class TestObserverNetwork:
         # guard
         (2e9, (2, 0)),
         # a nan fails the guard too; the graph product spreads it to every
-        # row (0 * nan is nan), so the first row is named
-        (np.nan, (1, 0))])
+        # row (0 * nan is nan), so the row whose current estimate is nan is
+        # named, not the first row
+        (np.nan, (2, 0))])
     def test_estimate_past_the_guard_names_its_row(self, bad, row):
         bank = single_network_bank([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
                                    [1, 2], 0)
-        observers = [ob.RlsObserver(BUNDLED_CFG, 0.05, np.eye(2)) for _ in range(2)]
+        observers = [ob.RlsObserver(BUNDLED_CFG, 0.05)] * 2
         x_hat = np.array([[1.0, 0.0], [bad, 0.0]])
         with np.errstate(invalid="ignore"), pytest.raises(ob.ObserverDivergence,
                                                           match="diverged") as info:
-            bank.step(observers, x_hat, np.zeros((1, 2)), np.zeros((1, 2)))
+            bank.step(observers, np.array([np.eye(2)] * 2), x_hat, np.zeros((1, 2)),
+                      np.zeros((1, 2)))
         assert info.value.row == row
 
     def test_step_matches_per_observer_updates(self):
@@ -430,20 +454,64 @@ class TestObserverNetwork:
             state = sim.init_world(cfg)
             for tick in range(max(ticks) + 1):
                 if tick in ticks:
-                    observers = state.observers
+                    observers, models = state.observers, state.models
                     x_hat = np.array([estimate_of(state, *key) for key in state.bank.rows])
                     targets_now, targets_next = bank_targets(cfg, state)
-                    got, estimates = state.bank.step(observers, x_hat,
-                                                     targets_now, targets_next)
-                    ref, ref_estimates = step_networks_separately(
-                        state.bank, observers, x_hat, targets_now, targets_next)
-                    assert len(got) == len(ref) == len(state.bank.rows)
+                    got, got_models, estimates = state.bank.step(
+                        observers, models, x_hat, targets_now, targets_next)
+                    expected, ref_estimates = step_networks_separately(
+                        state.bank, observers, models, x_hat, targets_now, targets_next)
+                    assert len(got) == len(expected) == len(state.bank.rows)
                     # the stacked next estimates are each row's own prediction
                     np.testing.assert_array_equal(estimates, ref_estimates)
-                    for new, expected in zip(got, ref):
-                        np.testing.assert_array_equal(new.A_hat, expected.A_hat)
-                        assert new.c == expected.c
+                    for new, model, row in zip(got, got_models, expected):
+                        np.testing.assert_array_equal(model, row.A_hat)
+                        assert new.c == row.c
                 sim.step_world(state, cfg)
+
+
+    @pytest.mark.parametrize("draw, ticks", [(None, 4002), (4, 10)])
+    def test_run_matches_the_per_row_reference(self, monkeypatch, hexagon_config,
+                                               draw, ticks):
+        # every bank step of an oracle run equals, bit for bit, each row
+        # updated on its own by the per-row reference, which carries its own
+        # scale, model and estimate from a fresh start: through the hexagon's
+        # rebuild at tick 0 and its propensity switch at tick 4000, and
+        # through drawn topology 4's rebuilds at ticks 1 and 2, which carry
+        # rows whose models have moved
+        cfg = (hexagon_config if draw is None
+               else drawn_topology_config(hexagon_config, draw, 4000))
+        cfg.mode = sim.MODE_ORACLE  # faster, and observers ignore the mode
+        step, n = ob.ObserverBank.step, cfg.state_dim
+        carried, rows_seen = {}, []
+
+        def checked(bank, observers, models, x_hat, targets_now, targets_next):
+            got = step(bank, observers, models, x_hat, targets_now, targets_next)
+            fresh = (None, np.zeros(n))
+            refs, x_ref = zip(*(carried.get(key, fresh) for key in bank.rows))
+            refs = [ref.RowObserver.create(o.config, n) if r is None else r
+                    for r, o in zip(refs, observers)]
+            assert x_hat.tobytes() == np.array(x_ref).tobytes()
+            eta = bank.consensus_errors(x_hat, targets_now)
+            preds = np.array([predict(r, x, e) for r, x, e in zip(refs, x_hat, eta)])
+            eta_next = bank.consensus_errors(preds, targets_next)
+            stepped = [ref_step(r, x, e) for r, x, e in zip(refs, x_hat, eta_next)]
+            carried.update(zip(bank.rows, zip(stepped, preds)))
+            records, models_next, pred = got
+            assert [o.c for o in records] == [r.c for r in stepped]
+            assert models_next.tobytes() == np.array([r.A_hat for r in stepped]).tobytes()
+            assert pred.tobytes() == preds.tobytes()
+            rows_seen.append(len(bank.rows))
+            return got
+
+        monkeypatch.setattr(ob.ObserverBank, "step", checked)
+        state = sim.init_world(cfg)
+        for _ in range(ticks):
+            sim.step_world(state, cfg)
+        assert len(rows_seen) == ticks
+        assert state.propagation_changes > 0 and rows_seen[-1] == len(state.bank.rows)
+        if draw is None:
+            assert 4000 in [t for t, _ in cfg.schedule.entries]
 
 
 class TestFormationObserverGating:
@@ -456,28 +524,28 @@ class TestFormationObserverGating:
         bank = single_network_bank(adjacency, [1], 3)
         np.testing.assert_array_equal(bank.graph, [[0.0]])
         np.testing.assert_array_equal(bank.pin, [0.0])
-        obs, x = ob.RlsObserver.create(BUNDLED_CFG, 2), np.zeros((1, 2))
+        obs, models, x = ob.RlsObserver.create(BUNDLED_CFG), np.zeros((1, 2, 2)), np.zeros((1, 2))
         h = np.array([2.0, 0.0])
         for _ in range(50):
             h_next = SWAP @ h
-            [obs], x = bank.step([obs], x, h[None], h_next[None])
+            [obs], models, x = bank.step([obs], models, x, h[None], h_next[None])
             h = h_next
         np.testing.assert_allclose(x[0], np.zeros(2))
-        np.testing.assert_allclose(obs.A_hat, np.zeros((2, 2)))
+        np.testing.assert_allclose(models[0], np.zeros((2, 2)))
 
     def test_pinned_formation_observer_tracks(self):
         adjacency = np.zeros((3, 3))
         adjacency[1, 2] = 1.0  # the leader (node 2) pins agent 1
         bank = single_network_bank(adjacency, [1], 2)
-        obs, x = ob.RlsObserver.create(BUNDLED_CFG, 2), np.zeros((1, 2))
+        obs, models, x = ob.RlsObserver.create(BUNDLED_CFG), np.zeros((1, 2, 2)), np.zeros((1, 2))
         h = np.array([2.0, 0.0])
         for _ in range(500):
             h_next = SWAP @ h
-            [obs], x = bank.step([obs], x, h[None], h_next[None])
+            [obs], models, x = bank.step([obs], models, x, h[None], h_next[None])
             h = h_next
         assert np.linalg.norm(x[0] - h) < 1e-5
         # the model estimate identifies the formation dynamics as well
-        assert np.max(np.abs(obs.A_hat - SWAP)) < 1e-4
+        assert np.max(np.abs(models[0] - SWAP)) < 1e-4
 
 
 class TestStackedSquaredNorms:
