@@ -25,10 +25,11 @@ from .matops import row_sq_norms
 STATE_GUARD = 1e9
 
 
-def first_past_guard(d: np.ndarray) -> int | None:
-    """Index of the first row of a 2-D ``d`` whose norm exceeds
-    ``STATE_GUARD`` or is nan, or None when no row does."""
-    norms = np.sqrt(row_sq_norms(d))
+def first_past_guard(sq_norms: np.ndarray) -> int | None:
+    """Index of the first row whose norm, the square root of its entry of
+    ``sq_norms`` (the rows' ``row_sq_norms``), exceeds ``STATE_GUARD`` or is
+    nan, or None when no row does."""
+    norms = np.sqrt(sq_norms)
     if norms.max() <= STATE_GUARD:  # a nan norm fails it
         return None
     return int(np.argmin(norms <= STATE_GUARD))
@@ -192,14 +193,24 @@ class ObserverBank:
         return self.graph @ values - self.pin[:, None] * targets.take(self.target, axis=0)
 
     def step(self, observers: Sequence[RlsObserver], models: np.ndarray,
-             x_hat: np.ndarray, targets_now: np.ndarray, targets_next: np.ndarray
-             ) -> tuple[tuple[RlsObserver, ...], np.ndarray, np.ndarray]:
+             x_hat: np.ndarray, targets_now: np.ndarray, targets_next: np.ndarray,
+             carried: tuple[np.ndarray, np.ndarray] | None = None
+             ) -> tuple[tuple[RlsObserver, ...], np.ndarray, np.ndarray,
+                        tuple[np.ndarray, np.ndarray]]:
         """Advance the observers (one record per row, in row order, with
         their models stacked in ``models`` (R, n, n) and their state
         estimates in ``x_hat`` (R, n)) by one tick against the stacked
         targets' current and next values.  Returns the stepped records, the
-        next models and the next estimates: all rows' predictions, made in
-        one stacked ``predict_state`` with the pre-update models.
+        next models, the next estimates (all rows' predictions, made in one
+        stacked ``predict_state`` with the pre-update models) and the pair
+        to carry into the next step.
+
+        ``carried`` is the pair ``(consensus_errors(x_hat, targets_now),
+        row_sq_norms(x_hat))``, or None to compute it here.  The pair this
+        step returns is the same products of the next estimates against
+        ``targets_next``: the next step of the same bank, from the
+        committed estimates and targets, reads it as its ``carried`` and
+        gets every value bit for bit; a rebuilt bank starts again from None.
 
         Each row's kernel step downdates its scale with the current
         regressor; the models are then corrected against the next-tick
@@ -215,19 +226,21 @@ class ObserverBank:
         else the first such prediction's row; and ConvergenceError when a
         next-tick error is not finite.
         """
-        eta = self.consensus_errors(x_hat, targets_now)
+        if carried is None:
+            carried = self.consensus_errors(x_hat, targets_now), row_sq_norms(x_hat)
+        eta, x_sq = carried
         pred = predict_state(models, x_hat, self.mu, self.gain, eta)
-        first = first_past_guard(pred)
+        pred_sq = row_sq_norms(pred)
+        first = first_past_guard(pred_sq)
         if first is not None:
-            source = first_past_guard(x_hat)
+            source = first_past_guard(x_sq)
             raise ObserverDivergence(self.rows[first if source is None else source])
         eta_next = self.consensus_errors(pred, targets_next)
         # any inf or nan entry makes the sum non-finite
         if not np.isfinite(eta_next.sum()):
             raise ConvergenceError("observer state diverged")
-        stepped = tuple(map(observer_step_tracking_leader, observers,
-                            row_sq_norms(x_hat).tolist()))
+        stepped = tuple(map(observer_step_tracking_leader, observers, x_sq.tolist()))
         scale = self.coupling / (1.0 / np.array([o.c for o in stepped]) + self.xi)
         return (stepped,
                 models - (eta_next * scale[:, None])[:, :, None] * x_hat[:, None, :],
-                pred)
+                pred, (eta_next, pred_sq))

@@ -404,30 +404,37 @@ class ControlPlan:
 
 class GainGroup(NamedTuple):
     """Agents whose gains share one shape (m, dim), applied as one stacked
-    ``matmul``: ``rows`` are their rows of ``WorldState.x``,
-    ``gains`` (G, m, dim) their gains and ``gather`` (G, dim) their
-    augmented states' indices into ``WorldState.world``.  Unpadded and
-    grouped by shape, the stacked product equals each ``K @ z`` bit for
-    bit (zero-padding to one shape does not)."""
+    ``matmul``: ``gains`` (G, m, dim) are their gains, ``gather`` (G, dim, 1)
+    their augmented states' indices into ``WorldState.world`` and ``flat``
+    (G, m) their inputs' indices into the flattened input array (row
+    ``node - 1``, zero-padded to the widest input), so a group's inputs
+    are one ``take`` and one ``put``.  Unpadded and grouped by shape, the
+    stacked product equals each ``K @ z`` bit for bit (zero-padding to one
+    shape does not)."""
 
-    rows: np.ndarray
     gains: np.ndarray
     gather: np.ndarray
+    flat: np.ndarray
 
 
 @dataclass
 class WorldState:
     tick: int
-    #: Plant states, one row per agent: row ``node - 1``.
-    x: np.ndarray
-    #: The tracking state, then each leader's formation state in leader
-    #: order; row b is the target of observer network b.
-    targets: np.ndarray
-    #: The plants' A (N+M, n, n) and input-padded B (N+M, n, m_max), and the
-    #: targets' dynamics [tracking A, S_1..S_M], stacked in row order.
-    plant_a: np.ndarray
+    #: ``[x.ravel() | targets.ravel() | estimates]``: the plant states
+    #: (``x``), the targets (``targets``) and the observers' state estimates
+    #: in row order (``estimates``), each stored only here and read as a
+    #: view.  A tick commits a new one and so does a bank rebuild; nothing
+    #: writes into one, so the trace's pending samples and the learners'
+    #: tick-k reads keep it by reference (writing it in place would need a
+    #: copy for them).
+    world: np.ndarray
+    #: The free response of the world's head ``[x | targets]``: the plants'
+    #: A, then the targets' dynamics [tracking A, S_1..S_M], stacked
+    #: (N+M+1+M, n, n) in row order, so one ``matmul`` over the head gives
+    #: every plant's ``A x`` and the next targets; and the plants'
+    #: input-padded B (N+M, n, m_max).
+    free_a: np.ndarray
     plant_b: np.ndarray
-    target_a: np.ndarray
     #: Which leaders each node knows, ``known[i, q]`` (see ``propagation``),
     #: and the propensity factors of the schedule entry in force.
     known: np.ndarray
@@ -442,18 +449,15 @@ class WorldState:
     #: order; their state estimates are ``world``'s tail.
     observers: tuple[ob.RlsObserver, ...]
     models: np.ndarray | None
+    #: The bank's consensus errors (R, n) and squared norms (R,) of the
+    #: current estimates, carried from the previous tick's bank step (see
+    #: ``ObserverBank.step``); None after a bank rebuild.
+    carried: tuple[np.ndarray, np.ndarray] | None
     learners: dict[int, AgentLearner]
     oracle_gains: dict[int, np.ndarray]
     oracle_layouts: dict[int, tuple]
     baseline_alpha: dict[int, dict[int, float]] | None
     trace: TraceLog
-    #: ``[x.ravel() | targets.ravel() | estimates]``, the estimates being
-    #: the observers' state estimates in row order, stored nowhere else.  A
-    #: tick commits a new one and so does a bank rebuild; nothing writes
-    #: into one, so the trace's pending samples and the learners' tick-k
-    #: reads keep it by reference (writing it in place would need a copy
-    #: for them).
-    world: np.ndarray | None = None
     #: One control plan per agent, keyed by node, and the follower-by-leader
     #: weights of the followers' plans; rebuilt whenever ``known`` or
     #: ``factors`` is.
@@ -472,9 +476,25 @@ class WorldState:
     propagation_settled: bool = False
 
     @property
+    def x(self) -> np.ndarray:
+        """Plant states (N+M, n), one row per agent (row ``node - 1``), a
+        view of ``world``."""
+        n = self.free_a.shape[1]
+        return self.world[: len(self.plant_b) * n].reshape(-1, n)
+
+    @property
+    def targets(self) -> np.ndarray:
+        """The tracking state, then each leader's formation state in leader
+        order (1+M, n), a view of ``world``; row b is the target of observer
+        network b."""
+        n = self.free_a.shape[1]
+        return self.world[len(self.plant_b) * n : len(self.free_a) * n].reshape(-1, n)
+
+    @property
     def estimates(self) -> np.ndarray:
         """The observers' state estimates (R, n), a view of ``world``."""
-        return self.world[self.x.size + self.targets.size :].reshape(-1, self.x.shape[1])
+        n = self.free_a.shape[1]
+        return self.world[len(self.free_a) * n :].reshape(-1, n)
 
 
 @dataclass
@@ -516,16 +536,17 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
 
     state = WorldState(
         tick=0,
-        x=np.array([np.ravel(x) for x in cfg.x0], dtype=float),
-        targets=np.array([cfg.tracking_x0] + [form.h0 for form in cfg.formation], dtype=float),
-        plant_a=np.array([dyn.A for dyn in cfg.dynamics], dtype=float),
+        world=np.array([np.ravel(x) for x in cfg.x0] + [cfg.tracking_x0]
+                       + [form.h0 for form in cfg.formation], dtype=float).ravel(),
+        free_a=np.array([dyn.A for dyn in cfg.dynamics] + [cfg.tracking_a]
+                        + [form.S for form in cfg.formation], dtype=float),
         plant_b=plant_b,
-        target_a=np.array([cfg.tracking_a] + [form.S for form in cfg.formation], dtype=float),
         known=pr.initial_influence(topo),
         factors=cfg.schedule.initial(),
         bank=None,
         observers=(),
         models=None,
+        carried=None,
         learners={},
         oracle_gains={},
         oracle_layouts={},
@@ -591,7 +612,8 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
     """Rebuild the observer bank and the world vector from the current
     knowledge.  A row that already existed keeps its record, model and
     estimate, a new row (every row at ``init_world``) starts fresh at a zero
-    model and estimate; knowledge only grows, so no row is dropped."""
+    model and estimate; knowledge only grows, so no row is dropped.  The
+    carried consensus products belong to the old bank and are dropped."""
     topo = cfg.topology
     agents = topo.leader_nodes + topo.follower_nodes
     blocks = [(0, agents, [cfg.leader_tracking_observer if topo.is_leader(a)
@@ -608,9 +630,10 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
     fresh_model = np.zeros((cfg.state_dim, cfg.state_dim))
     state.models = np.array([fresh_model if r is None else state.models[r] for r in kept])
     # the old world vector is replaced only once every row has been read
-    fresh = np.zeros(cfg.state_dim)
-    state.world = np.concatenate((state.x.ravel(), state.targets.ravel(),
-                                  *(fresh if r is None else state.estimates[r] for r in kept)))
+    fresh, estimates = np.zeros(cfg.state_dim), state.estimates
+    state.world = np.concatenate((state.world[: len(state.free_a) * cfg.state_dim],
+                                  *(fresh if r is None else estimates[r] for r in kept)))
+    state.carried = None
 
 
 def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int) -> None:
@@ -654,7 +677,7 @@ def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
     its behaviour gain, and until then it probes (``state.probing``).  An
     agent with no gain, or without the observer rows of its plan, applies
     its warm-up gain to its own plant state."""
-    n = cfg.state_dim
+    n, width = cfg.state_dim, state.plant_b.shape[2]
     groups: dict[tuple[int, int], list] = {}
     probing = []
     for node in range(1, cfg.topology.n_nodes):
@@ -682,7 +705,8 @@ def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
             gain = np.atleast_2d(cfg.warmup_gains.get(
                 node, np.zeros((cfg.dynamics_of(node).m, n))))
             gather = np.arange(r * n, (r + 1) * n)
-        groups.setdefault(gain.shape, []).append((r, gain, gather))
+        groups.setdefault(gain.shape, []).append(
+            (gain, gather[:, None], r * width + np.arange(gain.shape[0])))
     state.gain_groups = tuple(
         GainGroup(*(np.array(part) for part in zip(*members)))
         for members in groups.values())
@@ -758,9 +782,10 @@ def _control_inputs(state: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     product per ``GainGroup``, plus each probing learner's noise row."""
     if state.gain_groups is None:
         _group_gains(state, cfg)
-    u = np.zeros((len(state.x), state.plant_b.shape[2]))
-    for rows, gains, gather in state.gain_groups:
-        u[rows, : gains.shape[1]] = np.matmul(gains, state.world[gather][:, :, None])[:, :, 0]
+    world = state.world
+    u = np.zeros((len(state.plant_b), state.plant_b.shape[2]))
+    for gains, gather, flat in state.gain_groups:
+        u.put(flat, np.matmul(gains, world.take(gather)))
     for r, lr in state.probing:
         u[r, : lr.buffer.input_dim] += _probing_noise(lr, state.tick)
     return u
@@ -797,12 +822,18 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     # 4-6. a diverging estimate, input or plant state overflows before it is
     # caught (the estimate guard, which names the row, the plant guard),
     # and that is reported as an abort rather than a warning
+    world, agents = state.world, len(state.plant_b)
     with np.errstate(over="ignore", invalid="ignore"):
-        # 4. observer updates from the tick-k snapshot
-        targets_next = np.matmul(state.target_a, state.targets[:, :, None])[:, :, 0]
+        # 4. the free response of [x | targets], one product: the plants'
+        # A x and the next targets; then the observer updates from the
+        # tick-k snapshot
+        n = cfg.state_dim
+        free = np.matmul(state.free_a, world[: len(state.free_a) * n].reshape(-1, n, 1))
+        targets_next = free[agents:, :, 0]
         try:
-            stepped, models, estimates = state.bank.step(
-                state.observers, state.models, state.estimates, state.targets, targets_next)
+            stepped, models, estimates, carried = state.bank.step(
+                state.observers, state.models, state.estimates, state.targets,
+                targets_next, state.carried)
         except ob.ObserverDivergence as exc:
             agent, node = exc.row
             raise SimulationAbort(tick, "observers", ConvergenceError(
@@ -816,9 +847,8 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
 
         # 6. plant advance, all rows at once (the padded inputs add exact
         # zeros); one guard over all plants (a nan norm fails it too)
-        x_next = (np.matmul(state.plant_a, state.x[:, :, None])
-                  + np.matmul(state.plant_b, u[:, :, None]))[:, :, 0]
-        first = ob.first_past_guard(x_next)
+        x_next = (free[:agents] + np.matmul(state.plant_b, u[:, :, None]))[:, :, 0]
+        first = ob.first_past_guard(row_sq_norms(x_next))
         if first is not None:
             name = "followers" if first < topo.n_followers else "leaders"
             raise SimulationAbort(tick, name, ConvergenceError("plant state diverged"))
@@ -826,11 +856,9 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     # 7. commit next states (a new world vector: ``world`` and the trace's
     # samples keep tick k), then let the probing learners see the completed
     # transition
-    world = state.world
-    state.x = x_next
-    state.targets = targets_next
     state.observers = stepped
     state.models = models
+    state.carried = carried
     state.world = np.concatenate((x_next.ravel(), targets_next.ravel(), estimates.ravel()))
     state.tick = tick + 1
 

@@ -25,7 +25,7 @@ def lone_step(bank, obs, model, x, target, target_next):
     """One step of a one-row bank from the record ``obs``, its model and
     its estimate ``x`` against the (n,) target's current and next values;
     returns the stepped record, model and estimate."""
-    [nxt], models, pred = bank.step([obs], model[None], x[None], target[None],
+    [nxt], models, pred, _ = bank.step([obs], model[None], x[None], target[None],
                                     target_next[None])
     return nxt, models[0], pred[0]
 
@@ -148,8 +148,8 @@ class TestObserverStep:
         total0 = np.linalg.norm(vals - x_o, axis=1).sum()
         for _ in range(2000):
             x_o_next = SWAP @ x_o
-            observers, models, vals = bank.step(observers, models, vals, x_o[None],
-                                                x_o_next[None])
+            observers, models, vals, _ = bank.step(observers, models, vals, x_o[None],
+                                                   x_o_next[None])
             x_o = x_o_next
         total = np.linalg.norm(vals - x_o, axis=1).sum()
         assert total < 1e-3 < total0
@@ -228,9 +228,14 @@ class TestScalarParameter:
         x_hat, targets_now = rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
         pred = ob.predict_state(models, x_hat, bank.mu, bank.gain,
                                 bank.consensus_errors(x_hat, targets_now))
-        _, _, estimates = bank.step(observers, models, x_hat, targets_now,
-                                    targets_now @ SWAP.T)
+        targets_next = targets_now @ SWAP.T
+        _, _, estimates, (eta_next, pred_sq) = bank.step(observers, models, x_hat,
+                                                         targets_now, targets_next)
         assert estimates.tobytes() == pred.tobytes()
+        # the carried pair is the next estimates' consensus errors and
+        # squared norms
+        assert eta_next.tobytes() == bank.consensus_errors(pred, targets_next).tobytes()
+        assert pred_sq.tobytes() == row_sq_norms(pred).tobytes()
 
     def test_blown_up_estimate_is_a_convergence_error(self):
         # |x|^2 overflows, so the downdated scale is zero
@@ -419,9 +424,11 @@ class TestObserverNetwork:
                       np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_first_past_guard_is_the_first_row_beyond_it_or_nan(self):
-        assert ob.first_past_guard(np.array([[ob.STATE_GUARD, 0.0], [3.0, 4.0]])) is None
-        assert ob.first_past_guard(np.array([[1.0, 0.0], [2e9, 0.0], [np.inf, 0.0]])) == 1
-        assert ob.first_past_guard(np.array([[1.0, 0.0], [0.0, np.nan]])) == 1
+        def first(d):
+            return ob.first_past_guard(row_sq_norms(np.array(d)))
+        assert first([[ob.STATE_GUARD, 0.0], [3.0, 4.0]]) is None
+        assert first([[1.0, 0.0], [2e9, 0.0], [np.inf, 0.0]]) == 1
+        assert first([[1.0, 0.0], [0.0, np.nan]]) == 1
 
     @pytest.mark.parametrize("bad, row", [
         # agent 2 listens to agent 1, so only its own prediction leaves the
@@ -457,7 +464,7 @@ class TestObserverNetwork:
                     observers, models = state.observers, state.models
                     x_hat = np.array([estimate_of(state, *key) for key in state.bank.rows])
                     targets_now, targets_next = bank_targets(cfg, state)
-                    got, got_models, estimates = state.bank.step(
+                    got, got_models, estimates, _ = state.bank.step(
                         observers, models, x_hat, targets_now, targets_next)
                     expected, ref_estimates = step_networks_separately(
                         state.bank, observers, models, x_hat, targets_now, targets_next)
@@ -478,38 +485,47 @@ class TestObserverNetwork:
         # scale, model and estimate from a fresh start: through the hexagon's
         # rebuild at tick 0 and its propensity switch at tick 4000, and
         # through drawn topology 4's rebuilds at ticks 1 and 2, which carry
-        # rows whose models have moved
+        # rows whose models have moved.  The consensus errors and squared
+        # norms a step is handed equal, bit for bit, fresh ones of its
+        # estimates, and only a rebuilt bank's first step is handed none
         cfg = (hexagon_config if draw is None
                else drawn_topology_config(hexagon_config, draw, 4000))
         cfg.mode = sim.MODE_ORACLE  # faster, and observers ignore the mode
         step, n = ob.ObserverBank.step, cfg.state_dim
-        carried, rows_seen = {}, []
+        carried, banks, fresh_ticks = {}, [], []
 
-        def checked(bank, observers, models, x_hat, targets_now, targets_next):
-            got = step(bank, observers, models, x_hat, targets_now, targets_next)
+        def checked(bank, observers, models, x_hat, targets_now, targets_next, pair):
+            got = step(bank, observers, models, x_hat, targets_now, targets_next, pair)
             fresh = (None, np.zeros(n))
             refs, x_ref = zip(*(carried.get(key, fresh) for key in bank.rows))
             refs = [ref.RowObserver.create(o.config, n) if r is None else r
                     for r, o in zip(refs, observers)]
             assert x_hat.tobytes() == np.array(x_ref).tobytes()
             eta = bank.consensus_errors(x_hat, targets_now)
+            if pair is None:
+                fresh_ticks.append(len(banks))
+            else:
+                assert pair[0].tobytes() == eta.tobytes()
+                assert pair[1].tobytes() == row_sq_norms(x_hat).tobytes()
             preds = np.array([predict(r, x, e) for r, x, e in zip(refs, x_hat, eta)])
             eta_next = bank.consensus_errors(preds, targets_next)
             stepped = [ref_step(r, x, e) for r, x, e in zip(refs, x_hat, eta_next)]
             carried.update(zip(bank.rows, zip(stepped, preds)))
-            records, models_next, pred = got
+            records, models_next, pred, _ = got
             assert [o.c for o in records] == [r.c for r in stepped]
             assert models_next.tobytes() == np.array([r.A_hat for r in stepped]).tobytes()
             assert pred.tobytes() == preds.tobytes()
-            rows_seen.append(len(bank.rows))
+            banks.append(bank)
             return got
 
         monkeypatch.setattr(ob.ObserverBank, "step", checked)
         state = sim.init_world(cfg)
         for _ in range(ticks):
             sim.step_world(state, cfg)
-        assert len(rows_seen) == ticks
-        assert state.propagation_changes > 0 and rows_seen[-1] == len(state.bank.rows)
+        assert len(banks) == ticks
+        assert state.propagation_changes > 0 and banks[-1] is state.bank
+        rebuilt = [k for k, bank in enumerate(banks) if k == 0 or bank is not banks[k - 1]]
+        assert fresh_ticks == rebuilt == ([0] if draw is None else [0, 1, 2])
         if draw is None:
             assert 4000 in [t for t, _ in cfg.schedule.entries]
 
@@ -528,7 +544,7 @@ class TestFormationObserverGating:
         h = np.array([2.0, 0.0])
         for _ in range(50):
             h_next = SWAP @ h
-            [obs], models, x = bank.step([obs], models, x, h[None], h_next[None])
+            [obs], models, x, _ = bank.step([obs], models, x, h[None], h_next[None])
             h = h_next
         np.testing.assert_allclose(x[0], np.zeros(2))
         np.testing.assert_allclose(models[0], np.zeros((2, 2)))
@@ -541,7 +557,7 @@ class TestFormationObserverGating:
         h = np.array([2.0, 0.0])
         for _ in range(500):
             h_next = SWAP @ h
-            [obs], models, x = bank.step([obs], models, x, h[None], h_next[None])
+            [obs], models, x, _ = bank.step([obs], models, x, h[None], h_next[None])
             h = h_next
         assert np.linalg.norm(x[0] - h) < 1e-5
         # the model estimate identifies the formation dynamics as well

@@ -298,17 +298,22 @@ class TestControlPlans:
         assert rebuilds == state.propagation_changes + switches == 2
 
     def test_plant_advance_equals_per_agent_form(self, hexagon_config):
-        # input widths 1 to 3 share one zero-padded matmul
+        # input widths 1 to 3 share one zero-padded matmul, and the plants'
+        # A x and the next targets one stacked product; each next state
+        # equals its own product bit for bit
         cfg = dataclasses.replace(hexagon_config, mode=sim.MODE_ORACLE)
         state = sim.init_world(cfg)
         while not state.propagation_settled:  # past the fixed point
             sim.step_world(state, cfg)
         for _ in range(40):
-            x, world = state.x, state.world
+            x, targets, world = state.x, state.targets, state.world
             sim.step_world(state, cfg)
             for node, dyn in enumerate(cfg.dynamics, 1):
                 u = state.oracle_gains[node] @ world[state.plans[node].gather]
                 assert (state.x[node - 1] == dyn.A @ x[node - 1] + dyn.B @ u).all()
+            assert state.targets[0].tobytes() == (cfg.tracking_a @ targets[0]).tobytes()
+            for h_next, form, h in zip(state.targets[1:], cfg.formation, targets[1:]):
+                assert h_next.tobytes() == (form.S @ h).tobytes()
 
 
 def relay_tiny_config(mode=sim.MODE_ORACLE, horizon=30):
@@ -341,7 +346,8 @@ class TestWorldVector:
         # propagation rebuilds the bank in the first ticks, a propensity
         # switch at 60; the world is committed from the stacked next states
         # and must begin with the concatenation of x and the targets, bit for
-        # bit, followed by one estimate row per bank row
+        # bit, followed by one estimate row per bank row; x, the targets and
+        # the estimates are views of it, so the state is stored only once
         cfg = dataclasses.replace(early_switch(sc.load_bundled(scenario), 60),
                                   mode=mode, horizon=150)
 
@@ -349,13 +355,21 @@ class TestWorldVector:
             expected = np.concatenate((state.x.ravel(), state.targets.ravel()))
             assert state.world[: expected.size].tobytes() == expected.tobytes()
             assert state.world.size == expected.size + len(state.bank.rows) * cfg.state_dim
+            for part in (state.x, state.targets, state.estimates):
+                assert np.shares_memory(part, state.world)
 
-        sample = sim._sample_trace
+        sample, sync, rebuilds = sim._sample_trace, sim._sync_observer_networks, []
 
         def checked(state, cfg, *args):
             check(state)  # mid-tick, after any rebuild
             sample(state, cfg, *args)
+
+        def rebuilt(state, cfg):
+            sync(state, cfg)
+            check(state)
+            rebuilds.append(state.tick)
         monkeypatch.setattr(sim, "_sample_trace", checked)
+        monkeypatch.setattr(sim, "_sync_observer_networks", rebuilt)
         state = sim.init_world(cfg)
         check(state)
         banks = {id(state.bank)}
@@ -363,7 +377,7 @@ class TestWorldVector:
             sim.step_world(state, cfg)
             check(state)
             banks.add(id(state.bank))
-        assert len(banks) == 1 + state.propagation_changes > 1
+        assert len(banks) == len(rebuilds) == 1 + state.propagation_changes > 1
 
 
 class TestOracleControl:
@@ -431,7 +445,8 @@ class TestOracleControl:
         assert seen[0][3][1].gains.shape == (1, 1, 1)  # the warm-up gain
         self.check_inputs(cfg, state, seen, synthesized)
         [group] = seen[-1][3]
-        assert (group.rows + 1).tolist() == [1, 2, 3, 4]
+        width = seen[-1][4].shape[1]  # the flattened inputs' row length
+        assert (group.flat // width + 1).ravel().tolist() == [1, 2, 3, 4]
 
 
 class TestLearnerControl:
