@@ -17,6 +17,7 @@ Laplacian-derived convex weights of classical two-layer designs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -871,19 +872,29 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     return state
 
 
+def _json_number(value: float) -> float | None:
+    """``value``, or None (JSON null) when it is inf or nan, which strict
+    JSON cannot write."""
+    return value if math.isfinite(value) else None
+
+
 def summarize(state: WorldState, cfg: ScenarioConfig) -> dict:
+    """The run's summary for ``metadata.json``; a number that is not finite
+    (a learner's gain delta before its first sweep, a diverged observer's
+    error) is None."""
     learners = {}
     for node, lr in sorted(state.learners.items()):
         learners[cfg.agent_name(node)] = {
             "status": lr.controller.status,
             "iterations": lr.controller.iterations,
-            "last_gain_delta": lr.controller.last_gain_delta,
+            "last_gain_delta": _json_number(lr.controller.last_gain_delta),
             "layout": [cfg.agent_name(q) for q in lr.layout],
         }
     final_obs = {}
     if len(state.trace):
         last = zip(state.trace.header(), state.trace.rows()[-1].tolist())
-        final_obs = {col[len("obs_"):]: v for col, v in last if col.startswith("obs_")}
+        final_obs = {col[len("obs_"):]: _json_number(v)
+                     for col, v in last if col.startswith("obs_")}
     return {
         "mode": cfg.mode,
         "seed": cfg.seed,

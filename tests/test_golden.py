@@ -57,11 +57,13 @@ EXPORTS = {
         "hexagon", dict(horizon=1700, sample_interval=10, mode=sim.MODE_BASELINE),
         ("d3931891369fa38b22ba956219b0b64b26edd65f250b7c33d34e8e7e3d790f57",
          "5410998ea45c70f33323dca7ca9c887a7345d92054394f69c9b30b820d3581d5")),
-    # past the tick-4000 propensity switch, through the relearn
+    # past the tick-4000 propensity switch, through the relearn; its
+    # metadata.json re-pinned when the gain delta of F2 and F4, still
+    # collecting their relearn window, became null instead of Infinity
     "hexagon_data_driven_switch": (
         "hexagon", dict(horizon=4100, sample_interval=50),
         ("7e87248bc19ed99fd0b1acf421df739746a47e9525f900c5002bd44d957e2f1b",
-         "e3f90bc83404a434b693a79a86c602e53de0ccbe46f825798d9802641112df3a")),
+         "05465f59dbd4d601a1755d562c70c9fc535be92c58c37045c69292048d243c97")),
     # F2 and F4 settle their gain at sweep 2 of their first window and their
     # value matrix at sweeps 22-23; pinned with the stop test that waits
     # for both

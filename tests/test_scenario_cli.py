@@ -162,6 +162,14 @@ def hand_filled_trace(cfg, samples):
     return trace
 
 
+def f_string_csv(trace, start=0, stop=None):
+    """``trace_to_csv``'s text written cell by cell with f-strings."""
+    lines = [",".join(trace.header()) + "\n"] if start == 0 else []
+    for tick, *values in trace.rows()[start:stop].tolist():
+        lines.append(",".join([f"{int(tick)}"] + [f"{v:.17g}" for v in values]) + "\n")
+    return "".join(lines)
+
+
 class TestTraceExport:
     def test_csv_shape_and_precision(self, tmp_path, hexagon_config):
         cfg = hexagon_config
@@ -192,10 +200,34 @@ class TestTraceExport:
             row[1:] = (rng.normal(size=row.size - 1)
                        * 10.0 ** rng.uniform(-320, 308, row.size - 1))
             row[1 + tick % (row.size - 1)] = specials[tick % len(specials)]
-        lines = [",".join(trace.header())]
-        for tick, *values in trace.rows().tolist():
-            lines.append(",".join([f"{int(tick)}"] + [f"{v:.17g}" for v in values]))
-        assert sc.trace_to_csv(trace) == "\n".join(lines) + "\n"
+        assert sc.trace_to_csv(trace) == f_string_csv(trace)
+
+    def test_values_that_compare_equal_keep_their_own_text(self, tmp_path, hexagon_config):
+        # each distinct value is formatted once per chunk; values are told
+        # apart by their bits, so 0.0 and -0.0 print as "0" and "-0" and
+        # every nan, whatever its sign and payload, as "nan"
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFF4000000000ABC], dtype=np.uint64).view(np.float64).tolist()
+        specials = [0.0, -0.0, *nans, np.inf, -np.inf, 5e-324, -5e-324, 0.1, 1 / 3, -2.5]
+        samples = 2 * sc.CSV_CHUNK_ROWS + 3
+        trace = hand_filled_trace(hexagon_config, samples)
+        rows = trace.rows()
+        rows[:, 0] = 3 * np.arange(samples)
+        # every special in every chunk, in a different column on each row
+        columns = rows.shape[1] - 1
+        rows[:, 1:] = np.array(specials)[
+            (np.arange(samples)[:, None] + np.arange(columns)) % len(specials)]
+        bits = np.unique(np.ascontiguousarray(rows[:, 1:]).view(np.int64))
+        assert len(bits) == len(specials)
+        assert sc.trace_to_csv(trace) == f_string_csv(trace)
+        edge = sc.CSV_CHUNK_ROWS
+        for start, stop in [(0, 0), (0, 1), (5, 5), (edge - 1, edge + 1), (edge, edge + 1),
+                            (2 * edge, samples), (samples, samples)]:
+            assert sc.trace_to_csv(trace, start, stop) == f_string_csv(trace, start, stop)
+        result = sim.RunResult(trace=trace, state=None, summary={}, error=None)
+        trace_path, _ = sc.export_run(result, tmp_path)
+        with open(trace_path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == sc.trace_to_csv(trace)
 
     @pytest.mark.parametrize("samples", [0, 1, sc.CSV_CHUNK_ROWS, sc.CSV_CHUNK_ROWS + 1,
                                          2 * sc.CSV_CHUNK_ROWS + 3])
@@ -209,6 +241,43 @@ class TestTraceExport:
         trace_path, _ = sc.export_run(result, tmp_path)
         with open(trace_path, encoding="utf-8", newline="") as fh:
             assert fh.read() == sc.trace_to_csv(trace)
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+class TestStrictMetadata:
+    """``metadata.json`` is strict JSON: a number that is not finite is
+    written as null, not as ``Infinity`` or ``NaN``."""
+
+    def read(self, result, tmp_path):
+        _, meta_path = sc.export_run(result, tmp_path)
+        return json.loads(Path(meta_path).read_text(), parse_constant=reject_constant)
+
+    def test_learners_before_their_first_sweep(self, tmp_path, hexagon_config):
+        meta = self.read(sim.run(dataclasses.replace(hexagon_config, horizon=300)), tmp_path)
+        learners = meta["summary"]["learners"].values()
+        assert learners and all(lr["iterations"] == 0 for lr in learners)
+        assert all(lr["last_gain_delta"] is None for lr in learners)
+
+    def test_aborted_run_with_overflowed_observer_errors(self, tmp_path, hexagon_config):
+        # the tracking target's norm overflows, so every observer's error
+        # at tick 0 is inf and the tracking network aborts the run
+        cfg = dataclasses.replace(hexagon_config, horizon=10, sample_interval=1,
+                                  tracking_x0=np.array([1e308, 1e308]))
+        result = sim.run(cfg)
+        assert not result.completed
+        assert not np.isfinite(result.trace.rows()[-1]).all()
+        meta = self.read(result, tmp_path)
+        assert meta["completed"] is False and "diverged" in meta["error"]["message"]
+        assert set(meta["summary"]["final_observer_errors"].values()) == {None}
+
+    def test_a_new_non_finite_field_fails_the_export(self, tmp_path, hexagon_config):
+        trace = hand_filled_trace(hexagon_config, 0)
+        result = sim.RunResult(trace=trace, state=None, summary={"x": np.inf}, error=None)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            sc.export_run(result, tmp_path)
 
 
 class TestValidateCommand:
