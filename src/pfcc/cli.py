@@ -62,10 +62,6 @@ def cmd_validate(args) -> int:
     except SchemaError as exc:
         print(f"schema: FAIL - {exc}")
         return EXIT_SCHEMA
-    except AssumptionError as exc:
-        print("schema: ok")
-        print(f"assumptions: FAIL - {exc}")
-        return EXIT_ASSUMPTION
     print("schema: ok")
     problems = cfg.validate()
     if problems:
@@ -99,28 +95,26 @@ def cmd_run(args) -> int:
 
 
 def effective_coefficients(cfg: sim.ScenarioConfig) -> dict[int, dict[int, float]]:
-    """Follower weights at the initial-schedule fixed point (or the
-    Laplacian weights in baseline mode)."""
-    if cfg.mode == sim.MODE_BASELINE:
-        return sim._baseline_weights(cfg.topology)
+    """Follower weights at the initial-schedule fixed point, as
+    ``simulation.follower_coefficients`` gives them."""
     known, _ = pr.propagation_fixed_point(pr.initial_influence(cfg.topology), cfg.topology)
-    factors = cfg.schedule.initial()
-    return {i: pr.coefficients(known, i, factors) for i in cfg.topology.follower_nodes}
+    return sim.follower_coefficients(cfg, known, cfg.schedule.initial())
 
 
 # a warm-up gain near the float range overflows the rows; the window plan
 # then rejects them as not finite, without a warning
 @np.errstate(over="ignore", invalid="ignore")
-def probe_window(cfg: sim.ScenarioConfig, node: int, sys_: mc.AugmentedSystem,
-                 noise_std: float = COMPARE_NOISE_STD) -> ln.DataBuffer:
+def probe_window(cfg: sim.ScenarioConfig, node: int,
+                 sys_: mc.AugmentedSystem) -> ln.DataBuffer:
     """Synthetic excitation window for one agent's true augmented system.
 
     Every row is an exact transition from an independently sampled state
     under the warm-up behaviour gain plus probing noise; independent rows
     sidestep the rank collapse of period-two formation orbits, so the full
-    gain/value matrices are identified.
+    gain/value matrices are identified.  The probing noise has standard
+    deviation ``COMPARE_NOISE_STD``.
     """
-    agent_cfg = replace(cfg.agent_learner_config(node), noise_std=noise_std)
+    agent_cfg = replace(cfg.agent_learner_config(node), noise_std=COMPARE_NOISE_STD)
     rows = agent_cfg.rows_for(sys_.dim, sys_.m)
     buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
     rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])

@@ -114,9 +114,9 @@ class DataBuffer:
     and row t of ``psi_next`` is vecv(x+), for the t-th transition.  Each
     read builds the rows of every recorded transition in one vectorized
     pass, each entry the same elementwise product a transition at a time
-    would give, so recording costs only the copy.  The sweep plan of each
-    rank policy reads them once, and is cached until the next record or
-    flush.
+    would give, so recording costs only the copy.  The sweep plan reads
+    them once, and is cached until the next record or flush, or a plan
+    under the other rank policy.
     """
 
     def __init__(self, state_dim: int, input_dim: int, capacity: int):
@@ -132,7 +132,7 @@ class DataBuffer:
         except (MemoryError, ValueError) as exc:
             raise MemoryError(f"learner window of {capacity} rows does not fit in memory") from exc
         self._rows = 0
-        self._plans: dict = {}
+        self._plan: _WindowPlan | None = None
 
     def __len__(self) -> int:
         return self._rows
@@ -160,12 +160,12 @@ class DataBuffer:
         self._u[start:stop] = u
         self._x_next[start:stop] = x_next
         self._rows = stop
-        self._plans.clear()
+        self._plan = None
         return self
 
     def flush(self) -> None:
         self._rows = 0
-        self._plans.clear()
+        self._plan = None
 
     # -- regression rows of the recorded transitions ------------------------
     def theta(self) -> np.ndarray:
@@ -181,27 +181,28 @@ class DataBuffer:
 
     def plan(self, allow_deficient: bool) -> "_WindowPlan":
         """The cached sweep plan of the filled rows under one rank policy."""
-        plan = self._plans.get(allow_deficient)
-        if plan is None:
-            plan = self._plans[allow_deficient] = _WindowPlan(self, allow_deficient)
+        plan = self._plan
+        if plan is None or plan.allow_deficient != allow_deficient:
+            plan = self._plan = _WindowPlan(self, allow_deficient)
         return plan
 
 
 class _WindowPlan:
     """The work of a value-iteration sweep that depends only on the window,
-    done once per window and rank policy: the truncated SVD of the
-    row-scaled regression ``theta @ xi = psi_next @ vecm(P)``, its row
-    scale, the ``psi_next`` rows, and the tables that unpack a solution
-    into the Xi blocks.  Strict policy demands full column rank and a
+    done once per window under one rank policy (``allow_deficient``): the
+    truncated SVD of the row-scaled regression ``theta @ xi = psi_next @
+    vecm(P)``, its row scale, the ``psi_next`` rows, and the tables that
+    unpack a solution into the Xi blocks.  Strict policy demands full column rank and a
     bounded condition number; the tolerant policy solves minimum-norm in
     the excited subspace, which is the right behaviour when part of the
     augmented state is identically unexcited (for example a tracking block
     resting at the origin)."""
 
-    __slots__ = ("scale", "psi_next", "_matrix", "_u", "_inv_s", "_v", "_xi2",
-                 "_xi2_shape", "_weights", "_xi1_gather", "_xi3_gather")
+    __slots__ = ("allow_deficient", "scale", "psi_next", "_matrix", "_u", "_inv_s", "_v",
+                 "_xi2", "_xi2_shape", "_weights", "_xi1_gather", "_xi3_gather")
 
     def __init__(self, buf: DataBuffer, allow_deficient: bool):
+        self.allow_deficient = allow_deficient
         theta = buf.theta()
         self.scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
         matrix = theta * self.scale[:, None]

@@ -62,17 +62,17 @@ def vecv(d: np.ndarray) -> np.ndarray:
     return (weights * d[..., rows]) * d[..., cols]
 
 
-def vecm(s: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
+def vecm(s: np.ndarray) -> np.ndarray:
     """Half-vectorization of a symmetric matrix, same ordering as ``vecv``.
 
     Diagonal entries are kept as-is, off-diagonal entries scaled by sqrt(2).
-    Raises ValueError when the input is asymmetric beyond ``atol`` or holds
-    a non-finite entry.
+    Raises ValueError when the input is asymmetric beyond ``SYMMETRY_ATOL``
+    or holds a non-finite entry.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"vecm requires a square matrix, got shape {s.shape}")
-    if s.size and not np.abs(s - s.T).max() <= atol:
+    if s.size and not np.abs(s - s.T).max() <= SYMMETRY_ATOL:
         raise ValueError("vecm requires a symmetric matrix")
     weights, flat, _ = square_index(s.shape[0])
     return weights * s.ravel()[flat]
@@ -104,15 +104,16 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def is_positive_definite(m: np.ndarray, atol: float = SYMMETRY_ATOL) -> bool:
+def is_positive_definite(m: np.ndarray) -> bool:
     """Cholesky-based positive definiteness test for symmetric input.
 
-    Input asymmetric beyond ``atol`` is not positive definite, and neither
-    is input with a non-finite entry (its asymmetry is not a number).
+    Input asymmetric beyond ``SYMMETRY_ATOL`` is not positive definite, and
+    neither is input with a non-finite entry (its asymmetry is not a
+    number).
     """
     m = np.asarray(m, dtype=float)
     with np.errstate(invalid="ignore"):
-        if m.size and not np.abs(m - m.T).max() <= atol:
+        if m.size and not np.abs(m - m.T).max() <= SYMMETRY_ATOL:
             return False
     try:
         np.linalg.cholesky(m)

@@ -11,7 +11,6 @@ data-driven learner is checked against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,7 @@ class FormationDynamics:
         object.__setattr__(self, "h0", h0)
 
 
-def is_stabilizable(dyn: AgentDynamics, tol: float = 1e-9) -> bool:
+def is_stabilizable(dyn: AgentDynamics) -> bool:
     """PBH-style test: every eigenvalue on/outside the unit circle must be
     controllable.
 
@@ -76,7 +75,7 @@ def is_stabilizable(dyn: AgentDynamics, tol: float = 1e-9) -> bool:
     scale = np.abs(dyn.B).max(initial=0.0)
     b = dyn.B / scale if scale else dyn.B
     for lam in np.linalg.eigvals(dyn.A):
-        if abs(lam) < 1.0 - tol:
+        if abs(lam) < 1.0 - MARGINAL_TOL:
             continue
         test = np.hstack([dyn.A - lam * np.eye(dyn.n), b])
         if np.linalg.matrix_rank(test, rtol=1e-9) < dyn.n:
@@ -199,30 +198,32 @@ def value_iteration_step(sys: AugmentedSystem, cost: np.ndarray, p: np.ndarray,
     return p_next, policy_gain(sys, p_next)
 
 
+#: Step between consecutive value-iteration iterates below which
+#: ``riccati_value_iteration`` stops, and the iterations it may take.
+RICCATI_TOL = 1e-10
+RICCATI_MAX_ITERATIONS = 10_000
+
+
 # a cost or value matrix that leaves the float range overflows before the
 # divergence checks catch it, and that is reported rather than warned about
 @np.errstate(over="ignore", invalid="ignore")
-def riccati_value_iteration(sys: AugmentedSystem, tol: float = 1e-10,
-                            max_iter: int = 10_000) -> RiccatiSolution:
+def riccati_value_iteration(sys: AugmentedSystem) -> RiccatiSolution:
     """Averaged value iteration for P = C^T Q C + (A + B K)^T P (A + B K).
 
     Starts from P = I (positive definite) and K = 0, and stops when
-    consecutive iterates agree to ``tol``, or to 64 ulps of ``||P||`` where
-    that is coarser.  Non-convergence or divergence (a value matrix that is
-    not finite, or a step beyond 1e14 times ``max(1, ||C^T Q C||)``) raises,
+    consecutive iterates agree to ``RICCATI_TOL``, or to 64 ulps of
+    ``||P||`` where that is coarser.  Non-convergence within
+    ``RICCATI_MAX_ITERATIONS`` or divergence (a value matrix that is not
+    finite, or a step beyond 1e14 times ``max(1, ||C^T Q C||)``) raises,
     signalling a non-stabilizable agent or a broken assumption.  Both
     bounds follow the cost's scale, which P takes on and K does not.
     """
-    if not is_stabilizable(AgentDynamics(sys.A_bar[:sys.block_dim, :sys.block_dim],
-                                         sys.B_bar[:sys.block_dim, :])):
-        warnings.warn("plant block looks non-stabilizable; value iteration may diverge",
-                      stacklevel=2)
     cost = sys.cost_matrix()
     diverged = 1e14 * max(1.0, float(np.linalg.norm(cost)))
     ulps = 64 * np.finfo(float).eps
     p = np.eye(sys.dim)
     k = np.zeros((sys.m, sys.dim))
-    for it in range(1, max_iter + 1):
+    for it in range(1, RICCATI_MAX_ITERATIONS + 1):
         try:
             p_next, k = value_iteration_step(sys, cost, p, k)
         except ConvergenceError:
@@ -231,9 +232,10 @@ def riccati_value_iteration(sys: AugmentedSystem, tol: float = 1e-10,
         p = p_next
         if not np.isfinite(delta) or delta > diverged:
             raise ConvergenceError(f"value iteration diverged at iteration {it}")
-        if delta < max(tol, ulps * float(np.linalg.norm(p))):
+        if delta < max(RICCATI_TOL, ulps * float(np.linalg.norm(p))):
             return RiccatiSolution(P=p, K=k, iterations=it)
-    raise ConvergenceError(f"value iteration did not converge within {max_iter} iterations")
+    raise ConvergenceError("value iteration did not converge within "
+                           f"{RICCATI_MAX_ITERATIONS} iterations")
 
 
 #: Most solutions ``oracle_solution`` keeps; the oldest is dropped first.
@@ -249,8 +251,7 @@ def oracle_solution(sys: AugmentedSystem) -> RiccatiSolution:
     their content for the process and shared: a gain comparison repeated
     over several probe seeds solves each system once.  The shared ``P`` and
     ``K`` are read-only.  A system that does not converge is not kept and
-    raises again on the next call.  A kept system is not solved again, so
-    the solver's non-stabilizable warning comes only with the first call.
+    raises again on the next call.
     """
     key = (sys.block_dim,) + tuple((a.shape, a.tobytes())
                                    for a in (sys.A_bar, sys.B_bar, sys.C, sys.Q))
@@ -265,15 +266,19 @@ def oracle_solution(sys: AugmentedSystem) -> RiccatiSolution:
     return sol
 
 
+#: Projection residual, relative to ``max(1, ||S - A||)``, beyond which a
+#: regulation equation is unsolvable.
+REGULATION_RTOL = 1e-8
+
+
 def min_norm_regulation_solution(a: np.ndarray, b: np.ndarray,
-                                 s_target: np.ndarray,
-                                 rtol: float = 1e-8) -> np.ndarray:
+                                 s_target: np.ndarray) -> np.ndarray:
     """Minimum-norm U solving S = A + B U, via U = B^+ (S - A).
 
     ``s_target`` is one ``(n, n)`` target or a ``(k, n, n)`` stack of them,
     solved from one pseudo-inverse of B; the result has the same stacking.
     Raises when the equation of any target is unsolvable (its projection
-    residual exceeds ``rtol * max(1, ||S - A||)``), which means the
+    residual exceeds ``REGULATION_RTOL * max(1, ||S - A||)``), which means the
     regulation-equation assumptions do not hold for this agent and target.
     A residual that is not a number does not raise.
     """
@@ -285,7 +290,7 @@ def min_norm_regulation_solution(a: np.ndarray, b: np.ndarray,
     residual = np.linalg.norm(b @ u - rhs, axis=(-2, -1))
     size = np.linalg.norm(rhs, axis=(-2, -1))
     # fmax, like Python's max(1, size), takes a nan size as 1
-    failed = residual > rtol * np.fmax(size, 1.0)
+    failed = residual > REGULATION_RTOL * np.fmax(size, 1.0)
     if failed.any():
         raise RegulationError(
             "regulation equation S = A + B*U has no solution "

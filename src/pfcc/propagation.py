@@ -28,10 +28,10 @@ from .topology import DirectedTopology
 _RATIO_DIGITS = 12
 
 
-def _round_sig(x: float, digits: int = _RATIO_DIGITS) -> float:
+def _round_sig(x: float) -> float:
     if x == 0.0:
         return 0.0
-    return round(x, digits - 1 - math.floor(math.log10(abs(x))))
+    return round(x, _RATIO_DIGITS - 1 - math.floor(math.log10(abs(x))))
 
 
 def convex_coefficients(propensities: dict[int, float]) -> dict[int, float]:

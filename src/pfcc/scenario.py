@@ -20,7 +20,7 @@ from . import learning as ln
 from . import model_control as mc
 from . import observers as ob
 from . import simulation as sim
-from .errors import AssumptionError, SchemaError
+from .errors import SchemaError
 from .topology import DirectedTopology
 
 _MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
@@ -366,11 +366,6 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
         for nm, value in item["factors"].items():
             if nm not in node_of or node_of[nm] <= n:
                 raise SchemaError(f"schedule names unknown leader {nm!r}")
-            if value <= 0:
-                # positivity of the factors is a design assumption, not a
-                # file-format matter
-                raise AssumptionError(
-                    f"propensity factor for {nm} must be positive, got {value}")
             factors[node_of[nm]] = float(value)
         entries.append((int(item["tick"]), factors))
     try:

@@ -53,8 +53,7 @@ def check_names(names: list[str]) -> None:
 class PropensitySchedule:
     """Activation ticks with full per-leader factor maps.
 
-    The first entry must activate at tick 0; ticks strictly increase and all
-    factors are positive.
+    The first entry must activate at tick 0 and ticks strictly increase.
     """
 
     entries: tuple[tuple[int, dict[int, float]], ...]
@@ -67,9 +66,6 @@ class PropensitySchedule:
             raise ValueError("first schedule entry must activate at tick 0")
         if any(b <= a for a, b in zip(ticks, ticks[1:])):
             raise ValueError("schedule ticks must be strictly increasing")
-        for _, factors in self.entries:
-            if not all(v > 0 for v in factors.values()):  # a NaN fails too
-                raise ValueError("propensity factors must be positive")
 
     def initial(self) -> dict[int, float]:
         return dict(self.entries[0][1])
@@ -185,12 +181,12 @@ class ScenarioConfig:
     def augmented_system(self, node: int, layout: tuple[int, ...],
                          alphas: dict[int, float]) -> mc.AugmentedSystem:
         """The augmented system of ``node`` over the formation blocks of
-        ``layout``.  A block missing from ``alphas`` has weight 1, which
-        only a one-block layout (a leader's own formation) admits."""
+        ``layout``, weighted by ``alphas``: a leader's own formation at 1,
+        or a follower's coefficients."""
         return mc.build_augmented(
             self.dynamics_of(node),
             [self.formation[self.topology.leader_index(q)] for q in layout],
-            self.tracking_a, [alphas.get(q, 1.0) for q in layout],
+            self.tracking_a, [alphas[q] for q in layout],
             self.q_weights[node])
 
     # a finite model entry near the float range overflows the checks' norms;
@@ -211,6 +207,9 @@ class ScenarioConfig:
             missing = [q for q in self.topology.leader_nodes if q not in factors]
             if missing:
                 problems.append(f"schedule entry missing factors for leaders {missing}")
+            problems += [f"propensity factor for {self.agent_name(q)} must be positive, "
+                         f"got {factors[q]}" for q in self.topology.leader_nodes
+                         if q in factors and not factors[q] > 0]  # a nan fails too
         targets = np.stack([self.tracking_a] + [f.S for f in self.formation])
         radii = np.abs(np.linalg.eigvals(targets)).max(axis=1, initial=0.0)
         if radii[0] > 1.0 + mc.MARGINAL_TOL:
@@ -457,7 +456,6 @@ class WorldState:
     learners: dict[int, AgentLearner]
     oracle_gains: dict[int, np.ndarray]
     oracle_layouts: dict[int, tuple]
-    baseline_alpha: dict[int, dict[int, float]] | None
     trace: TraceLog
     #: One control plan per agent, keyed by node, and the follower-by-leader
     #: weights of the followers' plans; rebuilt whenever ``known`` or
@@ -514,17 +512,20 @@ class RunResult:
 # construction
 # ---------------------------------------------------------------------------
 
-def _baseline_weights(topo: DirectedTopology) -> dict[int, dict[int, float]]:
-    """Classical containment weights: rows of -L1^-1 L2."""
+def follower_coefficients(cfg: ScenarioConfig, known: np.ndarray,
+                          factors: dict[int, float]) -> dict[int, dict[int, float]]:
+    """Each follower's weights of its leaders' formations: the factors in
+    force normalized over the leaders it knows, or in ``fcc_baseline``
+    mode the classical containment weights, rows of -L1^-1 L2, which read
+    neither the knowledge nor the factors."""
+    topo = cfg.topology
+    if cfg.mode != MODE_BASELINE:
+        return {i: pr.coefficients(known, i, factors) for i in topo.follower_nodes}
     blocks = build_laplacian(topo)
-    w = -np.linalg.solve(blocks.L1, blocks.L2)
-    out: dict[int, dict[int, float]] = {}
-    for i in topo.follower_nodes:
-        fi = topo.follower_index(i)
-        row = {q: float(w[fi, topo.leader_index(q)]) for q in topo.leader_nodes
-               if abs(w[fi, topo.leader_index(q)]) > 1e-12}
-        out[i] = row
-    return out
+    w = -np.linalg.solve(blocks.L1, blocks.L2)  # one row per follower, in leader order
+    return {i: {q: float(v) for q, v in zip(topo.leader_nodes, w[topo.follower_index(i)])
+                if abs(v) > 1e-12}
+            for i in topo.follower_nodes}
 
 
 def init_world(cfg: ScenarioConfig) -> WorldState:
@@ -551,7 +552,6 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
         learners={},
         oracle_gains={},
         oracle_layouts={},
-        baseline_alpha=_baseline_weights(topo) if cfg.mode == MODE_BASELINE else None,
         trace=TraceLog(config=cfg),
     )
     _sync_observer_networks(state, cfg)
@@ -573,14 +573,10 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
     row = state.bank.row
     target_start = state.x.size
     estimate_start = target_start + state.targets.size
+    coeffs = follower_coefficients(cfg, state.known, state.factors)
     plans = {}
     for node in range(1, topo.n_nodes):
-        if topo.is_leader(node):
-            alphas = {node: 1.0}
-        elif state.baseline_alpha is not None:
-            alphas = state.baseline_alpha[node]
-        else:
-            alphas = pr.coefficients(state.known, node, state.factors)
+        alphas = {node: 1.0} if topo.is_leader(node) else coeffs[node]
         layout = tuple(sorted(alphas))
         starts = [(node - 1) * n]
         for q in layout:

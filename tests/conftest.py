@@ -226,8 +226,8 @@ def reference_alphas(state: sim.WorldState, cfg: sim.ScenarioConfig,
     knows (or the baseline's Laplacian weights)."""
     if cfg.topology.is_leader(node):
         return {node: 1.0}
-    if state.baseline_alpha is not None:
-        return state.baseline_alpha[node]
+    if cfg.mode == sim.MODE_BASELINE:
+        return sim.follower_coefficients(cfg, state.known, state.factors)[node]
     return convex_coefficients({q: state.factors[q]
                                 for q in known_leaders(state.known, node)})
 

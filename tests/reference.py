@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from pfcc.errors import ConvergenceError, PfccError
-from pfcc.matops import is_positive_definite
 from pfcc.model_control import AgentDynamics
 from pfcc.observers import ObserverConfig
 from pfcc.topology import DirectedTopology, closure
@@ -40,13 +39,19 @@ def rls_update_L(L: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
     The gain G = L x_bar^T (I + x_bar L x_bar^T)^-1 is the Woodbury form;
     the result is returned in Joseph form (I - G x_bar) L (I - G x_bar)^T
     + G G^T, a sum of two positive semidefinite terms, which keeps full
-    precision where L - G x_bar L cancels.  L must be symmetric positive
-    definite.
+    precision where L - G x_bar L cancels.  L must be symmetric to 1e-9
+    and have a Cholesky factor.
     """
     L = np.asarray(L, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
-    if not is_positive_definite(L, atol=1e-9):
-        raise PfccError("adaptive parameter matrix must be symmetric positive definite")
+    try:
+        with np.errstate(invalid="ignore"):  # a non-finite entry is not symmetric
+            if not np.abs(L - L.T).max() <= 1e-9:
+                raise np.linalg.LinAlgError
+        np.linalg.cholesky(L)
+    except np.linalg.LinAlgError:
+        raise PfccError("adaptive parameter matrix must be symmetric positive "
+                        "definite") from None
     gram = np.eye(x_bar.shape[0]) + x_bar @ L @ x_bar.T
     g = np.linalg.solve(gram, x_bar @ L).T
     keep = np.eye(L.shape[0]) - g @ x_bar

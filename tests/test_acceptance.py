@@ -127,8 +127,8 @@ def test_criterion_3_gain_identities(hexagon_config):
         dyn = cfg.dynamics_of(node)
         u_o = mc.min_norm_regulation_solution(dyn.A, dyn.B, cfg.tracking_a)
         if topo.is_leader(node):
-            gains = ref.AgentGains.split(sim.synthesize_oracle_gains(cfg, node, (node,), {}),
-                                         cfg.state_dim, (node,))
+            gain = sim.synthesize_oracle_gains(cfg, node, (node,), {node: 1.0})
+            gains = ref.AgentGains.split(gain, cfg.state_dim, (node,))
             u_h = mc.min_norm_regulation_solution(
                 dyn.A, dyn.B, cfg.formation[topo.leader_index(node)].S)
             report = ref.verify_gain_identities(dyn, gains, u_h, u_o)

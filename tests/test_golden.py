@@ -95,20 +95,32 @@ def test_export_bytes_match_pinned_digests(name, tmp_path):
 #: Probe seeds of the pinned ``compare-gains`` reports.
 COMPARE_SEEDS = (7, 11, 2024, 31337)
 #: SHA-256 of the JSON of every agent's full-precision ``compare_agent_gains``
-#: report at each probe seed, pinned from a Riccati solve per call.
+#: report at each probe seed: bundled scenario, overrides, digest.  The
+#: bundled scenarios' pinned from a Riccati solve per call;
+#: ``hexagon_static_baseline`` reads the Laplacian weights of
+#: ``fcc_baseline`` mode, pinned before they and the propensity
+#: coefficients moved into one ``follower_coefficients``.
 COMPARE_REPORTS = {
-    "hexagon": "f246accaaa1761638713d1b111a9fb9f1f115ec684a1e21de422f06c53286f8f",
-    "hexagon_static": "ba447cb34369d7d288e56f6a8ead1b88afe43c0d8cedd44be366cd935355afd1",
+    "hexagon": (
+        "hexagon", {},
+        "f246accaaa1761638713d1b111a9fb9f1f115ec684a1e21de422f06c53286f8f"),
+    "hexagon_static": (
+        "hexagon_static", {},
+        "ba447cb34369d7d288e56f6a8ead1b88afe43c0d8cedd44be366cd935355afd1"),
+    "hexagon_static_baseline": (
+        "hexagon_static", dict(mode=sim.MODE_BASELINE),
+        "e6ed99dc020b8b0664101d70539a12369f2a41dc6cfa6a38091eef0f93bbced0"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMPARE_REPORTS))
 def test_compare_gains_reports_match_pinned_digests(name):
-    cfg = sc.load_bundled(name)
+    scenario, overrides, pinned = COMPARE_REPORTS[name]
+    cfg = dataclasses.replace(sc.load_bundled(scenario), **overrides)
     coeffs = cli.effective_coefficients(cfg)
     agents = cfg.topology.follower_nodes + cfg.topology.leader_nodes
     reports = [cli.compare_agent_gains(dataclasses.replace(cfg, seed=seed), node,
                                        coeffs.get(node))
                for seed in COMPARE_SEEDS for node in agents]
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
-    assert digest == COMPARE_REPORTS[name]
+    assert digest == pinned

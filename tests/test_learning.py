@@ -378,7 +378,12 @@ class TestWindowPlan:
         rows, ((x, u, x_next), _) = self.windows(sys_, seed=9)
         buf = ln.DataBuffer(sys_.dim, sys_.m, rows + 1).record(x, u, x_next)
         plan = buf.plan(True)
-        assert buf.plan(True) is plan and buf.plan(False) is not plan
+        assert buf.plan(True) is plan
+        # one plan is cached: the other rank policy replaces it
+        strict = buf.plan(False)
+        assert strict is not plan and buf.plan(False) is strict
+        plan = buf.plan(True)
+        assert plan is not strict
         buf.record(x[0], u[0], x_next[0])
         assert buf.plan(True) is not plan
         assert buf.plan(True).psi_next.shape[0] == rows + 1

@@ -95,14 +95,13 @@ class TestVecm:
         with pytest.raises(ValueError):
             mo.vecm(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
-    @pytest.mark.parametrize("atol", [mo.SYMMETRY_ATOL, 1e-6])
-    def test_symmetry_tolerance_edge(self, atol):
+    def test_symmetry_tolerance_edge(self):
         s = np.zeros((3, 3))
-        s[2, 0] = atol
-        np.testing.assert_array_equal(mo.vecm(s, atol=atol), vecm_loop(s))
-        s[2, 0] = np.nextafter(atol, 1.0)
+        s[2, 0] = mo.SYMMETRY_ATOL
+        np.testing.assert_array_equal(mo.vecm(s), vecm_loop(s))
+        s[2, 0] = np.nextafter(mo.SYMMETRY_ATOL, 1.0)
         with pytest.raises(ValueError, match="symmetric"):
-            mo.vecm(s, atol=atol)
+            mo.vecm(s)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -245,13 +244,14 @@ class TestPositiveDefinite:
         cfg = sc.load_bundled(name)
         assert all(mo.is_positive_definite(q) for q in cfg.q_weights.values())
 
-    @pytest.mark.parametrize("atol", [1e-12, 1e-9])
-    def test_asymmetry_tolerance_edge(self, atol):
-        # asymmetry up to atol is symmetric enough, the next float is not
+    def test_asymmetry_tolerance_edge(self):
+        # asymmetry up to SYMMETRY_ATOL is symmetric enough, the next float
+        # is not
+        atol = mo.SYMMETRY_ATOL
         inside = np.array([[2.0, atol], [0.0, 2.0]])
         outside = np.array([[2.0, np.nextafter(atol, 1.0)], [0.0, 2.0]])
-        assert mo.is_positive_definite(inside, atol=atol)
-        assert not mo.is_positive_definite(outside, atol=atol)
+        assert mo.is_positive_definite(inside)
+        assert not mo.is_positive_definite(outside)
 
     def test_indefinite_rejected(self):
         assert not mo.is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -129,13 +129,14 @@ class TestValueIteration:
         np.testing.assert_allclose(sol.K, k_ref, atol=1e-8)
         assert ref.spectral_radius(np.array([[0.5]]) + np.array([[1.0]]) @ sol.K[:, :1]) < 1
 
-    def test_zero_input_solves_lyapunov_series(self):
+    def test_zero_input_solves_lyapunov_series(self, monkeypatch):
         # with no actuation and a contracting system the value matrix is the
         # cost series sum
+        monkeypatch.setattr(mc, "RICCATI_TOL", 1e-12)
         dyn = mc.AgentDynamics([[0.4]], [[0.0]])
         sys_ = leader_system(dyn, mc.FormationDynamics([[0.5]], [0.0]),
                              [[0.3]], [[1.0]])
-        sol = mc.riccati_value_iteration(sys_, tol=1e-12)
+        sol = mc.riccati_value_iteration(sys_)
         assert np.all(sol.K == 0)
         series = np.zeros((3, 3))
         term = sys_.cost_matrix()
@@ -158,9 +159,16 @@ class TestValueIteration:
         dyn = mc.AgentDynamics([[2.0]], [[0.0]])  # unstable, unactuated
         sys_ = leader_system(dyn, mc.FormationDynamics([[0.5]], [0.0]),
                              [[0.5]], [[1.0]])
-        with pytest.warns(UserWarning, match="non-stabilizable"):
-            with pytest.raises(ConvergenceError):
-                mc.riccati_value_iteration(sys_, max_iter=4000)
+        with pytest.raises(ConvergenceError, match="diverged"):
+            mc.riccati_value_iteration(sys_)
+
+    def test_iteration_bound_reported(self, monkeypatch):
+        sys_ = scalar_system()
+        needed = mc.riccati_value_iteration(sys_).iterations
+        monkeypatch.setattr(mc, "RICCATI_MAX_ITERATIONS", needed - 1)
+        with pytest.raises(ConvergenceError,
+                           match=f"did not converge within {needed - 1} iterations"):
+            mc.riccati_value_iteration(sys_)
 
     def test_positive_definite_value_matrix(self, hexagon_config):
         cfg = hexagon_config
@@ -210,9 +218,8 @@ class TestOracleSolution:
         sys_ = leader_system(dyn, mc.FormationDynamics([[0.5]], [0.0]),
                              [[0.5]], [[1.0]])
         for _ in range(2):
-            with pytest.warns(UserWarning, match="non-stabilizable"):
-                with pytest.raises(ConvergenceError):
-                    mc.oracle_solution(sys_)
+            with pytest.raises(ConvergenceError):
+                mc.oracle_solution(sys_)
 
     def test_oldest_solution_is_evicted(self, monkeypatch):
         monkeypatch.setattr(mc, "ORACLE_MEMO_SIZE", 2)

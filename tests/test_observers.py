@@ -77,6 +77,13 @@ class TestRlsUpdate:
         with pytest.raises(PfccError, match="positive definite"):
             ref.rls_update_L(-np.eye(2), ref.regressor(np.ones(2)))
 
+    def test_asymmetry_tolerance_edge(self):
+        # asymmetry up to 1e-9 is symmetric enough, the next float is not
+        x_bar = ref.regressor(np.ones(2))
+        ref.rls_update_L(np.array([[2.0, 1e-9], [0.0, 2.0]]), x_bar)
+        with pytest.raises(PfccError, match="positive definite"):
+            ref.rls_update_L(np.array([[2.0, np.nextafter(1e-9, 1.0)], [0.0, 2.0]]), x_bar)
+
     @pytest.mark.parametrize("beta", [1.0, 100.0])
     def test_parameter_matrix_inequalities(self, beta):
         # L_{k+1}^-1 dominates the current regressor gram, and the gain

@@ -1,8 +1,8 @@
 """The package holds only what runs: every public function, class,
 method and annotated class field in ``src/pfcc`` is referenced by the
-package itself or by the benchmark harness, not only by tests.  The
-references the acceptance criteria compare against live in
-``tests/reference.py``."""
+package itself or by the benchmark harness, not only by tests, and so is
+every defaulted parameter of a public function or method.  The references
+the acceptance criteria compare against live in ``tests/reference.py``."""
 
 import ast
 import os
@@ -62,13 +62,20 @@ def name_reads(tree: ast.Module):
             yield node.attr, node.lineno, ast.Attribute
 
 
+def parsed_sources() -> tuple[list[Path], dict[Path, ast.Module]]:
+    """The package's modules, and the syntax tree of each of them and of
+    each benchmark harness module."""
+    package = sorted(PACKAGE.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in package + sorted((ROOT / "perfbench").glob("*.py"))}
+    return package, trees
+
+
 def unreferenced(definitions) -> list[str]:
     """Package definitions, from ``definitions(tree)``, whose name is read
     nowhere in the package or the benchmark harness outside their own
     lines, by a read of one of the definition's kinds."""
-    package = sorted(PACKAGE.glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in package + sorted((ROOT / "perfbench").glob("*.py"))}
+    package, trees = parsed_sources()
     reads = {path: list(name_reads(tree)) for path, tree in trees.items()}
     found = []
     for path in package:
@@ -86,6 +93,61 @@ def test_every_public_name_has_a_caller_outside_tests():
 
 def test_every_public_field_is_read_outside_tests():
     assert unreferenced(public_fields) == []
+
+
+#: Defaulted parameters that only tests pass: ``cli.main``'s ``argv`` is
+#: the console entry point's, where None reads the command line, and the
+#: tests' seam into the command line.
+PASSED_BY_TESTS_ONLY = {"cli.main(argv)"}
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(qualified name, node, parameter, position) of each defaulted
+    parameter of a public function or method; ``position`` counts the
+    positional arguments of a call that reach the parameter (a method's
+    first one is its instance or class), None for a keyword-only one."""
+    for qualified, _, node, _ in public_definitions(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = int("." in qualified and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list))
+        defaulted = [(arg, index - bound) for index, arg in enumerate(positional)
+                     if index >= len(positional) - len(args.defaults)]
+        defaulted += [(arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+        for arg, position in defaulted:
+            yield qualified, node, arg.arg, position
+
+
+def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether ``call`` passes ``parameter``: by keyword, by position, or
+    through an unpacked ``*args`` or ``**kwargs``."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    # a default that no caller overrides is a constant written as an option
+    package, trees = parsed_sources()
+    calls = [(path, node) for path, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    found = []
+    for path in package:
+        for qualified, node, parameter, position in defaulted_parameters(trees[path]):
+            name = qualified.rsplit(".", 1)[-1]
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any((call.func.id if isinstance(call.func, ast.Name)
+                        else getattr(call.func, "attr", None)) == name
+                       and not (where == path and call.lineno in own)
+                       and passes(call, parameter, position)
+                       for where, call in calls):
+                found.append(f"{path.stem}.{qualified}({parameter})")
+    assert sorted(set(found) - PASSED_BY_TESTS_ONLY) == []
 
 
 def test_command_line_does_not_import_jsonschema():

@@ -129,10 +129,12 @@ class TestParsing:
             sc.scenario_from_dict(raw)
 
     def test_nonpositive_factor_is_assumption_failure(self):
+        # positivity of the factors is a design assumption, not a
+        # file-format matter
         raw = bundled_dict()
-        raw["propensity_schedule"][0]["factors"]["L1"] = 0.0
-        with pytest.raises(AssumptionError, match="positive"):
-            sc.scenario_from_dict(raw)
+        raw["propensity_schedule"][0]["factors"]["L1"] = 0
+        cfg = sc.scenario_from_dict(raw)
+        assert cfg.validate() == ["propensity factor for L1 must be positive, got 0.0"]
 
     def test_invalid_observer_gain_is_schema_error(self):
         raw = bundled_dict()
@@ -485,6 +487,10 @@ class TestRunCommand:
          "q_weight of L4 must be symmetric positive definite"),
         (("leaders", 0, "S"), [[0.0, 1.5], [1.5, 0.0]], "formation dynamics of L1 expand"),
         (("leaders", 5, "S"), [[1.0, 0.0], [0.0, 1.01]], "formation dynamics of L6 expand"),
+        (("propensity_schedule", 0, "factors", "L1"), -1.0,
+         "propensity factor for L1 must be positive, got -1.0"),
+        (("propensity_schedule", 1, "factors", "L6"), 0,
+         "propensity factor for L6 must be positive, got 0.0"),
     ])
     def test_assumption_failure_exits_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                        path, value, message):

@@ -67,13 +67,22 @@ class TestSchedule:
         with pytest.raises(ValueError, match="strictly increasing"):
             sim.PropensitySchedule(entries=((0, {2: 0.1}), (0, {2: 0.2})))
 
-    def test_positive_factors(self):
-        with pytest.raises(ValueError, match="positive"):
-            sim.PropensitySchedule(entries=((0, {2: -0.1}),))
+    @pytest.mark.parametrize("factor", [-0.1, 0.0])
+    def test_positive_factors(self, factor):
+        cfg = dataclasses.replace(tiny_config(), schedule=sim.PropensitySchedule(
+            entries=((0, {2: 0.1}), (5, {2: factor}))))
+        message = f"propensity factor for L1 must be positive, got {factor}"
+        assert cfg.validate() == [message]
+        with pytest.raises(AssumptionError, match=re.escape(message)):
+            sim.init_world(cfg)
 
-    def test_nan_factor_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            sim.PropensitySchedule(entries=((0, {2: 0.1, 3: float("nan")}),))
+    def test_nan_factor_rejected(self, hexagon_config):
+        factors = {**hexagon_config.schedule.initial(), 7: float("nan")}
+        cfg = dataclasses.replace(hexagon_config,
+                                  schedule=sim.PropensitySchedule(((0, factors),)))
+        with pytest.raises(AssumptionError,
+                           match="^propensity factor for L3 must be positive, got nan$"):
+            sim.init_world(cfg)
 
 
 class TestErrorMetrics:
@@ -991,8 +1000,10 @@ class TestDrawnTopologyRuns:
 class TestBaselineMode:
     def test_laplacian_weights_differ_from_propensity_weights(self):
         # under non-uniform factors the classical weights ignore the change
-        cfg = sc.load_bundled("hexagon_static")
-        w = sim._baseline_weights(cfg.topology)
+        cfg = dataclasses.replace(sc.load_bundled("hexagon_static"),
+                                  mode=sim.MODE_BASELINE)
+        known = pr.initial_influence(cfg.topology)
+        w = sim.follower_coefficients(cfg, known, cfg.schedule.initial())
         f3 = 3
         assert w[f3] == {7: pytest.approx(1.0)}  # pure L3 tracking
 
