@@ -111,11 +111,12 @@ def probe_window(cfg: sim.ScenarioConfig, node: int,
     Every row is an exact transition from an independently sampled state
     under the warm-up behaviour gain plus probing noise; independent rows
     sidestep the rank collapse of period-two formation orbits, so the full
-    gain/value matrices are identified.  The probing noise has standard
-    deviation ``COMPARE_NOISE_STD``.
+    gain/value matrices are identified.  The probe's own generator, seeded
+    with the scenario seed and the node, draws the states of every row and
+    then the probing inputs of every row, with standard deviation
+    ``COMPARE_NOISE_STD``; the engine's ``exploration_noise`` is not drawn.
     """
-    agent_cfg = replace(cfg.agent_learner_config(node), noise_std=COMPARE_NOISE_STD)
-    rows = agent_cfg.rows_for(sys_.dim, sys_.m)
+    rows = cfg.agent_learner_config(node).rows_for(sys_.dim, sys_.m)
     buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
     rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
     warm = np.zeros((sys_.m, sys_.dim))
@@ -126,7 +127,7 @@ def probe_window(cfg: sim.ScenarioConfig, node: int,
     # matrix-vector product bit for bit (``x @ M.T`` does not)
     x = rng.normal(size=(rows, sys_.dim))
     u = (np.matmul(warm, x[:, :, None])[:, :, 0]
-         + ln.exploration_noise(agent_cfg, sys_.m, range(rows)))
+         + COMPARE_NOISE_STD * rng.standard_normal((rows, sys_.m)))
     x_next = (np.matmul(sys_.A_bar, x[:, :, None])[:, :, 0]
               + np.matmul(sys_.B_bar, u[:, :, None])[:, :, 0])
     return buf.record(x, u, x_next)

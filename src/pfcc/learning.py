@@ -115,8 +115,10 @@ class DataBuffer:
     read builds the rows of every recorded transition in one vectorized
     pass, each entry the same elementwise product a transition at a time
     would give, so recording costs only the copy.  The sweep plan reads
-    them once, and is cached until the next record or flush, or a plan
-    under the other rank policy.
+    them once and keeps the scaled regression matrix, the ``psi_next`` rows
+    and the regression folded into one operator, not the factors of the SVD
+    it was folded from; it is cached until the next record or flush, or a
+    plan under the other rank policy.
     """
 
     def __init__(self, state_dim: int, input_dim: int, capacity: int):
@@ -189,16 +191,23 @@ class DataBuffer:
 
 class _WindowPlan:
     """The work of a value-iteration sweep that depends only on the window,
-    done once per window under one rank policy (``allow_deficient``): the
-    truncated SVD of the row-scaled regression ``theta @ xi = psi_next @
-    vecm(P)``, its row scale, the ``psi_next`` rows, and the tables that
-    unpack a solution into the Xi blocks.  Strict policy demands full column rank and a
-    bounded condition number; the tolerant policy solves minimum-norm in
+    done once per window under one rank policy (``allow_deficient``).
+
+    The regression ``theta @ xi = psi_next @ vecm(P)``, its rows scaled by
+    ``scale``, is linear in ``vecm(P)``, so its min-norm solution through the
+    truncated SVD ``U S V^T`` of the scaled ``theta`` is folded, when the plan
+    is built, into one ``(unknowns, psi)`` operator
+    ``V S^-1 U^T diag(scale) psi_next``; the SVD factors are not kept.  The
+    plan keeps that fold, the scaled regression matrix, its row scale and
+    the ``psi_next`` rows, from which each sweep forms its right-hand side
+    and residual for the consistency check, and the tables that unpack a
+    solution into the Xi blocks.  Strict policy demands full column rank and
+    a bounded condition number; the tolerant policy solves minimum-norm in
     the excited subspace, which is the right behaviour when part of the
     augmented state is identically unexcited (for example a tracking block
     resting at the origin)."""
 
-    __slots__ = ("allow_deficient", "scale", "psi_next", "_matrix", "_u", "_inv_s", "_v",
+    __slots__ = ("allow_deficient", "scale", "psi_next", "_matrix", "_fold",
                  "_xi2", "_xi2_shape", "_weights", "_xi1_gather", "_xi3_gather")
 
     def __init__(self, buf: DataBuffer, allow_deficient: bool):
@@ -226,10 +235,9 @@ class _WindowPlan:
                     "regression matrix is rank deficient; collect more samples or "
                     "increase exploration noise")
         self._matrix = matrix
-        self._u = u[:, keep]
-        self._inv_s = 1.0 / s[keep]
-        self._v = vt[keep].T
         self.psi_next = buf.psi_next()
+        self._fold = vt[keep].T @ ((1.0 / s[keep])[:, None]
+                                   * (u[:, keep].T @ (self.scale[:, None] * self.psi_next)))
         n, m = buf.state_dim, buf.input_dim
         c1 = psi_columns(n)
         self._xi2 = slice(c1, c1 + n * m)
@@ -251,8 +259,13 @@ class _WindowPlan:
         policy.  ``p`` is a 2-D, exactly symmetric value matrix, as
         ``learning_tick`` produces it; it is not re-symmetrized, and
         ``vecm`` rejects one that is asymmetric beyond its tolerance (a
-        ``ConvergenceError`` when it is not finite).  The blocks come back
-        as 2-D arrays, ``Xi1`` and ``Xi3`` exactly symmetric.
+        ``ConvergenceError`` when it is not finite).  The solution is the
+        min-norm least-squares one, one product of the fold; a
+        ``DataConsistencyError`` is raised when the regression is
+        inconsistent beyond the round-off of an exact-transition window,
+        and a ``ConvergenceError`` when its right-hand side or solution is
+        not finite.  The blocks come back as 2-D arrays, ``Xi1`` and
+        ``Xi3`` exactly symmetric.
         """
         try:
             p_slots = vecm(p)
@@ -262,14 +275,8 @@ class _WindowPlan:
                 raise ConvergenceError("value matrix is not finite; the value iteration "
                                        "has left the float range") from None
             raise
-        return self.blocks(self.solve((self.psi_next @ p_slots) * self.scale))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Min-norm least squares; raises DataConsistencyError when the
-        system is inconsistent beyond the round-off of an exact-transition
-        window, and ConvergenceError when the right-hand side or the
-        solution is not finite."""
-        solution = self._v @ (self._inv_s * (self._u.T @ rhs))
+        solution = self._fold @ p_slots
+        rhs = (self.psi_next @ p_slots) * self.scale
         residual = self._matrix @ solution - rhs
         res_norm, rhs_norm = _norm(residual), _norm(rhs)
         if not math.isfinite(res_norm + rhs_norm):
@@ -288,7 +295,7 @@ class _WindowPlan:
                 "window rows are mutually inconsistent (relative residual "
                 f"{res_norm / max(rhs_norm, 1e-300):.2e}); "
                 "samples were likely taken during an observer transient")
-        return solution
+        return self.blocks(solution)
 
     def blocks(self, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Xi1 (n x n), Xi2 (m x n) and Xi3 (m x m) from a solution

@@ -11,6 +11,9 @@ the unit tests check against; the engine calls none of them.
   the column blocks of a stacked gain and the regulation identities they
   satisfy;
 - ``itfl_sets``: the transit-relay (ITFL) leaders of each leader;
+- ``window_regression``: one sweep's regression of the Xi blocks through
+  the SVD of the window, unfolded, of which the engine's window plan keeps
+  only the folded product;
 - ``spectral_radius``.
 """
 
@@ -21,7 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from pfcc.errors import ConvergenceError, PfccError
+from pfcc import learning as ln
+from pfcc.errors import (ConvergenceError, DataConsistencyError, PersistentExcitationError,
+                         PfccError)
+from pfcc.matops import square_index, vecm
 from pfcc.model_control import AgentDynamics
 from pfcc.observers import ObserverConfig
 from pfcc.topology import DirectedTopology, closure
@@ -86,6 +92,52 @@ def row_observer_step(obs: RowObserver, x: np.ndarray, x_sq: float,
         raise ConvergenceError("observer state diverged")
     return RowObserver(cfg, c_next,
                        a_hat - (eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi))) * x)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def window_regression(buf: ln.DataBuffer, p: np.ndarray, allow_deficient: bool = False
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks (Xi1, Xi2, Xi3) of the regression ``theta @ xi =
+    psi_next @ vecm(P)`` of a full window at the value matrix ``p``, rows
+    scaled to a norm of at most 1, solved min-norm through the truncated
+    SVD ``U S V^T`` of the scaled ``theta`` from ``np.linalg.svd``, as three
+    products ``V (S^-1 (U^T rhs))`` of the scaled right-hand side, with the
+    relative residual of that solution checked against it.  Raises the
+    errors of ``DataBuffer.plan(...).xi`` under the same rank policy and
+    thresholds: ``PersistentExcitationError`` for a window without
+    excitation, ``DataConsistencyError`` for inconsistent rows and
+    ``ConvergenceError`` for a regression that is not finite."""
+    theta = buf.theta()
+    scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
+    matrix = theta * scale[:, None]
+    if not np.isfinite(matrix).all():
+        raise ConvergenceError("window regression is not finite")
+    if matrix.shape[0] < matrix.shape[1] and not allow_deficient:
+        raise PersistentExcitationError("fewer rows than unknowns")
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    if s[0] == 0.0:
+        raise PersistentExcitationError("regression matrix is zero")
+    if not allow_deficient and (s[-1] == 0.0 or s[0] / s[-1] > ln.CONDITION_LIMIT):
+        raise PersistentExcitationError("regression matrix is rank deficient")
+    keep = s > (ln.RANK_RCOND * s[0] if allow_deficient else 0.0)
+    if not np.isfinite(p).all():
+        raise ConvergenceError("value matrix is not finite")
+    rhs = (buf.psi_next() @ vecm(p)) * scale
+    solution = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
+    residual = matrix @ solution - rhs
+    if not (np.isfinite(residual).all() and np.isfinite(rhs).all()):
+        raise ConvergenceError("window regression is not finite")
+    # both norms relative to the largest entry, which keeps them finite
+    peak = max(np.abs(residual).max(), np.abs(rhs).max())
+    if peak > 0.0 and (np.linalg.norm(residual / peak)
+                       > ln.CONSISTENCY_RTOL * max(np.linalg.norm(rhs / peak), 1e-12 / peak)):
+        raise DataConsistencyError("window rows are mutually inconsistent")
+    n, m = buf.state_dim, buf.input_dim
+    weights1, _, full1 = square_index(n)
+    weights3, _, full3 = square_index(m)
+    c1, c2 = weights1.size, weights1.size + n * m
+    return ((solution[:c1] / weights1)[full1], solution[c1:c2].reshape((m, n), order="F"),
+            (solution[c2:] / weights3)[full3])
 
 
 def spectral_radius(m: np.ndarray) -> float:

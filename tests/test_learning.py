@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference as ref
 from conftest import reference_noise, reference_sweep, vecv_loop
 from pfcc import cli
 from pfcc import learning as ln
@@ -240,13 +241,14 @@ class TestModelBlockRegression:
             buf.plan(False).xi(np.eye(2))
 
     @staticmethod
-    def exact_and_mixed_windows(sys_):
-        """A window of exact transitions, and the same window with its
-        second half taken from the plant (1.1 A, 1.1 B)."""
+    def exact_and_mixed_windows(sys_, size=1.0):
+        """A window of exact transitions from states and inputs of about
+        ``size``, and the same window with its second half taken from the
+        plant (1.1 A, 1.1 B)."""
         rows = ln.LearnerConfig().rows_for(sys_.dim, sys_.m)
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(rows, sys_.dim))
-        u = rng.normal(size=(rows, sys_.m))
+        x = size * rng.normal(size=(rows, sys_.dim))
+        u = size * rng.normal(size=(rows, sys_.m))
         x_next = x @ sys_.A_bar.T + u @ sys_.B_bar.T
         exact = ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next)
         x_next[rows // 2 :] *= 1.1
@@ -278,23 +280,33 @@ class TestModelBlockRegression:
     @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
     def test_non_finite_right_hand_side_is_a_convergence_error(self, hexagon_config,
                                                                 poison):
-        # no comparison fails on a nan, so the check must reject it by name
-        exact, _ = self.exact_and_mixed_windows(f1_system(hexagon_config))
+        # a finite value matrix at the edge of the float range: its
+        # right-hand side psi_next @ vecm(P) overflows to inf, to -inf, or
+        # to inf - inf = nan where the diagonal alternates in sign; no
+        # comparison fails on a nan, so the check must reject it by name
+        sys_ = f1_system(hexagon_config)
+        exact, _ = self.exact_and_mixed_windows(sys_)
         plan = exact.plan(True)
-        rhs = np.ones(len(exact))
-        rhs[3] = poison
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ConvergenceError, match="not finite"):
-            plan.solve(rhs)
+        signs = [1.0, -1.0] if np.isnan(poison) else [np.sign(poison)]
+        p = 1e308 * np.diag(np.resize(signs, sys_.dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = (plan.psi_next @ mo.vecm(p)) * plan.scale
+            assert np.isnan(rhs).any() if np.isnan(poison) else (rhs == poison).any()
+            with pytest.raises(ConvergenceError, match="window regression is not finite"):
+                plan.xi(p)
 
     def test_overflowing_solution_is_a_convergence_error(self, hexagon_config):
-        # a finite right-hand side along the weakest kept direction: the
-        # solution overflows to inf and the residual to nan
-        exact, _ = self.exact_and_mixed_windows(f1_system(hexagon_config))
+        # a window of states about 1e-3 in size: at P = 1e308 I the
+        # right-hand side stays finite while the solution, A^T P A and its
+        # kin, overflows to inf and the residual to nan
+        sys_ = f1_system(hexagon_config)
+        exact, _ = self.exact_and_mixed_windows(sys_, size=1e-3)
         plan = exact.plan(True)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ConvergenceError, match="not finite"):
-            plan.solve(1e308 * plan._u[:, -1])
+        p = 1e308 * np.eye(sys_.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite((plan.psi_next @ mo.vecm(p)) * plan.scale).all()
+            with pytest.raises(ConvergenceError, match="window regression is not finite"):
+                plan.xi(p)
 
     def test_zero_input_data_rejected(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
@@ -474,6 +486,48 @@ class TestSweepMatchesReference:
             want = sweep_outcome(reference_sweep, ctrl, buf, cost, cfg)
             assert got == want, agent
             assert got[0] is (ValueError if poison == "asymmetric" else ConvergenceError)
+
+
+class TestFoldedRegression:
+    """``_WindowPlan.xi``, one product of the window's folded operator,
+    against ``reference.window_regression``, the unfolded SVD solve of the
+    same regression.  The two sum in another order, so the blocks agree to
+    round-off: within ``RTOL`` of each block's largest entry (the largest gap
+    on these windows is about 4e-15)."""
+
+    RTOL = 1e-12
+
+    def assert_same_blocks(self, got, want):
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= self.RTOL * np.abs(b).max()
+
+    @pytest.mark.parametrize("allow_deficient", [False, True])
+    @pytest.mark.parametrize("seed", [7, 2024])
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_every_compare_gains_window(self, name, seed, allow_deficient):
+        # at the value matrix of every sweep up to convergence
+        for agent, buf, cost, cfg in compare_gains_windows(name, seed):
+            ctrl = ln.LearnedController.create(buf.state_dim, buf.input_dim)
+            while ctrl.status != ln.CONVERGED:
+                self.assert_same_blocks(buf.plan(allow_deficient).xi(ctrl.P_hat),
+                                        ref.window_regression(buf, ctrl.P_hat,
+                                                              allow_deficient))
+                ctrl = ln.iterate(ctrl, buf, cost, cfg, 1, allow_deficient)
+
+    @pytest.mark.parametrize("allow_deficient", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e300, 1e308])
+    def test_exact_and_mixed_windows_raise_or_pass_alike(self, hexagon_config, scale,
+                                                         allow_deficient):
+        sys_ = f1_system(hexagon_config)
+        p = scale * np.eye(sys_.dim)
+        exact, mixed = TestModelBlockRegression.exact_and_mixed_windows(sys_)
+        for window, passes in ((exact, scale < 1e308), (mixed, False)):
+            got = sweep_outcome(lambda: window.plan(allow_deficient).xi(p))
+            want = sweep_outcome(ref.window_regression, window, p, allow_deficient)
+            if passes:
+                self.assert_same_blocks(got, want)
+            else:  # the class raised; the reference words its messages apart
+                assert got[0] is want[0] and issubclass(got[0], Exception)
 
 
 #: A value-iteration sweep for the three-input leader L3 of ``hexagon`` on

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import drawn_plants, drawn_topology_config, reference_noise
+from conftest import drawn_plants, drawn_topology_config
 from pfcc import cli
 from pfcc import learning as ln
 from pfcc import model_control as mc
@@ -655,9 +655,11 @@ class TestOverflowingCost:
         assert err.count("\n") == 1 and message in err, err
         assert "Traceback" not in err and "Warning" not in err
 
+    # at 5e307 the first sweep's value matrix, about half the cost, is
+    # finite, and its regression, about A^T P A, overflows
     @pytest.mark.parametrize("scale, message", [
         (1.7e308, "value matrix is not finite"),
-        (1e307, "window regression is not finite")])
+        (5e307, "window regression is not finite")])
     def test_learner_run_aborts(self, tmp_path, scale, message):
         assert self.pfcc(tmp_path, scale, "validate").returncode == cli.EXIT_OK
         proc = self.pfcc(tmp_path, scale, "run", "--horizon", "1500",
@@ -806,19 +808,18 @@ class TestCompareGains:
             for node in topo.follower_nodes + topo.leader_nodes:
                 alphas = coeffs.get(node, {node: 1.0})
                 sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
-                # the per-row form: one state draw, one seeded noise
-                # generator and one record per row
-                agent_cfg = dataclasses.replace(cfg.agent_learner_config(node),
-                                                noise_std=cli.COMPARE_NOISE_STD)
-                rows = agent_cfg.rows_for(sys_.dim, sys_.m)
+                # the per-row form from one generator: a state draw per
+                # row, then a noise draw per row, then one record per row
+                rows = cfg.agent_learner_config(node).rows_for(sys_.dim, sys_.m)
                 expected = ln.DataBuffer(sys_.dim, sys_.m, rows)
                 rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
                 warm = np.zeros((sys_.m, sys_.dim))
                 warm[:, : cfg.state_dim] = np.atleast_2d(
                     cfg.warmup_gains.get(node, np.zeros((sys_.m, cfg.state_dim))))
-                for t in range(rows):
-                    x = rng.normal(size=sys_.dim)
-                    u = warm @ x + reference_noise(agent_cfg, sys_.m, t)
+                states = [rng.normal(size=sys_.dim) for _ in range(rows)]
+                noise = [rng.normal(0.0, cli.COMPARE_NOISE_STD, sys_.m) for _ in range(rows)]
+                for x, z in zip(states, noise):
+                    u = warm @ x + z
                     expected.record(x, u, sys_.A_bar @ x + sys_.B_bar @ u)
                 buf = cli.probe_window(cfg, node, sys_)
                 assert len(buf) == rows
