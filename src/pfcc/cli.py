@@ -68,7 +68,8 @@ def cmd_validate(args) -> int:
         for issue in problems:
             print(f"assumptions: FAIL - {issue}")
         return EXIT_ASSUMPTION
-    print("assumptions: ok (graph structure, factor positivity, spectral radii, "
+    print("assumptions: ok (graph structure, schedule factors for every leader, "
+          "factor positivity, spectral radii, q_weight positive definiteness, "
           "stabilizability, regulation solvability)")
     return EXIT_OK
 

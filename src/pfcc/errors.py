@@ -20,7 +20,16 @@ class AssumptionError(PfccError):
 
 
 class RegulationError(AssumptionError):
-    """A state regulation equation S = A + B*U has no solution."""
+    """A state regulation equation S = A + B*U has no solution.
+
+    ``failed`` marks, over the stack of agents the equations were solved
+    for, each agent with an unsolvable equation (one numpy bool when they
+    were solved for one agent).
+    """
+
+    def __init__(self, message: str, failed=None):
+        super().__init__(message)
+        self.failed = failed
 
 
 class PersistentExcitationError(PfccError):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import cache
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_gufunc
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -91,10 +92,12 @@ def pinv(b: np.ndarray) -> np.ndarray:
 
     Singular values below sigma_max * max(rows, cols) * eps are treated as
     zero; exact-rank behaviour on rank-deficient products like B^T P B is
-    required by the gain formulas downstream.
+    required by the gain formulas downstream.  A ``(..., rows, cols)``
+    stack gives each matrix the pseudo-inverse it gets on its own: the
+    cutoff reads its rows and columns from the last two axes.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    rcond = max(b.shape) * np.finfo(float).eps
+    rcond = max(b.shape[-2:]) * np.finfo(float).eps
     return np.linalg.pinv(b, rcond=rcond)
 
 
@@ -104,19 +107,20 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def is_positive_definite(m: np.ndarray) -> bool:
-    """Cholesky-based positive definiteness test for symmetric input.
+def is_positive_definite(m: np.ndarray) -> np.ndarray:
+    """Cholesky-based positive definiteness test of each matrix of a
+    ``(..., n, n)`` stack, as a boolean array of the stack's shape (a 0-d
+    one for a single matrix).
 
-    Input asymmetric beyond ``SYMMETRY_ATOL`` is not positive definite, and
-    neither is input with a non-finite entry (its asymmetry is not a
-    number).
+    A matrix asymmetric beyond ``SYMMETRY_ATOL`` is not positive definite,
+    and neither is one with a non-finite entry (its asymmetry is not a
+    number).  The whole stack takes one symmetry check and one call of the
+    Cholesky gufunc that ``np.linalg.cholesky`` runs, which leaves a matrix
+    without a factor as nan where ``np.linalg.cholesky`` would raise for
+    the whole stack.
     """
     m = np.asarray(m, dtype=float)
-    with np.errstate(invalid="ignore"):
-        if m.size and not np.abs(m - m.T).max() <= SYMMETRY_ATOL:
-            return False
-    try:
-        np.linalg.cholesky(m)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        asymmetry = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
+        factor = _cholesky_gufunc(m, signature="d->d")
+    return (asymmetry <= SYMMETRY_ATOL) & ~np.isnan(factor).any(axis=(-2, -1))

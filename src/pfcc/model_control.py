@@ -11,6 +11,7 @@ data-driven learner is checked against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,23 +65,51 @@ class FormationDynamics:
         object.__setattr__(self, "h0", h0)
 
 
-def is_stabilizable(dyn: AgentDynamics) -> bool:
-    """PBH-style test: every eigenvalue on/outside the unit circle must be
-    controllable.
+def input_width_groups(dynamics: Sequence[AgentDynamics]
+                       ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The agents of ``dynamics`` grouped by input width, in order of first
+    appearance: each group's agent indices and its stacked ``A`` and
+    ``B``."""
+    groups: dict[int, list[int]] = {}
+    for index, dyn in enumerate(dynamics):
+        groups.setdefault(dyn.m, []).append(index)
+    return [(np.array(members), np.array([dynamics[i].A for i in members]),
+             np.array([dynamics[i].B for i in members])) for members in groups.values()]
+
+
+def is_stabilizable(dynamics: Sequence[AgentDynamics]) -> np.ndarray:
+    """PBH-style test of each agent, as one boolean per agent: every
+    eigenvalue on/outside the unit circle must be controllable.
 
     B enters scaled to a largest entry of 1 and the rank cutoff is relative
     to the test matrix, so (A, cB) gets the verdict of (A, B) for every
-    c != 0.
+    c != 0.  One ``eigvals`` call covers every A, and one ``matrix_rank``
+    call covers the test matrices of each input width and eigenvalue field:
+    an agent whose eigenvalues are all real is tested with real matrices,
+    as ``eigvals`` of its A alone would give them.
     """
-    scale = np.abs(dyn.B).max(initial=0.0)
-    b = dyn.B / scale if scale else dyn.B
-    for lam in np.linalg.eigvals(dyn.A):
-        if abs(lam) < 1.0 - MARGINAL_TOL:
-            continue
-        test = np.hstack([dyn.A - lam * np.eye(dyn.n), b])
-        if np.linalg.matrix_rank(test, rtol=1e-9) < dyn.n:
-            return False
-    return True
+    stabilizable = np.ones(len(dynamics), dtype=bool)
+    if not dynamics:
+        return stabilizable
+    eig = np.linalg.eigvals(np.array([dyn.A for dyn in dynamics]))
+    tested = ~(np.abs(eig) < 1.0 - MARGINAL_TOL)
+    real = (eig.imag == 0).all(axis=-1)
+    n = eig.shape[-1]
+    eye = np.eye(n)
+    for members, a, b in input_width_groups(dynamics):
+        scale = np.abs(b).max(axis=(-2, -1), initial=0.0)[:, None, None]
+        b = b / np.where(scale == 0, 1.0, scale)
+        for all_real in (True, False):
+            agent, mode = np.nonzero(tested[members] & (real[members] == all_real)[:, None])
+            if not agent.size:
+                continue
+            lam = eig[members[agent], mode]
+            if all_real:
+                lam = lam.real
+            test = np.concatenate([a[agent] - lam[:, None, None] * eye, b[agent]], axis=-1)
+            deficient = np.linalg.matrix_rank(test, rtol=1e-9) < n
+            stabilizable[members[agent[deficient]]] = False
+    return stabilizable
 
 
 @dataclass(frozen=True)
@@ -275,19 +304,28 @@ def min_norm_regulation_solution(a: np.ndarray, b: np.ndarray,
                                  s_target: np.ndarray) -> np.ndarray:
     """Minimum-norm U solving S = A + B U, via U = B^+ (S - A).
 
-    ``s_target`` is one ``(n, n)`` target or a ``(k, n, n)`` stack of them,
-    solved from one pseudo-inverse of B; the result has the same stacking.
-    Raises when the equation of any target is unsolvable (its projection
-    residual exceeds ``REGULATION_RTOL * max(1, ||S - A||)``), which means the
-    regulation-equation assumptions do not hold for this agent and target.
-    A residual that is not a number does not raise.
+    ``a`` and ``b`` are one agent's ``(n, n)`` and ``(n, m)`` matrices or a
+    ``(k, n, n)`` and ``(k, n, m)`` stack of k agents of one input width;
+    ``s_target`` is one ``(n, n)`` target or a ``(t, n, n)`` stack of them.
+    Every agent's equations for every target are solved from one
+    pseudo-inverse call, and U has the shape ``agents + targets + (m, n)``.
+    Raises when the equation of any agent and target is unsolvable (its
+    projection residual exceeds ``REGULATION_RTOL * max(1, ||S - A||)``),
+    which means the regulation-equation assumptions do not hold for that
+    agent and target; the error's ``failed`` marks each agent with an
+    unsolvable target.  A residual that is not a number does not raise.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     s = np.atleast_2d(np.asarray(s_target, dtype=float))
-    rhs = s - a
-    u = pinv(b) @ rhs
-    residual = np.linalg.norm(b @ u - rhs, axis=(-2, -1))
+
+    def per_target(x: np.ndarray) -> np.ndarray:
+        """``x`` with a unit axis per target axis before its matrix axes."""
+        return x.reshape(x.shape[:-2] + (1,) * (s.ndim - 2) + x.shape[-2:])
+
+    rhs = s - per_target(a)
+    u = per_target(pinv(b)) @ rhs
+    residual = np.linalg.norm(per_target(b) @ u - rhs, axis=(-2, -1))
     size = np.linalg.norm(rhs, axis=(-2, -1))
     # fmax, like Python's max(1, size), takes a nan size as 1
     failed = residual > REGULATION_RTOL * np.fmax(size, 1.0)
@@ -295,6 +333,6 @@ def min_norm_regulation_solution(a: np.ndarray, b: np.ndarray,
         raise RegulationError(
             "regulation equation S = A + B*U has no solution "
             f"(projection residual {residual[failed].flat[0]:.3e}); the solvability "
-            "assumptions fail for this agent"
-        )
+            "assumptions fail for this agent",
+            failed=failed.reshape(a.shape[:-2] + (-1,)).any(axis=-1))
     return u

@@ -23,8 +23,9 @@ from . import simulation as sim
 from .errors import SchemaError
 from .topology import DirectedTopology
 
-_MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
-_VECTOR = {"type": "array", "items": {"type": "number"}}
+_NUMBER = {"type": "number"}
+_MATRIX = {"type": "array", "items": {"type": "array", "items": _NUMBER}}
+_VECTOR = {"type": "array", "items": _NUMBER}
 _OBSERVER = {
     "type": "object",
     "additionalProperties": False,
@@ -155,6 +156,11 @@ _IS_TYPE = {
 }
 
 
+#: The exact types of the parsed JSON values that ``{"type": "number"}``
+#: accepts; ``bool``, a subclass of ``int``, is not one of them.
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
 def _matches_type(value, schema: dict) -> bool:
     types = schema.get("type", ())
     if isinstance(types, str):
@@ -195,8 +201,11 @@ def _violations(value, schema: dict, path: tuple, out: list) -> None:
                     _violations(value[key], arg, path + (key,), out)
         elif keyword == "items":
             start = len(schema.get("prefixItems", ()))
-            for index in range(start, len(value)) if is_array else ():
-                _violations(value[index], arg, path + (index,), out)
+            # a row of plain numbers meets the number schema in one pass
+            if is_array and not (arg == _NUMBER and _PLAIN_NUMBERS.issuperset(
+                    map(type, value[start:]))):
+                for index in range(start, len(value)):
+                    _violations(value[index], arg, path + (index,), out)
         elif keyword == "prefixItems":
             for index, (item, sub) in enumerate(zip(value if is_array else (), arg)):
                 _violations(item, sub, path + (index,), out)

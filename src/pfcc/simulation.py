@@ -28,7 +28,7 @@ from . import model_control as mc
 from . import observers as ob
 from . import propagation as pr
 from .errors import (AssumptionError, ConvergenceError, DataConsistencyError,
-                     PfccError, SimulationAbort)
+                     PfccError, RegulationError, SimulationAbort)
 from .matops import is_positive_definite, row_sq_norms
 from .topology import DirectedTopology, build_laplacian, verify_assumption1
 
@@ -195,9 +195,12 @@ class ScenarioConfig:
     def validate(self) -> list[str]:
         """Assumption checks; returns a list of failure descriptions.
 
-        Each agent's regulation equations, for the tracking target and for
-        every leader's formation, are solved from one pseudo-inverse of its
-        B, and an agent that fails any of them is named once.
+        Each per-agent check runs once over all agents: one positive
+        definiteness test of the stacked q_weights, one stabilizability
+        test, and one regulation solve per input width for the tracking
+        target and every leader's formation.  The problems of each agent
+        are listed together, in node order, and an agent whose regulation
+        equations fail for several targets is named once.
         """
         problems: list[str] = []
         report = verify_assumption1(self.topology)
@@ -217,14 +220,22 @@ class ScenarioConfig:
         for q, radius in zip(self.topology.leader_nodes, radii[1:]):
             if radius > 1.0 + mc.MARGINAL_TOL:
                 problems.append(f"formation dynamics of {self.agent_name(q)} expand")
-        for node, (name, dyn) in enumerate(zip(self.names, self.dynamics), 1):
-            if not is_positive_definite(self.q_weights[node]):
-                problems.append(f"q_weight of {name} must be symmetric positive definite")
-            if not mc.is_stabilizable(dyn):
-                problems.append(f"agent {name} is not stabilizable")
+        weighted = is_positive_definite(
+            np.array([self.q_weights[node] for node in range(1, len(self.dynamics) + 1)]))
+        stabilizable = mc.is_stabilizable(self.dynamics)
+        solvable = np.ones(len(self.dynamics), dtype=bool)
+        for members, a, b in mc.input_width_groups(self.dynamics):
             try:
-                mc.min_norm_regulation_solution(dyn.A, dyn.B, targets)
-            except PfccError:
+                mc.min_norm_regulation_solution(a, b, targets)
+            except RegulationError as exc:
+                solvable[members] = ~exc.failed
+        for name, weight_ok, stable, solved in zip(self.names, weighted, stabilizable,
+                                                   solvable):
+            if not weight_ok:
+                problems.append(f"q_weight of {name} must be symmetric positive definite")
+            if not stable:
+                problems.append(f"agent {name} is not stabilizable")
+            if not solved:
                 problems.append(f"regulation equation unsolvable for agent {name}")
         return problems
 

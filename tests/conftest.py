@@ -9,6 +9,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 
+import reference as ref
 from pfcc import learning as ln
 from pfcc import matops as mo
 from pfcc import model_control as mc
@@ -131,15 +132,15 @@ def non_finite(value, path: tuple = ()) -> tuple | None:
 @np.errstate(over="ignore", invalid="ignore")
 def regulation_problems(cfg: sim.ScenarioConfig) -> list[str]:
     """Reference: the regulation lines of ``ScenarioConfig.validate`` from
-    one ``min_norm_regulation_solution`` call per agent and target (the
-    tracking target, then each leader's formation), stopping at an agent's
-    first unsolvable target."""
+    one per-agent ``min_norm_regulation_solution`` call per agent and target
+    (the tracking target, then each leader's formation), stopping at an
+    agent's first unsolvable target."""
     problems = []
     for node in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
         dyn = cfg.dynamics_of(node)
         for target in [cfg.tracking_a] + [f.S for f in cfg.formation]:
             try:
-                mc.min_norm_regulation_solution(dyn.A, dyn.B, target)
+                ref.min_norm_regulation_solution(dyn.A, dyn.B, target)
             except PfccError:
                 problems.append(f"regulation equation unsolvable for agent {cfg.agent_name(node)}")
                 break
@@ -490,3 +491,21 @@ def hexagon_config():
 @pytest.fixture()
 def hexagon_static_config():
     return sc.load_bundled("hexagon_static")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def validate_matches_the_per_agent_reference():
+    """Every ``ScenarioConfig.validate`` call of the suite also runs
+    ``reference.validate_per_agent`` on its config and fails unless both
+    list the same problems in the same order."""
+    stacked = sim.ScenarioConfig.validate
+
+    def checked(cfg):
+        problems = stacked(cfg)
+        expected = ref.validate_per_agent(cfg)
+        assert problems == expected, f"stacked {problems} != per-agent {expected}"
+        return problems
+
+    sim.ScenarioConfig.validate = checked
+    yield
+    sim.ScenarioConfig.validate = stacked

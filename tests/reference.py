@@ -14,7 +14,12 @@ the unit tests check against; the engine calls none of them.
 - ``window_regression``: one sweep's regression of the Xi blocks through
   the SVD of the window, unfolded, of which the engine's window plan keeps
   only the folded product;
-- ``spectral_radius``.
+- ``spectral_radius``;
+- ``is_positive_definite``, ``is_stabilizable``,
+  ``min_norm_regulation_solution`` and ``validate_per_agent``: the
+  assumption checks of one agent at a time, of which the engine's
+  ``ScenarioConfig.validate`` makes one stacked pass over all agents (per
+  input width for the rank and regulation tests).
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ import numpy as np
 
 from pfcc import learning as ln
 from pfcc.errors import (ConvergenceError, DataConsistencyError, PersistentExcitationError,
-                         PfccError)
-from pfcc.matops import square_index, vecm
-from pfcc.model_control import AgentDynamics
+                         PfccError, RegulationError)
+from pfcc.matops import SYMMETRY_ATOL, pinv, square_index, vecm
+from pfcc.model_control import MARGINAL_TOL, REGULATION_RTOL, AgentDynamics
 from pfcc.observers import ObserverConfig
-from pfcc.topology import DirectedTopology, closure
+from pfcc.topology import DirectedTopology, closure, verify_assumption1
 
 
 def regressor(x_hat: np.ndarray) -> np.ndarray:
@@ -234,3 +239,88 @@ def itfl_sets(known: np.ndarray, topo: DirectedTopology) -> dict[int, frozenset[
     relays = (needy.T @ reach) & known[leaders, leaders].T & ~np.eye(topo.n_leaders, dtype=bool)
     nodes = np.array(topo.leader_nodes)
     return {q: frozenset(nodes[row].tolist()) for q, row in zip(topo.leader_nodes, relays)}
+
+
+def is_positive_definite(m: np.ndarray) -> bool:
+    """Cholesky-based positive definiteness test of one matrix.
+
+    Input asymmetric beyond ``SYMMETRY_ATOL`` is not positive definite, and
+    neither is input with a non-finite entry (its asymmetry is not a
+    number).
+    """
+    m = np.asarray(m, dtype=float)
+    with np.errstate(invalid="ignore"):
+        if m.size and not np.abs(m - m.T).max() <= SYMMETRY_ATOL:
+            return False
+    try:
+        np.linalg.cholesky(m)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def is_stabilizable(dyn: AgentDynamics) -> bool:
+    """PBH-style test of one agent: every eigenvalue on/outside the unit
+    circle must be controllable, with B scaled to a largest entry of 1 and
+    a rank cutoff relative to each test matrix."""
+    scale = np.abs(dyn.B).max(initial=0.0)
+    b = dyn.B / scale if scale else dyn.B
+    for lam in np.linalg.eigvals(dyn.A):
+        if abs(lam) < 1.0 - MARGINAL_TOL:
+            continue
+        test = np.hstack([dyn.A - lam * np.eye(dyn.n), b])
+        if np.linalg.matrix_rank(test, rtol=1e-9) < dyn.n:
+            return False
+    return True
+
+
+def min_norm_regulation_solution(a: np.ndarray, b: np.ndarray,
+                                 s_target: np.ndarray) -> np.ndarray:
+    """Minimum-norm U solving S = A + B U of one agent, via U = B^+ (S - A),
+    for one ``(n, n)`` target or a ``(t, n, n)`` stack of them; raises
+    ``RegulationError`` when any target's projection residual exceeds
+    ``REGULATION_RTOL * max(1, ||S - A||)`` (a nan residual does not)."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    rhs = np.atleast_2d(np.asarray(s_target, dtype=float)) - a
+    u = pinv(b) @ rhs
+    residual = np.linalg.norm(b @ u - rhs, axis=(-2, -1))
+    failed = residual > REGULATION_RTOL * np.fmax(np.linalg.norm(rhs, axis=(-2, -1)), 1.0)
+    if failed.any():
+        raise RegulationError("regulation equation S = A + B*U has no solution")
+    return u
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def validate_per_agent(cfg) -> list[str]:
+    """The problem list of ``ScenarioConfig.validate`` from one agent at a
+    time: each agent's q_weight, stabilizability and regulation problems in
+    node order, from the single-agent checks above."""
+    problems: list[str] = []
+    topo = cfg.topology
+    report = verify_assumption1(topo)
+    if not report.passed:
+        problems.append(report.describe())
+    for _, factors in cfg.schedule.entries:
+        missing = [q for q in topo.leader_nodes if q not in factors]
+        if missing:
+            problems.append(f"schedule entry missing factors for leaders {missing}")
+        problems += [f"propensity factor for {cfg.agent_name(q)} must be positive, "
+                     f"got {factors[q]}" for q in topo.leader_nodes
+                     if q in factors and not factors[q] > 0]
+    targets = np.stack([cfg.tracking_a] + [f.S for f in cfg.formation])
+    if spectral_radius(cfg.tracking_a) > 1.0 + MARGINAL_TOL:
+        problems.append("tracking dynamics must have spectral radius <= 1")
+    for q, form in zip(topo.leader_nodes, cfg.formation):
+        if spectral_radius(form.S) > 1.0 + MARGINAL_TOL:
+            problems.append(f"formation dynamics of {cfg.agent_name(q)} expand")
+    for node, (name, dyn) in enumerate(zip(cfg.names, cfg.dynamics), 1):
+        if not is_positive_definite(cfg.q_weights[node]):
+            problems.append(f"q_weight of {name} must be symmetric positive definite")
+        if not is_stabilizable(dyn):
+            problems.append(f"agent {name} is not stabilizable")
+        try:
+            min_norm_regulation_solution(dyn.A, dyn.B, targets)
+        except RegulationError:
+            problems.append(f"regulation equation unsolvable for agent {name}")
+    return problems

@@ -212,6 +212,31 @@ class TestPinv:
         np.testing.assert_allclose(mo.pinv(b) @ b @ u, u, atol=1e-9)
 
 
+    def test_stack_cutoff_reads_the_matrix_axes(self):
+        # a singular value of 1e-15 (about 4.5 eps) is above the 2 x 2
+        # cutoff 2 eps, and stays above it in a stack of 8 such matrices
+        b = np.diag([1.0, 1e-15])
+        stacked = mo.pinv(np.stack([b] * 8))
+        assert mo.pinv(b)[1, 1] == pytest.approx(1e15)
+        assert stacked[:, 1, 1].tolist() == [mo.pinv(b)[1, 1]] * 8
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_one_matrix_at_a_time(self, seed):
+        # the cutoff of each matrix reads only its own rows and columns, so
+        # a long stack keeps the singular values a lone matrix keeps
+        rng = np.random.default_rng(seed)
+        k, rows, cols = (int(v) for v in rng.integers(1, 9, size=3))
+        b = rng.normal(size=(k, rows, cols))
+        if cols > 1:
+            b[:, :, -1] = b[:, :, 0] * (1.0 + rng.normal(size=(k, 1)) * 1e-15)
+        b *= 10.0 ** rng.integers(-150, 151, size=(k, 1, 1))
+        stacked = mo.pinv(b)
+        assert stacked.shape == (k, cols, rows)
+        for bp, one in zip(stacked, b):
+            np.testing.assert_array_equal(bp, mo.pinv(one))
+
+
 class TestSpectralRadius:
     def test_identity(self):
         assert ref.spectral_radius(np.eye(4)) == pytest.approx(1.0)
@@ -256,3 +281,22 @@ class TestPositiveDefinite:
     def test_indefinite_rejected(self):
         assert not mo.is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert not mo.is_positive_definite(np.zeros((2, 2)))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_one_matrix_at_a_time(self, seed):
+        # symmetric, asymmetric within and beyond SYMMETRY_ATOL, indefinite,
+        # singular and near-singular matrices in one stack, without a warning
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        stack = []
+        for _ in range(int(rng.integers(1, 9))):
+            g = rng.normal(size=(n, n))
+            m = g @ g.T + rng.choice([1.0, 1e-17, 0.0, -0.5]) * np.eye(n)
+            m[0, -1] += rng.choice([0.0, 0.5, 1.0, 2.0]) * mo.SYMMETRY_ATOL
+            stack.append(m * 10.0 ** rng.integers(-150, 151))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = mo.is_positive_definite(np.array(stack))
+        assert verdicts.dtype == bool and verdicts.shape == (len(stack),)
+        assert verdicts.tolist() == [ref.is_positive_definite(m) for m in stack]

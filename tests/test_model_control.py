@@ -14,6 +14,31 @@ def leader_system(dyn, form, a0, q):
     return mc.build_augmented(dyn, [form], a0, [1.0], q)
 
 
+def stabilizable(dyn):
+    """The stacked stabilizability test on a stack of one agent, which must
+    give the per-agent test's verdict."""
+    verdicts = mc.is_stabilizable([dyn])
+    assert verdicts.shape == (1,) and verdicts[0] == ref.is_stabilizable(dyn)
+    return bool(verdicts[0])
+
+
+def solve(a, b, s_target):
+    """``min_norm_regulation_solution`` on a stack of one agent, which must
+    give the per-agent solution bit for bit, or fail as the per-agent solve
+    does with the one agent marked."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    try:
+        single = ref.min_norm_regulation_solution(a, b, s_target)
+    except RegulationError:
+        with pytest.raises(RegulationError, match="no solution") as info:
+            mc.min_norm_regulation_solution(a[None], b[None], s_target)
+        assert info.value.failed.tolist() == [True]
+        raise
+    u = mc.min_norm_regulation_solution(a[None], b[None], s_target)
+    np.testing.assert_array_equal(u, single[None])
+    return u[0]
+
+
 def scalar_system(a=0.5, b=1.0, s=1.0, a0=1.0, q=1.0):
     dyn = mc.AgentDynamics([[a]], [[b]])
     form = mc.FormationDynamics([[s]], [0.0])
@@ -44,9 +69,9 @@ class TestTypes:
             mc.AgentDynamics([[0, 1], [1, 0]], [[1]])
 
     def test_stabilizability(self):
-        assert mc.is_stabilizable(mc.AgentDynamics([[0, 1], [1, 3]], [[0], [1]]))
+        assert stabilizable(mc.AgentDynamics([[0, 1], [1, 3]], [[0], [1]]))
         # unreachable unstable mode
-        assert not mc.is_stabilizable(mc.AgentDynamics([[2.0]], [[0.0]]))
+        assert not stabilizable(mc.AgentDynamics([[2.0]], [[0.0]]))
 
     @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
     def test_stabilizability_ignores_the_scale_of_b(self, name):
@@ -55,12 +80,12 @@ class TestTypes:
         cfg = sc.load_bundled(name)
         for node in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
             dyn = cfg.dynamics_of(node)
-            verdict = mc.is_stabilizable(dyn)
+            verdict = stabilizable(dyn)
             assert verdict, cfg.agent_name(node)
             for c in 10.0 ** np.arange(-12, 13):
                 for sign in (1.0, -1.0):
                     scaled = mc.AgentDynamics(dyn.A, sign * c * dyn.B)
-                    assert mc.is_stabilizable(scaled) == verdict, (cfg.agent_name(node), c)
+                    assert stabilizable(scaled) == verdict, (cfg.agent_name(node), c)
 
     @pytest.mark.parametrize("a, b", [
         ([[2.0, 0.0], [0.0, 0.5]], [[0.0], [1.0]]),  # the unstable mode is not actuated
@@ -69,8 +94,23 @@ class TestTypes:
     ])
     def test_uncontrollable_unstable_pair_rejected_at_every_scale(self, a, b):
         for c in 10.0 ** np.arange(-12, 13):
-            assert not mc.is_stabilizable(mc.AgentDynamics(a, c * np.asarray(b))), c
-        assert not mc.is_stabilizable(mc.AgentDynamics(a, np.zeros_like(b)))
+            assert not stabilizable(mc.AgentDynamics(a, c * np.asarray(b))), c
+        assert not stabilizable(mc.AgentDynamics(a, np.zeros_like(b)))
+
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_stacked_stabilizability_matches_the_per_agent_test(self, name):
+        # every agent of a bundled scenario with its B rescaled, its A made
+        # unstable, or its B zeroed, in one stack of mixed input widths
+        cfg = sc.load_bundled(name)
+        stack = []
+        for dyn in cfg.dynamics:
+            stack += [dyn, mc.AgentDynamics(dyn.A, 1e-150 * dyn.B),
+                      mc.AgentDynamics(2.0 * dyn.A, dyn.B),
+                      mc.AgentDynamics(dyn.A, np.zeros_like(dyn.B))]
+        verdicts = mc.is_stabilizable(stack)
+        assert verdicts.dtype == bool and verdicts.shape == (len(stack),)
+        assert verdicts.tolist() == [ref.is_stabilizable(dyn) for dyn in stack]
+        assert mc.is_stabilizable([]).shape == (0,)
 
 
 class TestAugmentedBuilders:
@@ -273,19 +313,19 @@ class TestRegulationSolutions:
         a = rng.normal(size=(2, 2))
         b = np.array([[1.0, 2.0], [0.0, 1.0]])
         s = rng.normal(size=(2, 2))
-        np.testing.assert_allclose(mc.min_norm_regulation_solution(a, b, s),
+        np.testing.assert_allclose(solve(a, b, s),
                                    np.linalg.inv(b) @ (s - a), atol=1e-12)
 
     def test_bundled_first_follower_solution(self, hexagon_config):
         dyn = hexagon_config.dynamics_of(1)
-        u = mc.min_norm_regulation_solution(dyn.A, dyn.B, SWAP)
+        u = solve(dyn.A, dyn.B, SWAP)
         np.testing.assert_allclose(u, [[0.0, -3.0]], atol=1e-12)
 
     def test_over_actuated_minimum_frobenius_norm(self, hexagon_config):
         # least-norm oracle on the vectorized linear system
         dyn = hexagon_config.dynamics_of(7)  # wide input matrix
         rhs = SWAP - dyn.A
-        u = mc.min_norm_regulation_solution(dyn.A, dyn.B, SWAP)
+        u = solve(dyn.A, dyn.B, SWAP)
         big = np.kron(np.eye(2), dyn.B)
         u_ref, *_ = np.linalg.lstsq(big, rhs.T.reshape(-1), rcond=None)
         np.testing.assert_allclose(u.flatten(order="F"), u_ref, atol=1e-10)
@@ -294,7 +334,7 @@ class TestRegulationSolutions:
         a = np.array([[0.0, 1.0], [1.0, 3.0]])
         b = np.array([[0.0], [1.0]])
         with pytest.raises(RegulationError, match="no solution"):
-            mc.min_norm_regulation_solution(a, b, np.eye(2))
+            solve(a, b, np.eye(2))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_stacked_targets_match_per_target_calls(self, seed):
@@ -314,14 +354,14 @@ class TestRegulationSolutions:
         singles = []
         for target in targets:
             try:
-                singles.append(mc.min_norm_regulation_solution(a, b, target))
+                singles.append(solve(a, b, target))
             except RegulationError:
                 singles.append(None)
         if any(u is None for u in singles):
             with pytest.raises(RegulationError, match="no solution"):
-                mc.min_norm_regulation_solution(a, b, np.stack(targets))
+                solve(a, b, np.stack(targets))
         else:
-            stacked = mc.min_norm_regulation_solution(a, b, np.stack(targets))
+            stacked = solve(a, b, np.stack(targets))
             assert stacked.shape == (len(targets), m, n)
             for u, single in zip(stacked, singles):
                 np.testing.assert_allclose(u, single, rtol=1e-12,
@@ -332,9 +372,9 @@ class TestRegulationSolutions:
         targets = np.stack([cfg.tracking_a] + [f.S for f in cfg.formation])
         for node in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
             dyn = cfg.dynamics_of(node)
-            stacked = mc.min_norm_regulation_solution(dyn.A, dyn.B, targets)
+            stacked = solve(dyn.A, dyn.B, targets)
             for u, target in zip(stacked, targets):
-                single = mc.min_norm_regulation_solution(dyn.A, dyn.B, target)
+                single = solve(dyn.A, dyn.B, target)
                 np.testing.assert_allclose(u, single, rtol=1e-12, atol=1e-12)
 
     def test_one_unsolvable_target_fails_the_stack(self, hexagon_config):
@@ -343,7 +383,7 @@ class TestRegulationSolutions:
             targets = np.stack([SWAP] * 3)
             targets[k] = np.eye(2)
             with pytest.raises(RegulationError, match="no solution"):
-                mc.min_norm_regulation_solution(dyn.A, dyn.B, targets)
+                solve(dyn.A, dyn.B, targets)
 
     @pytest.mark.parametrize("scale", [1e150, 1e300, 5e307])
     def test_overflowing_residual_decided_as_per_target(self, scale):
@@ -358,16 +398,51 @@ class TestRegulationSolutions:
             fails = []
             for target in targets:
                 try:
-                    mc.min_norm_regulation_solution(a, b, target)
+                    solve(a, b, target)
                     fails.append(False)
                 except RegulationError:
                     fails.append(True)
             try:
-                mc.min_norm_regulation_solution(a, b, targets)
+                solve(a, b, targets)
                 stacked_fails = False
             except RegulationError:
                 stacked_fails = True
         assert stacked_fails == any(fails)
+
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_stacked_agents_match_per_agent_solutions(self, seed):
+        # k agents of one input width, some B rank deficient or rescaled,
+        # against one target or a stack of them
+        rng = np.random.default_rng(seed)
+        n, m, k = (int(v) for v in rng.integers(1, 4, size=3))
+        b = rng.normal(size=(k, n, m))
+        deficient = rng.random(k) < 0.3
+        b[deficient, :, -1] = b[deficient, :, 0]  # rank deficient if m > 1
+        b *= 10.0 ** rng.integers(-150, 151, size=(k, 1, 1))
+        targets = rng.normal(size=(int(rng.integers(1, 4)), n, n))
+        if rng.random() < 0.5:
+            targets[:] = targets[0]  # one shape: some agents can reach it
+        a = targets[0] - b @ rng.normal(size=(k, m, n))
+        a[rng.random(k) < 0.3] = rng.normal(size=(n, n))
+        s = targets if rng.random() < 0.7 else targets[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fails = []
+            for a_j, b_j in zip(a, b):
+                try:
+                    ref.min_norm_regulation_solution(a_j, b_j, s)
+                    fails.append(False)
+                except RegulationError:
+                    fails.append(True)
+            try:
+                u = mc.min_norm_regulation_solution(a, b, s)
+            except RegulationError as exc:
+                assert exc.failed.tolist() == fails
+                return
+            assert not any(fails)
+            assert u.shape == (k,) + s.shape[:-2] + (m, n)
+            for u_j, a_j, b_j in zip(u, a, b):
+                np.testing.assert_array_equal(u_j, ref.min_norm_regulation_solution(a_j, b_j, s))
 
 
 class TestGainIdentities:

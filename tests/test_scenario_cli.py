@@ -287,6 +287,17 @@ class TestValidateCommand:
         path = write(tmp_path, bundled_dict())
         assert cli.main(["validate", path]) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_success_names_every_check(self, name, tmp_path, capsys):
+        # every check ScenarioConfig.validate runs, in the order it runs them
+        path = write(tmp_path, bundled_dict(name))
+        assert cli.main(["validate", path]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "schema: ok",
+            "assumptions: ok (graph structure, schedule factors for every leader, "
+            "factor positivity, spectral radii, q_weight positive definiteness, "
+            "stabilizability, regulation solvability)"]
+
     def test_schema_failure_exit_code(self, tmp_path):
         raw = bundled_dict()
         raw["surprise"] = True

@@ -214,6 +214,37 @@ def test_every_key_drop_reports_jsonschemas_best_match(name):
             assert_reports_best_match(raw, "drop " + "/".join(map(str, path)))
 
 
+#: Entries that a number row rejects: a bool, a numeric string, null and a
+#: nested list.
+NOT_NUMBERS = [True, "1", None, [1.0]]
+#: Number rows of each kind: a follower's input matrix row, a leader's
+#: formation vector, the tracking state, an observer gain matrix row and a
+#: warm-up gain row.
+NUMBER_ROWS = [("followers", 0, "B", 1), ("leaders", 1, "h0"), ("tracking", "x0"),
+               ("observers", "leader_tracking", "gain_matrix", 0),
+               ("observers", "formation", "L2", "gain_matrix", 1),
+               ("followers", 2, "warmup_gain", 0)]
+
+
+@pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+def test_non_number_row_entries_report_jsonschemas_best_match(name):
+    # a number row whose entries are all plain numbers passes in one check;
+    # any other row is walked entry by entry, alone or with a second bad
+    # entry in the same row or another row
+    bundled = sc.scenario_to_dict(sc.load_bundled(name))
+    rng = random.Random(f"pfcc-fuzz-rows-{name}")
+    for row in NUMBER_ROWS:
+        for entry in NOT_NUMBERS:
+            for index in range(len(parent(bundled, row + (0,)))):
+                raw = json.loads(json.dumps(bundled))
+                parent(raw, row + (index,))[index] = entry
+                assert_reports_best_match(raw, f"{row} [{index}] = {entry!r}")
+                other = rng.choice(NUMBER_ROWS)
+                slot = rng.randrange(len(parent(raw, other + (0,))))
+                parent(raw, other + (slot,))[slot] = rng.choice(NOT_NUMBERS)
+                assert_reports_best_match(raw, f"{row} [{index}] = {entry!r}, {other} [{slot}]")
+
+
 def subschemas(schema):
     """``schema`` and every schema nested in it."""
     yield schema

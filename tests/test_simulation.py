@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from conftest import (SWAP, block_topology, containment_error, drawn_plants,
@@ -14,6 +16,7 @@ from conftest import (SWAP, block_topology, containment_error, drawn_plants,
                       reference_augmented_state, reference_noise, reference_trace_row,
                       regulation_problems, transitive_closure)
 from pfcc import learning as ln
+from pfcc import matops as mo
 from pfcc import model_control as mc
 from pfcc import observers as ob
 from pfcc import propagation as pr
@@ -751,6 +754,80 @@ def regulation_lines(problems: list[str]) -> list[str]:
     return [p for p in problems if p.startswith("regulation equation")]
 
 
+def drawn_assumptions(base: sim.ScenarioConfig, seed: int) -> sim.ScenarioConfig:
+    """``base`` (state dimension 2) with every agent's plant and q_weight
+    redrawn from ``seed`` to meet the edges of the per-agent checks, and no
+    warm-up gains.  Input widths 1 to 3 mix in one config.  A is random,
+    a rotation (a complex pair inside, on or outside the unit circle), a
+    marginal Jordan block, diagonal at the margin's tolerance, or
+    A = S - B V with S the swap, which solves every swap target.  B is
+    random, zero or of rank one, rescaled by 1e-150 to 1e150.  A q_weight
+    is positive definite, asymmetric within or beyond ``SYMMETRY_ATOL``,
+    indefinite or near singular.  The tracking target or a formation may
+    become the identity, which a plant of rank-one B cannot reach."""
+    rng = np.random.default_rng(seed)
+    atol = mo.SYMMETRY_ATOL
+    dynamics, q_weights = [], {}
+    for node in range(1, len(base.dynamics) + 1):
+        m = int(rng.integers(1, 4))
+        b = rng.normal(size=(2, m))
+        kind = rng.integers(3)
+        if kind == 1:
+            b[:] = 0.0
+        elif kind == 2:
+            b = np.outer(rng.normal(size=2), rng.normal(size=m))
+        b *= 10.0 ** float(rng.integers(-150, 151))
+        angle = rng.uniform(0.0, np.pi)
+        rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        a = [rng.normal(size=(2, 2)) * rng.choice([0.3, 1.0, 3.0]),
+             rng.choice([0.5, 1.0, 1.5]) * rotation,
+             np.array([[1.0, 1.0], [0.0, 1.0]]),
+             np.diag([rng.choice([1.0 - mc.MARGINAL_TOL, np.nextafter(1.0 - mc.MARGINAL_TOL, 0.0),
+                                  1.0, 2.0]), rng.uniform(-0.9, 0.9)]),
+             SWAP - b @ rng.normal(size=(m, 2))][rng.integers(5)]
+        g = rng.normal(size=(2, 2))
+        q = [g @ g.T + np.eye(2), np.diag([1.0, -0.5]), np.array([[1.0, 1.0], [1.0, 1.0]]),
+             np.array([[1.0, 1.0], [1.0, 1.0 + 4e-16]]),
+             np.array([[2.0, 0.0], [rng.choice([0.5, 1.0, 2.0]) * atol, 2.0]])][rng.integers(5)]
+        dynamics.append(mc.AgentDynamics(a, b))
+        q_weights[node] = q
+    targets = dict(tracking_a=base.tracking_a, formation=list(base.formation))
+    if rng.random() < 0.3:
+        targets["tracking_a"] = np.eye(2)
+    if rng.random() < 0.3:
+        k = int(rng.integers(len(base.formation)))
+        targets["formation"][k] = mc.FormationDynamics(np.eye(2), base.formation[k].h0)
+    return dataclasses.replace(base, dynamics=dynamics, q_weights=q_weights,
+                               warmup_gains={}, **targets)
+
+
+class TestStackedValidation:
+    """``validate`` runs each per-agent check once over every agent; its
+    problem list is the per-agent reference's, text and order."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_validate_matches_the_per_agent_reference(self, seed):
+        cfg = drawn_assumptions(sc.load_bundled("hexagon"), seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problems = cfg.validate()
+        assert problems == ref.validate_per_agent(cfg)
+
+    def test_draws_meet_every_per_agent_problem(self):
+        # the drawn configs are not vacuous: over 40 seeds each per-agent
+        # check fails for at least a tenth of the agents and passes for at
+        # least a tenth
+        base = sc.load_bundled("hexagon")
+        agents = 40 * len(base.dynamics)
+        failures = {"q_weight": 0, "agent": 0, "regulation": 0}
+        for seed in range(40):
+            for problem in drawn_assumptions(base, seed).validate():
+                failures[problem.split(" ", 1)[0]] += 1
+        assert all(agents / 10 <= count <= agents * 9 / 10
+                   for count in failures.values()), failures
+
+
 class TestRegulationCheck:
     def test_validate_names_the_agents_the_per_target_loop_names(self):
         for what, cfg, unsolvable in regulation_variants():
@@ -772,8 +849,8 @@ class TestRegulationCheck:
             problems = cfg.validate()
         assert regulation_lines(problems) == regulation_problems(cfg)
 
-    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
-    def test_one_validation_pseudo_inverse_per_agent(self, name, monkeypatch):
+    @pytest.mark.parametrize("name, widths", [("hexagon", 3), ("hexagon_static", 1)])
+    def test_one_validation_pseudo_inverse_per_input_width(self, name, widths, monkeypatch):
         calls = []
         pinv = mc.pinv
 
@@ -784,8 +861,8 @@ class TestRegulationCheck:
         monkeypatch.setattr(mc, "pinv", counted)
         cfg = sc.load_bundled(name)
         sim.init_world(cfg)
-        agents = cfg.topology.n_followers + cfg.topology.n_leaders
-        assert 0 < calls.count("min_norm_regulation_solution") <= agents
+        assert len({dyn.m for dyn in cfg.dynamics}) == widths
+        assert calls.count("min_norm_regulation_solution") == widths
 
 
 class TestDeterminism:
