@@ -117,7 +117,7 @@ def probe_window(cfg: sim.ScenarioConfig, node: int,
     then the probing inputs of every row, with standard deviation
     ``COMPARE_NOISE_STD``; the engine's ``exploration_noise`` is not drawn.
     """
-    rows = cfg.agent_learner_config(node).rows_for(sys_.dim, sys_.m)
+    rows = cfg.learner.rows_for(sys_.dim, sys_.m)
     buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
     rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
     warm = np.zeros((sys_.m, sys_.dim))
@@ -145,10 +145,9 @@ def compare_agent_gains(cfg: sim.ScenarioConfig, node: int,
     sys_ = cfg.augmented_system(node, layout, alphas)
     oracle = mc.oracle_solution(sys_)
     buf = probe_window(cfg, node, sys_)
-    agent_cfg = cfg.agent_learner_config(node)
     ctrl = ln.iterate(ln.LearnedController.create(sys_.dim, sys_.m), buf,
-                      ln.stage_cost(cfg.q_weights[node], sys_.C), agent_cfg,
-                      agent_cfg.max_iterations)
+                      mc.stage_cost(cfg.q_weights[node], sys_.C), cfg.learner,
+                      cfg.learner.max_iterations)
     k_gap = float(np.linalg.norm(ctrl.K_hat - oracle.K)
                   / max(np.linalg.norm(oracle.K), 1e-30))
     p_gap = float(np.linalg.norm(ctrl.P_hat - oracle.P)

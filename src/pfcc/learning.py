@@ -76,7 +76,6 @@ class LearnerConfig:
     noise_std: float = 0.1
     gain_delta_threshold: float = 1e-6
     window: int | None = None
-    rng_seed: int = 0
     relearn_on_alpha_change: bool = True
     max_iterations: int = 2000
 
@@ -423,12 +422,12 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def exploration_noise(cfg: LearnerConfig, width: int, ticks) -> np.ndarray:
+def exploration_noise(cfg: LearnerConfig, seed: int, width: int, ticks) -> np.ndarray:
     """Seeded zero-mean Gaussian probing inputs (only drawn before
     convergence), one ``width`` row per tick of ``ticks``.
 
     Row t is bit for bit the ``normal(0, cfg.noise_std, width)`` draw of a
-    fresh numpy generator seeded with ``[cfg.rng_seed & 0x7FFFFFFF, tick]``,
+    fresh numpy generator seeded with ``[seed & 0x7FFFFFFF, tick]``,
     so a row depends only on the seed and its tick, not on which block it
     was drawn in.  The SeedSequence hash runs once for all ticks; each row
     then seeds its own ``PCG64`` and draws its standard normals in place,
@@ -441,7 +440,7 @@ def exploration_noise(cfg: LearnerConfig, width: int, ticks) -> np.ndarray:
     out = np.zeros((ticks.size, width))
     if cfg.noise_std == 0.0:
         return out
-    for row, words in zip(out, _seed_words(cfg.rng_seed & 0x7FFFFFFF, ticks)):
+    for row, words in zip(out, _seed_words(seed & 0x7FFFFFFF, ticks)):
         Generator(PCG64(_SeedWords(words))).standard_normal(out=row)
     # numpy's normal overflows to inf without a warning as well
     with np.errstate(over="ignore"):
@@ -466,13 +465,6 @@ class LearnedController(NamedTuple):
                    K_hat=np.zeros((input_dim, state_dim)))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def stage_cost(q_weight: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The augmented stage cost C^T Q C of an error selector C."""
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    return symmetrize(c.T @ np.atleast_2d(q_weight) @ c)
-
-
 def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
                   cfg: LearnerConfig, allow_deficient: bool = False) -> LearnedController:
     """One value-iteration sweep against the collected window.
@@ -483,7 +475,7 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
     declared once consecutive gains differ by less than the configured
     threshold and the value step is within ``VALUE_STEP_RTOL``, at which
     point the behaviour policy switches to the learned gain without probing
-    noise.  ``cost`` is the window's ``stage_cost``.
+    noise.  ``cost`` is the window's ``model_control.stage_cost``.
     """
     if not buf.is_full:
         return ctrl._replace(status=COLLECTING)

@@ -24,20 +24,15 @@ MARGINAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AgentDynamics:
-    """Discrete-time plant x+ = A x + B u.  B may be wider than A (over-actuation)."""
+    """Discrete-time plant x+ = A x + B u.  B may be wider than A
+    (over-actuation); ``ScenarioConfig.check_fields`` checks the shapes."""
 
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_2d(np.asarray(self.B, dtype=float))
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got {a.shape}")
-        if b.shape[0] != a.shape[0]:
-            raise ValueError(f"B must have {a.shape[0]} rows, got {b.shape}")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
+        object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
+        object.__setattr__(self, "B", np.atleast_2d(np.asarray(self.B, dtype=float)))
 
     @property
     def n(self) -> int:
@@ -50,19 +45,16 @@ class AgentDynamics:
 
 @dataclass(frozen=True)
 class FormationDynamics:
-    """Formation reference h+ = S h from initial shape h0.  An expanding S
-    fails ``ScenarioConfig.validate``."""
+    """Formation reference h+ = S h from initial shape h0.  A mis-shaped S
+    or h0 fails ``ScenarioConfig.check_fields``, an expanding S
+    ``ScenarioConfig.validate``."""
 
     S: np.ndarray
     h0: np.ndarray
 
     def __post_init__(self):
-        s = np.atleast_2d(np.asarray(self.S, dtype=float))
-        h0 = np.asarray(self.h0, dtype=float).ravel()
-        if s.shape[0] != s.shape[1] or s.shape[0] != h0.size:
-            raise ValueError(f"S {s.shape} and h0 {h0.shape} are inconsistent")
-        object.__setattr__(self, "S", s)
-        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "S", np.atleast_2d(np.asarray(self.S, dtype=float)))
+        object.__setattr__(self, "h0", np.asarray(self.h0, dtype=float).ravel())
 
 
 def input_width_groups(dynamics: Sequence[AgentDynamics]
@@ -117,7 +109,8 @@ class AugmentedSystem:
     """Block system over (plant, formation blocks..., tracking block).
 
     A_bar is block diagonal, B_bar actuates only the first block, C selects
-    the tracking/containment error, and the stage cost is C^T Q C.
+    the tracking/containment error, and the stage cost is
+    ``stage_cost(Q, C)``.
     """
 
     A_bar: np.ndarray
@@ -134,18 +127,12 @@ class AugmentedSystem:
     def m(self) -> int:
         return self.B_bar.shape[1]
 
-    def cost_matrix(self) -> np.ndarray:
-        return self.C.T @ self.Q @ self.C
 
-
-def _check_blocks(dyn: AgentDynamics, blocks: list[np.ndarray], a0: np.ndarray) -> int:
-    n = dyn.n
-    for blk in blocks:
-        if blk.shape != (n, n):
-            raise ValueError(f"formation block shape {blk.shape} != ({n},{n})")
-    if np.atleast_2d(a0).shape != (n, n):
-        raise ValueError("tracking dynamics dimension mismatch")
-    return n
+@np.errstate(over="ignore", invalid="ignore")
+def stage_cost(q_weight: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The augmented stage cost C^T Q C of an error selector C."""
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    return symmetrize(c.T @ np.atleast_2d(q_weight) @ c)
 
 
 def error_selector(block_dim: int, weights: list[float]) -> np.ndarray:
@@ -161,7 +148,8 @@ def build_augmented(dyn: AgentDynamics, forms: list[FormationDynamics],
 
     ``forms`` and ``weights`` are ordered by the agent's leader layout; the
     weights must sum to one.  A leader is the one-block case: its own
-    formation at weight 1, error x - h - x_o.
+    formation at weight 1, error x - h - x_o.  Every block has the plant's
+    dimension (``ScenarioConfig.check_fields``).
     """
     if not forms:
         raise InfluenceError("follower has no influential leaders; augmented system undefined")
@@ -169,8 +157,7 @@ def build_augmented(dyn: AgentDynamics, forms: list[FormationDynamics],
         raise ValueError("one coefficient per formation block is required")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError(f"coefficients must sum to 1, got {sum(weights)}")
-    a0 = np.atleast_2d(np.asarray(a0, dtype=float))
-    n = _check_blocks(dyn, [f.S for f in forms], a0)
+    n = dyn.n
     dim = (2 + len(forms)) * n
     a_bar = np.zeros((dim, dim))
     a_bar[:n, :n] = dyn.A
@@ -211,7 +198,7 @@ VI_AVERAGING = 0.5
 def value_iteration_step(sys: AugmentedSystem, cost: np.ndarray, p: np.ndarray,
                          k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One averaged backup plus gain refresh of the model-based iteration;
-    ``cost`` is ``sys.cost_matrix()``.
+    ``cost`` is ``stage_cost(sys.Q, sys.C)``.
 
     ``learning.learning_tick`` makes the same backup from regressed blocks,
     so the learned and model-based iterate sequences coincide.  A backup
@@ -247,7 +234,7 @@ def riccati_value_iteration(sys: AugmentedSystem) -> RiccatiSolution:
     signalling a non-stabilizable agent or a broken assumption.  Both
     bounds follow the cost's scale, which P takes on and K does not.
     """
-    cost = sys.cost_matrix()
+    cost = stage_cost(sys.Q, sys.C)
     diverged = 1e14 * max(1.0, float(np.linalg.norm(cost)))
     ulps = 64 * np.finfo(float).eps
     p = np.eye(sys.dim)

@@ -46,25 +46,19 @@ class ObserverDivergence(ConvergenceError):
 
 @dataclass(frozen=True)
 class ObserverConfig:
-    """Gains of one observer network.
-
-    xi >= 1 regularizes the parameter update; coupling (the model-update
-    gain) and consensus_gain must be positive; the initial parameter matrix
-    is init_scale * I.
+    """Gains of one observer network: coupling (the model-update gain) and
+    consensus_gain must be positive.  The regularizer xi and the initial
+    parameter scale, shared by every network, are ``ScenarioConfig``'s.
     """
 
-    xi: float
     coupling: float
     consensus_gain: float
     gain_matrix: np.ndarray
-    init_scale: float = 100.0
 
     def __post_init__(self):
-        # written so that a NaN fails them
-        if not self.xi >= 1.0:
-            raise ValueError("xi must be >= 1")
-        if not (self.coupling > 0 and self.consensus_gain > 0 and self.init_scale > 0):
-            raise ValueError("coupling, consensus gain and init scale must be positive")
+        # written so that a NaN fails it
+        if not (self.coupling > 0 and self.consensus_gain > 0):
+            raise ValueError("coupling and consensus gain must be positive")
         object.__setattr__(self, "gain_matrix",
                            np.atleast_2d(np.asarray(self.gain_matrix, dtype=float)))
 
@@ -78,18 +72,14 @@ class RlsObserver(NamedTuple):
     row, so it is a tuple rather than a frozen dataclass, which costs about
     twice as much to build.
 
-    The RLS parameter matrix is always c * I: it starts at init_scale * I,
-    and the regressor I (x) x_hat has Gram matrix |x_hat|^2 I, so every
-    downdate keeps it a multiple of the identity (``tests/reference.py``
-    holds the general matrix form, ``rls_update_L``).
+    The RLS parameter matrix is always c * I: it starts at the scenario's
+    init_scale * I, and the regressor I (x) x_hat has Gram matrix
+    |x_hat|^2 I, so every downdate keeps it a multiple of the identity
+    (``tests/reference.py`` holds the general matrix form, ``rls_update_L``).
     """
 
     config: ObserverConfig
     c: float
-
-    @classmethod
-    def create(cls, config: ObserverConfig) -> "RlsObserver":
-        return cls(config=config, c=float(config.init_scale))
 
 
 def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
@@ -139,8 +129,8 @@ class ObserverBank:
     from the observed node, so the consensus errors of all rows are
     G X - pin (x) targets.  ``target`` is each row's target slot, ``agent``
     each row's agent node, ``mu`` (R, 1) and ``gain`` (R, n, n) each row's
-    consensus gain and gain matrix, and ``coupling`` and ``xi`` (R,) each
-    row's model-update gain and regularizer.
+    consensus gain and gain matrix, ``coupling`` (R,) each row's
+    model-update gain, and ``xi`` the regularizer of every row.
     """
 
     rows: tuple[tuple[int, int], ...]
@@ -152,16 +142,16 @@ class ObserverBank:
     mu: np.ndarray
     gain: np.ndarray
     coupling: np.ndarray
-    xi: np.ndarray
+    xi: float
 
     @classmethod
     def stack(cls, adjacency: np.ndarray,
-              blocks: Sequence[tuple[int, Sequence[int], Sequence[ObserverConfig]]]
-              ) -> "ObserverBank":
+              blocks: Sequence[tuple[int, Sequence[int], Sequence[ObserverConfig]]],
+              xi: float) -> "ObserverBank":
         """Stack networks given as (observed node, members, one config per
         member in member order) over a receiver-row adjacency
-        (``adjacency[i, j]`` is the weight of j -> i, zero diagonal); block b
-        observes target slot b."""
+        (``adjacency[i, j]`` is the weight of j -> i, zero diagonal), with
+        the regularizer ``xi``; block b observes target slot b."""
         adjacency = np.asarray(adjacency, dtype=float)
         rows = [(a, node) for node, members, _ in blocks for a in members]
         configs = [c for _, _, member_configs in blocks for c in member_configs]
@@ -184,8 +174,7 @@ class ObserverBank:
                    agent=np.array([a for a, _ in rows], dtype=int),
                    mu=np.array([[c.consensus_gain] for c in configs]),
                    gain=np.array([c.gain_matrix for c in configs]),
-                   coupling=np.array([c.coupling for c in configs]),
-                   xi=np.array([c.xi for c in configs]))
+                   coupling=np.array([c.coupling for c in configs]), xi=xi)
 
     def consensus_errors(self, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Stacked consensus errors (R, n) of row values (R, n) against the

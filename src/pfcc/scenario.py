@@ -356,18 +356,16 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
     dynamics, formation, x0 = [], [], []
     q_weights, warmups = {}, {}
     for node, entry in enumerate(agents, 1):
-        try:
-            dynamics.append(mc.AgentDynamics(_matrix(entry["A"], "A"),
-                                             _matrix(entry["B"], "B")))
-            if node > n:
-                formation.append(mc.FormationDynamics(_matrix(entry["S"], "S"),
-                                                      entry["h0"]))
-        except ValueError as exc:
-            raise SchemaError(f"agent {entry['name']}: {exc}") from exc
+        name = entry["name"]
+        dynamics.append(mc.AgentDynamics(_matrix(entry["A"], f"A of {name}"),
+                                         _matrix(entry["B"], f"B of {name}")))
+        if node > n:
+            formation.append(mc.FormationDynamics(
+                _matrix(entry["S"], f"formation S of {name}"), entry["h0"]))
         x0.append(np.asarray(entry.get("x0", [0.0] * dim), dtype=float))
         q_weights[node] = q_weight(entry)
         if "warmup_gain" in entry:
-            warmups[node] = _matrix(entry["warmup_gain"], "warmup_gain")
+            warmups[node] = _matrix(entry["warmup_gain"], f"warmup_gain of {name}")
 
     entries = []
     for item in raw["propensity_schedule"]:
@@ -384,13 +382,12 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
 
     obs_raw = raw["observers"]
 
-    def observer(entry) -> ob.ObserverConfig:
+    def observer(entry, network: str) -> ob.ObserverConfig:
+        gain = _matrix(entry["gain_matrix"], f"{network} observer gain matrix")
         try:
-            return ob.ObserverConfig(
-                xi=float(obs_raw["xi"]), coupling=float(entry["coupling"]),
-                consensus_gain=float(entry["consensus_gain"]),
-                gain_matrix=_matrix(entry["gain_matrix"], "observer gain matrix"),
-                init_scale=float(obs_raw["init_scale"]))
+            return ob.ObserverConfig(coupling=float(entry["coupling"]),
+                                     consensus_gain=float(entry["consensus_gain"]),
+                                     gain_matrix=gain)
         except ValueError as exc:
             raise SchemaError(f"observers: {exc}") from exc
 
@@ -401,7 +398,7 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
     for nm, entry in obs_raw["formation"].items():
         if nm not in node_of or node_of[nm] <= n:
             raise SchemaError(f"observers.formation names unknown leader {nm!r}")
-        formation_cfgs[node_of[nm]] = observer(entry)
+        formation_cfgs[node_of[nm]] = observer(entry, f"formation {nm}")
 
     lrn = raw["learner"]
     try:
@@ -424,8 +421,11 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
             tracking_x0=np.asarray(raw["tracking"]["x0"], dtype=float),
             schedule=schedule,
             q_weights=q_weights,
-            leader_tracking_observer=observer(obs_raw["leader_tracking"]),
-            follower_tracking_observer=observer(obs_raw["follower_tracking"]),
+            xi=float(obs_raw["xi"]),
+            init_scale=float(obs_raw["init_scale"]),
+            leader_tracking_observer=observer(obs_raw["leader_tracking"], "leader tracking"),
+            follower_tracking_observer=observer(obs_raw["follower_tracking"],
+                                                "follower tracking"),
             formation_observers=formation_cfgs,
             learner=learner,
             warmup_gains=warmups,
@@ -510,8 +510,8 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
                                     for q, v in sorted(factors.items())}}
             for t, factors in cfg.schedule.entries],
         "observers": {
-            "xi": cfg.leader_tracking_observer.xi,
-            "init_scale": cfg.leader_tracking_observer.init_scale,
+            "xi": cfg.xi,
+            "init_scale": cfg.init_scale,
             "leader_tracking": obs_entry(cfg.leader_tracking_observer),
             "follower_tracking": obs_entry(cfg.follower_tracking_observer),
             "formation": {cfg.agent_name(q): obs_entry(o)

@@ -18,7 +18,7 @@ Laplacian-derived convex weights of classical two-layer designs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -79,11 +79,15 @@ class PropensitySchedule:
 
 @dataclass
 class ScenarioConfig:
-    """Everything needed for one deterministic run.
+    """Everything needed for one deterministic run, each value held once,
+    as in the scenario file.
 
     ``dynamics``, ``x0`` and ``names`` hold one entry per agent in node
     order, followers then leaders (row ``node - 1``); ``formation`` holds
-    one entry per leader."""
+    one entry per leader.  ``xi`` (>= 1) regularizes every observer
+    network's parameter update, whose parameter matrix starts at
+    ``init_scale`` (> 0) times I.  ``check_fields`` is the one place a
+    field's shape is checked."""
 
     name: str
     topology: DirectedTopology
@@ -93,6 +97,8 @@ class ScenarioConfig:
     tracking_x0: np.ndarray
     schedule: PropensitySchedule
     q_weights: dict[int, np.ndarray]
+    xi: float
+    init_scale: float
     leader_tracking_observer: ob.ObserverConfig
     follower_tracking_observer: ob.ObserverConfig
     formation_observers: dict[int, ob.ObserverConfig]
@@ -103,19 +109,13 @@ class ScenarioConfig:
     sample_interval: int
     mode: str
     seed: int
-    x0: list[np.ndarray] = field(default_factory=list)
-    names: list[str] = field(default_factory=list)
+    x0: list[np.ndarray]
+    names: list[str]
     record_states: bool = False
 
     def __post_init__(self):
-        n, m = self.topology.n_followers, self.topology.n_leaders
         self.tracking_a = np.atleast_2d(np.asarray(self.tracking_a, dtype=float))
         self.tracking_x0 = np.asarray(self.tracking_x0, dtype=float).ravel()
-        if not self.x0:
-            self.x0 = [np.zeros(self.state_dim) for _ in range(n + m)]
-        if not self.names:
-            self.names = ([f"F{i + 1}" for i in range(n)]
-                          + [f"L{q + 1}" for q in range(m)])
         self.check_fields()
 
     def check_fields(self) -> None:
@@ -133,6 +133,12 @@ class ScenarioConfig:
             raise ValueError("sample interval must be >= 1")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        # worded as the scenario file's observers section, and written so
+        # that a NaN fails them
+        if not self.xi >= 1.0:
+            raise ValueError("observers: xi must be >= 1")
+        if not self.init_scale > 0:
+            raise ValueError("observers: init scale must be positive")
         dim = self.state_dim
         square = (dim, dim)
         shapes = [("tracking A", self.tracking_a, square),
@@ -159,11 +165,6 @@ class ScenarioConfig:
                 raise ValueError(f"{what} must have shape {shape}, got {np.shape(value)}")
             if not np.isfinite(value).all():
                 raise ValueError(f"{what} must be finite")
-        # a scenario file holds xi and init_scale once, for every network
-        observers = [self.leader_tracking_observer, self.follower_tracking_observer,
-                     *self.formation_observers.values()]
-        if len({(o.xi, o.init_scale) for o in observers}) > 1:
-            raise ValueError("every observer config must share one xi and one init_scale")
 
     @property
     def state_dim(self) -> int:
@@ -174,9 +175,6 @@ class ScenarioConfig:
 
     def dynamics_of(self, node: int) -> mc.AgentDynamics:
         return self.dynamics[node - 1]
-
-    def agent_learner_config(self, node: int) -> ln.LearnerConfig:
-        return replace(self.learner, rng_seed=(self.seed * 100003 + node) & 0x7FFFFFFF)
 
     def augmented_system(self, node: int, layout: tuple[int, ...],
                          alphas: dict[int, float]) -> mc.AugmentedSystem:
@@ -202,14 +200,24 @@ class ScenarioConfig:
         are listed together, in node order, and an agent whose regulation
         equations fail for several targets is named once.
         """
+        def named(nodes) -> str:
+            return ", ".join(map(self.agent_name, nodes))
+
         problems: list[str] = []
         report = verify_assumption1(self.topology)
-        if not report.passed:
-            problems.append(report.describe())
+        structure = []
+        if report.unreachable_from_tracking:
+            structure.append("no spanning tree rooted at the tracking leader "
+                             f"(unreachable nodes: {named(report.unreachable_from_tracking)})")
+        if report.followers_without_leader:
+            structure.append("followers with no formation-leader path: "
+                             f"{named(report.followers_without_leader)}")
+        if structure:
+            problems.append("; ".join(structure))
         for _, factors in self.schedule.entries:
             missing = [q for q in self.topology.leader_nodes if q not in factors]
             if missing:
-                problems.append(f"schedule entry missing factors for leaders {missing}")
+                problems.append(f"schedule entry missing factors for leaders {named(missing)}")
             problems += [f"propensity factor for {self.agent_name(q)} must be positive, "
                          f"got {factors[q]}" for q in self.topology.leader_nodes
                          if q in factors and not factors[q] > 0]  # a nan fails too
@@ -367,7 +375,6 @@ class AgentLearner:
     """
 
     node: int
-    cfg: ln.LearnerConfig
     layout: tuple[int, ...]
     controller: ln.LearnedController
     buffer: ln.DataBuffer
@@ -612,16 +619,17 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
     state.gain_groups = None
     for node, lr in state.learners.items():
         if plans[node].key != old[node].key and (
-                plans[node].layout != lr.layout or lr.cfg.relearn_on_alpha_change):
+                plans[node].layout != lr.layout or cfg.learner.relearn_on_alpha_change):
             _reset_learner(state, cfg, node)
 
 
 def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
     """Rebuild the observer bank and the world vector from the current
     knowledge.  A row that already existed keeps its record, model and
-    estimate, a new row (every row at ``init_world``) starts fresh at a zero
-    model and estimate; knowledge only grows, so no row is dropped.  The
-    carried consensus products belong to the old bank and are dropped."""
+    estimate, a new row (every row at ``init_world``) starts fresh at the
+    scale ``cfg.init_scale`` and a zero model and estimate; knowledge only
+    grows, so no row is dropped.  The carried consensus products belong to
+    the old bank and are dropped."""
     topo = cfg.topology
     agents = topo.leader_nodes + topo.follower_nodes
     blocks = [(0, agents, [cfg.leader_tracking_observer if topo.is_leader(a)
@@ -630,10 +638,10 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
         members = [a for a in sorted(agents) if a != q and state.known[a, q]]
         blocks.append((q, members, [cfg.formation_observers[q]] * len(members)))
     old_row = state.bank.row if state.bank is not None else {}
-    state.bank = ob.ObserverBank.stack(topo.adjacency, blocks)
+    state.bank = ob.ObserverBank.stack(topo.adjacency, blocks, cfg.xi)
     kept = [old_row.get(key) for key in state.bank.rows]
     configs = (c for _, _, member_configs in blocks for c in member_configs)
-    state.observers = tuple(ob.RlsObserver.create(config) if r is None
+    state.observers = tuple(ob.RlsObserver(config, cfg.init_scale) if r is None
                             else state.observers[r] for r, config in zip(kept, configs))
     fresh_model = np.zeros((cfg.state_dim, cfg.state_dim))
     state.models = np.array([fresh_model if r is None else state.models[r] for r in kept])
@@ -652,15 +660,14 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int) -> None:
     the observers have long settled)."""
     layout = state.plans[node].layout
     dim, width = (2 + len(layout)) * cfg.state_dim, cfg.dynamics_of(node).m
-    agent_cfg = cfg.agent_learner_config(node)
     old = state.learners.get(node)
     behavior_full = None
     if old is not None and old.layout == layout and old.controller.status == ln.CONVERGED:
         behavior_full = old.controller.K_hat
     state.learners[node] = AgentLearner(
-        node=node, cfg=agent_cfg, layout=layout,
+        node=node, layout=layout,
         controller=ln.LearnedController.create(dim, width),
-        buffer=ln.DataBuffer(dim, width, agent_cfg.rows_for(dim, width)),
+        buffer=ln.DataBuffer(dim, width, cfg.learner.rows_for(dim, width)),
         behavior_full=behavior_full)
 
 
@@ -725,13 +732,15 @@ def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
 # learners
 # ---------------------------------------------------------------------------
 
-def _probing_noise(lr: AgentLearner, tick: int) -> np.ndarray:
+def _probing_noise(cfg: ScenarioConfig, lr: AgentLearner, tick: int) -> np.ndarray:
     """The learner's probing noise at ``tick``: its row of the tick-aligned
     block of ``NOISE_BLOCK_TICKS`` rows, drawn when the tick leaves the
-    cached block."""
+    cached block from the agent's own seed, derived from the run's seed and
+    the agent's node."""
     start = tick - tick % NOISE_BLOCK_TICKS
     if lr.noise_start != start:
-        lr.noise = ln.exploration_noise(lr.cfg, lr.buffer.input_dim,
+        seed = (cfg.seed * 100003 + lr.node) & 0x7FFFFFFF
+        lr.noise = ln.exploration_noise(cfg.learner, seed, lr.buffer.input_dim,
                                         range(start, start + NOISE_BLOCK_TICKS))
         lr.noise_start = start
     return lr.noise[tick - start]
@@ -748,10 +757,10 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, lr: AgentLearner,
     if not lr.buffer.is_full:
         lr.buffer.record(world[plan.gather], u, state.world[plan.gather])
     if lr.buffer.is_full:
-        cost = ln.stage_cost(cfg.q_weights[lr.node], mc.error_selector(
+        cost = mc.stage_cost(cfg.q_weights[lr.node], mc.error_selector(
             cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
         try:
-            lr.controller = ln.iterate(lr.controller, lr.buffer, cost, lr.cfg,
+            lr.controller = ln.iterate(lr.controller, lr.buffer, cost, cfg.learner,
                                        LEARN_ITERATIONS_PER_TICK, allow_deficient=True)
         except PfccError as exc:
             # the run reports the sweeps made before the error
@@ -795,7 +804,7 @@ def _control_inputs(state: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     for gains, gather, flat in state.gain_groups:
         u.put(flat, np.matmul(gains, world.take(gather)))
     for r, lr in state.probing:
-        u[r, : lr.buffer.input_dim] += _probing_noise(lr, state.tick)
+        u[r, : lr.buffer.input_dim] += _probing_noise(cfg, lr, state.tick)
     return u
 
 

@@ -116,34 +116,11 @@ def build_laplacian(topo: DirectedTopology) -> LaplacianBlocks:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the spanning-tree / leader-coverage structure check."""
+    """Outcome of the spanning-tree / leader-coverage structure check: the
+    nodes that break each part, none when it holds."""
 
-    unreachable_from_tracking: tuple[int, ...] = ()
-    followers_without_leader: tuple[int, ...] = ()
-
-    @property
-    def spanning_tree_ok(self) -> bool:
-        return not self.unreachable_from_tracking
-
-    @property
-    def passed(self) -> bool:
-        return self.spanning_tree_ok and not self.followers_without_leader
-
-    def describe(self) -> str:
-        if self.passed:
-            return "structure ok: spanning tree from tracking leader; every follower led"
-        parts = []
-        if not self.spanning_tree_ok:
-            parts.append(
-                "no spanning tree rooted at the tracking leader "
-                f"(unreachable nodes: {sorted(self.unreachable_from_tracking)})"
-            )
-        if self.followers_without_leader:
-            parts.append(
-                "followers with no formation-leader path: "
-                f"{sorted(self.followers_without_leader)}"
-            )
-        return "; ".join(parts)
+    unreachable_from_tracking: tuple[int, ...]
+    followers_without_leader: tuple[int, ...]
 
 
 def verify_assumption1(topo: DirectedTopology) -> ValidationReport:

@@ -57,12 +57,12 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def reference_noise(cfg, width: int, tick: int) -> np.ndarray:
+def reference_noise(cfg, seed: int, width: int, tick: int) -> np.ndarray:
     """Reference: one probing-noise row from its own seeded generator, the
     per-call form ``learning.exploration_noise`` must match bit for bit."""
     if cfg.noise_std == 0.0:
         return np.zeros(width)
-    rng = np.random.default_rng([cfg.rng_seed & 0x7FFFFFFF, tick])
+    rng = np.random.default_rng([seed & 0x7FFFFFFF, tick])
     return rng.normal(0.0, cfg.noise_std, width)
 
 
@@ -472,7 +472,9 @@ def drawn_topology_config(base: sim.ScenarioConfig, seed: int,
         base, topology=topo,
         dynamics=[mc.AgentDynamics(SWAP, [[0.0], [1.0]])] * len(agents),
         formation=base.formation[: topo.n_leaders],
-        x0=[rng.uniform(-1.0, 1.0, 2) for _ in agents], names=[],
+        x0=[rng.uniform(-1.0, 1.0, 2) for _ in agents],
+        names=([f"F{i + 1}" for i in range(topo.n_followers)]
+               + [f"L{q + 1}" for q in range(topo.n_leaders)]),
         q_weights={node: np.eye(2) for node in agents},
         formation_observers={q: base.formation_observers[p]
                              for q, p in zip(topo.leader_nodes, leaders)},

@@ -70,22 +70,20 @@ def rls_update_L(L: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
 
 
 class RowObserver(NamedTuple):
-    """One adaptive observer's parameter scale c and model estimate A_hat."""
+    """One adaptive observer's parameter scale c and model estimate A_hat;
+    a fresh one starts at the scenario's init_scale and a zero model."""
 
     config: ObserverConfig
     c: float
     A_hat: np.ndarray
 
-    @classmethod
-    def create(cls, config: ObserverConfig, n: int) -> "RowObserver":
-        return cls(config=config, c=float(config.init_scale), A_hat=np.zeros((n, n)))
 
-
-def row_observer_step(obs: RowObserver, x: np.ndarray, x_sq: float,
+def row_observer_step(obs: RowObserver, xi: float, x: np.ndarray, x_sq: float,
                       eta_next: np.ndarray) -> RowObserver:
-    """Scale downdate and model update of one observer across one tick,
-    given its current state estimate ``x`` (n,), its squared norm ``x_sq``
-    and its next-tick consensus error ``eta_next`` as an (n, 1) column.
+    """Scale downdate and model update of one observer with the
+    regularizer ``xi`` across one tick, given its current state estimate
+    ``x`` (n,), its squared norm ``x_sq`` and its next-tick consensus error
+    ``eta_next`` as an (n, 1) column.
 
     With L = c I this is ``rls_update_L`` and the gain solve
     (L_next^-1 + xi I)^-1 eta_next in closed form, followed by the
@@ -96,7 +94,7 @@ def row_observer_step(obs: RowObserver, x: np.ndarray, x_sq: float,
     if not c_next > 0.0:
         raise ConvergenceError("observer state diverged")
     return RowObserver(cfg, c_next,
-                       a_hat - (eta_next * (cfg.coupling / (1.0 / c_next + cfg.xi))) * x)
+                       a_hat - (eta_next * (cfg.coupling / (1.0 / c_next + xi))) * x)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -299,12 +297,20 @@ def validate_per_agent(cfg) -> list[str]:
     problems: list[str] = []
     topo = cfg.topology
     report = verify_assumption1(topo)
-    if not report.passed:
-        problems.append(report.describe())
+    structure = []
+    if report.unreachable_from_tracking:
+        names = ", ".join(cfg.agent_name(i) for i in report.unreachable_from_tracking)
+        structure.append(f"no spanning tree rooted at the tracking leader "
+                         f"(unreachable nodes: {names})")
+    if report.followers_without_leader:
+        names = ", ".join(cfg.agent_name(i) for i in report.followers_without_leader)
+        structure.append(f"followers with no formation-leader path: {names}")
+    if structure:
+        problems.append("; ".join(structure))
     for _, factors in cfg.schedule.entries:
-        missing = [q for q in topo.leader_nodes if q not in factors]
+        missing = [cfg.agent_name(q) for q in topo.leader_nodes if q not in factors]
         if missing:
-            problems.append(f"schedule entry missing factors for leaders {missing}")
+            problems.append(f"schedule entry missing factors for leaders {', '.join(missing)}")
         problems += [f"propensity factor for {cfg.agent_name(q)} must be positive, "
                      f"got {factors[q]}" for q in topo.leader_nodes
                      if q in factors and not factors[q] > 0]

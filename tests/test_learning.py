@@ -30,35 +30,19 @@ def f1_system(hexagon_config):
 
 def fill_buffer(sys_, seed, noise=1.0, warm=None, rows=None):
     """Independent-row probe window: every row is an exact transition."""
-    cfg = ln.LearnerConfig(rng_seed=seed, noise_std=noise)
+    cfg = ln.LearnerConfig(noise_std=noise)
     rows = rows or cfg.rows_for(sys_.dim, sys_.m)
     buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
     rng = np.random.default_rng(seed)
     kb = np.zeros((sys_.m, sys_.dim))
     if warm is not None:
         kb[:, : warm.shape[1]] = warm
-    noise = ln.exploration_noise(cfg, sys_.m, range(rows))
+    noise = ln.exploration_noise(cfg, seed, sys_.m, range(rows))
     for t in range(rows):
         x = rng.normal(size=sys_.dim)
         u = kb @ x + noise[t]
         buf.record(x, u, sys_.A_bar @ x + sys_.B_bar @ u)
     return buf, cfg
-
-
-def trajectory_buffer(sys_, k_policy, x0, rows, noise_cfg=None):
-    """Consecutive-sample window under a fixed linear policy."""
-    buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
-    x = np.asarray(x0, dtype=float)
-    if noise_cfg is not None:
-        noise = ln.exploration_noise(noise_cfg, sys_.m, range(rows))
-    for t in range(rows):
-        u = k_policy @ x
-        if noise_cfg is not None:
-            u = u + noise[t]
-        x_next = sys_.A_bar @ x + sys_.B_bar @ u
-        buf.record(x, u, x_next)
-        x = x_next
-    return buf
 
 
 class TestDataBuffer:
@@ -349,7 +333,7 @@ class TestWindowPlan:
 
     @staticmethod
     def sweeps(buf, sys_, count, allow_deficient):
-        cost = ln.stage_cost(sys_.Q, sys_.C)
+        cost = mc.stage_cost(sys_.Q, sys_.C)
         ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
         out = []
         for _ in range(count):
@@ -430,7 +414,7 @@ def compare_gains_windows(name, seed):
         alphas = coeffs.get(node, {node: 1.0})
         sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
         yield (cfg.agent_name(node), cli.probe_window(cfg, node, sys_),
-               ln.stage_cost(cfg.q_weights[node], sys_.C), cfg.agent_learner_config(node))
+               mc.stage_cost(cfg.q_weights[node], sys_.C), cfg.learner)
 
 
 def sweep_outcome(sweep, *args):
@@ -552,7 +536,7 @@ if sys.argv[1] != "-":
 x_next *= float(sys.argv[2])
 with np.errstate(all="ignore"):
     buf = ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next)
-    cost = ln.stage_cost(cfg.q_weights[7], mc.error_selector(cfg.state_dim, [1.0]))
+    cost = mc.stage_cost(cfg.q_weights[7], mc.error_selector(cfg.state_dim, [1.0]))
     ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
     try:
         for _ in range(5):
@@ -719,25 +703,26 @@ class TestMultiInputGain:
 
 class TestExplorationNoise:
     def test_deterministic_under_seed(self):
-        cfg = ln.LearnerConfig(rng_seed=11)
-        a = ln.exploration_noise(cfg, 3, [42])
-        b = ln.exploration_noise(cfg, 3, [42])
+        cfg = ln.LearnerConfig()
+        a = ln.exploration_noise(cfg, 11, 3, [42])
+        b = ln.exploration_noise(cfg, 11, 3, [42])
         np.testing.assert_array_equal(a, b)
-        assert not np.allclose(a, ln.exploration_noise(cfg, 3, [43]))
+        assert not np.allclose(a, ln.exploration_noise(cfg, 11, 3, [43]))
+        assert not np.allclose(a, ln.exploration_noise(cfg, 12, 3, [42]))
 
     def test_zero_std(self):
-        cfg = ln.LearnerConfig(rng_seed=11, noise_std=0.0)
-        assert np.all(ln.exploration_noise(cfg, 4, [0]) == 0)
+        cfg = ln.LearnerConfig(noise_std=0.0)
+        assert np.all(ln.exploration_noise(cfg, 11, 4, [0]) == 0)
 
     def test_matches_per_call_generator_bit_for_bit(self):
         rng = np.random.default_rng(2024)
         seeds = [0, 2**31 - 1, 2**31 + 5] + [int(s) for s in rng.integers(0, 2**31, 5)]
         ticks = [0, 2**32 - 1] + [int(t) for t in rng.integers(0, 2**32, 8)]
         for seed in seeds:
-            cfg = ln.LearnerConfig(rng_seed=seed, noise_std=float(rng.uniform(0.01, 3.0)))
+            cfg = ln.LearnerConfig(noise_std=float(rng.uniform(0.01, 3.0)))
             for width in (1, 2, 3):
-                block = ln.exploration_noise(cfg, width, ticks)
-                expected = np.array([reference_noise(cfg, width, t) for t in ticks])
+                block = ln.exploration_noise(cfg, seed, width, ticks)
+                expected = np.array([reference_noise(cfg, seed, width, t) for t in ticks])
                 assert block.shape == (len(ticks), width)
                 assert block.tobytes() == expected.tobytes(), (seed, width)
 
@@ -746,29 +731,29 @@ class TestExplorationNoise:
     def test_extreme_std_matches_per_call_generator(self, std):
         # subnormal products, -0.0 draws and overflow to inf, all without
         # a warning, as numpy's normal gives them
-        cfg = ln.LearnerConfig(rng_seed=77, noise_std=std)
+        cfg = ln.LearnerConfig(noise_std=std)
         ticks = list(range(0, 4000, 7))
         for width in (1, 2, 3):
-            expected = np.array([reference_noise(cfg, width, t) for t in ticks])
-            assert ln.exploration_noise(cfg, width, ticks).tobytes() == expected.tobytes()
+            expected = np.array([reference_noise(cfg, 77, width, t) for t in ticks])
+            assert ln.exploration_noise(cfg, 77, width, ticks).tobytes() == expected.tobytes()
 
     def test_zero_std_gives_zero_rows(self):
-        cfg = ln.LearnerConfig(rng_seed=5, noise_std=0.0)
-        block = ln.exploration_noise(cfg, 2, range(7))
+        cfg = ln.LearnerConfig(noise_std=0.0)
+        block = ln.exploration_noise(cfg, 5, 2, range(7))
         assert block.shape == (7, 2) and np.all(block == 0)
 
     @pytest.mark.parametrize("tick", [-1, 2**32])
     def test_tick_outside_range_rejected(self, tick):
         for std in (0.1, 0.0):
             with pytest.raises(ValueError, match="ticks"):
-                ln.exploration_noise(ln.LearnerConfig(noise_std=std), 2, [0, tick])
+                ln.exploration_noise(ln.LearnerConfig(noise_std=std), 0, 2, [0, tick])
 
 
 class TestLearningLoop:
     def converge(self, sys_, buf, cfg):
         # the driver returns converged or raises once the bound is spent
         return ln.iterate(ln.LearnedController.create(sys_.dim, sys_.m), buf,
-                          ln.stage_cost(sys_.Q, sys_.C), cfg, cfg.max_iterations)
+                          mc.stage_cost(sys_.Q, sys_.C), cfg, cfg.max_iterations)
 
     def test_matches_model_oracle(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
@@ -783,18 +768,18 @@ class TestLearningLoop:
 
     def test_collecting_until_full(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
-        cfg = ln.LearnerConfig(rng_seed=0)
+        cfg = ln.LearnerConfig()
         buf = ln.DataBuffer(sys_.dim, sys_.m, 10)
         buf.record(np.zeros(sys_.dim), np.zeros(sys_.m), np.zeros(sys_.dim))
         ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
-        cost = ln.stage_cost(sys_.Q, sys_.C)
+        cost = mc.stage_cost(sys_.Q, sys_.C)
         assert ln.learning_tick(ctrl, buf, cost, cfg).status == ln.COLLECTING
 
     def test_converged_is_a_fixed_point(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
         buf, cfg = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))
         ctrl = self.converge(sys_, buf, cfg)
-        again = ln.learning_tick(ctrl, buf, ln.stage_cost(sys_.Q, sys_.C), cfg)
+        again = ln.learning_tick(ctrl, buf, mc.stage_cost(sys_.Q, sys_.C), cfg)
         np.testing.assert_array_equal(again.K_hat, ctrl.K_hat)
         assert again.iterations == ctrl.iterations
 
@@ -814,8 +799,8 @@ class TestLearningLoop:
         ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
         p, k = np.eye(sys_.dim), np.zeros((sys_.m, sys_.dim))
         for _ in range(20):
-            ctrl = ln.learning_tick(ctrl, buf, ln.stage_cost(sys_.Q, sys_.C), cfg)
-            p, k = mc.value_iteration_step(sys_, sys_.cost_matrix(), p, k)
+            ctrl = ln.learning_tick(ctrl, buf, mc.stage_cost(sys_.Q, sys_.C), cfg)
+            p, k = mc.value_iteration_step(sys_, mc.stage_cost(sys_.Q, sys_.C), p, k)
             np.testing.assert_allclose(ctrl.P_hat, p, atol=1e-9)
             np.testing.assert_allclose(ctrl.K_hat, k, atol=1e-9)
             np.testing.assert_allclose(ctrl.P_hat, ctrl.P_hat.T)

@@ -10,15 +10,15 @@ from pfcc.errors import ConvergenceError, PfccError
 from pfcc.matops import row_sq_norms
 
 FA = np.array([[0.1, 0.5], [0.5, 0.1]])
-BUNDLED_CFG = ob.ObserverConfig(xi=4.0, coupling=8.0, consensus_gain=0.7,
-                              gain_matrix=FA, init_scale=0.05)
+BUNDLED_CFG = ob.ObserverConfig(coupling=8.0, consensus_gain=0.7, gain_matrix=FA)
+XI, INIT_SCALE = 4.0, 0.05
 
 
-def lone_bank(config=BUNDLED_CFG, pinned=True):
+def lone_bank(config=BUNDLED_CFG, pinned=True, xi=XI):
     """A bank of one observer, agent 1 of node 0, with no neighbours and
     pinned to its target at weight 1 (its errors are x - target) or not at
     all (its errors are zero)."""
-    return single_network_bank([[0.0, 0.0], [float(pinned), 0.0]], [1], 0, config)
+    return single_network_bank([[0.0, 0.0], [float(pinned), 0.0]], [1], 0, config, xi)
 
 
 def lone_step(bank, obs, model, x, target, target_next):
@@ -30,11 +30,11 @@ def lone_step(bank, obs, model, x, target, target_next):
     return nxt, models[0], pred[0]
 
 
-def ref_step(obs, x, eta_next):
-    """One reference row step from the estimate ``x`` and the (n,) next-tick
-    error, given the squared norm and error column the way the per-row
-    update takes them."""
-    return ref.row_observer_step(obs, x, float(x.dot(x)), eta_next[:, None])
+def ref_step(obs, xi, x, eta_next):
+    """One reference row step with the regularizer ``xi`` from the estimate
+    ``x`` and the (n,) next-tick error, given the squared norm and error
+    column the way the per-row update takes them."""
+    return ref.row_observer_step(obs, xi, x, float(x.dot(x)), eta_next[:, None])
 
 
 def predict(obs, x, eta):
@@ -45,10 +45,10 @@ def predict(obs, x, eta):
 
 
 class TestObserverConfig:
-    @pytest.mark.parametrize("name", ["xi", "coupling", "consensus_gain", "init_scale"])
+    @pytest.mark.parametrize("name", ["coupling", "consensus_gain"])
     def test_nan_gain_rejected(self, name):
-        gains = dict(xi=4.0, coupling=8.0, consensus_gain=0.7, init_scale=0.05)
-        with pytest.raises(ValueError, match="xi must|must be positive"):
+        gains = dict(coupling=8.0, consensus_gain=0.7)
+        with pytest.raises(ValueError, match="must be positive"):
             ob.ObserverConfig(gain_matrix=FA, **dict(gains, **{name: float("nan")}))
 
 
@@ -125,7 +125,7 @@ class TestObserverStep:
         rng = np.random.default_rng(23)
         bank = lone_bank()
         for _ in range(5):
-            obs, x = ob.RlsObserver.create(BUNDLED_CFG), rng.normal(size=2) * 0.7
+            obs, x = ob.RlsObserver(BUNDLED_CFG, INIT_SCALE), rng.normal(size=2) * 0.7
             model = np.zeros((2, 2))
             x_o = np.array([2.0, 0.0])
             errs = []
@@ -146,8 +146,9 @@ class TestObserverStep:
         rng = np.random.default_rng(3)
         nodes = topo.leader_nodes
         # the leaders' network over their own edges, pinned to node 0
-        bank = ob.ObserverBank.stack(topo.adjacency, [(0, nodes, [BUNDLED_CFG] * len(nodes))])
-        observers = [ob.RlsObserver.create(BUNDLED_CFG)] * len(nodes)
+        bank = ob.ObserverBank.stack(topo.adjacency, [(0, nodes, [BUNDLED_CFG] * len(nodes))],
+                                     XI)
+        observers = [ob.RlsObserver(BUNDLED_CFG, INIT_SCALE)] * len(nodes)
         models = np.zeros((len(nodes), 2, 2))
         vals = rng.normal(size=(len(nodes), 2))
         x_o = np.array([2.0, 0.0])
@@ -162,25 +163,26 @@ class TestObserverStep:
         assert total < 1e-3 < total0
 
 
-def matrix_step(cfg, a_hat, x, L, eta, eta_next):
+def matrix_step(cfg, xi, a_hat, x, L, eta, eta_next):
     """The general update of the model ``a_hat`` from the estimate ``x``:
     rank-one downdate of the parameter matrix L, gain solve against
     L_next^-1 + xi I, row-major unstacked model update."""
     n = x.size
     x_bar = ref.regressor(x)
     l_next = ref.rls_update_L(L, x_bar)
-    gain = np.linalg.solve(np.linalg.inv(l_next) + cfg.xi * np.eye(n), eta_next)
+    gain = np.linalg.solve(np.linalg.inv(l_next) + xi * np.eye(n), eta_next)
     a_next = a_hat - cfg.coupling * (x_bar @ gain).reshape(n, n)
     x_next = a_hat @ x - cfg.consensus_gain * cfg.gain_matrix @ eta
     return l_next, a_next, x_next
 
 
-def random_config(rng, n):
-    return ob.ObserverConfig(xi=float(rng.uniform(1.0, 6.0)),
-                             coupling=float(rng.uniform(0.5, 10.0)),
-                             consensus_gain=float(rng.uniform(0.1, 2.0)),
-                             gain_matrix=rng.normal(size=(n, n)),
-                             init_scale=float(10.0 ** rng.uniform(-2, 2)))
+def random_gains(rng, n):
+    """A random observer config, regularizer xi and initial scale."""
+    xi = float(rng.uniform(1.0, 6.0))
+    config = ob.ObserverConfig(coupling=float(rng.uniform(0.5, 10.0)),
+                               consensus_gain=float(rng.uniform(0.1, 2.0)),
+                               gain_matrix=rng.normal(size=(n, n)))
+    return config, xi, float(10.0 ** rng.uniform(-2, 2))
 
 
 def assert_rel_close(actual, expected, rtol=1e-12):
@@ -196,16 +198,16 @@ class TestScalarParameter:
         rng = np.random.default_rng(41)
         for _ in range(200):
             n = int(rng.integers(1, 5))
-            cfg = random_config(rng, n)
+            cfg, xi, _ = random_gains(rng, n)
             obs = ob.RlsObserver(config=cfg, c=float(10.0 ** rng.uniform(-3, 1)))
             a_hat = rng.normal(size=(n, n))
             x = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
             target, target_next = rng.normal(size=n), rng.normal(size=n)
-            bank = lone_bank(cfg)
+            bank = lone_bank(cfg, xi=xi)
             nxt, model, pred = lone_step(bank, obs, a_hat, x, target, target_next)
             eta = bank.consensus_errors(x[None], target[None])[0]
             eta_next = bank.consensus_errors(pred[None], target_next[None])[0]
-            l_next, a_next, x_next = matrix_step(cfg, a_hat, x, obs.c * np.eye(n),
+            l_next, a_next, x_next = matrix_step(cfg, xi, a_hat, x, obs.c * np.eye(n),
                                                  eta, eta_next)
             assert_rel_close(nxt.c * np.eye(n), l_next)
             assert_rel_close(model, a_next)
@@ -215,12 +217,13 @@ class TestScalarParameter:
         rng = np.random.default_rng(43)
         for _ in range(20):
             n = int(rng.integers(1, 5))
-            cfg = random_config(rng, n)
-            obs = ob.RlsObserver.create(cfg)
-            L = cfg.init_scale * np.eye(n)
+            cfg, xi, init_scale = random_gains(rng, n)
+            obs = ob.RlsObserver(cfg, init_scale)
+            L = init_scale * np.eye(n)
             for _ in range(40):
                 x = rng.normal(size=n)
-                L, _, _ = matrix_step(cfg, np.zeros((n, n)), x, L, np.zeros(n), np.zeros(n))
+                L, _, _ = matrix_step(cfg, xi, np.zeros((n, n)), x, L, np.zeros(n),
+                                      np.zeros(n))
                 obs = ob.observer_step_tracking_leader(obs, float(x.dot(x)))
                 assert_rel_close(obs.c * np.eye(n), L)
 
@@ -230,7 +233,7 @@ class TestScalarParameter:
         rng = np.random.default_rng(29)
         bank = single_network_bank([[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 2.0, 0.0]],
                                    [1, 2], 0)
-        observers = [ob.RlsObserver(BUNDLED_CFG, 0.05)] * 2
+        observers = [ob.RlsObserver(BUNDLED_CFG, INIT_SCALE)] * 2
         models = rng.normal(size=(2, 2, 2))
         x_hat, targets_now = rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
         pred = ob.predict_state(models, x_hat, bank.mu, bank.gain,
@@ -246,7 +249,7 @@ class TestScalarParameter:
 
     def test_blown_up_estimate_is_a_convergence_error(self):
         # |x|^2 overflows, so the downdated scale is zero
-        obs = ob.RlsObserver.create(BUNDLED_CFG)
+        obs = ob.RlsObserver(BUNDLED_CFG, INIT_SCALE)
         x = np.array([1e200, 0.0])
         with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="diverged"):
             ob.observer_step_tracking_leader(obs, float(x.dot(x)))
@@ -270,10 +273,10 @@ def reference_etas(cfg, state, target, values, pin_value):
     return out
 
 
-def single_network_bank(adjacency, members, target, config=BUNDLED_CFG):
+def single_network_bank(adjacency, members, target, config=BUNDLED_CFG, xi=XI):
     """A bank of one network whose observers all use ``config``."""
     return ob.ObserverBank.stack(np.asarray(adjacency, dtype=float),
-                                 [(target, members, [config] * len(members))])
+                                 [(target, members, [config] * len(members))], xi)
 
 
 def bank_targets(cfg, state):
@@ -300,7 +303,8 @@ def step_networks_separately(bank, observers, models, x_hat, targets_now, target
         etas = graph @ x - pin[:, None] * targets_now[slot]
         preds = np.array([predict(o, x_o, e) for o, x_o, e in zip(obs, x, etas)])
         etas_next = graph @ preds - pin[:, None] * targets_next[slot]
-        out += [ref_step(o, x_o, e_next) for o, x_o, e_next in zip(obs, x, etas_next)]
+        out += [ref_step(o, bank.xi, x_o, e_next)
+                for o, x_o, e_next in zip(obs, x, etas_next)]
         estimates += list(preds)
     return out, estimates
 
@@ -407,7 +411,7 @@ class TestObserverNetwork:
                     moved.append(before[key][1].any())
                     moved_models.append(before[key][2].any())
                 else:
-                    assert obs.c == config.init_scale
+                    assert obs.c == cfg.init_scale
                     assert not estimate_of(state, *key).any() and not model.any()
             rebuilds.append(len(bank.rows) - len(before))
         monkeypatch.setattr(sim, "_sync_observer_networks", checked)
@@ -424,7 +428,7 @@ class TestObserverNetwork:
 
     def test_non_finite_prediction_is_a_convergence_error(self):
         bank = single_network_bank([[0.0, 1.0], [0.0, 0.0]], [1], 0)
-        obs = ob.RlsObserver.create(BUNDLED_CFG)
+        obs = ob.RlsObserver(BUNDLED_CFG, INIT_SCALE)
         with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError,
                                                           match="diverged"):
             bank.step([obs], np.zeros((1, 2, 2)), np.array([[np.inf, 0.0]]),
@@ -448,7 +452,7 @@ class TestObserverNetwork:
     def test_estimate_past_the_guard_names_its_row(self, bad, row):
         bank = single_network_bank([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
                                    [1, 2], 0)
-        observers = [ob.RlsObserver(BUNDLED_CFG, 0.05)] * 2
+        observers = [ob.RlsObserver(BUNDLED_CFG, INIT_SCALE)] * 2
         x_hat = np.array([[1.0, 0.0], [bad, 0.0]])
         with np.errstate(invalid="ignore"), pytest.raises(ob.ObserverDivergence,
                                                           match="diverged") as info:
@@ -505,8 +509,8 @@ class TestObserverNetwork:
             got = step(bank, observers, models, x_hat, targets_now, targets_next, pair)
             fresh = (None, np.zeros(n))
             refs, x_ref = zip(*(carried.get(key, fresh) for key in bank.rows))
-            refs = [ref.RowObserver.create(o.config, n) if r is None else r
-                    for r, o in zip(refs, observers)]
+            refs = [ref.RowObserver(o.config, cfg.init_scale, np.zeros((n, n))) if r is None
+                    else r for r, o in zip(refs, observers)]
             assert x_hat.tobytes() == np.array(x_ref).tobytes()
             eta = bank.consensus_errors(x_hat, targets_now)
             if pair is None:
@@ -516,7 +520,7 @@ class TestObserverNetwork:
                 assert pair[1].tobytes() == row_sq_norms(x_hat).tobytes()
             preds = np.array([predict(r, x, e) for r, x, e in zip(refs, x_hat, eta)])
             eta_next = bank.consensus_errors(preds, targets_next)
-            stepped = [ref_step(r, x, e) for r, x, e in zip(refs, x_hat, eta_next)]
+            stepped = [ref_step(r, bank.xi, x, e) for r, x, e in zip(refs, x_hat, eta_next)]
             carried.update(zip(bank.rows, zip(stepped, preds)))
             records, models_next, pred, _ = got
             assert [o.c for o in records] == [r.c for r in stepped]
@@ -547,7 +551,7 @@ class TestFormationObserverGating:
         bank = single_network_bank(adjacency, [1], 3)
         np.testing.assert_array_equal(bank.graph, [[0.0]])
         np.testing.assert_array_equal(bank.pin, [0.0])
-        obs, models, x = ob.RlsObserver.create(BUNDLED_CFG), np.zeros((1, 2, 2)), np.zeros((1, 2))
+        obs, models, x = ob.RlsObserver(BUNDLED_CFG, INIT_SCALE), np.zeros((1, 2, 2)), np.zeros((1, 2))
         h = np.array([2.0, 0.0])
         for _ in range(50):
             h_next = SWAP @ h
@@ -560,7 +564,7 @@ class TestFormationObserverGating:
         adjacency = np.zeros((3, 3))
         adjacency[1, 2] = 1.0  # the leader (node 2) pins agent 1
         bank = single_network_bank(adjacency, [1], 2)
-        obs, models, x = ob.RlsObserver.create(BUNDLED_CFG), np.zeros((1, 2, 2)), np.zeros((1, 2))
+        obs, models, x = ob.RlsObserver(BUNDLED_CFG, INIT_SCALE), np.zeros((1, 2, 2)), np.zeros((1, 2))
         h = np.array([2.0, 0.0])
         for _ in range(500):
             h_next = SWAP @ h

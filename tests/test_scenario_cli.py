@@ -305,12 +305,36 @@ class TestValidateCommand:
         assert cli.main(["validate", path]) == cli.EXIT_SCHEMA
 
     def test_isolated_follower_named(self, tmp_path, capsys):
+        # F3 hears only L3: without that edge no leader and no tracking
+        # path reach it
         raw = bundled_dict()
         raw["edges"] = [e for e in raw["edges"] if e[1] != "F3"]
         path = write(tmp_path, raw)
         assert cli.main(["validate", path]) == cli.EXIT_ASSUMPTION
-        out = capsys.readouterr().out
-        assert "3" in out  # the orphaned follower is identified
+        assert capsys.readouterr().out.splitlines() == [
+            "schema: ok",
+            "assumptions: FAIL - no spanning tree rooted at the tracking leader "
+            "(unreachable nodes: F3); followers with no formation-leader path: F3"]
+
+    def test_unreachable_agents_named(self, tmp_path, capsys):
+        raw = bundled_dict()
+        raw["edges"] = [e for e in raw["edges"] if e[0] != "T"]
+        path = write(tmp_path, raw)
+        assert cli.main(["validate", path]) == cli.EXIT_ASSUMPTION
+        assert capsys.readouterr().out.splitlines() == [
+            "schema: ok",
+            "assumptions: FAIL - no spanning tree rooted at the tracking leader "
+            "(unreachable nodes: F1, F2, F3, F4, L1, L2, L3, L4, L5, L6)"]
+
+    def test_schedule_entry_missing_factors_named(self, tmp_path, capsys):
+        raw = bundled_dict()
+        factors = raw["propensity_schedule"][1]["factors"]
+        del factors["L3"], factors["L6"]
+        path = write(tmp_path, raw)
+        assert cli.main(["validate", path]) == cli.EXIT_ASSUMPTION
+        assert capsys.readouterr().out.splitlines() == [
+            "schema: ok",
+            "assumptions: FAIL - schedule entry missing factors for leaders L3, L6"]
 
     def test_nonpositive_factor_exit_code(self, tmp_path):
         raw = bundled_dict()
@@ -436,6 +460,13 @@ class TestRunCommand:
         (("followers", 0, "A"), [[float("inf"), 1.0], [1.0, 3.0]], "A of F1 must be finite"),
         (("leaders", 1, "q_weight"), [[1.0, 0.0], [0.0, float("nan")]],
          "q_weight of L2 must be finite"),
+        (("followers", 0, "A"), [[0.0, 1.0]], "A of F1 must have shape (2, 2), got (1, 2)"),
+        (("followers", 1, "B"), [[0.0], [1.0], [0.0]],
+         "B of F2 must have shape (2, 1), got (3, 1)"),
+        (("leaders", 0, "S"), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+         "formation S of L1 must have shape (2, 2), got (3, 3)"),
+        (("leaders", 1, "h0"), [1.0, 0.0, 0.0],
+         "formation h0 of L2 must have shape (2,), got (3,)"),
     ])
     def test_shape_error_is_schema_error(self, tmp_path, capsys, path, value, message):
         raw = bundled_dict()
@@ -821,7 +852,7 @@ class TestCompareGains:
                 sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
                 # the per-row form from one generator: a state draw per
                 # row, then a noise draw per row, then one record per row
-                rows = cfg.agent_learner_config(node).rows_for(sys_.dim, sys_.m)
+                rows = cfg.learner.rows_for(sys_.dim, sys_.m)
                 expected = ln.DataBuffer(sys_.dim, sys_.m, rows)
                 rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
                 warm = np.zeros((sys_.m, sys_.dim))

@@ -37,8 +37,7 @@ def tiny_config(mode=sim.MODE_DATA, horizon=40, h0=(1.0,), noise=0.1,
     states keep it fast."""
     topo = block_topology(1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
                           np.array([[1.0]]), np.array([1.0]))
-    obs_cfg = ob.ObserverConfig(xi=4.0, coupling=8.0, consensus_gain=0.5,
-                                gain_matrix=[[1.0]], init_scale=0.05)
+    obs_cfg = ob.ObserverConfig(coupling=8.0, consensus_gain=0.5, gain_matrix=[[1.0]])
     return sim.ScenarioConfig(
         name="tiny",
         topology=topo,
@@ -48,6 +47,8 @@ def tiny_config(mode=sim.MODE_DATA, horizon=40, h0=(1.0,), noise=0.1,
         tracking_x0=[0.0],
         schedule=sim.PropensitySchedule(entries=((0, {2: 0.1}),)),
         q_weights={1: np.eye(1), 2: np.eye(1)},
+        xi=4.0,
+        init_scale=0.05,
         leader_tracking_observer=obs_cfg,
         follower_tracking_observer=obs_cfg,
         formation_observers={2: obs_cfg},
@@ -58,6 +59,8 @@ def tiny_config(mode=sim.MODE_DATA, horizon=40, h0=(1.0,), noise=0.1,
         sample_interval=1,
         mode=mode,
         seed=3,
+        x0=[np.zeros(1), np.zeros(1)],
+        names=["F1", "L1"],
     )
 
 
@@ -340,7 +343,8 @@ def relay_tiny_config(mode=sim.MODE_ORACLE, horizon=30):
                           np.array([1.0]))
     return dataclasses.replace(
         base, topology=topo,
-        dynamics=base.dynamics[:1] * 3 + base.dynamics[1:], x0=[], names=[],
+        dynamics=base.dynamics[:1] * 3 + base.dynamics[1:], x0=[np.zeros(1)] * 4,
+        names=["F1", "F2", "F3", "L1"],
         schedule=sim.PropensitySchedule(entries=((0, {4: 0.1}),)),
         q_weights={node: np.eye(1) for node in (1, 2, 3, 4)},
         formation_observers={4: base.formation_observers[2]},
@@ -521,7 +525,8 @@ class TestLearnerControl:
                     sources.add("K_hat" if converged else "behaviour")
                 want = gain @ z
                 if not converged:  # probing: no noise reaches a converged learner
-                    want = want + reference_noise(lr.cfg, m, snap.tick)
+                    seed = (cfg.seed * 100003 + node) & 0x7FFFFFFF
+                    want = want + reference_noise(cfg.learner, seed, m, snap.tick)
                     if plan.gather is not None and snap.tick >= cfg.learn_start_tick:
                         probing.add((k, node))
                 assert u[r, :m].tobytes() == want.tobytes(), (snap.tick, node)
@@ -683,25 +688,18 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match=message):
             sim.run(cfg)
 
-    @pytest.mark.parametrize("network", ["follower_tracking_observer", "formation"])
-    @pytest.mark.parametrize("gain", ["xi", "init_scale"])
-    def test_observer_configs_disagreeing_on_a_shared_gain_rejected(
-            self, hexagon_config, network, gain):
-        # a scenario file holds xi and init_scale once, so a config whose
-        # networks disagree on one would export as another scenario
-        odd = dataclasses.replace(hexagon_config.leader_tracking_observer, **{gain: 9.0})
-        if network == "formation":
-            change = {"formation_observers": {**hexagon_config.formation_observers, 7: odd}}
-        else:
-            change = {network: odd}
-        with pytest.raises(ValueError, match="share one xi and one init_scale"):
-            dataclasses.replace(hexagon_config, **change)
+    @pytest.mark.parametrize("name", ["xi", "init_scale"])
+    def test_nan_gain_rejected(self, name):
+        # every observer network shares the config's one xi and init scale
+        with pytest.raises(ValueError, match="^observers: (xi must be >= 1|init scale must "
+                                             "be positive)$"):
+            dataclasses.replace(tiny_config(), **{name: float("nan")})
 
     def test_validate_names_a_schedule_entry_missing_factors(self, hexagon_config):
         first = hexagon_config.schedule.initial()
         cfg = dataclasses.replace(hexagon_config, schedule=sim.PropensitySchedule(
             ((0, first), (100, {5: 0.2, 6: 0.1, 8: 0.1, 9: 0.1}))))
-        assert cfg.validate() == ["schedule entry missing factors for leaders [7, 10]"]
+        assert cfg.validate() == ["schedule entry missing factors for leaders L3, L6"]
         with pytest.raises(AssumptionError, match="missing factors for leaders"):
             sim.init_world(cfg)
 
@@ -901,8 +899,9 @@ class TestDeterminism:
 
 class TestProbingNoise:
     def test_block_boundary_ticks_match_the_per_call_form(self):
-        cfg = ln.LearnerConfig(rng_seed=777, noise_std=0.4)
-        lr = sim.AgentLearner(node=1, cfg=cfg, layout=(1,),
+        cfg = dataclasses.replace(tiny_config(), seed=777,
+                                  learner=ln.LearnerConfig(noise_std=0.4))
+        lr = sim.AgentLearner(node=1, layout=(1,),
                               controller=ln.LearnedController.create(6, 2),
                               buffer=ln.DataBuffer(6, 2, 30))
         block = sim.NOISE_BLOCK_TICKS
@@ -913,8 +912,9 @@ class TestProbingNoise:
                  block - 1, 5 * block, 5 * block - 1, last - block, last - block + 1,
                  last]
         for tick in ticks:
-            noise = sim._probing_noise(lr, tick)
-            assert noise.tobytes() == reference_noise(cfg, 2, tick).tobytes(), tick
+            noise = sim._probing_noise(cfg, lr, tick)
+            expected = reference_noise(cfg.learner, (777 * 100003 + 1) & 0x7FFFFFFF, 2, tick)
+            assert noise.tobytes() == expected.tobytes(), tick
 
 
 class TestLargeCostScale:
