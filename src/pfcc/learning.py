@@ -66,7 +66,9 @@ VALUE_STEP_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Knobs of one agent's learner.
+    """Knobs of one agent's learner, with the defaults a scenario file's
+    omitted settings take; ``ScenarioConfig.check_fields`` checks their
+    values.
 
     ``window`` counts the extra samples beyond two; the buffer holds
     window + 2 rows.  ``None`` sizes the window from the regression width
@@ -78,16 +80,6 @@ class LearnerConfig:
     window: int | None = None
     relearn_on_alpha_change: bool = True
     max_iterations: int = 2000
-
-    def __post_init__(self):
-        if self.window is not None and self.window < 0:
-            raise ValueError("learner window must be >= 0")
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError("learner noise_std must be finite and >= 0")
-        if not self.gain_delta_threshold > 0:
-            raise ValueError("learner gain_delta_threshold must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("learner max_iterations must be >= 1")
 
     def rows_for(self, state_dim: int, input_dim: int) -> int:
         if self.window is not None:

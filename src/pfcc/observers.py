@@ -46,9 +46,11 @@ class ObserverDivergence(ConvergenceError):
 
 @dataclass(frozen=True)
 class ObserverConfig:
-    """Gains of one observer network: coupling (the model-update gain) and
-    consensus_gain must be positive.  The regularizer xi and the initial
-    parameter scale, shared by every network, are ``ScenarioConfig``'s.
+    """Gains of one observer network: coupling (the model-update gain),
+    consensus_gain and gain_matrix, whose values and shape
+    ``ScenarioConfig.check_fields`` checks.  The regularizer xi and the
+    initial parameter scale, shared by every network, are
+    ``ScenarioConfig``'s.
     """
 
     coupling: float
@@ -56,9 +58,6 @@ class ObserverConfig:
     gain_matrix: np.ndarray
 
     def __post_init__(self):
-        # written so that a NaN fails it
-        if not (self.coupling > 0 and self.consensus_gain > 0):
-            raise ValueError("coupling and consensus gain must be positive")
         object.__setattr__(self, "gain_matrix",
                            np.atleast_2d(np.asarray(self.gain_matrix, dtype=float)))
 

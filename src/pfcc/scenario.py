@@ -9,6 +9,7 @@ inferred and cross-checked.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -367,49 +368,37 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
         if "warmup_gain" in entry:
             warmups[node] = _matrix(entry["warmup_gain"], f"warmup_gain of {name}")
 
-    entries = []
-    for item in raw["propensity_schedule"]:
-        factors = {}
-        for nm, value in item["factors"].items():
-            if nm not in node_of or node_of[nm] <= n:
-                raise SchemaError(f"schedule names unknown leader {nm!r}")
-            factors[node_of[nm]] = float(value)
-        entries.append((int(item["tick"]), factors))
-    try:
-        schedule = sim.PropensitySchedule(entries=tuple(entries))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    def leader_node(nm: str, section: str) -> int:
+        if nm not in node_of or node_of[nm] <= n:
+            raise SchemaError(f"{section} names unknown leader {nm!r}")
+        return node_of[nm]
+
+    schedule = sim.PropensitySchedule(entries=tuple(
+        (int(item["tick"]), {leader_node(nm, "schedule"): float(value)
+                             for nm, value in item["factors"].items()})
+        for item in raw["propensity_schedule"]))
 
     obs_raw = raw["observers"]
 
     def observer(entry, network: str) -> ob.ObserverConfig:
-        gain = _matrix(entry["gain_matrix"], f"{network} observer gain matrix")
-        try:
-            return ob.ObserverConfig(coupling=float(entry["coupling"]),
-                                     consensus_gain=float(entry["consensus_gain"]),
-                                     gain_matrix=gain)
-        except ValueError as exc:
-            raise SchemaError(f"observers: {exc}") from exc
+        return ob.ObserverConfig(
+            coupling=float(entry["coupling"]), consensus_gain=float(entry["consensus_gain"]),
+            gain_matrix=_matrix(entry["gain_matrix"], f"{network} observer gain matrix"))
 
-    formation_cfgs = {}
-    for nm in names[n:]:
-        if nm not in obs_raw["formation"]:
-            raise SchemaError(f"observers.formation is missing leader {nm!r}")
-    for nm, entry in obs_raw["formation"].items():
-        if nm not in node_of or node_of[nm] <= n:
-            raise SchemaError(f"observers.formation names unknown leader {nm!r}")
-        formation_cfgs[node_of[nm]] = observer(entry, f"formation {nm}")
+    formation_cfgs = {leader_node(nm, "observers.formation"): observer(entry, f"formation {nm}")
+                      for nm, entry in obs_raw["formation"].items()}
 
-    lrn = raw["learner"]
-    try:
-        learner = ln.LearnerConfig(
-            noise_std=float(lrn.get("noise_std", 0.1)),
-            gain_delta_threshold=float(lrn.get("gain_delta_threshold", 1e-6)),
-            window=None if lrn.get("window") is None else int(lrn["window"]),
-            relearn_on_alpha_change=bool(lrn.get("relearn_on_alpha_change", True)),
-            max_iterations=int(lrn.get("max_iterations", 2000)))
-    except ValueError as exc:
-        raise SchemaError(f"learner: {exc}") from exc
+    # an omitted setting takes the default LearnerConfig's value
+    lrn, default = raw["learner"], ln.LearnerConfig()
+    window = lrn.get("window", default.window)
+    learner = ln.LearnerConfig(
+        noise_std=float(lrn.get("noise_std", default.noise_std)),
+        gain_delta_threshold=float(lrn.get("gain_delta_threshold",
+                                           default.gain_delta_threshold)),
+        window=None if window is None else int(window),
+        relearn_on_alpha_change=bool(lrn.get("relearn_on_alpha_change",
+                                             default.relearn_on_alpha_change)),
+        max_iterations=int(lrn.get("max_iterations", default.max_iterations)))
 
     try:
         return sim.ScenarioConfig(
@@ -517,13 +506,7 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
             "formation": {cfg.agent_name(q): obs_entry(o)
                           for q, o in sorted(cfg.formation_observers.items())},
         },
-        "learner": {
-            "noise_std": cfg.learner.noise_std,
-            "gain_delta_threshold": cfg.learner.gain_delta_threshold,
-            "window": cfg.learner.window,
-            "relearn_on_alpha_change": cfg.learner.relearn_on_alpha_change,
-            "max_iterations": cfg.learner.max_iterations,
-        },
+        "learner": dataclasses.asdict(cfg.learner),
     }
 
 

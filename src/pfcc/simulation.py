@@ -51,21 +51,11 @@ def check_names(names: list[str]) -> None:
 
 @dataclass(frozen=True)
 class PropensitySchedule:
-    """Activation ticks with full per-leader factor maps.
-
-    The first entry must activate at tick 0 and ticks strictly increase.
-    """
+    """Activation ticks with full per-leader factor maps; that the first
+    entry activates at tick 0 and ticks strictly increase is
+    ``ScenarioConfig.check_fields``'s rule."""
 
     entries: tuple[tuple[int, dict[int, float]], ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("schedule needs at least one entry")
-        ticks = [t for t, _ in self.entries]
-        if ticks[0] != 0:
-            raise ValueError("first schedule entry must activate at tick 0")
-        if any(b <= a for a, b in zip(ticks, ticks[1:])):
-            raise ValueError("schedule ticks must be strictly increasing")
 
     def initial(self) -> dict[int, float]:
         return dict(self.entries[0][1])
@@ -86,8 +76,10 @@ class ScenarioConfig:
     order, followers then leaders (row ``node - 1``); ``formation`` holds
     one entry per leader.  ``xi`` (>= 1) regularizes every observer
     network's parameter update, whose parameter matrix starts at
-    ``init_scale`` (> 0) times I.  ``check_fields`` is the one place a
-    field's shape is checked."""
+    ``init_scale`` (> 0) times I.  ``check_fields`` is the one rule for
+    each field's value and shape, the schedule's, observer networks' and
+    learner's included (the topology's edge classes are
+    ``DirectedTopology``'s)."""
 
     name: str
     topology: DirectedTopology
@@ -119,8 +111,9 @@ class ScenarioConfig:
         self.check_fields()
 
     def check_fields(self) -> None:
-        """Raise ValueError for a field no run can use.  Fields are plain
-        attributes, so ``init_world`` checks them again."""
+        """Raise ValueError for a field no run can use: the one rule for a
+        field's value and shape.  Fields are plain attributes, so
+        ``init_world`` checks them again."""
         topo = self.topology
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -133,26 +126,47 @@ class ScenarioConfig:
             raise ValueError("sample interval must be >= 1")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        # worded as the scenario file's observers section, and written so
-        # that a NaN fails them
+        ticks = [t for t, _ in self.schedule.entries]
+        if not ticks:
+            raise ValueError("schedule needs at least one entry")
+        if ticks[0] != 0:
+            raise ValueError("first schedule entry must activate at tick 0")
+        if any(b <= a for a, b in zip(ticks, ticks[1:])):
+            raise ValueError("schedule ticks must be strictly increasing")
+        # worded as the scenario file's observers and learner sections, and
+        # written so that a NaN fails them
         if not self.xi >= 1.0:
             raise ValueError("observers: xi must be >= 1")
         if not self.init_scale > 0:
             raise ValueError("observers: init scale must be positive")
+        learner = self.learner
+        if learner.window is not None and learner.window < 0:
+            raise ValueError("learner: window must be >= 0")
+        if not (math.isfinite(learner.noise_std) and learner.noise_std >= 0):
+            raise ValueError("learner: noise_std must be finite and >= 0")
+        if not learner.gain_delta_threshold > 0:
+            raise ValueError("learner: gain_delta_threshold must be positive")
+        if learner.max_iterations < 1:
+            raise ValueError("learner: max_iterations must be >= 1")
         dim = self.state_dim
         square = (dim, dim)
         shapes = [("tracking A", self.tracking_a, square),
-                  ("tracking x0", self.tracking_x0, (dim,)),
-                  ("leader tracking observer gain matrix",
-                   self.leader_tracking_observer.gain_matrix, square),
-                  ("follower tracking observer gain matrix",
-                   self.follower_tracking_observer.gain_matrix, square)]
+                  ("tracking x0", self.tracking_x0, (dim,))]
+        networks = [("leader tracking", self.leader_tracking_observer),
+                    ("follower tracking", self.follower_tracking_observer)]
         for q, form in zip(topo.leader_nodes, self.formation):
             name = self.agent_name(q)
+            if q not in self.formation_observers:
+                raise ValueError(f"observers: no formation network for {name}")
+            networks.append((f"formation {name}", self.formation_observers[q]))
             shapes += [(f"formation S of {name}", form.S, square),
-                       (f"formation h0 of {name}", form.h0, (dim,)),
-                       (f"formation {name} observer gain matrix",
-                        getattr(self.formation_observers.get(q), "gain_matrix", None), square)]
+                       (f"formation h0 of {name}", form.h0, (dim,))]
+        for network, obs in networks:
+            if not obs.coupling > 0:
+                raise ValueError(f"observers: {network} coupling must be positive")
+            if not obs.consensus_gain > 0:
+                raise ValueError(f"observers: {network} consensus_gain must be positive")
+            shapes.append((f"{network} observer gain matrix", obs.gain_matrix, square))
         for node, (name, dyn, x0) in enumerate(zip(self.names, self.dynamics, self.x0), 1):
             shapes += [(f"A of {name}", dyn.A, square), (f"B of {name}", dyn.B, (dim, dyn.m)),
                        (f"x0 of {name}", np.ravel(x0), (dim,)),

@@ -44,14 +44,6 @@ def predict(obs, x, eta):
                             np.asarray(eta, dtype=float))
 
 
-class TestObserverConfig:
-    @pytest.mark.parametrize("name", ["coupling", "consensus_gain"])
-    def test_nan_gain_rejected(self, name):
-        gains = dict(coupling=8.0, consensus_gain=0.7)
-        with pytest.raises(ValueError, match="must be positive"):
-            ob.ObserverConfig(gain_matrix=FA, **dict(gains, **{name: float("nan")}))
-
-
 class TestRlsUpdate:
     def test_zero_regressor_leaves_L_unchanged(self):
         l0 = 3.0 * np.eye(2)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import sys
 import types
@@ -15,6 +16,7 @@ from conftest import (SWAP, block_topology, containment_error, drawn_plants,
                       known_leaders, reference_alphas,
                       reference_augmented_state, reference_noise, reference_trace_row,
                       regulation_problems, transitive_closure)
+from pfcc import cli
 from pfcc import learning as ln
 from pfcc import matops as mo
 from pfcc import model_control as mc
@@ -65,14 +67,6 @@ def tiny_config(mode=sim.MODE_DATA, horizon=40, h0=(1.0,), noise=0.1,
 
 
 class TestSchedule:
-    def test_must_start_at_zero(self):
-        with pytest.raises(ValueError, match="tick 0"):
-            sim.PropensitySchedule(entries=((5, {2: 0.1}),))
-
-    def test_strictly_increasing(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            sim.PropensitySchedule(entries=((0, {2: 0.1}), (0, {2: 0.2})))
-
     @pytest.mark.parametrize("factor", [-0.1, 0.0])
     def test_positive_factors(self, factor):
         cfg = dataclasses.replace(tiny_config(), schedule=sim.PropensitySchedule(
@@ -675,18 +669,131 @@ class TestPlantGuard:
         assert "plant state diverged" in str(info.value)
 
 
+def schedule_ticks(*ticks):
+    """A field edit: the schedule's factor maps at ``ticks``."""
+    return lambda schedule: sim.PropensitySchedule(tuple(
+        (tick, factors) for tick, (_, factors) in zip(ticks, schedule.entries)))
+
+
+def replaced(**changes):
+    """A field edit: the field's dataclass with ``changes``."""
+    return lambda value: dataclasses.replace(value, **changes)
+
+
+#: hexagon's node of leader L3
+L3 = 7
+
+
+def l3_network(**gains):
+    """A field edit: the formation networks with L3's given ``gains``."""
+    return lambda networks: {**networks, L3: dataclasses.replace(networks[L3], **gains)}
+
+
+def without_l3_network(networks):
+    return {q: obs for q, obs in networks.items() if q != L3}
+
+
+#: Value rules of ``check_fields``, each made to fail on hexagon: (field,
+#: edit of its value, key path in the scenario file, the value put there or
+#: None to delete the key, message, and the message of the file's own rule
+#: when that rule fails first, else None).  The first three keep the ids
+#: they had before the schedule, observer and learner rules joined them.
+VALUE_RULES = [
+    pytest.param("sample_interval", lambda _: 0, ("sample_interval",), 0,
+                 "sample interval must be >= 1",
+                 "scenario schema violation at sample_interval: 0 is less than the minimum of 1",
+                 id="sample_interval-0-sample interval"),
+    pytest.param("horizon", lambda _: -1, ("horizon",), -1, "horizon must be >= 0",
+                 "scenario schema violation at horizon: -1 is less than the minimum of 0",
+                 id="horizon--1-horizon"),
+    pytest.param("mode", lambda _: "model_free", ("mode",), "model_free",
+                 f"mode must be one of {sim.MODES}",
+                 f"scenario schema violation at mode: 'model_free' is not one of "
+                 f"{list(sim.MODES)!r}", id="mode-model_free-mode"),
+    pytest.param("schedule", schedule_ticks(), ("propensity_schedule",), [],
+                 "schedule needs at least one entry",
+                 "scenario schema violation at propensity_schedule: [] should be non-empty",
+                 id="schedule-empty"),
+    pytest.param("schedule", schedule_ticks(5, 4000), ("propensity_schedule", 0, "tick"), 5,
+                 "first schedule entry must activate at tick 0", None, id="schedule-start"),
+    pytest.param("schedule", schedule_ticks(0, 0), ("propensity_schedule", 1, "tick"), 0,
+                 "schedule ticks must be strictly increasing", None, id="schedule-order"),
+    pytest.param("formation_observers", l3_network(coupling=-1.0),
+                 ("observers", "formation", "L3", "coupling"), -1.0,
+                 "observers: formation L3 coupling must be positive", None,
+                 id="formation-coupling"),
+    pytest.param("formation_observers", l3_network(coupling=np.nan),
+                 ("observers", "formation", "L3", "coupling"), np.nan,
+                 "observers: formation L3 coupling must be positive",
+                 "scenario schema violation at observers/formation/L3/coupling: numbers "
+                 "must be finite", id="formation-coupling-nan"),
+    pytest.param("leader_tracking_observer",
+                 replaced(consensus_gain=np.nan),
+                 ("observers", "leader_tracking", "consensus_gain"), np.nan,
+                 "observers: leader tracking consensus_gain must be positive",
+                 "scenario schema violation at observers/leader_tracking/consensus_gain: "
+                 "numbers must be finite", id="leader-tracking-consensus-nan"),
+    pytest.param("follower_tracking_observer",
+                 replaced(consensus_gain=0.0),
+                 ("observers", "follower_tracking", "consensus_gain"), 0.0,
+                 "observers: follower tracking consensus_gain must be positive", None,
+                 id="follower-tracking-consensus"),
+    pytest.param("formation_observers", without_l3_network, ("observers", "formation", "L3"),
+                 None, "observers: no formation network for L3", None,
+                 id="formation-network-missing"),
+    pytest.param("learner", replaced(window=-1), ("learner", "window"), -1,
+                 "learner: window must be >= 0", None, id="learner-window"),
+    pytest.param("learner", replaced(noise_std=-0.1), ("learner", "noise_std"), -0.1,
+                 "learner: noise_std must be finite and >= 0", None, id="learner-noise"),
+    pytest.param("learner", replaced(noise_std=np.nan), ("learner", "noise_std"), np.nan,
+                 "learner: noise_std must be finite and >= 0",
+                 "scenario schema violation at learner/noise_std: numbers must be finite",
+                 id="learner-noise-nan"),
+    pytest.param("learner", replaced(gain_delta_threshold=0.0),
+                 ("learner", "gain_delta_threshold"), 0.0,
+                 "learner: gain_delta_threshold must be positive", None,
+                 id="learner-threshold"),
+    pytest.param("learner", replaced(max_iterations=0), ("learner", "max_iterations"), 0,
+                 "learner: max_iterations must be >= 1",
+                 "scenario schema violation at learner/max_iterations: 0 is less than the "
+                 "minimum of 1", id="learner-iterations"),
+]
+
+
 class TestConfigChecks:
-    @pytest.mark.parametrize("name, value, message", [
-        ("sample_interval", 0, "sample interval"),
-        ("horizon", -1, "horizon"),
-        ("mode", "model_free", "mode"),
-    ])
-    def test_field_set_after_construction_fails_before_tick_0(self, name, value,
-                                                              message):
-        cfg = tiny_config()
-        setattr(cfg, name, value)
-        with pytest.raises(ValueError, match=message):
-            sim.run(cfg)
+    """Each value rule gives one message through ``dataclasses.replace``,
+    through a field set after construction and then ``sim.run``, and
+    through a scenario file, where ``pfcc validate`` exits 2 with one line
+    (the file's own rule's line when that rule fails first)."""
+
+    @pytest.mark.parametrize("name, edit, path, value, message, file_message", VALUE_RULES)
+    def test_replaced_field_fails_its_value_rule(self, hexagon_config, name, edit, path,
+                                                 value, message, file_message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(hexagon_config, **{name: edit(getattr(hexagon_config, name))})
+
+    @pytest.mark.parametrize("name, edit, path, value, message, file_message", VALUE_RULES)
+    def test_field_set_after_construction_fails_before_tick_0(
+            self, hexagon_config, name, edit, path, value, message, file_message):
+        setattr(hexagon_config, name, edit(getattr(hexagon_config, name)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim.run(hexagon_config)
+
+    @pytest.mark.parametrize("name, edit, path, value, message, file_message", VALUE_RULES)
+    def test_scenario_file_fails_its_value_rule(self, hexagon_config, tmp_path, capsys, name,
+                                                edit, path, value, message, file_message):
+        raw = sc.scenario_to_dict(hexagon_config)
+        entry = raw
+        for key in path[:-1]:
+            entry = entry[key]
+        if value is None:
+            del entry[path[-1]]
+        else:
+            entry[path[-1]] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        assert cli.main(["validate", str(scenario)]) == cli.EXIT_SCHEMA
+        assert capsys.readouterr().out == f"schema: FAIL - {file_message or message}\n"
 
     @pytest.mark.parametrize("name", ["xi", "init_scale"])
     def test_nan_gain_rejected(self, name):
