@@ -38,8 +38,8 @@ _OBSERVER = {
     },
 }
 
-#: The scenario file format: a JSON Schema 2020-12 document that uses only
-#: the keywords ``_violations`` checks, so that pfcc validates a file itself.
+#: The scenario file's syntax: JSON Schema 2020-12 in only the keywords that
+#: ``_violations`` checks; every value rule is ``ScenarioConfig.check_fields``'s.
 SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -48,11 +48,11 @@ SCHEMA = {
                  "edges", "propensity_schedule", "observers", "learner"],
     "properties": {
         "name": {"type": "string"},
-        "mode": {"enum": list(sim.MODES)},
+        "mode": {"type": "string"},
         "seed": {"type": "integer"},
-        "horizon": {"type": "integer", "minimum": 0},
-        "sample_interval": {"type": "integer", "minimum": 1},
-        "learn_start_tick": {"type": "integer", "minimum": 0},
+        "horizon": {"type": "integer"},
+        "sample_interval": {"type": "integer"},
+        "learn_start_tick": {"type": "integer"},
         "record_states": {"type": "boolean"},
         "tracking": {
             "type": "object",
@@ -103,13 +103,12 @@ SCHEMA = {
         },
         "propensity_schedule": {
             "type": "array",
-            "minItems": 1,
             "items": {
                 "type": "object",
                 "additionalProperties": False,
                 "required": ["tick", "factors"],
                 "properties": {
-                    "tick": {"type": "integer", "minimum": 0},
+                    "tick": {"type": "integer"},
                     "factors": {"type": "object",
                                 "additionalProperties": {"type": "number"}},
                 },
@@ -136,7 +135,7 @@ SCHEMA = {
                 "gain_delta_threshold": {"type": "number"},
                 "window": {"type": ["integer", "null"]},
                 "relearn_on_alpha_change": {"type": "boolean"},
-                "max_iterations": {"type": "integer", "minimum": 1},
+                "max_iterations": {"type": "integer"},
             },
         },
     },
@@ -172,7 +171,7 @@ def _matches_type(value, schema: dict) -> bool:
 def _violations(value, schema: dict, path: tuple, out: list) -> None:
     """Append ``(path, message, value, schema)`` for each way ``value``
     breaks ``schema``: keywords in schema order, messages as jsonschema 4.26
-    words them, and an ``enum`` of strings only."""
+    words them."""
     is_object, is_array = isinstance(value, dict), isinstance(value, list)
     for keyword, arg in schema.items():
         message = None
@@ -180,9 +179,6 @@ def _violations(value, schema: dict, path: tuple, out: list) -> None:
             if not _matches_type(value, schema):
                 types = [arg] if isinstance(arg, str) else arg
                 message = f"{value!r} is not of type {', '.join(map(repr, types))}"
-        elif keyword == "enum":
-            if not (isinstance(value, str) and value in arg):
-                message = f"{value!r} is not one of {arg!r}"
         elif keyword == "required":
             out += [(path, f"{key!r} is a required property", value, schema)
                     for key in arg if is_object and key not in value]
@@ -216,9 +212,6 @@ def _violations(value, schema: dict, path: tuple, out: list) -> None:
         elif keyword == "maxItems":
             if is_array and len(value) > arg:
                 message = f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
-        elif keyword == "minimum":
-            if _IS_TYPE["number"](value) and value < arg:
-                message = f"{value!r} is less than the minimum of {arg!r}"
         else:
             raise KeyError(f"schema keyword {keyword!r} is not supported")
         if message is not None:
@@ -244,7 +237,7 @@ def _matrix(raw, what: str) -> np.ndarray:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what} must be a rectangular matrix") from exc
-    if arr.ndim != 2 or any(len(row) != len(raw[0]) for row in raw):
+    if arr.ndim != 2:
         raise SchemaError(f"{what} must be a rectangular matrix")
     return arr
 
@@ -369,7 +362,7 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
             warmups[node] = _matrix(entry["warmup_gain"], f"warmup_gain of {name}")
 
     def leader_node(nm: str, section: str) -> int:
-        if nm not in node_of or node_of[nm] <= n:
+        if nm not in node_of:  # a leader's node is check_fields' rule
             raise SchemaError(f"{section} names unknown leader {nm!r}")
         return node_of[nm]
 

@@ -77,8 +77,8 @@ class ScenarioConfig:
     one entry per leader.  ``xi`` (>= 1) regularizes every observer
     network's parameter update, whose parameter matrix starts at
     ``init_scale`` (> 0) times I.  ``check_fields`` is the one rule for
-    each field's value and shape, the schedule's, observer networks' and
-    learner's included (the topology's edge classes are
+    each field's value, shape and node keys, the schedule's, observer
+    networks' and learner's included (the topology's edge classes are
     ``DirectedTopology``'s)."""
 
     name: str
@@ -122,10 +122,11 @@ class ScenarioConfig:
             raise ValueError("one dynamics entry, x0 and name per follower and leader "
                              "and one formation per leader are required")
         check_names(self.names)
-        if self.sample_interval < 1:
-            raise ValueError("sample interval must be >= 1")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        for what, value, least in [("sample interval", self.sample_interval, 1),
+                                   ("horizon", self.horizon, 0),
+                                   ("learn start tick", self.learn_start_tick, 0)]:
+            if value < least:
+                raise ValueError(f"{what} must be >= {least}")
         ticks = [t for t, _ in self.schedule.entries]
         if not ticks:
             raise ValueError("schedule needs at least one entry")
@@ -133,6 +134,16 @@ class ScenarioConfig:
             raise ValueError("first schedule entry must activate at tick 0")
         if any(b <= a for a, b in zip(ticks, ticks[1:])):
             raise ValueError("schedule ticks must be strictly increasing")
+        # each node key must be a node of its field's kind, which export names
+        agents, leaders = range(1, topo.n_nodes), range(1 + topo.n_followers, topo.n_nodes)
+        keyed = [("observers: formation network", self.formation_observers, leaders),
+                 ("q_weight", self.q_weights, agents), ("warmup_gain", self.warmup_gains, agents),
+                 *(("schedule: factor", factors, leaders) for _, factors in self.schedule.entries)]
+        for what, fields, nodes in keyed:
+            for k in (k for k in fields if k not in nodes):
+                node = self.agent_name(k) if k in range(topo.n_nodes) else f"node {k}"
+                raise ValueError(f"{what} for {node}, which is not "
+                                 f"{'a leader' if nodes is leaders else 'an agent'}")
         # worded as the scenario file's observers and learner sections, and
         # written so that a NaN fails them
         if not self.xi >= 1.0:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import drawn_plants, drawn_topology_config
 from pfcc import cli
@@ -16,6 +18,7 @@ from pfcc import model_control as mc
 from pfcc import scenario as sc
 from pfcc import simulation as sim
 from pfcc.errors import AssumptionError, ConvergenceError, PersistentExcitationError, SchemaError
+from test_scenario_fuzz import cases
 
 
 def bundled_dict(name="hexagon"):
@@ -31,12 +34,75 @@ def write(tmp_path, raw, name="scenario.json"):
     return str(path)
 
 
+#: The fields of ``ScenarioConfig`` keyed by node, the schedule's factors aside.
+NODE_KEYED = ("formation_observers", "q_weights", "warmup_gains")
+
+
+def node_key_edits(cfg, rng) -> dict:
+    """Changes for ``dataclasses.replace``: zero to three entries of
+    ``cfg``'s node-keyed fields or schedule factors, each added or removed
+    at a node drawn from -1 to ``n_nodes + 1``."""
+    changes = {name: dict(getattr(cfg, name)) for name in NODE_KEYED}
+    entries = [(tick, dict(factors)) for tick, factors in cfg.schedule.entries]
+    dim, n_nodes = cfg.state_dim, cfg.topology.n_nodes
+    for _ in range(rng.integers(4)):
+        node = int(rng.integers(-1, n_nodes + 2))
+        width = cfg.dynamics_of(node).m if 0 < node < n_nodes else 1
+        name = rng.choice(NODE_KEYED + ("schedule",))
+        fields = entries[rng.integers(len(entries))][1] if name == "schedule" else changes[name]
+        values = {"formation_observers": cfg.leader_tracking_observer,
+                  "q_weights": rng.uniform(0.5, 2.0) * np.eye(dim),
+                  "warmup_gains": rng.normal(size=(width, dim)),
+                  "schedule": float(rng.uniform(0.05, 1.0))}
+        if rng.random() < 0.5:
+            fields.pop(node, None)
+        else:
+            fields[node] = values[name]
+    return {**changes, "schedule": sim.PropensitySchedule(tuple(entries))}
+
+
+def assert_survives_export(cfg, context=""):
+    """``cfg``'s exported file loads back to the same digest, and with the
+    same node keys, which the digest alone would not show: it reads the
+    export, so a key the export drops is missing from both sides."""
+    loaded = sc.scenario_from_dict(sc.parse_scenario_text(json.dumps(sc.scenario_to_dict(cfg))))
+    assert sc.config_digest(loaded) == sc.config_digest(cfg), context
+    for name in NODE_KEYED:
+        assert getattr(loaded, name).keys() == getattr(cfg, name).keys(), (context, name)
+    assert ([factors.keys() for _, factors in loaded.schedule.entries]
+            == [factors.keys() for _, factors in cfg.schedule.entries]), context
+
+
 class TestParsing:
     def test_round_trip_is_identity(self):
         cfg = sc.load_bundled("hexagon")
         text = json.dumps(sc.scenario_to_dict(cfg), indent=2)
         cfg2 = sc.scenario_from_dict(sc.parse_scenario_text(text))
         assert sc.config_digest(cfg) == sc.config_digest(cfg2)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_config_survives_its_export(self, seed):
+        # bundled and drawn configs with node keys added or removed at
+        # nodes that exist and nodes that do not
+        rng = np.random.default_rng(seed)
+        kind = rng.integers(3)
+        base = (drawn_topology_config(sc.load_bundled("hexagon"), seed, 100) if kind == 2
+                else sc.load_bundled(("hexagon", "hexagon_static")[kind]))
+        try:
+            cfg = dataclasses.replace(base, **node_key_edits(base, rng))
+        except ValueError:
+            return  # check_fields rejects it, so nothing exports it
+        assert_survives_export(cfg)
+
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_every_fuzzed_file_that_loads_survives_its_export(self, name):
+        for case, raw, what in cases(name):
+            try:
+                cfg = sc.scenario_from_dict(sc.parse_scenario_text(json.dumps(raw)))
+            except SchemaError:
+                continue
+            assert_survives_export(cfg, f"case {case} ({what})")
 
     def test_static_round_trip(self):
         cfg = sc.load_bundled("hexagon_static")

@@ -693,31 +693,49 @@ def without_l3_network(networks):
     return {q: obs for q, obs in networks.items() if q != L3}
 
 
+def with_key(node, value):
+    """A field edit: the node-keyed field with ``value`` at ``node``."""
+    return lambda fields: {**fields, node: value}
+
+
+def with_factor(node):
+    """A field edit: the schedule with a factor of 0.1 for ``node`` at tick 0."""
+    return lambda schedule: sim.PropensitySchedule(
+        ((0, {**schedule.initial(), node: 0.1}),) + schedule.entries[1:])
+
+
+#: An observer network's gains, in the library and in a scenario file.
+NETWORK = ob.ObserverConfig(1.0, 1.0, np.eye(2))
+NETWORK_ENTRY = {"coupling": 1.0, "consensus_gain": 1.0, "gain_matrix": [[1.0, 0.0], [0.0, 1.0]]}
+
+
 #: Value rules of ``check_fields``, each made to fail on hexagon: (field,
 #: edit of its value, key path in the scenario file, the value put there or
-#: None to delete the key, message, and the message of the file's own rule
-#: when that rule fails first, else None).  The first three keep the ids
-#: they had before the schedule, observer and learner rules joined them.
+#: None to delete the key, message, and the message of the file's own
+#: finiteness rule when the value is a NaN, else None).  The first three
+#: keep the ids they had before the schedule, observer and learner rules
+#: joined them.
 VALUE_RULES = [
     pytest.param("sample_interval", lambda _: 0, ("sample_interval",), 0,
-                 "sample interval must be >= 1",
-                 "scenario schema violation at sample_interval: 0 is less than the minimum of 1",
-                 id="sample_interval-0-sample interval"),
-    pytest.param("horizon", lambda _: -1, ("horizon",), -1, "horizon must be >= 0",
-                 "scenario schema violation at horizon: -1 is less than the minimum of 0",
+                 "sample interval must be >= 1", None, id="sample_interval-0-sample interval"),
+    pytest.param("horizon", lambda _: -1, ("horizon",), -1, "horizon must be >= 0", None,
                  id="horizon--1-horizon"),
     pytest.param("mode", lambda _: "model_free", ("mode",), "model_free",
-                 f"mode must be one of {sim.MODES}",
-                 f"scenario schema violation at mode: 'model_free' is not one of "
-                 f"{list(sim.MODES)!r}", id="mode-model_free-mode"),
+                 f"mode must be one of {sim.MODES}", None, id="mode-model_free-mode"),
+    pytest.param("learn_start_tick", lambda _: -1, ("learn_start_tick",), -1,
+                 "learn start tick must be >= 0", None, id="learn_start_tick--1"),
     pytest.param("schedule", schedule_ticks(), ("propensity_schedule",), [],
-                 "schedule needs at least one entry",
-                 "scenario schema violation at propensity_schedule: [] should be non-empty",
-                 id="schedule-empty"),
+                 "schedule needs at least one entry", None, id="schedule-empty"),
     pytest.param("schedule", schedule_ticks(5, 4000), ("propensity_schedule", 0, "tick"), 5,
                  "first schedule entry must activate at tick 0", None, id="schedule-start"),
     pytest.param("schedule", schedule_ticks(0, 0), ("propensity_schedule", 1, "tick"), 0,
                  "schedule ticks must be strictly increasing", None, id="schedule-order"),
+    pytest.param("schedule", with_factor(1), ("propensity_schedule", 0, "factors", "F1"), 0.1,
+                 "schedule: factor for F1, which is not a leader", None,
+                 id="schedule-factor-of-follower"),
+    pytest.param("formation_observers", with_key(1, NETWORK), ("observers", "formation", "F1"),
+                 NETWORK_ENTRY, "observers: formation network for F1, which is not a leader",
+                 None, id="formation-network-of-follower"),
     pytest.param("formation_observers", l3_network(coupling=-1.0),
                  ("observers", "formation", "L3", "coupling"), -1.0,
                  "observers: formation L3 coupling must be positive", None,
@@ -754,9 +772,25 @@ VALUE_RULES = [
                  "learner: gain_delta_threshold must be positive", None,
                  id="learner-threshold"),
     pytest.param("learner", replaced(max_iterations=0), ("learner", "max_iterations"), 0,
-                 "learner: max_iterations must be >= 1",
-                 "scenario schema violation at learner/max_iterations: 0 is less than the "
-                 "minimum of 1", id="learner-iterations"),
+                 "learner: max_iterations must be >= 1", None, id="learner-iterations"),
+]
+
+#: Node keys of ``check_fields``' rules that no scenario file can hold,
+#: each made to fail on hexagon, in the columns of ``VALUE_RULES``.
+NODE_KEY_RULES = [
+    pytest.param("q_weights", with_key(0, np.eye(2)), None, None,
+                 "q_weight for T, which is not an agent", None, id="q_weight-of-T"),
+    pytest.param("q_weights", with_key(99, np.eye(2)), None, None,
+                 "q_weight for node 99, which is not an agent", None, id="q_weight-of-node-99"),
+    pytest.param("warmup_gains", with_key(99, np.zeros((1, 2))), None, None,
+                 "warmup_gain for node 99, which is not an agent", None,
+                 id="warmup_gain-of-node-99"),
+    pytest.param("formation_observers", with_key(-1, NETWORK), None, None,
+                 "observers: formation network for node -1, which is not a leader", None,
+                 id="formation-network-of-node--1"),
+    pytest.param("schedule", with_factor(99), None, None,
+                 "schedule: factor for node 99, which is not a leader", None,
+                 id="schedule-factor-of-node-99"),
 ]
 
 
@@ -764,15 +798,17 @@ class TestConfigChecks:
     """Each value rule gives one message through ``dataclasses.replace``,
     through a field set after construction and then ``sim.run``, and
     through a scenario file, where ``pfcc validate`` exits 2 with one line
-    (the file's own rule's line when that rule fails first)."""
+    (the file's finiteness line for a NaN)."""
 
-    @pytest.mark.parametrize("name, edit, path, value, message, file_message", VALUE_RULES)
+    @pytest.mark.parametrize("name, edit, path, value, message, file_message",
+                             VALUE_RULES + NODE_KEY_RULES)
     def test_replaced_field_fails_its_value_rule(self, hexagon_config, name, edit, path,
                                                  value, message, file_message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(hexagon_config, **{name: edit(getattr(hexagon_config, name))})
 
-    @pytest.mark.parametrize("name, edit, path, value, message, file_message", VALUE_RULES)
+    @pytest.mark.parametrize("name, edit, path, value, message, file_message",
+                             VALUE_RULES + NODE_KEY_RULES)
     def test_field_set_after_construction_fails_before_tick_0(
             self, hexagon_config, name, edit, path, value, message, file_message):
         setattr(hexagon_config, name, edit(getattr(hexagon_config, name)))
