@@ -35,8 +35,9 @@ class RegulationError(AssumptionError):
 class PersistentExcitationError(PfccError):
     """Collected data is not rich enough for the requested regression.
 
-    Raised when a regression matrix is rank deficient under the strict
-    rank policy; the fix is more samples or stronger exploration noise.
+    Raised when a learner window has fewer rows than its regression has
+    unknowns, or when its regression matrix is zero; the fix is more
+    samples or stronger exploration noise.
     """
 
 

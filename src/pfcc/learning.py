@@ -33,15 +33,12 @@ COLLECTING = "collecting"
 ITERATING = "iterating"
 CONVERGED = "converged"
 
-#: Relative singular-value cutoff separating excited directions from
-#: structurally dead ones when rank deficiency is tolerated.  Directions
-#: below this floor carry less information than the quadratic features'
-#: round-off and would be amplified by 1/sigma into garbage gains, so they
-#: are treated as unexcited.
+#: Relative singular-value cutoff separating excited directions of a
+#: window's regression from structurally dead ones.  Directions below this
+#: floor carry less information than the quadratic features' round-off and
+#: would be amplified by 1/sigma into garbage gains, so they are treated as
+#: unexcited.
 RANK_RCOND = 1e-6
-
-#: Condition-number ceiling beyond which a window is treated as unexcited.
-CONDITION_LIMIT = 1e12
 
 #: Relative singular-value cutoff for inverting the estimated input-energy
 #: block.  Regression noise lifts its structurally zero directions to about
@@ -108,8 +105,7 @@ class DataBuffer:
     would give, so recording costs only the copy.  The sweep plan reads
     them once and keeps the scaled regression matrix, the ``psi_next`` rows
     and the regression folded into one operator, not the factors of the SVD
-    it was folded from; it is cached until the next record or flush, or a
-    plan under the other rank policy.
+    it was folded from; it is cached until the next record or flush.
     """
 
     def __init__(self, state_dim: int, input_dim: int, capacity: int):
@@ -172,17 +168,16 @@ class DataBuffer:
         # rounds differently on such an array
         return np.ascontiguousarray(vecv(self._x_next[: self._rows]))
 
-    def plan(self, allow_deficient: bool) -> "_WindowPlan":
-        """The cached sweep plan of the filled rows under one rank policy."""
-        plan = self._plan
-        if plan is None or plan.allow_deficient != allow_deficient:
-            plan = self._plan = _WindowPlan(self, allow_deficient)
-        return plan
+    def plan(self) -> "_WindowPlan":
+        """The cached sweep plan of the filled rows."""
+        if self._plan is None:
+            self._plan = _WindowPlan(self)
+        return self._plan
 
 
 class _WindowPlan:
     """The work of a value-iteration sweep that depends only on the window,
-    done once per window under one rank policy (``allow_deficient``).
+    done once per window.
 
     The regression ``theta @ xi = psi_next @ vecm(P)``, its rows scaled by
     ``scale``, is linear in ``vecm(P)``, so its min-norm solution through the
@@ -192,39 +187,31 @@ class _WindowPlan:
     plan keeps that fold, the scaled regression matrix, its row scale and
     the ``psi_next`` rows, from which each sweep forms its right-hand side
     and residual for the consistency check, and the tables that unpack a
-    solution into the Xi blocks.  Strict policy demands full column rank and
-    a bounded condition number; the tolerant policy solves minimum-norm in
-    the excited subspace, which is the right behaviour when part of the
-    augmented state is identically unexcited (for example a tracking block
-    resting at the origin)."""
+    solution into the Xi blocks.  A window needs at least as many rows as
+    unknowns; its regression is solved min-norm over the singular directions
+    above ``RANK_RCOND * s[0]``, which keeps a window whose augmented state
+    is partly unexcited (for example a tracking block resting at the origin)
+    from amplifying round-off into the gain."""
 
-    __slots__ = ("allow_deficient", "scale", "psi_next", "_matrix", "_fold",
+    __slots__ = ("scale", "psi_next", "_matrix", "_fold",
                  "_xi2", "_xi2_shape", "_weights", "_xi1_gather", "_xi3_gather")
 
-    def __init__(self, buf: DataBuffer, allow_deficient: bool):
-        self.allow_deficient = allow_deficient
+    def __init__(self, buf: DataBuffer):
         theta = buf.theta()
         self.scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
         matrix = theta * self.scale[:, None]
         if not np.isfinite(matrix).all():
             raise ConvergenceError("window regression is not finite; the window "
                                    "has left the float range")
-        if matrix.shape[0] < matrix.shape[1] and not allow_deficient:
+        if matrix.shape[0] < matrix.shape[1]:
             raise PersistentExcitationError(
                 f"window has {matrix.shape[0]} rows for {matrix.shape[1]} unknowns; "
                 "collect more samples")
         u, s, vt = _svd(matrix)
-        if s.size == 0 or s[0] == 0.0:
+        if s[0] == 0.0:
             raise PersistentExcitationError(
                 "regression matrix is zero; no excitation in the window")
-        if allow_deficient:
-            keep = s > RANK_RCOND * s[0]
-        else:
-            keep = s > 0
-            if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
-                raise PersistentExcitationError(
-                    "regression matrix is rank deficient; collect more samples or "
-                    "increase exploration noise")
+        keep = s > RANK_RCOND * s[0]
         self._matrix = matrix
         self.psi_next = buf.psi_next()
         self._fold = vt[keep].T @ ((1.0 / s[keep])[:, None]
@@ -430,8 +417,6 @@ def exploration_noise(cfg: LearnerConfig, seed: int, width: int, ticks) -> np.nd
     if ticks.size and not (ticks.min() >= 0 and ticks.max() < 2**32):
         raise ValueError("noise ticks must lie in [0, 2**32)")
     out = np.zeros((ticks.size, width))
-    if cfg.noise_std == 0.0:
-        return out
     for row, words in zip(out, _seed_words(seed & 0x7FFFFFFF, ticks)):
         Generator(PCG64(_SeedWords(words))).standard_normal(out=row)
     # numpy's normal overflows to inf without a warning as well
@@ -458,8 +443,8 @@ class LearnedController(NamedTuple):
 
 
 def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
-                  cfg: LearnerConfig, allow_deficient: bool = False) -> LearnedController:
-    """One value-iteration sweep against the collected window.
+                  cfg: LearnerConfig) -> LearnedController:
+    """One value-iteration sweep against the full window ``buf``.
 
     The value update applies the Bellman backup through the regressed Xi
     blocks of the previous iterate, the Xi blocks are re-regressed at the
@@ -469,11 +454,7 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
     point the behaviour policy switches to the learned gain without probing
     noise.  ``cost`` is the window's ``model_control.stage_cost``.
     """
-    if not buf.is_full:
-        return ctrl._replace(status=COLLECTING)
-    if ctrl.status == CONVERGED:
-        return ctrl
-    plan = buf.plan(allow_deficient)
+    plan = buf.plan()
     xi_prev = ctrl.Xi
     if xi_prev is None:
         xi_prev = plan.xi(ctrl.P_hat)
@@ -495,7 +476,7 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore")
 def iterate(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray, cfg: LearnerConfig,
-            sweeps: int, allow_deficient: bool = False) -> LearnedController:
+            sweeps: int) -> LearnedController:
     """Up to ``sweeps`` sweeps of ``learning_tick``, never past
     ``cfg.max_iterations`` in all; a value matrix that leaves the float range
     is reported by the sweep's checks, not as a warning.  Raises
@@ -504,7 +485,7 @@ def iterate(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray, cfg: Lea
     prev = ctrl
     try:
         for _ in range(min(sweeps, cfg.max_iterations - ctrl.iterations)):
-            prev, ctrl = ctrl, learning_tick(ctrl, buf, cost, cfg, allow_deficient)
+            prev, ctrl = ctrl, learning_tick(ctrl, buf, cost, cfg)
             if ctrl.status == CONVERGED:
                 return ctrl
         if ctrl.status != CONVERGED and ctrl.iterations >= cfg.max_iterations:

@@ -13,10 +13,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from importlib import resources
 
 import numpy as np
 
+from . import __version__
 from . import learning as ln
 from . import model_control as mc
 from . import observers as ob
@@ -543,8 +545,6 @@ def trace_to_csv(trace: sim.TraceLog, start: int = 0, stop: int | None = None) -
 
 def export_run(result: sim.RunResult, out_dir) -> tuple[str, str]:
     """Write trace.csv and metadata.json into ``out_dir``; returns the paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace.csv")
     meta_path = os.path.join(out_dir, "metadata.json")
@@ -552,8 +552,6 @@ def export_run(result: sim.RunResult, out_dir) -> tuple[str, str]:
         fh.write(trace_to_csv(result.trace, 0, CSV_CHUNK_ROWS))
         for start in range(CSV_CHUNK_ROWS, len(result.trace), CSV_CHUNK_ROWS):
             fh.write(trace_to_csv(result.trace, start, start + CSV_CHUNK_ROWS))
-    from . import __version__
-
     meta = {
         "scenario": result.trace.config.name,
         "config_sha256": config_digest(result.trace.config),

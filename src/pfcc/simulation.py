@@ -30,7 +30,7 @@ from . import propagation as pr
 from .errors import (AssumptionError, ConvergenceError, DataConsistencyError,
                      PfccError, RegulationError, SimulationAbort)
 from .matops import is_positive_definite, row_sq_norms
-from .topology import DirectedTopology, build_laplacian, verify_assumption1
+from .topology import DirectedTopology, verify_assumption1
 
 MODE_DATA = "data_driven"
 MODE_ORACLE = "model_based_oracle"
@@ -348,10 +348,11 @@ class TraceLog:
 
         The stack holds one sample per column, so each elementwise step runs
         along the samples.  A follower's containment error subtracts one
-        weighted leader target at a time, in leader order, every norm is
-        ``_row_norms`` of a contiguous row, and an agent's observer error
-        sums its row norms in bank order (tracking row first), so every
-        value equals its per-vector form exactly."""
+        weighted leader target at a time, in leader order, every norm is the
+        square root of ``row_sq_norms`` of a contiguous row, bit for bit the
+        row's ``np.linalg.norm``, and an agent's observer error sums its row
+        norms in bank order (tracking row first), so every value equals its
+        per-vector form exactly."""
         ticks, worlds, banks, weights = zip(*self.pending)
         self.pending = []
         while self.size + len(ticks) > len(self.table):
@@ -375,7 +376,8 @@ class TraceLog:
             diffs = np.concatenate((x[n:] - h - x_o, containment,
                                     world[(nodes + m) * dim :].reshape(-1, dim, b)
                                     - targets[bank.target]))
-            norms = _row_norms(diffs.transpose(2, 0, 1).reshape(-1, dim)).reshape(b, -1)
+            sq_norms = row_sq_norms(diffs.transpose(2, 0, 1).reshape(-1, dim))
+            norms = np.sqrt(sq_norms).reshape(b, -1)
             obs_errors = np.bincount((np.arange(b)[:, None] * nodes + bank.agent).ravel(),
                                      norms[:, m + n :].ravel(), minlength=b * nodes)
             rows = self.table[self.size : self.size + b]
@@ -564,8 +566,12 @@ def follower_coefficients(cfg: ScenarioConfig, known: np.ndarray,
     topo = cfg.topology
     if cfg.mode != MODE_BASELINE:
         return {i: pr.coefficients(known, i, factors) for i in topo.follower_nodes}
-    blocks = build_laplacian(topo)
-    w = -np.linalg.solve(blocks.L1, blocks.L2)  # one row per follower, in leader order
+    # L1 and L2 are the follower rows of the in-degree Laplacian D - A, split
+    # at the first leader column; w has one row per follower, in leader order
+    a = topo.adjacency
+    lap = np.diag(a.sum(axis=1)) - a
+    rows = slice(1, 1 + topo.n_followers)
+    w = -np.linalg.solve(lap[rows, rows], lap[rows, rows.stop :])
     return {i: {q: float(v) for q, v in zip(topo.leader_nodes, w[topo.follower_index(i)])
                 if abs(v) > 1e-12}
             for i in topo.follower_nodes}
@@ -764,8 +770,8 @@ def _probing_noise(cfg: ScenarioConfig, lr: AgentLearner, tick: int) -> np.ndarr
     the agent's node."""
     start = tick - tick % NOISE_BLOCK_TICKS
     if lr.noise_start != start:
-        seed = (cfg.seed * 100003 + lr.node) & 0x7FFFFFFF
-        lr.noise = ln.exploration_noise(cfg.learner, seed, lr.buffer.input_dim,
+        lr.noise = ln.exploration_noise(cfg.learner, cfg.seed * 100003 + lr.node,
+                                        lr.buffer.input_dim,
                                         range(start, start + NOISE_BLOCK_TICKS))
         lr.noise_start = start
     return lr.noise[tick - start]
@@ -786,7 +792,7 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, lr: AgentLearner,
             cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
         try:
             lr.controller = ln.iterate(lr.controller, lr.buffer, cost, cfg.learner,
-                                       LEARN_ITERATIONS_PER_TICK, allow_deficient=True)
+                                       LEARN_ITERATIONS_PER_TICK)
         except PfccError as exc:
             # the run reports the sweeps made before the error
             lr.controller = exc.controller
@@ -806,12 +812,6 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, lr: AgentLearner,
 # ---------------------------------------------------------------------------
 # the tick
 # ---------------------------------------------------------------------------
-
-def _row_norms(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``d``, bit for bit the
-    ``np.linalg.norm`` of the row, ``sqrt(x.dot(x))``."""
-    return np.sqrt(row_sq_norms(d))
-
 
 def _sample_trace(state: WorldState, cfg: ScenarioConfig) -> None:
     """Record the tick-k sample; the trace fills its row later."""

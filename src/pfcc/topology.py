@@ -91,30 +91,6 @@ def closure(edge: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LaplacianBlocks:
-    """Follower rows of the full graph Laplacian.
-
-    L1: follower rows/columns (N x N)
-    L2: follower rows against leader columns (N x M)
-    """
-
-    L1: np.ndarray
-    L2: np.ndarray
-
-
-def build_laplacian(topo: DirectedTopology) -> LaplacianBlocks:
-    """Follower blocks of the in-degree Laplacian L = D - A of the full
-    graph; the rows of [L1 L2] sum to zero by construction."""
-    a = topo.adjacency
-    lap = np.diag(a.sum(axis=1)) - a
-    n = topo.n_followers
-    return LaplacianBlocks(
-        L1=lap[1 : 1 + n, 1 : 1 + n].copy(),
-        L2=lap[1 : 1 + n, 1 + n :].copy(),
-    )
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the spanning-tree / leader-coverage structure check: the
     nodes that break each part, none when it holds."""

@@ -60,8 +60,6 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def reference_noise(cfg, seed: int, width: int, tick: int) -> np.ndarray:
     """Reference: one probing-noise row from its own seeded generator, the
     per-call form ``learning.exploration_noise`` must match bit for bit."""
-    if cfg.noise_std == 0.0:
-        return np.zeros(width)
     rng = np.random.default_rng([seed & 0x7FFFFFFF, tick])
     return rng.normal(0.0, cfg.noise_std, width)
 
@@ -83,24 +81,20 @@ def reference_gain_update(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
 
 
 def reference_sweep(ctrl: ln.LearnedController, buf: ln.DataBuffer, cost: np.ndarray,
-                    cfg: ln.LearnerConfig, allow_deficient: bool = False) -> ln.LearnedController:
+                    cfg: ln.LearnerConfig) -> ln.LearnedController:
     """Reference: one value-iteration sweep composed step by step,
     the form ``learning.learning_tick`` must match bit for bit: the
     ``symmetrize``d Bellman backup, the regression of the window's plan
-    (``DataBuffer.plan(...).xi``, each looked up anew) at the previous and
+    (``DataBuffer.plan().xi``, each looked up anew) at the previous and
     the new value matrix, and ``reference_gain_update``."""
-    if not buf.is_full:
-        return ctrl._replace(status=ln.COLLECTING)
-    if ctrl.status == ln.CONVERGED:
-        return ctrl
     xi_prev = ctrl.Xi
     if xi_prev is None:
-        xi_prev = buf.plan(allow_deficient).xi(ctrl.P_hat)
+        xi_prev = buf.plan().xi(ctrl.P_hat)
     xi1, xi2, xi3 = xi_prev
     k = ctrl.K_hat
     backup = mo.symmetrize(cost + xi1 + k.T @ xi2 + xi2.T @ k + k.T @ xi3 @ k)
     p_new = (1.0 - mc.VI_AVERAGING) * ctrl.P_hat + mc.VI_AVERAGING * backup
-    xi_new = buf.plan(allow_deficient).xi(p_new)
+    xi_new = buf.plan().xi(p_new)
     k_new = reference_gain_update(xi_new[1], xi_new[2])
     delta = float(np.linalg.norm(k_new - ctrl.K_hat))
     settled = (delta < cfg.gain_delta_threshold

@@ -98,7 +98,7 @@ def row_observer_step(obs: RowObserver, xi: float, x: np.ndarray, x_sq: float,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def window_regression(buf: ln.DataBuffer, p: np.ndarray, allow_deficient: bool = False
+def window_regression(buf: ln.DataBuffer, p: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The blocks (Xi1, Xi2, Xi3) of the regression ``theta @ xi =
     psi_next @ vecm(P)`` of a full window at the value matrix ``p``, rows
@@ -106,23 +106,22 @@ def window_regression(buf: ln.DataBuffer, p: np.ndarray, allow_deficient: bool =
     SVD ``U S V^T`` of the scaled ``theta`` from ``np.linalg.svd``, as three
     products ``V (S^-1 (U^T rhs))`` of the scaled right-hand side, with the
     relative residual of that solution checked against it.  Raises the
-    errors of ``DataBuffer.plan(...).xi`` under the same rank policy and
-    thresholds: ``PersistentExcitationError`` for a window without
-    excitation, ``DataConsistencyError`` for inconsistent rows and
-    ``ConvergenceError`` for a regression that is not finite."""
+    errors of ``DataBuffer.plan().xi`` under the same window rule and
+    thresholds: ``PersistentExcitationError`` for a window with fewer rows
+    than unknowns or without excitation, ``DataConsistencyError`` for
+    inconsistent rows and ``ConvergenceError`` for a regression that is not
+    finite."""
     theta = buf.theta()
     scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
     matrix = theta * scale[:, None]
     if not np.isfinite(matrix).all():
         raise ConvergenceError("window regression is not finite")
-    if matrix.shape[0] < matrix.shape[1] and not allow_deficient:
+    if matrix.shape[0] < matrix.shape[1]:
         raise PersistentExcitationError("fewer rows than unknowns")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     if s[0] == 0.0:
         raise PersistentExcitationError("regression matrix is zero")
-    if not allow_deficient and (s[-1] == 0.0 or s[0] / s[-1] > ln.CONDITION_LIMIT):
-        raise PersistentExcitationError("regression matrix is rank deficient")
-    keep = s > (ln.RANK_RCOND * s[0] if allow_deficient else 0.0)
+    keep = s > ln.RANK_RCOND * s[0]
     if not np.isfinite(p).all():
         raise ConvergenceError("value matrix is not finite")
     rhs = (buf.psi_next() @ vecm(p)) * scale

@@ -662,6 +662,28 @@ class TestRunCommand:
         meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["completed"] is False
 
+    def test_window_shorter_than_its_unknowns_fails_alike_in_run_and_compare_gains(
+            self, tmp_path, capsys):
+        # 42-row windows for regressions of 45 to 153 unknowns: both commands
+        # apply the one window rule, exit 4 and print one line per failure
+        raw = bundled_dict()
+        raw["learner"]["window"] = 40
+        path = write(tmp_path, raw)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", path, "--out", out]) == cli.EXIT_EXCITATION
+        assert capsys.readouterr().err == (
+            "run aborted: tick 1441, agent F1: window has 42 rows for 45 unknowns; "
+            "collect more samples\n")
+        assert json.loads(Path(out, "metadata.json").read_text())["completed"] is False
+        assert cli.main(["compare-gains", path]) == cli.EXIT_EXCITATION
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [line for line in captured.out.splitlines() if "FAILED" in line] == [
+            f"{agent:<8}  FAILED: window has 42 rows for {unknowns} unknowns; "
+            "collect more samples"
+            for agent, unknowns in (("F1", 45), ("F2", 91), ("F3", 45), ("F4", 153),
+                                    ("L3", 45))]
+
     def test_iteration_limit_is_enforced_during_the_run(self, tmp_path, capsys):
         # every learner needs more than 20 sweeps on its first window
         raw = bundled_dict()

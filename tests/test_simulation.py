@@ -171,6 +171,18 @@ class TestWorldStepping:
         assert isinstance(res.error.cause, PersistentExcitationError)
         assert len(res.trace) > 0  # partial trace retained
 
+    def test_window_shorter_than_its_unknowns_aborts_the_run(self):
+        # two rows for the ten unknowns of a scalar agent's augmented state:
+        # the first full window aborts the run, naming tick and agent
+        cfg = dataclasses.replace(tiny_config(horizon=60, learn_start=1),
+                                  learner=ln.LearnerConfig(window=0))
+        res = sim.run(cfg)
+        assert not res.completed
+        assert isinstance(res.error.cause, PersistentExcitationError)
+        assert str(res.error) == ("tick 2, agent F1: window has 2 rows for 10 unknowns; "
+                                  "collect more samples")
+        assert len(res.trace) == 3  # the ticks before the abort
+
     def test_oracle_mode_on_tiny_world(self):
         cfg = tiny_config(mode=sim.MODE_ORACLE, horizon=300)
         res = sim.run(cfg)
@@ -519,8 +531,8 @@ class TestLearnerControl:
                     sources.add("K_hat" if converged else "behaviour")
                 want = gain @ z
                 if not converged:  # probing: no noise reaches a converged learner
-                    seed = (cfg.seed * 100003 + node) & 0x7FFFFFFF
-                    want = want + reference_noise(cfg.learner, seed, m, snap.tick)
+                    want = want + reference_noise(cfg.learner, cfg.seed * 100003 + node, m,
+                                                  snap.tick)
                     if plan.gather is not None and snap.tick >= cfg.learn_start_tick:
                         probing.add((k, node))
                 assert u[r, :m].tobytes() == want.tobytes(), (snap.tick, node)
@@ -1041,8 +1053,11 @@ class TestDeterminism:
 
 
 class TestProbingNoise:
-    def test_block_boundary_ticks_match_the_per_call_form(self):
-        cfg = dataclasses.replace(tiny_config(), seed=777,
+    # the agent's seed is masked to 31 bits once, by the noise itself: seed
+    # 30000 gives 30000 * 100003 + 1 >= 2**31
+    @pytest.mark.parametrize("seed", [777, 30000])
+    def test_block_boundary_ticks_match_the_per_call_form(self, seed):
+        cfg = dataclasses.replace(tiny_config(), seed=seed,
                                   learner=ln.LearnerConfig(noise_std=0.4))
         lr = sim.AgentLearner(node=1, layout=(1,),
                               controller=ln.LearnedController.create(6, 2),
@@ -1056,7 +1071,7 @@ class TestProbingNoise:
                  last]
         for tick in ticks:
             noise = sim._probing_noise(cfg, lr, tick)
-            expected = reference_noise(cfg.learner, (777 * 100003 + 1) & 0x7FFFFFFF, 2, tick)
+            expected = reference_noise(cfg.learner, (seed * 100003 + 1) & 0x7FFFFFFF, 2, tick)
             assert noise.tobytes() == expected.tobytes(), tick
 
 

@@ -1,13 +1,17 @@
 import json
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_topology, drop_edges, random_topology, transitive_closure
-from pfcc.topology import DirectedTopology, build_laplacian, closure, verify_assumption1
+from conftest import (block_topology, chain_topology, drop_edges, random_topology,
+                      transitive_closure)
+from pfcc import scenario as sc
+from pfcc import simulation as sim
+from pfcc.topology import DirectedTopology, closure, verify_assumption1
 
 
 def two_agent_chain():
@@ -74,19 +78,51 @@ class TestConstruction:
         assert topo.is_follower(1) and topo.is_leader(2)
 
 
-class TestLaplacian:
+def laplacian_blocks(adjacency: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The follower rows [L1 L2] of the in-degree Laplacian D - A of a
+    receiver-row adjacency with ``n`` followers."""
+    lap = np.diag(adjacency.sum(axis=1)) - adjacency
+    return lap[1 : 1 + n, 1 : 1 + n], lap[1 : 1 + n, 1 + n :]
+
+
+def baseline_weights(topo: DirectedTopology) -> np.ndarray:
+    """``simulation.follower_coefficients``' ``fcc_baseline`` weights as a
+    follower-by-leader matrix, zero where it drops a weight."""
+    cfg = SimpleNamespace(topology=topo, mode=sim.MODE_BASELINE)
+    w = np.zeros((topo.n_followers, topo.n_leaders))
+    for i, row in sim.follower_coefficients(cfg, None, {}).items():
+        for q, v in row.items():
+            w[topo.follower_index(i), topo.leader_index(q)] = v
+    return w
+
+
+class TestLaplacianWeights:
+    """The classical containment weights -L1^-1 L2 of ``fcc_baseline``
+    against Laplacian blocks built here."""
+
     def test_two_agent_chain(self):
-        blocks = build_laplacian(two_agent_chain())
-        assert blocks.L1 == np.array([[1.0]])
-        assert blocks.L2 == np.array([[-1.0]])
+        topo = two_agent_chain()
+        l1, l2 = laplacian_blocks(topo.adjacency, 1)
+        assert l1 == np.array([[1.0]]) and l2 == np.array([[-1.0]])
+        assert baseline_weights(topo) == np.array([[1.0]])
 
-    def test_empty_edges_all_zero(self):
+    def test_graph_without_edges_has_no_baseline_weights(self):
+        # L1 is zero, so -L1^-1 L2 does not exist; the structure check
+        # rejects the graph before any run forms the weights
         topo = DirectedTopology(2, 2, np.zeros((5, 5)))
-        blocks = build_laplacian(topo)
-        for block in (blocks.L1, blocks.L2):
-            np.testing.assert_array_equal(block, np.zeros_like(block))
+        l1, l2 = laplacian_blocks(topo.adjacency, 2)
+        assert not l1.any() and not l2.any()
+        report = verify_assumption1(topo)
+        assert report.unreachable_from_tracking == (1, 2, 3, 4)
+        assert report.followers_without_leader == (1, 2)
 
-    def test_bundled_scenario_blocks_match_recomputed(self):
+    def test_unreached_leader_gets_no_weight(self):
+        # T -> L1 -> L2 -> F1 -> F2 -> F3: every follower follows L2 alone
+        topo = chain_topology()
+        cfg = SimpleNamespace(topology=topo, mode=sim.MODE_BASELINE)
+        assert sim.follower_coefficients(cfg, None, {}) == {i: {5: 1.0} for i in (1, 2, 3)}
+
+    def test_bundled_scenario_weights_match_recomputed(self):
         # independently rebuild degree-minus-adjacency from the raw edge list
         raw = json.loads(resources.files("pfcc.scenarios")
                          .joinpath("hexagon.json").read_text())
@@ -97,36 +133,30 @@ class TestLaplacian:
         adj = np.zeros((n_nodes, n_nodes))
         for src, dst, w in raw["edges"]:
             adj[idx[dst], idx[src]] = w
-        lap = np.diag(adj.sum(axis=1)) - adj
-        n = len(raw["followers"])
-
-        from pfcc import scenario as sc
-        topo = sc.scenario_from_dict(raw).topology
-        blocks = build_laplacian(topo)
-        assert blocks.L1.shape == (4, 4)
-        np.testing.assert_allclose(blocks.L1, lap[1:1 + n, 1:1 + n])
-        np.testing.assert_allclose(blocks.L2, lap[1:1 + n, 1 + n:])
+        l1, l2 = laplacian_blocks(adj, len(raw["followers"]))
+        assert l1.shape == (4, 4)
         # follower rows balance across the two blocks
-        np.testing.assert_allclose(blocks.L1.sum(axis=1),
-                                   -blocks.L2.sum(axis=1), atol=1e-12)
+        np.testing.assert_allclose(l1.sum(axis=1), -l2.sum(axis=1), atol=1e-12)
+
+        cfg = sc.scenario_from_dict(raw)
+        np.testing.assert_allclose(baseline_weights(cfg.topology),
+                                   -np.linalg.solve(l1, l2), atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_block_rows_sum_to_zero(self, seed):
+    def test_weights_are_convex(self, seed):
+        # rows of [L1 L2] sum to zero, L2 and the off-diagonal of L1 are
+        # nonpositive and L1 is nonsingular, so each follower's weights are
+        # nonnegative and sum to one
         topo = random_topology(np.random.default_rng(seed))
-        blocks = build_laplacian(topo)
-        np.testing.assert_allclose(
-            np.hstack([blocks.L1, blocks.L2]).sum(axis=1),
-            np.zeros(topo.n_followers), atol=1e-12)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_follower_block_sign_pattern(self, seed):
-        topo = random_topology(np.random.default_rng(seed))
-        l1 = build_laplacian(topo).L1
-        assert np.all(np.diag(l1) >= 0)
-        off = l1 - np.diag(np.diag(l1))
-        assert np.all(off <= 0)
+        l1, l2 = laplacian_blocks(topo.adjacency, topo.n_followers)
+        assert np.all(l1 - np.diag(np.diag(l1)) <= 0) and np.all(l2 <= 0)
+        np.testing.assert_allclose(np.hstack([l1, l2]).sum(axis=1),
+                                   np.zeros(topo.n_followers), atol=1e-12)
+        w = baseline_weights(topo)
+        np.testing.assert_allclose(w, -np.linalg.solve(l1, l2), atol=1e-12)
+        np.testing.assert_allclose(w.sum(axis=1), np.ones(topo.n_followers), atol=1e-12)
+        assert np.all(w >= 0)
 
 
 class TestAssumptionCheck:
