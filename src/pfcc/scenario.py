@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 from importlib import resources
 
@@ -244,22 +243,11 @@ def _matrix(raw, what: str) -> np.ndarray:
     return arr
 
 
-def _non_finite(value, path: tuple = ()) -> tuple | None:
-    """Path to the first number in a parsed JSON value that is not a finite
-    float (``NaN``, ``Infinity``, or a literal such as ``1e400`` or an
-    integer of 400 digits that overflows one), else None."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return None if math.isfinite(value) else path
-        except OverflowError:
-            return path
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    for key, item in items:
-        found = _non_finite(item, path + (key,))
-        if found is not None:
-            return found
-    return None
+def _parse_int(literal: str) -> int | float:
+    """An integer literal's value: exact up to 308 digits, which stay below
+    the largest float, else ``float(literal)`` (``inf`` beyond the float
+    range), so no literal meets Python's int-string length limit."""
+    return int(literal) if len(literal) <= 308 else float(literal)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -274,30 +262,16 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def parse_scenario_text(text: str) -> dict:
-    """JSON text to a validated raw dictionary; every number must be finite
-    and no object may repeat a key.
+    """JSON text to a raw dictionary that meets ``SCHEMA``, with no object
+    repeating a key: syntax only.
 
-    The parser's number hooks flag a literal that may not be a finite
-    float, and only a flagged document is walked for the first one.
+    ``NaN``, ``Infinity`` and a literal beyond the float range such as
+    ``1e400`` parse as floats that are not finite; a number field rejects
+    them in ``ScenarioConfig.check_fields`` (or ``DirectedTopology``, for
+    an edge weight), an integer field in the schema's type rule.
     """
-    flagged = False
-
-    def flag(value):
-        nonlocal flagged
-        flagged = True
-        return value
-
-    def parse_float(literal: str) -> float:
-        value = float(literal)
-        return value if math.isfinite(value) else flag(value)
-
-    def parse_int(literal: str) -> int:
-        # an integer of up to 308 digits is below the largest float
-        return flag(int(literal)) if len(literal) > 308 else int(literal)
-
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys, parse_float=parse_float,
-                         parse_int=parse_int, parse_constant=lambda name: flag(float(name)))
+        raw = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"scenario is not valid JSON (line {exc.lineno}, column {exc.colno}): "
@@ -305,13 +279,6 @@ def parse_scenario_text(text: str) -> dict:
     violation = _schema_violation(raw)
     if violation is not None:
         raise SchemaError(violation)
-    where = _non_finite(raw) if flagged else None
-    if where is not None:
-        # an agent's field is named as the config checks name it
-        subject = (f"{where[2]} of {raw[where[0]][where[1]]['name']}"
-                   if where[0] in ("followers", "leaders") and len(where) > 2 else "numbers")
-        raise SchemaError(f"scenario schema violation at {'/'.join(map(str, where))}: "
-                          f"{subject} must be finite")
     return raw
 
 
@@ -345,8 +312,8 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
 
     def q_weight(entry) -> np.ndarray:
         qw = entry.get("q_weight", 1.0)
-        if isinstance(qw, (int, float)):
-            return float(qw) * np.eye(dim)
+        if isinstance(qw, (int, float)):  # no 0 * inf off the diagonal
+            return np.diag(np.full(dim, float(qw)))
         return _matrix(qw, f"q_weight of {entry['name']}")
 
     dynamics, formation, x0 = [], [], []

@@ -78,8 +78,8 @@ class ScenarioConfig:
     network's parameter update, whose parameter matrix starts at
     ``init_scale`` (> 0) times I.  ``check_fields`` is the one rule for
     each field's value, shape and node keys, the schedule's, observer
-    networks' and learner's included (the topology's edge classes are
-    ``DirectedTopology``'s)."""
+    networks' and learner's included (the topology's edge classes and
+    weights are ``DirectedTopology``'s)."""
 
     name: str
     topology: DirectedTopology
@@ -112,8 +112,9 @@ class ScenarioConfig:
 
     def check_fields(self) -> None:
         """Raise ValueError for a field no run can use: the one rule for a
-        field's value and shape.  Fields are plain attributes, so
-        ``init_world`` checks them again."""
+        field's value and shape, and that each of its numbers is finite, for
+        a scenario file and a Python config alike.  Fields are plain
+        attributes, so ``init_world`` checks them again."""
         topo = self.topology
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -144,21 +145,6 @@ class ScenarioConfig:
                 node = self.agent_name(k) if k in range(topo.n_nodes) else f"node {k}"
                 raise ValueError(f"{what} for {node}, which is not "
                                  f"{'a leader' if nodes is leaders else 'an agent'}")
-        # worded as the scenario file's observers and learner sections, and
-        # written so that a NaN fails them
-        if not self.xi >= 1.0:
-            raise ValueError("observers: xi must be >= 1")
-        if not self.init_scale > 0:
-            raise ValueError("observers: init scale must be positive")
-        learner = self.learner
-        if learner.window is not None and learner.window < 0:
-            raise ValueError("learner: window must be >= 0")
-        if not (math.isfinite(learner.noise_std) and learner.noise_std >= 0):
-            raise ValueError("learner: noise_std must be finite and >= 0")
-        if not learner.gain_delta_threshold > 0:
-            raise ValueError("learner: gain_delta_threshold must be positive")
-        if learner.max_iterations < 1:
-            raise ValueError("learner: max_iterations must be >= 1")
         dim = self.state_dim
         square = (dim, dim)
         shapes = [("tracking A", self.tracking_a, square),
@@ -172,6 +158,30 @@ class ScenarioConfig:
             networks.append((f"formation {name}", self.formation_observers[q]))
             shapes += [(f"formation S of {name}", form.S, square),
                        (f"formation h0 of {name}", form.h0, (dim,))]
+        # worded as the scenario file's observers, learner and schedule
+        # sections; NaN and inf fail here, before any value rule
+        learner = self.learner
+        scalars = [("observers: xi", self.xi), ("observers: init scale", self.init_scale),
+                   *((f"observers: {network} {gain}", getattr(obs, gain))
+                     for network, obs in networks for gain in ("coupling", "consensus_gain")),
+                   ("learner: gain_delta_threshold", learner.gain_delta_threshold),
+                   *((f"schedule: factor for {self.agent_name(q)}", factor)
+                     for _, factors in self.schedule.entries for q, factor in factors.items())]
+        for what, value in scalars:
+            if not math.isfinite(value):
+                raise ValueError(f"{what} must be finite")
+        if not self.xi >= 1.0:
+            raise ValueError("observers: xi must be >= 1")
+        if not self.init_scale > 0:
+            raise ValueError("observers: init scale must be positive")
+        if learner.window is not None and learner.window < 0:
+            raise ValueError("learner: window must be >= 0")
+        if not (math.isfinite(learner.noise_std) and learner.noise_std >= 0):
+            raise ValueError("learner: noise_std must be finite and >= 0")
+        if not learner.gain_delta_threshold > 0:
+            raise ValueError("learner: gain_delta_threshold must be positive")
+        if learner.max_iterations < 1:
+            raise ValueError("learner: max_iterations must be >= 1")
         for network, obs in networks:
             if not obs.coupling > 0:
                 raise ValueError(f"observers: {network} coupling must be positive")

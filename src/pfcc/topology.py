@@ -4,9 +4,9 @@ and followers.
 Node indexing convention: the tracking leader is node 0, followers are
 1..N, formation leaders are N+1..N+M.  Adjacency entries follow the
 receiver-row convention: ``a[i, j]`` is the weight of the edge j -> i.
-The constructor enforces that followers never transmit to leaders, that
-the tracking leader pins only formation leaders and that nothing transmits
-to it.
+The constructor enforces that every weight is finite and non-negative,
+that followers never transmit to leaders, that the tracking leader pins
+only formation leaders and that nothing transmits to it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class DirectedTopology:
         a = np.array(self.adjacency, dtype=float)
         if a.shape != (size, size):
             raise ValueError(f"adjacency must be ({size},{size}), got {a.shape}")
-        if not np.all(a >= 0):  # a NaN fails too
-            raise ValueError("adjacency contains negative or NaN weights")
+        if not np.all((a >= 0) & (a < np.inf)):  # a NaN fails too
+            raise ValueError("adjacency weights must be finite and non-negative")
         if np.any(np.diag(a) != 0):
             raise ValueError("self-loops are not allowed")
         if np.any(a[0] != 0):

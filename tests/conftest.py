@@ -106,9 +106,7 @@ def reference_sweep(ctrl: ln.LearnedController, buf: ln.DataBuffer, cost: np.nda
 def non_finite(value, path: tuple = ()) -> tuple | None:
     """Reference: path to the first number of a parsed JSON value, in
     document order, that is not a finite float (``NaN``, ``Infinity``, or
-    a literal such as ``1e400`` or a 400-digit integer), else None.
-    ``scenario.parse_scenario_text`` walks only the documents its number
-    hooks flag; this walks every one."""
+    a literal such as ``1e400`` or a 400-digit integer), else None."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return None if math.isfinite(value) else path

@@ -77,12 +77,10 @@ class TestSchedule:
             sim.init_world(cfg)
 
     def test_nan_factor_rejected(self, hexagon_config):
+        # a NaN is not a factor validate judges: check_fields rejects it
         factors = {**hexagon_config.schedule.initial(), 7: float("nan")}
-        cfg = dataclasses.replace(hexagon_config,
-                                  schedule=sim.PropensitySchedule(((0, factors),)))
-        with pytest.raises(AssumptionError,
-                           match="^propensity factor for L3 must be positive, got nan$"):
-            sim.init_world(cfg)
+        with pytest.raises(ValueError, match="^schedule: factor for L3 must be finite$"):
+            dataclasses.replace(hexagon_config, schedule=sim.PropensitySchedule(((0, factors),)))
 
 
 class TestErrorMetrics:
@@ -692,8 +690,8 @@ def replaced(**changes):
     return lambda value: dataclasses.replace(value, **changes)
 
 
-#: hexagon's node of leader L3
-L3 = 7
+#: hexagon's nodes of leaders L2 and L3
+L2, L3 = 6, 7
 
 
 def l3_network(**gains):
@@ -710,10 +708,10 @@ def with_key(node, value):
     return lambda fields: {**fields, node: value}
 
 
-def with_factor(node):
-    """A field edit: the schedule with a factor of 0.1 for ``node`` at tick 0."""
+def with_factor(node, factor=0.1):
+    """A field edit: the schedule with ``factor`` for ``node`` at tick 0."""
     return lambda schedule: sim.PropensitySchedule(
-        ((0, {**schedule.initial(), node: 0.1}),) + schedule.entries[1:])
+        ((0, {**schedule.initial(), node: factor}),) + schedule.entries[1:])
 
 
 #: An observer network's gains, in the library and in a scenario file.
@@ -723,85 +721,94 @@ NETWORK_ENTRY = {"coupling": 1.0, "consensus_gain": 1.0, "gain_matrix": [[1.0, 0
 
 #: Value rules of ``check_fields``, each made to fail on hexagon: (field,
 #: edit of its value, key path in the scenario file, the value put there or
-#: None to delete the key, message, and the message of the file's own
-#: finiteness rule when the value is a NaN, else None).  The first three
+#: None to delete the key, message).  A file and a config built in Python
+#: fail with one message, a non-finite number's included.  The first three
 #: keep the ids they had before the schedule, observer and learner rules
 #: joined them.
 VALUE_RULES = [
     pytest.param("sample_interval", lambda _: 0, ("sample_interval",), 0,
-                 "sample interval must be >= 1", None, id="sample_interval-0-sample interval"),
-    pytest.param("horizon", lambda _: -1, ("horizon",), -1, "horizon must be >= 0", None,
+                 "sample interval must be >= 1", id="sample_interval-0-sample interval"),
+    pytest.param("horizon", lambda _: -1, ("horizon",), -1, "horizon must be >= 0",
                  id="horizon--1-horizon"),
     pytest.param("mode", lambda _: "model_free", ("mode",), "model_free",
-                 f"mode must be one of {sim.MODES}", None, id="mode-model_free-mode"),
+                 f"mode must be one of {sim.MODES}", id="mode-model_free-mode"),
     pytest.param("learn_start_tick", lambda _: -1, ("learn_start_tick",), -1,
-                 "learn start tick must be >= 0", None, id="learn_start_tick--1"),
+                 "learn start tick must be >= 0", id="learn_start_tick--1"),
     pytest.param("schedule", schedule_ticks(), ("propensity_schedule",), [],
-                 "schedule needs at least one entry", None, id="schedule-empty"),
+                 "schedule needs at least one entry", id="schedule-empty"),
     pytest.param("schedule", schedule_ticks(5, 4000), ("propensity_schedule", 0, "tick"), 5,
-                 "first schedule entry must activate at tick 0", None, id="schedule-start"),
+                 "first schedule entry must activate at tick 0", id="schedule-start"),
     pytest.param("schedule", schedule_ticks(0, 0), ("propensity_schedule", 1, "tick"), 0,
-                 "schedule ticks must be strictly increasing", None, id="schedule-order"),
+                 "schedule ticks must be strictly increasing", id="schedule-order"),
     pytest.param("schedule", with_factor(1), ("propensity_schedule", 0, "factors", "F1"), 0.1,
-                 "schedule: factor for F1, which is not a leader", None,
+                 "schedule: factor for F1, which is not a leader",
                  id="schedule-factor-of-follower"),
+    pytest.param("schedule", with_factor(L2, np.inf),
+                 ("propensity_schedule", 0, "factors", "L2"), np.inf,
+                 "schedule: factor for L2 must be finite", id="schedule-factor-inf"),
+    pytest.param("xi", lambda _: np.inf, ("observers", "xi"), np.inf,
+                 "observers: xi must be finite", id="xi-inf"),
+    pytest.param("init_scale", lambda _: np.inf, ("observers", "init_scale"), np.inf,
+                 "observers: init scale must be finite", id="init-scale-inf"),
     pytest.param("formation_observers", with_key(1, NETWORK), ("observers", "formation", "F1"),
                  NETWORK_ENTRY, "observers: formation network for F1, which is not a leader",
-                 None, id="formation-network-of-follower"),
+                 id="formation-network-of-follower"),
     pytest.param("formation_observers", l3_network(coupling=-1.0),
                  ("observers", "formation", "L3", "coupling"), -1.0,
-                 "observers: formation L3 coupling must be positive", None,
-                 id="formation-coupling"),
+                 "observers: formation L3 coupling must be positive", id="formation-coupling"),
     pytest.param("formation_observers", l3_network(coupling=np.nan),
                  ("observers", "formation", "L3", "coupling"), np.nan,
-                 "observers: formation L3 coupling must be positive",
-                 "scenario schema violation at observers/formation/L3/coupling: numbers "
-                 "must be finite", id="formation-coupling-nan"),
+                 "observers: formation L3 coupling must be finite", id="formation-coupling-nan"),
+    pytest.param("formation_observers", l3_network(coupling=np.inf),
+                 ("observers", "formation", "L3", "coupling"), np.inf,
+                 "observers: formation L3 coupling must be finite", id="formation-coupling-inf"),
     pytest.param("leader_tracking_observer",
                  replaced(consensus_gain=np.nan),
                  ("observers", "leader_tracking", "consensus_gain"), np.nan,
-                 "observers: leader tracking consensus_gain must be positive",
-                 "scenario schema violation at observers/leader_tracking/consensus_gain: "
-                 "numbers must be finite", id="leader-tracking-consensus-nan"),
+                 "observers: leader tracking consensus_gain must be finite",
+                 id="leader-tracking-consensus-nan"),
     pytest.param("follower_tracking_observer",
                  replaced(consensus_gain=0.0),
                  ("observers", "follower_tracking", "consensus_gain"), 0.0,
-                 "observers: follower tracking consensus_gain must be positive", None,
+                 "observers: follower tracking consensus_gain must be positive",
                  id="follower-tracking-consensus"),
+    pytest.param("follower_tracking_observer",
+                 replaced(consensus_gain=np.inf),
+                 ("observers", "follower_tracking", "consensus_gain"), np.inf,
+                 "observers: follower tracking consensus_gain must be finite",
+                 id="follower-tracking-consensus-inf"),
     pytest.param("formation_observers", without_l3_network, ("observers", "formation", "L3"),
-                 None, "observers: no formation network for L3", None,
-                 id="formation-network-missing"),
+                 None, "observers: no formation network for L3", id="formation-network-missing"),
     pytest.param("learner", replaced(window=-1), ("learner", "window"), -1,
-                 "learner: window must be >= 0", None, id="learner-window"),
+                 "learner: window must be >= 0", id="learner-window"),
     pytest.param("learner", replaced(noise_std=-0.1), ("learner", "noise_std"), -0.1,
-                 "learner: noise_std must be finite and >= 0", None, id="learner-noise"),
+                 "learner: noise_std must be finite and >= 0", id="learner-noise"),
     pytest.param("learner", replaced(noise_std=np.nan), ("learner", "noise_std"), np.nan,
-                 "learner: noise_std must be finite and >= 0",
-                 "scenario schema violation at learner/noise_std: numbers must be finite",
-                 id="learner-noise-nan"),
+                 "learner: noise_std must be finite and >= 0", id="learner-noise-nan"),
     pytest.param("learner", replaced(gain_delta_threshold=0.0),
                  ("learner", "gain_delta_threshold"), 0.0,
-                 "learner: gain_delta_threshold must be positive", None,
-                 id="learner-threshold"),
+                 "learner: gain_delta_threshold must be positive", id="learner-threshold"),
+    pytest.param("learner", replaced(gain_delta_threshold=np.inf),
+                 ("learner", "gain_delta_threshold"), np.inf,
+                 "learner: gain_delta_threshold must be finite", id="learner-threshold-inf"),
     pytest.param("learner", replaced(max_iterations=0), ("learner", "max_iterations"), 0,
-                 "learner: max_iterations must be >= 1", None, id="learner-iterations"),
+                 "learner: max_iterations must be >= 1", id="learner-iterations"),
 ]
 
 #: Node keys of ``check_fields``' rules that no scenario file can hold,
 #: each made to fail on hexagon, in the columns of ``VALUE_RULES``.
 NODE_KEY_RULES = [
     pytest.param("q_weights", with_key(0, np.eye(2)), None, None,
-                 "q_weight for T, which is not an agent", None, id="q_weight-of-T"),
+                 "q_weight for T, which is not an agent", id="q_weight-of-T"),
     pytest.param("q_weights", with_key(99, np.eye(2)), None, None,
-                 "q_weight for node 99, which is not an agent", None, id="q_weight-of-node-99"),
+                 "q_weight for node 99, which is not an agent", id="q_weight-of-node-99"),
     pytest.param("warmup_gains", with_key(99, np.zeros((1, 2))), None, None,
-                 "warmup_gain for node 99, which is not an agent", None,
-                 id="warmup_gain-of-node-99"),
+                 "warmup_gain for node 99, which is not an agent", id="warmup_gain-of-node-99"),
     pytest.param("formation_observers", with_key(-1, NETWORK), None, None,
-                 "observers: formation network for node -1, which is not a leader", None,
+                 "observers: formation network for node -1, which is not a leader",
                  id="formation-network-of-node--1"),
     pytest.param("schedule", with_factor(99), None, None,
-                 "schedule: factor for node 99, which is not a leader", None,
+                 "schedule: factor for node 99, which is not a leader",
                  id="schedule-factor-of-node-99"),
 ]
 
@@ -809,27 +816,27 @@ NODE_KEY_RULES = [
 class TestConfigChecks:
     """Each value rule gives one message through ``dataclasses.replace``,
     through a field set after construction and then ``sim.run``, and
-    through a scenario file, where ``pfcc validate`` exits 2 with one line
-    (the file's finiteness line for a NaN)."""
+    through a scenario file, where ``pfcc validate`` exits 2 with that
+    line."""
 
-    @pytest.mark.parametrize("name, edit, path, value, message, file_message",
+    @pytest.mark.parametrize("name, edit, path, value, message",
                              VALUE_RULES + NODE_KEY_RULES)
     def test_replaced_field_fails_its_value_rule(self, hexagon_config, name, edit, path,
-                                                 value, message, file_message):
+                                                 value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(hexagon_config, **{name: edit(getattr(hexagon_config, name))})
 
-    @pytest.mark.parametrize("name, edit, path, value, message, file_message",
+    @pytest.mark.parametrize("name, edit, path, value, message",
                              VALUE_RULES + NODE_KEY_RULES)
     def test_field_set_after_construction_fails_before_tick_0(
-            self, hexagon_config, name, edit, path, value, message, file_message):
+            self, hexagon_config, name, edit, path, value, message):
         setattr(hexagon_config, name, edit(getattr(hexagon_config, name)))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sim.run(hexagon_config)
 
-    @pytest.mark.parametrize("name, edit, path, value, message, file_message", VALUE_RULES)
+    @pytest.mark.parametrize("name, edit, path, value, message", VALUE_RULES)
     def test_scenario_file_fails_its_value_rule(self, hexagon_config, tmp_path, capsys, name,
-                                                edit, path, value, message, file_message):
+                                                edit, path, value, message):
         raw = sc.scenario_to_dict(hexagon_config)
         entry = raw
         for key in path[:-1]:
@@ -841,13 +848,13 @@ class TestConfigChecks:
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(raw))
         assert cli.main(["validate", str(scenario)]) == cli.EXIT_SCHEMA
-        assert capsys.readouterr().out == f"schema: FAIL - {file_message or message}\n"
+        assert capsys.readouterr().out == f"schema: FAIL - {message}\n"
 
     @pytest.mark.parametrize("name", ["xi", "init_scale"])
     def test_nan_gain_rejected(self, name):
         # every observer network shares the config's one xi and init scale
-        with pytest.raises(ValueError, match="^observers: (xi must be >= 1|init scale must "
-                                             "be positive)$"):
+        with pytest.raises(ValueError, match=f"^observers: {name.replace('_', ' ')} "
+                                             "must be finite$"):
             dataclasses.replace(tiny_config(), **{name: float("nan")})
 
     def test_validate_names_a_schedule_entry_missing_factors(self, hexagon_config):

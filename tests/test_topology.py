@@ -36,7 +36,7 @@ class TestConstruction:
             DirectedTopology(1, 1, with_edge(1, 1, 1, 2, -1.0))
 
     def test_nan_weight_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="must be finite"):
             DirectedTopology(1, 1, with_edge(1, 1, 1, 2, np.nan))
 
     def test_shape_mismatch_rejected(self):
@@ -47,8 +47,9 @@ class TestConstruction:
     @pytest.mark.parametrize("adjacency, match", [
         pytest.param(np.zeros((4, 4)), r"must be \(5,5\)", id="shape"),
         pytest.param(np.zeros((5, 4)), r"must be \(5,5\)", id="non-square"),
-        pytest.param(with_edge(2, 2, 1, 3, -0.5), "negative or NaN", id="negative"),
-        pytest.param(with_edge(2, 2, 1, 3, np.nan), "negative or NaN", id="nan"),
+        pytest.param(with_edge(2, 2, 1, 3, -0.5), "finite and non-negative", id="negative"),
+        pytest.param(with_edge(2, 2, 1, 3, np.nan), "finite and non-negative", id="nan"),
+        pytest.param(with_edge(2, 2, 1, 3, np.inf), "finite and non-negative", id="inf"),
         pytest.param(with_edge(2, 2, 1, 1, 1.0), "self-loops", id="follower-self-loop"),
         pytest.param(with_edge(2, 2, 3, 3, 1.0), "self-loops", id="leader-self-loop"),
         pytest.param(with_edge(2, 2, 0, 3, 1.0), "nothing may transmit", id="leader-to-tracking"),
