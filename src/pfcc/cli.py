@@ -70,7 +70,7 @@ def cmd_validate(args) -> int:
         return EXIT_ASSUMPTION
     print("assumptions: ok (graph structure, schedule factors for every leader, "
           "factor positivity, spectral radii, q_weight positive definiteness, "
-          "stabilizability, regulation solvability)")
+          "stabilizability, regulation solvability, learner window rows)")
     return EXIT_OK
 
 

@@ -28,11 +28,13 @@ STATE_GUARD = 1e9
 def first_past_guard(sq_norms: np.ndarray) -> int | None:
     """Index of the first row whose norm, the square root of its entry of
     ``sq_norms`` (the rows' ``row_sq_norms``), exceeds ``STATE_GUARD`` or is
-    nan, or None when no row does."""
-    norms = np.sqrt(sq_norms)
-    if norms.max() <= STATE_GUARD:  # a nan norm fails it
+    nan, or None when no row does.  The entries are compared with
+    ``STATE_GUARD**2``, 1e18 exactly, with no square root taken: the
+    correctly rounded sqrt is monotone, and the float after 1e18 has a
+    square root past ``STATE_GUARD``, so each comparison is its norm's."""
+    if sq_norms.max() <= STATE_GUARD * STATE_GUARD:  # a nan entry fails it
         return None
-    return int(np.argmin(norms <= STATE_GUARD))
+    return int(np.argmin(sq_norms <= STATE_GUARD * STATE_GUARD))
 
 
 class ObserverDivergence(ConvergenceError):
@@ -68,8 +70,8 @@ class RlsObserver(NamedTuple):
     and its state estimate its row of the caller's stacked estimates (zero
     for a fresh record), and the bank hands each row's kernel step that
     row's squared norm.  An immutable record; a bank step builds one per
-    row, so it is a tuple rather than a frozen dataclass, which costs about
-    twice as much to build.
+    row, so it is a tuple made with ``tuple.__new__``, which skips the
+    NamedTuple's Python ``__new__`` (a frozen dataclass costs twice as much).
 
     The RLS parameter matrix is always c * I: it starts at the scenario's
     init_scale * I, and the regressor I (x) x_hat has Gram matrix
@@ -79,18 +81,6 @@ class RlsObserver(NamedTuple):
 
     config: ObserverConfig
     c: float
-
-
-def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
-                  gain: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Next state estimate using the pre-update model: A_hat x_hat - mu F eta.
-
-    Works row by row on stacks: ``a_hat`` and ``gain`` (R, n, n), ``x_hat``
-    and ``eta`` (R, n) and ``mu`` (R, 1).  One observer is the same call
-    without the leading axis and with a scalar ``mu``.
-    """
-    return (np.matmul(a_hat, x_hat[..., None])[..., 0]
-            - mu * np.matmul(gain, eta[..., None])[..., 0])
 
 
 def observer_step_tracking_leader(obs: RlsObserver, x_sq: float) -> RlsObserver:
@@ -108,7 +98,7 @@ def observer_step_tracking_leader(obs: RlsObserver, x_sq: float) -> RlsObserver:
     c_next = c / (1.0 + c * x_sq)
     if not c_next > 0.0:
         raise ConvergenceError("observer state diverged")
-    return RlsObserver(cfg, c_next)
+    return tuple.__new__(RlsObserver, (cfg, c_next))
 
 
 @dataclass(frozen=True)
@@ -180,18 +170,18 @@ class ObserverBank:
         stacked targets (one per network)."""
         return self.graph @ values - self.pin[:, None] * targets.take(self.target, axis=0)
 
-    def step(self, observers: Sequence[RlsObserver], models: np.ndarray,
-             x_hat: np.ndarray, targets_now: np.ndarray, targets_next: np.ndarray,
+    def step(self, observers: Sequence[RlsObserver], x_hat: np.ndarray, pred: np.ndarray,
+             targets_now: np.ndarray, targets_next: np.ndarray,
              carried: tuple[np.ndarray, np.ndarray] | None = None
-             ) -> tuple[tuple[RlsObserver, ...], np.ndarray, np.ndarray,
-                        tuple[np.ndarray, np.ndarray]]:
+             ) -> tuple[tuple[RlsObserver, ...], np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Advance the observers (one record per row, in row order, with
-        their models stacked in ``models`` (R, n, n) and their state
-        estimates in ``x_hat`` (R, n)) by one tick against the stacked
-        targets' current and next values.  Returns the stepped records, the
-        next models, the next estimates (all rows' predictions, made in one
-        stacked ``predict_state`` with the pre-update models) and the pair
-        to carry into the next step.
+        their state estimates in ``x_hat`` (R, n)) by one tick against the
+        stacked targets' current and next values.  ``pred`` (R, n) holds
+        each row's ``A_hat x_hat`` with its pre-update model; the step
+        subtracts ``mu F eta`` from it in place, so it then holds the next
+        estimates.  Returns the stepped records, the models' correction
+        (R, n, n), which the caller subtracts from the models once every
+        guard has passed, and the pair to carry into the next step.
 
         ``carried`` is the pair ``(consensus_errors(x_hat, targets_now),
         row_sq_norms(x_hat))``, or None to compute it here.  The pair this
@@ -201,23 +191,23 @@ class ObserverBank:
         gets every value bit for bit; a rebuilt bank starts again from None.
 
         Each row's kernel step downdates its scale with the current
-        regressor; the models are then corrected against the next-tick
+        regressor; the models' correction then comes from the next-tick
         consensus errors in one stacked step.  With L = c I the gain solve
         (L_next^-1 + xi I)^-1 eta_next is eta_next / (1/c_next + xi), and
-        the rank-one term below is the row-major unstacking of -coupling *
+        the rank-one correction is the row-major unstacking of coupling *
         x_bar @ gain, in the same IEEE operations and order as one row's
         update on its own.
 
-        Raises ObserverDivergence when a prediction's norm exceeds
+        Raises ObserverDivergence when a next estimate's norm exceeds
         ``STATE_GUARD`` or is nan, naming the first current estimate past
         it if any (a nan spreads through the graph product to every row),
-        else the first such prediction's row; and ConvergenceError when a
-        next-tick error is not finite.
+        else the first such next estimate's row; and ConvergenceError when
+        a next-tick error is not finite.
         """
         if carried is None:
             carried = self.consensus_errors(x_hat, targets_now), row_sq_norms(x_hat)
         eta, x_sq = carried
-        pred = predict_state(models, x_hat, self.mu, self.gain, eta)
+        pred -= self.mu * np.matmul(self.gain, eta[..., None])[..., 0]
         pred_sq = row_sq_norms(pred)
         first = first_past_guard(pred_sq)
         if first is not None:
@@ -229,6 +219,5 @@ class ObserverBank:
             raise ConvergenceError("observer state diverged")
         stepped = tuple(map(observer_step_tracking_leader, observers, x_sq.tolist()))
         scale = self.coupling / (1.0 / np.array([o.c for o in stepped]) + self.xi)
-        return (stepped,
-                models - (eta_next * scale[:, None])[:, :, None] * x_hat[:, None, :],
-                pred, (eta_next, pred_sq))
+        return (stepped, (eta_next * scale[:, None])[:, :, None] * x_hat[:, None, :],
+                (eta_next, pred_sq))

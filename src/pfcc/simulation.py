@@ -6,7 +6,10 @@ reads the previous tick's neighbour estimates), the control law
 ``u = K z`` for every agent at once, and finally the plant, formation, and
 tracking state advance, after which the learners record the completed
 transition and iterate.  Controls are computed from the pre-update estimate
-snapshot, matching the information an agent actually has at that tick.
+snapshot, matching the information an agent actually has at that tick.  The
+world vector ``[x | targets | estimates]`` times the transition stack aligned
+to it gives every ``A x``, the next targets and every ``A_hat x_hat``; ``+ B u``
+and ``- mu F eta`` in place make that product the next world vector.
 
 Three modes share the loop and its one control path; they differ only in
 how an agent finds its gain K.  ``data_driven`` runs the online learners,
@@ -18,6 +21,7 @@ Laplacian-derived convex weights of classical two-layer designs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -159,7 +163,8 @@ class ScenarioConfig:
             shapes += [(f"formation S of {name}", form.S, square),
                        (f"formation h0 of {name}", form.h0, (dim,))]
         # worded as the scenario file's observers, learner and schedule
-        # sections; NaN and inf fail here, before any value rule
+        # sections; NaN, inf and an int past the float range (which
+        # math.isfinite cannot take) fail here, before any value rule
         learner = self.learner
         scalars = [("observers: xi", self.xi), ("observers: init scale", self.init_scale),
                    *((f"observers: {network} {gain}", getattr(obs, gain))
@@ -168,7 +173,7 @@ class ScenarioConfig:
                    *((f"schedule: factor for {self.agent_name(q)}", factor)
                      for _, factors in self.schedule.entries for q, factor in factors.items())]
         for what, value in scalars:
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{what} must be finite")
         if not self.xi >= 1.0:
             raise ValueError("observers: xi must be >= 1")
@@ -176,7 +181,7 @@ class ScenarioConfig:
             raise ValueError("observers: init scale must be positive")
         if learner.window is not None and learner.window < 0:
             raise ValueError("learner: window must be >= 0")
-        if not (math.isfinite(learner.noise_std) and learner.noise_std >= 0):
+        if not 0 <= learner.noise_std <= sys.float_info.max:
             raise ValueError("learner: noise_std must be finite and >= 0")
         if not learner.gain_delta_threshold > 0:
             raise ValueError("learner: gain_delta_threshold must be positive")
@@ -230,10 +235,12 @@ class ScenarioConfig:
 
         Each per-agent check runs once over all agents: one positive
         definiteness test of the stacked q_weights, one stabilizability
-        test, and one regulation solve per input width for the tracking
-        target and every leader's formation.  The problems of each agent
-        are listed together, in node order, and an agent whose regulation
-        equations fail for several targets is named once.
+        test, one regulation solve per input width for the tracking target
+        and every leader's formation, and one learner window test at each
+        agent's layout at the propagation fixed point, in every mode.  The
+        problems of each agent are listed together, in node order, and an
+        agent whose regulation equations fail for several targets is named
+        once.
         """
         def named(nodes) -> str:
             return ", ".join(map(self.agent_name, nodes))
@@ -272,14 +279,28 @@ class ScenarioConfig:
                 mc.min_norm_regulation_solution(a, b, targets)
             except RegulationError as exc:
                 solvable[members] = ~exc.failed
-        for name, weight_ok, stable, solved in zip(self.names, weighted, stabilizable,
-                                                   solvable):
+        # a layout's leaders: a leader's own, those a follower knows, or its
+        # nonzero Laplacian weights, whose solve needs every node reachable
+        topo = self.topology
+        known, _ = pr.propagation_fixed_point(pr.initial_influence(topo), topo)
+        widths = known[1:, 1 + topo.n_followers :].sum(axis=1)
+        widths[topo.n_followers :] = 1
+        if self.mode == MODE_BASELINE and not report.unreachable_from_tracking:
+            widths[: topo.n_followers] = list(map(len, follower_coefficients(
+                self, known, self.schedule.initial()).values()))
+        for name, dyn, dim, weight_ok, stable, solved in zip(
+                self.names, self.dynamics, (2 + widths) * self.state_dim, weighted,
+                stabilizable, solvable):
             if not weight_ok:
                 problems.append(f"q_weight of {name} must be symmetric positive definite")
             if not stable:
                 problems.append(f"agent {name} is not stabilizable")
             if not solved:
                 problems.append(f"regulation equation unsolvable for agent {name}")
+            rows, unknowns = self.learner.rows_for(dim, dyn.m), ln.theta_columns(dim, dyn.m)
+            if rows < unknowns:
+                problems.append(f"learner window has {rows} rows for the {unknowns} "
+                                f"unknowns of agent {name}")
         return problems
 
     def require_valid(self) -> None:
@@ -477,18 +498,17 @@ class WorldState:
     tick: int
     #: ``[x.ravel() | targets.ravel() | estimates]``: the plant states
     #: (``x``), the targets (``targets``) and the observers' state estimates
-    #: in row order (``estimates``), each stored only here and read as a
-    #: view.  A tick commits a new one and so does a bank rebuild; nothing
-    #: writes into one, so the trace's pending samples and the learners'
-    #: tick-k reads keep it by reference (writing it in place would need a
-    #: copy for them).
+    #: in row order, each stored only here and read as a view.  A tick
+    #: commits a new one, the buffer of its ``stack`` product, and so does a
+    #: bank rebuild; nothing writes into a committed one, so the trace's
+    #: pending samples and the learners' tick-k reads keep it by reference.
     world: np.ndarray
-    #: The free response of the world's head ``[x | targets]``: the plants'
-    #: A, then the targets' dynamics [tracking A, S_1..S_M], stacked
-    #: (N+M+1+M, n, n) in row order, so one ``matmul`` over the head gives
-    #: every plant's ``A x`` and the next targets; and the plants'
-    #: input-padded B (N+M, n, m_max).
-    free_a: np.ndarray
+    #: The transition stack, one (n, n) block per n-block of ``world``: the
+    #: plants' A, the targets' dynamics [tracking A, S_1..S_M], then each
+    #: observer row's model estimate (corrected in place at a tick's commit),
+    #: so one ``matmul`` with ``world`` gives every plant's ``A x``, the next
+    #: targets and every ``A_hat x_hat``; and the plants' padded B (N+M, n, m).
+    stack: np.ndarray
     plant_b: np.ndarray
     #: Which leaders each node knows, ``known[i, q]`` (see ``propagation``),
     #: and the propensity factors of the schedule entry in force.
@@ -499,11 +519,9 @@ class WorldState:
     #: gated from the topology's adjacency.  Rebuilt only when
     #: propagation changes ``known``.
     bank: ob.ObserverBank | None
-    #: One observer record (config and parameter scale) per ``bank.rows``
-    #: entry, and the rows' model estimates stacked (R, n, n), both in row
-    #: order; their state estimates are ``world``'s tail.
+    #: One observer record (config and scale c) per ``bank.rows`` entry in
+    #: row order; its model is in ``stack``'s tail, its estimate ``world``'s.
     observers: tuple[ob.RlsObserver, ...]
-    models: np.ndarray | None
     #: The bank's consensus errors (R, n) and squared norms (R,) of the
     #: current estimates, carried from the previous tick's bank step (see
     #: ``ObserverBank.step``); None after a bank rebuild.
@@ -530,25 +548,22 @@ class WorldState:
     propagation_settled: bool = False
 
     @property
+    def head(self) -> int:
+        """Blocks of ``[x | targets]``: ``stack``'s less one per observer row."""
+        return len(self.stack) - len(self.observers)
+
+    @property
     def x(self) -> np.ndarray:
         """Plant states (N+M, n), one row per agent (row ``node - 1``), a
         view of ``world``."""
-        n = self.free_a.shape[1]
-        return self.world[: len(self.plant_b) * n].reshape(-1, n)
+        return self.world.reshape(len(self.stack), -1)[: len(self.plant_b)]
 
     @property
     def targets(self) -> np.ndarray:
         """The tracking state, then each leader's formation state in leader
         order (1+M, n), a view of ``world``; row b is the target of observer
         network b."""
-        n = self.free_a.shape[1]
-        return self.world[len(self.plant_b) * n : len(self.free_a) * n].reshape(-1, n)
-
-    @property
-    def estimates(self) -> np.ndarray:
-        """The observers' state estimates (R, n), a view of ``world``."""
-        n = self.free_a.shape[1]
-        return self.world[len(self.free_a) * n :].reshape(-1, n)
+        return self.world.reshape(len(self.stack), -1)[len(self.plant_b) : self.head]
 
 
 @dataclass
@@ -599,14 +614,13 @@ def init_world(cfg: ScenarioConfig) -> WorldState:
         tick=0,
         world=np.array([np.ravel(x) for x in cfg.x0] + [cfg.tracking_x0]
                        + [form.h0 for form in cfg.formation], dtype=float).ravel(),
-        free_a=np.array([dyn.A for dyn in cfg.dynamics] + [cfg.tracking_a]
-                        + [form.S for form in cfg.formation], dtype=float),
+        stack=np.array([dyn.A for dyn in cfg.dynamics] + [cfg.tracking_a]
+                       + [form.S for form in cfg.formation], dtype=float),
         plant_b=plant_b,
         known=pr.initial_influence(topo),
         factors=cfg.schedule.initial(),
         bank=None,
         observers=(),
-        models=None,
         carried=None,
         learners={},
         oracle_gains={},
@@ -630,8 +644,7 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
     topo = cfg.topology
     n = cfg.state_dim
     row = state.bank.row
-    target_start = state.x.size
-    estimate_start = target_start + state.targets.size
+    target_start, estimate_start = state.x.size, state.x.size + state.targets.size
     coeffs = follower_coefficients(cfg, state.known, state.factors)
     plans = {}
     for node in range(1, topo.n_nodes):
@@ -665,12 +678,12 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
 
 
 def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
-    """Rebuild the observer bank and the world vector from the current
-    knowledge.  A row that already existed keeps its record, model and
-    estimate, a new row (every row at ``init_world``) starts fresh at the
-    scale ``cfg.init_scale`` and a zero model and estimate; knowledge only
-    grows, so no row is dropped.  The carried consensus products belong to
-    the old bank and are dropped."""
+    """Rebuild the observer bank, the transition stack and the world vector
+    from the current knowledge.  A row that already existed keeps its
+    record, model and estimate, a new row (every row at ``init_world``)
+    starts fresh at the scale ``cfg.init_scale`` and a zero model and
+    estimate; knowledge only grows, so no row is dropped.  The carried
+    consensus products belong to the old bank and are dropped."""
     topo = cfg.topology
     agents = topo.leader_nodes + topo.follower_nodes
     blocks = [(0, agents, [cfg.leader_tracking_observer if topo.is_leader(a)
@@ -681,15 +694,14 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
     old_row = state.bank.row if state.bank is not None else {}
     state.bank = ob.ObserverBank.stack(topo.adjacency, blocks, cfg.xi)
     kept = [old_row.get(key) for key in state.bank.rows]
+    # per row its old blocks or, for a new row, the zero blocks appended last
+    n, head = cfg.state_dim, state.head
+    take = np.r_[:head, [len(state.stack) if r is None else head + r for r in kept]]
+    state.stack = np.concatenate((state.stack, np.zeros((1, n, n))))[take]
+    state.world = np.concatenate((state.world.reshape(-1, n), np.zeros((1, n))))[take].ravel()
     configs = (c for _, _, member_configs in blocks for c in member_configs)
     state.observers = tuple(ob.RlsObserver(config, cfg.init_scale) if r is None
                             else state.observers[r] for r, config in zip(kept, configs))
-    fresh_model = np.zeros((cfg.state_dim, cfg.state_dim))
-    state.models = np.array([fresh_model if r is None else state.models[r] for r in kept])
-    # the old world vector is replaced only once every row has been read
-    fresh, estimates = np.zeros(cfg.state_dim), state.estimates
-    state.world = np.concatenate((state.world[: len(state.free_a) * cfg.state_dim],
-                                  *(fresh if r is None else estimates[r] for r in kept)))
     state.carried = None
 
 
@@ -874,18 +886,17 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
     # 4-6. a diverging estimate, input or plant state overflows before it is
     # caught (the estimate guard, which names the row, the plant guard),
     # and that is reported as an abort rather than a warning
-    world, agents = state.world, len(state.plant_b)
+    world, n, agents, head = state.world, cfg.state_dim, len(state.plant_b), state.head
     with np.errstate(over="ignore", invalid="ignore"):
-        # 4. the free response of [x | targets], one product: the plants'
-        # A x and the next targets; then the observer updates from the
-        # tick-k snapshot
-        n = cfg.state_dim
-        free = np.matmul(state.free_a, world[: len(state.free_a) * n].reshape(-1, n, 1))
-        targets_next = free[agents:, :, 0]
+        # 4. one product of the transition stack with the tick-k world, a new
+        # buffer that the corrections below make the next world vector: the
+        # plants' A x, the next targets and every A_hat x_hat
+        now = world.reshape(-1, n)
+        nxt = np.matmul(state.stack, world.reshape(-1, n, 1)).reshape(-1, n)
         try:
-            stepped, models, estimates, carried = state.bank.step(
-                state.observers, state.models, state.estimates, state.targets,
-                targets_next, state.carried)
+            stepped, correction, carried = state.bank.step(
+                state.observers, now[head:], nxt[head:], now[agents:head], nxt[agents:head],
+                state.carried)
         except ob.ObserverDivergence as exc:
             agent, node = exc.row
             raise SimulationAbort(tick, "observers", ConvergenceError(
@@ -899,19 +910,19 @@ def step_world(state: WorldState, cfg: ScenarioConfig) -> WorldState:
 
         # 6. plant advance, all rows at once (the padded inputs add exact
         # zeros); one guard over all plants (a nan norm fails it too)
-        x_next = (free[:agents] + np.matmul(state.plant_b, u[:, :, None]))[:, :, 0]
-        first = ob.first_past_guard(row_sq_norms(x_next))
+        nxt[:agents] += np.matmul(state.plant_b, u[:, :, None])[:, :, 0]
+        first = ob.first_past_guard(row_sq_norms(nxt[:agents]))
         if first is not None:
             name = "followers" if first < topo.n_followers else "leaders"
             raise SimulationAbort(tick, name, ConvergenceError("plant state diverged"))
 
-    # 7. commit next states (a new world vector: ``world`` and the trace's
-    # samples keep tick k), then let the probing learners see the completed
-    # transition
+    # 7. commit next states (the product's buffer: ``world`` and the trace's
+    # samples keep tick k) and the models' correction, then let the probing
+    # learners see the completed transition
     state.observers = stepped
-    state.models = models
+    state.stack[head:] -= correction
     state.carried = carried
-    state.world = np.concatenate((x_next.ravel(), targets_next.ravel(), estimates.ravel()))
+    state.world = nxt.reshape(-1)
     state.tick = tick + 1
 
     if tick >= cfg.learn_start_tick:

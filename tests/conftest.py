@@ -194,8 +194,8 @@ def consensus_error(own: np.ndarray,
 
 def model_of(state: sim.WorldState, agent: int, target: int) -> np.ndarray:
     """The model estimate that ``agent``'s observer of ``target`` (0 =
-    tracking) holds, its bank row of the stacked models."""
-    return state.models[state.bank.row[agent, target]]
+    tracking) holds, its bank row of the transition stack's model tail."""
+    return state.stack[state.head + state.bank.row[agent, target]]
 
 
 def estimate_of(state: sim.WorldState, agent: int, target: int) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from conftest import SWAP, consensus_error, drawn_topology_config, estimate_of
+from conftest import SWAP, consensus_error, drawn_topology_config, estimate_of, model_of
 from pfcc import observers as ob
 from pfcc import scenario as sc
 from pfcc import simulation as sim
@@ -21,12 +21,24 @@ def lone_bank(config=BUNDLED_CFG, pinned=True, xi=XI):
     return single_network_bank([[0.0, 0.0], [float(pinned), 0.0]], [1], 0, config, xi)
 
 
+def bank_step(bank, observers, models, x_hat, targets_now, targets_next, carried=None):
+    """One ``ObserverBank.step`` from the rows' models (R, n, n) as the
+    engine makes it: the stacked products ``A_hat x_hat`` corrected in place
+    into the next estimates, and the returned correction subtracted from the
+    models.  Returns the stepped records, the next models, the next
+    estimates and the carried pair."""
+    pred = np.matmul(models, x_hat[..., None])[..., 0]
+    stepped, correction, pair = bank.step(observers, x_hat, pred, targets_now,
+                                          targets_next, carried)
+    return stepped, models - correction, pred, pair
+
+
 def lone_step(bank, obs, model, x, target, target_next):
     """One step of a one-row bank from the record ``obs``, its model and
     its estimate ``x`` against the (n,) target's current and next values;
     returns the stepped record, model and estimate."""
-    [nxt], models, pred, _ = bank.step([obs], model[None], x[None], target[None],
-                                    target_next[None])
+    [nxt], models, pred, _ = bank_step(bank, [obs], model[None], x[None], target[None],
+                                       target_next[None])
     return nxt, models[0], pred[0]
 
 
@@ -40,8 +52,8 @@ def ref_step(obs, xi, x, eta_next):
 def predict(obs, x, eta):
     """One reference observer's prediction from its estimate ``x``."""
     cfg = obs.config
-    return ob.predict_state(obs.A_hat, x, cfg.consensus_gain, cfg.gain_matrix,
-                            np.asarray(eta, dtype=float))
+    return ref.predict_state(obs.A_hat, x, cfg.consensus_gain, cfg.gain_matrix,
+                             np.asarray(eta, dtype=float))
 
 
 class TestRlsUpdate:
@@ -148,7 +160,7 @@ class TestObserverStep:
         total0 = np.linalg.norm(vals - x_o, axis=1).sum()
         for _ in range(2000):
             x_o_next = SWAP @ x_o
-            observers, models, vals, _ = bank.step(observers, models, vals, x_o[None],
+            observers, models, vals, _ = bank_step(bank, observers, models, vals, x_o[None],
                                                    x_o_next[None])
             x_o = x_o_next
         total = np.linalg.norm(vals - x_o, axis=1).sum()
@@ -220,19 +232,21 @@ class TestScalarParameter:
                 assert_rel_close(obs.c * np.eye(n), L)
 
     def test_given_prediction_is_used(self):
-        # a bank step's next estimates are its own stacked prediction, bit
-        # for bit
+        # a bank step corrects the products A_hat x_hat it is handed in
+        # place into the next estimates, each bit for bit its row's stacked
+        # prediction
         rng = np.random.default_rng(29)
         bank = single_network_bank([[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 2.0, 0.0]],
                                    [1, 2], 0)
         observers = [ob.RlsObserver(BUNDLED_CFG, INIT_SCALE)] * 2
         models = rng.normal(size=(2, 2, 2))
         x_hat, targets_now = rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
-        pred = ob.predict_state(models, x_hat, bank.mu, bank.gain,
-                                bank.consensus_errors(x_hat, targets_now))
+        pred = ref.predict_state(models, x_hat, bank.mu, bank.gain,
+                                 bank.consensus_errors(x_hat, targets_now))
         targets_next = targets_now @ SWAP.T
-        _, _, estimates, (eta_next, pred_sq) = bank.step(observers, models, x_hat,
-                                                         targets_now, targets_next)
+        estimates = np.matmul(models, x_hat[..., None])[..., 0]
+        _, _, (eta_next, pred_sq) = bank.step(observers, x_hat, estimates, targets_now,
+                                              targets_next)
         assert estimates.tobytes() == pred.tobytes()
         # the carried pair is the next estimates' consensus errors and
         # squared norms
@@ -380,20 +394,25 @@ class TestObserverNetwork:
                     else cfg.follower_tracking_observer)
 
         def checked(state, cfg):
-            before = {key: (obs, estimate_of(state, *key).copy(), model.copy())
-                      for key, obs, model in zip(state.bank.rows, state.observers,
-                                                 state.models)
+            before = {key: (obs, estimate_of(state, *key).copy(), model_of(state, *key).copy())
+                      for key, obs in zip(state.bank.rows, state.observers)
                       } if state.bank else {}
             sync(state, cfg)
             bank = state.bank
             n = cfg.state_dim
             assert len(state.observers) == len(bank.rows)
-            assert state.models.shape == (len(bank.rows), n, n)
-            assert state.world.size == (state.x.size + state.targets.size
-                                        + len(bank.rows) * cfg.state_dim)
+            # the stack holds one block per world block: the head's dynamics
+            # unchanged, then one model per row
+            head = state.x.shape[0] + state.targets.shape[0]
+            assert state.stack.shape == (head + len(bank.rows), n, n)
+            assert state.world.size == len(state.stack) * n
+            np.testing.assert_array_equal(state.stack[:head], np.array(
+                [dyn.A for dyn in cfg.dynamics] + [cfg.tracking_a]
+                + [form.S for form in cfg.formation]))
             assert all(bank.row[key] == r for r, key in enumerate(bank.rows))
             assert set(before) <= set(bank.rows)
-            for key, obs, model in zip(bank.rows, state.observers, state.models):
+            for key, obs in zip(bank.rows, state.observers):
+                model = model_of(state, *key)
                 config = config_of(cfg, *key)
                 assert obs.config is config
                 if key in before:
@@ -423,7 +442,7 @@ class TestObserverNetwork:
         obs = ob.RlsObserver(BUNDLED_CFG, INIT_SCALE)
         with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError,
                                                           match="diverged"):
-            bank.step([obs], np.zeros((1, 2, 2)), np.array([[np.inf, 0.0]]),
+            bank_step(bank, [obs], np.zeros((1, 2, 2)), np.array([[np.inf, 0.0]]),
                       np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_first_past_guard_is_the_first_row_beyond_it_or_nan(self):
@@ -432,6 +451,37 @@ class TestObserverNetwork:
         assert first([[ob.STATE_GUARD, 0.0], [3.0, 4.0]]) is None
         assert first([[1.0, 0.0], [2e9, 0.0], [np.inf, 0.0]]) == 1
         assert first([[1.0, 0.0], [0.0, np.nan]]) == 1
+
+    def test_first_past_guard_matches_the_sqrt_form_at_the_boundary(self):
+        # the guard compares the squared norms with 1e18 and takes no square
+        # root; it must agree with the square-root form on every input.
+        # 1e18 is the guard's square exactly, and the next float above it
+        # has a square root one ulp above the guard, so both forms find it
+        # past the guard
+        def sqrt_form(sq_norms):
+            norms = np.sqrt(sq_norms)
+            if norms.max() <= ob.STATE_GUARD:
+                return None
+            return int(np.argmin(norms <= ob.STATE_GUARD))
+
+        guard_sq, above = 1e18, np.nextafter(1e18, np.inf)
+        assert guard_sq == ob.STATE_GUARD ** 2 and np.sqrt(guard_sq) == ob.STATE_GUARD
+        assert np.sqrt(above) == np.nextafter(ob.STATE_GUARD, np.inf)
+        cases = [([guard_sq], None), ([1.0, guard_sq, 0.0], None), ([above], 0),
+                 ([guard_sq, 3.0, above], 2), ([np.inf], 0), ([1.0, np.inf, above], 1),
+                 ([np.nan, 1.0], 0), ([1.0, guard_sq, np.nan], 2), ([np.nan, np.inf], 0)]
+        for sq_norms, first in cases:
+            assert ob.first_past_guard(np.array(sq_norms)) == sqrt_form(np.array(sq_norms)) \
+                == first, sq_norms
+        rng = np.random.default_rng(31)
+        # floats within 64 ulps (128 each) of 1e18, the same capped at 1e18,
+        # and squared norms across magnitudes
+        steps = 1e18 + 128.0 * rng.integers(-64, 65, size=(300, 4))
+        spread = 10.0 ** rng.uniform(14, 22, size=(300, 4))
+        sweep = np.concatenate((steps, np.minimum(steps, guard_sq), spread))
+        found = [ob.first_past_guard(sq_norms) for sq_norms in sweep]
+        assert found == [sqrt_form(sq_norms) for sq_norms in sweep]
+        assert found.count(None) > 300 and {0, 1, 2, 3} <= set(found)
 
     @pytest.mark.parametrize("bad, row", [
         # agent 2 listens to agent 1, so only its own prediction leaves the
@@ -448,7 +498,7 @@ class TestObserverNetwork:
         x_hat = np.array([[1.0, 0.0], [bad, 0.0]])
         with np.errstate(invalid="ignore"), pytest.raises(ob.ObserverDivergence,
                                                           match="diverged") as info:
-            bank.step(observers, np.array([np.eye(2)] * 2), x_hat, np.zeros((1, 2)),
+            bank_step(bank, observers, np.array([np.eye(2)] * 2), x_hat, np.zeros((1, 2)),
                       np.zeros((1, 2)))
         assert info.value.row == row
 
@@ -464,11 +514,12 @@ class TestObserverNetwork:
             state = sim.init_world(cfg)
             for tick in range(max(ticks) + 1):
                 if tick in ticks:
-                    observers, models = state.observers, state.models
+                    observers = state.observers
+                    models = np.array([model_of(state, *key) for key in state.bank.rows])
                     x_hat = np.array([estimate_of(state, *key) for key in state.bank.rows])
                     targets_now, targets_next = bank_targets(cfg, state)
-                    got, got_models, estimates, _ = state.bank.step(
-                        observers, models, x_hat, targets_now, targets_next)
+                    got, got_models, estimates, _ = bank_step(
+                        state.bank, observers, models, x_hat, targets_now, targets_next)
                     expected, ref_estimates = step_networks_separately(
                         state.bank, observers, models, x_hat, targets_now, targets_next)
                     assert len(got) == len(expected) == len(state.bank.rows)
@@ -490,19 +541,25 @@ class TestObserverNetwork:
         # through drawn topology 4's rebuilds at ticks 1 and 2, which carry
         # rows whose models have moved.  The consensus errors and squared
         # norms a step is handed equal, bit for bit, fresh ones of its
-        # estimates, and only a rebuilt bank's first step is handed none
+        # estimates, and only a rebuilt bank's first step is handed none.
+        # The transition stack's model tail holds the reference models at
+        # every step and after the last commit, and the products a step is
+        # handed are those models' A_hat x_hat
         cfg = (hexagon_config if draw is None
                else drawn_topology_config(hexagon_config, draw, 4000))
         cfg.mode = sim.MODE_ORACLE  # faster, and observers ignore the mode
         step, n = ob.ObserverBank.step, cfg.state_dim
         carried, banks, fresh_ticks = {}, [], []
 
-        def checked(bank, observers, models, x_hat, targets_now, targets_next, pair):
-            got = step(bank, observers, models, x_hat, targets_now, targets_next, pair)
+        def checked(bank, observers, x_hat, pred, targets_now, targets_next, pair):
             fresh = (None, np.zeros(n))
             refs, x_ref = zip(*(carried.get(key, fresh) for key in bank.rows))
             refs = [ref.RowObserver(o.config, cfg.init_scale, np.zeros((n, n))) if r is None
                     else r for r, o in zip(refs, observers)]
+            models = np.array([r.A_hat for r in refs])
+            assert state.stack[state.head :].tobytes() == models.tobytes()
+            assert pred.tobytes() == np.matmul(models, x_hat[..., None])[..., 0].tobytes()
+            got = step(bank, observers, x_hat, pred, targets_now, targets_next, pair)
             assert x_hat.tobytes() == np.array(x_ref).tobytes()
             eta = bank.consensus_errors(x_hat, targets_now)
             if pair is None:
@@ -514,9 +571,10 @@ class TestObserverNetwork:
             eta_next = bank.consensus_errors(preds, targets_next)
             stepped = [ref_step(r, bank.xi, x, e) for r, x, e in zip(refs, x_hat, eta_next)]
             carried.update(zip(bank.rows, zip(stepped, preds)))
-            records, models_next, pred, _ = got
+            records, correction, _ = got
             assert [o.c for o in records] == [r.c for r in stepped]
-            assert models_next.tobytes() == np.array([r.A_hat for r in stepped]).tobytes()
+            assert ((models - correction).tobytes()
+                    == np.array([r.A_hat for r in stepped]).tobytes())
             assert pred.tobytes() == preds.tobytes()
             banks.append(bank)
             return got
@@ -527,6 +585,8 @@ class TestObserverNetwork:
             sim.step_world(state, cfg)
         assert len(banks) == ticks
         assert state.propagation_changes > 0 and banks[-1] is state.bank
+        assert state.stack[state.head :].tobytes() == np.array(
+            [carried[key][0].A_hat for key in state.bank.rows]).tobytes()
         rebuilt = [k for k, bank in enumerate(banks) if k == 0 or bank is not banks[k - 1]]
         assert fresh_ticks == rebuilt == ([0] if draw is None else [0, 1, 2])
         if draw is None:
@@ -547,7 +607,7 @@ class TestFormationObserverGating:
         h = np.array([2.0, 0.0])
         for _ in range(50):
             h_next = SWAP @ h
-            [obs], models, x, _ = bank.step([obs], models, x, h[None], h_next[None])
+            [obs], models, x, _ = bank_step(bank, [obs], models, x, h[None], h_next[None])
             h = h_next
         np.testing.assert_allclose(x[0], np.zeros(2))
         np.testing.assert_allclose(models[0], np.zeros((2, 2)))
@@ -560,7 +620,7 @@ class TestFormationObserverGating:
         h = np.array([2.0, 0.0])
         for _ in range(500):
             h_next = SWAP @ h
-            [obs], models, x, _ = bank.step([obs], models, x, h[None], h_next[None])
+            [obs], models, x, _ = bank_step(bank, [obs], models, x, h[None], h_next[None])
             h = h_next
         assert np.linalg.norm(x[0] - h) < 1e-5
         # the model estimate identifies the formation dynamics as well

@@ -362,7 +362,7 @@ class TestValidateCommand:
             "schema: ok",
             "assumptions: ok (graph structure, schedule factors for every leader, "
             "factor positivity, spectral radii, q_weight positive definiteness, "
-            "stabilizability, regulation solvability)"]
+            "stabilizability, regulation solvability, learner window rows)"]
 
     def test_schema_failure_exit_code(self, tmp_path):
         raw = bundled_dict()
@@ -685,27 +685,27 @@ class TestRunCommand:
         meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["completed"] is False
 
-    def test_window_shorter_than_its_unknowns_fails_alike_in_run_and_compare_gains(
+    def test_window_shorter_than_its_unknowns_fails_alike_in_validate_run_and_compare_gains(
             self, tmp_path, capsys):
-        # 42-row windows for regressions of 45 to 153 unknowns: both commands
-        # apply the one window rule, exit 4 and print one line per failure
+        # 42-row windows for regressions of 45 to 153 unknowns at the
+        # propagation fixed point: the three commands apply the one
+        # assumption check, exit 3 and name each agent before any tick or
+        # sweep
         raw = bundled_dict()
         raw["learner"]["window"] = 40
         path = write(tmp_path, raw)
+        problems = [f"learner window has 42 rows for the {unknowns} unknowns of agent {agent}"
+                    for agent, unknowns in (("F1", 45), ("F2", 91), ("F3", 45), ("F4", 153),
+                                            ("L3", 45))]
+        assert cli.main(["validate", path]) == cli.EXIT_ASSUMPTION
+        assert capsys.readouterr().out.splitlines() == [
+            "schema: ok", *(f"assumptions: FAIL - {problem}" for problem in problems)]
         out = str(tmp_path / "out")
-        assert cli.main(["run", path, "--out", out]) == cli.EXIT_EXCITATION
-        assert capsys.readouterr().err == (
-            "run aborted: tick 1441, agent F1: window has 42 rows for 45 unknowns; "
-            "collect more samples\n")
-        assert json.loads(Path(out, "metadata.json").read_text())["completed"] is False
-        assert cli.main(["compare-gains", path]) == cli.EXIT_EXCITATION
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert [line for line in captured.out.splitlines() if "FAILED" in line] == [
-            f"{agent:<8}  FAILED: window has 42 rows for {unknowns} unknowns; "
-            "collect more samples"
-            for agent, unknowns in (("F1", 45), ("F2", 91), ("F3", 45), ("F4", 153),
-                                    ("L3", 45))]
+        assert cli.main(["run", path, "--out", out]) == cli.EXIT_ASSUMPTION
+        assert capsys.readouterr().err == f"error: {'; '.join(problems)}\n"
+        assert not Path(out, "metadata.json").exists()
+        assert cli.main(["compare-gains", path]) == cli.EXIT_ASSUMPTION
+        assert capsys.readouterr() == ("", f"error: {'; '.join(problems)}\n")
 
     def test_iteration_limit_is_enforced_during_the_run(self, tmp_path, capsys):
         # every learner needs more than 20 sweeps on its first window
@@ -744,10 +744,11 @@ class TestRunCommand:
 class TestCompareGainsExitCode:
     """``compare-gains`` reports every agent and exits with its most severe
     failure.  On ``hexagon_static`` the leaders have 36 regression unknowns
-    and the followers 55 to 171."""
+    and the followers 55 to 171; a window too short for them fails
+    validation, so no agent's learner meets it."""
 
     @staticmethod
-    def compare(tmp_path, capsys, window, **learner):
+    def compare(tmp_path, capsys, window=None, **learner):
         raw = bundled_dict("hexagon_static")
         raw["learner"].update(window=window, **learner)
         path = write(tmp_path, raw)
@@ -758,19 +759,55 @@ class TestCompareGainsExitCode:
         assert out.err == ""
         return code, [line for line in out.out.splitlines() if "FAILED" in line]
 
-    @pytest.mark.parametrize("window, failed", [(10, 10), (40, 4)])
-    def test_excitation_failures_alone_exit_4(self, tmp_path, capsys, window, failed):
-        # a window of 12 rows fails every agent, one of 42 rows every follower
-        code, lines = self.compare(tmp_path, capsys, window)
+    @staticmethod
+    def followers_unexcited(monkeypatch):
+        """Make every follower's comparison fail for want of excitation, as
+        no window that passes validation can."""
+        compare = cli.compare_agent_gains
+
+        def unexcited(cfg, node, alphas=None):
+            if cfg.topology.is_leader(node):
+                return compare(cfg, node, alphas)
+            raise PersistentExcitationError("regression matrix is zero; no excitation "
+                                            "in the window")
+        monkeypatch.setattr(cli, "compare_agent_gains", unexcited)
+
+    @pytest.mark.parametrize("window, failed", [(10, ["F1", "F2", "F3", "F4", "L1", "L2",
+                                                      "L3", "L4", "L5", "L6"]),
+                                                (40, ["F1", "F2", "F3", "F4"]),
+                                                (168, ["F4"])])
+    def test_short_windows_fail_validation_before_any_agent_learns(self, tmp_path, capsys,
+                                                                   window, failed):
+        # a window of 12 rows fails every agent, one of 42 rows every
+        # follower and one of 170 rows F4 alone (171 unknowns); 171 rows fit
+        raw = bundled_dict("hexagon_static")
+        raw["learner"]["window"] = window
+        path = write(tmp_path, raw)
+        assert cli.main(["validate", path]) == cli.EXIT_ASSUMPTION
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.rsplit(" ", 1)[1] for line in lines] == failed
+        assert all(line.startswith(f"assumptions: FAIL - learner window has {window + 2} "
+                                   "rows for the ") for line in lines)
+        assert cli.main(["compare-gains", path]) == cli.EXIT_ASSUMPTION
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        raw["learner"]["window"] = window + 1
+        assert cli.main(["validate", write(tmp_path, raw)]) == (
+            cli.EXIT_OK if window == 168 else cli.EXIT_ASSUMPTION)
+
+    def test_excitation_failures_alone_exit_4(self, tmp_path, capsys, monkeypatch):
+        self.followers_unexcited(monkeypatch)
+        code, lines = self.compare(tmp_path, capsys)
         assert code == cli.EXIT_EXCITATION
-        assert len(lines) == failed
-        assert all(f"window has {window + 2} rows for" in line for line in lines)
+        assert [line.split()[0] for line in lines] == ["F1", "F2", "F3", "F4"]
+        assert all(line.endswith("FAILED: regression matrix is zero; no excitation in the "
+                                 "window") for line in lines)
 
     def test_integral_float_window_reads_as_an_integer(self, tmp_path, capsys):
-        # JSON Schema counts 40.0 as an integer: it runs, and compares gains
-        # exactly as 40 does
+        # JSON Schema counts 169.0 as an integer: it runs, and compares gains
+        # exactly as 169 does, in windows of 171 rows that fit every agent
         reports = []
-        for window in (40, 40.0):
+        for window in (169, 169.0):
             raw = bundled_dict("hexagon_static")
             raw["learner"]["window"] = window
             path = write(tmp_path, raw)
@@ -779,13 +816,14 @@ class TestCompareGainsExitCode:
             assert capsys.readouterr().err == ""
             reports.append((cli.main(["compare-gains", path]), capsys.readouterr()))
         assert reports[0] == reports[1]
-        assert reports[0][0] == cli.EXIT_EXCITATION
+        assert reports[0][0] == cli.EXIT_OK
 
-    def test_a_convergence_failure_outranks_excitation(self, tmp_path, capsys):
-        # the leaders fit the 42-row window but stop at 2 sweeps
-        code, lines = self.compare(tmp_path, capsys, 40, max_iterations=2)
+    def test_a_convergence_failure_outranks_excitation(self, tmp_path, capsys, monkeypatch):
+        # the leaders stop at 2 sweeps
+        self.followers_unexcited(monkeypatch)
+        code, lines = self.compare(tmp_path, capsys, max_iterations=2)
         assert code == cli.EXIT_CONVERGENCE
-        assert sum("window has 42 rows for" in line for line in lines) == 4
+        assert sum("no excitation in the window" in line for line in lines) == 4
         assert sum("did not converge in 2 iterations" in line for line in lines) == 6
 
 

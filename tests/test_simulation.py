@@ -169,17 +169,18 @@ class TestWorldStepping:
         assert isinstance(res.error.cause, PersistentExcitationError)
         assert len(res.trace) > 0  # partial trace retained
 
-    def test_window_shorter_than_its_unknowns_aborts_the_run(self):
-        # two rows for the ten unknowns of a scalar agent's augmented state:
-        # the first full window aborts the run, naming tick and agent
+    def test_window_shorter_than_its_unknowns_fails_before_tick_0(self):
+        # two rows for the ten unknowns of each scalar agent's augmented
+        # state: validation names both agents, and the run does not start
         cfg = dataclasses.replace(tiny_config(horizon=60, learn_start=1),
                                   learner=ln.LearnerConfig(window=0))
-        res = sim.run(cfg)
-        assert not res.completed
-        assert isinstance(res.error.cause, PersistentExcitationError)
-        assert str(res.error) == ("tick 2, agent F1: window has 2 rows for 10 unknowns; "
-                                  "collect more samples")
-        assert len(res.trace) == 3  # the ticks before the abort
+        problems = [f"learner window has 2 rows for the 10 unknowns of agent {name}"
+                    for name in ("F1", "L1")]
+        assert cfg.validate() == problems
+        with pytest.raises(AssumptionError, match=f"^{re.escape('; '.join(problems))}$"):
+            sim.run(cfg)
+        cfg.learner = ln.LearnerConfig(window=8)
+        assert cfg.validate() == []
 
     def test_oracle_mode_on_tiny_world(self):
         cfg = tiny_config(mode=sim.MODE_ORACLE, horizon=300)
@@ -375,7 +376,7 @@ class TestWorldVector:
             expected = np.concatenate((state.x.ravel(), state.targets.ravel()))
             assert state.world[: expected.size].tobytes() == expected.tobytes()
             assert state.world.size == expected.size + len(state.bank.rows) * cfg.state_dim
-            for part in (state.x, state.targets, state.estimates):
+            for part in (state.x, state.targets, estimate_of(state, *state.bank.rows[-1])):
                 assert np.shares_memory(part, state.world)
 
         sample, sync, rebuilds = sim._sample_trace, sim._sync_observer_networks, []
@@ -398,6 +399,30 @@ class TestWorldVector:
             check(state)
             banks.add(id(state.bank))
         assert len(banks) == len(rebuilds) == 1 + state.propagation_changes > 1
+
+    def test_committed_world_vectors_keep_their_bytes(self, monkeypatch):
+        # a tick builds the next world vector in place in the buffer of its
+        # transition-stack product and corrects the stack's model tail in
+        # place; a committed world vector is kept by reference (the trace's
+        # pending samples, a learner's tick-k read) and must keep its bytes
+        # through the bank rebuilds of the first ticks, the learners'
+        # records from tick 1400 and the propensity switch at tick 4000
+        cfg = dataclasses.replace(sc.load_bundled("hexagon"), horizon=4002)
+        assert cfg.mode == sim.MODE_DATA and 4000 in [t for t, _ in cfg.schedule.entries]
+        record, records = ln.DataBuffer.record, []
+
+        def counted(buf, *args):
+            records.append(state.tick)
+            return record(buf, *args)
+        monkeypatch.setattr(ln.DataBuffer, "record", counted)
+        state = sim.init_world(cfg)
+        kept = [(state.world, state.world.tobytes())]
+        for _ in range(cfg.horizon):
+            sim.step_world(state, cfg)
+            assert not np.may_share_memory(state.world, kept[-1][0])
+            kept.append((state.world, state.world.tobytes()))
+        assert state.propagation_changes > 0 and records[0] > cfg.learn_start_tick
+        assert [world.tobytes() == snapshot for world, snapshot in kept] == [True] * len(kept)
 
 
 class TestOracleControl:
@@ -748,6 +773,17 @@ VALUE_RULES = [
                  "schedule: factor for L2 must be finite", id="schedule-factor-inf"),
     pytest.param("xi", lambda _: np.inf, ("observers", "xi"), np.inf,
                  "observers: xi must be finite", id="xi-inf"),
+    # an int past the float range, which math.isfinite cannot convert, and
+    # in a file a literal of more than 308 digits, which parses as inf
+    pytest.param("xi", lambda _: 10**400, ("observers", "xi"), 10**400,
+                 "observers: xi must be finite", id="xi-int-past-float-range"),
+    pytest.param("schedule", with_factor(L2, -10**400),
+                 ("propensity_schedule", 0, "factors", "L2"), -10**400,
+                 "schedule: factor for L2 must be finite",
+                 id="schedule-factor-int-past-float-range"),
+    pytest.param("learner", replaced(noise_std=10**400), ("learner", "noise_std"), 10**400,
+                 "learner: noise_std must be finite and >= 0",
+                 id="learner-noise-int-past-float-range"),
     pytest.param("init_scale", lambda _: np.inf, ("observers", "init_scale"), np.inf,
                  "observers: init scale must be finite", id="init-scale-inf"),
     pytest.param("formation_observers", with_key(1, NETWORK), ("observers", "formation", "F1"),
@@ -986,6 +1022,22 @@ class TestStackedValidation:
                 failures[problem.split(" ", 1)[0]] += 1
         assert all(agents / 10 <= count <= agents * 9 / 10
                    for count in failures.values()), failures
+
+    def test_window_rule_matches_the_per_agent_reference_in_every_mode(self):
+        # each agent's layout at the propagation fixed point, or in
+        # fcc_baseline mode its nonzero Laplacian weights, against a 42-row
+        # window: over 30 drawn topologies the rule fails agents in every
+        # mode, and fewer in fcc_baseline mode, whose layouts are narrower
+        base = dataclasses.replace(sc.load_bundled("hexagon"),
+                                   learner=ln.LearnerConfig(window=40))
+        failed = dict.fromkeys(sim.MODES, 0)
+        for seed in range(30):
+            drawn = drawn_topology_config(base, seed, 300)
+            for mode in sim.MODES:
+                problems = dataclasses.replace(drawn, mode=mode).validate()
+                failed[mode] += sum(p.startswith("learner window has 42 rows for the ")
+                                    for p in problems)
+        assert failed == {sim.MODE_DATA: 57, sim.MODE_ORACLE: 57, sim.MODE_BASELINE: 27}
 
 
 class TestRegulationCheck:
