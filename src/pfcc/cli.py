@@ -70,7 +70,7 @@ def cmd_validate(args) -> int:
         return EXIT_ASSUMPTION
     print("assumptions: ok (graph structure, schedule factors for every leader, "
           "factor positivity, spectral radii, q_weight positive definiteness, "
-          "stabilizability, regulation solvability, learner window rows)")
+          "stabilizability, regulation solvability)")
     return EXIT_OK
 
 
@@ -117,7 +117,7 @@ def probe_window(cfg: sim.ScenarioConfig, node: int,
     then the probing inputs of every row, with standard deviation
     ``COMPARE_NOISE_STD``; the engine's ``exploration_noise`` is not drawn.
     """
-    rows = cfg.learner.rows_for(sys_.dim, sys_.m)
+    rows = ln.window_rows(sys_.dim, sys_.m)
     buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
     rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
     warm = np.zeros((sys_.m, sys_.dim))

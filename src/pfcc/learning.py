@@ -65,23 +65,12 @@ VALUE_STEP_RTOL = 1e-6
 class LearnerConfig:
     """Knobs of one agent's learner, with the defaults a scenario file's
     omitted settings take; ``ScenarioConfig.check_fields`` checks their
-    values.
-
-    ``window`` counts the extra samples beyond two; the buffer holds
-    window + 2 rows.  ``None`` sizes the window from the regression width
-    (columns of the stacked data matrix plus ten extra rows).
-    """
+    values.  The window is not a knob: ``window_rows`` gives it the
+    regression's unknowns plus 12 rows."""
 
     noise_std: float = 0.1
     gain_delta_threshold: float = 1e-6
-    window: int | None = None
-    relearn_on_alpha_change: bool = True
     max_iterations: int = 2000
-
-    def rows_for(self, state_dim: int, input_dim: int) -> int:
-        if self.window is not None:
-            return self.window + 2
-        return theta_columns(state_dim, input_dim) + 12
 
 
 def psi_columns(state_dim: int) -> int:
@@ -91,6 +80,12 @@ def psi_columns(state_dim: int) -> int:
 def theta_columns(state_dim: int, input_dim: int) -> int:
     return (psi_columns(state_dim) + state_dim * input_dim
             + input_dim * (input_dim + 1) // 2)
+
+
+def window_rows(state_dim: int, input_dim: int) -> int:
+    """Rows of a learner's window: the regression's unknowns plus 12, more
+    than a persistently exciting window needs."""
+    return theta_columns(state_dim, input_dim) + 12
 
 
 class DataBuffer:

@@ -134,8 +134,6 @@ SCHEMA = {
             "properties": {
                 "noise_std": {"type": "number"},
                 "gain_delta_threshold": {"type": "number"},
-                "window": {"type": ["integer", "null"]},
-                "relearn_on_alpha_change": {"type": "boolean"},
                 "max_iterations": {"type": "integer"},
             },
         },
@@ -150,7 +148,6 @@ _IS_TYPE = {
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
@@ -352,14 +349,10 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
 
     # an omitted setting takes the default LearnerConfig's value
     lrn, default = raw["learner"], ln.LearnerConfig()
-    window = lrn.get("window", default.window)
     learner = ln.LearnerConfig(
         noise_std=float(lrn.get("noise_std", default.noise_std)),
         gain_delta_threshold=float(lrn.get("gain_delta_threshold",
                                            default.gain_delta_threshold)),
-        window=None if window is None else int(window),
-        relearn_on_alpha_change=bool(lrn.get("relearn_on_alpha_change",
-                                             default.relearn_on_alpha_change)),
         max_iterations=int(lrn.get("max_iterations", default.max_iterations)))
 
     try:

@@ -53,6 +53,16 @@ def check_names(names: list[str]) -> None:
                          f"the tracking leader name {TRACKING_NAME!r}")
 
 
+def _floats(value) -> np.ndarray:
+    """``value`` as a float array; an entry that is an int past the float
+    range makes every entry NaN, which ``check_fields`` rejects as not
+    finite."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        return np.full(np.shape(value), np.nan)
+
+
 @dataclass(frozen=True)
 class PropensitySchedule:
     """Activation ticks with full per-leader factor maps; that the first
@@ -110,8 +120,8 @@ class ScenarioConfig:
     record_states: bool = False
 
     def __post_init__(self):
-        self.tracking_a = np.atleast_2d(np.asarray(self.tracking_a, dtype=float))
-        self.tracking_x0 = np.asarray(self.tracking_x0, dtype=float).ravel()
+        self.tracking_a = np.atleast_2d(_floats(self.tracking_a))
+        self.tracking_x0 = _floats(self.tracking_x0).ravel()
         self.check_fields()
 
     def check_fields(self) -> None:
@@ -179,8 +189,6 @@ class ScenarioConfig:
             raise ValueError("observers: xi must be >= 1")
         if not self.init_scale > 0:
             raise ValueError("observers: init scale must be positive")
-        if learner.window is not None and learner.window < 0:
-            raise ValueError("learner: window must be >= 0")
         if not 0 <= learner.noise_std <= sys.float_info.max:
             raise ValueError("learner: noise_std must be finite and >= 0")
         if not learner.gain_delta_threshold > 0:
@@ -203,7 +211,7 @@ class ScenarioConfig:
         for what, value, shape in shapes:
             if np.shape(value) != shape:
                 raise ValueError(f"{what} must have shape {shape}, got {np.shape(value)}")
-            if not np.isfinite(value).all():
+            if not np.isfinite(_floats(value)).all():
                 raise ValueError(f"{what} must be finite")
 
     @property
@@ -235,12 +243,10 @@ class ScenarioConfig:
 
         Each per-agent check runs once over all agents: one positive
         definiteness test of the stacked q_weights, one stabilizability
-        test, one regulation solve per input width for the tracking target
-        and every leader's formation, and one learner window test at each
-        agent's layout at the propagation fixed point, in every mode.  The
-        problems of each agent are listed together, in node order, and an
-        agent whose regulation equations fail for several targets is named
-        once.
+        test and one regulation solve per input width for the tracking
+        target and every leader's formation.  The problems of each agent are
+        listed together, in node order, and an agent whose regulation
+        equations fail for several targets is named once.
         """
         def named(nodes) -> str:
             return ", ".join(map(self.agent_name, nodes))
@@ -279,28 +285,14 @@ class ScenarioConfig:
                 mc.min_norm_regulation_solution(a, b, targets)
             except RegulationError as exc:
                 solvable[members] = ~exc.failed
-        # a layout's leaders: a leader's own, those a follower knows, or its
-        # nonzero Laplacian weights, whose solve needs every node reachable
-        topo = self.topology
-        known, _ = pr.propagation_fixed_point(pr.initial_influence(topo), topo)
-        widths = known[1:, 1 + topo.n_followers :].sum(axis=1)
-        widths[topo.n_followers :] = 1
-        if self.mode == MODE_BASELINE and not report.unreachable_from_tracking:
-            widths[: topo.n_followers] = list(map(len, follower_coefficients(
-                self, known, self.schedule.initial()).values()))
-        for name, dyn, dim, weight_ok, stable, solved in zip(
-                self.names, self.dynamics, (2 + widths) * self.state_dim, weighted,
-                stabilizable, solvable):
+        for name, weight_ok, stable, solved in zip(self.names, weighted, stabilizable,
+                                                   solvable):
             if not weight_ok:
                 problems.append(f"q_weight of {name} must be symmetric positive definite")
             if not stable:
                 problems.append(f"agent {name} is not stabilizable")
             if not solved:
                 problems.append(f"regulation equation unsolvable for agent {name}")
-            rows, unknowns = self.learner.rows_for(dim, dyn.m), ln.theta_columns(dim, dyn.m)
-            if rows < unknowns:
-                problems.append(f"learner window has {rows} rows for the {unknowns} "
-                                f"unknowns of agent {name}")
         return problems
 
     def require_valid(self) -> None:
@@ -639,8 +631,8 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
     """Rebuild every agent's control plan and the followers' weight matrix
     from the current knowledge, factors and observer rows, and mark the gain
     groups stale.  This is the one place a change of either reaches
-    control: a learner whose plan key changed restarts if its layout changed
-    or its config relearns on a coefficient change."""
+    control: a learner restarts exactly when its plan key (layout and
+    coefficients) changed."""
     topo = cfg.topology
     n = cfg.state_dim
     row = state.bank.row
@@ -671,9 +663,8 @@ def _build_plans(state: WorldState, cfg: ScenarioConfig) -> None:
             weights[r, topo.leader_index(q)] = alpha
     old, state.plans, state.weights = state.plans, plans, weights
     state.gain_groups = None
-    for node, lr in state.learners.items():
-        if plans[node].key != old[node].key and (
-                plans[node].layout != lr.layout or cfg.learner.relearn_on_alpha_change):
+    for node in state.learners:
+        if plans[node].key != old[node].key:
             _reset_learner(state, cfg, node)
 
 
@@ -720,7 +711,7 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int) -> None:
     state.learners[node] = AgentLearner(
         node=node, layout=layout,
         controller=ln.LearnedController.create(dim, width),
-        buffer=ln.DataBuffer(dim, width, cfg.learner.rows_for(dim, width)),
+        buffer=ln.DataBuffer(dim, width, ln.window_rows(dim, width)),
         behavior_full=behavior_full)
 
 

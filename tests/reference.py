@@ -304,8 +304,8 @@ def min_norm_regulation_solution(a: np.ndarray, b: np.ndarray,
 @np.errstate(over="ignore", invalid="ignore")
 def validate_per_agent(cfg) -> list[str]:
     """The problem list of ``ScenarioConfig.validate`` from one agent at a
-    time: each agent's q_weight, stabilizability, regulation and learner
-    window problems in node order, from the single-agent checks above."""
+    time: each agent's q_weight, stabilizability and regulation problems in
+    node order, from the single-agent checks above."""
     problems: list[str] = []
     topo = cfg.topology
     report = verify_assumption1(topo)
@@ -332,17 +332,6 @@ def validate_per_agent(cfg) -> list[str]:
     for q, form in zip(topo.leader_nodes, cfg.formation):
         if spectral_radius(form.S) > 1.0 + MARGINAL_TOL:
             problems.append(f"formation dynamics of {cfg.agent_name(q)} expand")
-    # the leaders of each follower's widest layout: every leader with a path
-    # to it, or in fcc_baseline mode on a graph the tracking leader spans, the
-    # leaders with a path to it through followers alone (its nonzero
-    # Laplacian weights)
-    n = topo.n_followers
-    edge = topo.adjacency > 0
-    followers, leaders = slice(1, 1 + n), slice(1 + n, None)
-    layout = closure(edge)[followers, leaders]
-    if cfg.mode == "fcc_baseline" and not report.unreachable_from_tracking:
-        layout = (closure(edge[followers, followers]) | np.eye(n, dtype=bool)) @ edge[
-            followers, leaders]
     for node, (name, dyn) in enumerate(zip(cfg.names, cfg.dynamics), 1):
         if not is_positive_definite(cfg.q_weights[node]):
             problems.append(f"q_weight of {name} must be symmetric positive definite")
@@ -352,9 +341,4 @@ def validate_per_agent(cfg) -> list[str]:
             min_norm_regulation_solution(dyn.A, dyn.B, targets)
         except RegulationError:
             problems.append(f"regulation equation unsolvable for agent {name}")
-        dim = (2 + (int(layout[node - 1].sum()) if node <= n else 1)) * cfg.state_dim
-        rows, unknowns = cfg.learner.rows_for(dim, dyn.m), ln.theta_columns(dim, dyn.m)
-        if rows < unknowns:
-            problems.append(f"learner window has {rows} rows for the {unknowns} "
-                            f"unknowns of agent {name}")
     return problems

@@ -43,45 +43,47 @@ def test_default_seed_run_matches_golden(name, tmp_path):
 #: per-sample trace records that the column table replaced.  The learner
 #: runs re-pinned when the window regression became one product of a folded
 #: operator: their traces moved by at most 2e-13 of a column's scale, with
-#: every learner's status and iterations unchanged.
+#: every learner's status and iterations unchanged.  Every metadata.json
+#: re-pinned when the learner settings lost ``window`` and
+#: ``relearn_on_alpha_change``: only its ``config_sha256`` moved.
 EXPORTS = {
     "hexagon_data_driven": (
         "hexagon", dict(horizon=1700, sample_interval=10),
         ("b0a4cd10afe160f2134e02bc5ff7cfad585d610d2231c7945f04ffe87013b913",
-         "b50c9d8c891e353ddee272f2f26e49a83a7cd44946f99131dccbbf0a6e2b050d")),
+         "1f5f7cc6da212eaefa6bb8fe55d1f4dd8e76cb2d37c2699464eaf7da85204316")),
     "hexagon_oracle": (
         "hexagon", dict(horizon=1200, mode=sim.MODE_ORACLE),
         ("19b4a3c278a921e031d44c2bfa44aa192e6399c027487d353f11472066f8d53c",
-         "cb441657ff8d6a0f8ba943278ea5c307c7d442af38f6ec086eb2e40f1c66383d")),
+         "cc4fce4035b074ddbabaaf1b377460f04e9e4b50f65329c14455d4d4c40137f5")),
     # the baseline learner with input widths 1 to 3
     "hexagon_baseline": (
         "hexagon", dict(horizon=1700, sample_interval=10, mode=sim.MODE_BASELINE),
         ("a2b0c4ee7f09a34db449cc11a7cd5cc93b12fbfdb33b4223571a2236eeb9b0e0",
-         "4171c6d0449cfa051957c8f744b765a51ab0f6d6f1506328845866b89b36c929")),
+         "98ca4888d3df6f11d7d79ad0b0d6347821ab0ffa7a33eade51ac9894bfcc5fc7")),
     # past the tick-4000 propensity switch, through the relearn; its
     # metadata.json re-pinned when the gain delta of F2 and F4, still
     # collecting their relearn window, became null instead of Infinity
     "hexagon_data_driven_switch": (
         "hexagon", dict(horizon=4100, sample_interval=50),
         ("a47413658958440596d67ca0858fc48fc329aace51d4626fee43f081b17a7950",
-         "b2436a9e19cba7c82c834713c27c67da89526b8f2f9a8f06b50128de6dd8d86a")),
+         "569b4f78335b5f7a24e30a1219e23825eaea5089539e15293802e5a2470ece9e")),
     # F2 and F4 settle their gain at sweep 2 of their first window and their
     # value matrix at sweeps 22-23; pinned with the stop test that waits
     # for both
     "hexagon_static_data_driven": (
         "hexagon_static", dict(horizon=1700, sample_interval=10),
         ("e53562f3a51d3cc46de519a021d0ce68a056b9484bedd3ca5877ce2bb73e353e",
-         "dbb8ee5ba1e45e750c0959f22318733a2be04b70d559aa5d27cb4bcf29fda6d4")),
+         "73925897bedb14991d3fb99c61c1465f3f26098645b95aa1703f4dca9315edcb")),
     "hexagon_static_baseline": (
         "hexagon_static", dict(horizon=1700, sample_interval=1, mode=sim.MODE_BASELINE),
         ("19c87208106a999a7384609a8f2c44317e68b96ba64bf6710b6299c96126a03f",
-         "b9b8e8c0507a813de8b9ce8cb5987412fc49dbb9d856b9e0d21265361e6010f1")),
+         "1c0a427f71364c1e3cd2812180afc221336325f85e855e8e46f190f912a12386")),
     # past the tick-4000 propensity switch
     "hexagon_static_oracle_states": (
         "hexagon_static", dict(horizon=4100, sample_interval=1, mode=sim.MODE_ORACLE,
                                record_states=True),
         ("ed2be51746a6643ab95e97920956f94857eb4a379636f86d4c3c0eae11d3fc95",
-         "17647761df5554572bd754be34e6527193dbae55fabd484a138db86dcfa38e71")),
+         "24f9a44197a0debf619b48f151dae8a8769f36b43c75ea6e305b7ba153d9d16b")),
 }
 
 

@@ -47,7 +47,7 @@ AGENTS_BY_WIDTH = [("hexagon", "F1"), ("hexagon", "L3"), ("hexagon_static", "L1"
 def fill_buffer(sys_, seed, noise=1.0, warm=None, rows=None):
     """Independent-row probe window: every row is an exact transition."""
     cfg = ln.LearnerConfig(noise_std=noise)
-    rows = rows or cfg.rows_for(sys_.dim, sys_.m)
+    rows = rows or ln.window_rows(sys_.dim, sys_.m)
     buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
     rng = np.random.default_rng(seed)
     kb = np.zeros((sys_.m, sys_.dim))
@@ -110,7 +110,7 @@ class TestDataBuffer:
         n, m = 5, 2
         a, b = 0.5 * rng.normal(size=(n, n)), rng.normal(size=(n, m))
         cfg = ln.LearnerConfig()
-        buf = ln.DataBuffer(n, m, cfg.rows_for(n, m))
+        buf = ln.DataBuffer(n, m, ln.window_rows(n, m))
         kept = []  # the transitions recorded since the last flush
 
         def record(rows):
@@ -238,7 +238,7 @@ class TestModelBlockRegression:
         """A window of exact transitions from states and inputs of about
         ``size``, and the same window with its second half taken from the
         plant (1.1 A, 1.1 B)."""
-        rows = ln.LearnerConfig().rows_for(sys_.dim, sys_.m)
+        rows = ln.window_rows(sys_.dim, sys_.m)
         rng = np.random.default_rng(3)
         x = size * rng.normal(size=(rows, sys_.dim))
         u = size * rng.normal(size=(rows, sys_.m))
@@ -325,7 +325,7 @@ class TestWindowPlan:
     @staticmethod
     def windows(sys_, seed):
         """Two independent exact-transition windows of the learner's size."""
-        rows = ln.LearnerConfig().rows_for(sys_.dim, sys_.m)
+        rows = ln.window_rows(sys_.dim, sys_.m)
         rng = np.random.default_rng(seed)
         out = []
         for _ in range(2):
@@ -596,7 +596,7 @@ sys_ = mc.build_augmented(cfg.dynamics_of(7), [cfg.formation[2]], cfg.tracking_a
                           [1.0], cfg.q_weights[7])
 assert sys_.m == 3
 learner = ln.LearnerConfig()
-rows = learner.rows_for(sys_.dim, sys_.m)
+rows = ln.window_rows(sys_.dim, sys_.m)
 rng = np.random.default_rng(5)
 x, u = rng.normal(size=(rows, sys_.dim)), rng.normal(size=(rows, sys_.m))
 x_next = x @ sys_.A_bar.T + u @ sys_.B_bar.T
@@ -852,7 +852,7 @@ class TestLearningLoop:
         # raises instead of iterating on an underdetermined regression
         sys_ = f1_system(hexagon_config)
         cfg = ln.LearnerConfig()
-        buf = ln.DataBuffer(sys_.dim, sys_.m, cfg.rows_for(sys_.dim, sys_.m))
+        buf = ln.DataBuffer(sys_.dim, sys_.m, ln.window_rows(sys_.dim, sys_.m))
         buf.record(np.ones(sys_.dim), np.ones(sys_.m), np.ones(sys_.dim))
         ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
         unknowns = ln.theta_columns(sys_.dim, sys_.m)
@@ -905,6 +905,4 @@ class TestLearningLoop:
                 / np.linalg.norm(oracle.K)) < 1e-3
 
     def test_window_default_size(self):
-        cfg = ln.LearnerConfig()
-        assert cfg.rows_for(4, 2) == ln.theta_columns(4, 2) + 12
-        assert ln.LearnerConfig(window=30).rows_for(4, 2) == 32
+        assert ln.window_rows(4, 2) == ln.theta_columns(4, 2) + 12

@@ -362,7 +362,7 @@ class TestValidateCommand:
             "schema: ok",
             "assumptions: ok (graph structure, schedule factors for every leader, "
             "factor positivity, spectral radii, q_weight positive definiteness, "
-            "stabilizability, regulation solvability, learner window rows)"]
+            "stabilizability, regulation solvability)"]
 
     def test_schema_failure_exit_code(self, tmp_path):
         raw = bundled_dict()
@@ -496,21 +496,34 @@ class TestRunCommand:
         assert not out.exists()
         assert cli.main(["validate", path, flag, value]) == cli.EXIT_SCHEMA
 
-    @pytest.mark.parametrize("key, value", [("window", -5), ("noise_std", -0.1),
-                                            ("noise_std", float("inf")),
-                                            ("gain_delta_threshold", 0.0),
-                                            ("max_iterations", 0)])
-    def test_invalid_learner_setting_is_schema_error(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("noise_std", -0.1, "learner: noise_std must be finite and >= 0",
+                     id="noise_std--0.1"),
+        pytest.param("noise_std", float("inf"), "learner: noise_std must be finite and >= 0",
+                     id="noise_std-inf"),
+        pytest.param("gain_delta_threshold", 0.0,
+                     "learner: gain_delta_threshold must be positive",
+                     id="gain_delta_threshold-0.0"),
+        pytest.param("max_iterations", 0, "learner: max_iterations must be >= 1",
+                     id="max_iterations-0"),
+        # a window is sized from its regression and a propensity switch
+        # always relearns: neither is a setting
+        *(pytest.param(key, value, "scenario schema violation at learner: Additional "
+                       f"properties are not allowed ({key!r} was unexpected)", id=key)
+          for key, value in [("window", 40), ("relearn_on_alpha_change", False)])])
+    def test_invalid_learner_setting_is_schema_error(self, tmp_path, capsys, key, value,
+                                                     message):
         raw = bundled_dict()
         raw["learner"][key] = value
         path = write(tmp_path, raw)
         out = tmp_path / "out"
         assert cli.main(["run", path, "--horizon", "50", "--out", str(out)]) == cli.EXIT_SCHEMA
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and key in err
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+        assert cli.main(["compare-gains", path]) == cli.EXIT_SCHEMA
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert cli.main(["validate", path]) == cli.EXIT_SCHEMA
-        assert capsys.readouterr().out.count("\n") == 1
+        assert capsys.readouterr() == (f"schema: FAIL - {message}\n", "")
 
     @pytest.mark.parametrize("path, value, message", [
         (("followers", 0, "x0"), [0.0, 0.0, 0.0], "x0 of F1"),
@@ -685,28 +698,6 @@ class TestRunCommand:
         meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["completed"] is False
 
-    def test_window_shorter_than_its_unknowns_fails_alike_in_validate_run_and_compare_gains(
-            self, tmp_path, capsys):
-        # 42-row windows for regressions of 45 to 153 unknowns at the
-        # propagation fixed point: the three commands apply the one
-        # assumption check, exit 3 and name each agent before any tick or
-        # sweep
-        raw = bundled_dict()
-        raw["learner"]["window"] = 40
-        path = write(tmp_path, raw)
-        problems = [f"learner window has 42 rows for the {unknowns} unknowns of agent {agent}"
-                    for agent, unknowns in (("F1", 45), ("F2", 91), ("F3", 45), ("F4", 153),
-                                            ("L3", 45))]
-        assert cli.main(["validate", path]) == cli.EXIT_ASSUMPTION
-        assert capsys.readouterr().out.splitlines() == [
-            "schema: ok", *(f"assumptions: FAIL - {problem}" for problem in problems)]
-        out = str(tmp_path / "out")
-        assert cli.main(["run", path, "--out", out]) == cli.EXIT_ASSUMPTION
-        assert capsys.readouterr().err == f"error: {'; '.join(problems)}\n"
-        assert not Path(out, "metadata.json").exists()
-        assert cli.main(["compare-gains", path]) == cli.EXIT_ASSUMPTION
-        assert capsys.readouterr() == ("", f"error: {'; '.join(problems)}\n")
-
     def test_iteration_limit_is_enforced_during_the_run(self, tmp_path, capsys):
         # every learner needs more than 20 sweeps on its first window
         raw = bundled_dict()
@@ -743,14 +734,13 @@ class TestRunCommand:
 
 class TestCompareGainsExitCode:
     """``compare-gains`` reports every agent and exits with its most severe
-    failure.  On ``hexagon_static`` the leaders have 36 regression unknowns
-    and the followers 55 to 171; a window too short for them fails
-    validation, so no agent's learner meets it."""
+    failure.  Every learner's window has 12 rows more than its regression's
+    unknowns, so no agent fails for want of rows."""
 
     @staticmethod
-    def compare(tmp_path, capsys, window=None, **learner):
+    def compare(tmp_path, capsys, **learner):
         raw = bundled_dict("hexagon_static")
-        raw["learner"].update(window=window, **learner)
+        raw["learner"].update(learner)
         path = write(tmp_path, raw)
         assert cli.main(["validate", path]) == cli.EXIT_OK
         capsys.readouterr()
@@ -762,7 +752,7 @@ class TestCompareGainsExitCode:
     @staticmethod
     def followers_unexcited(monkeypatch):
         """Make every follower's comparison fail for want of excitation, as
-        no window that passes validation can."""
+        no probe window of the bundled scenario does."""
         compare = cli.compare_agent_gains
 
         def unexcited(cfg, node, alphas=None):
@@ -772,29 +762,6 @@ class TestCompareGainsExitCode:
                                             "in the window")
         monkeypatch.setattr(cli, "compare_agent_gains", unexcited)
 
-    @pytest.mark.parametrize("window, failed", [(10, ["F1", "F2", "F3", "F4", "L1", "L2",
-                                                      "L3", "L4", "L5", "L6"]),
-                                                (40, ["F1", "F2", "F3", "F4"]),
-                                                (168, ["F4"])])
-    def test_short_windows_fail_validation_before_any_agent_learns(self, tmp_path, capsys,
-                                                                   window, failed):
-        # a window of 12 rows fails every agent, one of 42 rows every
-        # follower and one of 170 rows F4 alone (171 unknowns); 171 rows fit
-        raw = bundled_dict("hexagon_static")
-        raw["learner"]["window"] = window
-        path = write(tmp_path, raw)
-        assert cli.main(["validate", path]) == cli.EXIT_ASSUMPTION
-        lines = capsys.readouterr().out.splitlines()[1:]
-        assert [line.rsplit(" ", 1)[1] for line in lines] == failed
-        assert all(line.startswith(f"assumptions: FAIL - learner window has {window + 2} "
-                                   "rows for the ") for line in lines)
-        assert cli.main(["compare-gains", path]) == cli.EXIT_ASSUMPTION
-        out = capsys.readouterr()
-        assert out.out == "" and out.err.count("\n") == 1
-        raw["learner"]["window"] = window + 1
-        assert cli.main(["validate", write(tmp_path, raw)]) == (
-            cli.EXIT_OK if window == 168 else cli.EXIT_ASSUMPTION)
-
     def test_excitation_failures_alone_exit_4(self, tmp_path, capsys, monkeypatch):
         self.followers_unexcited(monkeypatch)
         code, lines = self.compare(tmp_path, capsys)
@@ -803,15 +770,15 @@ class TestCompareGainsExitCode:
         assert all(line.endswith("FAILED: regression matrix is zero; no excitation in the "
                                  "window") for line in lines)
 
-    def test_integral_float_window_reads_as_an_integer(self, tmp_path, capsys):
-        # JSON Schema counts 169.0 as an integer: it runs, and compares gains
-        # exactly as 169 does, in windows of 171 rows that fit every agent
+    def test_integral_float_max_iterations_reads_as_an_integer(self, tmp_path, capsys):
+        # JSON Schema counts 3000.0 as an integer: it runs, and compares
+        # gains exactly as 3000 does
         reports = []
-        for window in (169, 169.0):
+        for iterations in (3000, 3000.0):
             raw = bundled_dict("hexagon_static")
-            raw["learner"]["window"] = window
+            raw["learner"]["max_iterations"] = iterations
             path = write(tmp_path, raw)
-            out = str(tmp_path / f"run-{window}")
+            out = str(tmp_path / f"run-{iterations}")
             assert cli.main(["run", path, "--horizon", "10", "--out", out]) == cli.EXIT_OK
             assert capsys.readouterr().err == ""
             reports.append((cli.main(["compare-gains", path]), capsys.readouterr()))
@@ -938,20 +905,18 @@ class TestOverflowingInputs:
                           "the window has left the float range"]
         assert "Traceback" not in proc.stdout and "Warning" not in proc.stdout
 
-    @pytest.mark.parametrize("window", [10**20, 10**12])
+    @pytest.mark.parametrize("rows", [10**20, 10**12])
     @pytest.mark.parametrize("command", [["run", "--horizon", "10"], ["compare-gains"]])
-    def test_window_too_large_to_allocate(self, tmp_path, capsys, window, command):
-        raw = bundled_dict()
-        raw["learner"]["window"] = window
-        path = write(tmp_path, raw)
-        assert cli.main(["validate", path]) == cli.EXIT_OK
-        capsys.readouterr()
+    def test_window_too_large_to_allocate(self, tmp_path, capsys, monkeypatch, rows, command):
+        # windows sized for an augmented state far beyond the bundled ones
+        monkeypatch.setattr(ln, "window_rows", lambda state_dim, input_dim: rows)
+        path = write(tmp_path, bundled_dict())
         args = [command[0], path, *command[1:]]
         if command[0] == "run":
             args += ["--out", str(tmp_path / "out")]
         assert cli.main(args) == cli.EXIT_GENERIC
         err = capsys.readouterr().err
-        assert err == f"error: learner window of {window + 2} rows does not fit in memory\n"
+        assert err == f"error: learner window of {rows} rows does not fit in memory\n"
 
 
 class TestObserverAbort:
@@ -1001,7 +966,7 @@ class TestCompareGains:
                 sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
                 # the per-row form from one generator: a state draw per
                 # row, then a noise draw per row, then one record per row
-                rows = cfg.learner.rows_for(sys_.dim, sys_.m)
+                rows = ln.window_rows(sys_.dim, sys_.m)
                 expected = ln.DataBuffer(sys_.dim, sys_.m, rows)
                 rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
                 warm = np.zeros((sys_.m, sys_.dim))

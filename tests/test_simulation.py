@@ -169,19 +169,6 @@ class TestWorldStepping:
         assert isinstance(res.error.cause, PersistentExcitationError)
         assert len(res.trace) > 0  # partial trace retained
 
-    def test_window_shorter_than_its_unknowns_fails_before_tick_0(self):
-        # two rows for the ten unknowns of each scalar agent's augmented
-        # state: validation names both agents, and the run does not start
-        cfg = dataclasses.replace(tiny_config(horizon=60, learn_start=1),
-                                  learner=ln.LearnerConfig(window=0))
-        problems = [f"learner window has 2 rows for the 10 unknowns of agent {name}"
-                    for name in ("F1", "L1")]
-        assert cfg.validate() == problems
-        with pytest.raises(AssumptionError, match=f"^{re.escape('; '.join(problems))}$"):
-            sim.run(cfg)
-        cfg.learner = ln.LearnerConfig(window=8)
-        assert cfg.validate() == []
-
     def test_oracle_mode_on_tiny_world(self):
         cfg = tiny_config(mode=sim.MODE_ORACLE, horizon=300)
         res = sim.run(cfg)
@@ -606,7 +593,7 @@ class TestLearnerRestarts:
     SWITCH = 1600
 
     @classmethod
-    def run_logged(cls, monkeypatch, relearn, reweigh=None):
+    def run_logged(cls, monkeypatch, reweigh=None):
         """Run ``hexagon`` with its switch at ``SWITCH``, after the learners
         converged, and with the switch doubling only leader ``reweigh``'s
         factor if given; return the state, each restart's ``(tick, node)``,
@@ -617,8 +604,7 @@ class TestLearnerRestarts:
             first = cfg.schedule.initial()
             cfg.schedule = sim.PropensitySchedule(
                 ((0, first), (cls.SWITCH, {**first, reweigh: 2.0 * first[reweigh]})))
-        cfg = dataclasses.replace(cfg, horizon=1700, learner=dataclasses.replace(
-            cfg.learner, relearn_on_alpha_change=relearn))
+        cfg = dataclasses.replace(cfg, horizon=1700)
         restarts = []
         reset = sim._reset_learner
 
@@ -637,19 +623,11 @@ class TestLearnerRestarts:
             sim.step_world(state, cfg)
         return state, restarts, before
 
-    def test_no_relearn_keeps_the_converged_gains(self, monkeypatch):
-        state, restarts, before = self.run_logged(monkeypatch, relearn=False)
-        assert [r for r in restarts if r[0] >= self.SWITCH] == []
-        for i, (_, lr, k_hat) in before.items():
-            assert state.learners[i] is lr
-            assert lr.controller.status == ln.CONVERGED
-            assert lr.controller.K_hat.tobytes() == k_hat
-
     @pytest.mark.parametrize("reweigh", [None, 10])
     def test_relearn_restarts_exactly_the_reweighted_followers(self, monkeypatch, reweigh):
         # the bundled switch reweighs every follower; doubling only L6's
         # factor reweighs only the followers it reaches
-        state, restarts, before = self.run_logged(monkeypatch, True, reweigh)
+        state, restarts, before = self.run_logged(monkeypatch, reweigh)
         changed = [i for i, (coeffs, *_) in before.items()
                    if pr.coefficients(state.known, i, state.factors) != coeffs]
         assert changed == (list(before) if reweigh is None else [4])
@@ -784,6 +762,16 @@ VALUE_RULES = [
     pytest.param("learner", replaced(noise_std=10**400), ("learner", "noise_std"), 10**400,
                  "learner: noise_std must be finite and >= 0",
                  id="learner-noise-int-past-float-range"),
+    pytest.param("tracking_x0", lambda _: [10**400, 0], ("tracking", "x0"), [10**400, 0],
+                 "tracking x0 must be finite", id="tracking-x0-int-past-float-range"),
+    pytest.param("x0", lambda x0: [[10**400, 0], *x0[1:]], ("followers", 0, "x0"),
+                 [10**400, 0], "x0 of F1 must be finite", id="x0-int-past-float-range"),
+    pytest.param("q_weights", with_key(1, [[10**400, 0], [0, 1]]), ("followers", 0, "q_weight"),
+                 [[10**400, 0], [0, 1]], "q_weight of F1 must be finite",
+                 id="q_weight-int-past-float-range"),
+    pytest.param("warmup_gains", with_key(1, [[10**400, 0]]), ("followers", 0, "warmup_gain"),
+                 [[10**400, 0]], "warmup_gain of F1 must be finite",
+                 id="warmup_gain-int-past-float-range"),
     pytest.param("init_scale", lambda _: np.inf, ("observers", "init_scale"), np.inf,
                  "observers: init scale must be finite", id="init-scale-inf"),
     pytest.param("formation_observers", with_key(1, NETWORK), ("observers", "formation", "F1"),
@@ -815,8 +803,6 @@ VALUE_RULES = [
                  id="follower-tracking-consensus-inf"),
     pytest.param("formation_observers", without_l3_network, ("observers", "formation", "L3"),
                  None, "observers: no formation network for L3", id="formation-network-missing"),
-    pytest.param("learner", replaced(window=-1), ("learner", "window"), -1,
-                 "learner: window must be >= 0", id="learner-window"),
     pytest.param("learner", replaced(noise_std=-0.1), ("learner", "noise_std"), -0.1,
                  "learner: noise_std must be finite and >= 0", id="learner-noise"),
     pytest.param("learner", replaced(noise_std=np.nan), ("learner", "noise_std"), np.nan,
@@ -1022,22 +1008,6 @@ class TestStackedValidation:
                 failures[problem.split(" ", 1)[0]] += 1
         assert all(agents / 10 <= count <= agents * 9 / 10
                    for count in failures.values()), failures
-
-    def test_window_rule_matches_the_per_agent_reference_in_every_mode(self):
-        # each agent's layout at the propagation fixed point, or in
-        # fcc_baseline mode its nonzero Laplacian weights, against a 42-row
-        # window: over 30 drawn topologies the rule fails agents in every
-        # mode, and fewer in fcc_baseline mode, whose layouts are narrower
-        base = dataclasses.replace(sc.load_bundled("hexagon"),
-                                   learner=ln.LearnerConfig(window=40))
-        failed = dict.fromkeys(sim.MODES, 0)
-        for seed in range(30):
-            drawn = drawn_topology_config(base, seed, 300)
-            for mode in sim.MODES:
-                problems = dataclasses.replace(drawn, mode=mode).validate()
-                failed[mode] += sum(p.startswith("learner window has 42 rows for the ")
-                                    for p in problems)
-        assert failed == {sim.MODE_DATA: 57, sim.MODE_ORACLE: 57, sim.MODE_BASELINE: 27}
 
 
 class TestRegulationCheck:
