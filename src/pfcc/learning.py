@@ -17,7 +17,6 @@ exploration noise is switched off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,16 +60,16 @@ CONSISTENCY_RTOL = 1e-6
 VALUE_STEP_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
-    """Knobs of one agent's learner, with the defaults a scenario file's
-    omitted settings take; ``ScenarioConfig.check_fields`` checks their
-    values.  The window is not a knob: ``window_rows`` gives it the
-    regression's unknowns plus 12 rows."""
+#: Standard deviation of the probing inputs a learner adds before it
+#: converges.
+NOISE_STD = 0.1
 
-    noise_std: float = 0.1
-    gain_delta_threshold: float = 1e-6
-    max_iterations: int = 2000
+#: Gain step below which a sweep whose value step is within
+#: ``VALUE_STEP_RTOL`` is declared converged.
+GAIN_DELTA_THRESHOLD = 1e-8
+
+#: Sweeps a learner may spend on its windows before ``iterate`` gives up.
+MAX_ITERATIONS = 3000
 
 
 def psi_columns(state_dim: int) -> int:
@@ -396,11 +395,11 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def exploration_noise(cfg: LearnerConfig, seed: int, width: int, ticks) -> np.ndarray:
+def exploration_noise(seed: int, width: int, ticks) -> np.ndarray:
     """Seeded zero-mean Gaussian probing inputs (only drawn before
     convergence), one ``width`` row per tick of ``ticks``.
 
-    Row t is bit for bit the ``normal(0, cfg.noise_std, width)`` draw of a
+    Row t is bit for bit the ``normal(0, NOISE_STD, width)`` draw of a
     fresh numpy generator seeded with ``[seed & 0x7FFFFFFF, tick]``,
     so a row depends only on the seed and its tick, not on which block it
     was drawn in.  The SeedSequence hash runs once for all ticks; each row
@@ -414,9 +413,7 @@ def exploration_noise(cfg: LearnerConfig, seed: int, width: int, ticks) -> np.nd
     out = np.zeros((ticks.size, width))
     for row, words in zip(out, _seed_words(seed & 0x7FFFFFFF, ticks)):
         Generator(PCG64(_SeedWords(words))).standard_normal(out=row)
-    # numpy's normal overflows to inf without a warning as well
-    with np.errstate(over="ignore"):
-        return cfg.noise_std * out + 0.0
+    return NOISE_STD * out + 0.0
 
 
 class LearnedController(NamedTuple):
@@ -437,17 +434,17 @@ class LearnedController(NamedTuple):
                    K_hat=np.zeros((input_dim, state_dim)))
 
 
-def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
-                  cfg: LearnerConfig) -> LearnedController:
+def learning_tick(ctrl: LearnedController, buf: DataBuffer,
+                  cost: np.ndarray) -> LearnedController:
     """One value-iteration sweep against the full window ``buf``.
 
     The value update applies the Bellman backup through the regressed Xi
     blocks of the previous iterate, the Xi blocks are re-regressed at the
     new value matrix, and the gain is refreshed from them.  Convergence is
-    declared once consecutive gains differ by less than the configured
-    threshold and the value step is within ``VALUE_STEP_RTOL``, at which
-    point the behaviour policy switches to the learned gain without probing
-    noise.  ``cost`` is the window's ``model_control.stage_cost``.
+    declared once consecutive gains differ by less than
+    ``GAIN_DELTA_THRESHOLD`` and the value step is within ``VALUE_STEP_RTOL``,
+    at which point the behaviour policy switches to the learned gain without
+    probing noise.  ``cost`` is the window's ``model_control.stage_cost``.
     """
     plan = buf.plan()
     xi_prev = ctrl.Xi
@@ -462,7 +459,7 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
     k_new = vi_update_K(xi_new[1], xi_new[2])
     delta = _norm(k_new - ctrl.K_hat)
     # the value step in max-abs: _norm squares entries, which overflow at scale
-    settled = (delta < cfg.gain_delta_threshold
+    settled = (delta < GAIN_DELTA_THRESHOLD
                and np.abs(p_new - ctrl.P_hat).max() <= VALUE_STEP_RTOL * np.abs(p_new).max())
     status = CONVERGED if settled else ITERATING
     # positional: a NamedTuple builds from keywords at about three times the cost
@@ -470,22 +467,22 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def iterate(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray, cfg: LearnerConfig,
+def iterate(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
             sweeps: int) -> LearnedController:
     """Up to ``sweeps`` sweeps of ``learning_tick``, never past
-    ``cfg.max_iterations`` in all; a value matrix that leaves the float range
+    ``MAX_ITERATIONS`` in all; a value matrix that leaves the float range
     is reported by the sweep's checks, not as a warning.  Raises
     ``ConvergenceError`` once the bound is spent unconverged; every error
     carries the last controller reached as its ``controller``."""
     prev = ctrl
     try:
-        for _ in range(min(sweeps, cfg.max_iterations - ctrl.iterations)):
-            prev, ctrl = ctrl, learning_tick(ctrl, buf, cost, cfg)
+        for _ in range(min(sweeps, MAX_ITERATIONS - ctrl.iterations)):
+            prev, ctrl = ctrl, learning_tick(ctrl, buf, cost)
             if ctrl.status == CONVERGED:
                 return ctrl
-        if ctrl.status != CONVERGED and ctrl.iterations >= cfg.max_iterations:
+        if ctrl.status != CONVERGED and ctrl.iterations >= MAX_ITERATIONS:
             step = np.abs(ctrl.P_hat - prev.P_hat).max() / np.abs(ctrl.P_hat).max()
-            raise ConvergenceError(f"learner did not converge in {cfg.max_iterations} "
+            raise ConvergenceError(f"learner did not converge in {MAX_ITERATIONS} "
                                    f"iterations (last gain delta {ctrl.last_gain_delta:.3e}, "
                                    f"last value step {step:.3e})")
     except PfccError as exc:

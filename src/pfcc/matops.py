@@ -79,6 +79,16 @@ def vecm(s: np.ndarray) -> np.ndarray:
     return weights * s.ravel()[flat]
 
 
+def as_floats(value) -> np.ndarray:
+    """``value`` as a float array; an entry that is an int past the float
+    range makes every entry NaN, which ``ScenarioConfig.check_fields``
+    rejects as not finite."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        return np.full(np.shape(value), np.nan)
+
+
 def row_sq_norms(d: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of each row of a 2-D ``d``, bit for bit
     ``float(row.dot(row))``: one stacked (1, n) @ (n, 1) product per row

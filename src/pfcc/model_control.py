@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InfluenceError, RegulationError
-from .matops import pinv, symmetrize
+from .matops import as_floats, pinv, symmetrize
 
 MARGINAL_TOL = 1e-9
 
@@ -31,8 +31,8 @@ class AgentDynamics:
     B: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
-        object.__setattr__(self, "B", np.atleast_2d(np.asarray(self.B, dtype=float)))
+        object.__setattr__(self, "A", np.atleast_2d(as_floats(self.A)))
+        object.__setattr__(self, "B", np.atleast_2d(as_floats(self.B)))
 
     @property
     def n(self) -> int:
@@ -53,8 +53,8 @@ class FormationDynamics:
     h0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "S", np.atleast_2d(np.asarray(self.S, dtype=float)))
-        object.__setattr__(self, "h0", np.asarray(self.h0, dtype=float).ravel())
+        object.__setattr__(self, "S", np.atleast_2d(as_floats(self.S)))
+        object.__setattr__(self, "h0", as_floats(self.h0).ravel())
 
 
 def input_width_groups(dynamics: Sequence[AgentDynamics]

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .matops import row_sq_norms
+from .matops import as_floats, row_sq_norms
 
 #: Bound on the norm of a state or estimate row; a row past it (or a nan
 #: row) has diverged and ends the run.
@@ -60,8 +60,7 @@ class ObserverConfig:
     gain_matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gain_matrix",
-                           np.atleast_2d(np.asarray(self.gain_matrix, dtype=float)))
+        object.__setattr__(self, "gain_matrix", np.atleast_2d(as_floats(self.gain_matrix)))
 
 
 class RlsObserver(NamedTuple):

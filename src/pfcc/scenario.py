@@ -2,14 +2,13 @@
 
 A scenario is a single JSON document with self-describing keys carrying the
 agent models, the communication edges, the propensity-factor schedule, and
-all observer/learner parameters.  Unknown and repeated keys are rejected so
-typos fail loudly; matrices are row-major nested arrays whose dimensions are
+all observer parameters.  Unknown and repeated keys are rejected so typos
+fail loudly; matrices are row-major nested arrays whose dimensions are
 inferred and cross-checked.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -18,7 +17,6 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from . import learning as ln
 from . import model_control as mc
 from . import observers as ob
 from . import simulation as sim
@@ -46,7 +44,7 @@ SCHEMA = {
     "additionalProperties": False,
     "required": ["name", "mode", "seed", "horizon", "sample_interval",
                  "learn_start_tick", "tracking", "followers", "leaders",
-                 "edges", "propensity_schedule", "observers", "learner"],
+                 "edges", "propensity_schedule", "observers"],
     "properties": {
         "name": {"type": "string"},
         "mode": {"type": "string"},
@@ -126,15 +124,6 @@ SCHEMA = {
                 "leader_tracking": _OBSERVER,
                 "follower_tracking": _OBSERVER,
                 "formation": {"type": "object", "additionalProperties": _OBSERVER},
-            },
-        },
-        "learner": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "noise_std": {"type": "number"},
-                "gain_delta_threshold": {"type": "number"},
-                "max_iterations": {"type": "integer"},
             },
         },
     },
@@ -347,14 +336,6 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
     formation_cfgs = {leader_node(nm, "observers.formation"): observer(entry, f"formation {nm}")
                       for nm, entry in obs_raw["formation"].items()}
 
-    # an omitted setting takes the default LearnerConfig's value
-    lrn, default = raw["learner"], ln.LearnerConfig()
-    learner = ln.LearnerConfig(
-        noise_std=float(lrn.get("noise_std", default.noise_std)),
-        gain_delta_threshold=float(lrn.get("gain_delta_threshold",
-                                           default.gain_delta_threshold)),
-        max_iterations=int(lrn.get("max_iterations", default.max_iterations)))
-
     try:
         return sim.ScenarioConfig(
             name=raw["name"],
@@ -371,7 +352,6 @@ def scenario_from_dict(raw: dict) -> sim.ScenarioConfig:
             follower_tracking_observer=observer(obs_raw["follower_tracking"],
                                                 "follower tracking"),
             formation_observers=formation_cfgs,
-            learner=learner,
             warmup_gains=warmups,
             learn_start_tick=int(raw["learn_start_tick"]),
             horizon=int(raw["horizon"]),
@@ -461,7 +441,6 @@ def scenario_to_dict(cfg: sim.ScenarioConfig) -> dict:
             "formation": {cfg.agent_name(q): obs_entry(o)
                           for q, o in sorted(cfg.formation_observers.items())},
         },
-        "learner": dataclasses.asdict(cfg.learner),
     }
 
 

@@ -21,7 +21,6 @@ Laplacian-derived convex weights of classical two-layer designs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,7 +32,7 @@ from . import observers as ob
 from . import propagation as pr
 from .errors import (AssumptionError, ConvergenceError, DataConsistencyError,
                      PfccError, RegulationError, SimulationAbort)
-from .matops import is_positive_definite, row_sq_norms
+from .matops import as_floats, is_positive_definite, row_sq_norms
 from .topology import DirectedTopology, verify_assumption1
 
 MODE_DATA = "data_driven"
@@ -51,16 +50,6 @@ def check_names(names: list[str]) -> None:
     if len(set(names)) != len(names) or TRACKING_NAME in names:
         raise ValueError("agent names must be unique and must not shadow "
                          f"the tracking leader name {TRACKING_NAME!r}")
-
-
-def _floats(value) -> np.ndarray:
-    """``value`` as a float array; an entry that is an int past the float
-    range makes every entry NaN, which ``check_fields`` rejects as not
-    finite."""
-    try:
-        return np.asarray(value, dtype=float)
-    except OverflowError:
-        return np.full(np.shape(value), np.nan)
 
 
 @dataclass(frozen=True)
@@ -91,9 +80,9 @@ class ScenarioConfig:
     one entry per leader.  ``xi`` (>= 1) regularizes every observer
     network's parameter update, whose parameter matrix starts at
     ``init_scale`` (> 0) times I.  ``check_fields`` is the one rule for
-    each field's value, shape and node keys, the schedule's, observer
-    networks' and learner's included (the topology's edge classes and
-    weights are ``DirectedTopology``'s)."""
+    each field's value, shape and node keys, the schedule's and observer
+    networks' included (the topology's edge classes and weights are
+    ``DirectedTopology``'s)."""
 
     name: str
     topology: DirectedTopology
@@ -108,7 +97,6 @@ class ScenarioConfig:
     leader_tracking_observer: ob.ObserverConfig
     follower_tracking_observer: ob.ObserverConfig
     formation_observers: dict[int, ob.ObserverConfig]
-    learner: ln.LearnerConfig
     warmup_gains: dict[int, np.ndarray]
     learn_start_tick: int
     horizon: int
@@ -120,8 +108,8 @@ class ScenarioConfig:
     record_states: bool = False
 
     def __post_init__(self):
-        self.tracking_a = np.atleast_2d(_floats(self.tracking_a))
-        self.tracking_x0 = _floats(self.tracking_x0).ravel()
+        self.tracking_a = np.atleast_2d(as_floats(self.tracking_a))
+        self.tracking_x0 = as_floats(self.tracking_x0).ravel()
         self.check_fields()
 
     def check_fields(self) -> None:
@@ -172,29 +160,21 @@ class ScenarioConfig:
             networks.append((f"formation {name}", self.formation_observers[q]))
             shapes += [(f"formation S of {name}", form.S, square),
                        (f"formation h0 of {name}", form.h0, (dim,))]
-        # worded as the scenario file's observers, learner and schedule
-        # sections; NaN, inf and an int past the float range (which
-        # math.isfinite cannot take) fail here, before any value rule
-        learner = self.learner
+        # worded as the scenario file's observers and schedule sections;
+        # NaN, inf and an int past the float range (which as_floats reads as
+        # NaN) fail here, before any value rule
         scalars = [("observers: xi", self.xi), ("observers: init scale", self.init_scale),
                    *((f"observers: {network} {gain}", getattr(obs, gain))
                      for network, obs in networks for gain in ("coupling", "consensus_gain")),
-                   ("learner: gain_delta_threshold", learner.gain_delta_threshold),
                    *((f"schedule: factor for {self.agent_name(q)}", factor)
                      for _, factors in self.schedule.entries for q, factor in factors.items())]
         for what, value in scalars:
-            if not abs(value) <= sys.float_info.max:
+            if not np.isfinite(as_floats(value)):
                 raise ValueError(f"{what} must be finite")
         if not self.xi >= 1.0:
             raise ValueError("observers: xi must be >= 1")
         if not self.init_scale > 0:
             raise ValueError("observers: init scale must be positive")
-        if not 0 <= learner.noise_std <= sys.float_info.max:
-            raise ValueError("learner: noise_std must be finite and >= 0")
-        if not learner.gain_delta_threshold > 0:
-            raise ValueError("learner: gain_delta_threshold must be positive")
-        if learner.max_iterations < 1:
-            raise ValueError("learner: max_iterations must be >= 1")
         for network, obs in networks:
             if not obs.coupling > 0:
                 raise ValueError(f"observers: {network} coupling must be positive")
@@ -211,7 +191,7 @@ class ScenarioConfig:
         for what, value, shape in shapes:
             if np.shape(value) != shape:
                 raise ValueError(f"{what} must have shape {shape}, got {np.shape(value)}")
-            if not np.isfinite(_floats(value)).all():
+            if not np.isfinite(as_floats(value)).all():
                 raise ValueError(f"{what} must be finite")
 
     @property
@@ -783,8 +763,7 @@ def _probing_noise(cfg: ScenarioConfig, lr: AgentLearner, tick: int) -> np.ndarr
     the agent's node."""
     start = tick - tick % NOISE_BLOCK_TICKS
     if lr.noise_start != start:
-        lr.noise = ln.exploration_noise(cfg.learner, cfg.seed * 100003 + lr.node,
-                                        lr.buffer.input_dim,
+        lr.noise = ln.exploration_noise(cfg.seed * 100003 + lr.node, lr.buffer.input_dim,
                                         range(start, start + NOISE_BLOCK_TICKS))
         lr.noise_start = start
     return lr.noise[tick - start]
@@ -804,8 +783,7 @@ def _learner_update(state: WorldState, cfg: ScenarioConfig, lr: AgentLearner,
         cost = mc.stage_cost(cfg.q_weights[lr.node], mc.error_selector(
             cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
         try:
-            lr.controller = ln.iterate(lr.controller, lr.buffer, cost, cfg.learner,
-                                       LEARN_ITERATIONS_PER_TICK)
+            lr.controller = ln.iterate(lr.controller, lr.buffer, cost, LEARN_ITERATIONS_PER_TICK)
         except PfccError as exc:
             # the run reports the sweeps made before the error
             lr.controller = exc.controller

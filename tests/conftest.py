@@ -57,11 +57,12 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def reference_noise(cfg, seed: int, width: int, tick: int) -> np.ndarray:
-    """Reference: one probing-noise row from its own seeded generator, the
-    per-call form ``learning.exploration_noise`` must match bit for bit."""
+def reference_noise(std: float, seed: int, width: int, tick: int) -> np.ndarray:
+    """Reference: one probing-noise row of standard deviation ``std`` from
+    its own seeded generator, the per-call form ``learning.exploration_noise``
+    must match bit for bit at ``learning.NOISE_STD``."""
     rng = np.random.default_rng([seed & 0x7FFFFFFF, tick])
-    return rng.normal(0.0, cfg.noise_std, width)
+    return rng.normal(0.0, std, width)
 
 
 def reference_gain_update(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
@@ -80,8 +81,8 @@ def reference_gain_update(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     return -np.matmul(vt.T, s[:, None] * u.T) @ xi2
 
 
-def reference_sweep(ctrl: ln.LearnedController, buf: ln.DataBuffer, cost: np.ndarray,
-                    cfg: ln.LearnerConfig) -> ln.LearnedController:
+def reference_sweep(ctrl: ln.LearnedController, buf: ln.DataBuffer,
+                    cost: np.ndarray) -> ln.LearnedController:
     """Reference: one value-iteration sweep composed step by step,
     the form ``learning.learning_tick`` must match bit for bit: the
     ``symmetrize``d Bellman backup, the regression of the window's plan
@@ -97,7 +98,7 @@ def reference_sweep(ctrl: ln.LearnedController, buf: ln.DataBuffer, cost: np.nda
     xi_new = buf.plan().xi(p_new)
     k_new = reference_gain_update(xi_new[1], xi_new[2])
     delta = float(np.linalg.norm(k_new - ctrl.K_hat))
-    settled = (delta < cfg.gain_delta_threshold
+    settled = (delta < ln.GAIN_DELTA_THRESHOLD
                and np.abs(p_new - ctrl.P_hat).max() <= ln.VALUE_STEP_RTOL * np.abs(p_new).max())
     return ln.LearnedController(p_new, k_new, xi_new, ln.CONVERGED if settled else ln.ITERATING,
                                 ctrl.iterations + 1, delta)

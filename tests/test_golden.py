@@ -45,45 +45,47 @@ def test_default_seed_run_matches_golden(name, tmp_path):
 #: operator: their traces moved by at most 2e-13 of a column's scale, with
 #: every learner's status and iterations unchanged.  Every metadata.json
 #: re-pinned when the learner settings lost ``window`` and
-#: ``relearn_on_alpha_change``: only its ``config_sha256`` moved.
+#: ``relearn_on_alpha_change``, and again when the scenario's ``learner``
+#: section became the constants of ``learning``: each time only its
+#: ``config_sha256`` moved.
 EXPORTS = {
     "hexagon_data_driven": (
         "hexagon", dict(horizon=1700, sample_interval=10),
         ("b0a4cd10afe160f2134e02bc5ff7cfad585d610d2231c7945f04ffe87013b913",
-         "1f5f7cc6da212eaefa6bb8fe55d1f4dd8e76cb2d37c2699464eaf7da85204316")),
+         "32d61c6b0a139255036b28cf4ab7c0794675d65b186face27fd953e7dec2549f")),
     "hexagon_oracle": (
         "hexagon", dict(horizon=1200, mode=sim.MODE_ORACLE),
         ("19b4a3c278a921e031d44c2bfa44aa192e6399c027487d353f11472066f8d53c",
-         "cc4fce4035b074ddbabaaf1b377460f04e9e4b50f65329c14455d4d4c40137f5")),
+         "6cfe0bc698676e4e34b85d10ad23bc413ea217d39828e2eec8c63a16072e6405")),
     # the baseline learner with input widths 1 to 3
     "hexagon_baseline": (
         "hexagon", dict(horizon=1700, sample_interval=10, mode=sim.MODE_BASELINE),
         ("a2b0c4ee7f09a34db449cc11a7cd5cc93b12fbfdb33b4223571a2236eeb9b0e0",
-         "98ca4888d3df6f11d7d79ad0b0d6347821ab0ffa7a33eade51ac9894bfcc5fc7")),
+         "8cb7f3f363ca428d64cf3420b24ff7e5c9feac338d27056dffea012e31ff201a")),
     # past the tick-4000 propensity switch, through the relearn; its
     # metadata.json re-pinned when the gain delta of F2 and F4, still
     # collecting their relearn window, became null instead of Infinity
     "hexagon_data_driven_switch": (
         "hexagon", dict(horizon=4100, sample_interval=50),
         ("a47413658958440596d67ca0858fc48fc329aace51d4626fee43f081b17a7950",
-         "569b4f78335b5f7a24e30a1219e23825eaea5089539e15293802e5a2470ece9e")),
+         "99c95351e58c1a47dea59ec87d0176ebf84920901a973d7571ee91c36c9a745c")),
     # F2 and F4 settle their gain at sweep 2 of their first window and their
     # value matrix at sweeps 22-23; pinned with the stop test that waits
     # for both
     "hexagon_static_data_driven": (
         "hexagon_static", dict(horizon=1700, sample_interval=10),
         ("e53562f3a51d3cc46de519a021d0ce68a056b9484bedd3ca5877ce2bb73e353e",
-         "73925897bedb14991d3fb99c61c1465f3f26098645b95aa1703f4dca9315edcb")),
+         "3077cda0accb3b3a2e1d8c91c6a55f015bf0d56433d6fe771d5f89878a27ca2f")),
     "hexagon_static_baseline": (
         "hexagon_static", dict(horizon=1700, sample_interval=1, mode=sim.MODE_BASELINE),
         ("19c87208106a999a7384609a8f2c44317e68b96ba64bf6710b6299c96126a03f",
-         "1c0a427f71364c1e3cd2812180afc221336325f85e855e8e46f190f912a12386")),
+         "45cf296f7f2da8c64a19377e3185a29deae1e50c30e51342cb6bf3cede6f8fbb")),
     # past the tick-4000 propensity switch
     "hexagon_static_oracle_states": (
         "hexagon_static", dict(horizon=4100, sample_interval=1, mode=sim.MODE_ORACLE,
                                record_states=True),
         ("ed2be51746a6643ab95e97920956f94857eb4a379636f86d4c3c0eae11d3fc95",
-         "24f9a44197a0debf619b48f151dae8a8769f36b43c75ea6e305b7ba153d9d16b")),
+         "13a29f7c47d26a2670749637cb0c3db739bcd31335f88e483784755644092df7")),
 }
 
 

@@ -45,20 +45,21 @@ AGENTS_BY_WIDTH = [("hexagon", "F1"), ("hexagon", "L3"), ("hexagon_static", "L1"
 
 
 def fill_buffer(sys_, seed, noise=1.0, warm=None, rows=None):
-    """Independent-row probe window: every row is an exact transition."""
-    cfg = ln.LearnerConfig(noise_std=noise)
+    """Independent-row probe window: every row is an exact transition, its
+    input probed by the learner's noise scaled to standard deviation
+    ``noise``."""
     rows = rows or ln.window_rows(sys_.dim, sys_.m)
     buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
     rng = np.random.default_rng(seed)
     kb = np.zeros((sys_.m, sys_.dim))
     if warm is not None:
         kb[:, : warm.shape[1]] = warm
-    noise = ln.exploration_noise(cfg, seed, sys_.m, range(rows))
+    noise = noise / ln.NOISE_STD * ln.exploration_noise(seed, sys_.m, range(rows))
     for t in range(rows):
         x = rng.normal(size=sys_.dim)
         u = kb @ x + noise[t]
         buf.record(x, u, sys_.A_bar @ x + sys_.B_bar @ u)
-    return buf, cfg
+    return buf
 
 
 class TestDataBuffer:
@@ -109,7 +110,6 @@ class TestDataBuffer:
         rng = np.random.default_rng(26)
         n, m = 5, 2
         a, b = 0.5 * rng.normal(size=(n, n)), rng.normal(size=(n, m))
-        cfg = ln.LearnerConfig()
         buf = ln.DataBuffer(n, m, ln.window_rows(n, m))
         kept = []  # the transitions recorded since the last flush
 
@@ -172,7 +172,7 @@ class TestDataBuffer:
             def plan(self):
                 return ln._WindowPlan(self)
         start = ln.LearnedController.create(n, m)
-        lazy, reference = (ln.learning_tick(start, window, np.eye(n), cfg)
+        lazy, reference = (ln.learning_tick(start, window, np.eye(n))
                            for window in (buf, EagerWindow()))
         assert lazy.iterations == reference.iterations == 1
         for got, want in zip((lazy.P_hat, lazy.K_hat, *lazy.Xi),
@@ -224,7 +224,7 @@ class TestDataBuffer:
 class TestModelBlockRegression:
     def test_exact_recovery_from_known_model(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
-        buf, _ = fill_buffer(sys_, seed=4)
+        buf = fill_buffer(sys_, seed=4)
         rng = np.random.default_rng(1)
         p = rng.normal(size=(sys_.dim, sys_.dim))
         p = p @ p.T + np.eye(sys_.dim)
@@ -340,7 +340,7 @@ class TestWindowPlan:
         ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
         out = []
         for _ in range(count):
-            ctrl = ln.learning_tick(ctrl, buf, cost, ln.LearnerConfig())
+            ctrl = ln.learning_tick(ctrl, buf, cost)
             out.append(ctrl)
         return out
 
@@ -379,7 +379,7 @@ class TestWindowPlan:
         # inf - inf reads as an asymmetry to vecm's check; it is named as
         # the overflow it is
         sys_ = f1_system(hexagon_config)
-        buf, _ = fill_buffer(sys_, seed=4)
+        buf = fill_buffer(sys_, seed=4)
         p = np.eye(sys_.dim)
         p[1, 2] = p[2, 1] = poison
         with np.errstate(invalid="ignore"), \
@@ -388,7 +388,7 @@ class TestWindowPlan:
 
     def test_finite_asymmetric_value_matrix_is_still_a_value_error(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
-        buf, _ = fill_buffer(sys_, seed=4)
+        buf = fill_buffer(sys_, seed=4)
         p = np.eye(sys_.dim)
         p[0, 1] = 1e-9
         with pytest.raises(ValueError, match="symmetric"):
@@ -396,15 +396,15 @@ class TestWindowPlan:
 
 
 def compare_gains_windows(name, seed):
-    """(agent, probe window, stage cost, learner config) of every agent
-    ``compare-gains`` audits in a bundled scenario at one probe seed."""
+    """(agent, probe window, stage cost) of every agent ``compare-gains``
+    audits in a bundled scenario at one probe seed."""
     cfg = dataclasses.replace(sc.load_bundled(name), seed=seed)
     coeffs = cli.effective_coefficients(cfg)
     for node in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
         alphas = coeffs.get(node, {node: 1.0})
         sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
         yield (cfg.agent_name(node), cli.probe_window(cfg, node, sys_),
-               mc.stage_cost(cfg.q_weights[node], sys_.C), cfg.learner)
+               mc.stage_cost(cfg.q_weights[node], sys_.C))
 
 
 def sweep_outcome(sweep, *args):
@@ -426,13 +426,13 @@ class TestSweepMatchesReference:
     def test_every_compare_gains_window(self, name, seed):
         # input widths 1 and 3 (hexagon) and 2 (both)
         widths = set()
-        for agent, buf, cost, cfg in compare_gains_windows(name, seed):
+        for agent, buf, cost in compare_gains_windows(name, seed):
             widths.add(buf.input_dim)
             got = want = ln.LearnedController.create(buf.state_dim, buf.input_dim)
             with np.errstate(over="ignore", invalid="ignore"):  # as ``iterate`` runs them
-                for _ in range(cfg.max_iterations):
-                    got = ln.learning_tick(got, buf, cost, cfg)
-                    want = reference_sweep(want, buf, cost, cfg)
+                for _ in range(ln.MAX_ITERATIONS):
+                    got = ln.learning_tick(got, buf, cost)
+                    want = reference_sweep(want, buf, cost)
                     assert_same_controller(got, want)
                     if want.status == ln.CONVERGED:
                         break
@@ -445,18 +445,18 @@ class TestSweepMatchesReference:
     def test_poisoned_value_matrix_raises_alike(self, poison, after_sweep):
         # the value matrix of the first regression (a fresh controller) or
         # of the second (after one sweep, through the backup)
-        for agent, buf, cost, cfg in compare_gains_windows("hexagon", 7):
+        for agent, buf, cost in compare_gains_windows("hexagon", 7):
             ctrl = ln.LearnedController.create(buf.state_dim, buf.input_dim)
             if after_sweep:
-                ctrl = ln.learning_tick(ctrl, buf, cost, cfg)
+                ctrl = ln.learning_tick(ctrl, buf, cost)
             p = ctrl.P_hat.copy()
             if poison == "asymmetric":
                 p[0, 1] += 1e-9
             else:
                 p[1, 2] = p[2, 1] = poison
             ctrl = ctrl._replace(P_hat=p)
-            got = sweep_outcome(ln.learning_tick, ctrl, buf, cost, cfg)
-            want = sweep_outcome(reference_sweep, ctrl, buf, cost, cfg)
+            got = sweep_outcome(ln.learning_tick, ctrl, buf, cost)
+            want = sweep_outcome(reference_sweep, ctrl, buf, cost)
             assert got == want, agent
             assert got[0] is (ValueError if poison == "asymmetric" else ConvergenceError)
 
@@ -478,12 +478,12 @@ class TestFoldedRegression:
     @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
     def test_every_compare_gains_window(self, name, seed):
         # at the value matrix of every sweep up to convergence
-        for agent, buf, cost, cfg in compare_gains_windows(name, seed):
+        for agent, buf, cost in compare_gains_windows(name, seed):
             ctrl = ln.LearnedController.create(buf.state_dim, buf.input_dim)
             while ctrl.status != ln.CONVERGED:
                 self.assert_same_blocks(buf.plan().xi(ctrl.P_hat),
                                         ref.window_regression(buf, ctrl.P_hat))
-                ctrl = ln.iterate(ctrl, buf, cost, cfg, 1)
+                ctrl = ln.iterate(ctrl, buf, cost, 1)
 
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e300, 1e308])
     def test_exact_and_mixed_windows_raise_or_pass_alike(self, hexagon_config, scale):
@@ -510,7 +510,7 @@ class TestWindowRule:
         # the unknowns count the input width: 45, 45 and 36 columns here
         sys_ = bundled_system(name, agent)
         unknowns = ln.theta_columns(sys_.dim, sys_.m)
-        buf, _ = fill_buffer(sys_, seed=4, rows=unknowns + extra)
+        buf = fill_buffer(sys_, seed=4, rows=unknowns + extra)
         if extra < 0:
             with pytest.raises(PersistentExcitationError,
                                match=f"window has {unknowns - 1} rows for {unknowns} "
@@ -549,8 +549,8 @@ class TestWindowRule:
                                    x_next @ p @ x_next, rtol=1e-12)
 
     @pytest.mark.parametrize("entry, params", [
-        (ln.learning_tick, ["ctrl", "buf", "cost", "cfg"]),
-        (ln.iterate, ["ctrl", "buf", "cost", "cfg", "sweeps"]),
+        (ln.learning_tick, ["ctrl", "buf", "cost"]),
+        (ln.iterate, ["ctrl", "buf", "cost", "sweeps"]),
         (ln.DataBuffer.plan, ["self"])], ids=["learning_tick", "iterate", "plan"])
     def test_entry_points_take_no_policy(self, entry, params):
         # one rule, so no argument chooses one; the sweep keeps its window
@@ -562,7 +562,7 @@ class TestWindowRule:
         # directions fall below the floor, the min-norm solution is zero
         # there, and Xi1 is still identified
         sys_ = f1_system(hexagon_config)
-        buf, _ = fill_buffer(sys_, seed=4, noise=0.0)
+        buf = fill_buffer(sys_, seed=4, noise=0.0)
         rng = np.random.default_rng(1)
         p = rng.normal(size=(sys_.dim, sys_.dim))
         p = p @ p.T + np.eye(sys_.dim)
@@ -578,7 +578,7 @@ class TestWindowRule:
         # that makes it truncate fails here instead of moving the reports
         # (seeds as the scenarios', an odd one, and gain_audit's seed * 1000 + k)
         for seed in [7, 2024] + [7 * 1000 + k for k in range(10)]:
-            for agent, buf, _, _ in compare_gains_windows(name, seed):
+            for agent, buf, _ in compare_gains_windows(name, seed):
                 s = np.linalg.svd(buf.theta() * buf.plan().scale[:, None], compute_uv=False)
                 assert s[-1] > ln.RANK_RCOND * s[0], (agent, seed, s[0] / s[-1])
 
@@ -595,7 +595,6 @@ cfg = sc.load_bundled("hexagon")
 sys_ = mc.build_augmented(cfg.dynamics_of(7), [cfg.formation[2]], cfg.tracking_a,
                           [1.0], cfg.q_weights[7])
 assert sys_.m == 3
-learner = ln.LearnerConfig()
 rows = ln.window_rows(sys_.dim, sys_.m)
 rng = np.random.default_rng(5)
 x, u = rng.normal(size=(rows, sys_.dim)), rng.normal(size=(rows, sys_.m))
@@ -609,7 +608,7 @@ with np.errstate(all="ignore"):
     ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
     try:
         for _ in range(5):
-            ctrl = ln.learning_tick(ctrl, buf, cost, learner)
+            ctrl = ln.learning_tick(ctrl, buf, cost)
         print("returned")
     except Exception as exc:
         print(type(exc).__name__)
@@ -772,74 +771,66 @@ class TestMultiInputGain:
 
 class TestExplorationNoise:
     def test_deterministic_under_seed(self):
-        cfg = ln.LearnerConfig()
-        a = ln.exploration_noise(cfg, 11, 3, [42])
-        b = ln.exploration_noise(cfg, 11, 3, [42])
+        a = ln.exploration_noise(11, 3, [42])
+        b = ln.exploration_noise(11, 3, [42])
         np.testing.assert_array_equal(a, b)
-        assert not np.allclose(a, ln.exploration_noise(cfg, 11, 3, [43]))
-        assert not np.allclose(a, ln.exploration_noise(cfg, 12, 3, [42]))
+        assert not np.allclose(a, ln.exploration_noise(11, 3, [43]))
+        assert not np.allclose(a, ln.exploration_noise(12, 3, [42]))
 
-    def test_zero_std(self):
-        cfg = ln.LearnerConfig(noise_std=0.0)
-        assert np.all(ln.exploration_noise(cfg, 11, 4, [0]) == 0)
+    def test_zero_std(self, monkeypatch):
+        monkeypatch.setattr(ln, "NOISE_STD", 0.0)
+        assert np.all(ln.exploration_noise(11, 4, [0]) == 0)
 
     def test_matches_per_call_generator_bit_for_bit(self):
         rng = np.random.default_rng(2024)
         seeds = [0, 2**31 - 1, 2**31 + 5] + [int(s) for s in rng.integers(0, 2**31, 5)]
         ticks = [0, 2**32 - 1] + [int(t) for t in rng.integers(0, 2**32, 8)]
         for seed in seeds:
-            cfg = ln.LearnerConfig(noise_std=float(rng.uniform(0.01, 3.0)))
             for width in (1, 2, 3):
-                block = ln.exploration_noise(cfg, seed, width, ticks)
-                expected = np.array([reference_noise(cfg, seed, width, t) for t in ticks])
+                block = ln.exploration_noise(seed, width, ticks)
+                expected = np.array([reference_noise(ln.NOISE_STD, seed, width, t)
+                                     for t in ticks])
                 assert block.shape == (len(ticks), width)
                 assert block.tobytes() == expected.tobytes(), (seed, width)
 
-    @pytest.mark.parametrize("std", [5e-324, 1e-310, 1e-300, 1e300, 1e308,
-                                     1.7976931348623157e308])
-    def test_extreme_std_matches_per_call_generator(self, std):
-        # subnormal products, -0.0 draws and overflow to inf, all without
-        # a warning, as numpy's normal gives them
-        cfg = ln.LearnerConfig(noise_std=std)
+    def test_long_block_matches_per_call_generator(self):
         ticks = list(range(0, 4000, 7))
         for width in (1, 2, 3):
-            expected = np.array([reference_noise(cfg, 77, width, t) for t in ticks])
-            assert ln.exploration_noise(cfg, 77, width, ticks).tobytes() == expected.tobytes()
+            expected = np.array([reference_noise(ln.NOISE_STD, 77, width, t) for t in ticks])
+            assert ln.exploration_noise(77, width, ticks).tobytes() == expected.tobytes()
 
-    def test_zero_std_gives_positive_zero_rows(self):
+    def test_zero_std_gives_positive_zero_rows(self, monkeypatch):
         # 0.0 * z + 0.0 is +0.0 for every draw, as numpy's normal gives it
-        cfg = ln.LearnerConfig(noise_std=0.0)
-        block = ln.exploration_noise(cfg, 5, 2, range(7))
+        monkeypatch.setattr(ln, "NOISE_STD", 0.0)
+        block = ln.exploration_noise(5, 2, range(7))
         assert block.tobytes() == np.zeros((7, 2)).tobytes()
-        assert block.tobytes() == np.array([reference_noise(cfg, 5, 2, t)
+        assert block.tobytes() == np.array([reference_noise(0.0, 5, 2, t)
                                             for t in range(7)]).tobytes()
 
     def test_seed_is_masked_to_31_bits(self):
         # the noise masks its seed itself, so callers pass it unmasked
-        cfg = ln.LearnerConfig(noise_std=0.4)
-        want = ln.exploration_noise(cfg, 12345, 3, range(5)).tobytes()
+        want = ln.exploration_noise(12345, 3, range(5)).tobytes()
         for seed in (12345 + 2**31, 12345 + 2**40):
-            assert ln.exploration_noise(cfg, seed, 3, range(5)).tobytes() == want, seed
+            assert ln.exploration_noise(seed, 3, range(5)).tobytes() == want, seed
         # bit 30 is kept
-        assert ln.exploration_noise(cfg, 12345 + 2**30, 3, range(5)).tobytes() != want
+        assert ln.exploration_noise(12345 + 2**30, 3, range(5)).tobytes() != want
 
     @pytest.mark.parametrize("tick", [-1, 2**32])
     def test_tick_outside_range_rejected(self, tick):
-        for std in (0.1, 0.0):
-            with pytest.raises(ValueError, match="ticks"):
-                ln.exploration_noise(ln.LearnerConfig(noise_std=std), 0, 2, [0, tick])
+        with pytest.raises(ValueError, match="ticks"):
+            ln.exploration_noise(0, 2, [0, tick])
 
 
 class TestLearningLoop:
-    def converge(self, sys_, buf, cfg):
+    def converge(self, sys_, buf):
         # the driver returns converged or raises once the bound is spent
         return ln.iterate(ln.LearnedController.create(sys_.dim, sys_.m), buf,
-                          mc.stage_cost(sys_.Q, sys_.C), cfg, cfg.max_iterations)
+                          mc.stage_cost(sys_.Q, sys_.C), ln.MAX_ITERATIONS)
 
     def test_matches_model_oracle(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
-        buf, cfg = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))
-        ctrl = self.converge(sys_, buf, cfg)
+        buf = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))
+        ctrl = self.converge(sys_, buf)
         oracle = mc.riccati_value_iteration(sys_)
         assert (np.linalg.norm(ctrl.K_hat - oracle.K)
                 / np.linalg.norm(oracle.K)) < 1e-3
@@ -851,43 +842,42 @@ class TestLearningLoop:
         # a window still filling has fewer rows than unknowns: the sweep
         # raises instead of iterating on an underdetermined regression
         sys_ = f1_system(hexagon_config)
-        cfg = ln.LearnerConfig()
         buf = ln.DataBuffer(sys_.dim, sys_.m, ln.window_rows(sys_.dim, sys_.m))
         buf.record(np.ones(sys_.dim), np.ones(sys_.m), np.ones(sys_.dim))
         ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
         unknowns = ln.theta_columns(sys_.dim, sys_.m)
         with pytest.raises(PersistentExcitationError,
                            match=f"window has 1 rows for {unknowns} unknowns"):
-            ln.learning_tick(ctrl, buf, mc.stage_cost(sys_.Q, sys_.C), cfg)
+            ln.learning_tick(ctrl, buf, mc.stage_cost(sys_.Q, sys_.C))
 
     def test_converged_is_a_fixed_point(self, hexagon_config):
         # one more sweep of a converged learner stays converged and moves
         # its gain by less than the convergence threshold
         sys_ = f1_system(hexagon_config)
-        buf, cfg = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))
-        ctrl = self.converge(sys_, buf, cfg)
-        again = ln.learning_tick(ctrl, buf, mc.stage_cost(sys_.Q, sys_.C), cfg)
+        buf = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))
+        ctrl = self.converge(sys_, buf)
+        again = ln.learning_tick(ctrl, buf, mc.stage_cost(sys_.Q, sys_.C))
         assert again.status == ln.CONVERGED
-        assert np.linalg.norm(again.K_hat - ctrl.K_hat) < cfg.gain_delta_threshold
+        assert np.linalg.norm(again.K_hat - ctrl.K_hat) < ln.GAIN_DELTA_THRESHOLD
         assert again.iterations == ctrl.iterations + 1
 
     def test_policy_independence(self, hexagon_config):
         # two different noisy behaviour policies identify the same limit
         sys_ = f1_system(hexagon_config)
-        buf_a, cfg_a = fill_buffer(sys_, seed=101, warm=np.array([[-1.0, -3.0]]))
-        buf_b, cfg_b = fill_buffer(sys_, seed=202, warm=np.zeros((1, 2)))
-        ctrl_a = self.converge(sys_, buf_a, cfg_a)
-        ctrl_b = self.converge(sys_, buf_b, cfg_b)
+        buf_a = fill_buffer(sys_, seed=101, warm=np.array([[-1.0, -3.0]]))
+        buf_b = fill_buffer(sys_, seed=202, warm=np.zeros((1, 2)))
+        ctrl_a = self.converge(sys_, buf_a)
+        ctrl_b = self.converge(sys_, buf_b)
         assert np.linalg.norm(ctrl_a.K_hat - ctrl_b.K_hat) < 1e-6
         assert np.linalg.norm(ctrl_a.P_hat - ctrl_b.P_hat) < 1e-5
 
     def test_tracks_model_iteration_for_twenty_sweeps(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
-        buf, cfg = fill_buffer(sys_, seed=5)
+        buf = fill_buffer(sys_, seed=5)
         ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
         p, k = np.eye(sys_.dim), np.zeros((sys_.m, sys_.dim))
         for _ in range(20):
-            ctrl = ln.learning_tick(ctrl, buf, mc.stage_cost(sys_.Q, sys_.C), cfg)
+            ctrl = ln.learning_tick(ctrl, buf, mc.stage_cost(sys_.Q, sys_.C))
             p, k = mc.value_iteration_step(sys_, mc.stage_cost(sys_.Q, sys_.C), p, k)
             np.testing.assert_allclose(ctrl.P_hat, p, atol=1e-9)
             np.testing.assert_allclose(ctrl.K_hat, k, atol=1e-9)
@@ -898,8 +888,8 @@ class TestLearningLoop:
         sys_ = mc.build_augmented(cfg_h.dynamics_of(7), [cfg_h.formation[2]],
                                   cfg_h.tracking_a, [1.0], cfg_h.q_weights[7])
         warm = -mo.pinv(cfg_h.dynamics_of(7).B) @ cfg_h.dynamics_of(7).A
-        buf, cfg = fill_buffer(sys_, seed=7, warm=warm)
-        ctrl = self.converge(sys_, buf, cfg)
+        buf = fill_buffer(sys_, seed=7, warm=warm)
+        ctrl = self.converge(sys_, buf)
         oracle = mc.riccati_value_iteration(sys_)
         assert (np.linalg.norm(ctrl.K_hat - oracle.K)
                 / np.linalg.norm(oracle.K)) < 1e-3

@@ -300,3 +300,19 @@ class TestPositiveDefinite:
             verdicts = mo.is_positive_definite(np.array(stack))
         assert verdicts.dtype == bool and verdicts.shape == (len(stack),)
         assert verdicts.tolist() == [ref.is_positive_definite(m) for m in stack]
+
+
+class TestAsFloats:
+    @pytest.mark.parametrize("value", [-10**400, [[10**400, 0], [0, 1]]],
+                             ids=["scalar", "matrix"])
+    def test_int_past_float_range_reads_as_nan_of_its_shape(self, value):
+        # np.asarray(value, dtype=float) raises OverflowError on such an int
+        out = mo.as_floats(value)
+        assert out.dtype == float and out.shape == np.shape(value)
+        assert np.isnan(out).all()
+
+    def test_finite_values_read_as_asarray_reads_them(self):
+        for value in (3, np.float32(0.25), [[1, 2.5], [0, -1]], 10**300):
+            expected = np.asarray(value, dtype=float)
+            out = mo.as_floats(value)
+            assert out.dtype == float and out.tobytes() == expected.tobytes(), value

@@ -107,6 +107,16 @@ class TestTypes:
         assert mc.is_stabilizable([]).shape == (0,)
 
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: mc.AgentDynamics([[10**400, 0], [0, 1]], [[1.0], [0.0]]), "A"),
+        (lambda: mc.AgentDynamics(np.eye(2), [[1.0], [-10**400]]), "B"),
+        (lambda: mc.FormationDynamics(SWAP, [10**400, 0]), "h0"),
+    ], ids=["dynamics-A", "dynamics-B", "formation-h0"])
+    def test_int_past_float_range_reads_as_nan(self, build, field):
+        # no OverflowError: ScenarioConfig.check_fields names the field
+        assert np.isnan(getattr(build(), field)).all()
+
+
 class TestAugmentedBuilders:
     def test_scalar_leader_layout(self):
         sys_ = scalar_system(a=2.0, b=3.0, s=0.5, a0=1.0)

@@ -643,3 +643,10 @@ class TestStackedSquaredNorms:
             assert all(type(v) is float for v in stacked)
             expected = [float(x.dot(x)) for x in d]
             assert np.array(stacked).tobytes() == np.array(expected).tobytes()
+
+
+class TestObserverConfig:
+    def test_int_past_float_range_reads_as_nan(self):
+        # no OverflowError: ScenarioConfig.check_fields names the field
+        cfg = ob.ObserverConfig(1.0, 1.0, [[10**400, 0], [0, 1]])
+        assert cfg.gain_matrix.shape == (2, 2) and np.isnan(cfg.gain_matrix).all()

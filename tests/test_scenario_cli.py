@@ -465,9 +465,9 @@ class TestRunCommand:
         assert meta["summary"]["seed"] == 99
         assert meta["summary"]["sample_interval"] == 20
 
-    def test_learner_nonconvergence_exit_code_and_partial_trace(self, tmp_path):
+    def test_learner_nonconvergence_exit_code_and_partial_trace(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ln, "MAX_ITERATIONS", 1)
         raw = bundled_dict()
-        raw["learner"]["max_iterations"] = 1
         raw["learn_start_tick"] = 100
         raw["horizon"] = 600
         path = write(tmp_path, raw)
@@ -478,6 +478,21 @@ class TestRunCommand:
         assert "error" in meta
         lines = Path(out, "trace.csv").read_text().splitlines()
         assert len(lines) > 1  # partial trace retained
+
+    def test_integral_float_sample_interval_reads_as_an_integer(self, tmp_path, capsys):
+        # JSON Schema counts 10.0 as an integer: it runs, and exports
+        # exactly as 10 does
+        exports = []
+        for interval in (10, 10.0):
+            raw = bundled_dict("hexagon_static")
+            raw["sample_interval"] = interval
+            path = write(tmp_path, raw)
+            out = tmp_path / f"run-{interval}"
+            assert cli.main(["run", path, "--horizon", "30", "--out", str(out)]) == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            exports.append([(out / name).read_bytes() for name in ("trace.csv",
+                                                                   "metadata.json")])
+        assert exports[0] == exports[1]
 
     def test_schema_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -496,25 +511,22 @@ class TestRunCommand:
         assert not out.exists()
         assert cli.main(["validate", path, flag, value]) == cli.EXIT_SCHEMA
 
-    @pytest.mark.parametrize("key, value, message", [
-        pytest.param("noise_std", -0.1, "learner: noise_std must be finite and >= 0",
-                     id="noise_std--0.1"),
-        pytest.param("noise_std", float("inf"), "learner: noise_std must be finite and >= 0",
-                     id="noise_std-inf"),
-        pytest.param("gain_delta_threshold", 0.0,
-                     "learner: gain_delta_threshold must be positive",
-                     id="gain_delta_threshold-0.0"),
-        pytest.param("max_iterations", 0, "learner: max_iterations must be >= 1",
-                     id="max_iterations-0"),
-        # a window is sized from its regression and a propensity switch
-        # always relearns: neither is a setting
-        *(pytest.param(key, value, "scenario schema violation at learner: Additional "
-                       f"properties are not allowed ({key!r} was unexpected)", id=key)
-          for key, value in [("window", 40), ("relearn_on_alpha_change", False)])])
-    def test_invalid_learner_setting_is_schema_error(self, tmp_path, capsys, key, value,
-                                                     message):
+    @pytest.mark.parametrize("key, value", [
+        *(pytest.param(key, value, id=key)
+          for key, value in [("noise_std", 0.1), ("gain_delta_threshold", 1e-8),
+                             ("max_iterations", 3000), ("window", 40),
+                             ("relearn_on_alpha_change", False)]),
+        # values the removed learner rules rejected fail the same way
+        *(pytest.param(key, value, id=f"{key}-{value}")
+          for key, value in [("noise_std", -0.1), ("noise_std", float("inf")),
+                             ("gain_delta_threshold", 0.0), ("max_iterations", 0)])])
+    def test_invalid_learner_setting_is_schema_error(self, tmp_path, capsys, key, value):
+        # the learner's settings are constants of ``learning``, so a file
+        # with a learner section fails the schema, whatever it sets
+        message = ("scenario schema violation at <root>: Additional properties are not "
+                   "allowed ('learner' was unexpected)")
         raw = bundled_dict()
-        raw["learner"][key] = value
+        raw["learner"] = {key: value}
         path = write(tmp_path, raw)
         out = tmp_path / "out"
         assert cli.main(["run", path, "--horizon", "50", "--out", str(out)]) == cli.EXIT_SCHEMA
@@ -580,16 +592,16 @@ class TestRunCommand:
         pytest.param(("observers", "leader_tracking", "consensus_gain"), "NaN",
                      "observers: leader tracking consensus_gain must be finite",
                      id="path5-NaN"),
-        pytest.param(("learner", "gain_delta_threshold"), "Infinity",
-                     "learner: gain_delta_threshold must be finite", id="path6-Infinity"),
+        pytest.param(("tracking", "x0", 0), "Infinity", "tracking x0 must be finite",
+                     id="path6-Infinity"),
         pytest.param(("edges", 0, 2), "Infinity",
                      "adjacency weights must be finite and non-negative", id="path7-Infinity"),
         pytest.param(("leaders", 0, "h0", 1), "-Infinity", "formation h0 of L1 must be finite",
                      id="path8--Infinity"),
         pytest.param(("followers", 1, "A", 0, 0), "1e400", "A of F2 must be finite",
                      id="path9-1e400"),
-        pytest.param(("learner", "noise_std"), "-1e400",
-                     "learner: noise_std must be finite and >= 0", id="path10--1e400"),
+        pytest.param(("followers", 0, "x0", 1), "-1e400", "x0 of F1 must be finite",
+                     id="path10--1e400"),
         pytest.param(("observers", "follower_tracking", "coupling"), "1" + "0" * 400,
                      "observers: follower tracking coupling must be finite",
                      id="path11-401-digit-integer"),
@@ -698,11 +710,10 @@ class TestRunCommand:
         meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["completed"] is False
 
-    def test_iteration_limit_is_enforced_during_the_run(self, tmp_path, capsys):
+    def test_iteration_limit_is_enforced_during_the_run(self, tmp_path, capsys, monkeypatch):
         # every learner needs more than 20 sweeps on its first window
-        raw = bundled_dict()
-        raw["learner"]["max_iterations"] = 20
-        path = write(tmp_path, raw)
+        monkeypatch.setattr(ln, "MAX_ITERATIONS", 20)
+        path = write(tmp_path, bundled_dict())
         out = str(tmp_path / "out")
         assert cli.main(["run", path, "--horizon", "1500", "--out", out]) \
             == cli.EXIT_CONVERGENCE
@@ -738,10 +749,8 @@ class TestCompareGainsExitCode:
     unknowns, so no agent fails for want of rows."""
 
     @staticmethod
-    def compare(tmp_path, capsys, **learner):
-        raw = bundled_dict("hexagon_static")
-        raw["learner"].update(learner)
-        path = write(tmp_path, raw)
+    def compare(tmp_path, capsys):
+        path = write(tmp_path, bundled_dict("hexagon_static"))
         assert cli.main(["validate", path]) == cli.EXIT_OK
         capsys.readouterr()
         code = cli.main(["compare-gains", path])
@@ -770,25 +779,11 @@ class TestCompareGainsExitCode:
         assert all(line.endswith("FAILED: regression matrix is zero; no excitation in the "
                                  "window") for line in lines)
 
-    def test_integral_float_max_iterations_reads_as_an_integer(self, tmp_path, capsys):
-        # JSON Schema counts 3000.0 as an integer: it runs, and compares
-        # gains exactly as 3000 does
-        reports = []
-        for iterations in (3000, 3000.0):
-            raw = bundled_dict("hexagon_static")
-            raw["learner"]["max_iterations"] = iterations
-            path = write(tmp_path, raw)
-            out = str(tmp_path / f"run-{iterations}")
-            assert cli.main(["run", path, "--horizon", "10", "--out", out]) == cli.EXIT_OK
-            assert capsys.readouterr().err == ""
-            reports.append((cli.main(["compare-gains", path]), capsys.readouterr()))
-        assert reports[0] == reports[1]
-        assert reports[0][0] == cli.EXIT_OK
-
     def test_a_convergence_failure_outranks_excitation(self, tmp_path, capsys, monkeypatch):
         # the leaders stop at 2 sweeps
         self.followers_unexcited(monkeypatch)
-        code, lines = self.compare(tmp_path, capsys, max_iterations=2)
+        monkeypatch.setattr(ln, "MAX_ITERATIONS", 2)
+        code, lines = self.compare(tmp_path, capsys)
         assert code == cli.EXIT_CONVERGENCE
         assert sum("no excitation in the window" in line for line in lines) == 4
         assert sum("did not converge in 2 iterations" in line for line in lines) == 6
@@ -857,8 +852,8 @@ def set_f1_x0(raw):
     raw["followers"][0]["x0"] = [0.0, 1e308]
 
 
-def set_noise_std(raw):
-    raw["learner"]["noise_std"] = 1e308
+def set_l1_x0(raw):
+    raw["leaders"][0]["x0"] = [0.0, 1e308]
 
 
 def set_f1_warmup_gain(raw):
@@ -880,13 +875,15 @@ class TestOverflowingInputs:
             env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True, text=True, timeout=300)
 
-    @pytest.mark.parametrize("edit", [set_f1_x0, set_noise_std])
-    def test_plant_overflow_aborts_the_run(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit, group", [(set_f1_x0, "followers"),
+                                             (set_l1_x0, "leaders")],
+                             ids=["set_f1_x0", "set_l1_x0"])
+    def test_plant_overflow_aborts_the_run(self, tmp_path, edit, group):
         path, proc = self.pfcc(tmp_path, edit, "run", "--horizon", "10",
                                "--out", str(tmp_path / "out"))
         assert proc.returncode == cli.EXIT_CONVERGENCE
         TestOverflowingCost.assert_one_line(
-            proc.stderr, "run aborted: tick 0, agent followers: plant state diverged")
+            proc.stderr, f"run aborted: tick 0, agent {group}: plant state diverged")
         cfg = dataclasses.replace(sc.load_scenario(path), horizon=10)
         assert cfg.validate() == []
         with warnings.catch_warnings():
@@ -1023,11 +1020,11 @@ class TestCompareGains:
         q_weights[node] = scale * q_weights[node]
         return dataclasses.replace(cfg, q_weights=q_weights), node
 
-    def test_iteration_bound_names_the_value_step(self, hexagon_config):
+    def test_iteration_bound_names_the_value_step(self, hexagon_config, monkeypatch):
         # at q_weight 1e14 I the gain settles at sweep 2 and the value
         # matrix at sweep 24
         cfg, node = self.scaled_f1(hexagon_config, 1e14)
-        cfg.learner = dataclasses.replace(cfg.learner, max_iterations=10)
+        monkeypatch.setattr(ln, "MAX_ITERATIONS", 10)
         coeffs = cli.effective_coefficients(cfg)
         with pytest.raises(ConvergenceError,
                            match=r"did not converge in 10 iterations \(last gain delta "

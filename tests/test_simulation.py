@@ -33,8 +33,7 @@ def column(trace, name):
     return trace.rows()[:, trace.header().index(name)]
 
 
-def tiny_config(mode=sim.MODE_DATA, horizon=40, h0=(1.0,), noise=0.1,
-                learn_start=1000, s_value=0.5, max_iterations=2000):
+def tiny_config(mode=sim.MODE_DATA, horizon=40, h0=(1.0,), learn_start=1000, s_value=0.5):
     """One leader pinned by the tracking node driving one follower; scalar
     states keep it fast."""
     topo = block_topology(1, 1, np.zeros((1, 1)), np.zeros((1, 1)),
@@ -54,7 +53,6 @@ def tiny_config(mode=sim.MODE_DATA, horizon=40, h0=(1.0,), noise=0.1,
         leader_tracking_observer=obs_cfg,
         follower_tracking_observer=obs_cfg,
         formation_observers={2: obs_cfg},
-        learner=ln.LearnerConfig(noise_std=noise, max_iterations=max_iterations),
         warmup_gains={1: np.array([[-0.4]]), 2: np.array([[-0.3]])},
         learn_start_tick=learn_start,
         horizon=horizon,
@@ -111,8 +109,9 @@ class TestErrorMetrics:
 
 
 class TestWorldStepping:
-    def test_quiescent_world_stays_at_origin(self):
-        cfg = tiny_config(noise=0.0, h0=(0.0,), horizon=30)
+    def test_quiescent_world_stays_at_origin(self, monkeypatch):
+        monkeypatch.setattr(ln, "NOISE_STD", 0.0)
+        cfg = tiny_config(h0=(0.0,), horizon=30)
         res = sim.run(cfg)
         assert res.completed
         assert np.linalg.norm(res.state.x[0]) == 0
@@ -160,10 +159,11 @@ class TestWorldStepping:
         # follower ends on its leader's (stationary-dynamics) target
         assert column(res.trace, "e_cont_F1")[-1] < 1e-6
 
-    def test_all_zero_features_raise_excitation_error(self):
+    def test_all_zero_features_raise_excitation_error(self, monkeypatch):
         # zero shapes, zero noise, zero states: the window is identically
         # zero and the learner reports missing excitation
-        cfg = tiny_config(horizon=120, h0=(0.0,), noise=0.0, learn_start=1)
+        monkeypatch.setattr(ln, "NOISE_STD", 0.0)
+        cfg = tiny_config(horizon=120, h0=(0.0,), learn_start=1)
         res = sim.run(cfg)
         assert not res.completed
         assert isinstance(res.error.cause, PersistentExcitationError)
@@ -541,7 +541,7 @@ class TestLearnerControl:
                     sources.add("K_hat" if converged else "behaviour")
                 want = gain @ z
                 if not converged:  # probing: no noise reaches a converged learner
-                    want = want + reference_noise(cfg.learner, cfg.seed * 100003 + node, m,
+                    want = want + reference_noise(ln.NOISE_STD, cfg.seed * 100003 + node, m,
                                                   snap.tick)
                     if plan.gather is not None and snap.tick >= cfg.learn_start_tick:
                         probing.add((k, node))
@@ -759,9 +759,6 @@ VALUE_RULES = [
                  ("propensity_schedule", 0, "factors", "L2"), -10**400,
                  "schedule: factor for L2 must be finite",
                  id="schedule-factor-int-past-float-range"),
-    pytest.param("learner", replaced(noise_std=10**400), ("learner", "noise_std"), 10**400,
-                 "learner: noise_std must be finite and >= 0",
-                 id="learner-noise-int-past-float-range"),
     pytest.param("tracking_x0", lambda _: [10**400, 0], ("tracking", "x0"), [10**400, 0],
                  "tracking x0 must be finite", id="tracking-x0-int-past-float-range"),
     pytest.param("x0", lambda x0: [[10**400, 0], *x0[1:]], ("followers", 0, "x0"),
@@ -772,6 +769,20 @@ VALUE_RULES = [
     pytest.param("warmup_gains", with_key(1, [[10**400, 0]]), ("followers", 0, "warmup_gain"),
                  [[10**400, 0]], "warmup_gain of F1 must be finite",
                  id="warmup_gain-int-past-float-range"),
+    # the record constructors read such an int as NaN, so check_fields
+    # names the field
+    pytest.param("dynamics", lambda dyn: [mc.AgentDynamics([[10**400, 0], [0, 1]], dyn[0].B),
+                                          *dyn[1:]],
+                 ("followers", 0, "A"), [[10**400, 0], [0, 1]], "A of F1 must be finite",
+                 id="dynamics-A-int-past-float-range"),
+    pytest.param("formation", lambda forms: [mc.FormationDynamics(forms[0].S, [10**400, 0]),
+                                             *forms[1:]],
+                 ("leaders", 0, "h0"), [10**400, 0], "formation h0 of L1 must be finite",
+                 id="formation-h0-int-past-float-range"),
+    pytest.param("leader_tracking_observer", replaced(gain_matrix=[[10**400, 0], [0, 1]]),
+                 ("observers", "leader_tracking", "gain_matrix"), [[10**400, 0], [0, 1]],
+                 "leader tracking observer gain matrix must be finite",
+                 id="leader-tracking-gain-matrix-int-past-float-range"),
     pytest.param("init_scale", lambda _: np.inf, ("observers", "init_scale"), np.inf,
                  "observers: init scale must be finite", id="init-scale-inf"),
     pytest.param("formation_observers", with_key(1, NETWORK), ("observers", "formation", "F1"),
@@ -803,18 +814,6 @@ VALUE_RULES = [
                  id="follower-tracking-consensus-inf"),
     pytest.param("formation_observers", without_l3_network, ("observers", "formation", "L3"),
                  None, "observers: no formation network for L3", id="formation-network-missing"),
-    pytest.param("learner", replaced(noise_std=-0.1), ("learner", "noise_std"), -0.1,
-                 "learner: noise_std must be finite and >= 0", id="learner-noise"),
-    pytest.param("learner", replaced(noise_std=np.nan), ("learner", "noise_std"), np.nan,
-                 "learner: noise_std must be finite and >= 0", id="learner-noise-nan"),
-    pytest.param("learner", replaced(gain_delta_threshold=0.0),
-                 ("learner", "gain_delta_threshold"), 0.0,
-                 "learner: gain_delta_threshold must be positive", id="learner-threshold"),
-    pytest.param("learner", replaced(gain_delta_threshold=np.inf),
-                 ("learner", "gain_delta_threshold"), np.inf,
-                 "learner: gain_delta_threshold must be finite", id="learner-threshold-inf"),
-    pytest.param("learner", replaced(max_iterations=0), ("learner", "max_iterations"), 0,
-                 "learner: max_iterations must be >= 1", id="learner-iterations"),
 ]
 
 #: Node keys of ``check_fields``' rules that no scenario file can hold,
@@ -835,6 +834,19 @@ NODE_KEY_RULES = [
 ]
 
 
+#: float32 scalars, which no scenario file can hold, in the columns of
+#: ``VALUE_RULES``: an inf or nan one is not finite, and judging it warns
+#: of nothing (the warning filter would fail the test).
+FLOAT32_RULES = [
+    pytest.param("xi", lambda _: np.float32(np.inf), None, None,
+                 "observers: xi must be finite", id="xi-float32-inf"),
+    pytest.param("init_scale", lambda _: np.float32(np.nan), None, None,
+                 "observers: init scale must be finite", id="init-scale-float32-nan"),
+    pytest.param("schedule", with_factor(L2, np.float32(-np.inf)), None, None,
+                 "schedule: factor for L2 must be finite", id="schedule-factor-float32-inf"),
+]
+
+
 class TestConfigChecks:
     """Each value rule gives one message through ``dataclasses.replace``,
     through a field set after construction and then ``sim.run``, and
@@ -842,14 +854,14 @@ class TestConfigChecks:
     line."""
 
     @pytest.mark.parametrize("name, edit, path, value, message",
-                             VALUE_RULES + NODE_KEY_RULES)
+                             VALUE_RULES + NODE_KEY_RULES + FLOAT32_RULES)
     def test_replaced_field_fails_its_value_rule(self, hexagon_config, name, edit, path,
                                                  value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(hexagon_config, **{name: edit(getattr(hexagon_config, name))})
 
     @pytest.mark.parametrize("name, edit, path, value, message",
-                             VALUE_RULES + NODE_KEY_RULES)
+                             VALUE_RULES + NODE_KEY_RULES + FLOAT32_RULES)
     def test_field_set_after_construction_fails_before_tick_0(
             self, hexagon_config, name, edit, path, value, message):
         setattr(hexagon_config, name, edit(getattr(hexagon_config, name)))
@@ -871,6 +883,13 @@ class TestConfigChecks:
         scenario.write_text(json.dumps(raw))
         assert cli.main(["validate", str(scenario)]) == cli.EXIT_SCHEMA
         assert capsys.readouterr().out == f"schema: FAIL - {message}\n"
+
+    def test_finite_float32_scalars_are_accepted(self, hexagon_config):
+        # accepted without a warning, which the warning filter would raise
+        cfg = dataclasses.replace(
+            hexagon_config, xi=np.float32(2.0), init_scale=np.float32(0.5),
+            schedule=with_factor(L2, np.float32(0.25))(hexagon_config.schedule))
+        assert (cfg.xi, cfg.init_scale, cfg.schedule.initial()[L2]) == (2.0, 0.5, 0.25)
 
     @pytest.mark.parametrize("name", ["xi", "init_scale"])
     def test_nan_gain_rejected(self, name):
@@ -1086,8 +1105,7 @@ class TestProbingNoise:
     # 30000 gives 30000 * 100003 + 1 >= 2**31
     @pytest.mark.parametrize("seed", [777, 30000])
     def test_block_boundary_ticks_match_the_per_call_form(self, seed):
-        cfg = dataclasses.replace(tiny_config(), seed=seed,
-                                  learner=ln.LearnerConfig(noise_std=0.4))
+        cfg = dataclasses.replace(tiny_config(), seed=seed)
         lr = sim.AgentLearner(node=1, layout=(1,),
                               controller=ln.LearnedController.create(6, 2),
                               buffer=ln.DataBuffer(6, 2, 30))
@@ -1100,7 +1118,7 @@ class TestProbingNoise:
                  last]
         for tick in ticks:
             noise = sim._probing_noise(cfg, lr, tick)
-            expected = reference_noise(cfg.learner, (seed * 100003 + 1) & 0x7FFFFFFF, 2, tick)
+            expected = reference_noise(ln.NOISE_STD, (seed * 100003 + 1) & 0x7FFFFFFF, 2, tick)
             assert noise.tobytes() == expected.tobytes(), tick
 
 
