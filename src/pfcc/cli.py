@@ -145,8 +145,7 @@ def compare_agent_gains(cfg: sim.ScenarioConfig, node: int,
     sys_ = cfg.augmented_system(node, layout, alphas)
     oracle = mc.oracle_solution(sys_)
     buf = probe_window(cfg, node, sys_)
-    ctrl = ln.iterate(ln.LearnedController.create(sys_.dim, sys_.m), buf,
-                      mc.stage_cost(cfg.q_weights[node], sys_.C), ln.MAX_ITERATIONS)
+    ctrl = ln.iterate(buf, mc.stage_cost(cfg.q_weights[node], sys_.C))
     k_gap = float(np.linalg.norm(ctrl.K_hat - oracle.K)
                   / max(np.linalg.norm(oracle.K), 1e-30))
     p_gap = float(np.linalg.norm(ctrl.P_hat - oracle.P)

@@ -467,25 +467,23 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def iterate(ctrl: LearnedController, buf: DataBuffer, cost: np.ndarray,
-            sweeps: int) -> LearnedController:
-    """Up to ``sweeps`` sweeps of ``learning_tick``, never past
-    ``MAX_ITERATIONS`` in all; a value matrix that leaves the float range
-    is reported by the sweep's checks, not as a warning.  Raises
-    ``ConvergenceError`` once the bound is spent unconverged; every error
-    carries the last controller reached as its ``controller``."""
-    prev = ctrl
+def iterate(buf: DataBuffer, cost: np.ndarray) -> LearnedController:
+    """Solve the full window ``buf``: sweeps of ``learning_tick`` from a
+    fresh controller until one converges, at most ``MAX_ITERATIONS``; a
+    value matrix that leaves the float range is reported by the sweep's
+    checks, not as a warning.  Raises ``ConvergenceError`` once the bound
+    is spent unconverged; every error carries the last controller reached
+    as its ``controller``."""
+    ctrl = prev = LearnedController.create(buf.state_dim, buf.input_dim)
     try:
-        for _ in range(min(sweeps, MAX_ITERATIONS - ctrl.iterations)):
+        for _ in range(MAX_ITERATIONS):
             prev, ctrl = ctrl, learning_tick(ctrl, buf, cost)
             if ctrl.status == CONVERGED:
                 return ctrl
-        if ctrl.status != CONVERGED and ctrl.iterations >= MAX_ITERATIONS:
-            step = np.abs(ctrl.P_hat - prev.P_hat).max() / np.abs(ctrl.P_hat).max()
-            raise ConvergenceError(f"learner did not converge in {MAX_ITERATIONS} "
-                                   f"iterations (last gain delta {ctrl.last_gain_delta:.3e}, "
-                                   f"last value step {step:.3e})")
+        step = np.abs(ctrl.P_hat - prev.P_hat).max() / np.abs(ctrl.P_hat).max()
+        raise ConvergenceError(f"learner did not converge in {MAX_ITERATIONS} "
+                               f"iterations (last gain delta {ctrl.last_gain_delta:.3e}, "
+                               f"last value step {step:.3e})")
     except PfccError as exc:
         exc.controller = ctrl
         raise
-    return ctrl

@@ -5,11 +5,12 @@ propagation step, all observer updates (snapshot semantics: every observer
 reads the previous tick's neighbour estimates), the control law
 ``u = K z`` for every agent at once, and finally the plant, formation, and
 tracking state advance, after which the learners record the completed
-transition and iterate.  Controls are computed from the pre-update estimate
-snapshot, matching the information an agent actually has at that tick.  The
-world vector ``[x | targets | estimates]`` times the transition stack aligned
-to it gives every ``A x``, the next targets and every ``A_hat x_hat``; ``+ B u``
-and ``- mu F eta`` in place make that product the next world vector.
+transition and solve a window on the tick it fills.  Controls are computed
+from the pre-update estimate snapshot, matching the information an agent
+actually has at that tick.  The world vector ``[x | targets | estimates]``
+times the transition stack aligned to it gives every ``A x``, the next
+targets and every ``A_hat x_hat``; ``+ B u`` and ``- mu F eta`` in place make
+that product the next world vector.
 
 Three modes share the loop and its one control path; they differ only in
 how an agent finds its gain K.  ``data_driven`` runs the online learners,
@@ -418,11 +419,6 @@ class AgentLearner:
 #: run is aborted.
 MAX_WINDOW_FLUSHES = 50
 
-#: Value-iteration sweeps per tick once a window is full.  The sweeps are
-#: offline work on a frozen window; batching them shortens the interval in
-#: which the behaviour policy still carries probing noise.
-LEARN_ITERATIONS_PER_TICK = 50
-
 #: Ticks of probing noise a learner draws at once, in blocks aligned to
 #: multiples of this length.  A block costs about as much as a slow tick, so
 #: the ticks that draw one must stay well under 1% of a run (15 of the 8000
@@ -679,9 +675,9 @@ def _sync_observer_networks(state: WorldState, cfg: ScenarioConfig) -> None:
 def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int) -> None:
     """Fresh value iteration with an empty window for one agent's current
     plan layout.  A learner that had converged on the same layout keeps its
-    gain as the behaviour policy while the next window is collected and
-    iterated on (post-switch data is far cleaner than the start-up window:
-    the observers have long settled)."""
+    gain as the behaviour policy while the next window is collected
+    (post-switch data is far cleaner than the start-up window: the
+    observers have long settled)."""
     layout = state.plans[node].layout
     dim, width = (2 + len(layout)) * cfg.state_dim, cfg.dynamics_of(node).m
     old = state.learners.get(node)
@@ -772,32 +768,30 @@ def _probing_noise(cfg: ScenarioConfig, lr: AgentLearner, tick: int) -> np.ndarr
 def _learner_update(state: WorldState, cfg: ScenarioConfig, lr: AgentLearner,
                     world: np.ndarray, u: np.ndarray) -> None:
     """Record a probing learner's completed transition from the tick-k
-    ``world`` vector, its input ``u`` and the committed world, and make up to
-    ``LEARN_ITERATIONS_PER_TICK`` sweeps once ready; convergence regroups gains."""
+    ``world`` vector, its input ``u`` and the committed world, and solve the
+    window on the tick it fills; convergence regroups gains."""
     plan = state.plans[lr.node]
     if plan.gather is None:  # a warm-up input is no transition of z
         return
-    if not lr.buffer.is_full:
-        lr.buffer.record(world[plan.gather], u, state.world[plan.gather])
-    if lr.buffer.is_full:
-        cost = mc.stage_cost(cfg.q_weights[lr.node], mc.error_selector(
-            cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
-        try:
-            lr.controller = ln.iterate(lr.controller, lr.buffer, cost, LEARN_ITERATIONS_PER_TICK)
-        except PfccError as exc:
-            # the run reports the sweeps made before the error
+    if not lr.buffer.record(world[plan.gather], u, state.world[plan.gather]).is_full:
+        return
+    cost = mc.stage_cost(cfg.q_weights[lr.node], mc.error_selector(
+        cfg.state_dim, [plan.alphas[q] for q in lr.layout]))
+    try:
+        lr.controller = ln.iterate(lr.buffer, cost)
+    except DataConsistencyError as exc:
+        # samples straddled an observer transient: collect a fresh window
+        lr.flushes += 1
+        if lr.flushes > MAX_WINDOW_FLUSHES:
             lr.controller = exc.controller
-            if not isinstance(exc, DataConsistencyError):
-                raise
-            # samples straddled an observer transient: collect a fresh window
-            lr.flushes += 1
-            if lr.flushes > MAX_WINDOW_FLUSHES:
-                raise
-            lr.buffer.flush()
-            lr.controller = ln.LearnedController.create(
-                lr.buffer.state_dim, lr.buffer.input_dim)
-        if lr.controller.status == ln.CONVERGED:
-            state.gain_groups = None
+            raise
+        lr.buffer.flush()
+        return
+    except PfccError as exc:
+        # the run reports the sweeps made before the error
+        lr.controller = exc.controller
+        raise
+    state.gain_groups = None
 
 
 # ---------------------------------------------------------------------------

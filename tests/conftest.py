@@ -483,11 +483,6 @@ def hexagon_config():
     return sc.load_bundled("hexagon")
 
 
-@pytest.fixture()
-def hexagon_static_config():
-    return sc.load_bundled("hexagon_static")
-
-
 @pytest.fixture(autouse=True, scope="session")
 def validate_matches_the_per_agent_reference():
     """Every ``ScenarioConfig.validate`` call of the suite also runs

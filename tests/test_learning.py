@@ -483,7 +483,7 @@ class TestFoldedRegression:
             while ctrl.status != ln.CONVERGED:
                 self.assert_same_blocks(buf.plan().xi(ctrl.P_hat),
                                         ref.window_regression(buf, ctrl.P_hat))
-                ctrl = ln.iterate(ctrl, buf, cost, 1)
+                ctrl = ln.learning_tick(ctrl, buf, cost)
 
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e300, 1e308])
     def test_exact_and_mixed_windows_raise_or_pass_alike(self, hexagon_config, scale):
@@ -550,7 +550,7 @@ class TestWindowRule:
 
     @pytest.mark.parametrize("entry, params", [
         (ln.learning_tick, ["ctrl", "buf", "cost"]),
-        (ln.iterate, ["ctrl", "buf", "cost", "sweeps"]),
+        (ln.iterate, ["buf", "cost"]),
         (ln.DataBuffer.plan, ["self"])], ids=["learning_tick", "iterate", "plan"])
     def test_entry_points_take_no_policy(self, entry, params):
         # one rule, so no argument chooses one; the sweep keeps its window
@@ -824,8 +824,7 @@ class TestExplorationNoise:
 class TestLearningLoop:
     def converge(self, sys_, buf):
         # the driver returns converged or raises once the bound is spent
-        return ln.iterate(ln.LearnedController.create(sys_.dim, sys_.m), buf,
-                          mc.stage_cost(sys_.Q, sys_.C), ln.MAX_ITERATIONS)
+        return ln.iterate(buf, mc.stage_cost(sys_.Q, sys_.C))
 
     def test_matches_model_oracle(self, hexagon_config):
         sys_ = f1_system(hexagon_config)
@@ -837,6 +836,23 @@ class TestLearningLoop:
         assert (np.linalg.norm(ctrl.P_hat - oracle.P)
                 / np.linalg.norm(oracle.P)) < 1e-3
         assert ctrl.iterations <= 200
+
+    def test_solves_the_window_from_a_fresh_controller(self, hexagon_config, monkeypatch):
+        # the sweeps of learning_tick from a created controller up to the
+        # converged one; a bound one sweep short raises with its last sweep
+        sys_ = f1_system(hexagon_config)
+        buf = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))
+        want = ln.LearnedController.create(sys_.dim, sys_.m)
+        while want.status != ln.CONVERGED:
+            want = ln.learning_tick(want, buf, mc.stage_cost(sys_.Q, sys_.C))
+        assert_same_controller(self.converge(sys_, buf), want)
+        short = want.iterations - 1
+        monkeypatch.setattr(ln, "MAX_ITERATIONS", short)
+        with pytest.raises(ConvergenceError, match=f"did not converge in {short} iterations") \
+                as info:
+            self.converge(sys_, buf)
+        assert (info.value.controller.status, info.value.controller.iterations) \
+            == (ln.ITERATING, short)
 
     def test_partial_window_is_not_swept(self, hexagon_config):
         # a window still filling has fewer rows than unknowns: the sweep

@@ -588,6 +588,26 @@ class TestLearnerControl:
         assert counts["converged"] == len(state.learners)
         assert 0 < counts["group"] <= counts["plans"] + counts["reset"] + counts["converged"]
 
+    def test_every_window_is_solved_on_the_tick_it_fills(self, monkeypatch):
+        # each learner converges in the update that fills its window: the
+        # leaders and followers once, and the followers' relearn after the
+        # tick-4000 switch again, with no flush and no window left over
+        cfg = sc.load_bundled("hexagon")
+        update, fills = sim._learner_update, []
+
+        def learner_update(state, cfg, lr, *args):
+            rows = len(lr.buffer)
+            update(state, cfg, lr, *args)
+            if rows + 1 == lr.buffer.capacity and len(lr.buffer) != rows:
+                fills.append((state.tick, lr.node, lr.controller.status))
+        monkeypatch.setattr(sim, "_learner_update", learner_update)
+        result = sim.run(cfg)
+        assert result.completed
+        assert all(status == ln.CONVERGED for *_, status in fills)
+        switch, followers = cfg.schedule.entries[1][0], list(cfg.topology.follower_nodes)
+        assert sorted(node for tick, node, _ in fills if tick > switch) == followers
+        assert len(fills) == len(result.state.learners) + len(followers)
+
 
 class TestLearnerRestarts:
     SWITCH = 1600
@@ -1259,10 +1279,11 @@ class TestDrawnTopologyRuns:
 
     @pytest.mark.parametrize("seed", [
         1, 3, 4,
-        # at tick 1498 one follower's learner (F5 in draw 0, F3 in draws 2
-        # and 5) has spent its 3000 iterations with a gain delta of 1e-11
-        # to 2e-9 but a relative value step of 1.3e-6 to 9.9e-6, which
-        # never falls to VALUE_STEP_RTOL (a finding, kept as drawn)
+        # at tick 1439, the tick its window fills, one follower's learner
+        # (F5 in draw 0, F3 in draws 2 and 5) spends its 3000 iterations
+        # with a gain delta of 1e-11 to 2e-9 but a relative value step of
+        # 1.3e-6 to 9.9e-6, which never falls to VALUE_STEP_RTOL (a
+        # finding, kept as drawn)
         *(pytest.param(seed, marks=pytest.mark.xfail(
             reason="value step stalls above VALUE_STEP_RTOL", strict=True))
           for seed in (0, 2, 5)),
@@ -1277,6 +1298,20 @@ class TestDrawnTopologyRuns:
         for node, lr in result.state.learners.items():
             assert lr.controller.status == ln.CONVERGED, cfg.agent_name(node)
             assert lr.flushes <= sim.MAX_WINDOW_FLUSHES, cfg.agent_name(node)
+
+    def test_stalled_learner_aborts_on_its_fill_tick(self):
+        # draw 0's F5 records from learn_start_tick on and spends all its
+        # sweeps on the tick its window fills (the stall marked above)
+        cfg = self.drawn(0, mode=sim.MODE_DATA, horizon=2000, sample_interval=10)
+        result = sim.run(cfg)
+        assert (result.error.tick, result.error.agent) == (1439, "F5")
+        assert isinstance(result.error.cause, ConvergenceError)
+        assert str(result.error.cause).startswith(
+            "learner did not converge in 3000 iterations")
+        [lr] = [lr for node, lr in result.state.learners.items()
+                if cfg.agent_name(node) == "F5"]
+        assert cfg.learn_start_tick + lr.buffer.capacity - 1 == 1439
+        assert lr.buffer.is_full and lr.controller.iterations == ln.MAX_ITERATIONS
 
 
 class TestBaselineMode:
