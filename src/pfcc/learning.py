@@ -16,7 +16,10 @@ exploration noise is switched off.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -306,6 +309,50 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _svd_gufunc(a, signature="d->ddd")
 
 
+@functools.cache
+def _openblas_threads():
+    """The ``(get, set)`` thread-count calls of the OpenBLAS numpy ships
+    (``numpy.libs`` beside the package, or ``numpy/.dylibs`` on macOS),
+    looked up on first use; None when numpy's BLAS is something else."""
+    package = Path(np.__file__).parent
+    for path in [*package.parent.glob("numpy.libs/*openblas*"),
+                 *package.glob(".dylibs/*openblas*")]:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _one_blas_thread(fn):
+    """Run ``fn`` with numpy's OpenBLAS on one thread and give the caller's
+    thread count back on every exit.  A window's SVD and the fold's GEMMs
+    are too small to gain from a second thread, and the hand-off to it
+    sometimes stalls for 0.1-1 s; the exports are byte-identical at either
+    count.  The count is the process's: calls that overlap in several
+    Python threads can leave it at one."""
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        calls = _openblas_threads()
+        if calls is None:
+            return fn(*args, **kwargs)
+        get, set_ = calls
+        threads = get()
+        set_(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            set_(threads)
+    return scoped
+
+
 def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     """Gain update K = -(Xi3)^+ Xi2.
 
@@ -466,6 +513,7 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer,
     return LearnedController(p_new, k_new, xi_new, status, ctrl.iterations + 1, delta)
 
 
+@_one_blas_thread
 @np.errstate(over="ignore", invalid="ignore")
 def iterate(buf: DataBuffer, cost: np.ndarray) -> LearnedController:
     """Solve the full window ``buf``: sweeps of ``learning_tick`` from a
@@ -473,7 +521,8 @@ def iterate(buf: DataBuffer, cost: np.ndarray) -> LearnedController:
     value matrix that leaves the float range is reported by the sweep's
     checks, not as a warning.  Raises ``ConvergenceError`` once the bound
     is spent unconverged; every error carries the last controller reached
-    as its ``controller``."""
+    as its ``controller``.  The plan and the sweeps run on one OpenBLAS
+    thread, and the caller's count is restored on return or raise."""
     ctrl = prev = LearnedController.create(buf.state_dim, buf.input_dim)
     try:
         for _ in range(MAX_ITERATIONS):

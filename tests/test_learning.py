@@ -912,3 +912,85 @@ class TestLearningLoop:
 
     def test_window_default_size(self):
         assert ln.window_rows(4, 2) == ln.theta_columns(4, 2) + 12
+
+
+@pytest.mark.skipif(ln._openblas_threads() is None,
+                    reason="numpy's BLAS is not the OpenBLAS it ships, the library "
+                           "whose thread count iterate scopes")
+class TestOneBlasThread:
+    """``iterate`` builds its plan and sweeps on one OpenBLAS thread and
+    gives the caller's thread count back on every exit."""
+
+    @pytest.fixture
+    def get_threads(self):
+        """The library's thread-count getter, with the caller's count set
+        to 2; the count found before the test is restored after it."""
+        get, set_ = ln._openblas_threads()
+        before = get()
+        set_(2)
+        if get() != 2:
+            set_(before)
+            pytest.skip("OpenBLAS runs one thread on this host, so the caller's "
+                        "count reads the same as the scoped one")
+        yield get
+        set_(before)
+
+    def test_plan_and_sweeps_run_on_one_thread(self, hexagon_config, monkeypatch,
+                                               get_threads):
+        seen = []
+
+        def reading(kind, fn):
+            def read(*args):
+                seen.append((kind, get_threads()))
+                return fn(*args)
+            return read
+        monkeypatch.setattr(ln, "_svd", reading("svd", ln._svd))
+        monkeypatch.setattr(ln, "learning_tick", reading("sweep", ln.learning_tick))
+        sys_ = f1_system(hexagon_config)
+        buf = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))
+        ln.iterate(buf, mc.stage_cost(sys_.Q, sys_.C))
+        assert {kind for kind, _ in seen} == {"svd", "sweep"}
+        assert {count for _, count in seen} == {1}
+        assert get_threads() == 2
+
+    @pytest.mark.parametrize("ending", ["converged", "under_filled", "inconsistent",
+                                        "iterations_spent"])
+    def test_caller_count_is_restored(self, hexagon_config, monkeypatch, get_threads,
+                                      ending):
+        sys_ = f1_system(hexagon_config)
+        cost = mc.stage_cost(sys_.Q, sys_.C)
+        buf = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))
+        raised = {"under_filled": PersistentExcitationError,
+                  "inconsistent": DataConsistencyError,
+                  "iterations_spent": ConvergenceError}.get(ending)
+        if ending == "under_filled":
+            buf = ln.DataBuffer(sys_.dim, sys_.m, ln.window_rows(sys_.dim, sys_.m))
+            buf.record(np.ones(sys_.dim), np.ones(sys_.m), np.ones(sys_.dim))
+        elif ending == "inconsistent":
+            _, buf = TestModelBlockRegression.exact_and_mixed_windows(sys_)
+        elif ending == "iterations_spent":
+            monkeypatch.setattr(ln, "MAX_ITERATIONS", 1)
+        if raised is None:
+            assert ln.iterate(buf, cost).status == ln.CONVERGED
+        else:
+            with pytest.raises(raised):
+                ln.iterate(buf, cost)
+        assert get_threads() == 2
+
+    def test_unscoped_solve_gives_the_same_controller(self, monkeypatch, get_threads):
+        # every compare-gains window of hexagon, the F2/F4 windows whose
+        # GEMMs are large enough for OpenBLAS to thread among them: with no
+        # library found, iterate runs at the caller's 2 threads
+        scoped = [ln.iterate(buf, cost) for _, buf, cost in compare_gains_windows("hexagon", 7)]
+        monkeypatch.setattr(ln, "_openblas_threads", lambda: None)
+        counts = []
+        sweep = ln.learning_tick
+
+        def counted(*args):
+            counts.append(get_threads())
+            return sweep(*args)
+        monkeypatch.setattr(ln, "learning_tick", counted)
+        # fresh windows, so that each plan is built anew at 2 threads
+        for (_, buf, cost), want in zip(compare_gains_windows("hexagon", 7), scoped):
+            assert_same_controller(ln.iterate(buf, cost), want)
+        assert set(counts) == {2}
