@@ -99,10 +99,7 @@ class DataBuffer:
     and row t of ``psi_next`` is vecv(x+), for the t-th transition.  Each
     read builds the rows of every recorded transition in one vectorized
     pass, each entry the same elementwise product a transition at a time
-    would give, so recording costs only the copy.  The sweep plan reads
-    them once and keeps the scaled regression matrix, the ``psi_next`` rows
-    and the regression folded into one operator, not the factors of the SVD
-    it was folded from; it is cached until the next record or flush.
+    would give, so recording costs only the copy.
     """
 
     def __init__(self, state_dim: int, input_dim: int, capacity: int):
@@ -118,7 +115,6 @@ class DataBuffer:
         except (MemoryError, ValueError) as exc:
             raise MemoryError(f"learner window of {capacity} rows does not fit in memory") from exc
         self._rows = 0
-        self._plan: _WindowPlan | None = None
 
     def __len__(self) -> int:
         return self._rows
@@ -129,7 +125,7 @@ class DataBuffer:
 
     def record(self, x: np.ndarray, u: np.ndarray, x_next: np.ndarray) -> "DataBuffer":
         """Append one transition, or a stack of them as ``(rows, dim)`` arrays."""
-        x, u, x_next = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, u, x_next))
+        x, u, x_next = (np.array(a, dtype=float, copy=None, ndmin=2) for a in (x, u, x_next))
         n, m = self.state_dim, self.input_dim
         if x.shape[1:] != (n,) or x_next.shape[1:] != (n,):
             raise ValueError(f"state dimension mismatch: expected {n}")
@@ -146,12 +142,10 @@ class DataBuffer:
         self._u[start:stop] = u
         self._x_next[start:stop] = x_next
         self._rows = stop
-        self._plan = None
         return self
 
     def flush(self) -> None:
         self._rows = 0
-        self._plan = None
 
     # -- regression rows of the recorded transitions ------------------------
     def theta(self) -> np.ndarray:
@@ -165,16 +159,10 @@ class DataBuffer:
         # rounds differently on such an array
         return np.ascontiguousarray(vecv(self._x_next[: self._rows]))
 
-    def plan(self) -> "_WindowPlan":
-        """The cached sweep plan of the filled rows."""
-        if self._plan is None:
-            self._plan = _WindowPlan(self)
-        return self._plan
 
-
-class _WindowPlan:
-    """The work of a value-iteration sweep that depends only on the window,
-    done once per window.
+class WindowPlan:
+    """The work of a value-iteration sweep that depends only on the window
+    ``buf``, done once when ``iterate`` builds the plan of a full window.
 
     The regression ``theta @ xi = psi_next @ vecm(P)``, its rows scaled by
     ``scale``, is linear in ``vecm(P)``, so its min-norm solution through the
@@ -481,9 +469,10 @@ class LearnedController(NamedTuple):
                    K_hat=np.zeros((input_dim, state_dim)))
 
 
-def learning_tick(ctrl: LearnedController, buf: DataBuffer,
+def learning_tick(ctrl: LearnedController, plan: WindowPlan,
                   cost: np.ndarray) -> LearnedController:
-    """One value-iteration sweep against the full window ``buf``.
+    """One value-iteration sweep against ``plan``, a full window's
+    ``WindowPlan`` or any object whose ``xi(P)`` returns the three blocks.
 
     The value update applies the Bellman backup through the regressed Xi
     blocks of the previous iterate, the Xi blocks are re-regressed at the
@@ -493,7 +482,6 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer,
     at which point the behaviour policy switches to the learned gain without
     probing noise.  ``cost`` is the window's ``model_control.stage_cost``.
     """
-    plan = buf.plan()
     xi_prev = ctrl.Xi
     if xi_prev is None:
         xi_prev = plan.xi(ctrl.P_hat)
@@ -516,17 +504,19 @@ def learning_tick(ctrl: LearnedController, buf: DataBuffer,
 @_one_blas_thread
 @np.errstate(over="ignore", invalid="ignore")
 def iterate(buf: DataBuffer, cost: np.ndarray) -> LearnedController:
-    """Solve the full window ``buf``: sweeps of ``learning_tick`` from a
-    fresh controller until one converges, at most ``MAX_ITERATIONS``; a
-    value matrix that leaves the float range is reported by the sweep's
-    checks, not as a warning.  Raises ``ConvergenceError`` once the bound
-    is spent unconverged; every error carries the last controller reached
-    as its ``controller``.  The plan and the sweeps run on one OpenBLAS
-    thread, and the caller's count is restored on return or raise."""
+    """Solve the full window ``buf``: build its ``WindowPlan`` once, then
+    sweep it with ``learning_tick`` from a fresh controller until one
+    converges, at most ``MAX_ITERATIONS``; a value matrix that leaves the
+    float range is reported by the sweep's checks, not as a warning.
+    Raises ``ConvergenceError`` once the bound is spent unconverged; every
+    error, the plan's included, carries the last controller reached as its
+    ``controller``.  The plan and the sweeps run on one OpenBLAS thread, and
+    the caller's count is restored on return or raise."""
     ctrl = prev = LearnedController.create(buf.state_dim, buf.input_dim)
     try:
+        plan = WindowPlan(buf)
         for _ in range(MAX_ITERATIONS):
-            prev, ctrl = ctrl, learning_tick(ctrl, buf, cost)
+            prev, ctrl = ctrl, learning_tick(ctrl, plan, cost)
             if ctrl.status == CONVERGED:
                 return ctrl
         step = np.abs(ctrl.P_hat - prev.P_hat).max() / np.abs(ctrl.P_hat).max()

@@ -81,21 +81,21 @@ def reference_gain_update(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     return -np.matmul(vt.T, s[:, None] * u.T) @ xi2
 
 
-def reference_sweep(ctrl: ln.LearnedController, buf: ln.DataBuffer,
+def reference_sweep(ctrl: ln.LearnedController, plan: ln.WindowPlan,
                     cost: np.ndarray) -> ln.LearnedController:
-    """Reference: one value-iteration sweep composed step by step,
-    the form ``learning.learning_tick`` must match bit for bit: the
-    ``symmetrize``d Bellman backup, the regression of the window's plan
-    (``DataBuffer.plan().xi``, each looked up anew) at the previous and
+    """Reference: one value-iteration sweep against ``plan``, a window's
+    ``learning.WindowPlan``, composed step by step, the form
+    ``learning.learning_tick`` must match bit for bit: the ``symmetrize``d
+    Bellman backup, the plan's regression ``plan.xi`` at the previous and
     the new value matrix, and ``reference_gain_update``."""
     xi_prev = ctrl.Xi
     if xi_prev is None:
-        xi_prev = buf.plan().xi(ctrl.P_hat)
+        xi_prev = plan.xi(ctrl.P_hat)
     xi1, xi2, xi3 = xi_prev
     k = ctrl.K_hat
     backup = mo.symmetrize(cost + xi1 + k.T @ xi2 + xi2.T @ k + k.T @ xi3 @ k)
     p_new = (1.0 - mc.VI_AVERAGING) * ctrl.P_hat + mc.VI_AVERAGING * backup
-    xi_new = buf.plan().xi(p_new)
+    xi_new = plan.xi(p_new)
     k_new = reference_gain_update(xi_new[1], xi_new[2])
     delta = float(np.linalg.norm(k_new - ctrl.K_hat))
     settled = (delta < ln.GAIN_DELTA_THRESHOLD

@@ -14,6 +14,8 @@ the unit tests check against; the engine calls none of them.
 - ``window_regression``: one sweep's regression of the Xi blocks through
   the SVD of the window, unfolded, of which the engine's window plan keeps
   only the folded product;
+- ``ExactPlan``: the exact blocks of a known system, the noise-free twin
+  of a window's plan that ``learning.learning_tick`` can sweep;
 - ``spectral_radius``;
 - ``is_positive_definite``, ``is_stabilizable``,
   ``min_norm_regulation_solution`` and ``validate_per_agent``: the
@@ -32,8 +34,8 @@ import numpy as np
 from pfcc import learning as ln
 from pfcc.errors import (ConvergenceError, DataConsistencyError, PersistentExcitationError,
                          PfccError, RegulationError)
-from pfcc.matops import SYMMETRY_ATOL, pinv, square_index, vecm
-from pfcc.model_control import MARGINAL_TOL, REGULATION_RTOL, AgentDynamics
+from pfcc.matops import SYMMETRY_ATOL, pinv, square_index, symmetrize, vecm
+from pfcc.model_control import MARGINAL_TOL, REGULATION_RTOL, AgentDynamics, AugmentedSystem
 from pfcc.observers import ObserverConfig
 from pfcc.topology import DirectedTopology, closure, verify_assumption1
 
@@ -119,8 +121,8 @@ def window_regression(buf: ln.DataBuffer, p: np.ndarray
     SVD ``U S V^T`` of the scaled ``theta`` from ``np.linalg.svd``, as three
     products ``V (S^-1 (U^T rhs))`` of the scaled right-hand side, with the
     relative residual of that solution checked against it.  Raises the
-    errors of ``DataBuffer.plan().xi`` under the same window rule and
-    thresholds: ``PersistentExcitationError`` for a window with fewer rows
+    errors of ``WindowPlan(buf)`` and its ``xi`` under the same window rule
+    and thresholds: ``PersistentExcitationError`` for a window with fewer rows
     than unknowns or without excitation, ``DataConsistencyError`` for
     inconsistent rows and ``ConvergenceError`` for a regression that is not
     finite."""
@@ -153,6 +155,20 @@ def window_regression(buf: ln.DataBuffer, p: np.ndarray
     c1, c2 = weights1.size, weights1.size + n * m
     return ((solution[:c1] / weights1)[full1], solution[c1:c2].reshape((m, n), order="F"),
             (solution[c2:] / weights3)[full3])
+
+
+class ExactPlan:
+    """A plan for ``learning.learning_tick`` that answers ``xi(P)`` with the
+    exact blocks ``(A^T P A, B^T P A, B^T P B)`` of the augmented system
+    ``sys``, what a window's regression recovers without noise; the two
+    square blocks are ``symmetrize``d, as the sweep needs them."""
+
+    def __init__(self, sys: AugmentedSystem):
+        self.sys = sys
+
+    def xi(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a, b = self.sys.A_bar, self.sys.B_bar
+        return symmetrize(a.T @ p @ a), b.T @ p @ a, symmetrize(b.T @ p @ b)
 
 
 def spectral_radius(m: np.ndarray) -> float:

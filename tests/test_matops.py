@@ -140,7 +140,7 @@ class TestUnvecm:
         cols = ln.theta_columns(n, n)
         x = rng.normal(size=(cols + 2, n))
         buf = ln.DataBuffer(n, n, cols + 2).record(x, rng.normal(size=(cols + 2, n)), x)
-        plan = buf.plan()
+        plan = ln.WindowPlan(buf)
         size = n * (n + 1) // 2
         specials = np.array([0.0, -0.0, 5e-324, -1e-310, 1.7e308, np.inf, -np.inf, np.nan])
         for k in range(50):
