@@ -165,42 +165,53 @@ class WindowPlan:
     ``buf``, done once when ``iterate`` builds the plan of a full window.
 
     The regression ``theta @ xi = psi_next @ vecm(P)``, its rows scaled by
-    ``scale``, is linear in ``vecm(P)``, so its min-norm solution through the
-    truncated SVD ``U S V^T`` of the scaled ``theta`` is folded, when the plan
-    is built, into one ``(unknowns, psi)`` operator
-    ``V S^-1 U^T diag(scale) psi_next``; the SVD factors are not kept.  The
-    plan keeps that fold, the scaled regression matrix, its row scale and
-    the ``psi_next`` rows, from which each sweep forms its right-hand side
-    and residual for the consistency check, and the tables that unpack a
-    solution into the Xi blocks.  A window needs at least as many rows as
-    unknowns; its regression is solved min-norm over the singular directions
-    above ``RANK_RCOND * s[0]``, which keeps a window whose augmented state
-    is partly unexcited (for example a tracking block resting at the origin)
-    from amplifying round-off into the gain."""
+    ``scale``, is linear in ``vecm(P)``, so its solution is folded, when the
+    plan is built, into one ``(unknowns, psi)`` operator; the factors are
+    not kept.  A window needs at least as many rows as unknowns; its
+    regression is solved min-norm over the singular directions above
+    ``RANK_RCOND * s[0]``, which keeps a window whose augmented state is
+    partly unexcited (for example a tracking block resting at the origin)
+    from amplifying round-off into the gain.  When the Householder QR
+    ``Q R`` of the scaled ``theta`` certifies that the rule keeps every
+    direction, as on a probe window, the fold is
+    ``R^-1 Q^T diag(scale) psi_next``, the same solution for a fraction of
+    an SVD's flops; otherwise, as on the engine's closed-loop windows, it is
+    ``V S^-1 U^T diag(scale) psi_next`` over the kept directions of the
+    truncated SVD ``U S V^T``.  The plan keeps the fold, the scaled
+    regression matrix, its row scale and the ``psi_next`` rows, from which
+    each sweep forms its right-hand side and residual for the consistency
+    check, and the tables that unpack a solution into the Xi blocks.  A
+    row whose norm is not finite, an overflow included, raises
+    ``ConvergenceError``."""
 
     __slots__ = ("scale", "psi_next", "_matrix", "_fold",
                  "_xi2", "_xi2_shape", "_weights", "_xi1_gather", "_xi3_gather")
 
     def __init__(self, buf: DataBuffer):
         theta = buf.theta()
-        self.scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
-        matrix = theta * self.scale[:, None]
-        if not np.isfinite(matrix).all():
+        norms = np.linalg.norm(theta, axis=1)
+        # a row norm that overflows would scale its row to zero
+        if not np.isfinite(norms).all():
             raise ConvergenceError("window regression is not finite; the window "
                                    "has left the float range")
+        self.scale = 1.0 / np.maximum(1.0, norms)
+        matrix = theta * self.scale[:, None]
         if matrix.shape[0] < matrix.shape[1]:
             raise PersistentExcitationError(
                 f"window has {matrix.shape[0]} rows for {matrix.shape[1]} unknowns; "
                 "collect more samples")
-        u, s, vt = _svd(matrix)
-        if s[0] == 0.0:
-            raise PersistentExcitationError(
-                "regression matrix is zero; no excitation in the window")
-        keep = s > RANK_RCOND * s[0]
         self._matrix = matrix
         self.psi_next = buf.psi_next()
-        self._fold = vt[keep].T @ ((1.0 / s[keep])[:, None]
-                                   * (u[:, keep].T @ (self.scale[:, None] * self.psi_next)))
+        rhs = self.scale[:, None] * self.psi_next
+        fold = _certified_qr_fold(matrix, rhs)
+        if fold is None:
+            u, s, vt = _svd(matrix)
+            if s[0] == 0.0:
+                raise PersistentExcitationError(
+                    "regression matrix is zero; no excitation in the window")
+            keep = s > RANK_RCOND * s[0]
+            fold = vt[keep].T @ ((1.0 / s[keep])[:, None] * (u[:, keep].T @ rhs))
+        self._fold = fold
         n, m = buf.state_dim, buf.input_dim
         c1 = psi_columns(n)
         self._xi2 = slice(c1, c1 + n * m)
@@ -271,6 +282,25 @@ class WindowPlan:
                 unscaled[self._xi3_gather])
 
 
+def _certified_qr_fold(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """The least-squares fold ``inv(R) @ (Q^T rhs)`` of ``matrix``'s reduced
+    Householder QR, or None unless the QR certifies that the truncated SVD
+    would keep every direction, ``s[-1] > RANK_RCOND * s[0]``.  ``matrix``
+    and ``R`` share their singular values, with ``s[-1] <= min|R_ii|`` and
+    ``s[0] >= max|R_ii|``, so a diagonal ratio at or below ``RANK_RCOND``
+    means the SVD would truncate, and no inverse is taken; otherwise
+    ``s[0] / s[-1] <= ||R||_F ||inv(R)||_F`` decides.  The factors are
+    released on return, before any SVD of the same window."""
+    q, r = np.linalg.qr(matrix)
+    diag = np.abs(np.diagonal(r))
+    if not diag.min() > RANK_RCOND * diag.max():
+        return None
+    r_inv = np.linalg.inv(r)
+    if not _norm(r) * _norm(r_inv) * RANK_RCOND < 1.0:
+        return None
+    return r_inv @ (q.T @ rhs)
+
+
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a real array, bit for bit numpy's ``linalg.norm``
     (``sqrt(x.dot(x))`` over the entries flattened in memory order).
@@ -321,8 +351,8 @@ def _openblas_threads():
 
 def _one_blas_thread(fn):
     """Run ``fn`` with numpy's OpenBLAS on one thread and give the caller's
-    thread count back on every exit.  A window's SVD and the fold's GEMMs
-    are too small to gain from a second thread, and the hand-off to it
+    thread count back on every exit.  A window's QR or SVD and the fold's
+    GEMMs are too small to gain from a second thread, and the hand-off to it
     sometimes stalls for 0.1-1 s; the exports are byte-identical at either
     count.  The count is the process's: calls that overlap in several
     Python threads can leave it at one."""

@@ -125,12 +125,13 @@ def window_regression(buf: ln.DataBuffer, p: np.ndarray
     and thresholds: ``PersistentExcitationError`` for a window with fewer rows
     than unknowns or without excitation, ``DataConsistencyError`` for
     inconsistent rows and ``ConvergenceError`` for a regression that is not
-    finite."""
+    finite, a row norm that overflows included."""
     theta = buf.theta()
-    scale = 1.0 / np.maximum(1.0, np.linalg.norm(theta, axis=1))
-    matrix = theta * scale[:, None]
-    if not np.isfinite(matrix).all():
+    norms = np.linalg.norm(theta, axis=1)
+    if not np.isfinite(norms).all():
         raise ConvergenceError("window regression is not finite")
+    scale = 1.0 / np.maximum(1.0, norms)
+    matrix = theta * scale[:, None]
     if matrix.shape[0] < matrix.shape[1]:
         raise PersistentExcitationError("fewer rows than unknowns")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)

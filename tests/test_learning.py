@@ -482,9 +482,10 @@ class TestFoldedRegression:
 
     RTOL = 1e-12
 
-    def assert_same_blocks(self, got, want):
+    @classmethod
+    def assert_same_blocks(cls, got, want, rtol=RTOL):
         for a, b in zip(got, want):
-            assert np.abs(a - b).max() <= self.RTOL * np.abs(b).max()
+            assert np.abs(a - b).max() <= rtol * np.abs(b).max()
 
     @pytest.mark.parametrize("seed", [7, 2024])
     @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
@@ -512,10 +513,57 @@ class TestFoldedRegression:
                 assert got[0] is want[0] and issubclass(got[0], Exception)
 
 
+@pytest.fixture
+def window_paths(monkeypatch):
+    """The solve each ``WindowPlan`` built in the test takes, in build
+    order: "qr" for the certified QR fold, "svd" for the truncated SVD."""
+    paths = []
+    certified = ln._certified_qr_fold
+
+    def spy(*args):
+        fold = certified(*args)
+        paths.append("svd" if fold is None else "qr")
+        return fold
+    monkeypatch.setattr(ln, "_certified_qr_fold", spy)
+    return paths
+
+
+class ScaledColumnWindow:
+    """``hexagon`` F1's seed-7 probe window, each row of its regression
+    scaled to a norm of 1/2 so that a plan scales none of them, with column 0
+    (``x_0^2``) scaled until ``s[-1] / s[0]`` reads ``ratio``.  Its
+    ``psi_next`` rows are consistent with ``solution``, a fixed random
+    operator whose row 0 is scaled alike, so dropping the weak direction
+    leaves a residual far inside ``CONSISTENCY_RTOL`` yet moves the
+    solution by about 5e-5 of its largest block entry."""
+
+    def __init__(self, ratio):
+        _, buf, _ = next(compare_gains_windows("hexagon", 7))
+        self.state_dim, self.input_dim = buf.state_dim, buf.input_dim
+        theta = buf.theta()
+        matrix = theta / (2.0 * np.linalg.norm(theta, axis=1))[:, None]
+        column = np.ones(matrix.shape[1])
+        for _ in range(8):  # s[-1] is about proportional to the column's scale
+            s = np.linalg.svd(matrix * column, compute_uv=False)
+            column[0] *= ratio / (s[-1] / s[0])
+        self._theta = matrix * column
+        rng = np.random.default_rng(3)
+        self.solution = column[:, None] * rng.normal(
+            size=(matrix.shape[1], ln.psi_columns(buf.state_dim)))
+        self._psi_next = self._theta @ self.solution
+
+    def theta(self):
+        return self._theta
+
+    def psi_next(self):
+        return self._psi_next
+
+
 class TestWindowRule:
     """The one window rule of every learner: at least as many rows as
     unknowns, solved min-norm over the singular directions above
-    ``RANK_RCOND * s[0]``."""
+    ``RANK_RCOND * s[0]``; by Householder QR when the window is certified to
+    keep every direction, otherwise by the truncated SVD."""
 
     @pytest.mark.parametrize("extra", [-1, 0])
     @pytest.mark.parametrize("name, agent", AGENTS_BY_WIDTH)
@@ -594,6 +642,52 @@ class TestWindowRule:
                 scaled = buf.theta() * ln.WindowPlan(buf).scale[:, None]
                 s = np.linalg.svd(scaled, compute_uv=False)
                 assert s[-1] > ln.RANK_RCOND * s[0], (agent, seed, s[0] / s[-1])
+
+    @pytest.mark.parametrize("seed", [7, 2024])
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_probe_windows_take_the_qr_path(self, name, seed, window_paths):
+        # condition numbers 18-220: the QR solve is the SVD's to round-off
+        rng = np.random.default_rng(seed)
+        agents = []
+        for agent, buf, _ in compare_gains_windows(name, seed):
+            agents.append(agent)
+            p = rng.normal(size=(buf.state_dim, buf.state_dim))
+            p = p @ p.T + np.eye(buf.state_dim)
+            TestFoldedRegression.assert_same_blocks(ln.WindowPlan(buf).xi(p),
+                                                    ref.window_regression(buf, p))
+        assert window_paths == ["qr"] * len(agents)
+
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_engine_windows_take_the_svd_path(self, name, window_paths):
+        # closed-loop windows leave directions unexcited (they keep 10-27 of
+        # 28-171): ten start-up windows and the followers' four after the
+        # tick-4000 switch, each rejected by its QR's diagonal
+        cfg = dataclasses.replace(sc.load_bundled(name), mode=sim.MODE_DATA, horizon=4300)
+        assert sim.run(cfg).error is None
+        assert window_paths == ["svd"] * 14
+
+    def test_window_below_the_floor_falls_back_to_the_svd(self, window_paths):
+        window = ScaledColumnWindow(0.99 * ln.RANK_RCOND)
+        p = np.eye(window.state_dim)
+        plan = ln.WindowPlan(window)
+        assert window_paths == ["svd"]
+        got = plan.xi(p)
+        TestFoldedRegression.assert_same_blocks(got, ref.window_regression(window, p))
+        full = plan.blocks(window.solution @ mo.vecm(p))
+        gap = max(np.abs(a - b).max() / np.abs(b).max() for a, b in zip(got, full))
+        assert gap > 1e-6
+
+    def test_window_above_the_floor_gets_the_full_solve(self):
+        # a condition number of 1e6 leaves about 1e6 eps of round-off, so
+        # the solves agree within 1e-9, and the dropped direction is 5e-5
+        window = ScaledColumnWindow(1.01 * ln.RANK_RCOND)
+        p = np.eye(window.state_dim)
+        plan = ln.WindowPlan(window)
+        got = plan.xi(p)
+        TestFoldedRegression.assert_same_blocks(got, ref.window_regression(window, p),
+                                                rtol=1e-9)
+        TestFoldedRegression.assert_same_blocks(
+            got, plan.blocks(window.solution @ mo.vecm(p)), rtol=1e-9)
 
 
 #: A value-iteration sweep for the three-input leader L3 of ``hexagon`` on
@@ -998,8 +1092,11 @@ class TestOneBlasThread:
         yield get
         set_(before)
 
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
     def test_plan_and_sweeps_run_on_one_thread(self, hexagon_config, monkeypatch,
-                                               get_threads):
+                                               get_threads, rank):
+        # a full-rank window is solved by its QR; one whose tracking block
+        # rests at the origin is truncated, by the SVD after the QR
         seen = []
 
         def reading(kind, fn):
@@ -1007,12 +1104,23 @@ class TestOneBlasThread:
                 seen.append((kind, get_threads()))
                 return fn(*args)
             return read
+        monkeypatch.setattr(ln, "_certified_qr_fold",
+                            reading("qr", ln._certified_qr_fold))
         monkeypatch.setattr(ln, "_svd", reading("svd", ln._svd))
         monkeypatch.setattr(ln, "learning_tick", reading("sweep", ln.learning_tick))
         sys_ = f1_system(hexagon_config)
         buf = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))
-        ln.iterate(buf, mc.stage_cost(sys_.Q, sys_.C))
-        assert {kind for kind, _ in seen} == {"svd", "sweep"}
+        if rank == "deficient":
+            rng = np.random.default_rng(42)
+            x = rng.normal(size=(buf.capacity, sys_.dim))
+            x[:, 2:] = 0.0
+            u = rng.normal(size=(buf.capacity, sys_.m))
+            buf.flush()
+            buf.record(x, u, x @ sys_.A_bar.T + u @ sys_.B_bar.T)
+        assert ln.iterate(buf, mc.stage_cost(sys_.Q, sys_.C)).status == ln.CONVERGED
+        plan_steps = ["qr"] if rank == "full" else ["qr", "svd"]
+        assert [kind for kind, _ in seen[:len(plan_steps) + 1]] == plan_steps + ["sweep"]
+        assert {kind for kind, _ in seen} == {*plan_steps, "sweep"}
         assert {count for _, count in seen} == {1}
         assert get_threads() == 2
 
@@ -1040,11 +1148,14 @@ class TestOneBlasThread:
                 ln.iterate(buf, cost)
         assert get_threads() == 2
 
-    def test_unscoped_solve_gives_the_same_controller(self, monkeypatch, get_threads):
-        # every compare-gains window of hexagon, the F2/F4 windows whose
-        # GEMMs are large enough for OpenBLAS to thread among them: with no
-        # library found, iterate runs at the caller's 2 threads
-        windows = list(compare_gains_windows("hexagon", 7))
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_unscoped_solve_gives_the_same_controller(self, monkeypatch, get_threads,
+                                                      name):
+        # every compare-gains window, the F2/F4 windows (up to 183x171 in
+        # hexagon_static, the largest QR) large enough for OpenBLAS to thread
+        # among them: with no library found, iterate runs at the caller's 2
+        # threads
+        windows = list(compare_gains_windows(name, 7))
         scoped = [ln.iterate(buf, cost) for _, buf, cost in windows]
         monkeypatch.setattr(ln, "_openblas_threads", lambda: None)
         counts = []

@@ -856,8 +856,8 @@ def set_l1_x0(raw):
     raw["leaders"][0]["x0"] = [0.0, 1e308]
 
 
-def set_f1_warmup_gain(raw):
-    raw["followers"][0]["warmup_gain"] = [[1e308, 1e308]]
+def set_f1_warmup_gain(raw, gain):
+    raw["followers"][0]["warmup_gain"] = [[gain, gain]]
 
 
 class TestOverflowingInputs:
@@ -892,10 +892,14 @@ class TestOverflowingInputs:
         assert not result.completed and result.error.tick == 0
         assert "plant state diverged" in str(result.error)
 
-    def test_huge_warm_up_gain_fails_its_agent(self, tmp_path):
-        _, proc = self.pfcc(tmp_path, set_f1_warmup_gain, "validate")
+    # at 1e100 each row's norm overflows though its entries stay finite
+    @pytest.mark.parametrize("gain", [1e100, 1e308])
+    def test_huge_warm_up_gain_fails_its_agent(self, tmp_path, gain):
+        def edit(raw):
+            set_f1_warmup_gain(raw, gain)
+        _, proc = self.pfcc(tmp_path, edit, "validate")
         assert proc.returncode == cli.EXIT_OK
-        _, proc = self.pfcc(tmp_path, set_f1_warmup_gain, "compare-gains")
+        _, proc = self.pfcc(tmp_path, edit, "compare-gains")
         assert proc.returncode == cli.EXIT_CONVERGENCE and proc.stderr == "", proc.stderr
         failed = [line for line in proc.stdout.splitlines() if "FAILED" in line]
         assert failed == ["F1        FAILED: window regression is not finite; "
