@@ -174,15 +174,16 @@ class WindowPlan:
     from amplifying round-off into the gain.  When the Householder QR
     ``Q R`` of the scaled ``theta`` certifies that the rule keeps every
     direction, as on a probe window, the fold is
-    ``R^-1 Q^T diag(scale) psi_next``, the same solution for a fraction of
-    an SVD's flops; otherwise, as on the engine's closed-loop windows, it is
+    ``R^-1 Q^T diag(scale) psi_next``, ``R^-1`` inverted as a triangle, the
+    same solution for a fraction of an SVD's flops; otherwise it is
     ``V S^-1 U^T diag(scale) psi_next`` over the kept directions of the
-    truncated SVD ``U S V^T``.  The plan keeps the fold, the scaled
-    regression matrix, its row scale and the ``psi_next`` rows, from which
-    each sweep forms its right-hand side and residual for the consistency
-    check, and the tables that unpack a solution into the Xi blocks.  A
-    row whose norm is not finite, an overflow included, raises
-    ``ConvergenceError``."""
+    truncated SVD ``U S V^T``.  A window with an all-zero column, as every
+    engine closed-loop window has, goes to the SVD without a QR.  The plan
+    keeps the fold, the scaled regression matrix, its row scale and the
+    ``psi_next`` rows, from which each sweep forms its right-hand side and
+    residual for the consistency check, and the tables that unpack a
+    solution into the Xi blocks.  A row whose norm is not finite, an
+    overflow included, raises ``ConvergenceError``."""
 
     __slots__ = ("scale", "psi_next", "_matrix", "_fold",
                  "_xi2", "_xi2_shape", "_weights", "_xi1_gather", "_xi3_gather")
@@ -285,20 +286,42 @@ class WindowPlan:
 def _certified_qr_fold(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """The least-squares fold ``inv(R) @ (Q^T rhs)`` of ``matrix``'s reduced
     Householder QR, or None unless the QR certifies that the truncated SVD
-    would keep every direction, ``s[-1] > RANK_RCOND * s[0]``.  ``matrix``
-    and ``R`` share their singular values, with ``s[-1] <= min|R_ii|`` and
+    would keep every direction, ``s[-1] > RANK_RCOND * s[0]``.  A window
+    with an all-zero column, as every engine window has, is rank deficient
+    and returns None without a QR (Householder reflections would keep that
+    column zero, and its ``R_jj`` would be 0).  ``matrix`` and ``R`` share
+    their singular values, with ``s[-1] <= min|R_ii|`` and
     ``s[0] >= max|R_ii|``, so a diagonal ratio at or below ``RANK_RCOND``
     means the SVD would truncate, and no inverse is taken; otherwise
-    ``s[0] / s[-1] <= ||R||_F ||inv(R)||_F`` decides.  The factors are
-    released on return, before any SVD of the same window."""
+    ``s[0] / s[-1] <= ||R||_F ||inv(R)||_F`` decides, ``inv(R)`` taken as a
+    triangle by ``_upper_inverse``.  The factors are released on return,
+    before any SVD of the same window."""
+    if not matrix.any(axis=0).all():
+        return None
     q, r = np.linalg.qr(matrix)
     diag = np.abs(np.diagonal(r))
     if not diag.min() > RANK_RCOND * diag.max():
         return None
-    r_inv = np.linalg.inv(r)
+    r_inv = _upper_inverse(r)
     if not _norm(r) * _norm(r_inv) * RANK_RCOND < 1.0:
         return None
     return r_inv @ (q.T @ rhs)
+
+
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of an upper-triangular ``r`` with a nonzero diagonal, by the
+    2x2 block rule ``inv([[A, B], [0, D]]) = [[Ai, -(Ai B) Di], [0, Di]]``
+    down to blocks of at most 32 columns, which ``np.linalg.inv`` inverts
+    (its LU of a triangle pivots on the diagonal and leaves the lower part
+    zero).  About a third of the flops of a general inverse, most of them
+    in matrix products, with the same error bounds (Du Croz and Higham,
+    IMA J. Numer. Anal. 12, 1992); the strictly lower part is exactly 0."""
+    n = r.shape[0]
+    if n <= 32:
+        return np.linalg.inv(r)
+    h = n // 2
+    a_inv, d_inv = _upper_inverse(r[:h, :h]), _upper_inverse(r[h:, h:])
+    return np.block([[a_inv, -(a_inv @ r[:h, h:]) @ d_inv], [np.zeros((n - h, h)), d_inv]])
 
 
 def _norm(v: np.ndarray) -> float:

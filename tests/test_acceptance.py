@@ -1,5 +1,6 @@
-"""Acceptance suite: one test per release criterion, each printing a
-PASS line with its headline numbers.
+"""Acceptance suite: one test per release criterion (two for criterion 4:
+the probe windows and the engine's own learners), each printing a PASS
+line with its headline numbers.
 
 The two full-horizon runs (oscillating and station-keeping shapes) are
 shared across criteria through module-scoped fixtures; their wall time is
@@ -15,6 +16,7 @@ import pytest
 import reference as ref
 from conftest import SWAP, known_leaders, model_of, relay_line_topology
 from pfcc import cli
+from pfcc import learning as ln
 from pfcc import matops as mo
 from pfcc import model_control as mc
 from pfcc import propagation as pr
@@ -50,6 +52,32 @@ def static_run():
     cfg.record_states = True
     result, elapsed = _timed_run(cfg)
     return cfg, result, elapsed
+
+
+@pytest.fixture(scope="module")
+def before_switch_runs():
+    """Both bundled ``data_driven`` runs stopped at tick 3999, the last
+    tick before their tick-4000 propensity switch."""
+    runs = []
+    for name in ("hexagon", "hexagon_static"):
+        cfg = sc.load_bundled(name)
+        cfg.horizon = 3999
+        cfg.sample_interval = 10
+        runs.append((cfg, _timed_run(cfg)[0]))
+    return runs
+
+
+def _excited_gap(z, k_hat, k_oracle):
+    """Relative gap of ``k_hat`` to ``k_oracle`` on the directions the
+    recorded augmented states ``z`` (one per row) excite: the right
+    singular vectors above 1e-6 of the largest singular value.  Returns the
+    gap and the number of those directions; a window that excites nothing
+    keeps none, and its gap is nan."""
+    _, s, vt = np.linalg.svd(z, full_matrices=False)
+    basis = vt[s > 1e-6 * s[0]].T
+    with np.errstate(invalid="ignore"):
+        gap = np.linalg.norm((k_hat - k_oracle) @ basis) / np.linalg.norm(k_oracle @ basis)
+    return float(gap), basis.shape[1]
 
 
 def test_criterion_1_propagation(hexagon_config):
@@ -167,6 +195,39 @@ def test_criterion_4_learner_matches_oracle(hexagon_config):
     print(f"\n[PASS] criterion 4: learned gains match the model solution for "
           f"all 10 agents, worst |K| gap {worst_k:.2e}, |P| gap {worst_p:.2e} "
           f"({elapsed:.1f}s)")
+
+
+def test_criterion_4_engine_learners_match_oracle(before_switch_runs, hexagon_run,
+                                                  static_run):
+    # the gains the engine applies are defined only on the directions their
+    # windows excite (3-4 of 6-16), so the gap is read there, before the
+    # switch and at the end of both runs
+    start = time.perf_counter()
+    worst, ranks = 0.0, set()
+    for cfg, result in before_switch_runs + [hexagon_run[:2], static_run[:2]]:
+        state = result.state
+        assert len(state.learners) == 10
+        for node, lr in state.learners.items():
+            name = (cfg.horizon, cfg.agent_name(node))
+            assert lr.controller.status == ln.CONVERGED, name
+            plan = state.plans[node]
+            assert lr.layout == plan.layout, name
+            k_oracle = sim.synthesize_oracle_gains(cfg, node, plan.layout, plan.alphas)
+            gap, rank = _excited_gap(lr.buffer._x[: len(lr.buffer)], lr.controller.K_hat,
+                                     k_oracle)
+            assert rank >= 3, name
+            assert gap < 1e-3, (name, gap)
+            worst = max(worst, gap)
+            ranks.add(rank)
+    # a window that excites nothing fails both checks
+    gap, rank = _excited_gap(np.zeros((40, 6)), np.ones((1, 6)), np.ones((1, 6)))
+    assert rank == 0 and not gap < 1e-3
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    print(f"\n[PASS] criterion 4 (engine): all 40 converged learners of both runs, "
+          f"before the switch and at the end, match the model gain on their "
+          f"excited directions (ranks {min(ranks)}-{max(ranks)}), worst gap "
+          f"{worst:.2e} ({elapsed:.1f}s)")
 
 
 def test_criterion_5_observer_convergence(hexagon_run):

@@ -104,19 +104,20 @@ COMPARE_SEEDS = (7, 11, 2024, 31337)
 #: ``hexagon_static_baseline`` reads the Laplacian weights of
 #: ``fcc_baseline`` mode.  Re-pinned when the probe noise came from the
 #: probe's own generator, when the window regression became one product of a
-#: folded operator, and when a well-conditioned window's fold came from its
+#: folded operator, when a well-conditioned window's fold came from its
 #: Householder QR instead of its SVD (the gaps moved by round-off, at most
-#: 5e-13); every iteration count held.
+#: 5e-13), and when that QR's R was inverted as a triangle instead of by a
+#: general LU inverse (at most 2.6e-14); every iteration count held.
 COMPARE_REPORTS = {
     "hexagon": (
         "hexagon", {},
-        "eb25a7cb0c286736e09a06a62820e42c30fb58ade9c138df8578564db23f1a75"),
+        "49d04c392eafea42207da07b001d04dcf127944c03dbabb328dfcf02e50a9e56"),
     "hexagon_static": (
         "hexagon_static", {},
-        "3d1fb43e6ffd882e1e45ca4edfb52d41def877784c1e9c86255fd39cf512f597"),
+        "924160affcd8ad8bbffab88d539b7f9b0bb084d7c6bb006f26cf0d422f4aa683"),
     "hexagon_static_baseline": (
         "hexagon_static", dict(mode=sim.MODE_BASELINE),
-        "3fb4311428b0b74936bc501b543a8cdb4af323d72cce17afa95868b079387fe7"),
+        "4b0f5c364080d082c9a814ff6e86e6e9b6b1da93b1e5cb50d828aedfa43b4c8c"),
 }
 
 

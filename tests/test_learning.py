@@ -405,10 +405,10 @@ class TestWindowPlan:
             ln.WindowPlan(buf).xi(p)
 
 
-def compare_gains_windows(name, seed):
+def compare_gains_windows(name, seed, mode=sim.MODE_DATA):
     """(agent, probe window, stage cost) of every agent ``compare-gains``
-    audits in a bundled scenario at one probe seed."""
-    cfg = dataclasses.replace(sc.load_bundled(name), seed=seed)
+    audits in a bundled scenario at one probe seed, in ``mode``."""
+    cfg = dataclasses.replace(sc.load_bundled(name), seed=seed, mode=mode)
     coeffs = cli.effective_coefficients(cfg)
     for node in cfg.topology.follower_nodes + cfg.topology.leader_nodes:
         alphas = coeffs.get(node, {node: 1.0})
@@ -661,10 +661,35 @@ class TestWindowRule:
     def test_engine_windows_take_the_svd_path(self, name, window_paths):
         # closed-loop windows leave directions unexcited (they keep 10-27 of
         # 28-171): ten start-up windows and the followers' four after the
-        # tick-4000 switch, each rejected by its QR's diagonal
+        # tick-4000 switch, each rejected by an all-zero column
         cfg = dataclasses.replace(sc.load_bundled(name), mode=sim.MODE_DATA, horizon=4300)
         assert sim.run(cfg).error is None
         assert window_paths == ["svd"] * 14
+
+    def test_window_with_a_zero_column_skips_the_qr(self, hexagon_config, monkeypatch,
+                                                    window_paths):
+        # a zero column is a zero diagonal entry of R, so such a window goes
+        # to the SVD without a QR: a probe window without inputs (its Xi2
+        # and Xi3 columns are zero) and the ten windows of a 1700-tick run
+        qr_shapes, svd_shapes = [], []
+
+        def counting(shapes, fn):
+            def count(a, *args):
+                shapes.append(a.shape)
+                return fn(a, *args)
+            return count
+        monkeypatch.setattr(np.linalg, "qr", counting(qr_shapes, np.linalg.qr))
+        monkeypatch.setattr(ln, "_svd", counting(svd_shapes, ln._svd))
+        sys_ = f1_system(hexagon_config)
+        buf = fill_buffer(sys_, seed=4, noise=0.0)
+        assert not buf.theta().any(axis=0).all()
+        p = np.eye(sys_.dim)
+        TestFoldedRegression.assert_same_blocks(ln.WindowPlan(buf).xi(p),
+                                                ref.window_regression(buf, p))
+        assert qr_shapes == [] and svd_shapes == [buf.theta().shape]
+        cfg = dataclasses.replace(hexagon_config, horizon=1700)
+        assert sim.run(cfg).error is None
+        assert qr_shapes == [] and window_paths == ["svd"] * 11
 
     def test_window_below_the_floor_falls_back_to_the_svd(self, window_paths):
         window = ScaledColumnWindow(0.99 * ln.RANK_RCOND)
@@ -688,6 +713,69 @@ class TestWindowRule:
                                                 rtol=1e-9)
         TestFoldedRegression.assert_same_blocks(
             got, plan.blocks(window.solution @ mo.vecm(p)), rtol=1e-9)
+
+
+def parent_certifies(matrix):
+    """The certificate of ``_certified_qr_fold`` read from ``np.linalg.inv``'s
+    general LU inverse of ``R``: the reference the triangular inverse must
+    decide alike."""
+    r = np.linalg.qr(matrix)[1]
+    diag = np.abs(np.diagonal(r))
+    return bool(diag.min() > ln.RANK_RCOND * diag.max()
+                and ln._norm(r) * ln._norm(np.linalg.inv(r)) * ln.RANK_RCOND < 1.0)
+
+
+class TestUpperInverse:
+    """``learning._upper_inverse``, the recursive block inverse of an
+    upper-triangular R, against ``np.linalg.inv``, and the certificate read
+    from it against the one read from ``np.linalg.inv``."""
+
+    @staticmethod
+    def triangle(n, cond, seed):
+        """The R of a random n x n matrix whose singular values are
+        log-spaced from 1 down to ``1 / cond``; R has the same ones."""
+        rng = np.random.default_rng(seed)
+        u, v = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+        s = np.logspace(0.0, -np.log10(cond), n)
+        return np.linalg.qr((u * s) @ v.T)[1]
+
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 153, 171])
+    def test_matches_the_general_inverse(self, n, cond):
+        # both inverses are within about n eps cond of the exact one, so
+        # they are within that of each other (c = 1; the largest gap
+        # measured is below 1e-3 of it); orders up to 32 are one leaf
+        cond = 1.0 if n == 1 else cond
+        eps = np.finfo(float).eps
+        for seed in range(3):
+            r = self.triangle(n, cond, seed)
+            got, want = ln._upper_inverse(r), np.linalg.inv(r)
+            assert np.abs(got - want).max() <= n * eps * cond * np.abs(want).max()
+            assert not np.tril(got, -1).any()
+
+    @pytest.mark.parametrize("seeds", [(7, 11), (2024, 31337)])
+    @pytest.mark.parametrize("name, mode", [("hexagon", sim.MODE_DATA),
+                                            ("hexagon_static", sim.MODE_DATA),
+                                            ("hexagon_static", sim.MODE_BASELINE)])
+    def test_certifies_every_compare_gains_window_alike(self, name, mode, seeds):
+        # at the probe seeds of the pinned compare-gains reports
+        for seed in seeds:
+            for agent, buf, _ in compare_gains_windows(name, seed, mode=mode):
+                plan = ln.WindowPlan(buf)
+                matrix = buf.theta() * plan.scale[:, None]
+                rhs = plan.scale[:, None] * plan.psi_next
+                certified = ln._certified_qr_fold(matrix, rhs) is not None
+                assert certified == parent_certifies(matrix), (agent, seed)
+
+    @pytest.mark.parametrize("ratio, certified", [(0.99, False), (1.01, False), (2.0, True)])
+    def test_certifies_scaled_column_windows_alike(self, ratio, certified):
+        # both windows beside the floor clear the diagonal test and are
+        # rejected by the norm product (about 1.8); at twice the floor it
+        # reads about 0.9 and the window is certified
+        window = ScaledColumnWindow(ratio * ln.RANK_RCOND)
+        matrix = window.theta()
+        assert (ln._certified_qr_fold(matrix, window.psi_next()) is not None) == certified
+        assert parent_certifies(matrix) == certified
 
 
 #: A value-iteration sweep for the three-input leader L3 of ``hexagon`` on
@@ -1096,7 +1184,8 @@ class TestOneBlasThread:
     def test_plan_and_sweeps_run_on_one_thread(self, hexagon_config, monkeypatch,
                                                get_threads, rank):
         # a full-rank window is solved by its QR; one whose tracking block
-        # rests at the origin is truncated, by the SVD after the QR
+        # rests at the origin is truncated by the SVD, its zero columns
+        # skipping the QR
         seen = []
 
         def reading(kind, fn):
