@@ -165,27 +165,30 @@ class WindowPlan:
     ``buf``, done once when ``iterate`` builds the plan of a full window.
 
     The regression ``theta @ xi = psi_next @ vecm(P)``, its rows scaled by
-    ``scale``, is linear in ``vecm(P)``, so its solution is folded, when the
-    plan is built, into one ``(unknowns, psi)`` operator; the factors are
-    not kept.  A window needs at least as many rows as unknowns; its
+    ``scale``, is linear in ``vecm(P)``, and so are its solution, its scaled
+    right-hand side and its residual.  The plan stacks the three operators,
+    ``F / weights``, ``D Psi`` and ``E = M F - D Psi`` (``M`` the scaled
+    regression matrix, ``D Psi`` the scaled ``psi_next`` rows, ``F`` the
+    fold and ``weights`` the half-vectorization weights of the Xi blocks'
+    slots), into one ``(unknowns + 2 rows, psi)`` array built in place, so
+    that a sweep's regression is one product; the factors, ``M`` and ``F``
+    are not kept.  A window needs at least as many rows as unknowns; its
     regression is solved min-norm over the singular directions above
     ``RANK_RCOND * s[0]``, which keeps a window whose augmented state is
     partly unexcited (for example a tracking block resting at the origin)
     from amplifying round-off into the gain.  When the Householder QR
-    ``Q R`` of the scaled ``theta`` certifies that the rule keeps every
-    direction, as on a probe window, the fold is
-    ``R^-1 Q^T diag(scale) psi_next``, ``R^-1`` inverted as a triangle, the
-    same solution for a fraction of an SVD's flops; otherwise it is
-    ``V S^-1 U^T diag(scale) psi_next`` over the kept directions of the
-    truncated SVD ``U S V^T``.  A window with an all-zero column, as every
-    engine closed-loop window has, goes to the SVD without a QR.  The plan
-    keeps the fold, the scaled regression matrix, its row scale and the
-    ``psi_next`` rows, from which each sweep forms its right-hand side and
-    residual for the consistency check, and the tables that unpack a
-    solution into the Xi blocks.  A row whose norm is not finite, an
-    overflow included, raises ``ConvergenceError``."""
+    ``Q R`` of ``M`` certifies that the rule keeps every direction, as on a
+    probe window, the fold is ``R^-1 Q^T D Psi``, ``R^-1`` inverted as a
+    triangle, the same solution for a fraction of an SVD's flops; otherwise
+    it is ``V S^-1 U^T D Psi`` over the kept directions of the truncated SVD
+    ``U S V^T``, whose factors are released before ``E`` is formed.  A
+    window with an all-zero column, as every engine closed-loop window has,
+    goes to the SVD without a QR.  The plan also keeps the row scale, the
+    ``psi_next`` rows and the tables that unpack a solution into the Xi
+    blocks.  A row whose norm is not finite, an overflow included, raises
+    ``ConvergenceError``."""
 
-    __slots__ = ("scale", "psi_next", "_matrix", "_fold",
+    __slots__ = ("scale", "psi_next", "_operator", "_solution", "_rhs", "_residual",
                  "_xi2", "_xi2_shape", "_weights", "_xi1_gather", "_xi3_gather")
 
     def __init__(self, buf: DataBuffer):
@@ -197,33 +200,35 @@ class WindowPlan:
                                    "has left the float range")
         self.scale = 1.0 / np.maximum(1.0, norms)
         matrix = theta * self.scale[:, None]
-        if matrix.shape[0] < matrix.shape[1]:
+        del theta  # released before the factorisation
+        rows, unknowns = matrix.shape
+        if rows < unknowns:
             raise PersistentExcitationError(
-                f"window has {matrix.shape[0]} rows for {matrix.shape[1]} unknowns; "
-                "collect more samples")
-        self._matrix = matrix
+                f"window has {rows} rows for {unknowns} unknowns; collect more samples")
         self.psi_next = buf.psi_next()
-        rhs = self.scale[:, None] * self.psi_next
-        fold = _certified_qr_fold(matrix, rhs)
-        if fold is None:
-            u, s, vt = _svd(matrix)
-            if s[0] == 0.0:
-                raise PersistentExcitationError(
-                    "regression matrix is zero; no excitation in the window")
-            keep = s > RANK_RCOND * s[0]
-            fold = vt[keep].T @ ((1.0 / s[keep])[:, None] * (u[:, keep].T @ rhs))
-        self._fold = fold
         n, m = buf.state_dim, buf.input_dim
         c1 = psi_columns(n)
-        self._xi2 = slice(c1, c1 + n * m)
-        self._xi2_shape = (m, n)
-        # one division for both half-vectorized blocks; the Xi2 slots are
-        # divided by 1 and not read from the quotient
+        # the half-vectorization weights of the solution's slots, 1 for Xi2's
         xi1_weights, _, xi1_full = square_index(n)
         xi3_weights, _, xi3_full = square_index(m)
         self._weights = np.concatenate([xi1_weights, np.ones(n * m), xi3_weights])
         self._xi1_gather = xi1_full
+        self._xi2 = slice(c1, c1 + n * m)
+        self._xi2_shape = (m, n)
         self._xi3_gather = xi3_full + (c1 + n * m)
+        self._solution = slice(0, unknowns)
+        self._rhs = slice(unknowns, unknowns + rows)
+        self._residual = slice(unknowns + rows, unknowns + 2 * rows)
+        operator = np.empty((unknowns + 2 * rows, self.psi_next.shape[1]))
+        fold, rhs, residual = (operator[self._solution], operator[self._rhs],
+                               operator[self._residual])
+        np.multiply(self.scale[:, None], self.psi_next, out=rhs)
+        if _certified_qr_fold(matrix, rhs, fold) is None:
+            _truncated_svd_fold(matrix, rhs, fold)
+        np.matmul(matrix, fold, out=residual)
+        residual -= rhs
+        fold /= self._weights[:, None]
+        self._operator = operator
 
     def xi(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Recover (A^T P A, B^T P A, B^T P B) from the window by regression
@@ -234,13 +239,16 @@ class WindowPlan:
         policy.  ``p`` is a 2-D, exactly symmetric value matrix, as
         ``learning_tick`` produces it; it is not re-symmetrized, and
         ``vecm`` rejects one that is asymmetric beyond its tolerance (a
-        ``ConvergenceError`` when it is not finite).  The solution is the
-        min-norm least-squares one, one product of the fold; a
-        ``DataConsistencyError`` is raised when the regression is
-        inconsistent beyond the round-off of an exact-transition window,
-        and a ``ConvergenceError`` when its right-hand side or solution is
-        not finite.  The blocks come back as 2-D arrays, ``Xi1`` and
-        ``Xi3`` exactly symmetric.
+        ``ConvergenceError`` when it is not finite).  The min-norm
+        least-squares solution, the scaled right-hand side and the residual
+        are one product of the plan's stacked operator with ``vecm(p)``.  A
+        ``ConvergenceError`` is raised when the solution, the right-hand side
+        or the residual is not finite (the folded residual stays finite when
+        the solution overflows, so the solution is checked first), and a
+        ``DataConsistencyError`` when the regression is inconsistent beyond
+        the round-off of an exact-transition window.  The blocks come back
+        as 2-D arrays, ``Xi1`` and ``Xi3`` exactly symmetric, contiguous and
+        writeable gathers of the solution.
         """
         try:
             p_slots = vecm(p)
@@ -250,9 +258,12 @@ class WindowPlan:
                 raise ConvergenceError("value matrix is not finite; the value iteration "
                                        "has left the float range") from None
             raise
-        solution = self._fold @ p_slots
-        rhs = (self.psi_next @ p_slots) * self.scale
-        residual = self._matrix @ solution - rhs
+        out = self._operator @ p_slots
+        solution, rhs, residual = out[self._solution], out[self._rhs], out[self._residual]
+        # a squared norm that is not finite is an inf or nan entry, or an
+        # entry beyond ~1e154, which the finer test tells apart
+        if not (math.isfinite(np.vdot(solution, solution)) or np.isfinite(solution).all()):
+            raise ConvergenceError(_REGRESSION_NOT_FINITE)
         res_norm, rhs_norm = _norm(residual), _norm(rhs)
         if not math.isfinite(res_norm + rhs_norm):
             # a squared norm overflowed (entries beyond ~1e154): compare the
@@ -263,39 +274,47 @@ class WindowPlan:
             # an inf or nan entry: no comparison fails on a nan, so the
             # solution would pass on into the value iteration
             if not math.isfinite(res_norm + rhs_norm):
-                raise ConvergenceError("window regression is not finite; the window "
-                                       "or the value matrix has left the float range")
+                raise ConvergenceError(_REGRESSION_NOT_FINITE)
         if res_norm > CONSISTENCY_RTOL * max(rhs_norm, 1e-12):
             raise DataConsistencyError(
                 "window rows are mutually inconsistent (relative residual "
                 f"{res_norm / max(rhs_norm, 1e-300):.2e}); "
                 "samples were likely taken during an observer transient")
-        return self.blocks(solution)
+        return self._unpack(solution)
 
     def blocks(self, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Xi1 (n x n), Xi2 (m x n) and Xi3 (m x m) from a solution
-        ``[vecm(Xi1), vec(Xi2), vecm(Xi3)]``: the half-vectorized blocks
-        each as one gather of the unscaled slots, so they come back exactly
-        symmetric, and Xi2 as the column-stacked view."""
-        unscaled = stacked / self._weights
+        ``[vecm(Xi1), vec(Xi2), vecm(Xi3)]``, as ``xi`` unpacks its own."""
+        return self._unpack(stacked / self._weights)
+
+    def _unpack(self, unscaled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The blocks of a solution whose half-vectorized slots are divided
+        by their weights: Xi1 and Xi3 each as one gather, so they come back
+        exactly symmetric, contiguous and writeable, and Xi2 as the
+        column-stacked view."""
         return (unscaled[self._xi1_gather],
-                stacked[self._xi2].reshape(self._xi2_shape, order="F"),
+                unscaled[self._xi2].reshape(self._xi2_shape, order="F"),
                 unscaled[self._xi3_gather])
 
 
-def _certified_qr_fold(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+_REGRESSION_NOT_FINITE = ("window regression is not finite; the window "
+                          "or the value matrix has left the float range")
+
+
+def _certified_qr_fold(matrix: np.ndarray, rhs: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray | None:
     """The least-squares fold ``inv(R) @ (Q^T rhs)`` of ``matrix``'s reduced
-    Householder QR, or None unless the QR certifies that the truncated SVD
-    would keep every direction, ``s[-1] > RANK_RCOND * s[0]``.  A window
-    with an all-zero column, as every engine window has, is rank deficient
-    and returns None without a QR (Householder reflections would keep that
-    column zero, and its ``R_jj`` would be 0).  ``matrix`` and ``R`` share
-    their singular values, with ``s[-1] <= min|R_ii|`` and
-    ``s[0] >= max|R_ii|``, so a diagonal ratio at or below ``RANK_RCOND``
-    means the SVD would truncate, and no inverse is taken; otherwise
-    ``s[0] / s[-1] <= ||R||_F ||inv(R)||_F`` decides, ``inv(R)`` taken as a
-    triangle by ``_upper_inverse``.  The factors are released on return,
-    before any SVD of the same window."""
+    Householder QR, written into ``out`` when given, or None unless the QR
+    certifies that the truncated SVD would keep every direction,
+    ``s[-1] > RANK_RCOND * s[0]``.  A window with an all-zero column, as
+    every engine window has, is rank deficient and returns None without a
+    QR (Householder reflections would keep that column zero, and its
+    ``R_jj`` would be 0).  ``matrix`` and ``R`` share their singular values,
+    with ``s[-1] <= min|R_ii|`` and ``s[0] >= max|R_ii|``, so a diagonal
+    ratio at or below ``RANK_RCOND`` means the SVD would truncate, and no
+    inverse is taken; otherwise ``s[0] / s[-1] <= ||R||_F ||inv(R)||_F``
+    decides, ``inv(R)`` taken as a triangle by ``_upper_inverse``.  The
+    factors are released on return, before any SVD of the same window."""
     if not matrix.any(axis=0).all():
         return None
     q, r = np.linalg.qr(matrix)
@@ -305,7 +324,20 @@ def _certified_qr_fold(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None
     r_inv = _upper_inverse(r)
     if not _norm(r) * _norm(r_inv) * RANK_RCOND < 1.0:
         return None
-    return r_inv @ (q.T @ rhs)
+    return np.matmul(r_inv, q.T @ rhs, out=out)
+
+
+def _truncated_svd_fold(matrix: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The min-norm least-squares fold ``V S^-1 U^T rhs`` of ``matrix`` over
+    the singular directions above ``RANK_RCOND * s[0]``, written into
+    ``out``; the factors are released on return.  A zero ``matrix`` raises
+    ``PersistentExcitationError``."""
+    u, s, vt = _svd(matrix)
+    if s[0] == 0.0:
+        raise PersistentExcitationError(
+            "regression matrix is zero; no excitation in the window")
+    keep = s > RANK_RCOND * s[0]
+    return np.matmul(vt[keep].T, (1.0 / s[keep])[:, None] * (u[:, keep].T @ rhs), out=out)
 
 
 def _upper_inverse(r: np.ndarray) -> np.ndarray:
@@ -404,19 +436,40 @@ def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     defined for over-actuated agents where Xi3 is singular, with a cutoff
     at the regression noise floor.  A 1x1 Xi3 within ``RECIPROCAL_RANGE`` is
     its own only singular value, far above the cutoff, so its
-    pseudo-inverse is the reciprocal, computed directly.  Any other Xi3
-    takes the steps of numpy's ``linalg.pinv`` around the same LAPACK SVD
-    (``_svd``), so the gain is bit for bit
-    ``-pinv(xi3, rcond=GAIN_PINV_RCOND) @ xi2``; when every singular value
-    clears the cutoff, the masked reciprocal is the plain one.  The
-    singular values come sorted, so ``s[0]`` and ``s[-1]`` are the largest
-    and smallest; the SVD raises on a nan entry, and the nans of a 2x2
-    with an infinite entry fill all of ``s``, where both read nan as the
-    max and min do (the test fails and the masked path zeroes every one).
+    pseudo-inverse is the reciprocal, computed directly, bit for bit
+    ``pinv``'s.  A 2x2 ``[[a, b], [b, c]]`` whose largest entry lies within
+    ``RECIPROCAL_RANGE`` (no product of two entries overflows, and one that
+    underflows is negligible next to ``s_max^2 >= 1e-260``) and whose
+    determinant clears ``2 * GAIN_PINV_RCOND * s_max^2``, where
+    ``s_max = |a + c| / 2 + hypot((a - c) / 2, b)`` is its largest singular
+    value, keeps both singular values by a margin of two over the cutoff;
+    its inverse is the adjugate over the determinant, within ``4 eps cond``
+    of ``pinv``'s and not bit for bit.  Any other Xi3
+    (nan, inf, out of range, inside the margin, or 3x3) takes the steps of
+    numpy's ``linalg.pinv`` around the same LAPACK SVD (``_svd``), so the
+    gain is bit for bit ``-pinv(xi3, rcond=GAIN_PINV_RCOND) @ xi2``, and a
+    matrix near the cutoff is kept or dropped as ``pinv`` decides; when
+    every singular value clears the cutoff, the masked reciprocal is the
+    plain one.  The singular values come sorted, so ``s[0]`` and ``s[-1]``
+    are the largest and smallest; the SVD raises on a nan entry, and the
+    nans of a 2x2 with an infinite entry fill all of ``s``, where both read
+    nan as the max and min do (the test fails and the masked path zeroes
+    every one).
     """
-    if (xi3.shape == (1, 1)
-            and RECIPROCAL_RANGE[0] <= abs(xi3[0, 0]) <= RECIPROCAL_RANGE[1]):
-        return -(1.0 / xi3) @ xi2
+    if xi3.shape == (1, 1):
+        if RECIPROCAL_RANGE[0] <= abs(xi3[0, 0]) <= RECIPROCAL_RANGE[1]:
+            return -(1.0 / xi3) @ xi2
+    elif xi3.shape == (2, 2):
+        # Python floats, which never warn; a nan entry makes det nan, and
+        # the margin test fails on it
+        (a, b), (_, c) = xi3.tolist()
+        if RECIPROCAL_RANGE[0] <= max(abs(a), abs(b), abs(c)) <= RECIPROCAL_RANGE[1]:
+            det = a * c - b * b
+            s_max = abs(a + c) / 2 + math.hypot((a - c) / 2, b)
+            if abs(det) > 2 * GAIN_PINV_RCOND * s_max * s_max:
+                # -(adj / det), each entry negated before its division: the
+                # same bits, signed zeros included
+                return np.array([[-c / det, b / det], [b / det, -a / det]]) @ xi2
     u, s, vt = _svd(xi3)
     cutoff = GAIN_PINV_RCOND * s[0]
     if s[-1] > cutoff:
@@ -529,7 +582,9 @@ def learning_tick(ctrl: LearnedController, plan: WindowPlan,
 
     The value update applies the Bellman backup through the regressed Xi
     blocks of the previous iterate, the Xi blocks are re-regressed at the
-    new value matrix, and the gain is refreshed from them.  Convergence is
+    new value matrix (one product of a ``WindowPlan``'s stacked operator),
+    and the gain is refreshed from them (a well-conditioned 2x2 Xi3
+    inverted in closed form, see ``vi_update_K``).  Convergence is
     declared once consecutive gains differ by less than
     ``GAIN_DELTA_THRESHOLD`` and the value step is within ``VALUE_STEP_RTOL``,
     at which point the behaviour policy switches to the learned gain without

@@ -73,7 +73,9 @@ def vecm(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"vecm requires a square matrix, got shape {s.shape}")
-    if s.size and not np.abs(s - s.T).max() <= SYMMETRY_ATOL:
+    # s - s.T is exactly antisymmetric, so its max is its largest magnitude
+    # (or nan, as that of a matrix holding inf - inf would be)
+    if s.size and not (s - s.T).max() <= SYMMETRY_ATOL:
         raise ValueError("vecm requires a symmetric matrix")
     weights, flat, _ = square_index(s.shape[0])
     return weights * s.ravel()[flat]

@@ -68,10 +68,14 @@ def reference_noise(std: float, seed: int, width: int, tick: int) -> np.ndarray:
 def reference_gain_update(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     """Reference: the gain update through ``np.linalg.svd`` itself, with the
     cutoff read as the singular values' max and min, the steps of numpy's
-    ``pinv``; the reciprocal of a 1x1 ``Xi3`` inside ``RECIPROCAL_RANGE``."""
+    ``pinv``; the reciprocal of a 1x1 ``Xi3`` inside ``RECIPROCAL_RANGE``,
+    and ``reference.adjugate_gain`` for a 2x2 that
+    ``reference.takes_closed_form_gain``."""
     if (xi3.shape == (1, 1)
             and ln.RECIPROCAL_RANGE[0] <= abs(xi3[0, 0]) <= ln.RECIPROCAL_RANGE[1]):
         return -(1.0 / xi3) @ xi2
+    if ref.takes_closed_form_gain(xi3):
+        return ref.adjugate_gain(xi2, xi3)
     u, s, vt = np.linalg.svd(xi3, full_matrices=False)
     if s.min() > ln.GAIN_PINV_RCOND * s.max():
         return -np.matmul(vt.T, (1 / s)[:, None] * u.T) @ xi2

@@ -11,9 +11,11 @@ the unit tests check against; the engine calls none of them.
   the column blocks of a stacked gain and the regulation identities they
   satisfy;
 - ``itfl_sets``: the transit-relay (ITFL) leaders of each leader;
-- ``window_regression``: one sweep's regression of the Xi blocks through
-  the SVD of the window, unfolded, of which the engine's window plan keeps
-  only the folded product;
+- ``window_solution`` and ``window_regression``: one sweep's regression
+  of the Xi blocks through the SVD of the window, unfolded, of which the
+  engine's window plan keeps only the folded product;
+- ``takes_closed_form_gain`` and ``adjugate_gain``: the rule by which the
+  gain update inverts a 2x2 Xi3 in closed form, and that inverse;
 - ``ExactPlan``: the exact blocks of a known system, the noise-free twin
   of a window's plan that ``learning.learning_tick`` can sweep;
 - ``spectral_radius``;
@@ -26,6 +28,7 @@ the unit tests check against; the engine calls none of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -113,19 +116,18 @@ def predict_state(a_hat: np.ndarray, x_hat: np.ndarray, mu: float | np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def window_regression(buf: ln.DataBuffer, p: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks (Xi1, Xi2, Xi3) of the regression ``theta @ xi =
-    psi_next @ vecm(P)`` of a full window at the value matrix ``p``, rows
-    scaled to a norm of at most 1, solved min-norm through the truncated
-    SVD ``U S V^T`` of the scaled ``theta`` from ``np.linalg.svd``, as three
-    products ``V (S^-1 (U^T rhs))`` of the scaled right-hand side, with the
-    relative residual of that solution checked against it.  Raises the
-    errors of ``WindowPlan(buf)`` and its ``xi`` under the same window rule
-    and thresholds: ``PersistentExcitationError`` for a window with fewer rows
-    than unknowns or without excitation, ``DataConsistencyError`` for
-    inconsistent rows and ``ConvergenceError`` for a regression that is not
-    finite, a row norm that overflows included."""
+def window_solution(buf: ln.DataBuffer, p: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The min-norm solution of the regression ``theta @ xi = psi_next @
+    vecm(P)`` of a full window at the value matrix ``p``, its residual and
+    its right-hand side, rows scaled to a norm of at most 1, solved through
+    the truncated SVD ``U S V^T`` of the scaled ``theta`` from
+    ``np.linalg.svd``, as three products ``V (S^-1 (U^T rhs))`` of the scaled
+    right-hand side, unfolded.  Raises the errors of ``WindowPlan(buf)``
+    and its ``xi`` under the same window rule and thresholds, but for the
+    consistency test: ``PersistentExcitationError`` for a window with fewer
+    rows than unknowns or without excitation, and ``ConvergenceError`` for
+    a regression that is not finite, a row norm that overflows included."""
     theta = buf.theta()
     norms = np.linalg.norm(theta, axis=1)
     if not np.isfinite(norms).all():
@@ -145,6 +147,16 @@ def window_regression(buf: ln.DataBuffer, p: np.ndarray
     residual = matrix @ solution - rhs
     if not (np.isfinite(residual).all() and np.isfinite(rhs).all()):
         raise ConvergenceError("window regression is not finite")
+    return solution, residual, rhs
+
+
+def window_regression(buf: ln.DataBuffer, p: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks (Xi1, Xi2, Xi3) of ``window_solution``'s regression,
+    with the relative residual of its solution checked against its
+    right-hand side: the errors of ``WindowPlan(buf)`` and its ``xi``,
+    ``DataConsistencyError`` for inconsistent rows included."""
+    solution, residual, rhs = window_solution(buf, p)
     # both norms relative to the largest entry, which keeps them finite
     peak = max(np.abs(residual).max(), np.abs(rhs).max())
     if peak > 0.0 and (np.linalg.norm(residual / peak)
@@ -156,6 +168,30 @@ def window_regression(buf: ln.DataBuffer, p: np.ndarray
     c1, c2 = weights1.size, weights1.size + n * m
     return ((solution[:c1] / weights1)[full1], solution[c1:c2].reshape((m, n), order="F"),
             (solution[c2:] / weights3)[full3])
+
+
+def takes_closed_form_gain(xi3: np.ndarray) -> bool:
+    """Whether ``learning.vi_update_K`` inverts ``xi3`` in closed form: a
+    2x2 whose largest entry lies within ``RECIPROCAL_RANGE`` and whose
+    determinant clears twice the gain cutoff over its largest singular
+    value squared, ``|det| > 2 GAIN_PINV_RCOND s_max^2``; ``s_max`` is the
+    largest eigenvalue magnitude of the symmetric ``xi3``."""
+    if xi3.shape != (2, 2):
+        return False
+    peak = np.abs(xi3).max()
+    if not ln.RECIPROCAL_RANGE[0] <= peak <= ln.RECIPROCAL_RANGE[1]:
+        return False
+    a, b, c = float(xi3[0, 0]), float(xi3[0, 1]), float(xi3[1, 1])
+    s_max = abs(a + c) / 2 + math.hypot((a - c) / 2, b)
+    return abs(a * c - b * b) > 2 * ln.GAIN_PINV_RCOND * s_max ** 2
+
+
+def adjugate_gain(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
+    """The gain update ``-inv(Xi3) Xi2`` of an invertible 2x2 ``xi3``, its
+    inverse the adjugate over the determinant."""
+    det = xi3[0, 0] * xi3[1, 1] - xi3[0, 1] * xi3[1, 0]
+    adjugate = np.array([[xi3[1, 1], -xi3[0, 1]], [-xi3[1, 0], xi3[0, 0]]])
+    return -(adjugate / det) @ xi2
 
 
 class ExactPlan:

@@ -43,7 +43,12 @@ def test_default_seed_run_matches_golden(name, tmp_path):
 #: per-sample trace records that the column table replaced.  The learner
 #: runs re-pinned when the window regression became one product of a folded
 #: operator: their traces moved by at most 2e-13 of a column's scale, with
-#: every learner's status and iterations unchanged.  Every metadata.json
+#: every learner's status and iterations unchanged.  They re-pinned again,
+#: both files, when a sweep's solution, right-hand side and residual became
+#: one product of a stacked window operator and a well-conditioned 2x2 Xi3
+#: was inverted in closed form: these traces moved by at most 2.3e-15 of a
+#: column's scale (full 8000-tick runs by at most 1.2e-12), every learner's
+#: status and iterations unchanged.  Every metadata.json
 #: re-pinned when the learner settings lost ``window`` and
 #: ``relearn_on_alpha_change``, and again when the scenario's ``learner``
 #: section became the constants of ``learning``: each time only its
@@ -51,8 +56,8 @@ def test_default_seed_run_matches_golden(name, tmp_path):
 EXPORTS = {
     "hexagon_data_driven": (
         "hexagon", dict(horizon=1700, sample_interval=10),
-        ("b0a4cd10afe160f2134e02bc5ff7cfad585d610d2231c7945f04ffe87013b913",
-         "32d61c6b0a139255036b28cf4ab7c0794675d65b186face27fd953e7dec2549f")),
+        ("0bcdfcde1d85ee650bbadc6dd2eb1489b41a79874a11251560f5e92439066316",
+         "d8a104b4d5f9b7f76f7a4ffaca81484e25100ebad540b032f095d4720f46755d")),
     "hexagon_oracle": (
         "hexagon", dict(horizon=1200, mode=sim.MODE_ORACLE),
         ("19b4a3c278a921e031d44c2bfa44aa192e6399c027487d353f11472066f8d53c",
@@ -60,26 +65,26 @@ EXPORTS = {
     # the baseline learner with input widths 1 to 3
     "hexagon_baseline": (
         "hexagon", dict(horizon=1700, sample_interval=10, mode=sim.MODE_BASELINE),
-        ("a2b0c4ee7f09a34db449cc11a7cd5cc93b12fbfdb33b4223571a2236eeb9b0e0",
-         "8cb7f3f363ca428d64cf3420b24ff7e5c9feac338d27056dffea012e31ff201a")),
+        ("27fa9eeed7e268495e7cb73837ecd57bde8dc6522588c06f5050b91605420e82",
+         "d2c4f86c3635ada227b0bab453a05f0340d08c79ec3afd7f63a5223b101a5dfc")),
     # past the tick-4000 propensity switch, through the relearn; its
     # metadata.json re-pinned when the gain delta of F2 and F4, still
     # collecting their relearn window, became null instead of Infinity
     "hexagon_data_driven_switch": (
         "hexagon", dict(horizon=4100, sample_interval=50),
-        ("a47413658958440596d67ca0858fc48fc329aace51d4626fee43f081b17a7950",
-         "99c95351e58c1a47dea59ec87d0176ebf84920901a973d7571ee91c36c9a745c")),
+        ("4868096f3992297499514653ca0dfccfb0ab83f3534a20920d88de375160ea2a",
+         "1804a0158b62811655c4a742bdf29ed6d8235058158bb7afb3d79d2ae87903ab")),
     # F2 and F4 settle their gain at sweep 2 of their first window and their
     # value matrix at sweeps 22-23; pinned with the stop test that waits
     # for both
     "hexagon_static_data_driven": (
         "hexagon_static", dict(horizon=1700, sample_interval=10),
-        ("e53562f3a51d3cc46de519a021d0ce68a056b9484bedd3ca5877ce2bb73e353e",
-         "3077cda0accb3b3a2e1d8c91c6a55f015bf0d56433d6fe771d5f89878a27ca2f")),
+        ("5499c21fe121cb8a7923943024e188ac3d0570091067368f693446bef1eaf1af",
+         "4b5bb632e4c1ec77264e6dfc92224d2b07fa9663e1fe8f2efab7dda085d21c8c")),
     "hexagon_static_baseline": (
         "hexagon_static", dict(horizon=1700, sample_interval=1, mode=sim.MODE_BASELINE),
-        ("19c87208106a999a7384609a8f2c44317e68b96ba64bf6710b6299c96126a03f",
-         "45cf296f7f2da8c64a19377e3185a29deae1e50c30e51342cb6bf3cede6f8fbb")),
+        ("5dea90abfdc11645a69e3a9881d137d94f0e962e63957d46db4e1ec68b31325c",
+         "93c542e1d8d48a440f1debaa30313d39bd37ff70716114b28a0dc2105f60ee7a")),
     # past the tick-4000 propensity switch
     "hexagon_static_oracle_states": (
         "hexagon_static", dict(horizon=4100, sample_interval=1, mode=sim.MODE_ORACLE,
@@ -107,17 +112,20 @@ COMPARE_SEEDS = (7, 11, 2024, 31337)
 #: folded operator, when a well-conditioned window's fold came from its
 #: Householder QR instead of its SVD (the gaps moved by round-off, at most
 #: 5e-13), and when that QR's R was inverted as a triangle instead of by a
-#: general LU inverse (at most 2.6e-14); every iteration count held.
+#: general LU inverse (at most 2.6e-14), and when a sweep became one product
+#: of a stacked window operator and a well-conditioned 2x2 Xi3 was inverted
+#: in closed form (``k_gap`` at most 9.7e-16, ``p_gap`` at most 1.1e-14, over
+#: these seeds and 5 and 99); every iteration count held.
 COMPARE_REPORTS = {
     "hexagon": (
         "hexagon", {},
-        "49d04c392eafea42207da07b001d04dcf127944c03dbabb328dfcf02e50a9e56"),
+        "efb25be95f52243d52247a5b10414f33522686f2bf233ceea8a266483dea8429"),
     "hexagon_static": (
         "hexagon_static", {},
-        "924160affcd8ad8bbffab88d539b7f9b0bb084d7c6bb006f26cf0d422f4aa683"),
+        "9aa0516e6e585f083ad932a1e41c63e617b9f53c44177a0a6472c9a625cdeaf5"),
     "hexagon_static_baseline": (
         "hexagon_static", dict(mode=sim.MODE_BASELINE),
-        "4b0f5c364080d082c9a814ff6e86e6e9b6b1da93b1e5cb50d828aedfa43b4c8c"),
+        "9b5f4be5b55d08f6252345fc1b34096da3f10db1938e9b8b2181259d85cc849c"),
 }
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import os
@@ -473,31 +474,133 @@ class TestSweepMatchesReference:
             assert got[0] is (ValueError if poison == "asymmetric" else ConvergenceError)
 
 
+def folded_residual(plan, p):
+    """The relative residual of ``plan``'s folded regression at the value
+    matrix ``p``: the norm of the residual rows of its stacked operator's
+    product over that of its right-hand-side rows."""
+    out = plan._operator @ mo.vecm(p)
+    return np.linalg.norm(out[plan._residual]) / np.linalg.norm(out[plan._rhs])
+
+
+def reference_residual(window, p):
+    """The relative residual of ``reference.window_solution``, unfolded."""
+    _, residual, rhs = ref.window_solution(window, p)
+    return np.linalg.norm(residual) / np.linalg.norm(rhs)
+
+
+@pytest.fixture(scope="module")
+def engine_windows():
+    """(window, stage cost) of every window the engine solves in 4300-tick
+    ``data_driven`` runs of both bundled scenarios, past the tick-4000
+    switch: 14 per scenario, each copied before its solve."""
+    windows = {}
+    solve = ln.iterate
+
+    def capture(buf, cost):
+        windows[name].append((copy.deepcopy(buf), cost))
+        return solve(buf, cost)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ln, "iterate", capture)
+        for name in ("hexagon", "hexagon_static"):
+            windows[name] = []
+            cfg = dataclasses.replace(sc.load_bundled(name), mode=sim.MODE_DATA, horizon=4300)
+            assert sim.run(cfg).error is None
+    return windows
+
+
+class InconsistentWindow:
+    """A window of a 2-state, 1-input learner, 18 regression rows of norm
+    1/2 (no row is scaled), whose ``psi_next`` rows fit a random solution
+    but for one direction outside the regression's range, sized so that
+    at P = I the relative residual reads ``ratio * CONSISTENCY_RTOL``.  With
+    ``zero_column`` its last column (the Xi3 slot) is zero, so its plan
+    takes the SVD instead of the QR."""
+
+    state_dim, input_dim = 2, 1
+
+    def __init__(self, ratio, zero_column):
+        rng = np.random.default_rng(5)
+        cols = ln.theta_columns(self.state_dim, self.input_dim)
+        theta = rng.normal(size=(18, cols))
+        if zero_column:
+            theta[:, -1] = 0.0
+        self._theta = theta / (2.0 * np.linalg.norm(theta, axis=1))[:, None]
+        fit = self._theta @ rng.normal(size=(cols, ln.psi_columns(self.state_dim)))
+        outside = np.linalg.qr(self._theta, mode="complete")[0][:, cols]
+        slots = mo.vecm(np.eye(self.state_dim))
+        rtol = ratio * ln.CONSISTENCY_RTOL
+        size = rtol * np.linalg.norm(fit @ slots) / np.sqrt(1.0 - rtol**2)
+        self._psi_next = fit + np.outer(outside, size * slots / (slots @ slots))
+
+    def theta(self):
+        return self._theta
+
+    def psi_next(self):
+        return self._psi_next
+
+
 class TestFoldedRegression:
-    """``WindowPlan.xi``, one product of the window's folded operator,
+    """``WindowPlan.xi``, one product of the window's stacked operator,
     against ``reference.window_regression``, the unfolded SVD solve of the
     same regression.  The two sum in another order, so the blocks agree to
     round-off: within ``RTOL`` of each block's largest entry (the largest gap
-    on these windows is about 4e-15)."""
+    is 2e-14 on the probe windows and 4e-13 on the engine's truncated ones,
+    as at the unstacked fold).  So do the relative residuals that the
+    consistency test reads, the folded one from the operator's residual
+    rows ``E = M F - D Psi``: within ``RESIDUAL_ATOL``, 1e-7 of
+    ``CONSISTENCY_RTOL`` (on these windows both read round-off, at most
+    7e-15, and differ by at most 5e-15)."""
 
     RTOL = 1e-12
+    RESIDUAL_ATOL = 1e-13
 
     @classmethod
     def assert_same_blocks(cls, got, want, rtol=RTOL):
         for a, b in zip(got, want):
             assert np.abs(a - b).max() <= rtol * np.abs(b).max()
 
+    @classmethod
+    def assert_sweeps_alike(cls, buf, cost):
+        """Blocks and relative residual at the value matrix of every sweep
+        up to convergence."""
+        plan = ln.WindowPlan(buf)
+        ctrl = ln.LearnedController.create(buf.state_dim, buf.input_dim)
+        while ctrl.status != ln.CONVERGED:
+            cls.assert_same_blocks(plan.xi(ctrl.P_hat), ref.window_regression(buf, ctrl.P_hat))
+            assert abs(folded_residual(plan, ctrl.P_hat)
+                       - reference_residual(buf, ctrl.P_hat)) <= cls.RESIDUAL_ATOL
+            ctrl = ln.learning_tick(ctrl, plan, cost)
+
     @pytest.mark.parametrize("seed", [7, 2024])
     @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
     def test_every_compare_gains_window(self, name, seed):
-        # at the value matrix of every sweep up to convergence
         for agent, buf, cost in compare_gains_windows(name, seed):
-            plan = ln.WindowPlan(buf)
-            ctrl = ln.LearnedController.create(buf.state_dim, buf.input_dim)
-            while ctrl.status != ln.CONVERGED:
-                self.assert_same_blocks(plan.xi(ctrl.P_hat),
-                                        ref.window_regression(buf, ctrl.P_hat))
-                ctrl = ln.learning_tick(ctrl, plan, cost)
+            self.assert_sweeps_alike(buf, cost)
+
+    @pytest.mark.parametrize("name", ["hexagon", "hexagon_static"])
+    def test_every_engine_window(self, name, engine_windows):
+        assert len(engine_windows[name]) == 14
+        for buf, cost in engine_windows[name]:
+            self.assert_sweeps_alike(buf, cost)
+
+    @pytest.mark.parametrize("zero_column", [False, True], ids=["qr", "svd"])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_residual_near_the_tolerance_is_classified_alike(self, ratio, zero_column,
+                                                            window_paths):
+        # half and twice CONSISTENCY_RTOL: the first passes, the second
+        # raises, in the plan as in the reference
+        window = InconsistentWindow(ratio, zero_column)
+        p = np.eye(window.state_dim)
+        plan = ln.WindowPlan(window)
+        assert window_paths == ["svd" if zero_column else "qr"]
+        for residual in (folded_residual(plan, p), reference_residual(window, p)):
+            assert residual == pytest.approx(ratio * ln.CONSISTENCY_RTOL, rel=1e-6)
+        got = sweep_outcome(plan.xi, p)
+        want = sweep_outcome(ref.window_regression, window, p)
+        if ratio < 1.0:
+            self.assert_same_blocks(got, want)
+        else:
+            assert got[0] is want[0] is DataConsistencyError
 
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e300, 1e308])
     def test_exact_and_mixed_windows_raise_or_pass_alike(self, hexagon_config, scale):
@@ -906,43 +1009,87 @@ class TestClosedFormGain:
 
 
 class TestMultiInputGain:
-    """The SVD path of a 2x2 or 3x3 Xi3 against numpy's ``pinv``: result
-    bytes, exception type and warnings."""
+    """A 2x2 or 3x3 Xi3.  On the SVD path, against numpy's ``pinv``: result
+    bytes, exception type and warnings.  A 2x2 that
+    ``reference.takes_closed_form_gain`` (in range, its determinant outside
+    the margin) is inverted in closed form: bit for bit
+    ``reference.adjugate_gain``, without a warning, and within
+    ``4 eps cond`` of ``pinv``'s gain (2 is the largest seen)."""
 
     @staticmethod
     def assert_matches(xi2, xi3):
+        got = outcome(ln.vi_update_K, xi2, xi3)
+        if not ref.takes_closed_form_gain(xi3):
+            assert got == outcome(pinv_gain, xi2, xi3), xi3
+            return
+        assert got == outcome(ref.adjugate_gain, xi2, xi3) and got[1] == [], xi3
+        pinv = np.linalg.pinv(xi3, rcond=ln.GAIN_PINV_RCOND)
+        # each entry of K is a row of the inverse times a column of xi2
+        scale = np.abs(pinv).max() * np.abs(xi2).sum(axis=0).max()
+        gap = np.abs(ln.vi_update_K(xi2, xi3) + pinv @ xi2).max()
+        assert gap <= 4 * np.finfo(float).eps * np.linalg.cond(xi3) * scale, xi3
+
+    @staticmethod
+    def assert_takes_the_svd(xi2, xi3):
+        assert not ref.takes_closed_form_gain(xi3), xi3
         assert outcome(ln.vi_update_K, xi2, xi3) == outcome(pinv_gain, xi2, xi3), xi3
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_random_symmetric(self, m):
+        # scales 1e-300 to 1e300: a 2x2 in range is inverted in closed form
         rng = np.random.default_rng(20 + m)
+        closed = 0
         for _ in range(300):
             a = rng.normal(size=(m, m)) * 10.0 ** rng.uniform(-300, 300)
             xi2 = rng.normal(size=(m, int(rng.integers(1, 8))))
+            closed += ref.takes_closed_form_gain(a + a.T)
             self.assert_matches(xi2, a + a.T)
+        assert closed == (117 if m == 2 else 0)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_zero_and_rank_deficient(self, m):
         rng = np.random.default_rng(30 + m)
         xi2 = rng.normal(size=(m, 5))
-        self.assert_matches(xi2, np.zeros((m, m)))
+        self.assert_takes_the_svd(xi2, np.zeros((m, m)))
         for _ in range(100):
             v = rng.normal(size=(m, 1)) * 10.0 ** rng.uniform(-150, 150)
-            self.assert_matches(xi2, v @ v.T)
+            self.assert_takes_the_svd(xi2, v @ v.T)
         # one direction just below and one just above the cutoff
         for ratio in (0.5, 2.0):
-            self.assert_matches(xi2, np.diag([1.0] + [ratio * ln.GAIN_PINV_RCOND] * (m - 1)))
+            self.assert_takes_the_svd(
+                xi2, np.diag([1.0] + [ratio * ln.GAIN_PINV_RCOND] * (m - 1)))
+
+    def test_inside_the_margin(self):
+        # both singular values clear the cutoff, but the smaller by less
+        # than twice: the SVD path, so the cutoff decides near it as before,
+        # rotated and at scales across the range
+        rng = np.random.default_rng(40)
+        xi2 = rng.normal(size=(2, 5))
+        for ratio in (1.01, 1.5, 1.99):
+            for _ in range(20):
+                angle = rng.uniform(0.0, np.pi)
+                rot = np.array([[np.cos(angle), -np.sin(angle)],
+                                [np.sin(angle), np.cos(angle)]])
+                xi3 = rot @ np.diag([1.0, ratio * ln.GAIN_PINV_RCOND]) @ rot.T
+                xi3 = (xi3 + xi3.T) * 10.0 ** rng.uniform(-120, 120)
+                self.assert_takes_the_svd(xi2, xi3)
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("x", [5e-324, -1e-310, 2.2250738585072014e-308, 8.99e307,
                                    1.7e308, -1.7976931348623157e308, np.nan])
     def test_subnormal_near_overflow_and_nan(self, m, x):
+        # the identity with x on the diagonal or off it: a subnormal off
+        # the diagonal of a 2x2 leaves it well conditioned and in range
         xi2 = np.arange(1.0, 2 * m + 1).reshape(m, 2)
         for i, j in ((0, 0), (0, m - 1)):
             xi3 = np.eye(m)
             xi3[i, j] = xi3[j, i] = x
-            self.assert_matches(xi2, xi3)
-        self.assert_matches(xi2, np.full((m, m), x))
+            if i == j or abs(x) > 1.0 or np.isnan(x) or m == 3:
+                self.assert_takes_the_svd(xi2, xi3)
+            else:
+                assert ref.takes_closed_form_gain(xi3)
+                self.assert_matches(xi2, xi3)
+        self.assert_takes_the_svd(xi2, np.full((m, m), x))
 
     @pytest.mark.parametrize("x", [np.inf, -np.inf])
     def test_infinite_two_input(self, x):
@@ -950,19 +1097,28 @@ class TestMultiInputGain:
         # entry, through numpy's pinv as well
         xi2 = np.array([[1.0, 2.0], [3.0, 4.0]])
         for xi3 in ([[x, 0.0], [0.0, 1.0]], [[1.0, x], [x, 1.0]], [[x, x], [x, x]]):
-            self.assert_matches(xi2, np.array(xi3))
+            self.assert_takes_the_svd(xi2, np.array(xi3))
 
     def test_takes_one_svd(self, monkeypatch):
+        # one SVD inside the margin and for a 3x3, none outside the margin
         calls = counted_svd(monkeypatch)
-        ln.vi_update_K(np.ones((2, 4)), np.array([[2.0, 1.0], [1.0, 3.0]]))
+        xi2 = np.ones((2, 4))
+        for ratio, svds in ((1.99, 1), (2.01, 0)):
+            ln.vi_update_K(xi2, np.diag([1.0, ratio * ln.GAIN_PINV_RCOND]))
+            assert len(calls) == svds
+            calls.clear()
+        ln.vi_update_K(xi2, np.array([[2.0, 1.0], [1.0, 3.0]]))
+        assert calls == []
+        ln.vi_update_K(np.ones((3, 4)), np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0],
+                                                  [0.0, 0.0, 1.0]]))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_singular_value_at_the_cutoff(self, m):
         # s.min() == cutoff does not clear it: the masked path zeroes it
         xi2 = np.arange(1.0, 3 * m + 1).reshape(m, 3)
-        self.assert_matches(xi2, np.diag([1.0] + [ln.GAIN_PINV_RCOND] * (m - 1)))
-        self.assert_matches(xi2, np.diag([4.0] + [4.0 * ln.GAIN_PINV_RCOND] * (m - 1)))
+        self.assert_takes_the_svd(xi2, np.diag([1.0] + [ln.GAIN_PINV_RCOND] * (m - 1)))
+        self.assert_takes_the_svd(xi2, np.diag([4.0] + [4.0 * ln.GAIN_PINV_RCOND] * (m - 1)))
 
 
 class TestExplorationNoise:
