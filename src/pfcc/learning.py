@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg._umath_linalg import svd_s as _svd_gufunc
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
@@ -155,41 +154,39 @@ class DataBuffer:
                                vecv(u)], axis=1)
 
     def psi_next(self) -> np.ndarray:
-        # vecv of a stack is not C-contiguous, and ``psi_next @ vecm(P)``
-        # rounds differently on such an array
-        return np.ascontiguousarray(vecv(self._x_next[: self._rows]))
+        return vecv(self._x_next[: self._rows])
 
 
 class WindowPlan:
     """The work of a value-iteration sweep that depends only on the window
     ``buf``, done once when ``iterate`` builds the plan of a full window.
 
-    The regression ``theta @ xi = psi_next @ vecm(P)``, its rows scaled by
-    ``scale``, is linear in ``vecm(P)``, and so are its solution, its scaled
-    right-hand side and its residual.  The plan stacks the three operators,
-    ``F / weights``, ``D Psi`` and ``E = M F - D Psi`` (``M`` the scaled
-    regression matrix, ``D Psi`` the scaled ``psi_next`` rows, ``F`` the
-    fold and ``weights`` the half-vectorization weights of the Xi blocks'
-    slots), into one ``(unknowns + 2 rows, psi)`` array built in place, so
-    that a sweep's regression is one product; the factors, ``M`` and ``F``
-    are not kept.  A window needs at least as many rows as unknowns; its
-    regression is solved min-norm over the singular directions above
-    ``RANK_RCOND * s[0]``, which keeps a window whose augmented state is
-    partly unexcited (for example a tracking block resting at the origin)
-    from amplifying round-off into the gain.  When the Householder QR
-    ``Q R`` of ``M`` certifies that the rule keeps every direction, as on a
-    probe window, the fold is ``R^-1 Q^T D Psi``, ``R^-1`` inverted as a
-    triangle, the same solution for a fraction of an SVD's flops; otherwise
-    it is ``V S^-1 U^T D Psi`` over the kept directions of the truncated SVD
-    ``U S V^T``, whose factors are released before ``E`` is formed.  A
-    window with an all-zero column, as every engine closed-loop window has,
-    goes to the SVD without a QR.  The plan also keeps the row scale, the
-    ``psi_next`` rows and the tables that unpack a solution into the Xi
-    blocks.  A row whose norm is not finite, an overflow included, raises
+    The regression ``theta @ xi = psi_next @ vecm(P)``, each row scaled to
+    a norm of at most 1, is linear in ``vecm(P)``, and so are its solution,
+    its scaled right-hand side and its residual.  The plan stacks the three
+    operators, ``F / weights``, ``D Psi`` and ``E = M F - D Psi`` (``M`` the
+    scaled regression matrix, ``D Psi`` the scaled ``psi_next`` rows, ``F``
+    the fold and ``weights`` the half-vectorization weights of the Xi
+    blocks' slots), into one ``(unknowns + 2 rows, psi)`` array built in
+    place, so that a sweep's regression is one product; the factors, ``M``,
+    ``F`` and the ``psi_next`` rows are not kept.  A window needs at least
+    as many rows as unknowns; its regression is solved min-norm over the
+    singular directions above ``RANK_RCOND * s[0]``, which keeps a window
+    whose augmented state is partly unexcited (for example a tracking block
+    resting at the origin) from amplifying round-off into the gain.  When
+    the Householder QR ``Q R`` of ``M`` certifies that the rule keeps every
+    direction, as on a probe window, the fold is ``R^-1 Q^T D Psi``,
+    ``R^-1`` inverted as a triangle, the same solution for a fraction of an
+    SVD's flops; otherwise it is ``V S^-1 U^T D Psi`` over the kept
+    directions of the truncated SVD ``U S V^T``, whose factors are released
+    before ``E`` is formed.  A window with an all-zero column, as every
+    engine closed-loop window has, goes to the SVD without a QR.  The plan
+    also keeps the tables that unpack a solution into the Xi blocks.  A row
+    whose norm is not finite, an overflow included, raises
     ``ConvergenceError``."""
 
-    __slots__ = ("scale", "psi_next", "_operator", "_solution", "_rhs", "_residual",
-                 "_xi2", "_xi2_shape", "_weights", "_xi1_gather", "_xi3_gather")
+    __slots__ = ("_operator", "_solution", "_rhs", "_residual", "_xi2", "_xi2_shape",
+                 "_xi1_gather", "_xi3_gather")
 
     def __init__(self, buf: DataBuffer):
         theta = buf.theta()
@@ -198,20 +195,20 @@ class WindowPlan:
         if not np.isfinite(norms).all():
             raise ConvergenceError("window regression is not finite; the window "
                                    "has left the float range")
-        self.scale = 1.0 / np.maximum(1.0, norms)
-        matrix = theta * self.scale[:, None]
+        scale = 1.0 / np.maximum(1.0, norms)
+        matrix = theta * scale[:, None]
         del theta  # released before the factorisation
         rows, unknowns = matrix.shape
         if rows < unknowns:
             raise PersistentExcitationError(
                 f"window has {rows} rows for {unknowns} unknowns; collect more samples")
-        self.psi_next = buf.psi_next()
+        psi_next = buf.psi_next()
         n, m = buf.state_dim, buf.input_dim
         c1 = psi_columns(n)
         # the half-vectorization weights of the solution's slots, 1 for Xi2's
         xi1_weights, _, xi1_full = square_index(n)
         xi3_weights, _, xi3_full = square_index(m)
-        self._weights = np.concatenate([xi1_weights, np.ones(n * m), xi3_weights])
+        weights = np.concatenate([xi1_weights, np.ones(n * m), xi3_weights])
         self._xi1_gather = xi1_full
         self._xi2 = slice(c1, c1 + n * m)
         self._xi2_shape = (m, n)
@@ -219,15 +216,15 @@ class WindowPlan:
         self._solution = slice(0, unknowns)
         self._rhs = slice(unknowns, unknowns + rows)
         self._residual = slice(unknowns + rows, unknowns + 2 * rows)
-        operator = np.empty((unknowns + 2 * rows, self.psi_next.shape[1]))
+        operator = np.empty((unknowns + 2 * rows, psi_next.shape[1]))
         fold, rhs, residual = (operator[self._solution], operator[self._rhs],
                                operator[self._residual])
-        np.multiply(self.scale[:, None], self.psi_next, out=rhs)
+        np.multiply(scale[:, None], psi_next, out=rhs)
         if _certified_qr_fold(matrix, rhs, fold) is None:
             _truncated_svd_fold(matrix, rhs, fold)
         np.matmul(matrix, fold, out=residual)
         residual -= rhs
-        fold /= self._weights[:, None]
+        fold /= weights[:, None]
         self._operator = operator
 
     def xi(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,21 +277,10 @@ class WindowPlan:
                 "window rows are mutually inconsistent (relative residual "
                 f"{res_norm / max(rhs_norm, 1e-300):.2e}); "
                 "samples were likely taken during an observer transient")
-        return self._unpack(solution)
-
-    def blocks(self, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Xi1 (n x n), Xi2 (m x n) and Xi3 (m x m) from a solution
-        ``[vecm(Xi1), vec(Xi2), vecm(Xi3)]``, as ``xi`` unpacks its own."""
-        return self._unpack(stacked / self._weights)
-
-    def _unpack(self, unscaled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The blocks of a solution whose half-vectorized slots are divided
-        by their weights: Xi1 and Xi3 each as one gather, so they come back
-        exactly symmetric, contiguous and writeable, and Xi2 as the
-        column-stacked view."""
-        return (unscaled[self._xi1_gather],
-                unscaled[self._xi2].reshape(self._xi2_shape, order="F"),
-                unscaled[self._xi3_gather])
+        # the fold divided the half-vectorized slots by their weights
+        return (solution[self._xi1_gather],
+                solution[self._xi2].reshape(self._xi2_shape, order="F"),
+                solution[self._xi3_gather])
 
 
 _REGRESSION_NOT_FINITE = ("window regression is not finite; the window "
@@ -332,7 +318,7 @@ def _truncated_svd_fold(matrix: np.ndarray, rhs: np.ndarray, out: np.ndarray) ->
     the singular directions above ``RANK_RCOND * s[0]``, written into
     ``out``; the factors are released on return.  A zero ``matrix`` raises
     ``PersistentExcitationError``."""
-    u, s, vt = _svd(matrix)
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     if s[0] == 0.0:
         raise PersistentExcitationError(
             "regression matrix is zero; no excitation in the window")
@@ -363,23 +349,6 @@ def _norm(v: np.ndarray) -> float:
     the sum of squares overflows to inf."""
     v = v.ravel(order="K")
     return math.sqrt(np.vdot(v, v))
-
-
-def _svd_did_not_converge(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
-# The decorator sets its error state afresh on each call (one errstate
-# object cannot be entered twice).
-@np.errstate(call=_svd_did_not_converge, invalid="call", over="ignore",
-             divide="ignore", under="ignore")
-def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reduced SVD ``(u, s, vt)`` of a 2-D float array, ``s`` in
-    descending order, bit for bit ``np.linalg.svd(a, full_matrices=False)``:
-    the LAPACK gufunc that call runs, under the error state it sets (an SVD
-    that does not converge raises the same LinAlgError), without the
-    argument handling, which costs more than a 2x2 SVD itself."""
-    return _svd_gufunc(a, signature="d->ddd")
 
 
 @functools.cache
@@ -444,17 +413,14 @@ def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     ``s_max = |a + c| / 2 + hypot((a - c) / 2, b)`` is its largest singular
     value, keeps both singular values by a margin of two over the cutoff;
     its inverse is the adjugate over the determinant, within ``4 eps cond``
-    of ``pinv``'s and not bit for bit.  Any other Xi3
-    (nan, inf, out of range, inside the margin, or 3x3) takes the steps of
-    numpy's ``linalg.pinv`` around the same LAPACK SVD (``_svd``), so the
-    gain is bit for bit ``-pinv(xi3, rcond=GAIN_PINV_RCOND) @ xi2``, and a
-    matrix near the cutoff is kept or dropped as ``pinv`` decides; when
-    every singular value clears the cutoff, the masked reciprocal is the
-    plain one.  The singular values come sorted, so ``s[0]`` and ``s[-1]``
-    are the largest and smallest; the SVD raises on a nan entry, and the
-    nans of a 2x2 with an infinite entry fill all of ``s``, where both read
-    nan as the max and min do (the test fails and the masked path zeroes
-    every one).
+    of ``pinv``'s and not bit for bit.  Any other Xi3 (nan, inf, out of
+    range, inside the margin, or 3x3) gives
+    ``-np.linalg.pinv(xi3, rcond=GAIN_PINV_RCOND) @ xi2``, so a matrix near
+    the cutoff is kept or dropped as ``pinv`` decides.  The LAPACK SVD that
+    ``pinv`` runs raises on a nan entry and returns nans for a 2x2 with an
+    infinite one, but does not return at all on a 3x3 with an infinite
+    entry; that is why a window plan's ``xi`` rejects a solution that is not
+    finite before any gain update.
     """
     if xi3.shape == (1, 1):
         if RECIPROCAL_RANGE[0] <= abs(xi3[0, 0]) <= RECIPROCAL_RANGE[1]:
@@ -470,14 +436,7 @@ def vi_update_K(xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
                 # -(adj / det), each entry negated before its division: the
                 # same bits, signed zeros included
                 return np.array([[-c / det, b / det], [b / det, -a / det]]) @ xi2
-    u, s, vt = _svd(xi3)
-    cutoff = GAIN_PINV_RCOND * s[0]
-    if s[-1] > cutoff:
-        return -np.matmul(vt.T, (1 / s)[:, None] * u.T) @ xi2
-    large = s > cutoff
-    np.divide(1, s, where=large, out=s)
-    s[~large] = 0
-    return -np.matmul(vt.T, s[:, None] * u.T) @ xi2
+    return -np.linalg.pinv(xi3, rcond=GAIN_PINV_RCOND) @ xi2
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:

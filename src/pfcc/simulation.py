@@ -299,11 +299,12 @@ class TraceLog:
 
     A sample is recorded as references to its tick's world vector, observer
     bank and follower weights (the engine replaces them and never writes
-    into them), and its row is filled later: ``TRACE_BLOCK_SAMPLES``
-    pending samples at a time, or every pending sample when the trace is
-    read (``rows()``, ``len()``).  The table is sized for the horizon's
-    samples and doubles whenever it is full (stepping may go past the
-    horizon)."""
+    into them), and its row is filled later, in one pass with the pending
+    samples that share its bank and weights: once they make a block of
+    ``TRACE_BLOCK_SAMPLES``, once a sample with another bank or weights
+    comes, or once the trace is read (``rows()``, ``len()``).  The table is
+    sized for the horizon's samples and doubles whenever it is full
+    (stepping may go past the horizon)."""
 
     config: ScenarioConfig
     size: int = field(default=0, init=False)
@@ -333,7 +334,12 @@ class TraceLog:
 
     def record(self, tick: int, world: np.ndarray, bank: ob.ObserverBank,
                weights: np.ndarray) -> None:
-        """Add the sample of ``tick``; a full block of samples is filled."""
+        """Add the sample of ``tick``.  The pending samples are filled
+        before one with another bank or weights joins them, and when they
+        make a full block."""
+        if self.pending and (bank is not self.pending[-1][2]
+                             or weights is not self.pending[-1][3]):
+            self._fill()
         self.pending.append((tick, world, bank, weights))
         if len(self.pending) == TRACE_BLOCK_SAMPLES:
             self._fill()
@@ -347,8 +353,8 @@ class TraceLog:
     # a diverged state's errors are recorded as inf or nan, without a warning
     @np.errstate(over="ignore", invalid="ignore")
     def _fill(self) -> None:
-        """Fill the pending samples' rows, one stacked pass per run of
-        consecutive samples that share a bank and weights.
+        """Fill the pending samples' rows, which share a bank and weights,
+        in one stacked pass.
 
         The stack holds one sample per column, so each elementwise step runs
         along the samples.  A follower's containment error subtracts one
@@ -365,32 +371,29 @@ class TraceLog:
         n, m = topo.n_followers, topo.n_leaders
         nodes = 1 + n + m
         columns = np.array(topo.leader_nodes + topo.follower_nodes)
-        starts = [k for k in range(len(ticks)) if k == 0 or banks[k] is not banks[k - 1]
-                  or weights[k] is not weights[k - 1]]
-        for start, stop in zip(starts, starts[1:] + [len(ticks)]):
-            bank, w, b = banks[start], weights[start], stop - start
-            world = np.stack(worlds[start:stop], axis=1)
-            x = world[: (n + m) * dim].reshape(n + m, dim, b)
-            targets = world[(n + m) * dim : (nodes + m) * dim].reshape(1 + m, dim, b)
-            x_o, h = targets[0], targets[1:]
-            leader_targets = h + x_o
-            containment = x[:n].copy()
-            for q in range(m):
-                containment -= w[:, q, None, None] * leader_targets[q]
-            diffs = np.concatenate((x[n:] - h - x_o, containment,
-                                    world[(nodes + m) * dim :].reshape(-1, dim, b)
-                                    - targets[bank.target]))
-            sq_norms = row_sq_norms(diffs.transpose(2, 0, 1).reshape(-1, dim))
-            norms = np.sqrt(sq_norms).reshape(b, -1)
-            obs_errors = np.bincount((np.arange(b)[:, None] * nodes + bank.agent).ravel(),
-                                     norms[:, m + n :].ravel(), minlength=b * nodes)
-            rows = self.table[self.size : self.size + b]
-            rows[:, 0] = ticks[start:stop]
-            rows[:, 1 : 1 + m + n] = norms[:, : m + n]
-            rows[:, 1 + m + n : 1 + 2 * (m + n)] = obs_errors.reshape(b, nodes)[:, columns]
-            if self.config.record_states:
-                rows[:, 1 + 2 * (m + n) :] = world[: (n + m) * dim].T
-            self.size += b
+        bank, w, b = banks[0], weights[0], len(ticks)
+        world = np.stack(worlds, axis=1)
+        x = world[: (n + m) * dim].reshape(n + m, dim, b)
+        targets = world[(n + m) * dim : (nodes + m) * dim].reshape(1 + m, dim, b)
+        x_o, h = targets[0], targets[1:]
+        leader_targets = h + x_o
+        containment = x[:n].copy()
+        for q in range(m):
+            containment -= w[:, q, None, None] * leader_targets[q]
+        diffs = np.concatenate((x[n:] - h - x_o, containment,
+                                world[(nodes + m) * dim :].reshape(-1, dim, b)
+                                - targets[bank.target]))
+        sq_norms = row_sq_norms(diffs.transpose(2, 0, 1).reshape(-1, dim))
+        norms = np.sqrt(sq_norms).reshape(b, -1)
+        obs_errors = np.bincount((np.arange(b)[:, None] * nodes + bank.agent).ravel(),
+                                 norms[:, m + n :].ravel(), minlength=b * nodes)
+        rows = self.table[self.size : self.size + b]
+        rows[:, 0] = ticks
+        rows[:, 1 : 1 + m + n] = norms[:, : m + n]
+        rows[:, 1 + m + n : 1 + 2 * (m + n)] = obs_errors.reshape(b, nodes)[:, columns]
+        if self.config.record_states:
+            rows[:, 1 + 2 * (m + n) :] = world[: (n + m) * dim].T
+        self.size += b
 
 
 @dataclass

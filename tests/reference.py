@@ -162,7 +162,13 @@ def window_regression(buf: ln.DataBuffer, p: np.ndarray
     if peak > 0.0 and (np.linalg.norm(residual / peak)
                        > ln.CONSISTENCY_RTOL * max(np.linalg.norm(rhs / peak), 1e-12 / peak)):
         raise DataConsistencyError("window rows are mutually inconsistent")
-    n, m = buf.state_dim, buf.input_dim
+    return solution_blocks(solution, buf.state_dim, buf.input_dim)
+
+
+def solution_blocks(solution: np.ndarray, n: int, m: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Xi1 (n x n), Xi2 (m x n) and Xi3 (m x m) of a regression solution
+    ``[vecm(Xi1), vec(Xi2), vecm(Xi3)]``."""
     weights1, _, full1 = square_index(n)
     weights3, _, full3 = square_index(m)
     c1, c2 = weights1.size, weights1.size + n * m

@@ -171,7 +171,6 @@ class TestDataBuffer:
         check()
 
         theta, psi_next = eager()
-        assert ln.WindowPlan(buf).psi_next.tobytes() == psi_next.tobytes()
 
         class EagerWindow:
             """The full window, read from the eager rows."""
@@ -192,16 +191,15 @@ class TestDataBuffer:
 
     @pytest.mark.parametrize("rows", [1, 30])
     def test_rows_are_c_contiguous(self, rows):
-        # vecv of a stack is not C-contiguous, and the sweep's
-        # ``psi_next @ vecm(P)`` rounds differently on such an array: a
-        # change of layout would move every learned gain by an ulp
+        # the plan factors and multiplies the scaled theta rows, whose
+        # layout follows theta's, and BLAS may round differently on another
+        # layout: a change of layout could move every learned gain by an ulp
         rng = np.random.default_rng(29)
         n, m = 5, 2
         buf = ln.DataBuffer(n, m, 30).record(rng.normal(size=(rows, n)),
                                              rng.normal(size=(rows, m)),
                                              rng.normal(size=(rows, n)))
         assert buf.theta().flags.c_contiguous
-        assert buf.psi_next().flags.c_contiguous
 
     def test_recording_past_capacity_rejected(self):
         buf = ln.DataBuffer(1, 1, 2)
@@ -294,7 +292,7 @@ class TestModelBlockRegression:
         signs = [1.0, -1.0] if np.isnan(poison) else [np.sign(poison)]
         p = 1e308 * np.diag(np.resize(signs, sys_.dim))
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = (plan.psi_next @ mo.vecm(p)) * plan.scale
+            rhs = (exact.psi_next() @ mo.vecm(p)) * row_scale(exact)
             assert np.isnan(rhs).any() if np.isnan(poison) else (rhs == poison).any()
             with pytest.raises(ConvergenceError, match="window regression is not finite"):
                 plan.xi(p)
@@ -308,7 +306,7 @@ class TestModelBlockRegression:
         plan = ln.WindowPlan(exact)
         p = 1e308 * np.eye(sys_.dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isfinite((plan.psi_next @ mo.vecm(p)) * plan.scale).all()
+            assert np.isfinite((exact.psi_next() @ mo.vecm(p)) * row_scale(exact)).all()
             with pytest.raises(ConvergenceError, match="window regression is not finite"):
                 plan.xi(p)
 
@@ -323,6 +321,12 @@ class TestModelBlockRegression:
         assert xi1[0, 0] == pytest.approx(a * 1.3 * a)
         assert xi2[0, 0] == pytest.approx(b * 1.3 * a)
         assert xi3[0, 0] == pytest.approx(b * 1.3 * b)
+
+
+def row_scale(window):
+    """The factor a window plan scales each regression row by: its norm
+    brought to at most 1."""
+    return 1.0 / np.maximum(1.0, np.linalg.norm(window.theta(), axis=1))
 
 
 def assert_same_controller(got, want):
@@ -374,16 +378,21 @@ class TestWindowPlan:
             assert_same_controller(got, want)
 
     def test_plan_built_after_a_record_sees_the_new_row(self, hexagon_config):
-        # a plan reads the rows recorded when it is built, and only those
+        # a plan reads the rows recorded when it is built, and only those:
+        # a transition off the model, recorded after the first plan is
+        # built, leaves it solving as a plan of the window without it and
+        # makes the regression of a plan built after it inconsistent
         sys_ = f1_system(hexagon_config)
         rows, ((x, u, x_next), _) = self.windows(sys_, seed=9)
         buf = ln.DataBuffer(sys_.dim, sys_.m, rows + 1).record(x, u, x_next)
         plan = ln.WindowPlan(buf)
-        buf.record(x[0], u[0], x_next[0])
-        assert plan.psi_next.shape[0] == rows
-        after = ln.WindowPlan(buf)
-        assert after.psi_next.shape[0] == rows + 1
-        assert after.psi_next[-1].tobytes() == buf.psi_next()[-1].tobytes()
+        buf.record(x[0], u[0], 1.1 * x_next[0])
+        p = np.eye(sys_.dim)
+        fresh = ln.WindowPlan(ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next))
+        for got, want in zip(plan.xi(p), fresh.xi(p)):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(DataConsistencyError):
+            ln.WindowPlan(buf).xi(p)
 
     @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
     def test_non_finite_value_matrix_is_a_convergence_error(self, hexagon_config, poison):
@@ -742,7 +751,7 @@ class TestWindowRule:
         # (seeds as the scenarios', an odd one, and gain_audit's seed * 1000 + k)
         for seed in [7, 2024] + [7 * 1000 + k for k in range(10)]:
             for agent, buf, _ in compare_gains_windows(name, seed):
-                scaled = buf.theta() * ln.WindowPlan(buf).scale[:, None]
+                scaled = buf.theta() * row_scale(buf)[:, None]
                 s = np.linalg.svd(scaled, compute_uv=False)
                 assert s[-1] > ln.RANK_RCOND * s[0], (agent, seed, s[0] / s[-1])
 
@@ -774,21 +783,23 @@ class TestWindowRule:
         # a zero column is a zero diagonal entry of R, so such a window goes
         # to the SVD without a QR: a probe window without inputs (its Xi2
         # and Xi3 columns are zero) and the ten windows of a 1700-tick run
+        # (the reference solve, which takes an SVD of its own, runs before
+        # the spies)
         qr_shapes, svd_shapes = [], []
 
         def counting(shapes, fn):
-            def count(a, *args):
+            def count(a, *args, **kwargs):
                 shapes.append(a.shape)
-                return fn(a, *args)
+                return fn(a, *args, **kwargs)
             return count
-        monkeypatch.setattr(np.linalg, "qr", counting(qr_shapes, np.linalg.qr))
-        monkeypatch.setattr(ln, "_svd", counting(svd_shapes, ln._svd))
         sys_ = f1_system(hexagon_config)
         buf = fill_buffer(sys_, seed=4, noise=0.0)
         assert not buf.theta().any(axis=0).all()
         p = np.eye(sys_.dim)
-        TestFoldedRegression.assert_same_blocks(ln.WindowPlan(buf).xi(p),
-                                                ref.window_regression(buf, p))
+        want = ref.window_regression(buf, p)
+        monkeypatch.setattr(np.linalg, "qr", counting(qr_shapes, np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "svd", counting(svd_shapes, np.linalg.svd))
+        TestFoldedRegression.assert_same_blocks(ln.WindowPlan(buf).xi(p), want)
         assert qr_shapes == [] and svd_shapes == [buf.theta().shape]
         cfg = dataclasses.replace(hexagon_config, horizon=1700)
         assert sim.run(cfg).error is None
@@ -801,7 +812,8 @@ class TestWindowRule:
         assert window_paths == ["svd"]
         got = plan.xi(p)
         TestFoldedRegression.assert_same_blocks(got, ref.window_regression(window, p))
-        full = plan.blocks(window.solution @ mo.vecm(p))
+        full = ref.solution_blocks(window.solution @ mo.vecm(p), window.state_dim,
+                                   window.input_dim)
         gap = max(np.abs(a - b).max() / np.abs(b).max() for a, b in zip(got, full))
         assert gap > 1e-6
 
@@ -814,8 +826,9 @@ class TestWindowRule:
         got = plan.xi(p)
         TestFoldedRegression.assert_same_blocks(got, ref.window_regression(window, p),
                                                 rtol=1e-9)
-        TestFoldedRegression.assert_same_blocks(
-            got, plan.blocks(window.solution @ mo.vecm(p)), rtol=1e-9)
+        full = ref.solution_blocks(window.solution @ mo.vecm(p), window.state_dim,
+                                   window.input_dim)
+        TestFoldedRegression.assert_same_blocks(got, full, rtol=1e-9)
 
 
 def parent_certifies(matrix):
@@ -864,9 +877,9 @@ class TestUpperInverse:
         # at the probe seeds of the pinned compare-gains reports
         for seed in seeds:
             for agent, buf, _ in compare_gains_windows(name, seed, mode=mode):
-                plan = ln.WindowPlan(buf)
-                matrix = buf.theta() * plan.scale[:, None]
-                rhs = plan.scale[:, None] * plan.psi_next
+                scale = row_scale(buf)
+                matrix = buf.theta() * scale[:, None]
+                rhs = scale[:, None] * buf.psi_next()
                 certified = ln._certified_qr_fold(matrix, rhs) is not None
                 assert certified == parent_certifies(matrix), (agent, seed)
 
@@ -959,16 +972,17 @@ def outcome(fn, *args):
     return result, [str(w.message) for w in caught]
 
 
-def counted_svd(monkeypatch):
-    """Count the calls of the learner's SVD seam, ``learning._svd`` (the
-    reference ``pinv`` calls numpy's own SVD and is not counted)."""
+def counted_pinv(monkeypatch):
+    """Count the calls of ``np.linalg.pinv``, which the gain update makes
+    off its closed forms; a reference gain computed after this is counted
+    too, so it is computed before."""
     calls = []
-    svd = ln._svd
+    pinv = np.linalg.pinv
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return svd(*args, **kwargs)
-    monkeypatch.setattr(ln, "_svd", counted)
+        return pinv(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "pinv", counted)
     return calls
 
 
@@ -993,15 +1007,16 @@ class TestClosedFormGain:
     @pytest.mark.parametrize("x", [0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-200,
                                    1e200, -1.7e308])
     def test_zero_non_finite_and_extreme_take_the_pinv_path(self, monkeypatch, x):
-        calls = counted_svd(monkeypatch)
         xi2, xi3 = np.array([[1.0, -2.0, 0.0]]), np.array([[x]])
-        assert outcome(ln.vi_update_K, xi2, xi3) == outcome(pinv_gain, xi2, xi3)
+        want = outcome(pinv_gain, xi2, xi3)
+        calls = counted_pinv(monkeypatch)
+        assert outcome(ln.vi_update_K, xi2, xi3) == want
         assert len(calls) == 1
 
     def test_finite_single_input_skips_pinv(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("svd called for a finite nonzero 1x1 Xi3")
-        monkeypatch.setattr(ln, "_svd", fail)
+            raise AssertionError("pinv called for a finite nonzero 1x1 Xi3")
+        monkeypatch.setattr(np.linalg, "pinv", fail)
         np.testing.assert_array_equal(
             ln.vi_update_K(np.array([[2.0, 4.0]]), np.array([[-4.0]])), [[0.5, 1.0]])
         for x in (*ln.RECIPROCAL_RANGE, -ln.RECIPROCAL_RANGE[0]):
@@ -1099,9 +1114,9 @@ class TestMultiInputGain:
         for xi3 in ([[x, 0.0], [0.0, 1.0]], [[1.0, x], [x, 1.0]], [[x, x], [x, x]]):
             self.assert_takes_the_svd(xi2, np.array(xi3))
 
-    def test_takes_one_svd(self, monkeypatch):
-        # one SVD inside the margin and for a 3x3, none outside the margin
-        calls = counted_svd(monkeypatch)
+    def test_takes_one_pinv(self, monkeypatch):
+        # one pinv inside the margin and for a 3x3, none outside the margin
+        calls = counted_pinv(monkeypatch)
         xi2 = np.ones((2, 4))
         for ratio, svds in ((1.99, 1), (2.01, 0)):
             ln.vi_update_K(xi2, np.diag([1.0, ratio * ln.GAIN_PINV_RCOND]))
@@ -1345,13 +1360,13 @@ class TestOneBlasThread:
         seen = []
 
         def reading(kind, fn):
-            def read(*args):
+            def read(*args, **kwargs):
                 seen.append((kind, get_threads()))
-                return fn(*args)
+                return fn(*args, **kwargs)
             return read
         monkeypatch.setattr(ln, "_certified_qr_fold",
                             reading("qr", ln._certified_qr_fold))
-        monkeypatch.setattr(ln, "_svd", reading("svd", ln._svd))
+        monkeypatch.setattr(np.linalg, "svd", reading("svd", np.linalg.svd))
         monkeypatch.setattr(ln, "learning_tick", reading("sweep", ln.learning_tick))
         sys_ = f1_system(hexagon_config)
         buf = fill_buffer(sys_, seed=42, warm=np.array([[-1.0, -3.0]]))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import reference as ref
 from conftest import unvec, unvecm, vecv_loop
-from pfcc import learning as ln
 from pfcc import matops as mo
 from pfcc import scenario as sc
 
@@ -134,26 +133,21 @@ class TestUnvecm:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_gather_matches_fancy_store_bit_for_bit(self, n):
-        # the sweep unpacks a regression solution [vecm(Xi1), vec(Xi2),
-        # vecm(Xi3)] through its window plan's gathers (here m = n)
+        # a window plan unpacks Xi1 and Xi3 from a regression solution as
+        # square_index's gather: the slots over their weights, then each
+        # entry read from the table of its slot
         rng = np.random.default_rng(100 + n)
-        cols = ln.theta_columns(n, n)
-        x = rng.normal(size=(cols + 2, n))
-        buf = ln.DataBuffer(n, n, cols + 2).record(x, rng.normal(size=(cols + 2, n)), x)
-        plan = ln.WindowPlan(buf)
-        size = n * (n + 1) // 2
+        weights, _, full = mo.square_index(n)
+        size = weights.size
         specials = np.array([0.0, -0.0, 5e-324, -1e-310, 1.7e308, np.inf, -np.inf, np.nan])
         for k in range(50):
-            v = rng.normal(size=cols) * 10.0 ** rng.uniform(-300, 300, cols)
+            v = rng.normal(size=size) * 10.0 ** rng.uniform(-300, 300, size)
             if k % 2:
-                v[rng.integers(cols, size=3)] = rng.choice(specials, size=3)
-            xi1, xi2, xi3 = plan.blocks(v)
-            assert xi1.tobytes() == unvecm(v[:size], n).tobytes()
-            assert xi2.tobytes() == unvec(v[size : size + n * n], n, n).tobytes()
-            assert xi3.tobytes() == unvecm(v[size + n * n :], n).tobytes()
-            for got in (xi1, xi3):
-                assert got.tobytes() == got.T.copy().tobytes()
-                assert got.flags.writeable and got.flags.c_contiguous
+                v[rng.integers(size, size=3)] = rng.choice(specials, size=3)
+            got = (v / weights)[full]
+            assert got.tobytes() == unvecm(v, n).tobytes()
+            assert got.tobytes() == got.T.copy().tobytes()
+            assert got.flags.writeable and got.flags.c_contiguous
 
 
 class TestVec:

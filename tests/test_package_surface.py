@@ -1,8 +1,8 @@
 """The package holds only what runs: every public function, class,
-method and annotated class field in ``src/pfcc`` is referenced by the
-package itself or by the benchmark harness, not only by tests, and so is
-every defaulted parameter of a public function or method.  The references
-the acceptance criteria compare against live in ``tests/reference.py``."""
+method and class field in ``src/pfcc`` is referenced by the package itself
+or by the benchmark harness, not only by tests, and so is every defaulted
+parameter of a public function or method.  The references the acceptance
+criteria compare against live in ``tests/reference.py``."""
 
 import ast
 import os
@@ -17,11 +17,16 @@ PACKAGE = ROOT / "src" / "pfcc"
 #: The read nodes that count as a use: a bare name or an attribute.
 ANY_READ = (ast.Name, ast.Attribute)
 
+#: The read node that counts as a use of a method or an instance field.
+ATTRIBUTE_READ = (ast.Attribute,)
+
 
 def public_definitions(tree: ast.Module):
     """(qualified name, name, node, reads) of each public module-level
     function and class, and of each public method of those classes;
-    ``reads`` are the read nodes that count as a use."""
+    ``reads`` are the read nodes that count as a use.  A method is read
+    only as an attribute (``obj.method``), so a local variable of the same
+    spelling does not count."""
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")):
@@ -30,7 +35,7 @@ def public_definitions(tree: ast.Module):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("_")):
-                        yield f"{node.name}.{item.name}", item.name, item, ANY_READ
+                        yield f"{node.name}.{item.name}", item.name, item, ATTRIBUTE_READ
 
 
 def is_named_tuple(node: ast.ClassDef) -> bool:
@@ -38,19 +43,33 @@ def is_named_tuple(node: ast.ClassDef) -> bool:
                for base in node.bases)
 
 
+def slot_names(node: ast.ClassDef) -> list[str]:
+    """The names a class lists in its ``__slots__`` tuple or list."""
+    for item in node.body:
+        if (isinstance(item, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
+                and isinstance(item.value, (ast.Tuple, ast.List))):
+            return [elt.value for elt in item.value.elts if isinstance(elt, ast.Constant)]
+    return []
+
+
 def public_fields(tree: ast.Module):
-    """(qualified name, name, node, reads) of each public annotated field
-    of a public module-level class.  A dataclass field is read only as an
-    attribute (``obj.field``), so a local variable of the same spelling
-    does not count; a ``NamedTuple`` field may also be read as the bare
-    name it is unpacked into."""
+    """(qualified name, name, node, reads) of each public field of a public
+    module-level class: an annotated field, or a name in its ``__slots__``.
+    A dataclass or slot field is read only as an attribute (``obj.field``),
+    so a local variable of the same spelling does not count, and a slot
+    field only outside its class, which sets it; a ``NamedTuple`` field may
+    also be read as the bare name it is unpacked into."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            reads = ANY_READ if is_named_tuple(node) else (ast.Attribute,)
+            reads = ANY_READ if is_named_tuple(node) else ATTRIBUTE_READ
             for item in node.body:
                 if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                         and not item.target.id.startswith("_")):
                     yield f"{node.name}.{item.target.id}", item.target.id, item, reads
+            for name in slot_names(node):
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", name, node, ATTRIBUTE_READ
 
 
 def name_reads(tree: ast.Module):
@@ -148,6 +167,28 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
                        for where, call in calls):
                 found.append(f"{path.stem}.{qualified}({parameter})")
     assert sorted(set(found) - PASSED_BY_TESTS_ONLY) == []
+
+
+def test_only_private_numpy_import_is_the_cholesky_gufunc():
+    # numpy's public functions serve every other call.  matops keeps the
+    # Cholesky gufunc, because a per-matrix np.linalg.cholesky loop gave the
+    # same verdicts on 4000 random stacks but took 86 us instead of 19 us
+    # per hexagon validate (about +2.5% of the benchmark's setup_s)
+    package, trees = parsed_sources()
+    found = []
+    for path in package:
+        for node in ast.walk(trees[path]):
+            if isinstance(node, ast.ImportFrom):
+                modules = [(node.module or "", alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [(alias.name, None) for alias in node.names]
+            else:
+                continue
+            for module, name in modules:
+                parts = module.split(".")
+                if parts[0] == "numpy" and any(part.startswith("_") for part in parts):
+                    found.append((path.stem, module, name))
+    assert found == [("matops", "numpy.linalg._umath_linalg", "cholesky_lo")]
 
 
 def test_command_line_does_not_import_jsonschema():
