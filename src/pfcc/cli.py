@@ -117,8 +117,8 @@ def probe_window(cfg: sim.ScenarioConfig, node: int,
     then the probing inputs of every row, with standard deviation
     ``COMPARE_NOISE_STD``; the engine's ``exploration_noise`` is not drawn.
     """
-    rows = ln.window_rows(sys_.dim, sys_.m)
-    buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
+    buf = ln.DataBuffer(sys_.dim, sys_.m)
+    rows = buf.capacity
     rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
     warm = np.zeros((sys_.m, sys_.dim))
     warm[:, : cfg.state_dim] = np.atleast_2d(

@@ -85,28 +85,28 @@ def theta_columns(state_dim: int, input_dim: int) -> int:
 
 def window_rows(state_dim: int, input_dim: int) -> int:
     """Rows of a learner's window: the regression's unknowns plus 12, more
-    than a persistently exciting window needs."""
+    than a persistently exciting window needs.  ``DataBuffer`` applies this
+    one window rule to size itself."""
     return theta_columns(state_dim, input_dim) + 12
 
 
 class DataBuffer:
     """Fixed window of recorded transitions for one agent's augmented system.
 
-    The window stores the recorded transitions, ``x``, ``u`` and ``x+``, in
-    order until it is full; a full window must be flushed before it takes
-    new transitions.  Row t of ``theta`` is [vecv(x), 2 x (x) u, vecv(u)]
-    and row t of ``psi_next`` is vecv(x+), for the t-th transition.  Each
-    read builds the rows of every recorded transition in one vectorized
-    pass, each entry the same elementwise product a transition at a time
-    would give, so recording costs only the copy.
+    The window holds ``window_rows(state_dim, input_dim)`` transitions, the
+    one window rule, and stores them, ``x``, ``u`` and ``x+``, in order until
+    it is full; a full window must be flushed before it takes new ones.  Row
+    t of ``theta`` is [vecv(x), 2 x (x) u, vecv(u)] and row t of
+    ``psi_next`` is vecv(x+), for the t-th transition.  Each read builds
+    the rows of every recorded transition in one vectorized pass, each entry
+    the same elementwise product a transition at a time would give, so
+    recording costs only the copy.
     """
 
-    def __init__(self, state_dim: int, input_dim: int, capacity: int):
-        if capacity < 2:
-            raise ValueError("capacity must be at least 2")
+    def __init__(self, state_dim: int, input_dim: int):
         self.state_dim = state_dim
         self.input_dim = input_dim
-        self.capacity = capacity
+        self.capacity = capacity = window_rows(state_dim, input_dim)
         try:  # numpy raises either error for a window too large to allocate
             self._x = np.empty((capacity, state_dim))
             self._u = np.empty((capacity, input_dim))
@@ -288,10 +288,10 @@ _REGRESSION_NOT_FINITE = ("window regression is not finite; the window "
 
 
 def _certified_qr_fold(matrix: np.ndarray, rhs: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray | None:
+                       out: np.ndarray) -> np.ndarray | None:
     """The least-squares fold ``inv(R) @ (Q^T rhs)`` of ``matrix``'s reduced
-    Householder QR, written into ``out`` when given, or None unless the QR
-    certifies that the truncated SVD would keep every direction,
+    Householder QR, written into ``out``, or None unless the QR certifies
+    that the truncated SVD would keep every direction,
     ``s[-1] > RANK_RCOND * s[0]``.  A window with an all-zero column, as
     every engine window has, is rank deficient and returns None without a
     QR (Householder reflections would keep that column zero, and its

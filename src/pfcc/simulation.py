@@ -690,7 +690,7 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int) -> None:
     state.learners[node] = AgentLearner(
         node=node, layout=layout,
         controller=ln.LearnedController.create(dim, width),
-        buffer=ln.DataBuffer(dim, width, ln.window_rows(dim, width)),
+        buffer=ln.DataBuffer(dim, width),
         behavior_full=behavior_full)
 
 
@@ -698,23 +698,15 @@ def _reset_learner(state: WorldState, cfg: ScenarioConfig, node: int) -> None:
 # gains
 # ---------------------------------------------------------------------------
 
-def synthesize_oracle_gains(cfg: ScenarioConfig, node: int,
-                            layout: tuple[int, ...],
-                            alphas: dict[int, float]) -> np.ndarray:
-    """Model-based gain ``K`` of the control law ``u = K z`` for one agent's
-    current layout; a leader's layout is its own formation, ``(node,)``."""
-    return mc.riccati_value_iteration(cfg.augmented_system(node, layout, alphas)).K
-
-
 def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
     """Pick every agent's gain for the current plans, in agent order, and
     group the gains and gathers by shape.
 
-    An oracle agent synthesizes its gain when its plan key changed since
-    its last synthesis.  A learner applies ``K_hat`` once converged, else
-    its behaviour gain, and until then it probes (``state.probing``).  An
-    agent with no gain, or without the observer rows of its plan, applies
-    its warm-up gain to its own plant state."""
+    An oracle agent solves its gain by Riccati value iteration when its
+    plan key changed since its last solve.  A learner applies ``K_hat`` once
+    converged, else its behaviour gain, and until then it probes
+    (``state.probing``).  An agent with no gain, or without the observer
+    rows of its plan, applies its warm-up gain to its own plant state."""
     n, width = cfg.state_dim, state.plant_b.shape[2]
     groups: dict[tuple[int, int], list] = {}
     probing = []
@@ -730,8 +722,8 @@ def _group_gains(state: WorldState, cfg: ScenarioConfig) -> None:
         elif plan.layout:
             if state.oracle_layouts.get(node) != plan.key:
                 try:
-                    state.oracle_gains[node] = synthesize_oracle_gains(
-                        cfg, node, plan.layout, plan.alphas)
+                    state.oracle_gains[node] = mc.riccati_value_iteration(
+                        cfg.augmented_system(node, plan.layout, plan.alphas)).K
                 except PfccError as exc:
                     raise SimulationAbort(state.tick, cfg.agent_name(node), exc) from exc
                 state.oracle_layouts[node] = plan.key

@@ -155,7 +155,8 @@ def test_criterion_3_gain_identities(hexagon_config):
         dyn = cfg.dynamics_of(node)
         u_o = mc.min_norm_regulation_solution(dyn.A, dyn.B, cfg.tracking_a)
         if topo.is_leader(node):
-            gain = sim.synthesize_oracle_gains(cfg, node, (node,), {node: 1.0})
+            gain = mc.riccati_value_iteration(
+                cfg.augmented_system(node, (node,), {node: 1.0})).K
             gains = ref.AgentGains.split(gain, cfg.state_dim, (node,))
             u_h = mc.min_norm_regulation_solution(
                 dyn.A, dyn.B, cfg.formation[topo.leader_index(node)].S)
@@ -163,8 +164,8 @@ def test_criterion_3_gain_identities(hexagon_config):
         else:
             alphas = coeffs[node]
             layout = tuple(sorted(alphas))
-            gains = ref.AgentGains.split(sim.synthesize_oracle_gains(cfg, node, layout, alphas),
-                                         cfg.state_dim, layout)
+            gain = mc.riccati_value_iteration(cfg.augmented_system(node, layout, alphas)).K
+            gains = ref.AgentGains.split(gain, cfg.state_dim, layout)
             u_h = {q: mc.min_norm_regulation_solution(
                 dyn.A, dyn.B, cfg.formation[topo.leader_index(q)].S)
                 for q in layout}
@@ -212,7 +213,8 @@ def test_criterion_4_engine_learners_match_oracle(before_switch_runs, hexagon_ru
             assert lr.controller.status == ln.CONVERGED, name
             plan = state.plans[node]
             assert lr.layout == plan.layout, name
-            k_oracle = sim.synthesize_oracle_gains(cfg, node, plan.layout, plan.alphas)
+            k_oracle = mc.riccati_value_iteration(
+                cfg.augmented_system(node, plan.layout, plan.alphas)).K
             gap, rank = _excited_gap(lr.buffer._x[: len(lr.buffer)], lr.controller.K_hat,
                                      k_oracle)
             assert rank >= 3, name

@@ -51,8 +51,8 @@ def fill_buffer(sys_, seed, noise=1.0, warm=None, rows=None):
     """Independent-row probe window: every row is an exact transition, its
     input probed by the learner's noise scaled to standard deviation
     ``noise``."""
-    rows = rows or ln.window_rows(sys_.dim, sys_.m)
-    buf = ln.DataBuffer(sys_.dim, sys_.m, rows)
+    buf = ln.DataBuffer(sys_.dim, sys_.m)
+    rows = rows or buf.capacity
     rng = np.random.default_rng(seed)
     kb = np.zeros((sys_.m, sys_.dim))
     if warm is not None:
@@ -67,7 +67,7 @@ def fill_buffer(sys_, seed, noise=1.0, warm=None, rows=None):
 
 class TestDataBuffer:
     def test_scalar_row_values(self):
-        buf = ln.DataBuffer(1, 1, 3).record([2.0], [3.0], [5.0])
+        buf = ln.DataBuffer(1, 1).record([2.0], [3.0], [5.0])
         np.testing.assert_allclose(buf.theta(), [[4.0, 12.0, 9.0]])
         np.testing.assert_allclose(buf.theta()[:, : ln.psi_columns(1)], [[4.0]])
         np.testing.assert_allclose(buf.psi_next(), [[25.0]])
@@ -75,22 +75,22 @@ class TestDataBuffer:
     def test_record_reads_scalars_lists_and_ints_as_float_rows(self):
         # a 0-d value of a width-1 window, a list and an int array each
         # record the row of the same float array
-        want = ln.DataBuffer(1, 2, 3).record(np.array([2.0]), np.array([3.0, -1.0]),
-                                             np.array([5.0]))
+        want = ln.DataBuffer(1, 2).record(np.array([2.0]), np.array([3.0, -1.0]),
+                                          np.array([5.0]))
         for x, u, x_next in ((2.0, [3.0, -1.0], np.float32(5.0)),
                              ([[2]], np.array([3, -1]), [5])):
-            got = ln.DataBuffer(1, 2, 3).record(x, u, x_next)
+            got = ln.DataBuffer(1, 2).record(x, u, x_next)
             assert got.theta().tobytes() == want.theta().tobytes()
             assert got.psi_next().tobytes() == want.psi_next().tobytes()
 
     def test_zero_sample_gives_zero_rows(self):
-        buf = ln.DataBuffer(2, 1, 3)
+        buf = ln.DataBuffer(2, 1)
         buf.record(np.zeros(2), np.zeros(1), np.zeros(2))
         assert np.all(buf.theta()[0] == 0)
 
     def test_quadratic_form_row_identity(self):
         rng = np.random.default_rng(2)
-        buf = ln.DataBuffer(3, 1, 4)
+        buf = ln.DataBuffer(3, 1)
         x = rng.normal(size=3)
         buf.record(x, rng.normal(size=1), rng.normal(size=3))
         p = rng.normal(size=(3, 3))
@@ -99,16 +99,17 @@ class TestDataBuffer:
 
     def test_stacked_record_matches_row_by_row_kron_form(self):
         rng = np.random.default_rng(6)
-        n, m, rows = 5, 2, 30
+        n, m = 5, 2
+        by_row = ln.DataBuffer(n, m)
+        rows = by_row.capacity
         x, u = rng.normal(size=(rows, n)), rng.normal(size=(rows, m))
         x_next = rng.normal(size=(rows, n))
         theta = np.array([np.concatenate([vecv_loop(a), 2.0 * np.kron(a, b), vecv_loop(b)])
                           for a, b in zip(x, u)])
         psi_next = np.array([vecv_loop(c) for c in x_next])
-        by_row = ln.DataBuffer(n, m, rows)
         for t in range(rows):
             by_row.record(x[t], u[t], x_next[t])
-        stacked = ln.DataBuffer(n, m, rows).record(x[:10], u[:10], x_next[:10])
+        stacked = ln.DataBuffer(n, m).record(x[:10], u[:10], x_next[:10])
         stacked.record(x[10:], u[10:], x_next[10:])
         for buf in (by_row, stacked):
             assert buf.is_full
@@ -124,7 +125,7 @@ class TestDataBuffer:
         rng = np.random.default_rng(26)
         n, m = 5, 2
         a, b = 0.5 * rng.normal(size=(n, n)), rng.normal(size=(n, m))
-        buf = ln.DataBuffer(n, m, ln.window_rows(n, m))
+        buf = ln.DataBuffer(n, m)
         kept = []  # the transitions recorded since the last flush
 
         def record(rows):
@@ -196,26 +197,28 @@ class TestDataBuffer:
         # layout: a change of layout could move every learned gain by an ulp
         rng = np.random.default_rng(29)
         n, m = 5, 2
-        buf = ln.DataBuffer(n, m, 30).record(rng.normal(size=(rows, n)),
-                                             rng.normal(size=(rows, m)),
-                                             rng.normal(size=(rows, n)))
+        buf = ln.DataBuffer(n, m).record(rng.normal(size=(rows, n)),
+                                         rng.normal(size=(rows, m)),
+                                         rng.normal(size=(rows, n)))
         assert buf.theta().flags.c_contiguous
 
     def test_recording_past_capacity_rejected(self):
-        buf = ln.DataBuffer(1, 1, 2)
-        for v in (1.0, 2.0):
+        buf = ln.DataBuffer(1, 1)
+        values = np.arange(1.0, buf.capacity + 1)
+        for v in values:
             buf.record([v], [0.0], [v])
         with pytest.raises(ValueError, match="flush"):
             buf.record([3.0], [0.0], [3.0])
+        over = np.ones((buf.capacity + 1, 1))
         with pytest.raises(ValueError, match="flush"):
-            ln.DataBuffer(1, 1, 2).record(np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)))
-        np.testing.assert_array_equal(buf.theta()[:, 0], [1.0, 4.0])
+            ln.DataBuffer(1, 1).record(over, over, over)
+        np.testing.assert_array_equal(buf.theta()[:, 0], values ** 2)
         buf.flush()
         buf.record([3.0], [0.0], [3.0])
         np.testing.assert_array_equal(buf.theta()[:, 0], [9.0])
 
     def test_dimension_checks(self):
-        buf = ln.DataBuffer(2, 1, 3)
+        buf = ln.DataBuffer(2, 1)
         with pytest.raises(ValueError, match="state dimension"):
             buf.record(np.zeros(3), np.zeros(1), np.zeros(2))
         with pytest.raises(ValueError, match="input dimension"):
@@ -224,7 +227,7 @@ class TestDataBuffer:
             buf.record(np.zeros((2, 2)), np.zeros((1, 1)), np.zeros((2, 2)))
 
     def test_flush(self):
-        buf = ln.DataBuffer(1, 1, 2)
+        buf = ln.DataBuffer(1, 1)
         buf.record([1.0], [1.0], [1.0])
         buf.flush()
         assert len(buf) == 0 and not buf.is_full
@@ -252,9 +255,9 @@ class TestModelBlockRegression:
         x = size * rng.normal(size=(rows, sys_.dim))
         u = size * rng.normal(size=(rows, sys_.m))
         x_next = x @ sys_.A_bar.T + u @ sys_.B_bar.T
-        exact = ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next)
+        exact = ln.DataBuffer(sys_.dim, sys_.m).record(x, u, x_next)
         x_next[rows // 2 :] *= 1.1
-        return exact, ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next)
+        return exact, ln.DataBuffer(sys_.dim, sys_.m).record(x, u, x_next)
 
     def test_mixed_model_window_flagged_inconsistent(self, hexagon_config):
         # rows from two different plants cannot all satisfy one row
@@ -313,7 +316,7 @@ class TestModelBlockRegression:
     def test_scalar_three_sample_exact(self):
         # scalar plant: three independent samples pin down the three unknowns
         a, b = 0.7, 2.0
-        buf = ln.DataBuffer(1, 1, 3)
+        buf = ln.DataBuffer(1, 1)
         for x, u in ((1.0, 0.3), (-0.5, 1.1), (2.0, -0.7)):
             buf.record([x], [u], [a * x + b * u])
         p = np.array([[1.3]])
@@ -365,7 +368,7 @@ class TestWindowPlan:
         # its flush
         sys_ = bundled_system(name, agent)
         rows, (first, second) = self.windows(sys_, seed=8)
-        reused = ln.DataBuffer(sys_.dim, sys_.m, rows).record(*first)
+        reused = ln.DataBuffer(sys_.dim, sys_.m).record(*first)
         self.sweeps(reused, sys_, 3)
         reused.flush()
         with pytest.raises(PersistentExcitationError):
@@ -373,7 +376,7 @@ class TestWindowPlan:
         half = rows // 2
         reused.record(*(a[:half] for a in second))
         reused.record(*(a[half:] for a in second))
-        fresh = ln.DataBuffer(sys_.dim, sys_.m, rows).record(*second)
+        fresh = ln.DataBuffer(sys_.dim, sys_.m).record(*second)
         for got, want in zip(self.sweeps(reused, sys_, 12), self.sweeps(fresh, sys_, 12)):
             assert_same_controller(got, want)
 
@@ -383,12 +386,13 @@ class TestWindowPlan:
         # built, leaves it solving as a plan of the window without it and
         # makes the regression of a plan built after it inconsistent
         sys_ = f1_system(hexagon_config)
-        rows, ((x, u, x_next), _) = self.windows(sys_, seed=9)
-        buf = ln.DataBuffer(sys_.dim, sys_.m, rows + 1).record(x, u, x_next)
+        _, ((x, u, x_next), _) = self.windows(sys_, seed=9)
+        window = (x[:-1], u[:-1], x_next[:-1])  # one row short of the capacity
+        buf = ln.DataBuffer(sys_.dim, sys_.m).record(*window)
         plan = ln.WindowPlan(buf)
         buf.record(x[0], u[0], 1.1 * x_next[0])
         p = np.eye(sys_.dim)
-        fresh = ln.WindowPlan(ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next))
+        fresh = ln.WindowPlan(ln.DataBuffer(sys_.dim, sys_.m).record(*window))
         for got, want in zip(plan.xi(p), fresh.xi(p)):
             assert got.tobytes() == want.tobytes()
         with pytest.raises(DataConsistencyError):
@@ -698,8 +702,8 @@ class TestWindowRule:
         # enough rows, all of them zero: there is no direction to keep
         n, m = 3, 2
         rows = ln.theta_columns(n, m)
-        buf = ln.DataBuffer(n, m, rows).record(np.zeros((rows, n)), np.zeros((rows, m)),
-                                               np.zeros((rows, n)))
+        buf = ln.DataBuffer(n, m).record(np.zeros((rows, n)), np.zeros((rows, m)),
+                                         np.zeros((rows, n)))
         with pytest.raises(PersistentExcitationError,
                            match="regression matrix is zero; no excitation in the window"):
             ln.WindowPlan(buf)
@@ -709,7 +713,7 @@ class TestWindowRule:
         # than its six unknowns keeps one direction, and its solution is the
         # min-norm one that reproduces the transition's row identity
         x, u, x_next = np.array([1.0, 2.0]), np.array([0.5]), np.array([2.0, 1.0])
-        buf = ln.DataBuffer(2, 1, 8)
+        buf = ln.DataBuffer(2, 1)
         for _ in range(8):
             buf.record(x, u, x_next)
         p = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -880,7 +884,8 @@ class TestUpperInverse:
                 scale = row_scale(buf)
                 matrix = buf.theta() * scale[:, None]
                 rhs = scale[:, None] * buf.psi_next()
-                certified = ln._certified_qr_fold(matrix, rhs) is not None
+                out = np.empty((matrix.shape[1], rhs.shape[1]))
+                certified = ln._certified_qr_fold(matrix, rhs, out) is not None
                 assert certified == parent_certifies(matrix), (agent, seed)
 
     @pytest.mark.parametrize("ratio, certified", [(0.99, False), (1.01, False), (2.0, True)])
@@ -889,8 +894,9 @@ class TestUpperInverse:
         # rejected by the norm product (about 1.8); at twice the floor it
         # reads about 0.9 and the window is certified
         window = ScaledColumnWindow(ratio * ln.RANK_RCOND)
-        matrix = window.theta()
-        assert (ln._certified_qr_fold(matrix, window.psi_next()) is not None) == certified
+        matrix, rhs = window.theta(), window.psi_next()
+        out = np.empty((matrix.shape[1], rhs.shape[1]))
+        assert (ln._certified_qr_fold(matrix, rhs, out) is not None) == certified
         assert parent_certifies(matrix) == certified
 
 
@@ -914,7 +920,7 @@ if sys.argv[1] != "-":
     x_next[3, 1] = float(sys.argv[1])
 x_next *= float(sys.argv[2])
 with np.errstate(all="ignore"):
-    buf = ln.DataBuffer(sys_.dim, sys_.m, rows).record(x, u, x_next)
+    buf = ln.DataBuffer(sys_.dim, sys_.m).record(x, u, x_next)
     cost = mc.stage_cost(cfg.q_weights[7], mc.error_selector(cfg.state_dim, [1.0]))
     ctrl = ln.LearnedController.create(sys_.dim, sys_.m)
     try:
@@ -1226,7 +1232,7 @@ class TestLearningLoop:
         # raises, and iterate raises the same before any sweep of the
         # underdetermined regression, its error carrying the fresh controller
         sys_ = f1_system(hexagon_config)
-        buf = ln.DataBuffer(sys_.dim, sys_.m, ln.window_rows(sys_.dim, sys_.m))
+        buf = ln.DataBuffer(sys_.dim, sys_.m)
         buf.record(np.ones(sys_.dim), np.ones(sys_.m), np.ones(sys_.dim))
         unknowns = ln.theta_columns(sys_.dim, sys_.m)
         with pytest.raises(PersistentExcitationError,
@@ -1283,7 +1289,7 @@ class TestLearningLoop:
                 / np.linalg.norm(oracle.K)) < 1e-3
 
     def test_window_default_size(self):
-        assert ln.window_rows(4, 2) == ln.theta_columns(4, 2) + 12
+        assert ln.DataBuffer(4, 2).capacity == ln.window_rows(4, 2) == ln.theta_columns(4, 2) + 12
 
 
 class TestExactPlan:
@@ -1395,7 +1401,7 @@ class TestOneBlasThread:
                   "inconsistent": DataConsistencyError,
                   "iterations_spent": ConvergenceError}.get(ending)
         if ending == "under_filled":
-            buf = ln.DataBuffer(sys_.dim, sys_.m, ln.window_rows(sys_.dim, sys_.m))
+            buf = ln.DataBuffer(sys_.dim, sys_.m)
             buf.record(np.ones(sys_.dim), np.ones(sys_.m), np.ones(sys_.dim))
         elif ending == "inconsistent":
             _, buf = TestModelBlockRegression.exact_and_mixed_windows(sys_)

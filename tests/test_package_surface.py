@@ -122,10 +122,16 @@ PASSED_BY_TESTS_ONLY = {"cli.main(argv)"}
 
 def defaulted_parameters(tree: ast.Module):
     """(qualified name, node, parameter, position) of each defaulted
-    parameter of a public function or method; ``position`` counts the
-    positional arguments of a call that reach the parameter (a method's
-    first one is its instance or class), None for a keyword-only one."""
-    for qualified, _, node, _ in public_definitions(tree):
+    parameter of a public function or method, or of a private module-level
+    function other than a dunder; ``position`` counts the positional
+    arguments of a call that reach the parameter (a method's first one is
+    its instance or class), None for a keyword-only one.  Methods of
+    private classes are left out: ``_SeedWords.generate_state`` keeps the
+    signature of numpy's ``ISeedSequence``."""
+    private = [(node.name, node) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    for qualified, node in [(q, n) for q, _, n, _ in public_definitions(tree)] + private:
         if not isinstance(node, ast.FunctionDef):
             continue
         args = node.args
@@ -151,7 +157,9 @@ def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
 
 
 def test_every_defaulted_parameter_is_passed_outside_tests():
-    # a default that no caller overrides is a constant written as an option
+    # a default that no caller overrides is a constant written as an option,
+    # and a private function's default that every caller overrides is a
+    # required argument written as an option
     package, trees = parsed_sources()
     calls = [(path, node) for path, tree in trees.items() for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
@@ -160,11 +168,11 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
         for qualified, node, parameter, position in defaulted_parameters(trees[path]):
             name = qualified.rsplit(".", 1)[-1]
             own = range(node.lineno, node.end_lineno + 1)
-            if not any((call.func.id if isinstance(call.func, ast.Name)
-                        else getattr(call.func, "attr", None)) == name
-                       and not (where == path and call.lineno in own)
-                       and passes(call, parameter, position)
-                       for where, call in calls):
+            passed = [passes(call, parameter, position) for where, call in calls
+                      if (call.func.id if isinstance(call.func, ast.Name)
+                          else getattr(call.func, "attr", None)) == name
+                      and not (where == path and call.lineno in own)]
+            if not any(passed) or (name.startswith("_") and all(passed)):
                 found.append(f"{path.stem}.{qualified}({parameter})")
     assert sorted(set(found) - PASSED_BY_TESTS_ONLY) == []
 

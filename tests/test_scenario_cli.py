@@ -967,8 +967,8 @@ class TestCompareGains:
                 sys_ = cfg.augmented_system(node, tuple(sorted(alphas)), alphas)
                 # the per-row form from one generator: a state draw per
                 # row, then a noise draw per row, then one record per row
-                rows = ln.window_rows(sys_.dim, sys_.m)
-                expected = ln.DataBuffer(sys_.dim, sys_.m, rows)
+                expected = ln.DataBuffer(sys_.dim, sys_.m)
+                rows = expected.capacity
                 rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, node])
                 warm = np.zeros((sys_.m, sys_.dim))
                 warm[:, : cfg.state_dim] = np.atleast_2d(

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import pickle
 import re
 import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,10 +418,10 @@ class TestOracleControl:
     @staticmethod
     def run_recorded(monkeypatch, cfg):
         """Run ``cfg`` and return, per tick, the world, plans, oracle gains
-        and inputs the control step saw and applied, and the synthesis
-        calls."""
+        and inputs the control step saw and applied, and the augmented
+        systems built for a Riccati solve."""
         seen, synthesized = [], []
-        controls, synthesize = sim._control_inputs, sim.synthesize_oracle_gains
+        controls, augmented = sim._control_inputs, sim.ScenarioConfig.augmented_system
 
         def recorded(state, cfg):
             u = controls(state, cfg)
@@ -429,9 +431,9 @@ class TestOracleControl:
 
         def counted(cfg, node, layout, alphas):
             synthesized.append((node, layout, tuple(sorted(alphas.items()))))
-            return synthesize(cfg, node, layout, alphas)
+            return augmented(cfg, node, layout, alphas)
         monkeypatch.setattr(sim, "_control_inputs", recorded)
-        monkeypatch.setattr(sim, "synthesize_oracle_gains", counted)
+        monkeypatch.setattr(sim.ScenarioConfig, "augmented_system", counted)
         state = sim.init_world(cfg)
         for _ in range(cfg.horizon):
             sim.step_world(state, cfg)
@@ -479,6 +481,56 @@ class TestOracleControl:
         [group] = seen[-1][3]
         width = seen[-1][4].shape[1]  # the flattened inputs' row length
         assert (group.flat // width + 1).ravel().tolist() == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("scenario", ["hexagon", "hexagon_static"])
+def test_engine_oracle_matches_the_oracle_memo(scenario):
+    # the engine keeps its own gains per plan key and compare-gains reads
+    # mc.oracle_solution's memo: before and after the tick-4000 switch, both
+    # give every agent the same gain bytes
+    cfg = dataclasses.replace(sc.load_bundled(scenario), mode=sim.MODE_ORACLE, horizon=4005)
+    state = sim.init_world(cfg)
+    checked = 0
+    for tick in (50, 4005):
+        while state.tick < tick:
+            sim.step_world(state, cfg)
+        for node in range(1, cfg.topology.n_nodes):
+            plan = state.plans[node]
+            assert state.oracle_layouts[node] == plan.key
+            want = mc.oracle_solution(cfg.augmented_system(node, plan.layout, plan.alphas)).K
+            assert state.oracle_gains[node].tobytes() == want.tobytes(), (tick, node)
+            checked += 1
+    assert checked == 20
+
+
+class TestWorldStatePickle:
+    @staticmethod
+    def exports(state, cfg, out):
+        result = sim.RunResult(trace=state.trace, state=state, summary=sim.summarize(state, cfg))
+        return [Path(path).read_bytes() for path in sc.export_run(result, out)]
+
+    @pytest.mark.parametrize("scenario, mode, cut, horizon, probing", [
+        ("hexagon", sim.MODE_DATA, 1500, 2000, 2),  # start-up windows filling
+        ("hexagon", sim.MODE_DATA, 4030, 4100, 4),  # re-probing after the switch
+        ("hexagon_static", sim.MODE_ORACLE, 300, 600, 0),
+    ])
+    def test_resumed_state_exports_the_same_bytes(self, tmp_path, scenario, mode, cut,
+                                                  horizon, probing):
+        # a state pickled mid-run and resumed writes the trace.csv and
+        # metadata.json of the run that went on without the round trip
+        cfg = dataclasses.replace(sc.load_bundled(scenario), mode=mode, horizon=horizon,
+                                  sample_interval=10)
+        state = sim.init_world(cfg)
+        for _ in range(cut):
+            sim.step_world(state, cfg)
+        resumed = pickle.loads(pickle.dumps(state))
+        assert sum(lr.controller.status != ln.CONVERGED
+                   for lr in resumed.learners.values()) == probing
+        for _ in range(horizon - cut):
+            sim.step_world(state, cfg)
+            sim.step_world(resumed, cfg)
+        assert (self.exports(resumed, cfg, tmp_path / "resumed")
+                == self.exports(state, cfg, tmp_path / "uninterrupted"))
 
 
 class TestLearnerControl:
@@ -1128,7 +1180,7 @@ class TestProbingNoise:
         cfg = dataclasses.replace(tiny_config(), seed=seed)
         lr = sim.AgentLearner(node=1, layout=(1,),
                               controller=ln.LearnedController.create(6, 2),
-                              buffer=ln.DataBuffer(6, 2, 30))
+                              buffer=ln.DataBuffer(6, 2))
         block = sim.NOISE_BLOCK_TICKS
         last = 2**32 - 1
         # forward across boundaries, back into an earlier block, and the
